@@ -13,7 +13,10 @@ use usb_core::{deepfool, DeepfoolConfig, UsbDetector};
 use usb_defenses::Defense;
 use usb_nn::layer::Mode;
 use usb_nn::optim::TensorAdam;
-use usb_tensor::conv::{conv2d_backward, conv2d_forward, conv2d_forward_ws, ConvSpec};
+use usb_tensor::conv::{
+    conv2d_backward, conv2d_forward, conv2d_forward_ws, depthwise_forward_ws,
+    depthwise_input_backward_ws, ConvSpec,
+};
 use usb_tensor::ssim::{ssim, ssim_with_grad, ssim_with_grad_ws};
 use usb_tensor::{init, ops, par, Dtype, QTensor, Tensor, Workspace};
 
@@ -112,6 +115,39 @@ fn bench_conv(c: &mut Criterion) {
     });
 }
 
+/// Depthwise forward and input-backward at EfficientNet-B0's three
+/// depthwise geometries (stage 1 k3s1, stage 2 k3s2, stage 3 k5s2) with a
+/// warm workspace, as the refine and DeepFool loops call them.
+fn bench_depthwise(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(3);
+    for &(ch, hw, k, stride, name) in &[
+        (6, 20, 3, 1, "b16c6_20x20_k3s1"),
+        (24, 20, 3, 2, "b16c24_20x20_k3s2"),
+        (48, 10, 5, 2, "b16c48_10x10_k5s2"),
+    ] {
+        let x = init::uniform(&[16, ch, hw, hw], -1.0, 1.0, &mut rng);
+        let w = init::uniform(&[ch, 1, k, k], -0.5, 0.5, &mut rng);
+        let spec = ConvSpec::new(stride, k / 2);
+        let mut ws = Workspace::new();
+        c.bench_function(&format!("substrate/depthwise_fwd_{name}"), |bench| {
+            bench.iter(|| {
+                let out = depthwise_forward_ws(&x, &w, None, spec, &mut ws);
+                black_box(out.data()[0]);
+                ws.recycle(out);
+            })
+        });
+        let out = depthwise_forward_ws(&x, &w, None, spec, &mut ws);
+        let go = out.map(|v| 0.1 * v);
+        c.bench_function(&format!("substrate/depthwise_bwd_{name}"), |bench| {
+            bench.iter(|| {
+                let gi = depthwise_input_backward_ws(&w, &go, hw, hw, spec, &mut ws);
+                black_box(gi.data()[0]);
+                ws.recycle(gi);
+            })
+        });
+    }
+}
+
 fn bench_ssim(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let x = init::uniform(&[16, 3, 12, 12], 0.0, 1.0, &mut rng);
@@ -123,6 +159,21 @@ fn bench_ssim(c: &mut Criterion) {
         bench.iter(|| black_box(ssim_with_grad(&x, &y)))
     });
     c.bench_function("substrate/ssim_with_grad_warm_ws_b16", |bench| {
+        let mut ws = Workspace::new();
+        bench.iter(|| {
+            let (val, grad) = ssim_with_grad_ws(&x, &y, &mut ws);
+            black_box(val);
+            ws.recycle(grad);
+        })
+    });
+    // The Table 7 EfficientNet refine shape: 48 planes of 20×20, 10×10
+    // valid outputs per 11×11 window.
+    let x = init::uniform(&[16, 3, 20, 20], 0.0, 1.0, &mut rng);
+    let y = init::uniform(&[16, 3, 20, 20], 0.0, 1.0, &mut rng);
+    c.bench_function("substrate/ssim_b16c3_20x20", |bench| {
+        bench.iter(|| black_box(ssim(&x, &y)))
+    });
+    c.bench_function("substrate/ssim_with_grad_warm_ws_b16c3_20x20", |bench| {
         let mut ws = Workspace::new();
         bench.iter(|| {
             let (val, grad) = ssim_with_grad_ws(&x, &y, &mut ws);
@@ -257,6 +308,7 @@ fn benches(c: &mut Criterion) {
     bench_matmul(c);
     bench_elementwise(c);
     bench_conv(c);
+    bench_depthwise(c);
     bench_ssim(c);
     bench_par_map(c);
     bench_infer_vs_forward(c);

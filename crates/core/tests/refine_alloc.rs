@@ -63,14 +63,16 @@ fn allocs_for(steps: usize, model: &usb_nn::models::Network, images: &Tensor, v:
     after - before
 }
 
-#[test]
-fn steady_state_refine_step_allocates_nothing() {
+/// Builds `kind` at `input`, then checks that 6 extra refine steps
+/// allocate nothing.
+fn assert_steady_state_allocation_free(kind: ModelKind, input: (usize, usize, usize)) {
     let mut rng = StdRng::seed_from_u64(11);
-    let model = Architecture::new(ModelKind::ResNet18, (3, 12, 12), 6)
+    let model = Architecture::new(kind, input, 6)
         .with_width(4)
         .build(&mut rng);
-    let images = Tensor::from_fn(&[24, 3, 12, 12], |i| 0.5 + 0.4 * ((i as f32) * 0.13).sin());
-    let v = Tensor::from_fn(&[3, 12, 12], |i| 0.3 * ((i as f32) * 0.37).cos());
+    let (c, h, w) = input;
+    let images = Tensor::from_fn(&[24, c, h, w], |i| 0.5 + 0.4 * ((i as f32) * 0.13).sin());
+    let v = Tensor::from_fn(&[c, h, w], |i| 0.3 * ((i as f32) * 0.37).cos());
 
     // Absorb process-wide one-time initialisation (the thread-local SSIM
     // window cache, lazy formatting machinery) so the two measured runs
@@ -85,8 +87,21 @@ fn steady_state_refine_step_allocates_nothing() {
     assert_eq!(
         longer,
         base,
-        "6 extra refine steps allocated {} times (steady-state step must \
-         draw everything from the workspace)",
+        "{kind:?}: 6 extra refine steps allocated {} times (steady-state \
+         step must draw everything from the workspace)",
         longer.saturating_sub(base)
     );
+}
+
+#[test]
+fn steady_state_refine_step_allocates_nothing() {
+    assert_steady_state_allocation_free(ModelKind::ResNet18, (3, 12, 12));
+}
+
+/// The EfficientNet-B0 path adds what ResNet-18 lacks: SiLU's recorded
+/// sigmoid frames, depthwise convolutions through the stencil kernels'
+/// scratch, and squeeze-excite gating.
+#[test]
+fn steady_state_efficientnet_refine_step_allocates_nothing() {
+    assert_steady_state_allocation_free(ModelKind::EfficientNetB0, (3, 16, 16));
 }

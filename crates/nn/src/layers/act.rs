@@ -236,19 +236,40 @@ impl Layer for SiLU {
         map_into(x, ws, |v| v * sigmoid_scalar(v))
     }
 
+    /// Records the input in `vals` and the sigmoid it computes on the way
+    /// in `extra`, so [`SiLU::grad`] reads `σ(x)` instead of recomputing
+    /// the exponential — the same bits either way.
     fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        tape.push().vals.extend_from_slice(x.data());
-        map_into(x, ws, |v| v * sigmoid_scalar(v))
+        let frame = tape.push();
+        frame.vals.extend_from_slice(x.data());
+        frame
+            .extra
+            .extend(x.data().iter().map(|&v| sigmoid_scalar(v)));
+        let mut out = ws.take_dirty(x.len());
+        for ((o, &v), &s) in out.iter_mut().zip(x.data()).zip(&frame.extra) {
+            *o = v * s;
+        }
+        Tensor::from_vec(out, x.shape())
     }
 
     fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
         let frame = tape.pop();
-        let gi = zip_grad_into(grad_out, &frame.vals, ws, |g, v| {
-            let s = sigmoid_scalar(v);
-            g * (s + v * s * (1.0 - s))
-        });
+        assert!(
+            grad_out.len() == frame.vals.len() && frame.extra.len() == frame.vals.len(),
+            "activation grad: grad length does not match the recorded frame"
+        );
+        // Same expression as `backward`, on the recorded σ(x).
+        let mut out = ws.take_dirty(grad_out.len());
+        for (((o, &g), &v), &s) in out
+            .iter_mut()
+            .zip(grad_out.data())
+            .zip(&frame.vals)
+            .zip(&frame.extra)
+        {
+            *o = g * (s + v * s * (1.0 - s));
+        }
         tape.recycle(frame);
-        gi
+        Tensor::from_vec(out, grad_out.shape())
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(ParamSlot<'_>)) {}

@@ -12,7 +12,7 @@
 //! (triggers, masks, universal perturbations).
 
 use crate::quant::WeightRef;
-use crate::{ops, Tensor, Workspace};
+use crate::{kernels, ops, Tensor, Workspace};
 
 /// Geometry of a convolution: strides and symmetric zero padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -425,9 +425,9 @@ pub fn conv2d_input_backward_ref_ws(
 }
 
 /// The `dL/d input` half of [`depthwise_backward`] alone (see
-/// [`conv2d_input_backward_ws`] for why): same window scan minus the
-/// weight/bias accumulation, so the returned gradient is bit-identical to
-/// the first element of the [`depthwise_backward`] tuple.
+/// [`conv2d_input_backward_ws`] for why): the weight/bias accumulation is
+/// skipped, and the returned gradient is exactly the first element of the
+/// [`depthwise_backward`] tuple (which calls this).
 ///
 /// Convenience wrapper over [`depthwise_input_backward_ws`] with a
 /// throwaway workspace — the two share one implementation, so results are
@@ -446,9 +446,9 @@ pub fn depthwise_input_backward(
     depthwise_input_backward_ws(weight, grad_out, h, w, spec, &mut Workspace::new())
 }
 
-/// [`depthwise_input_backward`] drawing the gradient buffer from `ws`
-/// (zero-filled checkout — the scatter accumulates with `+=`). Single
-/// implementation behind both entry points.
+/// [`depthwise_input_backward`] drawing the gradient buffer from `ws`: one
+/// [`stencil_adjoint_ws`] over the `N·C` planes, plane `i·C + ch` scattered
+/// through kernel `ch`. Single implementation behind both entry points.
 ///
 /// # Panics
 ///
@@ -470,38 +470,9 @@ pub fn depthwise_input_backward_ws(
         (spec.out_size(h, kh), spec.out_size(w, kw)),
         "depthwise_input_backward: grad_out spatial dims mismatch"
     );
-    let wd = weight.data();
-    let god = grad_out.data();
-    let mut grad_input = ws.take(n * c * h * w);
-    for i in 0..n {
-        for ch in 0..c {
-            let ker = &wd[ch * kh * kw..(ch + 1) * kh * kw];
-            let go = &god[(i * c + ch) * oh * ow..(i * c + ch + 1) * oh * ow];
-            let gi = &mut grad_input[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = go[oy * ow + ox];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for ky in 0..kh {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let pix = iy as usize * w + ix as usize;
-                            gi[pix] += g * ker[ky * kw + kx];
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let st = Stencil::new(h, w, kh, kw, spec);
+    let mut grad_input = ws.take_dirty(n * c * h * w);
+    stencil_adjoint_ws(grad_out.data(), st, weight.data(), &mut grad_input, ws);
     Tensor::from_vec(grad_input, &[n, c, h, w])
 }
 
@@ -719,7 +690,7 @@ pub fn conv2d_backward_ws(
 ///
 /// # Panics
 ///
-/// Panics on rank or channel mismatches.
+/// Panics on rank, channel or bias-length mismatches.
 pub fn depthwise_forward(
     input: &Tensor,
     weight: &Tensor,
@@ -729,16 +700,18 @@ pub fn depthwise_forward(
     depthwise_forward_ws(input, weight, bias, spec, &mut Workspace::new())
 }
 
-/// [`depthwise_forward`] drawing the output buffer from `ws`.
+/// [`depthwise_forward`] drawing the output buffer from `ws`: one
+/// [`stencil_gather_ws`] over the `N·C` planes, plane `i·C + ch` using
+/// kernel and bias `ch`.
 ///
 /// Single implementation behind both entry points — bit-identical by
-/// construction. The per-pixel kernel fully overwrites the output, so a
-/// dirty workspace buffer is fine; recycling the returned tensor keeps
+/// construction. The gather fully overwrites the output, so a dirty
+/// workspace buffer is fine; recycling the returned tensor keeps
 /// steady-state inference allocation-free.
 ///
 /// # Panics
 ///
-/// Panics on rank or channel mismatches.
+/// Panics on rank, channel or bias-length mismatches.
 pub fn depthwise_forward_ws(
     input: &Tensor,
     weight: &Tensor,
@@ -752,25 +725,29 @@ pub fn depthwise_forward_ws(
     let (wc, one, kh, kw) = dims4(weight);
     assert_eq!(c, wc, "depthwise: channel mismatch {c} vs {wc}");
     assert_eq!(one, 1, "depthwise: weight second dim must be 1");
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let mut out = ws.take_dirty(n * c * oh * ow);
-    let id = input.data();
-    let wd = weight.data();
-    for i in 0..n {
-        for ch in 0..c {
-            let img = &id[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
-            let ker = &wd[ch * kh * kw..(ch + 1) * kh * kw];
-            let bv = bias.map(|b| b.data()[ch]).unwrap_or(0.0);
-            let o = &mut out[(i * c + ch) * oh * ow..(i * c + ch + 1) * oh * ow];
-            conv_single_into(img, h, w, ker, kh, kw, spec, bv, o);
-        }
+    if let Some(b) = bias {
+        assert_eq!(b.len(), c, "depthwise: bias length mismatch");
     }
+    let st = Stencil::new(h, w, kh, kw, spec);
+    let (oh, ow) = (st.out_h(), st.out_w());
+    let mut out = ws.take_dirty(n * c * oh * ow);
+    stencil_gather_ws(
+        input.data(),
+        st,
+        weight.data(),
+        bias.map(Tensor::data),
+        &mut out,
+        ws,
+    );
     Tensor::from_vec(out, &[n, c, oh, ow])
 }
 
 /// Gradients of a depthwise convolution; returns
 /// `(grad_input, grad_weight, grad_bias)`.
+///
+/// The input gradient is [`depthwise_input_backward`]; this adds the
+/// weight/bias accumulation, each weight tap summing its contributions in
+/// ascending `(image, oy, ox)` order and skipping zero gradients.
 ///
 /// # Panics
 ///
@@ -783,46 +760,36 @@ pub fn depthwise_backward(
 ) -> (Tensor, Tensor, Tensor) {
     let (n, c, h, w) = dims4(input);
     let (_, _, kh, kw) = dims4(weight);
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
+    let st = Stencil::new(h, w, kh, kw, spec);
+    let (oh, ow) = (st.out_h(), st.out_w());
     assert_eq!(
         grad_out.shape(),
         &[n, c, oh, ow],
         "depthwise_backward: grad_out shape mismatch"
     );
-    let mut grad_input = vec![0.0f32; n * c * h * w];
+    let grad_input = depthwise_input_backward(weight, grad_out, h, w, spec);
     let mut grad_weight = vec![0.0f32; c * kh * kw];
     let mut grad_bias = vec![0.0f32; c];
     let id = input.data();
-    let wd = weight.data();
     let god = grad_out.data();
     for i in 0..n {
         for ch in 0..c {
             let img = &id[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
-            let ker = &wd[ch * kh * kw..(ch + 1) * kh * kw];
             let go = &god[(i * c + ch) * oh * ow..(i * c + ch + 1) * oh * ow];
-            let gi = &mut grad_input[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
             let gw = &mut grad_weight[ch * kh * kw..(ch + 1) * kh * kw];
             grad_bias[ch] += go.iter().sum::<f32>();
             for oy in 0..oh {
+                let (ky0, ky1) = st.taps_y(oy);
                 for ox in 0..ow {
                     let g = go[oy * ow + ox];
                     if g == 0.0 {
                         continue;
                     }
-                    for ky in 0..kh {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let pix = iy as usize * w + ix as usize;
-                            gi[pix] += g * ker[ky * kw + kx];
-                            gw[ky * kw + kx] += g * img[pix];
+                    let (kx0, kx1) = st.taps_x(ox);
+                    for ky in ky0..ky1 {
+                        let row = (oy * spec.stride + ky - spec.pad) * w;
+                        for kx in kx0..kx1 {
+                            gw[ky * kw + kx] += g * img[row + ox * spec.stride + kx - spec.pad];
                         }
                     }
                 }
@@ -830,67 +797,275 @@ pub fn depthwise_backward(
         }
     }
     (
-        Tensor::from_vec(grad_input, &[n, c, h, w]),
+        grad_input,
         Tensor::from_vec(grad_weight, weight.shape()),
         Tensor::from_vec(grad_bias, &[c]),
     )
 }
 
-/// Convolves a single-channel image with a single kernel (used by SSIM's
-/// gaussian blur and the depthwise kernels). Writes into `out`.
+/// Shared geometry of a *planar stencil*: a stack of `[H, W]` planes, each
+/// convolved (cross-correlated) with a `[KH, KW]` kernel under one
+/// [`ConvSpec`]. Depthwise convolution (one plane per image·channel, one
+/// kernel per channel) and SSIM's gaussian blurs (one plane per image
+/// plane, one shared window) are both this shape.
 ///
-/// The unpadded case (SSIM's "valid" blur on every refine step) takes a
-/// branch-free tight loop; the accumulation order over `(ky, kx)` is the
-/// same in both branches, so results are bit-identical.
-#[allow(clippy::too_many_arguments)] // flat scalar kernel signature, hot path
-pub(crate) fn conv_single_into(
-    img: &[f32],
-    h: usize,
-    w: usize,
+/// Two kernels run over it, each with a fixed per-element op sequence that
+/// both kernel tiers reproduce bit for bit:
+///
+/// * [`stencil_gather_ws`] — `out = bias`, then `out += x·k` over the
+///   in-bounds taps in ascending `(ky, kx)` order;
+/// * [`stencil_adjoint_ws`] — its adjoint: every input pixel starts at
+///   `0.0` and receives `g·k` from each output whose window covers it, in
+///   ascending `(oy, ox)` order, skipping `g == 0.0`.
+///
+/// Fields are private: the AVX2 tier's unchecked loads rely on the output
+/// size staying consistent with the geometry [`Stencil::new`] checked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stencil {
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) spec: ConvSpec,
+    oh: usize,
+    ow: usize,
+}
+
+impl Stencil {
+    /// Checked constructor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane or kernel is empty, or the kernel does not fit
+    /// the padded plane.
+    pub fn new(h: usize, w: usize, kh: usize, kw: usize, spec: ConvSpec) -> Self {
+        assert!(
+            h > 0 && w > 0 && kh > 0 && kw > 0,
+            "stencil: empty plane or kernel"
+        );
+        Stencil {
+            h,
+            w,
+            kh,
+            kw,
+            spec,
+            oh: spec.out_size(h, kh),
+            ow: spec.out_size(w, kw),
+        }
+    }
+
+    /// Output plane height.
+    pub fn out_h(&self) -> usize {
+        self.oh
+    }
+
+    /// Output plane width.
+    pub fn out_w(&self) -> usize {
+        self.ow
+    }
+
+    /// In-bounds kernel rows `ky0..ky1` of output row `oy`.
+    pub(crate) fn taps_y(&self, oy: usize) -> (usize, usize) {
+        taps(oy, self.h, self.kh, self.spec)
+    }
+
+    /// In-bounds kernel columns `kx0..kx1` of output column `ox`.
+    pub(crate) fn taps_x(&self, ox: usize) -> (usize, usize) {
+        taps(ox, self.w, self.kw, self.spec)
+    }
+
+    /// Output rows `oy0..oy1` whose window covers input row `iy`.
+    pub(crate) fn sources_y(&self, iy: usize) -> (usize, usize) {
+        sources(iy, self.oh, self.kh, self.spec)
+    }
+
+    /// Output columns `ox0..ox1` whose window covers input column `ix`.
+    pub(crate) fn sources_x(&self, ix: usize) -> (usize, usize) {
+        sources(ix, self.ow, self.kw, self.spec)
+    }
+}
+
+/// Kernel taps `t0..t1` with `o·stride + t − pad` inside `0..n`.
+#[inline]
+fn taps(o: usize, n: usize, k: usize, spec: ConvSpec) -> (usize, usize) {
+    let at = o * spec.stride;
+    let t0 = spec.pad.saturating_sub(at);
+    let t1 = k.min((n + spec.pad).saturating_sub(at));
+    (t0, t1.max(t0))
+}
+
+/// Outputs `o0..o1` (of `n_out`) whose tap `i + pad − o·stride` is inside
+/// `0..k`, ascending.
+#[inline]
+fn sources(i: usize, n_out: usize, k: usize, spec: ConvSpec) -> (usize, usize) {
+    // The kernels evaluate this per pixel: keep the common strides off the
+    // integer divider.
+    let div = |a: usize| match spec.stride {
+        1 => a,
+        2 => a >> 1,
+        s => a / s,
+    };
+    let reach = i + spec.pad;
+    let o0 = div((reach + 1).saturating_sub(k) + spec.stride - 1);
+    let o1 = n_out.min(div(reach) + 1);
+    (o0, o1.max(o0))
+}
+
+/// Checks a planar-stencil call's slice lengths against the geometry.
+fn check_planes(
+    src: &[f32],
+    src_plane: usize,
     ker: &[f32],
-    kh: usize,
-    kw: usize,
-    spec: ConvSpec,
-    bias: f32,
+    kk: usize,
+    out: &[f32],
+    out_plane: usize,
+) {
+    assert!(
+        !ker.is_empty() && ker.len().is_multiple_of(kk),
+        "stencil: kernel length {} is not a multiple of {kk}",
+        ker.len()
+    );
+    assert!(
+        src.len().is_multiple_of(src_plane),
+        "stencil: ragged input planes"
+    );
+    assert_eq!(
+        out.len(),
+        src.len() / src_plane * out_plane,
+        "stencil: output length mismatch"
+    );
+}
+
+/// Planar-stencil gather: `out` plane `p` (`[OH, OW]`) is plane `p` of `x`
+/// (`[H, W]`) cross-correlated with kernel `p % K` of `ker` (`K` kernels of
+/// `KH·KW` taps, row-major), plus `bias[p % K]` (or `0.0`).
+///
+/// Per output: `acc = bias`, then `acc += x·k` over the in-bounds taps in
+/// ascending `(ky, kx)` order — no FMA, no reassociation — so the AVX2
+/// tier (lanes across planes, `kernels::try_stencil_gather`)
+/// and this scalar reference agree bit for bit. `out` is fully
+/// overwritten, so dirty workspace buffers are fine.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the geometry, or `bias` does not
+/// hold one value per kernel.
+pub fn stencil_gather_ws(
+    x: &[f32],
+    st: Stencil,
+    ker: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    ws: &mut Workspace,
+) {
+    let kk = st.kh * st.kw;
+    check_planes(x, st.h * st.w, ker, kk, out, st.out_h() * st.out_w());
+    if let Some(b) = bias {
+        assert_eq!(b.len(), ker.len() / kk, "stencil: one bias per kernel");
+    }
+    if !kernels::try_stencil_gather(x, st, ker, bias, out, ws) {
+        stencil_gather_scalar(x, st, ker, bias, out);
+    }
+}
+
+/// Scalar reference of [`stencil_gather_ws`].
+pub(crate) fn stencil_gather_scalar(
+    x: &[f32],
+    st: Stencil,
+    ker: &[f32],
+    bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    debug_assert_eq!(out.len(), oh * ow);
-    if spec.pad == 0 {
+    let (w, kw, s, pad) = (st.w, st.kw, st.spec.stride, st.spec.pad);
+    let (oh, ow) = (st.out_h(), st.out_w());
+    let kk = st.kh * kw;
+    let nk = ker.len() / kk;
+    for (p, (img, o)) in x
+        .chunks_exact(st.h * w)
+        .zip(out.chunks_exact_mut(oh * ow))
+        .enumerate()
+    {
+        let k = &ker[(p % nk) * kk..(p % nk + 1) * kk];
+        let b = bias.map_or(0.0, |b| b[p % nk]);
         for oy in 0..oh {
-            let iy0 = oy * spec.stride;
+            let (ky0, ky1) = st.taps_y(oy);
             for ox in 0..ow {
-                let ix0 = ox * spec.stride;
-                let mut acc = bias;
-                for ky in 0..kh {
-                    let irow = &img[(iy0 + ky) * w + ix0..(iy0 + ky) * w + ix0 + kw];
-                    for (&iv, &kv) in irow.iter().zip(&ker[ky * kw..(ky + 1) * kw]) {
-                        acc += iv * kv;
+                let (kx0, kx1) = st.taps_x(ox);
+                let mut acc = b;
+                for ky in ky0..ky1 {
+                    let row = (oy * s + ky - pad) * w + ox * s;
+                    for kx in kx0..kx1 {
+                        acc += img[row + kx - pad] * k[ky * kw + kx];
                     }
                 }
-                out[oy * ow + ox] = acc;
+                o[oy * ow + ox] = acc;
             }
         }
-        return;
     }
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let mut acc = bias;
-            for ky in 0..kh {
-                let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                for kx in 0..kw {
-                    let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                    if ix < 0 || ix >= w as isize {
-                        continue;
+}
+
+/// Planar-stencil adjoint of [`stencil_gather_ws`] (without the bias):
+/// scatters each `[OH, OW]` gradient plane of `g` back onto its `[H, W]`
+/// plane of `out` through kernel `p % K`.
+///
+/// Per input pixel: `acc = 0.0`, then `acc += g·k` for every output whose
+/// window covers the pixel, in ascending `(oy, ox)` order, skipping
+/// `g == 0.0` exactly as the classic per-output scatter loop does — the
+/// same sum in the same order, evaluated pixel by pixel so stride-2
+/// geometries only visit the taps that reach each pixel. `out` is fully
+/// overwritten.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the geometry.
+pub fn stencil_adjoint_ws(
+    g: &[f32],
+    st: Stencil,
+    ker: &[f32],
+    out: &mut [f32],
+    ws: &mut Workspace,
+) {
+    check_planes(
+        g,
+        st.out_h() * st.out_w(),
+        ker,
+        st.kh * st.kw,
+        out,
+        st.h * st.w,
+    );
+    if !kernels::try_stencil_adjoint(g, st, ker, out, ws) {
+        stencil_adjoint_scalar(g, st, ker, out);
+    }
+}
+
+/// Scalar reference of [`stencil_adjoint_ws`].
+pub(crate) fn stencil_adjoint_scalar(g: &[f32], st: Stencil, ker: &[f32], out: &mut [f32]) {
+    let (h, w, kw, s, pad) = (st.h, st.w, st.kw, st.spec.stride, st.spec.pad);
+    let ow = st.out_w();
+    let kk = st.kh * kw;
+    let nk = ker.len() / kk;
+    for (p, (go, gi)) in g
+        .chunks_exact(st.out_h() * ow)
+        .zip(out.chunks_exact_mut(h * w))
+        .enumerate()
+    {
+        let k = &ker[(p % nk) * kk..(p % nk + 1) * kk];
+        for iy in 0..h {
+            let (oy0, oy1) = st.sources_y(iy);
+            for ix in 0..w {
+                let (ox0, ox1) = st.sources_x(ix);
+                let mut acc = 0.0f32;
+                for oy in oy0..oy1 {
+                    let krow = (iy + pad - oy * s) * kw + ix + pad;
+                    for ox in ox0..ox1 {
+                        let gv = go[oy * ow + ox];
+                        if gv != 0.0 {
+                            acc += gv * k[krow - ox * s];
+                        }
                     }
-                    acc += img[iy as usize * w + ix as usize] * ker[ky * kw + kx];
                 }
+                gi[iy * w + ix] = acc;
             }
-            out[oy * ow + ox] = acc;
         }
     }
 }
@@ -904,45 +1079,23 @@ pub(crate) fn conv_single_into(
 pub fn conv2d_valid_single(img: &Tensor, ker: &Tensor) -> Tensor {
     assert_eq!(img.ndim(), 2, "conv2d_valid_single: image must be rank-2");
     assert_eq!(ker.ndim(), 2, "conv2d_valid_single: kernel must be rank-2");
-    let (h, w) = (img.shape()[0], img.shape()[1]);
-    let (kh, kw) = (ker.shape()[0], ker.shape()[1]);
-    let spec = ConvSpec::new(1, 0);
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let mut out = vec![0.0f32; oh * ow];
-    conv_single_into(img.data(), h, w, ker.data(), kh, kw, spec, 0.0, &mut out);
-    Tensor::from_vec(out, &[oh, ow])
-}
-
-/// Slice-level [`conv2d_valid_single_adjoint`]: scatters the `[OH, OW]`
-/// gradient back onto the zero-filled-by-this-call `[H, W]` plane `out`
-/// (dirty workspace buffers are fine). Same scatter order as the tensor
-/// entry point, which wraps it — bit-identical by construction.
-#[allow(clippy::too_many_arguments)] // flat scalar geometry, hot path
-pub(crate) fn conv_valid_adjoint_into(
-    grad: &[f32],
-    oh: usize,
-    ow: usize,
-    ker: &[f32],
-    kh: usize,
-    kw: usize,
-    w: usize,
-    out: &mut [f32],
-) {
-    out.fill(0.0);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let g = grad[oy * ow + ox];
-            if g == 0.0 {
-                continue;
-            }
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    out[(oy + ky) * w + (ox + kx)] += g * ker[ky * kw + kx];
-                }
-            }
-        }
-    }
+    let st = Stencil::new(
+        img.shape()[0],
+        img.shape()[1],
+        ker.shape()[0],
+        ker.shape()[1],
+        ConvSpec::new(1, 0),
+    );
+    let mut out = vec![0.0f32; st.out_h() * st.out_w()];
+    stencil_gather_ws(
+        img.data(),
+        st,
+        ker.data(),
+        None,
+        &mut out,
+        &mut Workspace::new(),
+    );
+    Tensor::from_vec(out, &[st.out_h(), st.out_w()])
 }
 
 /// Adjoint of [`conv2d_valid_single`] with respect to the image: scatters an
@@ -960,8 +1113,9 @@ pub fn conv2d_valid_single_adjoint(grad: &Tensor, ker: &Tensor, h: usize, w: usi
     let (oh, ow) = (grad.shape()[0], grad.shape()[1]);
     assert_eq!(oh, h + 1 - kh, "adjoint: grad height mismatch");
     assert_eq!(ow, w + 1 - kw, "adjoint: grad width mismatch");
+    let st = Stencil::new(h, w, kh, kw, ConvSpec::new(1, 0));
     let mut out = vec![0.0f32; h * w];
-    conv_valid_adjoint_into(grad.data(), oh, ow, ker.data(), kh, kw, w, &mut out);
+    stencil_adjoint_ws(grad.data(), st, ker.data(), &mut out, &mut Workspace::new());
     Tensor::from_vec(out, &[h, w])
 }
 
@@ -1137,6 +1291,64 @@ mod tests {
                 - depthwise_forward(&x, &wm, None, spec).sum())
                 / (2.0 * eps);
             assert!((num - gw.data()[flat]).abs() < 1e-2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "depthwise: bias length mismatch")]
+    fn depthwise_rejects_too_long_bias() {
+        let x = seq_tensor(&[1, 3, 4, 4]);
+        let w = seq_tensor(&[3, 1, 3, 3]);
+        let _ = depthwise_forward(&x, &w, Some(&seq_tensor(&[4])), ConvSpec::new(1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "depthwise: bias length mismatch")]
+    fn depthwise_rejects_too_short_bias() {
+        let x = seq_tensor(&[1, 3, 4, 4]);
+        let w = seq_tensor(&[3, 1, 3, 3]);
+        let _ = depthwise_forward(&x, &w, Some(&seq_tensor(&[2])), ConvSpec::new(1, 1));
+    }
+
+    #[test]
+    fn stencil_ranges_match_brute_force() {
+        // taps: kernel offsets landing inside the plane; sources: outputs
+        // whose window covers an input pixel — both contiguous, ascending.
+        for stride in 1..4 {
+            for pad in 0..3 {
+                for k in 1..6 {
+                    for n in 1..9 {
+                        if n + 2 * pad < k {
+                            continue;
+                        }
+                        let spec = ConvSpec::new(stride, pad);
+                        let st = Stencil::new(n, n, k, k, spec);
+                        let on = st.out_h();
+                        for o in 0..on {
+                            let want: Vec<usize> = (0..k)
+                                .filter(|&t| (pad..n + pad).contains(&(o * stride + t)))
+                                .collect();
+                            let (t0, t1) = st.taps_y(o);
+                            assert_eq!(
+                                (t0..t1).collect::<Vec<_>>(),
+                                want,
+                                "taps {spec:?} n={n} k={k} o={o}"
+                            );
+                        }
+                        for i in 0..n {
+                            let want: Vec<usize> = (0..on)
+                                .filter(|&o| (o * stride..o * stride + k).contains(&(i + pad)))
+                                .collect();
+                            let (o0, o1) = st.sources_x(i);
+                            assert_eq!(
+                                (o0..o1).collect::<Vec<_>>(),
+                                want,
+                                "sources {spec:?} n={n} k={k} i={i}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -1,8 +1,10 @@
 //! Runtime-dispatched SIMD kernel tier.
 //!
 //! Every hot f32 kernel in the crate — the three GEMM orientations in
-//! [`crate::ops`], the Q8/f16 decoders in [`crate::quant`], and the
-//! refine-loop elementwise ops — has two implementations: the scalar Rust
+//! [`crate::ops`], the Q8/f16 decoders in [`crate::quant`], the
+//! refine-loop elementwise ops, and the planar-stencil gather/adjoint
+//! behind depthwise convolution and SSIM ([`crate::conv::Stencil`]) — has
+//! two implementations: the scalar Rust
 //! loop (the *reference*, always compiled, the only one on non-x86
 //! targets) and an AVX2 variant behind `#[target_feature(enable =
 //! "avx2")]`. This module picks between them **once per process** and
@@ -29,7 +31,8 @@
 //! scalar loops: each output element performs the identical floating-point
 //! operation sequence (same ops, same operand order, ascending-`k`
 //! accumulation, **no FMA contraction, no reassociation**), with lanes
-//! laid across independent output elements only. Reductions whose scalar
+//! laid across independent output elements only — for the stencils, the
+//! same pixel of 8 different planes. Reductions whose scalar
 //! form is a single serial chain (softmax row sums, max folds) stay
 //! scalar. IEEE-754 arithmetic is deterministic per operation, so both
 //! tiers produce bit-identical results — enforced by the unit tests here
@@ -37,6 +40,8 @@
 //! suite under both `USB_KERNEL=scalar` and the default tier in CI.
 #![allow(unsafe_code)]
 
+use crate::conv::Stencil;
+use crate::Workspace;
 use std::sync::OnceLock;
 
 /// The kernel implementation a process routes its hot loops through.
@@ -381,9 +386,77 @@ pub fn try_adam_step(
     false
 }
 
+/// Scratch `f32`s the AVX2 stencil kernels check out of the workspace: the
+/// lane-interleaved input, output and kernel of the 8-plane groups the
+/// adjoint runs in lockstep (the gather uses the first), plus bias lanes.
+#[cfg(target_arch = "x86_64")]
+fn stencil_scratch_len(st: &Stencil) -> usize {
+    8 * avx2::ADJOINT_GROUPS * (st.h * st.w + st.out_h() * st.out_w() + st.kh * st.kw) + 8
+}
+
+/// Planar-stencil gather ([`crate::conv::stencil_gather_ws`], whose scalar
+/// reference the caller runs on `false`). Lanes run across planes: each
+/// group of 8 planes is interleaved pixel-major into a workspace buffer,
+/// so one vector load fetches the same pixel of 8 planes, each lane
+/// multiplying by its own plane's kernel tap. Every lane shares the
+/// output's tap range, so borders and strides cost no extra work per lane.
+///
+/// The AVX2 loads are unchecked: callers must have validated every slice
+/// length against `st` (as `stencil_gather_ws` does).
+#[inline]
+pub(crate) fn try_stencil_gather(
+    x: &[f32],
+    st: Stencil,
+    ker: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    ws: &mut Workspace,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_active() {
+        let mut scratch = ws.take_dirty(stencil_scratch_len(&st));
+        // SAFETY: `avx2_active` is true only after runtime AVX2 detection;
+        // the caller validated the slice lengths and the scratch is sized
+        // by `stencil_scratch_len`, which bounds every unchecked access.
+        unsafe { avx2::stencil_gather(x, st, ker, bias, out, &mut scratch) };
+        ws.put(scratch);
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (x, st, ker, bias, out, ws);
+    false
+}
+
+/// Planar-stencil adjoint ([`crate::conv::stencil_adjoint_ws`]), lanes
+/// across planes like [`try_stencil_gather`]. The scalar `g == 0.0` skip
+/// becomes a `_CMP_NEQ_UQ` blend mask: lanes whose gradient is `±0.0`
+/// keep their accumulator bits, NaN gradients accumulate. Same length
+/// contract as [`try_stencil_gather`].
+#[inline]
+pub(crate) fn try_stencil_adjoint(
+    g: &[f32],
+    st: Stencil,
+    ker: &[f32],
+    out: &mut [f32],
+    ws: &mut Workspace,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_active() {
+        let mut scratch = ws.take_dirty(stencil_scratch_len(&st));
+        // SAFETY: as in `try_stencil_gather`.
+        unsafe { avx2::stencil_adjoint(g, st, ker, out, &mut scratch) };
+        ws.put(scratch);
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (g, st, ker, out, ws);
+    false
+}
+
 /// The AVX2 transcriptions of the scalar reference loops.
 ///
-/// Lane layout is always "8 independent output elements"; every lane
+/// Lane layout is always "8 independent output elements" (for the
+/// stencils: one pixel of 8 planes, interleaved into scratch); every lane
 /// executes the scalar op sequence for its element verbatim (mul then
 /// add — `vmulps`/`vaddps`, never `vfmadd`), so results are bit-identical
 /// to the scalar tier. `unsafe` here is confined to (a) the raw-pointer
@@ -394,6 +467,7 @@ pub fn try_adam_step(
 mod avx2 {
     #![allow(clippy::too_many_arguments)]
 
+    use crate::conv::Stencil;
     use crate::ops::{MR, NR};
     use crate::quant::Q8_BLOCK;
     use core::arch::x86_64::*;
@@ -828,6 +902,330 @@ mod avx2 {
             pd[i] -= params.lr * mhat / (vhat.sqrt() + params.eps);
         }
     }
+
+    /// In-register 8×8 transpose: lane `j` of output row `i` is lane `i`
+    /// of input row `j`. Pure bit moves, so NaN payloads pass unchanged.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ]
+    }
+
+    /// Interleaves planes `p0..p0 + lanes` of `src` (`len` floats each)
+    /// pixel-major into `dst`: element `(j, l)` lands at `dst[j*8 + l]`.
+    /// Lanes past `lanes` (a ragged last group) are zero-filled.
+    #[target_feature(enable = "avx2")]
+    fn interleave(src: &[f32], len: usize, p0: usize, lanes: usize, dst: &mut [f32]) {
+        let mut j = 0;
+        if lanes == 8 {
+            while j + 8 <= len {
+                let mut rows = [_mm256_setzero_ps(); 8];
+                for (l, r) in rows.iter_mut().enumerate() {
+                    *r = load8(src, (p0 + l) * len + j);
+                }
+                for (i, v) in transpose8(rows).into_iter().enumerate() {
+                    store8(dst, (j + i) * 8, v);
+                }
+                j += 8;
+            }
+        }
+        for j in j..len {
+            for l in 0..8 {
+                dst[j * 8 + l] = if l < lanes {
+                    src[(p0 + l) * len + j]
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
+
+    /// Inverse of [`interleave`] for the first `lanes` lanes.
+    #[target_feature(enable = "avx2")]
+    fn deinterleave(src: &[f32], len: usize, p0: usize, lanes: usize, dst: &mut [f32]) {
+        let mut j = 0;
+        if lanes == 8 {
+            while j + 8 <= len {
+                let mut rows = [_mm256_setzero_ps(); 8];
+                for (i, r) in rows.iter_mut().enumerate() {
+                    *r = load8(src, (j + i) * 8);
+                }
+                for (l, v) in transpose8(rows).into_iter().enumerate() {
+                    store8(dst, (p0 + l) * len + j, v);
+                }
+                j += 8;
+            }
+        }
+        for j in j..len {
+            for l in 0..lanes {
+                dst[(p0 + l) * len + j] = src[j * 8 + l];
+            }
+        }
+    }
+
+    /// Interleaves the kernel taps (and bias) of planes `p0..p0 + 8`:
+    /// plane `p` uses kernel `p % nk`; missing lanes get zeros.
+    fn interleave_kernels(
+        ker: &[f32],
+        kk: usize,
+        bias: Option<&[f32]>,
+        p0: usize,
+        lanes: usize,
+        ks: &mut [f32],
+        bs: &mut [f32],
+    ) {
+        let nk = ker.len() / kk;
+        for l in 0..8 {
+            let kid = (p0 + l) % nk;
+            for t in 0..kk {
+                ks[t * 8 + l] = if l < lanes { ker[kid * kk + t] } else { 0.0 };
+            }
+            bs[l] = match bias {
+                Some(b) if l < lanes => b[kid],
+                _ => 0.0,
+            };
+        }
+    }
+
+    /// Splits the stencil scratch into its interleaved input, output,
+    /// kernel and bias regions (the sizes `stencil_scratch_len` budgets).
+    fn split_scratch(
+        scratch: &mut [f32],
+        in_len: usize,
+        out_len: usize,
+        kk: usize,
+    ) -> (&mut [f32], &mut [f32], &mut [f32], &mut [f32]) {
+        let (a, rest) = scratch.split_at_mut(in_len * 8);
+        let (b, rest) = rest.split_at_mut(out_len * 8);
+        let (k, rest) = rest.split_at_mut(kk * 8);
+        (a, b, k, &mut rest[..8])
+    }
+
+    /// AVX2 twin of `conv::stencil_gather_scalar`, 8 planes per group.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn stencil_gather(
+        x: &[f32],
+        st: Stencil,
+        ker: &[f32],
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        scratch: &mut [f32],
+    ) {
+        let (hw, ohw, kk) = (st.h * st.w, st.out_h() * st.out_w(), st.kh * st.kw);
+        let planes = out.len() / ohw;
+        let shared = ker.len() == kk;
+        let (xs, os, ks, bs) = split_scratch(scratch, hw, ohw, kk);
+        if shared {
+            interleave_kernels(ker, kk, bias, 0, 8, ks, bs);
+        }
+        for p0 in (0..planes).step_by(8) {
+            let lanes = (planes - p0).min(8);
+            if !shared {
+                interleave_kernels(ker, kk, bias, p0, lanes, ks, bs);
+            }
+            interleave(x, hw, p0, lanes, xs);
+            gather_group(xs, st, ks, load8(bs, 0), os);
+            deinterleave(os, ohw, p0, lanes, out);
+        }
+    }
+
+    /// Gather over one interleaved group. Outputs whose window lies fully
+    /// inside the plane horizontally run four (or two) at a time, each in
+    /// its own accumulator, to hide the add latency of the serial tap chain.
+    #[target_feature(enable = "avx2")]
+    fn gather_group(xs: &[f32], st: Stencil, ks: &[f32], bias: __m256, os: &mut [f32]) {
+        let (s, pad, kw) = (st.spec.stride, st.spec.pad, st.kw);
+        let ow = st.out_w();
+        // Outputs ox_lo..ox_hi use every kernel column.
+        let ox_lo = pad.div_ceil(s).min(ow);
+        let ox_hi = (st.w + pad)
+            .checked_sub(kw)
+            .map_or(0, |room| room / s + 1)
+            .min(ow)
+            .max(ox_lo);
+        for oy in 0..st.out_h() {
+            let (ky0, ky1) = st.taps_y(oy);
+            let mut ox = 0;
+            while ox < ow {
+                if ox >= ox_lo && ox + 4 <= ox_hi {
+                    gather_run::<4>(xs, st, ks, bias, os, oy, (ky0, ky1), ox, (0, kw));
+                    ox += 4;
+                } else if ox >= ox_lo && ox + 2 <= ox_hi {
+                    gather_run::<2>(xs, st, ks, bias, os, oy, (ky0, ky1), ox, (0, kw));
+                    ox += 2;
+                } else {
+                    gather_run::<1>(xs, st, ks, bias, os, oy, (ky0, ky1), ox, st.taps_x(ox));
+                    ox += 1;
+                }
+            }
+        }
+    }
+
+    /// `N` adjacent outputs of row `oy` sharing tap ranges `ky`, `kx`:
+    /// per lane `acc = bias`, then `acc + x·k` in ascending `(ky, kx)`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn gather_run<const N: usize>(
+        xs: &[f32],
+        st: Stencil,
+        ks: &[f32],
+        bias: __m256,
+        os: &mut [f32],
+        oy: usize,
+        (ky0, ky1): (usize, usize),
+        ox: usize,
+        (kx0, kx1): (usize, usize),
+    ) {
+        let (s, pad, w, kw) = (st.spec.stride, st.spec.pad, st.w, st.kw);
+        let mut acc = [bias; N];
+        for ky in ky0..ky1 {
+            let row = (oy * s + ky - pad) * w + ox * s;
+            for kx in kx0..kx1 {
+                let kv = load8(ks, (ky * kw + kx) * 8);
+                for (j, a) in acc.iter_mut().enumerate() {
+                    let xv = load8(xs, (row + j * s + kx - pad) * 8);
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, kv));
+                }
+            }
+        }
+        let ow = st.out_w();
+        for (j, a) in acc.into_iter().enumerate() {
+            store8(os, (oy * ow + ox + j) * 8, a);
+        }
+    }
+
+    /// 8-plane groups the adjoint runs in lockstep, one accumulator each.
+    pub(super) const ADJOINT_GROUPS: usize = 4;
+
+    /// AVX2 twin of `conv::stencil_adjoint_scalar`: batches of up to
+    /// [`ADJOINT_GROUPS`] 8-plane groups, each interleaved into its own
+    /// slice of the scratch (the slices are the gather's regions, scaled).
+    #[target_feature(enable = "avx2")]
+    pub(super) fn stencil_adjoint(
+        g: &[f32],
+        st: Stencil,
+        ker: &[f32],
+        out: &mut [f32],
+        scratch: &mut [f32],
+    ) {
+        let (hw, ohw, kk) = (st.h * st.w, st.out_h() * st.out_w(), st.kh * st.kw);
+        let planes = g.len() / ohw;
+        let shared = ker.len() == kk;
+        let (is, gs, ks, bs) = split_scratch(
+            scratch,
+            ADJOINT_GROUPS * hw,
+            ADJOINT_GROUPS * ohw,
+            ADJOINT_GROUPS * kk,
+        );
+        if shared {
+            for ksg in ks.chunks_exact_mut(kk * 8) {
+                interleave_kernels(ker, kk, None, 0, 8, ksg, bs);
+            }
+        }
+        let mut p0 = 0;
+        while p0 < planes {
+            let groups = (planes - p0).div_ceil(8).min(ADJOINT_GROUPS);
+            for j in 0..groups {
+                let q0 = p0 + 8 * j;
+                let lanes = (planes - q0).min(8);
+                if !shared {
+                    interleave_kernels(
+                        ker,
+                        kk,
+                        None,
+                        q0,
+                        lanes,
+                        &mut ks[j * kk * 8..(j + 1) * kk * 8],
+                        bs,
+                    );
+                }
+                interleave(g, ohw, q0, lanes, &mut gs[j * ohw * 8..(j + 1) * ohw * 8]);
+            }
+            match groups {
+                1 => adjoint_groups::<1>(gs, st, ks, is),
+                2 => adjoint_groups::<2>(gs, st, ks, is),
+                3 => adjoint_groups::<3>(gs, st, ks, is),
+                _ => adjoint_groups::<4>(gs, st, ks, is),
+            }
+            for j in 0..groups {
+                let q0 = p0 + 8 * j;
+                deinterleave(
+                    &is[j * hw * 8..(j + 1) * hw * 8],
+                    hw,
+                    q0,
+                    (planes - q0).min(8),
+                    out,
+                );
+            }
+            p0 += 8 * groups;
+        }
+    }
+
+    /// Adjoint over `G` interleaved groups, input pixel by input pixel:
+    /// `acc = 0`, then for every covering output in ascending `(oy, ox)`
+    /// `acc + g·k`, kept only in lanes where `g != 0` (NEQ_UQ: true for
+    /// NaN, false for ±0 — exactly the scalar `if`).
+    ///
+    /// The groups share every index and branch, so their `G` serial
+    /// chains overlap. Lanes across groups rather than adjacent pixels:
+    /// a pixel's covering outputs are clipped differently from its
+    /// neighbours' wherever the window is wide relative to the output
+    /// (SSIM's 11×11 window over 10×10 outputs clips every pixel, giving
+    /// chains of up to 100 add + blend steps), but never differently from
+    /// the same pixel of another plane.
+    #[target_feature(enable = "avx2")]
+    fn adjoint_groups<const G: usize>(gs: &[f32], st: Stencil, ks: &[f32], is: &mut [f32]) {
+        let (s, pad, w, kw, ow) = (st.spec.stride, st.spec.pad, st.w, st.kw, st.out_w());
+        let (gstride, kstride, istride) = (st.out_h() * ow * 8, st.kh * kw * 8, st.h * w * 8);
+        let zero = _mm256_setzero_ps();
+        for iy in 0..st.h {
+            let (oy0, oy1) = st.sources_y(iy);
+            for ix in 0..w {
+                let (ox0, ox1) = st.sources_x(ix);
+                let mut acc = [zero; G];
+                for oy in oy0..oy1 {
+                    let krow = (iy + pad - oy * s) * kw + ix + pad;
+                    for ox in ox0..ox1 {
+                        let (gat, kat) = ((oy * ow + ox) * 8, (krow - ox * s) * 8);
+                        for (j, a) in acc.iter_mut().enumerate() {
+                            let gv = load8(gs, j * gstride + gat);
+                            let kv = load8(ks, j * kstride + kat);
+                            let sum = _mm256_add_ps(*a, _mm256_mul_ps(gv, kv));
+                            *a = _mm256_blendv_ps(*a, sum, _mm256_cmp_ps::<_CMP_NEQ_UQ>(gv, zero));
+                        }
+                    }
+                }
+                for (j, a) in acc.into_iter().enumerate() {
+                    store8(is, j * istride + (iy * w + ix) * 8, a);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1089,6 +1487,58 @@ mod tests {
                     }
                 }
                 assert_bits_eq(&t_s, &t_r, "gemm_transb");
+            }
+        }
+
+        #[test]
+        fn stencil_kernels_match_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            use crate::conv::{stencil_adjoint_scalar, stencil_gather_scalar, ConvSpec};
+            // (planes, h, w, k, stride, pad, kernels): ragged 8-plane
+            // groups, 1–4 groups in lockstep and more than one batch of
+            // them, per-plane and shared kernels, borders, strides 1–3
+            // (3 takes the general division path), SSIM's valid 11×11.
+            for &(planes, h, w, k, stride, pad, nk) in &[
+                (1, 1, 1, 1, 1, 0, 1),
+                (3, 5, 7, 3, 1, 1, 3),
+                (8, 20, 20, 3, 2, 1, 8),
+                (13, 9, 6, 5, 2, 2, 13),
+                (17, 12, 12, 11, 1, 0, 1),
+                (10, 10, 10, 5, 1, 2, 5),
+                (9, 7, 11, 3, 3, 0, 3),
+                (24, 4, 9, 1, 2, 0, 6),
+                (32, 12, 12, 11, 1, 0, 1),
+                (45, 6, 7, 3, 2, 1, 45),
+            ] {
+                let st = Stencil::new(h, w, k, k, ConvSpec::new(stride, pad));
+                let (oh, ow) = (st.out_h(), st.out_w());
+                let mut scratch = vec![f32::NAN; stencil_scratch_len(&st)];
+                let x = soup(planes * h * w, 83);
+                // One infinite tap: `0·∞` is NaN, so the adjoint's
+                // skip of `±0` gradients (soup lanes 0 and 1) shows.
+                let mut ker = soup(nk * k * k, 89);
+                ker[k * k / 2] = f32::INFINITY;
+                let bias = soup(nk, 97);
+                for b in [None, Some(&bias[..])] {
+                    let mut out_s = vec![f32::NAN; planes * oh * ow];
+                    let mut out_r = vec![f32::NAN; planes * oh * ow];
+                    // SAFETY: guarded by have_avx2().
+                    unsafe { avx2::stencil_gather(&x, st, &ker, b, &mut out_s, &mut scratch) };
+                    stencil_gather_scalar(&x, st, &ker, b, &mut out_r);
+                    assert_bits_eq(&out_s, &out_r, "stencil_gather");
+                }
+                // One NaN-payload gradient: NaN != 0, so it accumulates.
+                let mut g = soup(planes * oh * ow, 101);
+                let mid = g.len() / 2;
+                g[mid] = f32::from_bits(0x7FC0_0ABC);
+                let mut out_s = vec![f32::NAN; planes * h * w];
+                let mut out_r = vec![f32::NAN; planes * h * w];
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::stencil_adjoint(&g, st, &ker, &mut out_s, &mut scratch) };
+                stencil_adjoint_scalar(&g, st, &ker, &mut out_r);
+                assert_bits_eq(&out_s, &out_r, "stencil_adjoint");
             }
         }
 

@@ -23,7 +23,7 @@
 //! where `Gᵀ` is the adjoint blur ([`crate::conv::conv2d_valid_single_adjoint`]).
 //! The gradient is verified against finite differences in the tests.
 
-use crate::conv::{conv_single_into, conv_valid_adjoint_into, ConvSpec};
+use crate::conv::{stencil_adjoint_ws, stencil_gather_ws, ConvSpec, Stencil};
 use crate::{Tensor, Workspace};
 use std::cell::RefCell;
 
@@ -173,12 +173,15 @@ fn window_into(win: usize, out: &mut [f32]) {
 /// Slice-level SSIM over the planes of `x`/`y`, with all scratch drawn
 /// from `ws`.
 ///
-/// Per plane this evaluates the same chain the original tensor-based
-/// implementation did — five valid blurs, the per-pixel `S`/`dS` formulas,
-/// three adjoint blurs, then `gp + gq∘2x + gr∘y` — with each elementwise
-/// tensor op replaced by the identical per-element float expression in the
-/// same order, so values and gradients are bit-identical (verified by
-/// `matches_tensor_reference_bitwise` below).
+/// Evaluates the same chain the original tensor-based implementation did —
+/// five valid blurs, the per-pixel `S`/`dS` formulas, three adjoint blurs,
+/// then `gp + gq∘2x + gr∘y` — with each elementwise tensor op replaced by
+/// the identical per-element float expression in the same order, so values
+/// and gradients are bit-identical (verified by
+/// `matches_tensor_reference_bitwise` below). Each blur runs over every
+/// plane at once as one planar stencil ([`stencil_gather_ws`] /
+/// [`stencil_adjoint_ws`]) sharing the window, which lets the SIMD tier put
+/// its lanes across planes; the per-plane reductions keep their order.
 fn ssim_impl_ws(
     x: &Tensor,
     y: &Tensor,
@@ -191,49 +194,41 @@ fn ssim_impl_ws(
     let win = fitting_window(h, w);
     let mut g = ws.take_dirty(win * win);
     window_into(win, &mut g);
-    let spec = ConvSpec::new(1, 0);
-    let (oh, ow) = (h - win + 1, w - win + 1);
-    let out_len = oh * ow;
-    let plane_len = h * w;
-    let grad_len = if want_grad { out_len } else { 0 };
+    let st = Stencil::new(h, w, win, win, ConvSpec::new(1, 0));
+    let out_len = st.out_h() * st.out_w();
+    let (xd, yd) = (x.data(), y.data());
+    let all_out = planes * out_len;
+    let grad_len = if want_grad { all_out } else { 0 };
 
-    let mut prod = ws.take_dirty(plane_len); // x², xy, y² in turn
-    let mut p = ws.take_dirty(out_len);
-    let mut u_y = ws.take_dirty(out_len);
-    let mut q = ws.take_dirty(out_len);
-    let mut r = ws.take_dirty(out_len);
-    let mut yy = ws.take_dirty(out_len);
+    let mut prod = ws.take_dirty(x.len()); // x², xy, y² in turn
+    let mut p = ws.take_dirty(all_out);
+    let mut u_y = ws.take_dirty(all_out);
+    let mut q = ws.take_dirty(all_out);
+    let mut r = ws.take_dirty(all_out);
+    let mut yy = ws.take_dirty(all_out);
     let mut d_p = ws.take_dirty(grad_len);
     let mut d_q = ws.take_dirty(grad_len);
     let mut d_r = ws.take_dirty(grad_len);
-    let mut gp = ws.take_dirty(if want_grad { plane_len } else { 0 });
-    let mut gq = ws.take_dirty(if want_grad { plane_len } else { 0 });
-    let mut gr = ws.take_dirty(if want_grad { plane_len } else { 0 });
-    // Zeroed: gradients accumulate across planes.
-    let mut gacc = ws.take(if want_grad { x.len() } else { 0 });
+    stencil_gather_ws(xd, st, &g, None, &mut p, ws); // G*x
+    stencil_gather_ws(yd, st, &g, None, &mut u_y, ws); // G*y
+    for (o, &v) in prod.iter_mut().zip(xd) {
+        *o = v * v;
+    }
+    stencil_gather_ws(&prod, st, &g, None, &mut q, ws); // G*(x²)
+    for (o, (&a, &b)) in prod.iter_mut().zip(xd.iter().zip(yd)) {
+        *o = a * b;
+    }
+    stencil_gather_ws(&prod, st, &g, None, &mut r, ws); // G*(xy)
+    for (o, &v) in prod.iter_mut().zip(yd) {
+        *o = v * v;
+    }
+    stencil_gather_ws(&prod, st, &g, None, &mut yy, ws); // G*(y²)
 
     let mut total = 0.0f64;
     let n_out = out_len as f32;
     for pl in 0..planes {
-        let xs = &x.data()[pl * plane_len..(pl + 1) * plane_len];
-        let ys = &y.data()[pl * plane_len..(pl + 1) * plane_len];
-        conv_single_into(xs, h, w, &g, win, win, spec, 0.0, &mut p); // G*x
-        conv_single_into(ys, h, w, &g, win, win, spec, 0.0, &mut u_y); // G*y
-        for (o, &v) in prod.iter_mut().zip(xs) {
-            *o = v * v;
-        }
-        conv_single_into(&prod, h, w, &g, win, win, spec, 0.0, &mut q); // G*(x²)
-        for (o, (&a, &b)) in prod.iter_mut().zip(xs.iter().zip(ys)) {
-            *o = a * b;
-        }
-        conv_single_into(&prod, h, w, &g, win, win, spec, 0.0, &mut r); // G*(xy)
-        for (o, &v) in prod.iter_mut().zip(ys) {
-            *o = v * v;
-        }
-        conv_single_into(&prod, h, w, &g, win, win, spec, 0.0, &mut yy); // G*(y²)
-
         let mut ssim_sum = 0.0f64;
-        for i in 0..out_len {
+        for i in pl * out_len..(pl + 1) * out_len {
             let pv = p[i];
             let uy = u_y[i];
             let qv = q[i];
@@ -257,35 +252,82 @@ fn ssim_impl_ws(
         }
         let val = (ssim_sum / n_out as f64) as f32;
         total += val as f64;
-        if want_grad {
-            // Pull the three window-statistic gradients back through the blur.
-            conv_valid_adjoint_into(&d_p, oh, ow, &g, win, win, w, &mut gp);
-            conv_valid_adjoint_into(&d_q, oh, ow, &g, win, win, w, &mut gq);
-            conv_valid_adjoint_into(&d_r, oh, ow, &g, win, win, w, &mut gr);
-            let ga = &mut gacc[pl * plane_len..(pl + 1) * plane_len];
-            for i in 0..plane_len {
-                let b = (gp[i] + gq[i] * (xs[i] * 2.0)) + gr[i] * ys[i];
-                ga[i] += b / planes as f32;
-            }
-        }
     }
     let val = (total / planes as f64) as f32;
-    for buf in [g, prod, p, u_y, q, r, yy, d_p, d_q, d_r, gp, gq, gr] {
+    let grad = want_grad.then(|| {
+        // Pull the three window-statistic gradients back through the blur.
+        let mut gp = ws.take_dirty(x.len());
+        let mut gq = ws.take_dirty(x.len());
+        let mut gr = ws.take_dirty(x.len());
+        stencil_adjoint_ws(&d_p, st, &g, &mut gp, ws);
+        stencil_adjoint_ws(&d_q, st, &g, &mut gq, ws);
+        stencil_adjoint_ws(&d_r, st, &g, &mut gr, ws);
+        // Zeroed: the per-plane gradient is added onto it, as the
+        // historical accumulation across planes did.
+        let mut gacc = ws.take(x.len());
+        for (i, ga) in gacc.iter_mut().enumerate() {
+            let b = (gp[i] + gq[i] * (xd[i] * 2.0)) + gr[i] * yd[i];
+            *ga += b / planes as f32;
+        }
+        for buf in [gp, gq, gr] {
+            ws.put(buf);
+        }
+        Tensor::from_vec(gacc, x.shape())
+    });
+    for buf in [g, prod, p, u_y, q, r, yy, d_p, d_q, d_r] {
         ws.put(buf);
     }
-    let grad = if want_grad {
-        Some(Tensor::from_vec(gacc, x.shape()))
-    } else {
-        ws.put(gacc);
-        None
-    };
     (val, grad)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::{conv2d_valid_single, conv2d_valid_single_adjoint};
+
+    /// The historical valid blur (`conv_single_into`'s unpadded branch),
+    /// kept verbatim so the reference below does not share the stencil
+    /// kernels it checks.
+    fn conv2d_valid_single(img: &Tensor, ker: &Tensor) -> Tensor {
+        let (h, w) = (img.shape()[0], img.shape()[1]);
+        let (kh, kw) = (ker.shape()[0], ker.shape()[1]);
+        let (oh, ow) = (h - kh + 1, w - kw + 1);
+        let (img, ker) = (img.data(), ker.data());
+        let mut out = vec![0.0f32; oh * ow];
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut acc = 0.0f32;
+                for ky in 0..kh {
+                    let irow = &img[(oy + ky) * w + ox..(oy + ky) * w + ox + kw];
+                    for (&iv, &kv) in irow.iter().zip(&ker[ky * kw..(ky + 1) * kw]) {
+                        acc += iv * kv;
+                    }
+                }
+                out[oy * ow + ox] = acc;
+            }
+        }
+        Tensor::from_vec(out, &[oh, ow])
+    }
+
+    /// The historical adjoint blur (`conv_valid_adjoint_into`), verbatim.
+    fn conv2d_valid_single_adjoint(grad: &Tensor, ker: &Tensor, h: usize, w: usize) -> Tensor {
+        let (kh, kw) = (ker.shape()[0], ker.shape()[1]);
+        let (oh, ow) = (grad.shape()[0], grad.shape()[1]);
+        let mut out = vec![0.0f32; h * w];
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let g = grad.data()[oy * ow + ox];
+                if g == 0.0 {
+                    continue;
+                }
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        out[(oy + ky) * w + (ox + kx)] += g * ker.data()[ky * kw + kx];
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(out, &[h, w])
+    }
 
     fn image(shape: &[usize], phase: f32) -> Tensor {
         Tensor::from_fn(shape, |i| 0.5 + 0.4 * ((i as f32) * 0.13 + phase).sin())
@@ -390,7 +432,8 @@ mod tests {
         // The workspace path must reproduce the historical tensor-based
         // implementation bit for bit — value and gradient — across ranks,
         // window sizes (5×5 forces win=5, 12×12 win=11, 8×9 win=7 with a
-        // non-square output) and a reused dirty workspace.
+        // non-square output), plane counts on and off the 8-lane group
+        // and a reused dirty workspace.
         let mut ws = Workspace::new();
         let shapes: &[&[usize]] = &[
             &[1, 5, 5],
@@ -398,6 +441,9 @@ mod tests {
             &[2, 8, 9],
             &[2, 3, 10, 10],
             &[1, 1, 11, 7],
+            &[16, 1, 12, 12],
+            &[4, 3, 20, 20],
+            &[12, 3, 12, 12],
         ];
         for (i, shape) in shapes.iter().enumerate() {
             let x = image(shape, 0.3 * i as f32);

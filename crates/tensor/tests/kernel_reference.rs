@@ -12,7 +12,9 @@
 
 use proptest::prelude::*;
 use usb_tensor::conv::{
-    col2im_into, conv2d_forward_ws, conv2d_input_backward_ws, im2col_into, ConvSpec,
+    col2im_into, conv2d_forward_ws, conv2d_input_backward_ws, conv2d_valid_single,
+    conv2d_valid_single_adjoint, depthwise_forward_ws, depthwise_input_backward_ws, im2col_into,
+    stencil_adjoint_ws, stencil_gather_ws, ConvSpec, Stencil,
 };
 use usb_tensor::quant::{f16_decode, Q8_BLOCK};
 use usb_tensor::{ops, Dtype, QTensor, Tensor, Workspace};
@@ -161,6 +163,199 @@ fn naive_decode(q: &QTensor) -> Vec<f32> {
             out
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Planar-stencil oracles: the per-output loops depthwise convolution and
+// SSIM ran before the stencil kernels, kept verbatim.
+// ---------------------------------------------------------------------------
+
+/// The historical `conv_single_into` (one plane, one kernel): a tight
+/// loop for the unpadded case, bounds-checked taps otherwise, the same
+/// ascending `(ky, kx)` accumulation in both.
+#[allow(clippy::too_many_arguments)]
+fn naive_conv_single_into(
+    img: &[f32],
+    h: usize,
+    w: usize,
+    ker: &[f32],
+    kh: usize,
+    kw: usize,
+    spec: ConvSpec,
+    bias: f32,
+    out: &mut [f32],
+) {
+    let oh = spec.out_size(h, kh);
+    let ow = spec.out_size(w, kw);
+    debug_assert_eq!(out.len(), oh * ow);
+    if spec.pad == 0 {
+        for oy in 0..oh {
+            let iy0 = oy * spec.stride;
+            for ox in 0..ow {
+                let ix0 = ox * spec.stride;
+                let mut acc = bias;
+                for ky in 0..kh {
+                    let irow = &img[(iy0 + ky) * w + ix0..(iy0 + ky) * w + ix0 + kw];
+                    for (&iv, &kv) in irow.iter().zip(&ker[ky * kw..(ky + 1) * kw]) {
+                        acc += iv * kv;
+                    }
+                }
+                out[oy * ow + ox] = acc;
+            }
+        }
+        return;
+    }
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let mut acc = bias;
+            for ky in 0..kh {
+                let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                for kx in 0..kw {
+                    let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                    if ix < 0 || ix >= w as isize {
+                        continue;
+                    }
+                    acc += img[iy as usize * w + ix as usize] * ker[ky * kw + kx];
+                }
+            }
+            out[oy * ow + ox] = acc;
+        }
+    }
+}
+
+/// The historical `depthwise_forward_ws` loop: one `conv_single_into` per
+/// (image, channel) plane.
+#[allow(clippy::too_many_arguments)]
+fn naive_depthwise_forward(
+    id: &[f32],
+    (n, c, h, w): (usize, usize, usize, usize),
+    wd: &[f32],
+    kh: usize,
+    kw: usize,
+    bias: Option<&[f32]>,
+    spec: ConvSpec,
+) -> Vec<f32> {
+    let oh = spec.out_size(h, kh);
+    let ow = spec.out_size(w, kw);
+    let mut out = vec![0.0f32; n * c * oh * ow];
+    for i in 0..n {
+        for ch in 0..c {
+            let img = &id[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
+            let ker = &wd[ch * kh * kw..(ch + 1) * kh * kw];
+            let bv = bias.map(|b| b[ch]).unwrap_or(0.0);
+            let o = &mut out[(i * c + ch) * oh * ow..(i * c + ch + 1) * oh * ow];
+            naive_conv_single_into(img, h, w, ker, kh, kw, spec, bv, o);
+        }
+    }
+    out
+}
+
+/// The historical `depthwise_input_backward_ws` scatter: per output in
+/// ascending `(oy, ox)`, skip zero gradients, add `g·k` onto every
+/// in-bounds window pixel of a zeroed plane.
+#[allow(clippy::too_many_arguments)]
+fn naive_depthwise_input_backward(
+    wd: &[f32],
+    kh: usize,
+    kw: usize,
+    god: &[f32],
+    (n, c, h, w): (usize, usize, usize, usize),
+    spec: ConvSpec,
+) -> Vec<f32> {
+    let oh = spec.out_size(h, kh);
+    let ow = spec.out_size(w, kw);
+    let mut grad_input = vec![0.0f32; n * c * h * w];
+    for i in 0..n {
+        for ch in 0..c {
+            let ker = &wd[ch * kh * kw..(ch + 1) * kh * kw];
+            let go = &god[(i * c + ch) * oh * ow..(i * c + ch + 1) * oh * ow];
+            let gi = &mut grad_input[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let g = go[oy * ow + ox];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for ky in 0..kh {
+                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..kw {
+                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let pix = iy as usize * w + ix as usize;
+                            gi[pix] += g * ker[ky * kw + kx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    grad_input
+}
+
+/// The historical `conv_valid_adjoint_into` (SSIM's adjoint blur).
+#[allow(clippy::too_many_arguments)]
+fn naive_valid_adjoint_into(
+    grad: &[f32],
+    oh: usize,
+    ow: usize,
+    ker: &[f32],
+    kh: usize,
+    kw: usize,
+    w: usize,
+    out: &mut [f32],
+) {
+    out.fill(0.0);
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let g = grad[oy * ow + ox];
+            if g == 0.0 {
+                continue;
+            }
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    out[(oy + ky) * w + (ox + kx)] += g * ker[ky * kw + kx];
+                }
+            }
+        }
+    }
+}
+
+/// Stencil operand soup: proptest values salted with exact `±0.0` (the
+/// adjoint's skip guard), subnormals, and — when `nan_every` is nonzero —
+/// one NaN payload every `nan_every` elements (quiet and signalling
+/// alternately). Payloads are spaced so that no two distinct NaNs meet in
+/// one sum: which operand's payload survives a NaN+NaN add is not pinned
+/// by IEEE-754, while a single NaN flows through both tiers identically.
+fn stencil_soup(vals: &[f32], len: usize, salt: usize, nan_every: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| {
+            let j = i + salt;
+            if nan_every > 0 && j % nan_every == nan_every / 2 {
+                if (j / nan_every) % 2 == 0 {
+                    f32::from_bits(0x7FC0_1234 | ((j as u32 & 0xFF) << 4))
+                } else {
+                    f32::from_bits(0x7F80_0101)
+                }
+            } else {
+                match j % 9 {
+                    0 => 0.0,
+                    4 => -0.0,
+                    7 => {
+                        f32::from_bits(0x0000_3C00 + j as u32) * if j % 2 == 0 { 1.0 } else { -1.0 }
+                    }
+                    _ => vals[j % vals.len()] + 0.01 * (j % 5) as f32,
+                }
+            }
+        })
+        .collect()
 }
 
 /// A workspace whose pool is pre-seeded with NaN-filled buffers, so any
@@ -436,5 +631,116 @@ proptest! {
                 prop_assert_eq!(t[c * rows + r].to_bits(), src[r * cols + c].to_bits());
             }
         }
+    }
+
+    /// Depthwise forward and input backward against the historical
+    /// per-output loops: odd shapes, plane counts off the 8-lane group
+    /// (`n·c` from 1 to 40, past one batch of four groups), stride 1–2,
+    /// pad 0–2, kernels 1/3/5,
+    /// operands salted with ±0 and subnormals, plus either NaN payloads or
+    /// an infinite weight tap (where skipping a `±0` gradient is visible:
+    /// `0·∞` would be NaN), on a dirty workspace and again warm.
+    #[test]
+    fn depthwise_matches_historical_loops_bitwise(
+        n in 1usize..6,
+        c in 1usize..9,
+        k_idx in 0usize..3,
+        extra_h in 0usize..6,
+        extra_w in 0usize..7,
+        stride in 1usize..3,
+        pad in 0usize..3,
+        with_bias_bit in 0usize..2,
+        special in 0usize..3,
+        vals in proptest::collection::vec(-2.0f32..2.0, 8..32),
+    ) {
+        let nan_bit = usize::from(special == 1);
+        let k = [1, 3, 5][k_idx];
+        let (h, w) = (k + extra_h, k + extra_w);
+        let spec = ConvSpec::new(stride, pad);
+        let (oh, ow) = (spec.out_size(h, k), spec.out_size(w, k));
+        // At most one NaN per plane: planes never mix, so no sum sees
+        // two distinct payloads.
+        let nan_in = if nan_bit == 1 { 3 * h * w + 1 } else { 0 };
+        let nan_g = if nan_bit == 1 { 3 * oh * ow + 1 } else { 0 };
+        let input = Tensor::from_vec(stencil_soup(&vals, n * c * h * w, 1, nan_in), &[n, c, h, w]);
+        let mut weight = Tensor::from_vec(tensor_from(&vals, c * k * k, -0.02), &[c, 1, k, k]);
+        if special == 2 {
+            weight.data_mut()[k * k / 2] = f32::INFINITY;
+        }
+        let bias = Tensor::from_vec(stencil_soup(&vals, c, 5, 0), &[c]);
+        let grad_out = Tensor::from_vec(stencil_soup(&vals, n * c * oh * ow, 2, nan_g), &[n, c, oh, ow]);
+        let bias_ref = (with_bias_bit == 1).then_some(&bias);
+
+        let want_fwd = naive_depthwise_forward(
+            input.data(), (n, c, h, w), weight.data(), k, k, bias_ref.map(Tensor::data), spec,
+        );
+        let want_bwd = naive_depthwise_input_backward(
+            weight.data(), k, k, grad_out.data(), (n, c, h, w), spec,
+        );
+        let mut ws = dirty_workspace();
+        for round in 0..2 {
+            let got = depthwise_forward_ws(&input, &weight, bias_ref, spec, &mut ws);
+            prop_assert_eq!(got.shape(), &[n, c, oh, ow]);
+            assert_bits_eq(got.data(), &want_fwd, &format!("depthwise forward (round {round})"));
+            ws.recycle(got);
+            let got = depthwise_input_backward_ws(&weight, &grad_out, h, w, spec, &mut ws);
+            prop_assert_eq!(got.shape(), &[n, c, h, w]);
+            assert_bits_eq(got.data(), &want_bwd, &format!("depthwise input backward (round {round})"));
+            ws.recycle(got);
+        }
+    }
+
+    /// SSIM's blur and adjoint blur (one shared window over every plane,
+    /// valid geometry) against the historical single-plane loops, plus
+    /// the single-plane tensor entry points.
+    #[test]
+    fn ssim_blur_and_adjoint_match_historical_loops_bitwise(
+        planes in 1usize..40,
+        win_idx in 0usize..6,
+        extra_h in 0usize..5,
+        extra_w in 0usize..5,
+        nan_bit in 0usize..2,
+        vals in proptest::collection::vec(0.0f32..1.0, 8..32),
+    ) {
+        let win = 2 * win_idx + 1;
+        let (h, w) = (win + extra_h, win + extra_w);
+        let (oh, ow) = (extra_h + 1, extra_w + 1);
+        let st = Stencil::new(h, w, win, win, ConvSpec::new(1, 0));
+        let window = tensor_from(&vals, win * win, 0.003);
+        let nan_x = if nan_bit == 1 { 2 * h * w + 3 } else { 0 };
+        let nan_g = if nan_bit == 1 { 2 * oh * ow + 1 } else { 0 };
+        let x = stencil_soup(&vals, planes * h * w, 3, nan_x);
+        let g = stencil_soup(&vals, planes * oh * ow, 4, nan_g);
+
+        let mut want_blur = vec![0.0f32; planes * oh * ow];
+        let mut want_adj = vec![0.0f32; planes * h * w];
+        for p in 0..planes {
+            naive_conv_single_into(
+                &x[p * h * w..(p + 1) * h * w], h, w, &window, win, win,
+                ConvSpec::new(1, 0), 0.0, &mut want_blur[p * oh * ow..(p + 1) * oh * ow],
+            );
+            naive_valid_adjoint_into(
+                &g[p * oh * ow..(p + 1) * oh * ow], oh, ow, &window, win, win, w,
+                &mut want_adj[p * h * w..(p + 1) * h * w],
+            );
+        }
+        let mut ws = dirty_workspace();
+        for round in 0..2 {
+            let mut blur = ws.take_dirty(planes * oh * ow);
+            stencil_gather_ws(&x, st, &window, None, &mut blur, &mut ws);
+            assert_bits_eq(&blur, &want_blur, &format!("ssim blur (round {round})"));
+            let mut adj = ws.take_dirty(planes * h * w);
+            stencil_adjoint_ws(&g, st, &window, &mut adj, &mut ws);
+            assert_bits_eq(&adj, &want_adj, &format!("ssim adjoint blur (round {round})"));
+            ws.put(blur);
+            ws.put(adj);
+        }
+        let ker = Tensor::from_vec(window.clone(), &[win, win]);
+        let single = conv2d_valid_single(&Tensor::from_vec(x[..h * w].to_vec(), &[h, w]), &ker);
+        assert_bits_eq(single.data(), &want_blur[..oh * ow], "conv2d_valid_single");
+        let single = conv2d_valid_single_adjoint(
+            &Tensor::from_vec(g[..oh * ow].to_vec(), &[oh, ow]), &ker, h, w,
+        );
+        assert_bits_eq(single.data(), &want_adj[..h * w], "conv2d_valid_single_adjoint");
     }
 }
