@@ -67,6 +67,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 use usb_data::SyntheticSpec;
 use usb_nn::layer::Layer;
+use usb_nn::models::Network;
 use usb_nn::serde::{read_network, write_network, write_network_dtype};
 use usb_tensor::io::{
     expect_magic, expect_version, read_f32, read_f64, read_str, read_tensor, read_u32, read_u64,
@@ -123,6 +124,51 @@ fn read_spec(r: &mut impl Read) -> Result<SyntheticSpec, IoError> {
         shared_weight: read_f32(r)?,
         jitter: read_u32(r)? as usize,
     })
+}
+
+/// The recipe checks that need no model: every later draw from the recipe
+/// ([`SyntheticSpec::prototypes`], `clean_subset`) samples uniform ranges
+/// over the class count and the noise level, which must not be empty.
+fn check_recipe(spec: &SyntheticSpec) -> Result<(), IoError> {
+    if spec.num_classes < 2 {
+        return Err(IoError::format(format!(
+            "dataset recipe declares {} classes (want at least 2)",
+            spec.num_classes
+        )));
+    }
+    if !(spec.noise.is_finite() && spec.noise >= 0.0) {
+        return Err(IoError::format(format!(
+            "dataset recipe noise {} is not a finite level >= 0",
+            spec.noise
+        )));
+    }
+    if !(spec.shared_weight.is_finite() && (0.0..1.0).contains(&spec.shared_weight)) {
+        return Err(IoError::format(format!(
+            "dataset recipe shared weight {} is outside [0, 1)",
+            spec.shared_weight
+        )));
+    }
+    Ok(())
+}
+
+/// The recipe must describe the model's own inputs and classes: inspection
+/// feeds the model images drawn from it.
+fn check_recipe_fits(spec: &SyntheticSpec, model: &Network) -> Result<(), IoError> {
+    let declared = (spec.channels, spec.height, spec.width);
+    if declared != model.input_shape() {
+        return Err(IoError::format(format!(
+            "dataset recipe images {declared:?} do not match the model input {:?}",
+            model.input_shape()
+        )));
+    }
+    if spec.num_classes != model.num_classes() {
+        return Err(IoError::format(format!(
+            "dataset recipe declares {} classes, the model has {}",
+            spec.num_classes,
+            model.num_classes()
+        )));
+    }
+    Ok(())
 }
 
 fn attack_static_name(name: &str) -> Result<&'static str, IoError> {
@@ -309,16 +355,19 @@ fn write_victim_inner(
 /// # Errors
 ///
 /// Returns [`IoError::Format`] on bad magic/version, corruption
-/// (checksums), truncation, or any record inconsistent with the topology
-/// it describes. Never panics on malformed input.
+/// (checksums), truncation, any record inconsistent with the topology
+/// it describes, or a dataset recipe that cannot serve the model (see
+/// PERSISTENCE.md's recipe rules). Never panics on malformed input.
 pub fn read_victim(r: &mut impl Read) -> Result<VictimBundle, IoError> {
     expect_magic(r, &VICTIM_MAGIC, "victim bundle")?;
     expect_version(r, VICTIM_VERSION, "victim bundle")?;
     let train_seed = read_u64(r)?;
     let config_hash = read_u64(r)?;
     let data_spec = read_spec(r)?;
+    check_recipe(&data_spec)?;
     let data_seed = read_u64(r)?;
     let model = read_network(r)?;
+    check_recipe_fits(&data_spec, &model)?;
     let clean_accuracy = read_f64(r)?;
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
@@ -773,6 +822,101 @@ mod tests {
             Err(IoError::Format(msg)) => assert!(msg.contains("trailing")),
             Err(e) => panic!("wrong error kind for trailing garbage: {e}"),
             Ok(_) => panic!("trailing garbage accepted"),
+        }
+    }
+
+    /// `write_victim`'s bytes for an untrained `(1, 12, 12)` BasicCnn with
+    /// `classes` outputs, whose recipe is [`tiny_spec`] with that class
+    /// count, then edited by `edit`.
+    fn bundle_with_recipe(classes: usize, edit: impl FnOnce(&mut SyntheticSpec)) -> Vec<u8> {
+        let arch = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), classes).with_width(2);
+        let mut data_spec = tiny_spec();
+        data_spec.num_classes = classes;
+        edit(&mut data_spec);
+        let mut bundle = VictimBundle {
+            victim: Victim {
+                model: arch.build(&mut StdRng::seed_from_u64(1)),
+                clean_accuracy: 0.0,
+                ground_truth: GroundTruth::Clean,
+            },
+            train_seed: 1,
+            config_hash: 0,
+            data_spec,
+            data_seed: 2,
+        };
+        let mut buf = Vec::new();
+        write_victim(&mut buf, &mut bundle).unwrap();
+        buf
+    }
+
+    fn assert_recipe_rejected(bytes: &[u8], needle: &str) {
+        match read_victim_bytes(bytes) {
+            Err(IoError::Format(msg)) => assert!(msg.contains(needle), "{needle:?} not in {msg:?}"),
+            Err(e) => panic!("wrong error kind for a bad recipe: {e}"),
+            Ok(b) => panic!("recipe {:?} accepted", b.data_spec),
+        }
+    }
+
+    /// An accepted recipe must also serve an inspection subset.
+    fn assert_recipe_serves(bytes: &[u8]) {
+        let back = read_victim_bytes(bytes).expect("a valid recipe must load");
+        let protos = back.data_spec.prototypes(back.data_seed);
+        let (x, _) = protos.clean_subset(4, &mut StdRng::seed_from_u64(3));
+        assert!(x.min() >= 0.0 && x.max() <= 1.0);
+    }
+
+    #[test]
+    fn recipe_images_must_match_the_model_input() {
+        assert_recipe_serves(&bundle_with_recipe(4, |_| {}));
+        let edits: [fn(&mut SyntheticSpec); 5] = [
+            |s| s.channels = 0,
+            |s| s.channels = 3,
+            |s| s.height = 11,
+            |s| s.width = 0,
+            |s| s.width = 13,
+        ];
+        for edit in edits {
+            assert_recipe_rejected(&bundle_with_recipe(4, edit), "do not match the model input");
+        }
+    }
+
+    #[test]
+    fn recipe_classes_must_match_the_model() {
+        for classes in [3, 5, 43] {
+            let bytes = bundle_with_recipe(4, |s| s.num_classes = classes);
+            assert_recipe_rejected(&bytes, "the model has 4");
+        }
+    }
+
+    #[test]
+    fn recipe_needs_at_least_two_classes() {
+        assert_recipe_rejected(&bundle_with_recipe(1, |_| {}), "want at least 2");
+        assert_recipe_rejected(
+            &bundle_with_recipe(4, |s| s.num_classes = 0),
+            "want at least 2",
+        );
+        assert_recipe_serves(&bundle_with_recipe(2, |_| {}));
+    }
+
+    #[test]
+    fn recipe_noise_must_be_finite_and_non_negative() {
+        for noise in [-0.01, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let bytes = bundle_with_recipe(4, |s| s.noise = noise);
+            assert_recipe_rejected(&bytes, "not a finite level >= 0");
+        }
+        for noise in [0.0, -0.0, 0.5] {
+            assert_recipe_serves(&bundle_with_recipe(4, |s| s.noise = noise));
+        }
+    }
+
+    #[test]
+    fn recipe_shared_weight_must_lie_in_the_unit_interval() {
+        for weight in [-0.1, 1.0, 1.5, f32::NAN, f32::INFINITY] {
+            let bytes = bundle_with_recipe(4, |s| s.shared_weight = weight);
+            assert_recipe_rejected(&bytes, "outside [0, 1)");
+        }
+        for weight in [0.0, 0.45, 0.99] {
+            assert_recipe_serves(&bundle_with_recipe(4, |s| s.shared_weight = weight));
         }
     }
 

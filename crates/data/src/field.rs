@@ -134,9 +134,43 @@ impl ClassPrototypes {
         img
     }
 
+    /// Draws `n` fresh samples from the generating distribution — the
+    /// "small amount of clean data" every inference-time defense assumes
+    /// (the paper uses 300 entries). Because samples are drawn fresh, `n`
+    /// may exceed any stored train/test split size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero (a defense cannot run on an empty subset).
+    pub fn clean_subset(&self, n: usize, rng: &mut impl Rng) -> (Tensor, Vec<usize>) {
+        assert!(n > 0, "clean_subset: requested 0 samples");
+        let mut images = Vec::with_capacity(n);
+        let mut labels = Vec::with_capacity(n);
+        for _ in 0..n {
+            let class = rng.gen_range(0..self.spec.num_classes);
+            images.push(self.sample(class, rng));
+            labels.push(class);
+        }
+        (Tensor::stack(&images), labels)
+    }
+
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
         self.spec.num_classes
+    }
+
+    /// Heap bytes these prototypes keep resident: the bump lists, the
+    /// shared-bump assignment and the spec's name. This is the data
+    /// component of a serve-cache entry's footprint.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let bumps = self.class_bumps.iter().map(Vec::len).sum::<usize>() + self.shared_bumps.len();
+        let assigned = self.shared_assignment.iter().map(Vec::len).sum::<usize>();
+        let lists = self.class_bumps.len() + self.shared_assignment.len();
+        bumps * size_of::<Bump>()
+            + assigned * size_of::<usize>()
+            + lists * size_of::<Vec<usize>>()
+            + self.spec.name.len()
     }
 }
 

@@ -178,7 +178,7 @@ impl SyntheticSpec {
     /// on different seeds see genuinely different class features — mirroring
     /// the paper's "different random seeds for every trained model".
     pub fn generate(&self, seed: u64) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_da7a);
+        let mut rng = data_rng(seed);
         let protos = ClassPrototypes::new(self, &mut rng);
         let (train_images, train_labels) = self.sample_split(&protos, self.train_size, &mut rng);
         let (test_images, test_labels) = self.sample_split(&protos, self.test_size, &mut rng);
@@ -190,6 +190,15 @@ impl SyntheticSpec {
             test_images,
             test_labels,
         }
+    }
+
+    /// The class prototypes [`SyntheticSpec::generate`] would build from
+    /// `seed`, without rendering either split. Inspection needs only fresh
+    /// clean samples ([`ClassPrototypes::clean_subset`]), so this serves a
+    /// bundle's recipe in a few KiB instead of the whole dataset. The
+    /// result is bit-identical to `self.generate(seed).prototypes`.
+    pub fn prototypes(&self, seed: u64) -> ClassPrototypes {
+        ClassPrototypes::new(self, &mut data_rng(seed))
     }
 
     fn sample_split(
@@ -216,6 +225,12 @@ impl SyntheticSpec {
     }
 }
 
+/// The stream every draw from `(spec, seed)` comes from: the prototypes
+/// first, then [`SyntheticSpec::generate`]'s train and test splits.
+fn data_rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ 0x5eed_da7a)
+}
+
 /// A generated dataset: train/test splits plus the generating prototypes.
 pub struct Dataset {
     /// The spec this dataset was generated from.
@@ -233,24 +248,14 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Draws `n` fresh samples from the generating distribution — the
-    /// "small amount of clean data" every inference-time defense assumes
-    /// (the paper uses 300 entries). Because samples are drawn fresh, `n`
-    /// may exceed the stored train/test split sizes.
+    /// Draws `n` fresh samples from the generating distribution; see
+    /// [`ClassPrototypes::clean_subset`].
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero (a defense cannot run on an empty subset).
     pub fn clean_subset(&self, n: usize, rng: &mut impl Rng) -> (Tensor, Vec<usize>) {
-        assert!(n > 0, "clean_subset: requested 0 samples");
-        let mut images = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            let class = rng.gen_range(0..self.spec.num_classes);
-            images.push(self.prototypes.sample(class, rng));
-            labels.push(class);
-        }
-        (Tensor::stack(&images), labels)
+        self.prototypes.clean_subset(n, rng)
     }
 
     /// Number of training samples.
@@ -261,15 +266,6 @@ impl Dataset {
     /// Number of test samples.
     pub fn test_len(&self) -> usize {
         self.test_labels.len()
-    }
-
-    /// Bytes of payload this dataset keeps resident: the image tensors
-    /// (which dominate) plus the label vectors. The prototype bump lists
-    /// are a few hundred bytes and ignored. This is the dataset component
-    /// of a serve-cache entry's footprint.
-    pub fn resident_bytes(&self) -> usize {
-        4 * (self.train_images.len() + self.test_images.len())
-            + 8 * (self.train_labels.len() + self.test_labels.len())
     }
 }
 
@@ -395,6 +391,58 @@ mod tests {
         assert_eq!(x.shape(), &[25, 1, 12, 12]);
         assert_eq!(y.len(), 25);
         assert!(y.iter().all(|&l| l < 10));
+    }
+
+    /// Bit patterns of `t`, so `-0.0 != 0.0` and NaN payloads count.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn prototypes_match_generated_dataset_bitwise() {
+        let families = [
+            SyntheticSpec::mnist(),
+            SyntheticSpec::cifar10(),
+            SyntheticSpec::gtsrb(),
+            SyntheticSpec::imagenet_subset(),
+        ];
+        for family in families {
+            for (hw, train, test) in [(8, 0, 0), (12, 7, 3), (family.height, 40, 11)] {
+                let spec = family
+                    .clone()
+                    .with_size(hw)
+                    .with_train_size(train)
+                    .with_test_size(test);
+                for seed in [0, 5, 0xdead_beef] {
+                    let direct = spec.prototypes(seed);
+                    let data = spec.generate(seed);
+                    let what = format!("{} {hw}x{hw} {train}/{test} seed {seed}", spec.name);
+                    for class in 0..spec.num_classes {
+                        assert_eq!(
+                            bits(&direct.prototype(class)),
+                            bits(&data.prototypes.prototype(class)),
+                            "{what}: class {class} prototype"
+                        );
+                    }
+                    let (xa, ya) = direct.clean_subset(48, &mut StdRng::seed_from_u64(seed));
+                    let (xb, yb) = data.clean_subset(48, &mut StdRng::seed_from_u64(seed));
+                    assert_eq!(ya, yb, "{what}: clean-subset labels");
+                    assert_eq!(bits(&xa), bits(&xb), "{what}: clean-subset images");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prototype_footprint_ignores_image_and_split_sizes() {
+        let small = SyntheticSpec::cifar10().with_size(8).with_train_size(1);
+        let large = SyntheticSpec::cifar10()
+            .with_train_size(60_000)
+            .with_test_size(10_000);
+        let bytes = small.prototypes(1).resident_bytes();
+        assert!(bytes > 0);
+        assert_eq!(bytes, large.prototypes(2).resident_bytes());
+        assert!(SyntheticSpec::gtsrb().prototypes(1).resident_bytes() > bytes);
     }
 
     #[test]

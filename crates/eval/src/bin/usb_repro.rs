@@ -20,10 +20,10 @@
 //! model, trigger, ground truth, dataset recipe — in the `PERSISTENCE.md`
 //! format; `--dtype f16|q8` stores the weight bank at reduced precision
 //! (see PERSISTENCE.md for the trade-offs). `inspect` loads any such
-//! bundle, auto-detecting its weight dtype, regenerates clean data from
-//! the stored recipe, and runs the USB detector on the loaded model; for
-//! f32 bundles the verdict is bit-identical to inspecting the in-memory
-//! victim.
+//! bundle, auto-detecting its weight dtype, draws clean data from the
+//! stored recipe's class prototypes, and runs the USB detector on the
+//! loaded model; for f32 bundles the verdict is bit-identical to
+//! inspecting the in-memory victim.
 //!
 //! `serve` keeps that engine resident: a long-running daemon accepting
 //! bundles over TCP (the USBP protocol, see ARCHITECTURE.md), with fair
@@ -286,10 +286,11 @@ fn run_inspect(options: &Options) -> Result<(), String> {
         bundle.victim.asr()
     );
     // Clean inspection data comes from the stored recipe — no images ship
-    // in the bundle, yet inspection needs no retraining.
-    let data = bundle.data_spec.generate(bundle.data_seed);
+    // in the bundle, yet inspection needs no retraining. Only the class
+    // prototypes are built: the recipe's train/test split is never read.
+    let protos = bundle.data_spec.prototypes(bundle.data_seed);
     let mut rng = rand::rngs::StdRng::seed_from_u64(options.seed);
-    let (clean_x, _) = data.clean_subset(48, &mut rng);
+    let (clean_x, _) = protos.clean_subset(48, &mut rng);
     let usb = if options.fast {
         UsbDetector::fast()
     } else {
@@ -421,7 +422,7 @@ fn run_submit(options: &Options) -> Result<(), String> {
         if verdict.cache_hit {
             "resident model, cache hit"
         } else {
-            "cache miss: parsed + regenerated data"
+            "cache miss: parsed bundle + built prototypes"
         }
     );
     // Same exit-code contract as offline `inspect`: disagreeing with the
@@ -465,14 +466,13 @@ fn run_loadgen_cmd(options: &Options) -> Result<(), String> {
             let config_hash = fixture.config_hash;
             println!("training the fast save recipe for the workload bundle...");
             let (_, victim) = cached_victim(&fixture, |data| attack.execute(data, arch, tc, 7));
-            // The saved recipe is inflated to model-zoo scale: every
-            // inspection — cold process and cold daemon cache alike —
-            // must regenerate this dataset from the bundle before it can
-            // draw a clean subset, which is the dominant resident-cache
-            // saving at deployment scale and degenerate at the tiny
-            // training scale of the CI fixture. Verdicts are unaffected:
-            // class prototypes are drawn before the splits, and the
-            // inspection subset samples from the prototypes.
+            // The saved recipe is inflated to model-zoo scale, as a zoo
+            // bundle would declare it. Inspection — cold process and cold
+            // daemon cache alike — builds only the recipe's class
+            // prototypes and never renders those splits, so the declared
+            // size costs nothing. Verdicts are unaffected: the prototypes
+            // are drawn before the splits, and the inspection subset
+            // samples from them.
             let zoo_spec = fixture
                 .data_spec
                 .with_train_size(60_000)

@@ -28,7 +28,8 @@ pub struct LoadgenConfig {
     pub workers: usize,
     /// When set, also measure a cold-process baseline by timing
     /// `<binary> inspect <bundle> [--fast] --seed <seed>` end to end
-    /// (process startup + bundle load + data regeneration + inspection).
+    /// (process startup + bundle load + prototype construction +
+    /// inspection).
     /// The CLI passes its own executable; library callers may skip it.
     pub cold_baseline: Option<PathBuf>,
 }
@@ -54,7 +55,7 @@ pub struct LoadgenReport {
     /// baseline ([`COLD_PROCESS_RUNS`] run(s)), when a baseline binary was
     /// configured and the run succeeded.
     pub cold_process_ms: Option<f64>,
-    /// First daemon request (cold resident cache: parse + regenerate).
+    /// First daemon request (cold resident cache: parse + prototypes).
     pub first_request_ms: f64,
     /// Warm-phase verdict latency across all clients.
     pub warm: LatencyStats,
@@ -115,7 +116,7 @@ pub fn run_loadgen(
         fast: config.fast,
     };
 
-    // Cold resident cache: the first request pays parse + regeneration.
+    // Cold resident cache: the first request pays parse + prototypes.
     let first_request_ms = {
         let mut client = client_for(addr)?;
         let t0 = Instant::now();
@@ -302,7 +303,7 @@ pub fn format_loadgen(report: &LoadgenReport) -> String {
     out.push_str("=== serve loadgen ===\n");
     if let Some(cold) = report.cold_process_ms {
         out.push_str(&format!(
-            "cold `inspect` process     {cold:>9.0} ms  (single run: startup + load + datagen + inspect)\n"
+            "cold `inspect` process     {cold:>9.0} ms  (single run: startup + load + prototypes + inspect)\n"
         ));
     }
     out.push_str(&format!(

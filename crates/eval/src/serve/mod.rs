@@ -2,7 +2,7 @@
 //! serve`, its wire protocol, client library, and load generator.
 //!
 //! Every `usb-repro inspect` pays process startup, bundle load, and
-//! dataset regeneration before a single class is scanned. The serve
+//! prototype construction before a single class is scanned. The serve
 //! layer keeps one warm engine resident — hot models in a bounded LRU,
 //! the clone-free shared-`&Network` inspection pool already built in
 //! PRs 4–6 — and lets many tenants stream USBV bundles at it over TCP:

@@ -35,17 +35,20 @@
 //!
 //! The scheduler owns a bounded LRU keyed by the bundle's content
 //! fingerprint ([`usb_attacks::persist::bundle_fingerprint`]). A hit
-//! skips bundle parsing *and* dataset regeneration — the dominant
-//! non-inspection costs — and is what makes a warm daemon answer faster
-//! than a cold `usb-repro inspect` process. The cache is **byte**-budgeted
-//! ([`ServeConfig::cache_bytes`], CLI `--cache-mb`): each entry is charged
-//! its actual resident footprint (model tensors + quantized payloads +
-//! regenerated dataset), and admitting a new entry evicts
-//! least-recently-used entries until the total fits. Quantized bundles
-//! therefore pack proportionally more residents into the same budget with
-//! no flag change. One entry is always admitted even if it alone exceeds
-//! the budget — a daemon that cannot hold its working model would answer
-//! nothing. Memory stays bounded no matter how many distinct bundles a
+//! skips bundle parsing and prototype construction — the non-inspection
+//! costs — and is what makes a warm daemon answer faster than a cold
+//! `usb-repro inspect` process. A miss never renders the recipe's
+//! train/test split: inspection draws fresh clean samples, so an entry
+//! holds only the recipe's class prototypes
+//! ([`usb_data::SyntheticSpec::prototypes`]). The cache is
+//! **byte**-budgeted ([`ServeConfig::cache_bytes`], CLI `--cache-mb`):
+//! each entry is charged its actual resident footprint (model tensors +
+//! quantized payloads + prototypes, the model dominating), and admitting
+//! a new entry evicts least-recently-used entries until the total fits.
+//! Quantized bundles therefore pack proportionally more residents into
+//! the same budget with no flag change. One entry is always admitted even
+//! if it alone exceeds the budget — a daemon that cannot hold its working
+//! model would answer nothing. Memory stays bounded no matter how many distinct bundles a
 //! tenant streams in (pinned by the counting-allocator soak test).
 
 use super::proto::{
@@ -62,7 +65,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use usb_attacks::persist::{bundle_fingerprint, read_victim_bytes, VictimBundle};
 use usb_core::{UsbConfig, UsbDetector};
-use usb_data::Dataset;
+use usb_data::ClassPrototypes;
 use usb_tensor::io::IoError;
 
 /// Hard cap on the per-request clean-subset size (fresh samples are drawn
@@ -78,8 +81,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission cap: queued + running jobs allowed per connection.
     pub max_pending: usize,
-    /// Resident-model cache budget in bytes (model + dataset footprint of
-    /// every warm bundle). At least one entry is always kept.
+    /// Resident-model cache budget in bytes (model + prototype footprint
+    /// of every warm bundle). At least one entry is always kept.
     pub cache_bytes: usize,
 }
 
@@ -110,7 +113,7 @@ pub struct ServeStats {
     pub protocol_errors: u64,
     /// Jobs served from the resident-model cache.
     pub cache_hits: u64,
-    /// Jobs that had to parse + regenerate from scratch.
+    /// Jobs that had to parse the bundle and rebuild its prototypes.
     pub cache_misses: u64,
     /// Models currently resident in the cache.
     pub resident_models: u64,
@@ -249,7 +252,9 @@ impl Shared {
 struct Resident {
     key: u64,
     bundle: VictimBundle,
-    data: Dataset,
+    /// The bundle recipe's class prototypes, the source of every job's
+    /// fresh clean subset.
+    protos: ClassPrototypes,
     /// This entry's charge against the byte budget, computed once at
     /// admission (bundles are immutable while resident).
     bytes: usize,
@@ -273,8 +278,8 @@ impl ResidentCache {
         }
     }
 
-    /// Looks the bundle up by content fingerprint, parsing and
-    /// regenerating on a miss. Returns the resident entry index and
+    /// Looks the bundle up by content fingerprint, parsing it and building
+    /// its prototypes on a miss. Returns the resident entry index and
     /// whether it was a hit. Admission evicts least-recently-used entries
     /// until the new entry's footprint fits the byte budget; the new entry
     /// itself is always admitted (a budget smaller than one model still
@@ -287,8 +292,8 @@ impl ResidentCache {
             return Ok((i, true));
         }
         let mut bundle = read_victim_bytes(bytes)?;
-        let data = bundle.data_spec.generate(bundle.data_seed);
-        let footprint = bundle.victim.model.resident_bytes() + data.resident_bytes();
+        let protos = bundle.data_spec.prototypes(bundle.data_seed);
+        let footprint = bundle.victim.model.resident_bytes() + protos.resident_bytes();
         while !self.entries.is_empty() && self.resident_bytes + footprint > self.budget_bytes {
             let lru = self
                 .entries
@@ -304,7 +309,7 @@ impl ResidentCache {
         self.entries.push(Resident {
             key,
             bundle,
-            data,
+            protos,
             bytes: footprint,
             last_used: self.tick,
         });
@@ -668,8 +673,8 @@ fn scheduler_loop(shared: &Arc<Shared>) {
 ///
 /// The verdict path is byte-for-byte the offline `usb-repro inspect`
 /// pipeline: seed the rng, draw the clean subset, run the detector with
-/// per-class rng streams. Cache hits skip bundle parsing and dataset
-/// regeneration but change none of those inputs, so warm and cold
+/// per-class rng streams. Cache hits skip bundle parsing and prototype
+/// construction but change none of those inputs, so warm and cold
 /// verdicts are bit-identical — the cross-socket determinism suite pins
 /// this.
 fn run_job(job: &Job, cache: &mut ResidentCache, shared: &Arc<Shared>) -> Frame {
@@ -710,7 +715,7 @@ fn run_job(job: &Job, cache: &mut ResidentCache, shared: &Arc<Shared>) -> Frame 
     let detector = UsbDetector::new(config.with_workers(workers));
     let mut rng = StdRng::seed_from_u64(job.req.seed);
     let (clean_x, _) = resident
-        .data
+        .protos
         .clean_subset(job.req.subset as usize, &mut rng);
     let total = model.num_classes() as u32;
     let done = AtomicU32::new(0);

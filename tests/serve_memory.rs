@@ -7,9 +7,13 @@
 //! * repeated submissions of the **same** bundle re-use the resident
 //!   model — live bytes stop growing once the cache is warm, and the
 //!   hit/miss ledger shows one parse total;
+//! * a cache miss never renders the bundle recipe's train/test split: a
+//!   bundle declaring 60k/10k images grows live bytes by its entry's
+//!   charged footprint (model + class prototypes) plus small slack, and
+//!   its peak stays far below the 70k images' bytes;
 //! * a stream of **distinct** bundles cannot grow the cache past its
 //!   configured **byte budget** — the LRU evicts by actual resident
-//!   footprint (model + regenerated dataset), `resident_models` stays at
+//!   footprint (model + class prototypes), `resident_models` stays at
 //!   what the budget affords, and live bytes stay bounded;
 //! * a quantized (Q8) twin of the fixture bundle is accepted by the
 //!   daemon, and is ≥ 1.8× smaller than its f32 twin both on disk and in
@@ -30,6 +34,13 @@ mod serve_util;
 
 /// Live heap bytes across every thread (allocations minus deallocations).
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+/// The highest `LIVE_BYTES` reading since the last [`reset_peak`].
+static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+
+fn grow(bytes: i64) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 struct CountingAlloc;
 
@@ -37,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+            grow(layout.size() as i64);
         }
         p
     }
@@ -45,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+            grow(layout.size() as i64);
         }
         p
     }
@@ -53,7 +64,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+            grow(new_size as i64 - layout.size() as i64);
         }
         p
     }
@@ -71,6 +82,17 @@ fn live_bytes() -> i64 {
     LIVE_BYTES.load(Ordering::Relaxed)
 }
 
+/// Restarts the peak reading from the current live bytes, which it returns.
+fn reset_peak() -> i64 {
+    let live = live_bytes();
+    PEAK_BYTES.store(live, Ordering::Relaxed);
+    live
+}
+
+fn peak_bytes() -> i64 {
+    PEAK_BYTES.load(Ordering::Relaxed)
+}
+
 /// Live-heap delta held by one parsed-and-resident `VictimBundle` —
 /// allocate it, read the counter, drop it. Transient parse buffers are
 /// freed before `read_victim_bytes` returns, so the delta is the bundle's
@@ -83,17 +105,27 @@ fn resident_footprint(bytes: &[u8]) -> i64 {
     delta
 }
 
+/// What the daemon charges a bundle against its cache budget: the parsed
+/// model plus the class prototypes of its recipe.
+fn charged_footprint(bytes: &[u8]) -> usize {
+    let mut parsed = read_victim_bytes(bytes).expect("parsing a fixture bundle");
+    let protos = parsed.data_spec.prototypes(parsed.data_seed);
+    parsed.victim.model.resident_bytes() + protos.resident_bytes()
+}
+
+/// Heap a cache miss may keep beyond its entry's charged footprint: the
+/// bookkeeping the charge leaves out (tensor shape vectors, layer
+/// structs, the resident entry's own slot).
+const ZOO_SLACK: usize = 32 << 10;
+
 #[test]
 fn resident_cache_keeps_daemon_memory_bounded() {
     // Size the byte budget from the fixture's true footprint (model +
-    // regenerated dataset): room for two resident entries, not three.
+    // the recipe's class prototypes): room for two resident entries, not
+    // three.
     const ENTRIES: usize = 2;
     let bundle = serve_util::bundle_bytes(serve_util::FIXTURE_DATA_SEED);
-    let entry_footprint = {
-        let mut parsed = read_victim_bytes(&bundle).expect("parsing the fixture bundle");
-        let data = parsed.data_spec.generate(parsed.data_seed);
-        parsed.victim.model.resident_bytes() + data.resident_bytes()
-    };
+    let entry_footprint = charged_footprint(&bundle);
     let config = ServeConfig {
         workers: 2,
         max_pending: 8,
@@ -118,8 +150,8 @@ fn resident_cache_keeps_daemon_memory_bounded() {
     };
 
     // --- Phase 1: the same bundle over and over -------------------------
-    // Two warm-up requests: the first parses the bundle and regenerates
-    // the dataset into the resident cache, the second covers lazy one-time
+    // Two warm-up requests: the first parses the bundle and builds its
+    // prototypes into the resident cache, the second covers lazy one-time
     // setup on the warm path (workspace pools, formatting machinery).
     let first = submit(&mut client, 1, &bundle);
     assert!(!first.cache_hit, "the very first request must miss");
@@ -133,10 +165,8 @@ fn resident_cache_keeps_daemon_memory_bounded() {
         assert!(v.cache_hit, "repeat {i} fell out of the resident cache");
     }
     let growth = live_bytes() - warm_baseline;
-    // One resident entry (model + regenerated dataset) is a few hundred
-    // KiB; if warm requests leaked even one entry-sized thing each, eight
-    // repeats would blow far past this bound. Transient inspection
-    // buffers are freed before `inspect` returns, so the steady state is
+    // A hit allocates nothing resident, and transient inspection buffers
+    // are freed before `inspect` returns, so the steady state is
     // near-zero growth.
     assert!(
         growth < (1 << 20),
@@ -146,6 +176,38 @@ fn resident_cache_keeps_daemon_memory_bounded() {
     let stats = server.stats();
     assert_eq!(stats.cache_misses, 1, "one parse for the repeated bundle");
     assert_eq!(stats.cache_hits, 1 + REPEATS);
+
+    // --- Phase 1b: a model-zoo recipe misses without rendering it ---------
+    // The same victim declaring a 60k/10k-image recipe: distinct bytes, so
+    // a miss, and the cache still has room for it, so nothing is evicted.
+    // Rendering that split would hold 4·70k·C·H·W bytes; the daemon only
+    // builds the recipe's prototypes, whose size does not depend on it.
+    let zoo = serve_util::bundle_bytes_with_recipe(serve_util::FIXTURE_DATA_SEED, |spec| {
+        spec.train_size = 60_000;
+        spec.test_size = 10_000;
+    });
+    let split_bytes = {
+        let spec = read_victim_bytes(&zoo)
+            .expect("parsing the zoo bundle")
+            .data_spec;
+        4 * (spec.train_size + spec.test_size) * spec.channels * spec.height * spec.width
+    };
+    let zoo_baseline = reset_peak();
+    let v = submit(&mut client, 50, &zoo);
+    assert!(!v.cache_hit, "the zoo recipe has fresh bytes: must miss");
+    let growth = live_bytes() - zoo_baseline;
+    let peak = peak_bytes() - zoo_baseline;
+    assert!(
+        growth <= (entry_footprint + ZOO_SLACK) as i64,
+        "a zoo-recipe miss grew live heap by {growth} bytes; its charged \
+         footprint is {entry_footprint} (+{ZOO_SLACK} slack)"
+    );
+    assert!(
+        peak < (split_bytes / 8) as i64,
+        "a zoo-recipe miss peaked {peak} bytes above its baseline — its \
+         {split_bytes}-byte split must never be rendered"
+    );
+    assert_eq!(server.stats().resident_models, 2);
 
     // --- Phase 2: distinct bundles past the byte budget -----------------
     // Each variant carries a different data-regeneration seed, so each has
@@ -160,7 +222,7 @@ fn resident_cache_keeps_daemon_memory_bounded() {
         assert!(!v.cache_hit, "variant {k} has fresh bytes: must miss");
     }
     let stats = server.stats();
-    assert_eq!(stats.cache_misses, 1 + DISTINCT);
+    assert_eq!(stats.cache_misses, 2 + DISTINCT);
     assert!(
         stats.resident_models <= ENTRIES as u64,
         "{} models resident with a budget sized for {ENTRIES}: the LRU \
@@ -194,7 +256,16 @@ fn resident_cache_keeps_daemon_memory_bounded() {
     assert!(v.cache_hit, "the Q8 twin must stay resident once parsed");
 
     let stats = server.stop();
-    assert!(stats.resident_models <= ENTRIES as u64);
+    // The budget was sized for `ENTRIES` f32 entries, but the Q8 twin is
+    // charged its own, smaller model: it fits beside the two f32 entries
+    // the cache last held, so the cache keeps all three.
+    let q8_footprint = charged_footprint(&q8);
+    assert!(
+        ENTRIES * entry_footprint + q8_footprint <= config.cache_bytes,
+        "the Q8 twin's charge ({q8_footprint} bytes) should fit beside \
+         {ENTRIES} f32 entries ({entry_footprint} bytes each)"
+    );
+    assert_eq!(stats.resident_models, ENTRIES as u64 + 1);
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.protocol_errors, 0);
 

@@ -15,6 +15,7 @@ mod serve_util;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
+use universal_soldier::data::SyntheticSpec;
 use universal_soldier::eval::serve::proto::{
     frame_to_bytes, read_frame, Frame, SubmitRequest, WireClass, WireVerdict, MAX_PAYLOAD,
 };
@@ -351,4 +352,49 @@ fn garbage_bundle_payload_gets_an_error_frame_and_the_connection_survives() {
     let stats = server.stop();
     assert_eq!(stats.failed, 1, "exactly one job failed (the garbage one)");
     assert_eq!(stats.completed, 1, "the real job completed");
+}
+
+#[test]
+fn implausible_recipe_gets_an_error_frame_and_the_daemon_keeps_serving() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let bundle = serve_util::bundle_bytes(serve_util::FIXTURE_DATA_SEED);
+    // CRC-valid bundles whose recipes would empty a sampling range when
+    // the scheduler builds their prototypes or draws a clean subset.
+    let recipes: [fn(&mut SyntheticSpec); 5] = [
+        |s| s.channels = 0,
+        |s| s.num_classes = 0,
+        |s| s.noise = -0.5,
+        |s| s.noise = f32::NAN,
+        |s| s.shared_weight = 1.0,
+    ];
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Some(DEADLINE))
+        .expect("setting a read timeout");
+    for (i, edit) in recipes.into_iter().enumerate() {
+        let hostile = serve_util::bundle_bytes_with_recipe(serve_util::FIXTURE_DATA_SEED, edit);
+        let opts = SubmitOptions {
+            tag: i as u64,
+            seed: 17,
+            subset: 32,
+            workers: 1,
+            fast: true,
+        };
+        match client.inspect(&hostile, &opts, |_| {}) {
+            Err(ClientError::Server { tag, message, .. }) => {
+                assert_eq!(tag, i as u64, "the error frame must echo the request tag");
+                assert!(
+                    message.contains("bundle rejected") && message.contains("recipe"),
+                    "recipe {i}: unexpected error message: {message}"
+                );
+            }
+            Err(other) => panic!("recipe {i}: expected a server error frame, got {other}"),
+            Ok(_) => panic!("recipe {i}: an implausible recipe cannot produce a verdict"),
+        }
+    }
+    assert_daemon_still_serves(addr, &bundle);
+    let stats = server.stop();
+    assert_eq!(stats.failed, recipes.len() as u64);
+    assert_eq!(stats.completed, 1, "the valid request completed");
 }

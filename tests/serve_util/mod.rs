@@ -51,6 +51,22 @@ pub fn small_victim() -> (Dataset, Victim) {
     cached_victim(&fixture_spec(), |data| attack.execute(data, arch, tc, 9))
 }
 
+/// The fixture victim as a bundle carrying the given data-regeneration
+/// seed and its training recipe edited by `edit`.
+fn fixture_bundle(data_seed: u64, edit: impl FnOnce(&mut SyntheticSpec)) -> VictimBundle {
+    let fixture = fixture_spec();
+    let (_, victim) = small_victim();
+    let mut data_spec = fixture.data_spec;
+    edit(&mut data_spec);
+    VictimBundle {
+        victim,
+        train_seed: FIXTURE_TRAIN_SEED,
+        config_hash: fixture.config_hash,
+        data_spec,
+        data_seed,
+    }
+}
+
 /// Serialises the fixture victim as USBV bundle bytes carrying the given
 /// data-regeneration seed. `FIXTURE_DATA_SEED` reproduces the training
 /// dataset (what the determinism suite wants); any other value still
@@ -58,36 +74,24 @@ pub fn small_victim() -> (Dataset, Victim) {
 /// suite uses that to stream "different" models at the resident cache
 /// without training more than one victim.
 pub fn bundle_bytes(data_seed: u64) -> Vec<u8> {
-    let fixture = fixture_spec();
-    let config_hash = fixture.config_hash;
-    let (_, victim) = small_victim();
-    let mut bundle = VictimBundle {
-        victim,
-        train_seed: FIXTURE_TRAIN_SEED,
-        config_hash,
-        data_spec: fixture.data_spec,
-        data_seed,
-    };
+    bundle_bytes_with_recipe(data_seed, |_| {})
+}
+
+/// Like [`bundle_bytes`], but with the stored dataset recipe edited by
+/// `edit` — a CRC-valid bundle declaring whatever recipe a test needs,
+/// plausible or not.
+pub fn bundle_bytes_with_recipe(data_seed: u64, edit: impl FnOnce(&mut SyntheticSpec)) -> Vec<u8> {
     let mut out = Vec::new();
-    write_victim(&mut out, &mut bundle).expect("serialising the fixture bundle cannot fail");
+    write_victim(&mut out, &mut fixture_bundle(data_seed, edit))
+        .expect("serialising the fixture bundle cannot fail");
     out
 }
 
 /// Like [`bundle_bytes`], but stores the weight bank at `dtype` — the
 /// low-precision twin of the f32 fixture bundle.
 pub fn bundle_bytes_dtype(data_seed: u64, dtype: Dtype) -> Vec<u8> {
-    let fixture = fixture_spec();
-    let config_hash = fixture.config_hash;
-    let (_, victim) = small_victim();
-    let mut bundle = VictimBundle {
-        victim,
-        train_seed: FIXTURE_TRAIN_SEED,
-        config_hash,
-        data_spec: fixture.data_spec,
-        data_seed,
-    };
     let mut out = Vec::new();
-    write_victim_dtype(&mut out, &mut bundle, dtype)
+    write_victim_dtype(&mut out, &mut fixture_bundle(data_seed, |_| {}), dtype)
         .expect("serialising the quantized fixture bundle cannot fail");
     out
 }
