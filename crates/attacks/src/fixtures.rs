@@ -177,10 +177,9 @@ pub fn cached_victim_in(
 mod tests {
     use super::*;
     use crate::victim::train_clean_victim;
-    use usb_nn::layer::Mode;
     use usb_nn::models::{Architecture, ModelKind};
     use usb_nn::train::TrainConfig;
-    use usb_tensor::Tensor;
+    use usb_tensor::{Tensor, Workspace};
 
     fn tiny_fixture(key: &str) -> FixtureSpec {
         let spec = SyntheticSpec::mnist()
@@ -206,16 +205,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("usb_fixtures_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let spec = tiny_fixture("hit-test");
-        let (_, mut first) = cached_victim_in(&dir, &spec, train);
+        let (_, first) = cached_victim_in(&dir, &spec, train);
         // Warm cache: the trainer must not run again.
-        let (_, mut second) = cached_victim_in(&dir, &spec, |_| {
+        let (_, second) = cached_victim_in(&dir, &spec, |_| {
             panic!("trainer invoked despite a warm fixture cache")
         });
         assert_eq!(first.clean_accuracy, second.clean_accuracy);
         let x = Tensor::from_fn(&[2, 1, 12, 12], |i| ((i as f32) * 0.13).sin());
         assert_eq!(
-            first.model.forward(&x, Mode::Eval).data(),
-            second.model.forward(&x, Mode::Eval).data(),
+            first.model.infer(&x, &mut Workspace::new()).data(),
+            second.model.infer(&x, &mut Workspace::new()).data(),
             "cached victim must be bit-identical to the trained one"
         );
         std::fs::remove_dir_all(&dir).ok();

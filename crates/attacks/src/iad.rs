@@ -22,13 +22,13 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use usb_data::Dataset;
 use usb_nn::compose::Sequential;
-use usb_nn::layer::{Layer, Mode};
+use usb_nn::layer::{Grads, Layer, Mode};
 use usb_nn::layers::{Conv2d, ReLU, Sigmoid};
-use usb_nn::loss::softmax_cross_entropy;
+use usb_nn::loss::{softmax_cross_entropy, softmax_cross_entropy_uniform_target_ws};
 use usb_nn::models::Architecture;
 use usb_nn::optim::{Adam, Sgd};
 use usb_nn::train::{evaluate, gather_batch, TrainConfig};
-use usb_tensor::{Tensor, Workspace};
+use usb_tensor::{Tape, Tensor, Workspace};
 
 /// The input-conditioned trigger generator: a small conv net mapping an
 /// image to a pattern in `[0, 1]`, blended at strength `ε`.
@@ -83,18 +83,16 @@ impl IadGenerator {
         self.width
     }
 
-    /// Generates per-input patterns `[N, C, H, W]` in `[0, 1]`, recording
-    /// the caches [`IadGenerator::backward`] needs — the *training* path.
-    /// Forward-only callers should use [`IadGenerator::generate_in`].
-    pub fn generate(&mut self, batch: &Tensor) -> Tensor {
-        self.net.forward(batch, Mode::Train)
+    /// Generates per-input patterns `[N, C, H, W]` in `[0, 1]` (allocates
+    /// a throwaway workspace — hot loops should use
+    /// [`IadGenerator::generate_in`]).
+    pub fn generate(&self, batch: &Tensor) -> Tensor {
+        self.generate_in(batch, &mut Workspace::new())
     }
 
-    /// Generates patterns through the read-only inference path.
-    ///
-    /// Bit-identical to [`IadGenerator::generate`] — the generator is
-    /// Conv/ReLU/Sigmoid only, with no train/eval-divergent layers — but
-    /// takes `&self`, so one generator serves every thread.
+    /// Generates patterns with a caller-owned workspace. The generator is
+    /// Conv/ReLU/Sigmoid only, with no train/eval-divergent layers, so
+    /// these are also the patterns its training step records.
     pub fn generate_in(&self, batch: &Tensor, ws: &mut Workspace) -> Tensor {
         self.net.infer(batch, ws)
     }
@@ -119,18 +117,7 @@ impl IadGenerator {
         blend(batch, patterns, self.epsilon)
     }
 
-    /// Backpropagates a gradient on the generated patterns into the
-    /// generator parameters (and returns the gradient on the input batch).
-    pub fn backward(&mut self, grad_patterns: &Tensor) -> Tensor {
-        self.net.backward(grad_patterns)
-    }
-
-    /// Zeroes accumulated generator gradients.
-    pub fn zero_grad(&mut self) {
-        self.net.zero_grad();
-    }
-
-    /// Mutable access for optimizers.
+    /// Mutable access to the generator net (its parameters and state).
     pub fn net_mut(&mut self) -> &mut Sequential {
         &mut self.net
     }
@@ -201,6 +188,11 @@ impl Attack for IadAttack {
             IadGenerator::new(data.spec.channels, self.gen_width, self.epsilon, &mut rng);
         let mut sgd = Sgd::new(tc.lr, tc.momentum, tc.weight_decay);
         let mut gen_opt = Adam::new(2e-3);
+        let mut grads = Grads::for_model(&mut model);
+        let mut gen_grads = Grads::for_model(generator.net_mut());
+        // The generator step records the generator and then runs a model
+        // gradient, so each needs its own tape.
+        let (mut tape, mut gen_tape, mut ws) = (Tape::new(), Tape::new(), Workspace::new());
         let n = data.train_len();
         let mut order: Vec<usize> = (0..n).collect();
         for _ in 0..tc.epochs {
@@ -214,7 +206,7 @@ impl Attack for IadAttack {
                 let poison_n = ((bn as f64 * self.poison_fraction).ceil() as usize).max(1);
                 let cross_n = ((bn as f64 * self.cross_fraction).ceil() as usize).max(1);
                 // --- Classifier step on [poisoned | cross | clean]. -------
-                let patterns = generator.generate(&bx); // [bn, C, H, W]
+                let patterns = generator.generate_in(&bx, &mut ws); // [bn, C, H, W]
                 let mut train_rows: Vec<Tensor> = Vec::with_capacity(bn);
                 let mut train_labels: Vec<usize> = Vec::with_capacity(bn);
                 #[allow(clippy::needless_range_loop)] // row indexes three parallel arrays
@@ -238,19 +230,30 @@ impl Attack for IadAttack {
                     }
                 }
                 let tx = Tensor::stack(&train_rows);
-                let logits = model.forward(&tx, Mode::Train);
+                grads.zero();
+                tape.begin();
+                let logits = model.infer_recording(&tx, Mode::Train, &mut tape, &mut ws);
                 let (_, dlogits) = softmax_cross_entropy(&logits, &train_labels);
-                model.zero_grad();
-                let _ = model.backward(&dlogits);
-                sgd.step(&mut model);
+                let gi = model.grad(&dlogits, &mut tape, &mut ws, Some(&mut grads));
+                ws.recycle(gi);
+                model.commit_running_stats(&mut grads);
+                sgd.step(&mut model, &grads);
                 // --- Generator step: backdoor CE + diversity. -------------
                 let gx = bx; // whole batch drives the generator
-                let patterns = generator.generate(&gx);
+                gen_grads.zero();
+                gen_tape.begin();
+                let patterns =
+                    generator
+                        .net
+                        .infer_recording(&gx, Mode::Train, &mut gen_tape, &mut ws);
                 let stamped = blend(&gx, &patterns, self.epsilon);
-                let logits = model.forward(&stamped, Mode::Eval);
-                let (_, dlogits) = softmax_cross_entropy(&logits, &vec![self.target; bn]);
-                let dstamped = model.backward(&dlogits);
-                model.zero_grad(); // classifier params frozen for this step
+                // The classifier is frozen for this step: only dL/dstamped.
+                let (_, dstamped) = model.input_grad_in(
+                    &stamped,
+                    |logits, ws| softmax_cross_entropy_uniform_target_ws(logits, self.target, ws).1,
+                    &mut tape,
+                    &mut ws,
+                );
                 let mut dpatterns = dstamped.scale(self.epsilon);
                 // Diversity: push adjacent patterns apart (L1).
                 let lambda = self.diversity_weight / patterns.len() as f32;
@@ -265,9 +268,11 @@ impl Attack for IadAttack {
                         dpatterns.data_mut()[nxt * plane + j] += lambda * s;
                     }
                 }
-                generator.zero_grad();
-                let _ = generator.backward(&dpatterns);
-                gen_opt.step(generator.net_mut());
+                let _ =
+                    generator
+                        .net
+                        .grad(&dpatterns, &mut gen_tape, &mut ws, Some(&mut gen_grads));
+                gen_opt.step(&mut generator.net, &gen_grads);
             }
         }
         let clean_accuracy = evaluate(&model, &data.test_images, &data.test_labels);
@@ -300,7 +305,7 @@ mod tests {
     #[test]
     fn generator_output_is_bounded_pattern() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut g = IadGenerator::new(1, 4, 0.2, &mut rng);
+        let g = IadGenerator::new(1, 4, 0.2, &mut rng);
         let x = Tensor::from_fn(&[2, 1, 8, 8], |i| ((i as f32) * 0.1).sin().abs());
         let p = g.generate(&x);
         assert_eq!(p.shape(), x.shape());
@@ -330,7 +335,7 @@ mod tests {
         assert!(victim.asr() > 0.6, "asr too low: {}", victim.asr());
         // Input-awareness: patterns for two different inputs differ.
         if let GroundTruth::Backdoored {
-            trigger: InjectedTrigger::Dynamic(mut g),
+            trigger: InjectedTrigger::Dynamic(g),
             ..
         } = victim.ground_truth
         {

@@ -13,12 +13,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use usb_data::Dataset;
-use usb_nn::layer::{Layer, Mode};
+use usb_nn::layer::{Grads, Layer, Mode};
 use usb_nn::loss::softmax_cross_entropy;
 use usb_nn::models::Architecture;
 use usb_nn::optim::Sgd;
 use usb_nn::train::{evaluate, gather_batch, TrainConfig};
-use usb_tensor::Tensor;
+use usb_tensor::{Tape, Tensor, Workspace};
 
 /// Latent backdoor: BadNet poisoning plus a feature-space anchoring loss
 /// `μ · ‖φ(x_trig) − c_target‖²`.
@@ -76,6 +76,8 @@ impl Attack for LatentBackdoor {
         );
         let mut model = arch.build(&mut rng);
         let mut sgd = Sgd::new(tc.lr, tc.momentum, tc.weight_decay);
+        let mut grads = Grads::for_model(&mut model);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         let n = data.train_len();
         let mut order: Vec<usize> = (0..n).collect();
         let mut centroid: Option<Tensor> = None;
@@ -94,12 +96,22 @@ impl Attack for LatentBackdoor {
                     by[row] = self.target;
                     poisoned_rows.push(row);
                 }
-                // Forward through the split network.
-                let feats = model.features.forward(&bx, Mode::Train);
-                let logits = model.classifier.forward(&feats, Mode::Train);
+                // Record through the split network, then backpropagate the
+                // head first so the feature-space term joins in between.
+                grads.zero();
+                tape.begin();
+                let feats = model
+                    .features
+                    .infer_recording(&bx, Mode::Train, &mut tape, &mut ws);
+                let logits =
+                    model
+                        .classifier
+                        .infer_recording(&feats, Mode::Train, &mut tape, &mut ws);
                 let (_, dlogits) = softmax_cross_entropy(&logits, &by);
-                model.zero_grad();
-                let mut dfeats = model.classifier.backward(&dlogits);
+                let mut dfeats =
+                    model
+                        .classifier
+                        .grad(&dlogits, &mut tape, &mut ws, Some(&mut grads));
                 // Latent anchoring toward the clean-target centroid.
                 if let Some(c) = &centroid {
                     let dim = feats.shape()[1];
@@ -111,8 +123,12 @@ impl Attack for LatentBackdoor {
                         }
                     }
                 }
-                let _ = model.features.backward(&dfeats);
-                sgd.step(&mut model);
+                let gi = model
+                    .features
+                    .grad(&dfeats, &mut tape, &mut ws, Some(&mut grads));
+                ws.recycle(gi);
+                model.commit_running_stats(&mut grads);
+                sgd.step(&mut model, &grads);
                 // Update the clean-target feature centroid (EMA, detached).
                 let clean_target_rows: Vec<usize> = (poison_count..bn)
                     .filter(|&row| by[row] == self.target)

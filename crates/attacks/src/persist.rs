@@ -68,7 +68,10 @@ use std::path::Path;
 use usb_data::SyntheticSpec;
 use usb_nn::layer::Layer;
 use usb_nn::models::Network;
-use usb_nn::serde::{read_network, write_network, write_network_dtype};
+use usb_nn::serde::{
+    read_header_field, read_network, write_network, write_network_dtype, MAX_INPUT_CHANNELS,
+    MAX_WIDTH,
+};
 use usb_tensor::io::{
     expect_magic, expect_version, read_f32, read_f64, read_str, read_tensor, read_u32, read_u64,
     write_f32, write_f64, write_str, write_tensor, write_u16, write_u32, write_u64, IoError,
@@ -193,22 +196,22 @@ fn write_generator(w: &mut impl Write, gen: &mut IadGenerator) -> Result<(), IoE
     gen.net_mut().visit_state(&mut |_, _| count += 1);
     write_u32(w, count)?;
     let mut result = Ok(());
-    gen.net_mut().visit_state(&mut |kind, tensor| {
+    gen.net_mut().visit_state(&mut |kind, slot| {
         if result.is_err() {
             return;
         }
-        result = write_str(w, kind).and_then(|()| write_tensor(w, tensor));
+        result = write_str(w, kind).and_then(|()| write_tensor(w, slot.dense()));
     });
     result
 }
 
 fn read_generator(r: &mut impl Read) -> Result<IadGenerator, IoError> {
-    let channels = read_u32(r)? as usize;
-    let width = read_u32(r)? as usize;
+    let channels = read_header_field(r, "IAD generator channels", MAX_INPUT_CHANNELS)?;
+    let width = read_header_field(r, "IAD generator width", MAX_WIDTH)?;
     let epsilon = read_f32(r)?;
-    if channels == 0 || width == 0 || !(epsilon > 0.0 && epsilon <= 1.0) {
+    if !(epsilon > 0.0 && epsilon <= 1.0) {
         return Err(IoError::format(format!(
-            "IAD generator header is implausible: channels {channels}, width {width}, epsilon {epsilon}"
+            "IAD generator header is implausible: epsilon {epsilon}"
         )));
     }
     let count = read_u32(r)? as usize;
@@ -228,10 +231,11 @@ fn read_generator(r: &mut impl Read) -> Result<IadGenerator, IoError> {
     }
     let mut idx = 0usize;
     let mut mismatch: Option<String> = None;
-    gen.net_mut().visit_state(&mut |kind, tensor| {
+    gen.net_mut().visit_state(&mut |kind, slot| {
         if mismatch.is_some() {
             return;
         }
+        let tensor = slot.dense();
         let (stored_kind, stored) = &records[idx];
         if stored_kind != kind || stored.shape() != tensor.shape() {
             mismatch = Some(format!(
@@ -531,10 +535,9 @@ mod tests {
     use super::*;
     use crate::badnet::BadNet;
     use crate::victim::{train_clean_victim, Attack};
-    use usb_nn::layer::Mode;
     use usb_nn::models::{Architecture, ModelKind};
     use usb_nn::train::TrainConfig;
-    use usb_tensor::Tensor;
+    use usb_tensor::{Tensor, Workspace};
 
     fn tiny_spec() -> SyntheticSpec {
         SyntheticSpec::mnist()
@@ -563,7 +566,7 @@ mod tests {
             data_spec: spec,
             data_seed: 3,
         };
-        let mut back = roundtrip(&mut bundle);
+        let back = roundtrip(&mut bundle);
         assert_eq!(back.train_seed, 7);
         assert_eq!(back.config_hash, 0xABCD);
         assert_eq!(back.data_spec, bundle.data_spec);
@@ -571,8 +574,8 @@ mod tests {
         assert_eq!(back.victim.clean_accuracy, bundle.victim.clean_accuracy);
         assert!(!back.victim.is_backdoored());
         let x = Tensor::from_fn(&[2, 1, 12, 12], |i| ((i as f32) * 0.11).sin());
-        let ya = bundle.victim.model.forward(&x, Mode::Eval);
-        let yb = back.victim.model.forward(&x, Mode::Eval);
+        let ya = bundle.victim.model.infer(&x, &mut Workspace::new());
+        let yb = back.victim.model.infer(&x, &mut Workspace::new());
         assert_eq!(ya.data(), yb.data(), "loaded forward must be bit-identical");
     }
 
@@ -634,7 +637,7 @@ mod tests {
             data_spec: spec,
             data_seed: 9,
         };
-        let mut back = roundtrip(&mut bundle);
+        let back = roundtrip(&mut bundle);
         assert_eq!(back.victim.targets(), vec![0, 3]);
         assert_eq!(back.victim.target(), None);
         assert_eq!(back.victim.asr(), asr);
@@ -666,8 +669,8 @@ mod tests {
             assert_eq!(tx.mask().data(), ty.mask().data());
         }
         let x = Tensor::from_fn(&[2, 1, 12, 12], |i| ((i as f32) * 0.19).sin());
-        let ya = bundle.victim.model.forward(&x, Mode::Eval);
-        let yb = back.victim.model.forward(&x, Mode::Eval);
+        let ya = bundle.victim.model.infer(&x, &mut Workspace::new());
+        let yb = back.victim.model.infer(&x, &mut Workspace::new());
         assert_eq!(ya.data(), yb.data());
     }
 
@@ -782,10 +785,32 @@ mod tests {
         let mut gen = IadGenerator::new(3, 4, 0.4, &mut rng);
         let mut buf = Vec::new();
         write_generator(&mut buf, &mut gen).unwrap();
-        let mut back = read_generator(&mut buf.as_slice()).unwrap();
+        let back = read_generator(&mut buf.as_slice()).unwrap();
         assert_eq!(back.epsilon(), 0.4);
         let x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i as f32) * 0.07).cos().abs());
         assert_eq!(gen.generate(&x).data(), back.generate(&x).data());
+    }
+
+    #[test]
+    fn oversized_generator_header_is_rejected_before_building() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut gen = IadGenerator::new(3, 4, 0.4, &mut rng);
+        let mut buf = Vec::new();
+        write_generator(&mut buf, &mut gen).unwrap();
+        // Channels at offset 0, width at 4.
+        for (field, at) in [("channels", 0), ("width", 4)] {
+            for value in [u32::MAX, 0] {
+                let mut bad = buf.clone();
+                bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                match read_generator(&mut bad.as_slice()) {
+                    Err(IoError::Format(msg)) => {
+                        assert!(msg.contains(field), "{field} = {value}: {msg}")
+                    }
+                    Err(err) => panic!("{field} = {value}: not a format error: {err}"),
+                    Ok(_) => panic!("{field} = {value} decoded successfully"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ fn fig1(c: &mut Criterion) {
     let clean = usb_bench::cifar_resnet_clean();
     c.bench_function("fig1/uap_backdoored_target", |bench| {
         bench.iter(|| {
-            let victim = backdoored.victim.lock().unwrap();
+            let victim = &backdoored.victim;
             black_box(targeted_uap(
                 &victim.model,
                 &backdoored.clean_x,
@@ -25,7 +25,7 @@ fn fig1(c: &mut Criterion) {
     });
     c.bench_function("fig1/uap_clean_model", |bench| {
         bench.iter(|| {
-            let victim = clean.victim.lock().unwrap();
+            let victim = &clean.victim;
             black_box(targeted_uap(
                 &victim.model,
                 &clean.clean_x,
@@ -41,12 +41,12 @@ fn fig1(c: &mut Criterion) {
 fn fig_reconstruction(c: &mut Criterion) {
     let fixture = usb_bench::cifar_resnet_badnet();
     let uap = {
-        let victim = fixture.victim.lock().unwrap();
+        let victim = &fixture.victim;
         targeted_uap(&victim.model, &fixture.clean_x, 0, UapConfig::fast())
     };
     c.bench_function("fig2_3_4_6/refine_uap", |bench| {
         bench.iter(|| {
-            let victim = fixture.victim.lock().unwrap();
+            let victim = &fixture.victim;
             black_box(refine_uap(
                 &victim.model,
                 &fixture.clean_x,
@@ -62,12 +62,12 @@ fn fig_reconstruction(c: &mut Criterion) {
 fn fig5(c: &mut Criterion) {
     let fixture = usb_bench::mnist_resnet_badnet();
     let uap = {
-        let victim = fixture.victim.lock().unwrap();
+        let victim = &fixture.victim;
         targeted_uap(&victim.model, &fixture.clean_x, 0, UapConfig::fast())
     };
     c.bench_function("fig5/refine_unconstrained", |bench| {
         bench.iter(|| {
-            let victim = fixture.victim.lock().unwrap();
+            let victim = &fixture.victim;
             black_box(refine_uap(
                 &victim.model,
                 &fixture.clean_x,
@@ -85,7 +85,7 @@ fn headline(c: &mut Criterion) {
     let fixture = usb_bench::cifar_resnet_badnet();
     c.bench_function("headline/uap_nontarget_class", |bench| {
         bench.iter(|| {
-            let victim = fixture.victim.lock().unwrap();
+            let victim = &fixture.victim;
             black_box(targeted_uap(
                 &victim.model,
                 &fixture.clean_x,
@@ -101,12 +101,12 @@ fn transfer(c: &mut Criterion) {
     let source = usb_bench::cifar_resnet_badnet();
     let dest = usb_bench::cifar_resnet_clean();
     let uap = {
-        let victim = source.victim.lock().unwrap();
+        let victim = &source.victim;
         targeted_uap(&victim.model, &source.clean_x, 0, UapConfig::fast())
     };
     c.bench_function("transfer/refine_on_other_model", |bench| {
         bench.iter(|| {
-            let victim = dest.victim.lock().unwrap();
+            let victim = &dest.victim;
             black_box(transfer_uap(
                 &victim.model,
                 &dest.clean_x,

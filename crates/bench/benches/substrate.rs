@@ -11,11 +11,10 @@ use std::hint::black_box;
 use std::time::Duration;
 use usb_core::{deepfool, DeepfoolConfig, UsbDetector};
 use usb_defenses::Defense;
-use usb_nn::layer::Mode;
 use usb_nn::optim::TensorAdam;
 use usb_tensor::conv::{
-    conv2d_backward, conv2d_forward, conv2d_forward_ws, depthwise_forward_ws,
-    depthwise_input_backward_ws, ConvSpec,
+    conv2d_backward_ws, conv2d_forward_ws, depthwise_forward_ws, depthwise_input_backward_ws,
+    ConvSpec,
 };
 use usb_tensor::ssim::{ssim, ssim_with_grad, ssim_with_grad_ws};
 use usb_tensor::{init, ops, par, Dtype, QTensor, Tensor, Workspace};
@@ -105,13 +104,15 @@ fn bench_conv(c: &mut Criterion) {
     let x = init::uniform(&[8, 16, 12, 12], 0.0, 1.0, &mut rng);
     let w = init::uniform(&[16, 16, 3, 3], -0.2, 0.2, &mut rng);
     let spec = ConvSpec::new(1, 1);
+    // Cold workspaces: every call allocates its scratch, as a one-off
+    // caller's would (`conv2d_forward_warm_ws` below is the warm twin).
     c.bench_function("substrate/conv2d_forward_b8c16", |bench| {
-        bench.iter(|| black_box(conv2d_forward(&x, &w, None, spec)))
+        bench.iter(|| black_box(conv2d_forward_ws(&x, &w, None, spec, &mut Workspace::new())))
     });
-    let out = conv2d_forward(&x, &w, None, spec);
+    let out = conv2d_forward_ws(&x, &w, None, spec, &mut Workspace::new());
     let go = Tensor::ones(out.shape());
     c.bench_function("substrate/conv2d_backward_b8c16", |bench| {
-        bench.iter(|| black_box(conv2d_backward(&x, &w, &go, spec)))
+        bench.iter(|| black_box(conv2d_backward_ws(&x, &w, &go, spec, &mut Workspace::new())))
     });
 }
 
@@ -184,24 +185,17 @@ fn bench_ssim(c: &mut Criterion) {
 }
 
 /// The allocation win of the inference path, measured instead of
-/// asserted: the caching `forward(Mode::Eval)` against `infer` on the
-/// same trained victim, and `infer` with a workspace kept warm across
-/// calls against one recreated cold every call (isolating how much of the
-/// win comes from buffer reuse rather than skipped cache writes).
-fn bench_infer_vs_forward(c: &mut Criterion) {
+/// asserted: `infer` on a trained victim with a workspace kept warm across
+/// calls against one recreated cold every call, plus the Q8 twin of the
+/// warm case.
+fn bench_infer(c: &mut Criterion) {
     let fixture = usb_bench::cifar_resnet_badnet();
     let batch: Vec<Tensor> = (0..16).map(|i| fixture.clean_x.index_axis0(i)).collect();
     let batch = Tensor::stack(&batch);
-    c.bench_function("substrate/forward_eval_b16", |bench| {
-        bench.iter(|| {
-            let mut victim = fixture.victim.lock().unwrap();
-            black_box(victim.model.forward(&batch, Mode::Eval))
-        })
-    });
     c.bench_function("substrate/infer_warm_ws_b16", |bench| {
         let mut ws = Workspace::new();
         bench.iter(|| {
-            let victim = fixture.victim.lock().unwrap();
+            let victim = &fixture.victim;
             let logits = victim.model.infer(&batch, &mut ws);
             let class = black_box(ops::argmax_rows(&logits));
             ws.recycle(logits); // keep the steady state allocation-free
@@ -213,7 +207,7 @@ fn bench_infer_vs_forward(c: &mut Criterion) {
     // `infer_warm_ws_b16` to see the steady-state cost of low-precision
     // storage (it should be within noise of the f32 route).
     c.bench_function("substrate/infer_warm_q8_b16", |bench| {
-        let mut qmodel = fixture.victim.lock().unwrap().model.clone();
+        let mut qmodel = fixture.victim.model.clone();
         qmodel.quantize_weights(Dtype::Q8);
         let mut ws = Workspace::new();
         bench.iter(|| {
@@ -225,7 +219,7 @@ fn bench_infer_vs_forward(c: &mut Criterion) {
     });
     c.bench_function("substrate/infer_cold_ws_b16", |bench| {
         bench.iter(|| {
-            let victim = fixture.victim.lock().unwrap();
+            let victim = &fixture.victim;
             let mut ws = Workspace::new();
             black_box(victim.model.infer(&batch, &mut ws))
         })
@@ -251,7 +245,7 @@ fn bench_deepfool(c: &mut Criterion) {
     let x = fixture.clean_x.index_axis0(0);
     c.bench_function("substrate/deepfool_single_image", |bench| {
         bench.iter(|| {
-            let victim = fixture.victim.lock().unwrap();
+            let victim = &fixture.victim;
             black_box(deepfool(&victim.model, &x, 1, DeepfoolConfig::default()))
         })
     });
@@ -290,7 +284,7 @@ fn bench_detector_scaling(c: &mut Criterion) {
             &format!("substrate/usb_inspect_workers{workers}"),
             |bench| {
                 bench.iter(|| {
-                    let victim = fixture.victim.lock().unwrap();
+                    let victim = &fixture.victim;
                     let mut rng = StdRng::seed_from_u64(7);
                     black_box(UsbDetector::fast_with_workers(workers).inspect(
                         &victim.model,
@@ -311,7 +305,7 @@ fn benches(c: &mut Criterion) {
     bench_depthwise(c);
     bench_ssim(c);
     bench_par_map(c);
-    bench_infer_vs_forward(c);
+    bench_infer(c);
     bench_deepfool(c);
 }
 

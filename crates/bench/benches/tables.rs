@@ -28,7 +28,7 @@ fn bench_suite(c: &mut Criterion, group: &str, fixture: &'static Fixture) {
         c.bench_function(&format!("{group}/reverse_class_{name}"), |bench| {
             bench.iter(|| {
                 let mut rng = StdRng::seed_from_u64(0);
-                let victim = fixture.victim.lock().unwrap();
+                let victim = &fixture.victim;
                 black_box(defense.reverse_class(&victim.model, &fixture.clean_x, 0, &mut rng))
             })
         });
@@ -71,7 +71,7 @@ fn table7(c: &mut Criterion) {
         bench.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);
             let usb = UsbDetector::fast();
-            let victim = fixture.victim.lock().unwrap();
+            let victim = &fixture.victim;
             black_box(usb.reverse_class(&victim.model, &fixture.clean_x, 1, &mut rng))
         })
     });

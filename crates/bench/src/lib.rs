@@ -20,7 +20,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use usb_attacks::fixtures::{cached_victim, FixtureSpec};
 use usb_attacks::{Attack, BadNet, IadAttack, Victim};
 use usb_data::{Dataset, SyntheticSpec};
@@ -32,7 +32,7 @@ use usb_tensor::Tensor;
 /// detection benchmark needs.
 pub struct Fixture {
     /// The trained victim.
-    pub victim: Mutex<Victim>,
+    pub victim: Victim,
     /// Clean defense data `[N, C, H, W]`.
     pub clean_x: Tensor,
     /// The generating dataset (for extra sampling).
@@ -71,7 +71,7 @@ impl Fixture {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbe9c);
         let (clean_x, _) = data.clean_subset(48, &mut rng);
         Fixture {
-            victim: Mutex::new(victim),
+            victim,
             clean_x,
             dataset: data,
         }

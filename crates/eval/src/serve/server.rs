@@ -546,52 +546,57 @@ fn disconnect(conn: u64, shared: &Arc<Shared>) {
 /// already has `max_pending` jobs in flight, when the whole daemon's
 /// queue is saturated, or when the request is structurally implausible.
 /// Otherwise it gets a job id, an `Accepted` frame, and a queue slot.
+///
+/// The connection's writer stays locked from before the enqueue until
+/// the reply is written: the scheduler may pop a queued job and fail it at
+/// once, and its `Error` frame must not overtake the `Accepted` frame.
 fn handle_submit(conn: u64, req: SubmitRequest, writer: &SharedWriter, shared: &Arc<Shared>) {
-    let reject = |message: String| {
+    let Ok(mut out) = writer.lock() else { return };
+    let tag = req.tag;
+    let reply = enqueue(conn, req, writer, shared).unwrap_or_else(|message| {
         shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        send(
-            writer,
-            &Frame::Error {
-                tag: req.tag,
-                job: 0,
-                message,
-            },
-        );
-    };
+        Frame::Error {
+            tag,
+            job: 0,
+            message,
+        }
+    });
+    let _ = write_frame(&mut *out, &reply);
+}
+
+/// The checks and queue insertion of [`handle_submit`]: the `Accepted`
+/// frame to send, or why the request is refused.
+fn enqueue(
+    conn: u64,
+    req: SubmitRequest,
+    writer: &SharedWriter,
+    shared: &Arc<Shared>,
+) -> Result<Frame, String> {
     if shared.stopping.load(Ordering::SeqCst) {
-        reject("server is shutting down".to_owned());
-        return;
+        return Err("server is shutting down".to_owned());
     }
     if req.subset > MAX_SUBSET {
-        reject(format!(
+        return Err(format!(
             "subset {} exceeds the per-request cap {MAX_SUBSET}",
             req.subset
         ));
-        return;
     }
     if req.bundle.is_empty() {
-        reject("submission carries an empty bundle".to_owned());
-        return;
+        return Err("submission carries an empty bundle".to_owned());
     }
     let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
     // Global backpressure: bound total queued work across all tenants.
     let global_cap = shared.config.max_pending.saturating_mul(16).max(64);
     if state.total_queued() >= global_cap {
-        drop(state);
-        reject(format!("server queue is full ({global_cap} jobs)"));
-        return;
+        return Err(format!("server queue is full ({global_cap} jobs)"));
     }
     let queue_depth = state.total_queued() as u32;
     let Some(entry) = state.entry(conn) else {
-        drop(state);
-        reject("connection is no longer registered".to_owned());
-        return;
+        return Err("connection is no longer registered".to_owned());
     };
     if entry.queued.len() + entry.running >= shared.config.max_pending {
         let cap = shared.config.max_pending;
-        drop(state);
-        reject(format!("connection already has {cap} jobs pending"));
-        return;
+        return Err(format!("connection already has {cap} jobs pending"));
     }
     let job = shared.next_job.fetch_add(1, Ordering::Relaxed);
     let tag = req.tag;
@@ -603,15 +608,12 @@ fn handle_submit(conn: u64, req: SubmitRequest, writer: &SharedWriter, shared: &
     });
     drop(state);
     shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-    send(
-        writer,
-        &Frame::Accepted {
-            tag,
-            job,
-            queue_depth,
-        },
-    );
     shared.work_ready.notify_all();
+    Ok(Frame::Accepted {
+        tag,
+        job,
+        queue_depth,
+    })
 }
 
 fn scheduler_loop(shared: &Arc<Shared>) {

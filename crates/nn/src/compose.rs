@@ -1,6 +1,6 @@
 //! Composite layers: sequential stacks, residual blocks, squeeze-excite.
 
-use crate::layer::{Layer, Mode, ParamSlot, StateSlot};
+use crate::layer::{Grads, Layer, Mode, ParamSlot, StateSlot};
 use crate::layers::{Linear, ReLU, Sigmoid};
 use rand::Rng;
 use usb_tensor::{pool, Dtype, Tape, Tensor, Workspace};
@@ -43,91 +43,71 @@ impl Sequential {
     }
 }
 
+/// Threads `x` through `layers` with `step`, handing each intermediate
+/// back to `ws` as soon as the next layer has consumed it, so a warm
+/// workspace runs the whole walk without touching the allocator. An empty
+/// walk is the identity.
+fn chain<'a>(
+    layers: impl Iterator<Item = &'a Box<dyn Layer>>,
+    x: &Tensor,
+    ws: &mut Workspace,
+    mut step: impl FnMut(&dyn Layer, &Tensor, &mut Workspace) -> Tensor,
+) -> Tensor {
+    let mut cur: Option<Tensor> = None;
+    for layer in layers {
+        let next = step(layer.as_ref(), cur.as_ref().unwrap_or(x), ws);
+        if let Some(prev) = cur.replace(next) {
+            ws.recycle(prev);
+        }
+    }
+    cur.unwrap_or_else(|| {
+        let mut out = ws.take_dirty(x.len());
+        out.copy_from_slice(x.data());
+        Tensor::from_vec(out, x.shape())
+    })
+}
+
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur, mode);
-        }
-        cur
-    }
-
-    fn input_backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut cur = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.input_backward(&cur);
-        }
-        cur
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        // Each intermediate activation goes back into the workspace as soon
-        // as the next layer has consumed it, so a warm workspace runs the
-        // whole stack without touching the allocator.
-        let mut cur: Option<Tensor> = None;
-        for layer in &self.layers {
-            let next = layer.infer(cur.as_ref().unwrap_or(x), ws);
-            if let Some(prev) = cur.take() {
-                ws.recycle(prev);
-            }
-            cur = Some(next);
-        }
-        cur.unwrap_or_else(|| {
-            // Empty stack: the identity, as in `forward`.
-            let mut out = ws.take_dirty(x.len());
-            out.copy_from_slice(x.data());
-            Tensor::from_vec(out, x.shape())
+        chain(self.layers.iter(), x, ws, |layer, x, ws| layer.infer(x, ws))
+    }
+
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        // Each sub-layer pushes its own frames in stack order.
+        chain(self.layers.iter(), x, ws, |layer, x, ws| {
+            layer.infer_recording(x, mode, tape, ws)
         })
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        // Same intermediate-recycling walk as `infer`; each sub-layer
-        // pushes its own frames in stack order.
-        let mut cur: Option<Tensor> = None;
-        for layer in &self.layers {
-            let next = layer.infer_recording(cur.as_ref().unwrap_or(x), tape, ws);
-            if let Some(prev) = cur.take() {
-                ws.recycle(prev);
-            }
-            cur = Some(next);
-        }
-        cur.unwrap_or_else(|| {
-            let mut out = ws.take_dirty(x.len());
-            out.copy_from_slice(x.data());
-            Tensor::from_vec(out, x.shape())
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        mut grads: Option<&mut Grads>,
+    ) -> Tensor {
+        // The reverse walk pops each sub-layer's frames in exactly the
+        // reverse of the recording order — strict stack discipline.
+        chain(self.layers.iter().rev(), grad_out, ws, |layer, g, ws| {
+            layer.grad(g, tape, ws, grads.as_deref_mut())
         })
-    }
-
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        // Reverse walk pops each sub-layer's frames in exactly the reverse
-        // of the recording order — strict stack discipline.
-        let mut cur: Option<Tensor> = None;
-        for layer in self.layers.iter().rev() {
-            let next = layer.grad(cur.as_ref().unwrap_or(grad_out), tape, ws);
-            if let Some(prev) = cur.take() {
-                ws.recycle(prev);
-            }
-            cur = Some(next);
-        }
-        cur.unwrap_or_else(|| {
-            // Empty stack: the identity, as in `input_backward`.
-            let mut out = ws.take_dirty(grad_out.len());
-            out.copy_from_slice(grad_out.data());
-            Tensor::from_vec(out, grad_out.shape())
-        })
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut cur = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
-        }
-        cur
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
+        }
+    }
+
+    fn commit_running_stats(&mut self, grads: &mut Grads) {
+        for layer in &mut self.layers {
+            layer.commit_running_stats(grads);
         }
     }
 
@@ -143,15 +123,9 @@ impl Layer for Sequential {
         Box::new(self.clone())
     }
 
-    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, &mut Tensor)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         for layer in &mut self.layers {
             layer.visit_state(f);
-        }
-    }
-
-    fn visit_state_q(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
-        for layer in &mut self.layers {
-            layer.visit_state_q(f);
         }
     }
 
@@ -188,112 +162,68 @@ impl Residual {
     }
 }
 
+/// `main += skip`: the residual sum, in place.
+fn add_branch(main: &mut Tensor, skip: &Tensor) {
+    assert_eq!(
+        main.shape(),
+        skip.shape(),
+        "Residual: branch shapes {:?} vs {:?} — use a projection shortcut",
+        main.shape(),
+        skip.shape()
+    );
+    main.add_assign(skip);
+}
+
 impl Layer for Residual {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let main = self.main.forward(x, mode);
-        let skip = if self.shortcut.is_empty() {
-            x.clone()
-        } else {
-            self.shortcut.forward(x, mode)
-        };
-        assert_eq!(
-            main.shape(),
-            skip.shape(),
-            "Residual: branch shapes {:?} vs {:?} — use a projection shortcut",
-            main.shape(),
-            skip.shape()
-        );
-        main.add(&skip)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g_main = self.main.backward(grad_out);
-        let g_skip = if self.shortcut.is_empty() {
-            grad_out.clone()
-        } else {
-            self.shortcut.backward(grad_out)
-        };
-        g_main.add(&g_skip)
-    }
-
-    fn input_backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g_main = self.main.input_backward(grad_out);
-        let g_skip = if self.shortcut.is_empty() {
-            grad_out.clone()
-        } else {
-            self.shortcut.input_backward(grad_out)
-        };
-        g_main.add(&g_skip)
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut main = self.main.infer(x, ws);
-        // Accumulate the skip branch into the main buffer: elementwise
-        // `a + b` exactly as `forward`'s `main.add(&skip)`.
         if self.shortcut.is_empty() {
-            assert_eq!(
-                main.shape(),
-                x.shape(),
-                "Residual: branch shapes {:?} vs {:?} — use a projection shortcut",
-                main.shape(),
-                x.shape()
-            );
-            main.add_assign(x);
+            add_branch(&mut main, x);
         } else {
             let skip = self.shortcut.infer(x, ws);
-            assert_eq!(
-                main.shape(),
-                skip.shape(),
-                "Residual: branch shapes {:?} vs {:?} — use a projection shortcut",
-                main.shape(),
-                skip.shape()
-            );
-            main.add_assign(&skip);
+            add_branch(&mut main, &skip);
             ws.recycle(skip);
         }
         main
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        // Record main first, then shortcut — the same branch order as
-        // `infer`, so `grad` pops shortcut frames first.
-        let mut main = self.main.infer_recording(x, tape, ws);
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        // Record main first, then shortcut, so `grad` pops shortcut frames
+        // first.
+        let mut main = self.main.infer_recording(x, mode, tape, ws);
         if self.shortcut.is_empty() {
-            assert_eq!(
-                main.shape(),
-                x.shape(),
-                "Residual: branch shapes {:?} vs {:?} — use a projection shortcut",
-                main.shape(),
-                x.shape()
-            );
-            main.add_assign(x);
+            add_branch(&mut main, x);
         } else {
-            let skip = self.shortcut.infer_recording(x, tape, ws);
-            assert_eq!(
-                main.shape(),
-                skip.shape(),
-                "Residual: branch shapes {:?} vs {:?} — use a projection shortcut",
-                main.shape(),
-                skip.shape()
-            );
-            main.add_assign(&skip);
+            let skip = self.shortcut.infer_recording(x, mode, tape, ws);
+            add_branch(&mut main, &skip);
             ws.recycle(skip);
         }
         main
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        mut grads: Option<&mut Grads>,
+    ) -> Tensor {
         // The shortcut recorded last, so its frames pop first. The two
-        // branch gradients are independent functions of `grad_out`, and the
-        // final sum is `main + skip` exactly as in `input_backward`, so the
-        // reordered evaluation is bit-identical.
+        // branch gradients are independent functions of `grad_out`; the sum
+        // is `main + skip`.
         if self.shortcut.is_empty() {
-            let mut g_main = self.main.grad(grad_out, tape, ws);
+            let mut g_main = self.main.grad(grad_out, tape, ws, grads);
             g_main.add_assign(grad_out);
             g_main
         } else {
-            let g_skip = self.shortcut.grad(grad_out, tape, ws);
-            let mut g_main = self.main.grad(grad_out, tape, ws);
+            let g_skip = self.shortcut.grad(grad_out, tape, ws, grads.as_deref_mut());
+            let mut g_main = self.main.grad(grad_out, tape, ws, grads);
             g_main.add_assign(&g_skip);
             ws.recycle(g_skip);
             g_main
@@ -303,6 +233,11 @@ impl Layer for Residual {
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
         self.main.visit_params(f);
         self.shortcut.visit_params(f);
+    }
+
+    fn commit_running_stats(&mut self, grads: &mut Grads) {
+        self.main.commit_running_stats(grads);
+        self.shortcut.commit_running_stats(grads);
     }
 
     fn param_count(&self) -> usize {
@@ -317,14 +252,9 @@ impl Layer for Residual {
         Box::new(self.clone())
     }
 
-    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, &mut Tensor)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         self.main.visit_state(f);
         self.shortcut.visit_state(f);
-    }
-
-    fn visit_state_q(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
-        self.main.visit_state_q(f);
-        self.shortcut.visit_state_q(f);
     }
 
     fn quantize_weights(&mut self, dtype: Dtype) {
@@ -337,32 +267,12 @@ impl Layer for Residual {
 /// `y = x · sigmoid(W₂ relu(W₁ GAP(x)))`, broadcast over the spatial dims.
 ///
 /// Used inside EfficientNet's MBConv blocks.
+#[derive(Clone)]
 pub struct SqueezeExcite {
     fc1: Linear,
     relu: ReLU,
     fc2: Linear,
     sigmoid: Sigmoid,
-    cache: Option<SeCache>,
-}
-
-#[derive(Clone)]
-struct SeCache {
-    input: Tensor, // [N, C, H, W]
-    gate: Tensor,  // [N, C]
-}
-
-impl Clone for SqueezeExcite {
-    /// Clones the two dense layers (whose own clones drop their caches);
-    /// the block-level cache starts empty (see [`Layer::clone_box`]).
-    fn clone(&self) -> Self {
-        SqueezeExcite {
-            fc1: self.fc1.clone(),
-            relu: ReLU::new(),
-            fc2: self.fc2.clone(),
-            sigmoid: Sigmoid::new(),
-            cache: None,
-        }
-    }
 }
 
 impl SqueezeExcite {
@@ -380,110 +290,26 @@ impl SqueezeExcite {
             relu: ReLU::new(),
             fc2: Linear::new(hidden, ch, rng),
             sigmoid: Sigmoid::new(),
-            cache: None,
         }
     }
 }
 
+/// `x · gate`, each `[H, W]` plane of `x` scaled by its `[N, C]` gate.
+fn gated(x: &Tensor, gate: &Tensor, ws: &mut Workspace) -> Tensor {
+    let mut y = ws.take_dirty(x.len());
+    let plane = x.len() / gate.len();
+    for (k, &g) in gate.data().iter().enumerate() {
+        let base = k * plane;
+        for j in 0..plane {
+            y[base + j] = x.data()[base + j] * g;
+        }
+    }
+    Tensor::from_vec(y, x.shape())
+}
+
 impl Layer for SqueezeExcite {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(x.ndim(), 4, "SqueezeExcite: input must be [N,C,H,W]");
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let squeezed = pool::global_avg_pool_forward(x); // [N, C]
-        let z = self.fc1.forward(&squeezed, mode);
-        let z = self.relu.forward(&z, mode);
-        let z = self.fc2.forward(&z, mode);
-        let gate = self.sigmoid.forward(&z, mode); // [N, C]
-        let mut y = Tensor::zeros(x.shape());
-        let plane = h * w;
-        for i in 0..n {
-            for ch in 0..c {
-                let g = gate.data()[i * c + ch];
-                let base = (i * c + ch) * plane;
-                for j in 0..plane {
-                    y.data_mut()[base + j] = x.data()[base + j] * g;
-                }
-            }
-        }
-        self.cache = Some(SeCache {
-            input: x.clone(),
-            gate,
-        });
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("SqueezeExcite::backward before forward");
-        let x = &cache.input;
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let plane = h * w;
-        // Direct path: dL/dx += dy · gate ; gate path: dL/dgate = Σ_hw dy · x.
-        let mut gi = Tensor::zeros(x.shape());
-        let mut d_gate = Tensor::zeros(&[n, c]);
-        for i in 0..n {
-            for ch in 0..c {
-                let g = cache.gate.data()[i * c + ch];
-                let base = (i * c + ch) * plane;
-                let mut acc = 0.0f32;
-                for j in 0..plane {
-                    let go = grad_out.data()[base + j];
-                    gi.data_mut()[base + j] = go * g;
-                    acc += go * x.data()[base + j];
-                }
-                d_gate.data_mut()[i * c + ch] = acc;
-            }
-        }
-        // Backprop the gate path through sigmoid → fc2 → relu → fc1 → GAP.
-        let d = self.sigmoid.backward(&d_gate);
-        let d = self.fc2.backward(&d);
-        let d = self.relu.backward(&d);
-        let d = self.fc1.backward(&d); // [N, C]
-        let d_squeeze = pool::global_avg_pool_backward(&d, h, w);
-        gi.add_assign(&d_squeeze);
-        gi
-    }
-
-    fn input_backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // Same two gradient paths as `backward`; the gate path descends
-        // through the sub-layers' own input_backward so the dense layers
-        // skip their weight gradients.
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("SqueezeExcite::backward before forward");
-        let x = &cache.input;
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let plane = h * w;
-        let mut gi = Tensor::zeros(x.shape());
-        let mut d_gate = Tensor::zeros(&[n, c]);
-        for i in 0..n {
-            for ch in 0..c {
-                let g = cache.gate.data()[i * c + ch];
-                let base = (i * c + ch) * plane;
-                let mut acc = 0.0f32;
-                for j in 0..plane {
-                    let go = grad_out.data()[base + j];
-                    gi.data_mut()[base + j] = go * g;
-                    acc += go * x.data()[base + j];
-                }
-                d_gate.data_mut()[i * c + ch] = acc;
-            }
-        }
-        let d = self.sigmoid.input_backward(&d_gate);
-        let d = self.fc2.input_backward(&d);
-        let d = self.relu.input_backward(&d);
-        let d = self.fc1.input_backward(&d); // [N, C]
-        let d_squeeze = pool::global_avg_pool_backward(&d, h, w);
-        gi.add_assign(&d_squeeze);
-        gi
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.ndim(), 4, "SqueezeExcite: input must be [N,C,H,W]");
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let squeezed = pool::global_avg_pool_forward_ws(x, ws); // [N, C]
         let z1 = self.fc1.infer(&squeezed, ws);
         ws.recycle(squeezed);
@@ -493,58 +319,49 @@ impl Layer for SqueezeExcite {
         ws.recycle(z2);
         let gate = self.sigmoid.infer(&z3, ws); // [N, C]
         ws.recycle(z3);
-        let mut y = ws.take_dirty(x.len());
-        let plane = h * w;
-        for i in 0..n {
-            for ch in 0..c {
-                let g = gate.data()[i * c + ch];
-                let base = (i * c + ch) * plane;
-                for j in 0..plane {
-                    y[base + j] = x.data()[base + j] * g;
-                }
-            }
-        }
+        let y = gated(x, &gate, ws);
         ws.recycle(gate);
-        Tensor::from_vec(y, x.shape())
+        y
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
         assert_eq!(x.ndim(), 4, "SqueezeExcite: input must be [N,C,H,W]");
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let squeezed = pool::global_avg_pool_forward_ws(x, ws); // [N, C]
-        let z1 = self.fc1.infer_recording(&squeezed, tape, ws);
+        let z1 = self.fc1.infer_recording(&squeezed, mode, tape, ws);
         ws.recycle(squeezed);
-        let z2 = self.relu.infer_recording(&z1, tape, ws);
+        let z2 = self.relu.infer_recording(&z1, mode, tape, ws);
         ws.recycle(z1);
-        let z3 = self.fc2.infer_recording(&z2, tape, ws);
+        let z3 = self.fc2.infer_recording(&z2, mode, tape, ws);
         ws.recycle(z2);
-        let gate = self.sigmoid.infer_recording(&z3, tape, ws); // [N, C]
+        let gate = self.sigmoid.infer_recording(&z3, mode, tape, ws); // [N, C]
         ws.recycle(z3);
-        // The block's own frame — the `SeCache` equivalent: input in
-        // `vals`, gate in `extra`, shape in `aux` — pushes *after* the
-        // sub-layers so it pops first in `grad`.
+        // The block's own frame — input in `vals`, gate in `extra`, shape
+        // in `aux` — pushes *after* the sub-layers so it pops first in
+        // `grad`.
         let frame = tape.push();
         frame.vals.extend_from_slice(x.data());
         frame.extra.extend_from_slice(gate.data());
         frame.aux.extend_from_slice(x.shape());
-        let mut y = ws.take_dirty(x.len());
-        let plane = h * w;
-        for i in 0..n {
-            for ch in 0..c {
-                let g = gate.data()[i * c + ch];
-                let base = (i * c + ch) * plane;
-                for j in 0..plane {
-                    y[base + j] = x.data()[base + j] * g;
-                }
-            }
-        }
+        let y = gated(x, &gate, ws);
         ws.recycle(gate);
-        Tensor::from_vec(y, x.shape())
+        y
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        // Same two gradient paths as `input_backward`, reading the input
-        // and gate from the block's frame instead of `self.cache`.
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        mut grads: Option<&mut Grads>,
+    ) -> Tensor {
+        // Direct path: dL/dx = dy · gate; gate path: dL/dgate = Σ_hw dy · x,
+        // then back through sigmoid → fc2 → relu → fc1 → GAP.
         let frame = tape.pop();
         let (n, c, h, w) = (frame.aux[0], frame.aux[1], frame.aux[2], frame.aux[3]);
         let plane = h * w;
@@ -576,13 +393,13 @@ impl Layer for SqueezeExcite {
         let d_gate = Tensor::from_vec(d_gate, &[n, c]);
         // Descend the gate path; sub-layer frames pop in reverse recording
         // order: sigmoid, fc2, relu, fc1.
-        let d = self.sigmoid.grad(&d_gate, tape, ws);
+        let d = self.sigmoid.grad(&d_gate, tape, ws, None);
         ws.recycle(d_gate);
-        let d2 = self.fc2.grad(&d, tape, ws);
+        let d2 = self.fc2.grad(&d, tape, ws, grads.as_deref_mut());
         ws.recycle(d);
-        let d3 = self.relu.grad(&d2, tape, ws);
+        let d3 = self.relu.grad(&d2, tape, ws, None);
         ws.recycle(d2);
-        let d4 = self.fc1.grad(&d3, tape, ws); // [N, C]
+        let d4 = self.fc1.grad(&d3, tape, ws, grads); // [N, C]
         ws.recycle(d3);
         let d_squeeze = pool::global_avg_pool_backward_ws(&d4, h, w, ws);
         ws.recycle(d4);
@@ -609,14 +426,9 @@ impl Layer for SqueezeExcite {
         Box::new(self.clone())
     }
 
-    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, &mut Tensor)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         self.fc1.visit_state(f);
         self.fc2.visit_state(f);
-    }
-
-    fn visit_state_q(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
-        self.fc1.visit_state_q(f);
-        self.fc2.visit_state_q(f);
     }
 
     fn quantize_weights(&mut self, dtype: Dtype) {
@@ -632,86 +444,27 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn sequential_composes() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut s = Sequential::new()
-            .push(Conv2d::new(1, 2, 3, 1, 1, true, &mut rng))
-            .push(ReLU::new());
-        let x = Tensor::from_fn(&[1, 1, 4, 4], |i| (i as f32) - 8.0);
-        let y = s.forward(&x, Mode::Train);
-        assert_eq!(y.shape(), &[1, 2, 4, 4]);
-        assert!(y.min() >= 0.0, "relu output must be non-negative");
-        let gi = s.backward(&Tensor::ones(y.shape()));
-        assert_eq!(gi.shape(), x.shape());
-        assert!(s.param_count() > 0);
+    /// Output and input gradient of `Σ layer(x)` through a train-mode tape.
+    fn tape_grad(layer: &dyn Layer, x: &Tensor) -> (Tensor, Tensor) {
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let y = layer.infer_recording(x, Mode::Train, &mut tape, &mut ws);
+        let gi = layer.grad(&Tensor::ones(y.shape()), &mut tape, &mut ws, None);
+        assert_eq!(tape.recorded(), 0, "grad must pop every frame it pushed");
+        (y, gi)
     }
 
-    #[test]
-    fn empty_sequential_is_identity() {
-        let mut s = Sequential::new();
-        let x = Tensor::from_fn(&[2, 3], |i| i as f32);
-        assert_eq!(s.forward(&x, Mode::Eval).data(), x.data());
-        assert_eq!(s.backward(&x).data(), x.data());
-    }
-
-    #[test]
-    fn residual_identity_adds_input() {
-        // main = zero conv -> residual output equals input.
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut conv = Conv2d::new(2, 2, 1, 1, 0, false, &mut rng);
-        conv.visit_params(&mut |s| s.value.fill(0.0));
-        let mut r = Residual::new(Sequential::new().push(conv));
-        let x = Tensor::from_fn(&[1, 2, 3, 3], |i| (i as f32) * 0.1);
-        let y = r.forward(&x, Mode::Train);
-        for (a, b) in y.data().iter().zip(x.data()) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        // Gradient through identity skip: doubled path when main is identity-0.
-        let g = r.backward(&Tensor::ones(y.shape()));
-        assert_eq!(g.shape(), x.shape());
-    }
-
-    #[test]
-    fn residual_gradient_matches_finite_differences() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut r = Residual::new(
-            Sequential::new()
-                .push(Conv2d::new(2, 2, 3, 1, 1, true, &mut rng))
-                .push(ReLU::new()),
-        );
-        let x = Tensor::from_fn(&[1, 2, 4, 4], |i| ((i as f32) * 0.17).sin());
-        let y = r.forward(&x, Mode::Train);
-        let gi = r.backward(&Tensor::ones(y.shape()));
+    /// Central-difference check of `tape_grad` at a few coordinates.
+    fn check_fd(layer: &dyn Layer, x: &Tensor, coords: &[usize]) {
+        let (_, gi) = tape_grad(layer, x);
+        let mut ws = Workspace::new();
         let eps = 1e-3;
-        for &flat in &[0usize, 9, 20, 31] {
+        for &flat in coords {
             let mut xp = x.clone();
             xp.data_mut()[flat] += eps;
             let mut xm = x.clone();
             xm.data_mut()[flat] -= eps;
-            let num = (r.forward(&xp, Mode::Train).sum() - r.forward(&xm, Mode::Train).sum())
-                / (2.0 * eps);
-            assert!((num - gi.data()[flat]).abs() < 2e-2);
-        }
-    }
-
-    #[test]
-    fn squeeze_excite_shapes_and_gradient() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut se = SqueezeExcite::new(4, 2, &mut rng);
-        let x = Tensor::from_fn(&[2, 4, 3, 3], |i| ((i as f32) * 0.23).cos());
-        let y = se.forward(&x, Mode::Train);
-        assert_eq!(y.shape(), x.shape());
-        let gi = se.backward(&Tensor::ones(y.shape()));
-        assert_eq!(gi.shape(), x.shape());
-        let eps = 1e-3;
-        for &flat in &[0usize, 17, 40, 71] {
-            let mut xp = x.clone();
-            xp.data_mut()[flat] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[flat] -= eps;
-            let num = (se.forward(&xp, Mode::Train).sum() - se.forward(&xm, Mode::Train).sum())
-                / (2.0 * eps);
+            let num =
+                (layer.infer(&xp, &mut ws).sum() - layer.infer(&xm, &mut ws).sum()) / (2.0 * eps);
             assert!(
                 (num - gi.data()[flat]).abs() < 2e-2,
                 "flat {flat}: num={num} ana={}",
@@ -721,11 +474,73 @@ mod tests {
     }
 
     #[test]
+    fn sequential_composes() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let s = Sequential::new()
+            .push(Conv2d::new(1, 2, 3, 1, 1, true, &mut rng))
+            .push(ReLU::new());
+        let x = Tensor::from_fn(&[1, 1, 4, 4], |i| (i as f32) - 8.0);
+        let (y, gi) = tape_grad(&s, &x);
+        assert_eq!(y.shape(), &[1, 2, 4, 4]);
+        assert!(y.min() >= 0.0, "relu output must be non-negative");
+        assert_eq!(gi.shape(), x.shape());
+        assert!(s.param_count() > 0);
+    }
+
+    #[test]
+    fn empty_sequential_is_identity() {
+        let s = Sequential::new();
+        let x = Tensor::from_fn(&[2, 3], |i| i as f32);
+        let (y, gi) = tape_grad(&s, &x);
+        assert_eq!(y.data(), x.data());
+        assert_eq!(gi.data(), &[1.0; 6]);
+    }
+
+    #[test]
+    fn residual_identity_adds_input() {
+        // main = zero conv -> residual output equals input.
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut conv = Conv2d::new(2, 2, 1, 1, 0, false, &mut rng);
+        conv.visit_params(&mut |s| s.value.fill(0.0));
+        let r = Residual::new(Sequential::new().push(conv));
+        let x = Tensor::from_fn(&[1, 2, 3, 3], |i| (i as f32) * 0.1);
+        let (y, gi) = tape_grad(&r, &x);
+        for (a, b) in y.data().iter().zip(x.data()) {
+            assert!((a - b).abs() < 1e-6);
+        }
+        // Only the skip path carries gradient through a zero main branch.
+        assert_eq!(gi.data(), &[1.0; 18]);
+    }
+
+    #[test]
+    fn residual_gradient_matches_finite_differences() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let r = Residual::new(
+            Sequential::new()
+                .push(Conv2d::new(2, 2, 3, 1, 1, true, &mut rng))
+                .push(ReLU::new()),
+        );
+        let x = Tensor::from_fn(&[1, 2, 4, 4], |i| ((i as f32) * 0.17).sin());
+        check_fd(&r, &x, &[0, 9, 20, 31]);
+    }
+
+    #[test]
+    fn squeeze_excite_shapes_and_gradient() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let se = SqueezeExcite::new(4, 2, &mut rng);
+        let x = Tensor::from_fn(&[2, 4, 3, 3], |i| ((i as f32) * 0.23).cos());
+        let (y, gi) = tape_grad(&se, &x);
+        assert_eq!(y.shape(), x.shape());
+        assert_eq!(gi.shape(), x.shape());
+        check_fd(&se, &x, &[0, 17, 40, 71]);
+    }
+
+    #[test]
     fn squeeze_excite_gates_are_bounded() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut se = SqueezeExcite::new(2, 2, &mut rng);
+        let se = SqueezeExcite::new(2, 2, &mut rng);
         let x = Tensor::ones(&[1, 2, 2, 2]);
-        let y = se.forward(&x, Mode::Eval);
+        let y = se.infer(&x, &mut Workspace::new());
         // Gate in (0,1) -> |y| < |x|.
         for (a, b) in y.data().iter().zip(x.data()) {
             assert!(a.abs() < b.abs() + 1e-6);

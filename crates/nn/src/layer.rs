@@ -1,26 +1,28 @@
-//! The [`Layer`] trait: forward caching, backward gradients, parameter
-//! visitation, the cache-free [`Layer::infer`] path, and the read-only
+//! The [`Layer`] trait: the cache-free [`Layer::infer`] path, the
 //! tape-backed gradient route ([`Layer::infer_recording`] /
-//! [`Layer::grad`]).
+//! [`Layer::grad`]) that serves both input-space optimisation and
+//! training, parameter visitation, and the caller-owned parameter-gradient
+//! sink [`Grads`].
 
 use usb_tensor::{Dtype, QTensor, Tape, Tensor, Workspace};
 
-/// Whether a forward pass runs in training mode (batch statistics, caches
-/// for backward) or evaluation mode (running statistics).
+/// Whether a recorded pass runs in training mode or evaluation mode.
 ///
-/// Defenses backpropagate through models in [`Mode::Eval`] — batch-norm
-/// layers must therefore support `backward` after an eval-mode forward.
+/// Only batch norm computes differently: [`Mode::Train`] normalises with
+/// batch statistics, [`Mode::Eval`] with the running ones. Beyond that,
+/// a `Train` recording also stores what *parameter* gradients need (layer
+/// inputs, batch-norm `x̂`), so a [`Grads`] sink may only follow a `Train`
+/// recording. Defenses differentiate frozen models in `Eval`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Training: use batch statistics, update running averages.
+    /// Training: batch statistics, parameter-gradient state recorded.
     Train,
-    /// Inference: use running statistics; backward still works and
-    /// differentiates the frozen affine transform.
+    /// Inference: running statistics; input gradients only.
     Eval,
 }
 
 /// A mutable view of one persistent-state tensor as visited by
-/// [`Layer::visit_state_q`], distinguishing the slots that support
+/// [`Layer::visit_state`], distinguishing the slots that support
 /// low-precision storage from those that are always dense.
 ///
 /// Only the *quantizable weights* — the GEMM operands of [`crate::layers::Linear`]
@@ -32,26 +34,30 @@ pub enum StateSlot<'a> {
     /// A state tensor that is always stored dense (exact f32).
     Dense(&'a mut Tensor),
     /// A quantizable GEMM weight. When `quant` is `Some`, the layer is in
-    /// low-precision inference mode: `dense` and `grad` are empty (their
-    /// buffers freed) and the kernels read `quant` through the workspace
-    /// dequant-panel cache.
+    /// low-precision inference mode: `dense` is empty (its buffer freed)
+    /// and the kernels read `quant` through the workspace dequant-panel
+    /// cache.
     Weight {
         /// The dense f32 value (empty while `quant` is populated).
         dense: &'a mut Tensor,
-        /// The gradient accumulator (freed alongside `dense` on
-        /// quantization — quantized weights are inference-only).
-        grad: &'a mut Tensor,
         /// The quantized payload, if the layer holds one.
         quant: &'a mut Option<QTensor>,
     },
 }
 
-/// A mutable view of one parameter tensor and its gradient accumulator.
+impl<'a> StateSlot<'a> {
+    /// The slot's dense f32 tensor (empty for a quantized weight).
+    pub fn dense(self) -> &'a mut Tensor {
+        match self {
+            StateSlot::Dense(t) | StateSlot::Weight { dense: t, .. } => t,
+        }
+    }
+}
+
+/// A mutable view of one parameter tensor, as optimizers see it.
 pub struct ParamSlot<'a> {
     /// The parameter values, updated by optimizers.
     pub value: &'a mut Tensor,
-    /// The gradient accumulated by `backward`, consumed by optimizers.
-    pub grad: &'a mut Tensor,
     /// Whether weight decay should apply (false for biases and batch-norm
     /// affine parameters, following common practice).
     pub decay: bool,
@@ -61,126 +67,99 @@ pub struct ParamSlot<'a> {
 ///
 /// # Contract
 ///
-/// * `forward` must be called before `backward`; the layer caches whatever
-///   intermediate state the gradient needs. One forward supports exactly one
-///   backward (calling `backward` twice without a fresh forward is
-///   unspecified but must not panic unsafely).
-/// * `backward(grad_out)` returns `dL/d input` for the *most recent* forward
-///   batch and **adds** parameter gradients into the slots visited by
-///   [`Layer::visit_params`]. Call [`Layer::zero_grad`] between optimizer
-///   steps.
-/// * Layers are plain data (`Send + Sync`), so trained models can be moved
-///   across threads, shared by reference, and cached in `OnceLock`
-///   fixtures; [`Layer::clone_box`] makes whole models cloneable behind
-///   `Box<dyn Layer>`, which is how the parallel inspection engine hands
-///   each worker thread its own victim copy.
+/// * Every method takes `&self` except the state visitors and
+///   [`Layer::commit_running_stats`]: a pass only *reads* the model, so one
+///   model is shared by reference across threads, each thread bringing its
+///   own [`Tape`] (backward state) and [`Workspace`] (scratch).
+/// * [`Layer::infer_recording`] pushes exactly the frames the matching
+///   [`Layer::grad`] pops — strict stack discipline, so composites nest
+///   with no bookkeeping beyond "pop what you pushed, backwards".
+/// * Parameter gradients go to a caller-owned [`Grads`] sink laid out in
+///   [`Layer::visit_params`] order; backward walks layers in reverse, so
+///   each layer takes its accumulators from the back of the sink and
+///   **adds** into them. Nothing about a pass is stored in the layer.
+/// * Layers are plain data (`Send + Sync`, `Clone` through
+///   [`Layer::clone_box`]), so trained models move across threads, are
+///   shared by reference, and sit in `OnceLock` fixtures.
 pub trait Layer: Send + Sync {
-    /// Computes the layer output for `x`.
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
-
-    /// Propagates `grad_out = dL/d output` backwards, returning
-    /// `dL/d input` and accumulating parameter gradients.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if called before any `forward` or with a
-    /// gradient whose shape does not match the last output.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// The `dL/d input` of [`Layer::backward`] **without** accumulating
-    /// parameter gradients.
-    ///
-    /// Input-space optimisation (DeepFool, trigger refinement, NC/TABOR)
-    /// only ever wants the input gradient; the parameter gradients the
-    /// plain `backward` also produces are discarded immediately. Skipping
-    /// them drops entire kernels on the hot path — a convolution layer
-    /// avoids the im2col of its cached input *and* the weight GEMM. The
-    /// returned input gradient is **bit-identical** to `backward`'s (same
-    /// kernels, same order); only the parameter-gradient side effect is
-    /// gone.
-    ///
-    /// The default forwards to [`Layer::backward`] (correct for parameter
-    /// free layers); layers with parameters and composites override it.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Layer::backward`]: panics if called before any
-    /// `forward`.
-    fn input_backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward(grad_out)
-    }
-
-    /// Inference-only forward pass: the **bit-identical** logits of
-    /// `forward(x, Mode::Eval)` without any of its side effects.
+    /// Inference-only forward pass in [`Mode::Eval`].
     ///
     /// # Contract
     ///
-    /// * Same values as an eval-mode [`Layer::forward`], bit for bit —
-    ///   implementations go through the same kernels, never a reimplemented
-    ///   approximation.
-    /// * Takes `&self`: no input cloning into `cached_input`, no backward
-    ///   caches, no running-statistics updates. A model can therefore be
-    ///   **shared by reference across threads** for forward-only work
-    ///   (each thread brings its own [`Workspace`]).
+    /// * Same values as [`Layer::infer_recording`] in `Eval`, bit for bit;
+    ///   recording is a pure side channel.
     /// * All scratch (im2col columns, matmul outputs, intermediate
     ///   activations) is drawn from `ws`; after a first warming call at a
     ///   given input geometry, repeat calls allocate nothing. Callers that
     ///   no longer need the returned tensor can hand it back via
     ///   [`Workspace::recycle`].
-    /// * `backward` after `infer` is **not** supported — gradients need the
-    ///   caches only `forward` populates. For a read-only gradient, use
-    ///   [`Layer::infer_recording`] + [`Layer::grad`] instead.
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor;
 
-    /// [`Layer::infer`] that additionally records this layer's backward
-    /// state — what `forward` would have stashed in `cached_input` and
-    /// friends — as a frame on the caller-owned `tape`.
+    /// Forward pass in `mode` that records this layer's backward state as
+    /// frames on the caller-owned `tape`.
     ///
     /// # Contract
     ///
-    /// * Output values are **bit-identical** to [`Layer::infer`] (and
-    ///   therefore to an eval-mode [`Layer::forward`]): implementations go
-    ///   through the same kernels, recording is a pure side channel.
-    /// * Takes `&self`, like `infer`: the model is only read, so one model
-    ///   can be shared by reference across threads, each worker bringing
-    ///   its own tape and workspace.
-    /// * Composites recurse in a fixed order and leaves push exactly the
-    ///   frames their own [`Layer::grad`] pops — strict stack discipline,
-    ///   so `grad` must be called with the tape exactly as this call left
-    ///   it.
+    /// * In [`Mode::Eval`] the output is **bit-identical** to
+    ///   [`Layer::infer`] (same kernels), and frames hold only what the
+    ///   *input* gradient needs (often just a shape).
+    /// * In [`Mode::Train`] batch norm normalises with batch statistics,
+    ///   and frames also hold what parameter gradients need (layer inputs,
+    ///   `x̂`). Running statistics are not touched here: `&self` cannot
+    ///   write them. See [`Layer::commit_running_stats`].
     /// * Frames reuse tape buffers: after one warm-up record→grad cycle at
-    ///   a given geometry, repeat cycles allocate nothing.
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor;
+    ///   a given geometry, repeat cycles allocate nothing in the tape.
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor;
 
     /// Propagates `grad_out = dL/d output` backwards through the state
     /// recorded by the **most recent** [`Layer::infer_recording`] on
-    /// `tape`, returning `dL/d input` — the read-only counterpart of
-    /// [`Layer::input_backward`].
+    /// `tape`, returning `dL/d input`.
     ///
-    /// # Contract
+    /// With `grads` set, parameter gradients are **added** into the sink's
+    /// accumulators (see [`Grads`]) and batch-norm running statistics are
+    /// handed over for [`Layer::commit_running_stats`]; this needs a
+    /// [`Mode::Train`] recording. With `None` no parameter-gradient kernel
+    /// runs at all — the input-space optimisation hot path.
     ///
-    /// * The returned input gradient is **bit-identical** to what
-    ///   [`Layer::input_backward`] returns after an eval-mode `forward`
-    ///   with the same input: both run the same kernels in the same order,
-    ///   only the location of the recorded state differs.
-    /// * Parameter gradients are never touched (there is nowhere to
-    ///   accumulate them through `&self`).
-    /// * Pops exactly the frames `infer_recording` pushed and recycles
-    ///   them, leaving the tape ready for the next recording.
+    /// Pops exactly the frames `infer_recording` pushed and recycles them,
+    /// leaving the tape ready for the next recording.
     ///
     /// # Panics
     ///
-    /// Panics if called without a matching `infer_recording` (empty tape)
-    /// or with a gradient whose shape does not match the recorded output.
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor;
+    /// Panics if called without a matching `infer_recording` (empty tape),
+    /// with a gradient whose shape does not match the recorded output, or
+    /// with a sink after an `Eval` recording of a layer with parameters.
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        grads: Option<&mut Grads>,
+    ) -> Tensor;
 
-    /// Visits every `(parameter, gradient)` pair owned by this layer (and
-    /// recursively by sub-layers), in a deterministic order.
+    /// Visits every parameter owned by this layer (and recursively by
+    /// sub-layers), in a deterministic order — the order of a [`Grads`]
+    /// sink and of optimizer state.
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>));
 
-    /// Resets all accumulated parameter gradients to zero.
-    fn zero_grad(&mut self) {
-        self.visit_params(&mut |slot| slot.grad.fill(0.0));
+    /// Installs the running statistics a [`Mode::Train`] step handed to
+    /// `grads` during [`Layer::grad`]: batch norm's
+    /// `(1 − m)·running + m·batch`, computed at recording time from the
+    /// statistics this call replaces. Train-mode backward never reads
+    /// running statistics, so deferring the write to here changes no bit.
+    ///
+    /// Walks layers in recording order, which pops the sink's statistics
+    /// stack in the reverse of the order `grad` pushed them. The default is
+    /// a no-op, right for every layer without batch norm below it;
+    /// composites that can hold batch norm recurse.
+    fn commit_running_stats(&mut self, grads: &mut Grads) {
+        let _ = grads;
     }
 
     /// Human-readable layer name for debugging.
@@ -189,70 +168,45 @@ pub trait Layer: Send + Sync {
     /// Total number of scalar parameters (for reporting). Takes `&self` —
     /// it only reads shapes.
     ///
-    /// Deliberately has **no default**: parameter visitation is `&mut`
-    /// (it hands out gradient slots), so a correct shared-reference count
-    /// must be written per layer — parameter-free layers return `0`,
-    /// composites sum their children — and a forgotten implementation is
-    /// a compile error rather than a silent zero. The equivalence test
-    /// suite cross-checks the implementations against a
-    /// [`Layer::visit_params`] sweep for the whole model zoo.
+    /// Deliberately has **no default**: parameter visitation is `&mut`,
+    /// so a correct shared-reference count must be written per layer —
+    /// parameter-free layers return `0`, composites sum their children —
+    /// and a forgotten implementation is a compile error rather than a
+    /// silent zero. The gradcheck suite cross-checks the implementations
+    /// against a [`Layer::visit_params`] sweep for the whole model zoo.
     fn param_count(&self) -> usize;
 
-    /// Clones this layer behind a fresh box. Clones carry all *persistent*
-    /// state — parameters, gradients, running statistics — but start with
-    /// **empty forward caches and scratch workspaces**: caches only matter
-    /// for a `backward` that immediately follows the same object's
-    /// `forward`, so copying them into a clone is pure memory overhead
-    /// (this is what keeps per-worker victim clones in the parallel
-    /// inspection engine cheap). Implementations are one line on a `Clone`
-    /// type: `Box::new(self.clone())`.
+    /// Clones this layer behind a fresh box. Layers hold only persistent
+    /// state (parameters, running statistics, geometry), so
+    /// implementations are one line on a `#[derive(Clone)]` type:
+    /// `Box::new(self.clone())`.
     fn clone_box(&self) -> Box<dyn Layer>;
 
     /// Visits every tensor that defines this layer's *persistent state* —
     /// parameter values plus any non-parameter buffers (e.g. batch-norm
     /// running statistics) — in a deterministic order, tagging each with
-    /// the owning layer's [`Layer::name`].
+    /// the owning layer's [`Layer::name`] and exposing quantizable GEMM
+    /// weights as [`StateSlot::Weight`].
     ///
     /// This is the traversal the [`crate::serde`] state-dict format is
     /// built on: two structurally identical models visit the same
     /// `(kind, shape)` sequence, so state saved from one can be loaded
-    /// into the other. Gradients and forward caches are transient and are
-    /// deliberately *not* visited.
+    /// into the other.
     ///
-    /// The default implementation visits the parameter values from
-    /// [`Layer::visit_params`]; leaf layers with extra buffers and
-    /// composite layers (which must recurse so sub-layer kinds are
-    /// reported, not their own) override it.
-    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, &mut Tensor)) {
+    /// The default visits the parameter values from
+    /// [`Layer::visit_params`] as `Dense` slots; layers with extra buffers
+    /// or a quantizable weight, and composites (which must recurse so
+    /// sub-layer kinds are reported, not their own), override it.
+    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         let kind = self.name();
-        self.visit_params(&mut |slot| f(kind, slot.value));
-    }
-
-    /// Dtype-aware sibling of [`Layer::visit_state`]: visits the same
-    /// tensors, in the same order, with the same kind tags, but hands out
-    /// [`StateSlot`]s so callers can see (and install) quantized payloads
-    /// on the slots that support them.
-    ///
-    /// The default wraps [`Layer::visit_state`], tagging every slot
-    /// [`StateSlot::Dense`] — correct for every layer without a
-    /// quantizable GEMM weight. [`crate::layers::Linear`] and
-    /// [`crate::layers::Conv2d`] override it to expose their weight as a
-    /// [`StateSlot::Weight`]; composites recurse.
-    ///
-    /// Invariant (pinned by the serde tests): the `(kind, slot)` sequence
-    /// of `visit_state_q` is the `(kind, tensor)` sequence of
-    /// `visit_state` — element `i` of one describes element `i` of the
-    /// other. The persistence layer depends on this to map records onto
-    /// slots.
-    fn visit_state_q(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
-        self.visit_state(&mut |kind, tensor| f(kind, StateSlot::Dense(tensor)));
+        self.visit_params(&mut |slot| f(kind, StateSlot::Dense(slot.value)));
     }
 
     /// Converts this layer's quantizable weights to `dtype` in place,
-    /// freeing their dense value and gradient buffers. After this the
-    /// layer is **inference-only**: `infer`/`infer_recording`/`grad` keep
-    /// working (dequantizing on the fly), while `forward`/`backward`
-    /// panic and optimizers see no weight slot.
+    /// freeing their dense buffers. After this the layer is
+    /// **inference-only**: `infer`/`infer_recording`/`grad` keep working
+    /// (dequantizing on the fly), while a [`Grads`] sink panics and
+    /// optimizers see no weight slot.
     ///
     /// The default is a no-op (layers without quantizable weights);
     /// [`Dtype::F32`] is always a no-op. Composites recurse.
@@ -267,7 +221,7 @@ impl Clone for Box<dyn Layer> {
     }
 }
 
-/// A parameter tensor paired with its gradient accumulator.
+/// A parameter tensor and whether weight decay applies to it.
 ///
 /// Most layers own a few of these; [`Param::slot`] adapts them to the
 /// visitation API.
@@ -275,26 +229,100 @@ impl Clone for Box<dyn Layer> {
 pub struct Param {
     /// Current values.
     pub value: Tensor,
-    /// Accumulated gradient (same shape as `value`).
-    pub grad: Tensor,
     /// Whether weight decay applies.
     pub decay: bool,
 }
 
 impl Param {
-    /// Wraps an initial value with a zeroed gradient buffer.
+    /// Wraps an initial value.
     pub fn new(value: Tensor, decay: bool) -> Self {
-        let grad = Tensor::zeros(value.shape());
-        Param { value, grad, decay }
+        Param { value, decay }
     }
 
     /// Borrows this parameter as a [`ParamSlot`].
     pub fn slot(&mut self) -> ParamSlot<'_> {
         ParamSlot {
             value: &mut self.value,
-            grad: &mut self.grad,
             decay: self.decay,
         }
+    }
+}
+
+/// The caller-owned output of a training backward pass: one gradient
+/// accumulator per parameter in [`Layer::visit_params`] order, plus the
+/// batch-norm running statistics awaiting [`Layer::commit_running_stats`].
+///
+/// Resident models carry no gradient buffers; only a training loop holds
+/// one of these. A step is [`Grads::zero`], a [`Mode::Train`]
+/// [`Layer::infer_recording`], [`Layer::grad`] with `Some(&mut grads)`,
+/// `commit_running_stats`, then an optimizer step reading
+/// [`Grads::params`].
+#[derive(Debug, Default)]
+pub struct Grads {
+    params: Vec<Tensor>,
+    /// Accumulators handed out, from the back, since the last `zero`.
+    taken: usize,
+    /// Pending running statistics, pushed by `grad`, popped by
+    /// `commit_running_stats`.
+    stats: Vec<Tensor>,
+}
+
+impl Grads {
+    /// Zeroed accumulators shaped like `model`'s parameters.
+    pub fn for_model(model: &mut dyn Layer) -> Self {
+        let mut params = Vec::new();
+        model.visit_params(&mut |slot| params.push(Tensor::zeros(slot.value.shape())));
+        Grads {
+            params,
+            ..Grads::default()
+        }
+    }
+
+    /// Zeroes every accumulator and readies the sink for the next
+    /// backward walk.
+    pub fn zero(&mut self) {
+        for g in &mut self.params {
+            g.fill(0.0);
+        }
+        self.taken = 0;
+        self.stats.clear();
+    }
+
+    /// The accumulators, in [`Layer::visit_params`] order.
+    pub fn params(&self) -> &[Tensor] {
+        &self.params
+    }
+
+    /// The accumulators of the last `n` parameters not yet handed out in
+    /// this walk — a layer's own, since backward visits layers in reverse
+    /// [`Layer::visit_params`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the walk asks for more parameters than the sink holds.
+    pub(crate) fn take_last(&mut self, n: usize) -> &mut [Tensor] {
+        let end = self.params.len() - self.taken;
+        assert!(n <= end, "Grads: sink was built for a different model");
+        self.taken += n;
+        &mut self.params[end - n..end]
+    }
+
+    /// Queues a running-statistics tensor for
+    /// [`Layer::commit_running_stats`].
+    pub(crate) fn push_stat(&mut self, stat: Tensor) {
+        self.stats.push(stat);
+    }
+
+    /// Takes the most recently queued running-statistics tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if none is queued: `commit_running_stats` without a
+    /// preceding train-mode `grad` into this sink.
+    pub(crate) fn pop_stat(&mut self) -> Tensor {
+        self.stats
+            .pop()
+            .expect("Grads: no running statistics pending (commit before grad?)")
     }
 }
 
@@ -305,32 +333,45 @@ mod tests {
     #[derive(Clone)]
     struct Dummy {
         w: Param,
+        b: Param,
     }
 
     impl Layer for Dummy {
-        fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-            x.scale(self.w.value.data()[0])
-        }
-        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-            grad_out.scale(self.w.value.data()[0])
-        }
         fn infer(&self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
             x.scale(self.w.value.data()[0])
         }
-        fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+        fn infer_recording(
+            &self,
+            x: &Tensor,
+            _mode: Mode,
+            tape: &mut Tape,
+            ws: &mut Workspace,
+        ) -> Tensor {
             let _ = tape.push();
             self.infer(x, ws)
         }
-        fn grad(&self, grad_out: &Tensor, tape: &mut Tape, _ws: &mut Workspace) -> Tensor {
+        fn grad(
+            &self,
+            grad_out: &Tensor,
+            tape: &mut Tape,
+            _ws: &mut Workspace,
+            grads: Option<&mut Grads>,
+        ) -> Tensor {
             let frame = tape.pop();
             tape.recycle(frame);
+            if let Some(grads) = grads {
+                for g in grads.take_last(2) {
+                    g.data_mut()[0] += 1.0;
+                }
+            }
             grad_out.scale(self.w.value.data()[0])
         }
         fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
             f(self.w.slot());
+            f(self.b.slot());
         }
         fn param_count(&self) -> usize {
-            self.w.value.len()
+            self.w.value.len() + self.b.value.len()
         }
         fn name(&self) -> &'static str {
             "dummy"
@@ -340,15 +381,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn param_count_and_zero_grad() {
-        let mut d = Dummy {
+    fn dummy() -> Dummy {
+        Dummy {
             w: Param::new(Tensor::from_vec(vec![2.0, 3.0], &[2]), true),
-        };
-        assert_eq!(d.param_count(), 2);
-        d.w.grad.fill(5.0);
-        d.zero_grad();
-        assert_eq!(d.w.grad.data(), &[0.0, 0.0]);
+            b: Param::new(Tensor::zeros(&[1]), false),
+        }
+    }
+
+    #[test]
+    fn grads_mirror_visit_params_and_zero_resets_the_walk() {
+        let mut d = dummy();
+        assert_eq!(d.param_count(), 3);
+        let mut grads = Grads::for_model(&mut d);
+        let shapes: Vec<&[usize]> = grads.params().iter().map(Tensor::shape).collect();
+        assert_eq!(shapes, [&[2usize][..], &[1]]);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let y = d.infer_recording(&Tensor::ones(&[1]), Mode::Train, &mut tape, &mut ws);
+        let _ = d.grad(&y, &mut tape, &mut ws, Some(&mut grads));
+        assert_eq!(grads.params()[0].data(), &[1.0, 0.0]);
+        assert_eq!(grads.params()[1].data(), &[1.0]);
+        grads.zero();
+        assert_eq!(grads.params()[0].data(), &[0.0, 0.0]);
+        assert_eq!(grads.params()[1].data(), &[0.0]);
+        assert_eq!(
+            grads.take_last(1)[0].shape(),
+            &[1],
+            "walk starts at the back"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "different model")]
+    fn grads_reject_a_walk_longer_than_the_sink() {
+        let mut grads = Grads::for_model(&mut dummy());
+        let _ = grads.take_last(3);
+    }
+
+    #[test]
+    fn stats_pop_in_reverse_push_order() {
+        let mut grads = Grads::default();
+        grads.push_stat(Tensor::ones(&[1]));
+        grads.push_stat(Tensor::zeros(&[2]));
+        assert_eq!(grads.pop_stat().shape(), &[2]);
+        assert_eq!(grads.pop_stat().shape(), &[1]);
     }
 
     #[test]

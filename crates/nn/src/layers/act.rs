@@ -1,11 +1,10 @@
 //! Activation layers: ReLU, Sigmoid, SiLU (swish).
 
-use crate::layer::{Layer, Mode, ParamSlot};
+use crate::layer::{Grads, Layer, Mode, ParamSlot};
 use usb_tensor::{Tape, Tensor, Workspace};
 
 /// Elementwise map into a workspace buffer: the allocation-free counterpart
-/// of [`Tensor::map`], applying the *same* scalar function so the results
-/// are bit-identical to the forward path.
+/// of [`Tensor::map`].
 fn map_into(x: &Tensor, ws: &mut Workspace, f: impl Fn(f32) -> f32) -> Tensor {
     let mut out = ws.take_dirty(x.len());
     for (o, &v) in out.iter_mut().zip(x.data()) {
@@ -14,10 +13,8 @@ fn map_into(x: &Tensor, ws: &mut Workspace, f: impl Fn(f32) -> f32) -> Tensor {
     Tensor::from_vec(out, x.shape())
 }
 
-/// Elementwise two-input map into a workspace buffer: the tape-route
-/// counterpart of [`Tensor::zip_map`] over `(grad, recorded activation)`
-/// pairs, applying the *same* scalar function as the layer's `backward`
-/// so gradients are bit-identical.
+/// Elementwise two-input map into a workspace buffer over
+/// `(grad, recorded activation)` pairs.
 fn zip_grad_into(
     grad_out: &Tensor,
     recorded: &[f32],
@@ -37,52 +34,40 @@ fn zip_grad_into(
 }
 
 /// Rectified linear unit `max(0, x)`.
-#[derive(Debug, Default)]
-pub struct ReLU {
-    cached_input: Option<Tensor>,
-}
-
-impl Clone for ReLU {
-    /// Stateless apart from the transient forward cache, which a clone
-    /// starts without (see [`Layer::clone_box`]).
-    fn clone(&self) -> Self {
-        ReLU::default()
-    }
-}
+#[derive(Debug, Default, Clone)]
+pub struct ReLU;
 
 impl ReLU {
     /// Creates a ReLU layer.
     pub fn new() -> Self {
-        ReLU::default()
+        ReLU
     }
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        self.cached_input = Some(x.clone());
-        x.map(|v| v.max(0.0))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("ReLU::backward before forward");
-        grad_out.zip_map(x, |g, xv| if xv > 0.0 { g } else { 0.0 })
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         map_into(x, ws, |v| v.max(0.0))
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        _mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
         tape.push().vals.extend_from_slice(x.data());
         map_into(x, ws, |v| v.max(0.0))
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        _grads: Option<&mut Grads>,
+    ) -> Tensor {
         let frame = tape.pop();
-        // Same scalar gate as `backward`'s zip_map, over the recorded input.
         let gi = zip_grad_into(
             grad_out,
             &frame.vals,
@@ -115,23 +100,13 @@ impl Layer for ReLU {
 }
 
 /// Logistic sigmoid `1/(1+e^{-x})`.
-#[derive(Debug, Default)]
-pub struct Sigmoid {
-    cached_output: Option<Tensor>,
-}
-
-impl Clone for Sigmoid {
-    /// Stateless apart from the transient forward cache, which a clone
-    /// starts without (see [`Layer::clone_box`]).
-    fn clone(&self) -> Self {
-        Sigmoid::default()
-    }
-}
+#[derive(Debug, Default, Clone)]
+pub struct Sigmoid;
 
 impl Sigmoid {
     /// Creates a sigmoid layer.
     pub fn new() -> Self {
-        Sigmoid::default()
+        Sigmoid
     }
 }
 
@@ -146,32 +121,30 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let y = x.map(sigmoid_scalar);
-        self.cached_output = Some(y.clone());
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self
-            .cached_output
-            .as_ref()
-            .expect("Sigmoid::backward before forward");
-        grad_out.zip_map(y, |g, s| g * s * (1.0 - s))
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         map_into(x, ws, sigmoid_scalar)
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        // Like `forward`, the *output* is what the gradient needs.
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        _mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        // The *output* is what the gradient needs.
         let y = map_into(x, ws, sigmoid_scalar);
         tape.push().vals.extend_from_slice(y.data());
         y
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        _grads: Option<&mut Grads>,
+    ) -> Tensor {
         let frame = tape.pop();
         let gi = zip_grad_into(grad_out, &frame.vals, ws, |g, s| g * s * (1.0 - s));
         tape.recycle(frame);
@@ -195,43 +168,17 @@ impl Layer for Sigmoid {
 
 /// SiLU / swish activation `x · sigmoid(x)`, the nonlinearity used by
 /// EfficientNet.
-#[derive(Debug, Default)]
-pub struct SiLU {
-    cached_input: Option<Tensor>,
-}
-
-impl Clone for SiLU {
-    /// Stateless apart from the transient forward cache, which a clone
-    /// starts without (see [`Layer::clone_box`]).
-    fn clone(&self) -> Self {
-        SiLU::default()
-    }
-}
+#[derive(Debug, Default, Clone)]
+pub struct SiLU;
 
 impl SiLU {
     /// Creates a SiLU layer.
     pub fn new() -> Self {
-        SiLU::default()
+        SiLU
     }
 }
 
 impl Layer for SiLU {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        self.cached_input = Some(x.clone());
-        x.map(|v| v * sigmoid_scalar(v))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("SiLU::backward before forward");
-        grad_out.zip_map(x, |g, v| {
-            let s = sigmoid_scalar(v);
-            g * (s + v * s * (1.0 - s))
-        })
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         map_into(x, ws, |v| v * sigmoid_scalar(v))
     }
@@ -239,7 +186,13 @@ impl Layer for SiLU {
     /// Records the input in `vals` and the sigmoid it computes on the way
     /// in `extra`, so [`SiLU::grad`] reads `σ(x)` instead of recomputing
     /// the exponential — the same bits either way.
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        _mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
         let frame = tape.push();
         frame.vals.extend_from_slice(x.data());
         frame
@@ -252,13 +205,19 @@ impl Layer for SiLU {
         Tensor::from_vec(out, x.shape())
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        _grads: Option<&mut Grads>,
+    ) -> Tensor {
         let frame = tape.pop();
         assert!(
             grad_out.len() == frame.vals.len() && frame.extra.len() == frame.vals.len(),
             "activation grad: grad length does not match the recorded frame"
         );
-        // Same expression as `backward`, on the recorded σ(x).
+        // d/dx x·σ(x) = σ + x·σ·(1 − σ), on the recorded σ(x).
         let mut out = ws.take_dirty(grad_out.len());
         for (((o, &g), &v), &s) in out
             .iter_mut()
@@ -291,57 +250,39 @@ impl Layer for SiLU {
 mod tests {
     use super::*;
 
-    fn finite_diff(layer: &mut dyn Layer, x: &Tensor) {
-        let y = layer.forward(x, Mode::Train);
-        let gi = layer.backward(&Tensor::ones(y.shape()));
-        let eps = 1e-3;
-        for flat in 0..x.len() {
-            let mut xp = x.clone();
-            xp.data_mut()[flat] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[flat] -= eps;
-            let num = (layer.forward(&xp, Mode::Train).sum()
-                - layer.forward(&xm, Mode::Train).sum())
-                / (2.0 * eps);
-            assert!(
-                (num - gi.data()[flat]).abs() < 1e-2,
-                "{}: grad mismatch at {flat}: {num} vs {}",
-                layer.name(),
-                gi.data()[flat]
-            );
-        }
+    /// Input gradient of `Σ layer(x)` through the tape.
+    fn tape_grad(layer: &dyn Layer, x: &Tensor) -> (Tensor, Tensor) {
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let y = layer.infer_recording(x, Mode::Eval, &mut tape, &mut ws);
+        let gi = layer.grad(&Tensor::ones(y.shape()), &mut tape, &mut ws, None);
+        (y, gi)
     }
 
     #[test]
     fn relu_values_and_grad() {
-        let mut r = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0, -0.1], &[4]);
-        let y = r.forward(&x, Mode::Eval);
+        let (y, g) = tape_grad(&ReLU::new(), &x);
         assert_eq!(y.data(), &[0.0, 0.5, 2.0, 0.0]);
-        let g = r.backward(&Tensor::ones(&[4]));
         assert_eq!(g.data(), &[0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]
     fn sigmoid_range_and_grad() {
-        let mut s = Sigmoid::new();
         let x = Tensor::from_vec(vec![-4.0, 0.0, 4.0, 100.0, -100.0], &[5]);
-        let y = s.forward(&x, Mode::Eval);
-        assert!(y.all_finite());
+        let (y, g) = tape_grad(&Sigmoid::new(), &x);
+        assert!(y.all_finite() && g.all_finite());
         assert!((y.data()[1] - 0.5).abs() < 1e-6);
+        assert!((g.data()[1] - 0.25).abs() < 1e-6, "σ'(0) = 1/4");
         assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
-        finite_diff(&mut s, &Tensor::from_vec(vec![-0.8, 0.2, 1.3], &[3]));
     }
 
     #[test]
     fn silu_matches_definition_and_grad() {
-        let mut s = SiLU::new();
-        let x = Tensor::from_vec(vec![1.0], &[1]);
-        let y = s.forward(&x, Mode::Eval);
-        assert!((y.data()[0] - 1.0 / (1.0 + (-1.0f32).exp())).abs() < 1e-6);
-        finite_diff(
-            &mut s,
-            &Tensor::from_vec(vec![-1.5, -0.2, 0.0, 0.7, 2.0], &[5]),
-        );
+        let x = Tensor::from_vec(vec![1.0, 0.0], &[2]);
+        let (y, g) = tape_grad(&SiLU::new(), &x);
+        let s1 = 1.0 / (1.0 + (-1.0f32).exp());
+        assert!((y.data()[0] - s1).abs() < 1e-6);
+        assert!((g.data()[0] - (s1 + s1 * (1.0 - s1))).abs() < 1e-6);
+        assert_eq!(g.data()[1], 0.5, "SiLU'(0) = 1/2");
     }
 }

@@ -1,13 +1,23 @@
 //! Dense and depthwise convolution layers.
 
-use crate::layer::{Layer, Mode, Param, ParamSlot, StateSlot};
+use super::{record_input, with_recorded_input};
+use crate::layer::{Grads, Layer, Mode, Param, ParamSlot, StateSlot};
 use rand::Rng;
 use usb_tensor::conv::{
-    conv2d_backward_ws, conv2d_forward_ref_ws, conv2d_forward_ws, conv2d_input_backward_ref_ws,
-    conv2d_input_backward_ws, depthwise_backward, depthwise_forward_ws, depthwise_input_backward,
-    depthwise_input_backward_ws, ConvSpec,
+    conv2d_backward_ws, conv2d_forward_ref_ws, conv2d_input_backward_ref_ws, depthwise_backward_ws,
+    depthwise_forward_ws, depthwise_input_backward_ws, ConvSpec,
 };
 use usb_tensor::{init, Dtype, QTensor, Tape, Tensor, WeightRef, Workspace};
+
+/// Adds a layer's `(weight, bias)` gradients into its accumulators at the
+/// back of `grads`.
+fn accumulate(grads: &mut Grads, gw: &Tensor, gb: &Tensor, has_bias: bool) {
+    let slots = grads.take_last(1 + usize::from(has_bias));
+    slots[0].add_assign(gw);
+    if let Some(acc) = slots.get_mut(1) {
+        acc.add_assign(gb);
+    }
+}
 
 /// A 2-D convolution `[N, IC, H, W] -> [N, OC, OH, OW]`.
 ///
@@ -15,31 +25,12 @@ use usb_tensor::{init, Dtype, QTensor, Tape, Tensor, WeightRef, Workspace};
 /// [`super::Linear`], the weight can be swapped for a quantized payload,
 /// after which the layer is inference-only and the kernels dequantize
 /// through the workspace panel cache.
+#[derive(Clone)]
 pub struct Conv2d {
     weight: Param, // [OC, IC, KH, KW]; empty while `qweight` is populated
     qweight: Option<QTensor>,
     bias: Option<Param>,
     spec: ConvSpec,
-    cached_input: Option<Tensor>,
-    // Layer-owned scratch for the *training* path: forward/backward reuse
-    // their im2col columns across steps. (`Workspace: Clone` yields an
-    // empty arena, so cloning a model never duplicates dead buffers.)
-    ws: Workspace,
-}
-
-impl Clone for Conv2d {
-    /// Clones parameters and geometry; the transient forward cache and
-    /// scratch arena start empty (see [`Layer::clone_box`]).
-    fn clone(&self) -> Self {
-        Conv2d {
-            weight: self.weight.clone(),
-            qweight: self.qweight.clone(),
-            bias: self.bias.clone(),
-            spec: self.spec,
-            cached_input: None,
-            ws: Workspace::new(),
-        }
-    }
 }
 
 impl Conv2d {
@@ -70,8 +61,6 @@ impl Conv2d {
             qweight: None,
             bias,
             spec: ConvSpec::new(stride, pad),
-            cached_input: None,
-            ws: Workspace::new(),
         }
     }
 
@@ -95,60 +84,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        assert!(
-            self.qweight.is_none(),
-            "Conv2d: training pass on a quantized (inference-only) layer"
-        );
-        self.cached_input = Some(x.clone());
-        conv2d_forward_ws(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|b| &b.value),
-            self.spec,
-            &mut self.ws,
-        )
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            self.qweight.is_none(),
-            "Conv2d: training pass on a quantized (inference-only) layer"
-        );
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Conv2d::backward before forward");
-        let (gi, gw, gb) =
-            conv2d_backward_ws(x, &self.weight.value, grad_out, self.spec, &mut self.ws);
-        self.weight.grad.add_assign(&gw);
-        if let Some(b) = self.bias.as_mut() {
-            b.grad.add_assign(&gb);
-        }
-        gi
-    }
-
-    fn input_backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            self.qweight.is_none(),
-            "Conv2d: training pass on a quantized (inference-only) layer"
-        );
-        // dL/dx depends only on the weight; skipping dL/dW also skips the
-        // im2col of the cached input — the dominant transient of the full
-        // backward pass.
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Conv2d::backward before forward");
-        assert_eq!(
-            grad_out.shape()[0],
-            x.shape()[0],
-            "Conv2d: grad_out batch dim mismatch"
-        );
-        let (h, w) = (x.shape()[2], x.shape()[3]);
-        conv2d_input_backward_ws(&self.weight.value, grad_out, h, w, self.spec, &mut self.ws)
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         // The dense arm of the ref kernel runs the exact code the dense
         // kernel does; the quantized arm swaps only the panel source.
@@ -161,23 +96,49 @@ impl Layer for Conv2d {
         )
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        // dL/dx depends only on the weight; the frame records just the
-        // input shape — the geometry the `input_backward` route reads off
-        // its cached input.
-        tape.push().aux.extend_from_slice(x.shape());
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        record_input(tape, x, mode);
         self.infer(x, ws)
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        let frame = tape.pop();
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        grads: Option<&mut Grads>,
+    ) -> Tensor {
+        let mut frame = tape.pop();
         assert_eq!(
             grad_out.shape()[0],
             frame.aux[0],
             "Conv2d: grad_out batch dim mismatch"
         );
-        let (h, w) = (frame.aux[2], frame.aux[3]);
-        let gi = conv2d_input_backward_ref_ws(self.weight_ref(), grad_out, h, w, self.spec, ws);
+        let gi = match grads {
+            // dL/dx depends only on the weight: no im2col of the input, no
+            // weight GEMM.
+            None => {
+                let (h, w) = (frame.aux[2], frame.aux[3]);
+                conv2d_input_backward_ref_ws(self.weight_ref(), grad_out, h, w, self.spec, ws)
+            }
+            Some(grads) => {
+                assert!(
+                    self.qweight.is_none(),
+                    "Conv2d: training pass on a quantized (inference-only) layer"
+                );
+                let (gi, gw, gb) = with_recorded_input(&mut frame, "Conv2d", |x| {
+                    conv2d_backward_ws(x, &self.weight.value, grad_out, self.spec, ws)
+                });
+                accumulate(grads, &gw, &gb, self.bias.is_some());
+                gi
+            }
+        };
         tape.recycle(frame);
         gi
     }
@@ -192,21 +153,11 @@ impl Layer for Conv2d {
         }
     }
 
-    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, &mut Tensor)) {
-        // Always expose the dense weight slot (empty when quantized) so the
-        // (kind, tensor) sequence stays aligned with `visit_state_q`.
-        f("conv2d", &mut self.weight.value);
-        if let Some(b) = self.bias.as_mut() {
-            f("conv2d", &mut b.value);
-        }
-    }
-
-    fn visit_state_q(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         f(
             "conv2d",
             StateSlot::Weight {
                 dense: &mut self.weight.value,
-                grad: &mut self.weight.grad,
                 quant: &mut self.qweight,
             },
         );
@@ -220,9 +171,7 @@ impl Layer for Conv2d {
             return;
         }
         self.qweight = Some(QTensor::quantize(&self.weight.value, dtype));
-        // Free both dense buffers: `Param::new` allocates a full-size grad.
         self.weight.value = Tensor::zeros(&[0]);
-        self.weight.grad = Tensor::zeros(&[0]);
     }
 
     fn param_count(&self) -> usize {
@@ -246,26 +195,11 @@ impl Layer for Conv2d {
 /// A depthwise 2-D convolution: each channel convolved with its own kernel.
 ///
 /// Used by the EfficientNet-B0 MBConv blocks.
+#[derive(Clone)]
 pub struct DepthwiseConv2d {
     weight: Param,
     bias: Option<Param>,
     spec: ConvSpec,
-    cached_input: Option<Tensor>,
-    ws: Workspace,
-}
-
-impl Clone for DepthwiseConv2d {
-    /// Clones parameters and geometry; the transient forward cache and
-    /// scratch arena start empty (see [`Layer::clone_box`]).
-    fn clone(&self) -> Self {
-        DepthwiseConv2d {
-            weight: self.weight.clone(),
-            bias: self.bias.clone(),
-            spec: self.spec,
-            cached_input: None,
-            ws: Workspace::new(),
-        }
-    }
 }
 
 impl DepthwiseConv2d {
@@ -290,38 +224,11 @@ impl DepthwiseConv2d {
             weight,
             bias,
             spec: ConvSpec::new(stride, pad),
-            cached_input: None,
-            ws: Workspace::new(),
         }
     }
 }
 
 impl Layer for DepthwiseConv2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        self.cached_input = Some(x.clone());
-        depthwise_forward_ws(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|b| &b.value),
-            self.spec,
-            &mut self.ws,
-        )
-    }
-
-    fn input_backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("DepthwiseConv2d::backward before forward");
-        assert_eq!(
-            grad_out.shape()[0],
-            x.shape()[0],
-            "DepthwiseConv2d: grad_out batch dim mismatch"
-        );
-        let (h, w) = (x.shape()[2], x.shape()[3]);
-        depthwise_input_backward(&self.weight.value, grad_out, h, w, self.spec)
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         depthwise_forward_ws(
             x,
@@ -332,34 +239,44 @@ impl Layer for DepthwiseConv2d {
         )
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        tape.push().aux.extend_from_slice(x.shape());
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        record_input(tape, x, mode);
         self.infer(x, ws)
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        let frame = tape.pop();
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        grads: Option<&mut Grads>,
+    ) -> Tensor {
+        let mut frame = tape.pop();
         assert_eq!(
             grad_out.shape()[0],
             frame.aux[0],
             "DepthwiseConv2d: grad_out batch dim mismatch"
         );
-        let (h, w) = (frame.aux[2], frame.aux[3]);
-        let gi = depthwise_input_backward_ws(&self.weight.value, grad_out, h, w, self.spec, ws);
+        let gi = match grads {
+            None => {
+                let (h, w) = (frame.aux[2], frame.aux[3]);
+                depthwise_input_backward_ws(&self.weight.value, grad_out, h, w, self.spec, ws)
+            }
+            Some(grads) => {
+                let (gi, gw, gb) = with_recorded_input(&mut frame, "DepthwiseConv2d", |x| {
+                    depthwise_backward_ws(x, &self.weight.value, grad_out, self.spec, ws)
+                });
+                accumulate(grads, &gw, &gb, self.bias.is_some());
+                gi
+            }
+        };
         tape.recycle(frame);
-        gi
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("DepthwiseConv2d::backward before forward");
-        let (gi, gw, gb) = depthwise_backward(x, &self.weight.value, grad_out, self.spec);
-        self.weight.grad.add_assign(&gw);
-        if let Some(b) = self.bias.as_mut() {
-            b.grad.add_assign(&gb);
-        }
         gi
     }
 
@@ -389,44 +306,49 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One train-mode record→grad step into `grads`; returns `dL/dx`.
+    fn train_step(layer: &dyn Layer, x: &Tensor, grads: &mut Grads) -> Tensor {
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let y = layer.infer_recording(x, Mode::Train, &mut tape, &mut ws);
+        layer.grad(&Tensor::ones(y.shape()), &mut tape, &mut ws, Some(grads))
+    }
+
     #[test]
     fn conv_shapes_and_param_count() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut c = Conv2d::new(3, 8, 3, 1, 1, true, &mut rng);
         assert_eq!(c.param_count(), 8 * 3 * 3 * 3 + 8);
         let x = Tensor::zeros(&[2, 3, 8, 8]);
-        let y = c.forward(&x, Mode::Train);
+        let y = c.infer(&x, &mut Workspace::new());
         assert_eq!(y.shape(), &[2, 8, 8, 8]);
-        let gi = c.backward(&Tensor::ones(y.shape()));
-        assert_eq!(gi.shape(), x.shape());
+        let mut grads = Grads::for_model(&mut c);
+        assert_eq!(train_step(&c, &x, &mut grads).shape(), x.shape());
     }
 
     #[test]
-    fn backward_accumulates_until_zero_grad() {
+    fn zero_restarts_accumulation() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut c = Conv2d::new(1, 1, 1, 1, 0, false, &mut rng);
         let x = Tensor::ones(&[1, 1, 2, 2]);
-        let y = c.forward(&x, Mode::Train);
-        let _ = c.backward(&Tensor::ones(y.shape()));
-        let mut g1 = 0.0;
-        c.visit_params(&mut |s| g1 = s.grad.data()[0]);
-        let _ = c.forward(&x, Mode::Train);
-        let _ = c.backward(&Tensor::ones(y.shape()));
-        let mut g2 = 0.0;
-        c.visit_params(&mut |s| g2 = s.grad.data()[0]);
-        assert!((g2 - 2.0 * g1).abs() < 1e-5, "grad must accumulate");
-        c.zero_grad();
-        let mut g3 = -1.0;
-        c.visit_params(&mut |s| g3 = s.grad.data()[0]);
-        assert_eq!(g3, 0.0);
+        let mut grads = Grads::for_model(&mut c);
+        let _ = train_step(&c, &x, &mut grads);
+        let first = grads.params()[0].clone();
+        assert_ne!(first.data()[0], 0.0);
+        grads.zero();
+        assert_eq!(grads.params()[0].data()[0], 0.0);
+        let _ = train_step(&c, &x, &mut grads);
+        assert_eq!(grads.params()[0].data(), first.data());
     }
 
     #[test]
-    #[should_panic(expected = "before forward")]
-    fn backward_without_forward_panics() {
+    #[should_panic(expected = "Mode::Train recording")]
+    fn param_gradients_after_an_eval_recording_panic() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut c = Conv2d::new(1, 1, 1, 1, 0, false, &mut rng);
-        let _ = c.backward(&Tensor::ones(&[1, 1, 2, 2]));
+        let mut grads = Grads::for_model(&mut c);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let y = c.infer_recording(&Tensor::ones(&[1, 1, 2, 2]), Mode::Eval, &mut tape, &mut ws);
+        let _ = c.grad(&y, &mut tape, &mut ws, Some(&mut grads));
     }
 
     /// Small integers are exact in f16, so quantized inference and the
@@ -449,21 +371,21 @@ mod tests {
         assert_eq!(qy.data(), dense_y.data());
 
         let mut tape = Tape::default();
-        let _ = c.infer_recording(&x, &mut tape, &mut ws);
+        let _ = c.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
         let g = Tensor::from_fn(dense_y.shape(), |i| ((i % 5) as f32) - 2.0);
-        let dense_gi = c.grad(&g, &mut tape, &mut ws);
-        let _ = q.infer_recording(&x, &mut tape, &mut ws);
-        let qgi = q.grad(&g, &mut tape, &mut ws);
+        let dense_gi = c.grad(&g, &mut tape, &mut ws, None);
+        let _ = q.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
+        let qgi = q.grad(&g, &mut tape, &mut ws, None);
         assert_eq!(qgi.data(), dense_gi.data());
     }
 
     #[test]
     #[should_panic(expected = "quantized")]
-    fn quantized_conv_rejects_training_forward() {
+    fn quantized_conv_rejects_training() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut c = Conv2d::new(1, 1, 3, 1, 1, false, &mut rng);
         c.quantize_weights(Dtype::Q8);
-        let _ = c.forward(&Tensor::zeros(&[1, 1, 4, 4]), Mode::Train);
+        let _ = train_step(&c, &Tensor::zeros(&[1, 1, 4, 4]), &mut Grads::default());
     }
 
     #[test]
@@ -471,10 +393,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut d = DepthwiseConv2d::new(4, 3, 2, 1, true, &mut rng);
         let x = Tensor::zeros(&[1, 4, 8, 8]);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.infer(&x, &mut Workspace::new());
         assert_eq!(y.shape(), &[1, 4, 4, 4]);
-        let gi = d.backward(&Tensor::ones(y.shape()));
-        assert_eq!(gi.shape(), x.shape());
+        let mut grads = Grads::for_model(&mut d);
+        assert_eq!(train_step(&d, &x, &mut grads).shape(), x.shape());
         assert_eq!(d.param_count(), 4 * 9 + 4);
     }
 }

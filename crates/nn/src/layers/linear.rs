@@ -1,6 +1,7 @@
 //! Fully-connected layer and flattening.
 
-use crate::layer::{Layer, Mode, Param, ParamSlot, StateSlot};
+use super::{record_input, with_recorded_input};
+use crate::layer::{Grads, Layer, Mode, Param, ParamSlot, StateSlot};
 use rand::Rng;
 use usb_tensor::{init, ops, Dtype, QTensor, Tape, Tensor, Workspace};
 
@@ -9,25 +10,12 @@ use usb_tensor::{init, ops, Dtype, QTensor, Tape, Tensor, Workspace};
 /// The weight can be swapped for a quantized payload
 /// ([`Layer::quantize_weights`] or a low-precision bundle load), after
 /// which the layer is inference-only: `infer`/`grad` dequantize through
-/// the workspace panel cache, while the training entry points panic.
+/// the workspace panel cache, while a parameter-gradient sink panics.
+#[derive(Clone)]
 pub struct Linear {
     weight: Param, // [out, in]; empty while `qweight` is populated
     qweight: Option<QTensor>,
     bias: Param, // [out], always dense
-    cached_input: Option<Tensor>,
-}
-
-impl Clone for Linear {
-    /// Clones parameters; the transient forward cache starts empty (see
-    /// [`Layer::clone_box`]).
-    fn clone(&self) -> Self {
-        Linear {
-            weight: self.weight.clone(),
-            qweight: self.qweight.clone(),
-            bias: self.bias.clone(),
-            cached_input: None,
-        }
-    }
 }
 
 impl Linear {
@@ -48,7 +36,6 @@ impl Linear {
             ),
             qweight: None,
             bias: Param::new(Tensor::zeros(&[out_features]), false),
-            cached_input: None,
         }
     }
 
@@ -77,73 +64,6 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        assert!(
-            self.qweight.is_none(),
-            "Linear: training pass on a quantized (inference-only) layer"
-        );
-        assert_eq!(x.ndim(), 2, "Linear: input must be [N, in]");
-        assert_eq!(
-            x.shape()[1],
-            self.in_features(),
-            "Linear: expected {} input features, got {}",
-            self.in_features(),
-            x.shape()[1]
-        );
-        self.cached_input = Some(x.clone());
-        let mut y = ops::matmul_transb(x, &self.weight.value);
-        let out = self.out_features();
-        let n = x.shape()[0];
-        let bd = self.bias.value.data().to_vec();
-        let yd = y.data_mut();
-        for i in 0..n {
-            for (v, &b) in yd[i * out..(i + 1) * out].iter_mut().zip(&bd) {
-                *v += b;
-            }
-        }
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            self.qweight.is_none(),
-            "Linear: training pass on a quantized (inference-only) layer"
-        );
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Linear::backward before forward");
-        // dL/dW = gᵀ x ; dL/db = column sums of g ; dL/dx = g W.
-        let gw = ops::matmul_transa(grad_out, x);
-        self.weight.grad.add_assign(&gw);
-        let (n, out) = (grad_out.shape()[0], grad_out.shape()[1]);
-        for i in 0..n {
-            for j in 0..out {
-                self.bias.grad.data_mut()[j] += grad_out.data()[i * out + j];
-            }
-        }
-        ops::matmul(grad_out, &self.weight.value)
-    }
-
-    fn input_backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            self.qweight.is_none(),
-            "Linear: training pass on a quantized (inference-only) layer"
-        );
-        // dL/dx = g W — the dL/dW and dL/db terms of `backward` are
-        // skipped, not needed for input-space optimisation.
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Linear::backward before forward");
-        assert_eq!(
-            grad_out.shape()[0],
-            x.shape()[0],
-            "Linear: grad_out batch dim mismatch"
-        );
-        ops::matmul(grad_out, &self.weight.value)
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear: input must be [N, in]");
         assert_eq!(
@@ -156,9 +76,8 @@ impl Layer for Linear {
         let (n, out, inf) = (x.shape()[0], self.out_features(), self.in_features());
         let mut y = ws.take_dirty(n * out);
         // x @ Wᵀ with W packed k-major once per weight version and reused
-        // across calls. Each output element is the same ascending-`k` dot
-        // product `Σ x[i,k]·W[j,k]` that `forward`'s transb kernel computes,
-        // so results stay bit-identical. A quantized weight dequantizes into
+        // across calls: each output element is the ascending-`k` dot
+        // product `Σ x[i,k]·W[j,k]`. A quantized weight dequantizes into
         // the same panel cache once per content-id — steady-state calls hit
         // an identical unit-stride f32 panel.
         let wt = match &self.qweight {
@@ -175,15 +94,25 @@ impl Layer for Linear {
         Tensor::from_vec(y, &[n, out])
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        // The input gradient `g W` needs no activations — only the batch
-        // size for the shape check `input_backward` also performs.
-        tape.push().aux.extend_from_slice(x.shape());
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        record_input(tape, x, mode);
         self.infer(x, ws)
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        let frame = tape.pop();
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        grads: Option<&mut Grads>,
+    ) -> Tensor {
+        let mut frame = tape.pop();
         assert_eq!(
             grad_out.shape()[0],
             frame.aux[0],
@@ -191,10 +120,27 @@ impl Layer for Linear {
         );
         let (n, out, inf) = (grad_out.shape()[0], self.out_features(), self.in_features());
         assert_eq!(grad_out.shape()[1], out, "Linear: grad_out width mismatch");
-        // dL/dx = g W — the same GEMM kernel `input_backward`'s
-        // `ops::matmul` wraps, so bit-identical. The quantized path reads W
-        // from a natural-order dequant panel instead; `gi` is checked out
-        // first so no workspace buffer is taken while the panel is borrowed.
+        if let Some(grads) = grads {
+            assert!(
+                self.qweight.is_none(),
+                "Linear: training pass on a quantized (inference-only) layer"
+            );
+            // dL/dW = gᵀ x ; dL/db = column sums of g.
+            let gw = with_recorded_input(&mut frame, "Linear", |x| ops::matmul_transa(grad_out, x));
+            let [acc_w, acc_b] = grads.take_last(2) else {
+                unreachable!("take_last(2) yields two accumulators")
+            };
+            acc_w.add_assign(&gw);
+            let (bd, god) = (acc_b.data_mut(), grad_out.data());
+            for i in 0..n {
+                for j in 0..out {
+                    bd[j] += god[i * out + j];
+                }
+            }
+        }
+        // dL/dx = g W. The quantized path reads W from a natural-order
+        // dequant panel instead; `gi` is checked out first so no workspace
+        // buffer is taken while the panel is borrowed.
         let mut gi = ws.take_dirty(n * inf);
         let wd: &[f32] = match &self.qweight {
             None => self.weight.value.data(),
@@ -214,19 +160,11 @@ impl Layer for Linear {
         f(self.bias.slot());
     }
 
-    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, &mut Tensor)) {
-        // Always expose the dense weight slot (empty when quantized) so the
-        // (kind, tensor) sequence stays aligned with `visit_state_q`.
-        f("linear", &mut self.weight.value);
-        f("linear", &mut self.bias.value);
-    }
-
-    fn visit_state_q(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         f(
             "linear",
             StateSlot::Weight {
                 dense: &mut self.weight.value,
-                grad: &mut self.weight.grad,
                 quant: &mut self.qweight,
             },
         );
@@ -238,9 +176,7 @@ impl Layer for Linear {
             return;
         }
         self.qweight = Some(QTensor::quantize(&self.weight.value, dtype));
-        // Free both dense buffers: `Param::new` allocates a full-size grad.
         self.weight.value = Tensor::zeros(&[0]);
-        self.weight.grad = Tensor::zeros(&[0]);
     }
 
     fn param_count(&self) -> usize {
@@ -259,35 +195,18 @@ impl Layer for Linear {
 }
 
 /// Reshapes `[N, C, H, W]` (or any rank ≥ 2) to `[N, C·H·W]`; the backward
-/// pass restores the cached shape.
+/// pass restores the recorded shape.
 #[derive(Debug, Default, Clone)]
-pub struct Flatten {
-    cached_shape: Option<Vec<usize>>,
-}
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flattening layer.
     pub fn new() -> Self {
-        Flatten::default()
+        Flatten
     }
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        assert!(x.ndim() >= 2, "Flatten: need at least rank-2 input");
-        self.cached_shape = Some(x.shape().to_vec());
-        let n = x.shape()[0];
-        x.reshape(&[n, x.len() / n])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self
-            .cached_shape
-            .as_ref()
-            .expect("Flatten::backward before forward");
-        grad_out.reshape(shape)
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         assert!(x.ndim() >= 2, "Flatten: need at least rank-2 input");
         let n = x.shape()[0];
@@ -298,19 +217,30 @@ impl Layer for Flatten {
         Tensor::from_vec(out, &[n, x.len() / n])
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        _mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
         tape.push().aux.extend_from_slice(x.shape());
         self.infer(x, ws)
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        _grads: Option<&mut Grads>,
+    ) -> Tensor {
         let frame = tape.pop();
         assert_eq!(
             grad_out.len(),
             frame.aux.iter().product::<usize>(),
             "Flatten: grad length does not match the recorded shape"
         );
-        // Restore the recorded shape — a copy, as `backward`'s reshape is.
         let mut out = ws.take_dirty(grad_out.len());
         out.copy_from_slice(grad_out.data());
         let gi = Tensor::from_vec(out, &frame.aux);
@@ -352,40 +282,41 @@ mod tests {
             }
         });
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let y = l.forward(&x, Mode::Eval);
+        let y = l.infer(&x, &mut Workspace::new());
         // y = [1+2+0.5, 3+4-0.5]
         assert_eq!(y.data(), &[3.5, 6.5]);
     }
 
     #[test]
-    fn linear_gradients_match_finite_differences() {
+    fn linear_parameter_gradients_are_exact() {
+        // y = x Wᵀ + b with loss Σ y: dL/dW[j,k] = Σ_i x[i,k], dL/db = N.
         let mut rng = StdRng::seed_from_u64(1);
         let mut l = Linear::new(3, 2, &mut rng);
-        let x = Tensor::from_vec(vec![0.3, -0.2, 0.7, 0.1, 0.9, -0.4], &[2, 3]);
-        let y = l.forward(&x, Mode::Train);
-        let gi = l.backward(&Tensor::ones(y.shape()));
-        let eps = 1e-3;
-        for flat in 0..x.len() {
-            let mut xp = x.clone();
-            xp.data_mut()[flat] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[flat] -= eps;
-            let num = (l.forward(&xp, Mode::Train).sum() - l.forward(&xm, Mode::Train).sum())
-                / (2.0 * eps);
-            assert!(
-                (num - gi.data()[flat]).abs() < 1e-2,
-                "input grad mismatch at {flat}"
-            );
-        }
+        let x = Tensor::from_vec(vec![0.5, -0.25, 1.0, 0.25, 1.5, -0.5], &[2, 3]);
+        let mut grads = Grads::for_model(&mut l);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let y = l.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+        let _ = l.grad(
+            &Tensor::ones(y.shape()),
+            &mut tape,
+            &mut ws,
+            Some(&mut grads),
+        );
+        assert_eq!(
+            grads.params()[0].data(),
+            &[0.75, 1.25, 0.5, 0.75, 1.25, 0.5]
+        );
+        assert_eq!(grads.params()[1].data(), &[2.0, 2.0]);
     }
 
     #[test]
     fn flatten_roundtrip() {
-        let mut f = Flatten::new();
+        let f = Flatten::new();
         let x = Tensor::from_fn(&[2, 3, 2, 2], |i| i as f32);
-        let y = f.forward(&x, Mode::Train);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let y = f.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
         assert_eq!(y.shape(), &[2, 12]);
-        let g = f.backward(&Tensor::ones(&[2, 12]));
+        let g = f.grad(&Tensor::ones(&[2, 12]), &mut tape, &mut ws, None);
         assert_eq!(g.shape(), x.shape());
     }
 
@@ -393,8 +324,8 @@ mod tests {
     #[should_panic(expected = "input features")]
     fn linear_rejects_wrong_width() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut l = Linear::new(3, 2, &mut rng);
-        let _ = l.forward(&Tensor::zeros(&[1, 4]), Mode::Eval);
+        let l = Linear::new(3, 2, &mut rng);
+        let _ = l.infer(&Tensor::zeros(&[1, 4]), &mut Workspace::new());
     }
 
     /// Small integers are exact in f16, so the quantized inference and
@@ -420,11 +351,11 @@ mod tests {
         assert_eq!(qy.data(), dense_y.data());
 
         let mut tape = Tape::default();
-        let _ = l.infer_recording(&x, &mut tape, &mut ws);
+        let _ = l.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
         let g = Tensor::from_fn(&[2, 3], |i| 1.0 + i as f32);
-        let dense_gi = l.grad(&g, &mut tape, &mut ws);
-        let _ = q.infer_recording(&x, &mut tape, &mut ws);
-        let qgi = q.grad(&g, &mut tape, &mut ws);
+        let dense_gi = l.grad(&g, &mut tape, &mut ws, None);
+        let _ = q.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
+        let qgi = q.grad(&g, &mut tape, &mut ws, None);
         assert_eq!(qgi.data(), dense_gi.data());
     }
 
@@ -439,9 +370,9 @@ mod tests {
             slots += 1;
         });
         assert_eq!(slots, 1);
-        // The state walk still exposes an aligned weight slot.
+        // The state walk still exposes the weight slot.
         let mut kinds = Vec::new();
-        l.visit_state_q(&mut |kind, slot| {
+        l.visit_state(&mut |kind, slot| {
             kinds.push((kind, matches!(slot, StateSlot::Weight { .. })));
         });
         assert_eq!(kinds, [("linear", true), ("linear", false)]);
@@ -449,10 +380,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "quantized")]
-    fn quantized_linear_rejects_training_forward() {
+    fn quantized_linear_rejects_training() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut l = Linear::new(3, 2, &mut rng);
         l.quantize_weights(Dtype::F16);
-        let _ = l.forward(&Tensor::zeros(&[1, 3]), Mode::Train);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let y = l.infer_recording(&Tensor::zeros(&[1, 3]), Mode::Train, &mut tape, &mut ws);
+        let _ = l.grad(&y, &mut tape, &mut ws, Some(&mut Grads::default()));
     }
 }

@@ -1,16 +1,18 @@
 //! Batch normalisation over `[N, C, H, W]` activations.
 
-use crate::layer::{Layer, Mode, Param, ParamSlot};
+use crate::layer::{Grads, Layer, Mode, Param, ParamSlot, StateSlot};
 use usb_tensor::{Tape, Tensor, Workspace};
 
 /// 2-D batch normalisation with learned affine parameters and running
 /// statistics.
 ///
-/// In [`Mode::Train`] the layer normalises with batch statistics and updates
-/// exponential running averages; in [`Mode::Eval`] it applies the frozen
-/// affine transform built from the running statistics. `backward` works in
-/// both modes — defenses differentiate through eval-mode models, where the
-/// layer is an elementwise affine map.
+/// In [`Mode::Train`] the layer normalises with batch statistics; the
+/// exponential running averages move when the step's
+/// [`Layer::commit_running_stats`] runs. In [`Mode::Eval`] it applies the
+/// frozen affine transform built from the running statistics. Gradients
+/// work in both modes — defenses differentiate through eval-mode models,
+/// where the layer is an elementwise affine map.
+#[derive(Clone)]
 pub struct BatchNorm2d {
     gamma: Param,
     beta: Param,
@@ -18,32 +20,6 @@ pub struct BatchNorm2d {
     running_var: Tensor,
     momentum: f32,
     eps: f32,
-    // Cache for backward.
-    cached: Option<BnCache>,
-}
-
-#[derive(Clone)]
-struct BnCache {
-    mode: Mode,
-    xhat: Tensor,
-    inv_std: Vec<f32>, // per channel
-    shape: Vec<usize>,
-}
-
-impl Clone for BatchNorm2d {
-    /// Clones parameters and running statistics; the transient backward
-    /// cache starts empty (see [`Layer::clone_box`]).
-    fn clone(&self) -> Self {
-        BatchNorm2d {
-            gamma: self.gamma.clone(),
-            beta: self.beta.clone(),
-            running_mean: self.running_mean.clone(),
-            running_var: self.running_var.clone(),
-            momentum: self.momentum,
-            eps: self.eps,
-            cached: None,
-        }
-    }
 }
 
 impl BatchNorm2d {
@@ -62,7 +38,6 @@ impl BatchNorm2d {
             running_var: Tensor::ones(&[ch]),
             momentum: 0.1,
             eps: 1e-5,
-            cached: None,
         }
     }
 
@@ -76,208 +51,68 @@ impl BatchNorm2d {
         &self.running_var
     }
 
-    fn channel_count(&self) -> usize {
-        self.gamma.value.len()
-    }
-}
-
-impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    fn check_input(&self, x: &Tensor) -> (usize, usize, usize) {
         assert_eq!(x.ndim(), 4, "BatchNorm2d: input must be [N,C,H,W]");
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        assert_eq!(c, self.channel_count(), "BatchNorm2d: channel mismatch");
-        let plane = h * w;
+        let (n, c) = (x.shape()[0], x.shape()[1]);
+        assert_eq!(c, self.gamma.value.len(), "BatchNorm2d: channel mismatch");
+        (n, c, x.shape()[2] * x.shape()[3])
+    }
+
+    /// The train-mode forward pass. The frame holds `x̂` in `vals` and, in
+    /// `extra`, per channel `1/σ`, then the updated running mean, then the
+    /// updated running variance — `(1 − m)·running + m·batch`, evaluated
+    /// now because `&self` cannot store it.
+    fn record_train(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+        let (n, c, plane) = self.check_input(x);
         let m = (n * plane) as f32;
-        let mut out = Tensor::zeros(x.shape());
-        let mut xhat = Tensor::zeros(x.shape());
-        let mut inv_std = vec![0.0f32; c];
-        #[allow(clippy::needless_range_loop)] // ch addresses strided planes, not one slice
+        let xd = x.data();
+        let frame = tape.push();
+        frame.aux.extend_from_slice(x.shape());
+        frame.vals.resize(x.len(), 0.0);
+        frame.extra.resize(3 * c, 0.0);
+        let mut out = ws.take_dirty(x.len());
         for ch in 0..c {
-            let (mean, var) = match mode {
-                Mode::Train => {
-                    let mut s = 0.0f32;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        s += x.data()[base..base + plane].iter().sum::<f32>();
-                    }
-                    let mean = s / m;
-                    let mut v = 0.0f32;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for &xv in &x.data()[base..base + plane] {
-                            let d = xv - mean;
-                            v += d * d;
-                        }
-                    }
-                    let var = v / m;
-                    // Update running statistics.
-                    let rm = &mut self.running_mean.data_mut()[ch];
-                    *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
-                    let rv = &mut self.running_var.data_mut()[ch];
-                    *rv = (1.0 - self.momentum) * *rv + self.momentum * var;
-                    (mean, var)
+            let mut s = 0.0f32;
+            for i in 0..n {
+                let base = (i * c + ch) * plane;
+                s += xd[base..base + plane].iter().sum::<f32>();
+            }
+            let mean = s / m;
+            let mut v = 0.0f32;
+            for i in 0..n {
+                let base = (i * c + ch) * plane;
+                for &xv in &xd[base..base + plane] {
+                    let d = xv - mean;
+                    v += d * d;
                 }
-                Mode::Eval => (self.running_mean.data()[ch], self.running_var.data()[ch]),
-            };
+            }
+            let var = v / m;
             let istd = 1.0 / (var + self.eps).sqrt();
-            inv_std[ch] = istd;
+            let mom = self.momentum;
+            frame.extra[ch] = istd;
+            frame.extra[c + ch] = (1.0 - mom) * self.running_mean.data()[ch] + mom * mean;
+            frame.extra[2 * c + ch] = (1.0 - mom) * self.running_var.data()[ch] + mom * var;
             let g = self.gamma.value.data()[ch];
             let b = self.beta.value.data()[ch];
             for i in 0..n {
                 let base = (i * c + ch) * plane;
                 for j in 0..plane {
-                    let xh = (x.data()[base + j] - mean) * istd;
-                    xhat.data_mut()[base + j] = xh;
-                    out.data_mut()[base + j] = g * xh + b;
+                    let xh = (xd[base + j] - mean) * istd;
+                    frame.vals[base + j] = xh;
+                    out[base + j] = g * xh + b;
                 }
             }
         }
-        self.cached = Some(BnCache {
-            mode,
-            xhat,
-            inv_std,
-            shape: x.shape().to_vec(),
-        });
-        out
+        Tensor::from_vec(out, x.shape())
     }
+}
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cached
-            .as_ref()
-            .expect("BatchNorm2d::backward before forward");
-        assert_eq!(
-            grad_out.shape(),
-            &cache.shape[..],
-            "BatchNorm2d: grad shape mismatch"
-        );
-        let (n, c, h, w) = (
-            cache.shape[0],
-            cache.shape[1],
-            cache.shape[2],
-            cache.shape[3],
-        );
-        let plane = h * w;
-        let m = (n * plane) as f32;
-        let mut gi = Tensor::zeros(grad_out.shape());
-        for ch in 0..c {
-            let g = self.gamma.value.data()[ch];
-            let istd = cache.inv_std[ch];
-            // Accumulate dgamma / dbeta in both modes.
-            let mut dgamma = 0.0f32;
-            let mut dbeta = 0.0f32;
-            for i in 0..n {
-                let base = (i * c + ch) * plane;
-                for j in 0..plane {
-                    let go = grad_out.data()[base + j];
-                    dgamma += go * cache.xhat.data()[base + j];
-                    dbeta += go;
-                }
-            }
-            self.gamma.grad.data_mut()[ch] += dgamma;
-            self.beta.grad.data_mut()[ch] += dbeta;
-            match cache.mode {
-                Mode::Eval => {
-                    // Frozen affine transform: dx = g · istd · dy.
-                    let k = g * istd;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for j in 0..plane {
-                            gi.data_mut()[base + j] = k * grad_out.data()[base + j];
-                        }
-                    }
-                }
-                Mode::Train => {
-                    // dx = (g·istd/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
-                    let sum_dy = dbeta;
-                    let sum_dy_xhat = dgamma;
-                    let k = g * istd / m;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for j in 0..plane {
-                            let dy = grad_out.data()[base + j];
-                            let xh = cache.xhat.data()[base + j];
-                            gi.data_mut()[base + j] = k * (m * dy - sum_dy - xh * sum_dy_xhat);
-                        }
-                    }
-                }
-            }
-        }
-        gi
-    }
-
-    fn input_backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cached
-            .as_ref()
-            .expect("BatchNorm2d::backward before forward");
-        assert_eq!(
-            grad_out.shape(),
-            &cache.shape[..],
-            "BatchNorm2d: grad shape mismatch"
-        );
-        let (n, c, plane) = (
-            cache.shape[0],
-            cache.shape[1],
-            cache.shape[2] * cache.shape[3],
-        );
-        let m = (n * plane) as f32;
-        let mut gi = Tensor::zeros(grad_out.shape());
-        for ch in 0..c {
-            let g = self.gamma.value.data()[ch];
-            let istd = cache.inv_std[ch];
-            match cache.mode {
-                Mode::Eval => {
-                    // dx = g·istd·dy needs no batch sums at all: skip the
-                    // dgamma/dbeta accumulation entirely.
-                    let k = g * istd;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for j in 0..plane {
-                            gi.data_mut()[base + j] = k * grad_out.data()[base + j];
-                        }
-                    }
-                }
-                Mode::Train => {
-                    // Train-mode dx needs Σdy and Σ(dy·x̂): compute them as
-                    // locals — same loop order as `backward`, so the input
-                    // gradient is bit-identical — without accumulating
-                    // into the parameter-gradient slots.
-                    let mut dgamma = 0.0f32;
-                    let mut dbeta = 0.0f32;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for j in 0..plane {
-                            let go = grad_out.data()[base + j];
-                            dgamma += go * cache.xhat.data()[base + j];
-                            dbeta += go;
-                        }
-                    }
-                    let k = g * istd / m;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for j in 0..plane {
-                            let dy = grad_out.data()[base + j];
-                            let xh = cache.xhat.data()[base + j];
-                            gi.data_mut()[base + j] = k * (m * dy - dbeta - xh * dgamma);
-                        }
-                    }
-                }
-            }
-        }
-        gi
-    }
-
+impl Layer for BatchNorm2d {
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        assert_eq!(x.ndim(), 4, "BatchNorm2d: input must be [N,C,H,W]");
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        assert_eq!(c, self.channel_count(), "BatchNorm2d: channel mismatch");
-        let plane = h * w;
+        let (n, c, plane) = self.check_input(x);
         let mut out = ws.take_dirty(x.len());
         let xd = x.data();
         for ch in 0..c {
-            // Same per-element arithmetic as the eval branch of `forward`
-            // (`xh = (x − mean)·istd; y = g·xh + b`), so bit-identical.
             let mean = self.running_mean.data()[ch];
             let var = self.running_var.data()[ch];
             let istd = 1.0 / (var + self.eps).sqrt();
@@ -294,15 +129,31 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(out, x.shape())
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        // Eval-mode batch norm is a frozen affine map: its input gradient
-        // needs only the running statistics (read from `&self`) and the
-        // shape — no activation copy.
-        tape.push().aux.extend_from_slice(x.shape());
-        self.infer(x, ws)
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        match mode {
+            Mode::Train => self.record_train(x, tape, ws),
+            // A frozen affine map: the input gradient needs only the
+            // running statistics (read from `&self`) and the shape.
+            Mode::Eval => {
+                tape.push().aux.extend_from_slice(x.shape());
+                self.infer(x, ws)
+            }
+        }
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        grads: Option<&mut Grads>,
+    ) -> Tensor {
         let frame = tape.pop();
         assert_eq!(
             grad_out.shape(),
@@ -312,18 +163,58 @@ impl Layer for BatchNorm2d {
         let (n, c, plane) = (frame.aux[0], frame.aux[1], frame.aux[2] * frame.aux[3]);
         let mut gi = ws.take_dirty(grad_out.len());
         let god = grad_out.data();
-        for ch in 0..c {
-            // `istd` recomputed from the running statistics with the same
-            // arithmetic the eval forward used, so `k` — and the gradient —
-            // is bit-identical to `input_backward`'s eval branch.
-            let var = self.running_var.data()[ch];
-            let istd = 1.0 / (var + self.eps).sqrt();
-            let k = self.gamma.value.data()[ch] * istd;
-            for i in 0..n {
-                let base = (i * c + ch) * plane;
-                for j in 0..plane {
-                    gi[base + j] = k * god[base + j];
+        if frame.extra.is_empty() {
+            assert!(
+                grads.is_none(),
+                "BatchNorm2d: parameter gradients need a Mode::Train recording"
+            );
+            for ch in 0..c {
+                // `istd` recomputed from the running statistics with the
+                // arithmetic the eval forward used.
+                let var = self.running_var.data()[ch];
+                let istd = 1.0 / (var + self.eps).sqrt();
+                let k = self.gamma.value.data()[ch] * istd;
+                for i in 0..n {
+                    let base = (i * c + ch) * plane;
+                    for j in 0..plane {
+                        gi[base + j] = k * god[base + j];
+                    }
                 }
+            }
+        } else {
+            let m = (n * plane) as f32;
+            let xhat = &frame.vals;
+            // Σdy·x̂ (= dL/dγ) then Σdy (= dL/dβ) per channel.
+            let mut sums = vec![0.0f32; 2 * c];
+            for ch in 0..c {
+                let (mut dgamma, mut dbeta) = (0.0f32, 0.0f32);
+                for i in 0..n {
+                    let base = (i * c + ch) * plane;
+                    for j in 0..plane {
+                        let go = god[base + j];
+                        dgamma += go * xhat[base + j];
+                        dbeta += go;
+                    }
+                }
+                sums[ch] = dgamma;
+                sums[c + ch] = dbeta;
+                // dx = (γ·istd/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
+                let k = self.gamma.value.data()[ch] * frame.extra[ch] / m;
+                for i in 0..n {
+                    let base = (i * c + ch) * plane;
+                    for j in 0..plane {
+                        gi[base + j] = k * (m * god[base + j] - dbeta - xhat[base + j] * dgamma);
+                    }
+                }
+            }
+            if let Some(grads) = grads {
+                let [acc_gamma, acc_beta] = grads.take_last(2) else {
+                    unreachable!("take_last(2) yields two accumulators")
+                };
+                acc_gamma.add_assign(&Tensor::from_vec(sums[..c].to_vec(), &[c]));
+                acc_beta.add_assign(&Tensor::from_vec(sums[c..].to_vec(), &[c]));
+                grads.push_stat(Tensor::from_vec(frame.extra[c..2 * c].to_vec(), &[c]));
+                grads.push_stat(Tensor::from_vec(frame.extra[2 * c..].to_vec(), &[c]));
             }
         }
         let gi = Tensor::from_vec(gi, &frame.aux);
@@ -334,6 +225,19 @@ impl Layer for BatchNorm2d {
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
         f(self.gamma.slot());
         f(self.beta.slot());
+    }
+
+    fn commit_running_stats(&mut self, grads: &mut Grads) {
+        // `grad` pushed mean then variance.
+        let var = grads.pop_stat();
+        let mean = grads.pop_stat();
+        assert_eq!(
+            mean.shape(),
+            self.running_mean.shape(),
+            "BatchNorm2d: running statistics from another layer"
+        );
+        self.running_var = var;
+        self.running_mean = mean;
     }
 
     fn param_count(&self) -> usize {
@@ -348,13 +252,17 @@ impl Layer for BatchNorm2d {
         Box::new(self.clone())
     }
 
-    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, &mut Tensor)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         // Running statistics are state but not parameters: eval-mode
-        // forwards are a function of them, so persistence must carry them.
-        f("batchnorm2d", &mut self.gamma.value);
-        f("batchnorm2d", &mut self.beta.value);
-        f("batchnorm2d", &mut self.running_mean);
-        f("batchnorm2d", &mut self.running_var);
+        // passes are a function of them, so persistence must carry them.
+        for t in [
+            &mut self.gamma.value,
+            &mut self.beta.value,
+            &mut self.running_mean,
+            &mut self.running_var,
+        ] {
+            f("batchnorm2d", StateSlot::Dense(t));
+        }
     }
 }
 
@@ -366,11 +274,22 @@ mod tests {
         Tensor::from_fn(&[2, 3, 2, 2], |i| ((i * 7 % 11) as f32) * 0.3 - 1.0)
     }
 
+    /// One train-mode step: record, backprop `go` into a fresh sink, commit
+    /// the running statistics. Returns the output and `dL/dx`.
+    fn train_step(bn: &mut BatchNorm2d, x: &Tensor, go: &Tensor) -> (Tensor, Tensor) {
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let mut grads = Grads::for_model(bn);
+        let y = bn.infer_recording(x, Mode::Train, &mut tape, &mut ws);
+        let gi = bn.grad(go, &mut tape, &mut ws, Some(&mut grads));
+        bn.commit_running_stats(&mut grads);
+        (y, gi)
+    }
+
     #[test]
     fn train_forward_normalises_batch() {
         let mut bn = BatchNorm2d::new(3);
         let x = sample();
-        let y = bn.forward(&x, Mode::Train);
+        let (y, _) = train_step(&mut bn, &x, &Tensor::ones(x.shape()));
         // Per channel, output should have ~zero mean and ~unit variance.
         for ch in 0..3 {
             let mut vals = Vec::new();
@@ -388,11 +307,18 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_move_toward_batch_stats() {
+    fn running_stats_move_only_on_commit() {
         let mut bn = BatchNorm2d::new(3);
         let x = sample().add_scalar(5.0);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let _ = bn.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+        assert_eq!(
+            bn.running_mean().data(),
+            &[0.0; 3],
+            "recording is read-only"
+        );
         for _ in 0..60 {
-            let _ = bn.forward(&x, Mode::Train);
+            let _ = train_step(&mut bn, &x, &Tensor::ones(x.shape()));
         }
         // After many updates the running mean approaches the batch mean ≈ 5ish.
         assert!(bn.running_mean().mean() > 4.0);
@@ -400,40 +326,32 @@ mod tests {
 
     #[test]
     fn eval_mode_uses_running_stats() {
-        let mut bn = BatchNorm2d::new(1);
+        let bn = BatchNorm2d::new(1);
         let x = Tensor::from_vec(vec![2.0, 2.0, 2.0, 2.0], &[1, 1, 2, 2]);
         // Untouched running stats: mean 0, var 1 -> y = x (gamma=1, beta=0).
-        let y = bn.forward(&x, Mode::Eval);
+        let y = bn.infer(&x, &mut Workspace::new());
         for (a, b) in y.data().iter().zip(x.data()) {
             assert!((a - b).abs() < 1e-3);
         }
     }
 
     #[test]
-    fn train_gradient_matches_finite_differences() {
-        let x = sample();
-        let go = Tensor::from_fn(x.shape(), |i| ((i % 5) as f32) * 0.25 - 0.5);
+    fn train_parameter_gradients_are_the_batch_sums() {
+        // dL/dγ = Σ dy·x̂ and dL/dβ = Σ dy per channel; with dy = 1 the
+        // first is Σ x̂ = 0 and the second the channel's element count.
         let mut bn = BatchNorm2d::new(3);
-        let _ = bn.forward(&x, Mode::Train);
-        let gi = bn.backward(&go);
-        let eps = 1e-2;
-        for &flat in &[0usize, 5, 13, 22] {
-            // Fresh layers so running stats do not drift between evaluations.
-            let mut xp = x.clone();
-            xp.data_mut()[flat] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[flat] -= eps;
-            let mut bnp = BatchNorm2d::new(3);
-            let mut bnm = BatchNorm2d::new(3);
-            let fp = bnp.forward(&xp, Mode::Train).dot(&go);
-            let fm = bnm.forward(&xm, Mode::Train).dot(&go);
-            let num = (fp - fm) / (2.0 * eps);
-            assert!(
-                (num - gi.data()[flat]).abs() < 2e-2,
-                "flat {flat}: num={num} ana={}",
-                gi.data()[flat]
-            );
-        }
+        let x = sample();
+        let mut grads = Grads::for_model(&mut bn);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let _ = bn.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+        let _ = bn.grad(
+            &Tensor::ones(x.shape()),
+            &mut tape,
+            &mut ws,
+            Some(&mut grads),
+        );
+        assert!(grads.params()[0].linf_norm() < 1e-5);
+        assert_eq!(grads.params()[1].data(), &[8.0; 3]);
     }
 
     #[test]
@@ -442,8 +360,9 @@ mod tests {
         // Set distinctive running stats.
         bn.running_var = Tensor::from_vec(vec![4.0, 0.25], &[2]);
         let x = Tensor::zeros(&[1, 2, 2, 2]);
-        let _ = bn.forward(&x, Mode::Eval);
-        let gi = bn.backward(&Tensor::ones(&[1, 2, 2, 2]));
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let _ = bn.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
+        let gi = bn.grad(&Tensor::ones(&[1, 2, 2, 2]), &mut tape, &mut ws, None);
         // dx = gamma / sqrt(var+eps): 1/2 for ch0, 1/0.5=2 for ch1.
         assert!((gi.data()[0] - 0.5).abs() < 1e-3);
         assert!((gi.data()[4] - 2.0).abs() < 1e-2);

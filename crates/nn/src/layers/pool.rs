@@ -1,6 +1,6 @@
 //! Pooling layers wrapping the kernels in [`usb_tensor::pool`].
 
-use crate::layer::{Layer, Mode, ParamSlot};
+use crate::layer::{Grads, Layer, Mode, ParamSlot};
 use usb_tensor::{pool, Tape, Tensor, Workspace};
 
 /// Average pooling over `k x k` windows with the given stride.
@@ -8,7 +8,6 @@ use usb_tensor::{pool, Tape, Tensor, Workspace};
 pub struct AvgPool2d {
     k: usize,
     stride: usize,
-    cached_hw: Option<(usize, usize)>,
 }
 
 impl AvgPool2d {
@@ -19,37 +18,35 @@ impl AvgPool2d {
     /// Panics if `k` or `stride` is zero.
     pub fn new(k: usize, stride: usize) -> Self {
         assert!(k > 0 && stride > 0, "AvgPool2d: zero window or stride");
-        AvgPool2d {
-            k,
-            stride,
-            cached_hw: None,
-        }
+        AvgPool2d { k, stride }
     }
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        self.cached_hw = Some((x.shape()[2], x.shape()[3]));
-        pool::avg_pool2d_forward(x, self.k, self.stride)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (h, w) = self.cached_hw.expect("AvgPool2d::backward before forward");
-        pool::avg_pool2d_backward(grad_out, h, w, self.k, self.stride)
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         pool::avg_pool2d_forward_ws(x, self.k, self.stride, ws)
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        _mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
         let frame = tape.push();
         frame.aux.push(x.shape()[2]);
         frame.aux.push(x.shape()[3]);
         self.infer(x, ws)
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        _grads: Option<&mut Grads>,
+    ) -> Tensor {
         let frame = tape.pop();
         let (h, w) = (frame.aux[0], frame.aux[1]);
         let gi = pool::avg_pool2d_backward_ws(grad_out, h, w, self.k, self.stride, ws);
@@ -73,22 +70,10 @@ impl Layer for AvgPool2d {
 }
 
 /// Max pooling over `k x k` windows with the given stride.
+#[derive(Clone)]
 pub struct MaxPool2d {
     k: usize,
     stride: usize,
-    cached: Option<(Vec<usize>, Vec<usize>)>, // (argmax, input shape)
-}
-
-impl Clone for MaxPool2d {
-    /// Clones the geometry; the transient argmax cache starts empty (see
-    /// [`Layer::clone_box`]).
-    fn clone(&self) -> Self {
-        MaxPool2d {
-            k: self.k,
-            stride: self.stride,
-            cached: None,
-        }
-    }
 }
 
 impl MaxPool2d {
@@ -99,40 +84,27 @@ impl MaxPool2d {
     /// Panics if `k` or `stride` is zero.
     pub fn new(k: usize, stride: usize) -> Self {
         assert!(k > 0 && stride > 0, "MaxPool2d: zero window or stride");
-        MaxPool2d {
-            k,
-            stride,
-            cached: None,
-        }
+        MaxPool2d { k, stride }
     }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let (y, arg) = pool::max_pool2d_forward(x, self.k, self.stride);
-        self.cached = Some((arg, x.shape().to_vec()));
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (arg, shape) = self
-            .cached
-            .as_ref()
-            .expect("MaxPool2d::backward before forward");
-        pool::max_pool2d_backward(grad_out, arg, shape)
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        // Same window scan as `forward`, minus the argmax routing table
-        // only the backward pass needs.
+        // The recording scan minus the argmax routing table only the
+        // backward pass needs.
         pool::max_pool2d_infer(x, self.k, self.stride, ws)
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        _mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
         // The gradient routes through the argmax table, so the recording
-        // scan computes it — the same comparisons as `forward`, so values
-        // *and* routing are bit-identical. The frame stores the argmax
-        // indices followed by the input shape.
+        // scan computes it. The frame stores the argmax indices followed by
+        // the input shape.
         let frame = tape.push();
         let mut arg = std::mem::take(&mut frame.aux); // reuse frame capacity
         let y = pool::max_pool2d_forward_rec(x, self.k, self.stride, ws, &mut arg);
@@ -141,7 +113,13 @@ impl Layer for MaxPool2d {
         y
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        _grads: Option<&mut Grads>,
+    ) -> Tensor {
         let frame = tape.pop();
         let (argmax, shape) = frame.aux.split_at(frame.aux.len() - 4);
         let gi = pool::max_pool2d_backward_ws(grad_out, argmax, shape, ws);
@@ -166,42 +144,40 @@ impl Layer for MaxPool2d {
 
 /// Global average pooling `[N, C, H, W] -> [N, C]`.
 #[derive(Debug, Default, Clone)]
-pub struct GlobalAvgPool {
-    cached_hw: Option<(usize, usize)>,
-}
+pub struct GlobalAvgPool;
 
 impl GlobalAvgPool {
     /// Creates a global-average-pooling layer.
     pub fn new() -> Self {
-        GlobalAvgPool::default()
+        GlobalAvgPool
     }
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        self.cached_hw = Some((x.shape()[2], x.shape()[3]));
-        pool::global_avg_pool_forward(x)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (h, w) = self
-            .cached_hw
-            .expect("GlobalAvgPool::backward before forward");
-        pool::global_avg_pool_backward(grad_out, h, w)
-    }
-
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         pool::global_avg_pool_forward_ws(x, ws)
     }
 
-    fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn infer_recording(
+        &self,
+        x: &Tensor,
+        _mode: Mode,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
         let frame = tape.push();
         frame.aux.push(x.shape()[2]);
         frame.aux.push(x.shape()[3]);
         self.infer(x, ws)
     }
 
-    fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
+    fn grad(
+        &self,
+        grad_out: &Tensor,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+        _grads: Option<&mut Grads>,
+    ) -> Tensor {
         let frame = tape.pop();
         let (h, w) = (frame.aux[0], frame.aux[1]);
         let gi = pool::global_avg_pool_backward_ws(grad_out, h, w, ws);
@@ -228,31 +204,29 @@ impl Layer for GlobalAvgPool {
 mod tests {
     use super::*;
 
+    /// Output and input gradient of `Σ layer(x)` through the tape.
+    fn tape_grad(layer: &dyn Layer, x: &Tensor) -> (Tensor, Tensor) {
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let y = layer.infer_recording(x, Mode::Eval, &mut tape, &mut ws);
+        let gi = layer.grad(&Tensor::ones(y.shape()), &mut tape, &mut ws, None);
+        (y, gi)
+    }
+
     #[test]
     fn pooling_layers_roundtrip_shapes() {
         let x = Tensor::from_fn(&[2, 3, 8, 8], |i| (i as f32).sin());
-        let mut ap = AvgPool2d::new(2, 2);
-        let y = ap.forward(&x, Mode::Eval);
-        assert_eq!(y.shape(), &[2, 3, 4, 4]);
-        assert_eq!(ap.backward(&Tensor::ones(y.shape())).shape(), x.shape());
-
-        let mut mp = MaxPool2d::new(2, 2);
-        let y = mp.forward(&x, Mode::Eval);
-        assert_eq!(y.shape(), &[2, 3, 4, 4]);
-        assert_eq!(mp.backward(&Tensor::ones(y.shape())).shape(), x.shape());
-
-        let mut gp = GlobalAvgPool::new();
-        let y = gp.forward(&x, Mode::Eval);
-        assert_eq!(y.shape(), &[2, 3]);
-        assert_eq!(gp.backward(&Tensor::ones(y.shape())).shape(), x.shape());
+        let (y, gi) = tape_grad(&AvgPool2d::new(2, 2), &x);
+        assert_eq!((y.shape(), gi.shape()), (&[2usize, 3, 4, 4][..], x.shape()));
+        let (y, gi) = tape_grad(&MaxPool2d::new(2, 2), &x);
+        assert_eq!((y.shape(), gi.shape()), (&[2usize, 3, 4, 4][..], x.shape()));
+        let (y, gi) = tape_grad(&GlobalAvgPool::new(), &x);
+        assert_eq!((y.shape(), gi.shape()), (&[2usize, 3][..], x.shape()));
     }
 
     #[test]
     fn max_pool_grad_is_sparse() {
         let x = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32);
-        let mut mp = MaxPool2d::new(2, 2);
-        let y = mp.forward(&x, Mode::Eval);
-        let g = mp.backward(&Tensor::ones(y.shape()));
+        let (_, g) = tape_grad(&MaxPool2d::new(2, 2), &x);
         assert_eq!(g.sum(), 4.0);
         assert_eq!(g.data().iter().filter(|&&v| v != 0.0).count(), 4);
     }

@@ -7,34 +7,46 @@
 //! (Neural Cleanse, TABOR) and targeted universal adversarial perturbations
 //! (the paper's Alg. 1/2).
 //!
-//! Design in one paragraph: a [`layer::Layer`] caches whatever its forward
-//! pass needs, `backward` consumes the gradient of the loss with respect to
-//! its output and returns the gradient with respect to its *input* while
-//! accumulating parameter gradients in place. Models are [`compose::Sequential`]
-//! stacks (plus residual / squeeze-excite composites) wrapped in a
-//! [`models::Network`] that splits feature extractor from classifier head so
-//! the latent-backdoor attack can reach penultimate activations.
+//! Design in one paragraph: a model only holds data — parameters, running
+//! statistics, geometry. Every pass takes `&self`: [`layer::Layer::infer`]
+//! for forward-only work, and [`layer::Layer::infer_recording`] +
+//! [`layer::Layer::grad`] for gradients, with the backward state kept on a
+//! caller-owned [`usb_tensor::Tape`] and parameter gradients (when
+//! training) in a caller-owned [`layer::Grads`] sink. Models are
+//! [`compose::Sequential`] stacks (plus residual / squeeze-excite
+//! composites) wrapped in a [`models::Network`] that splits feature
+//! extractor from classifier head so the latent-backdoor attack can inject
+//! a feature-space gradient between the two.
 //!
-//! Because forward passes mutate those layer caches, a model cannot be
-//! shared across threads — instead every layer is `Clone`
-//! ([`layer::Layer::clone_box`]), so the parallel inspection and
-//! evaluation loops above this crate hand each worker thread its own
-//! `Network` copy ([`train::evaluate`] does this for its eval batches).
+//! Because passes never write the model, one `&Network` is shared by every
+//! thread: the parallel inspection engine and [`train::evaluate`] fan out
+//! over a single model, each worker bringing its own tape and
+//! [`usb_tensor::Workspace`]. Only the optimizer step and the batch-norm
+//! running-statistics commit take `&mut`.
 //!
 //! # Example
 //!
 //! ```rust
+//! use usb_nn::layer::{Grads, Layer, Mode};
 //! use usb_nn::models::{Architecture, ModelKind};
-//! use usb_nn::layer::Mode;
-//! use usb_tensor::Tensor;
+//! use usb_nn::optim::Sgd;
+//! use usb_tensor::{Tape, Tensor, Workspace};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let arch = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4).with_width(4);
 //! let mut net = arch.build(&mut rng);
 //! let x = Tensor::zeros(&[2, 1, 12, 12]);
-//! let logits = net.forward(&x, Mode::Eval);
+//! let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+//! let logits = net.infer(&x, &mut ws);
 //! assert_eq!(logits.shape(), &[2, 4]);
+//!
+//! // One training step: record, backpropagate into the sink, step.
+//! let mut grads = Grads::for_model(&mut net);
+//! let logits = net.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+//! let _ = net.grad(&Tensor::ones(logits.shape()), &mut tape, &mut ws, Some(&mut grads));
+//! net.commit_running_stats(&mut grads);
+//! Sgd::new(0.1, 0.9, 0.0).step(&mut net, &grads);
 //! ```
 
 #![forbid(unsafe_code)]

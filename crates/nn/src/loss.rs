@@ -1,5 +1,5 @@
 //! Loss functions returning both the scalar loss and the gradient with
-//! respect to the logits (ready to feed into `Layer::backward`).
+//! respect to the logits (ready to feed into `Layer::grad`).
 
 use usb_tensor::{kernels, ops, Tensor, Workspace};
 

@@ -8,7 +8,7 @@
 //!   defenses, whose optimisation variables (mask, pattern, UAP) are not
 //!   layer parameters.
 
-use crate::layer::Layer;
+use crate::layer::{Grads, Layer};
 use usb_tensor::kernels;
 use usb_tensor::Tensor;
 
@@ -41,10 +41,10 @@ impl Sgd {
         }
     }
 
-    /// Applies one update step using the gradients currently accumulated in
-    /// `model`, then leaves the gradients untouched (callers usually follow
-    /// with [`Layer::zero_grad`]).
-    pub fn step(&mut self, model: &mut dyn Layer) {
+    /// Applies one update step to `model` from `grads`, a sink filled by
+    /// a training backward pass over the same model.
+    pub fn step(&mut self, model: &mut dyn Layer, grads: &Grads) {
+        let grads = grads.params();
         let mut idx = 0;
         let lr = self.lr;
         let momentum = self.momentum;
@@ -57,7 +57,7 @@ impl Sgd {
             let v = &mut velocity[idx];
             let vd = v.data_mut();
             let pd = slot.value.data_mut();
-            let gd = slot.grad.data();
+            let gd = grads[idx].data();
             let decay = if slot.decay { wd } else { 0.0 };
             for i in 0..pd.len() {
                 let g = gd[i] + decay * pd[i];
@@ -113,8 +113,10 @@ impl Adam {
         self
     }
 
-    /// Applies one Adam step to every parameter of `model`.
-    pub fn step(&mut self, model: &mut dyn Layer) {
+    /// Applies one Adam step to every parameter of `model` from `grads`, a
+    /// sink filled by a training backward pass over the same model.
+    pub fn step(&mut self, model: &mut dyn Layer, grads: &Grads) {
+        let grads = grads.params();
         self.inner.t += 1;
         let mut idx = 0;
         let inner = &mut self.inner;
@@ -127,7 +129,7 @@ impl Adam {
                 });
             }
             let decay = if slot.decay { wd } else { 0.0 };
-            inner.apply(idx, slot.value, slot.grad, decay);
+            inner.apply(idx, slot.value, &grads[idx], decay);
             idx += 1;
         });
     }
@@ -240,8 +242,9 @@ impl TensorAdam {
 mod tests {
     use super::*;
     use crate::layer::{Mode, Param, ParamSlot};
+    use usb_tensor::{Tape, Workspace};
 
-    /// y = w·x ; loss = (w·x − 1)²; single scalar parameter.
+    /// y = w·x ; single scalar parameter.
     #[derive(Clone)]
     struct Scalar {
         w: Param,
@@ -249,21 +252,15 @@ mod tests {
     }
 
     impl Layer for Scalar {
-        fn forward(&mut self, _x: &Tensor, _mode: Mode) -> Tensor {
-            Tensor::from_vec(vec![self.w.value.data()[0] * self.x], &[1])
-        }
-        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-            self.w.grad.data_mut()[0] += grad_out.data()[0] * self.x;
-            grad_out.clone()
-        }
-        fn infer(&self, _x: &Tensor, _ws: &mut usb_tensor::Workspace) -> Tensor {
+        fn infer(&self, _x: &Tensor, _ws: &mut Workspace) -> Tensor {
             Tensor::from_vec(vec![self.w.value.data()[0] * self.x], &[1])
         }
         fn infer_recording(
             &self,
             x: &Tensor,
-            tape: &mut usb_tensor::Tape,
-            ws: &mut usb_tensor::Workspace,
+            _mode: Mode,
+            tape: &mut Tape,
+            ws: &mut Workspace,
         ) -> Tensor {
             let _ = tape.push();
             self.infer(x, ws)
@@ -271,11 +268,15 @@ mod tests {
         fn grad(
             &self,
             grad_out: &Tensor,
-            tape: &mut usb_tensor::Tape,
-            _ws: &mut usb_tensor::Workspace,
+            tape: &mut Tape,
+            _ws: &mut Workspace,
+            grads: Option<&mut Grads>,
         ) -> Tensor {
             let frame = tape.pop();
             tape.recycle(frame);
+            if let Some(grads) = grads {
+                grads.take_last(1)[0].data_mut()[0] += grad_out.data()[0] * self.x;
+            }
             grad_out.clone()
         }
         fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
@@ -293,49 +294,52 @@ mod tests {
         }
     }
 
-    fn optimize(opt: &mut dyn FnMut(&mut Scalar), steps: usize) -> f32 {
-        let mut model = Scalar {
-            w: Param::new(Tensor::from_vec(vec![0.0], &[1]), true),
-            x: 2.0,
-        };
+    /// Runs `steps` optimizer steps on `model` for the loss `(w·x − 1)²`.
+    fn optimize(model: &mut Scalar, opt: &mut dyn FnMut(&mut Scalar, &Grads), steps: usize) -> f32 {
+        let mut grads = Grads::for_model(model);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         for _ in 0..steps {
-            let y = model.forward(&Tensor::zeros(&[1]), Mode::Train).data()[0];
-            let dl = 2.0 * (y - 1.0);
-            model.zero_grad();
-            let _ = model.backward(&Tensor::from_vec(vec![dl], &[1]));
-            opt(&mut model);
+            grads.zero();
+            let y = model.infer_recording(&Tensor::zeros(&[1]), Mode::Train, &mut tape, &mut ws);
+            let dl = 2.0 * (y.data()[0] - 1.0);
+            let _ = model.grad(
+                &Tensor::from_vec(vec![dl], &[1]),
+                &mut tape,
+                &mut ws,
+                Some(&mut grads),
+            );
+            opt(model, &grads);
         }
         model.w.value.data()[0]
+    }
+
+    fn scalar(w: f32, x: f32) -> Scalar {
+        Scalar {
+            w: Param::new(Tensor::from_vec(vec![w], &[1]), true),
+            x,
+        }
     }
 
     #[test]
     fn sgd_converges_on_quadratic() {
         let mut sgd = Sgd::new(0.05, 0.9, 0.0);
-        let w = optimize(&mut |m| sgd.step(m), 200);
+        let w = optimize(&mut scalar(0.0, 2.0), &mut |m, g| sgd.step(m, g), 200);
         assert!((w - 0.5).abs() < 1e-2, "w={w}, expected 0.5");
     }
 
     #[test]
     fn adam_converges_on_quadratic() {
         let mut adam = Adam::new(0.05);
-        let w = optimize(&mut |m| adam.step(m), 300);
+        let w = optimize(&mut scalar(0.0, 2.0), &mut |m, g| adam.step(m, g), 300);
         assert!((w - 0.5).abs() < 1e-2, "w={w}, expected 0.5");
     }
 
     #[test]
     fn weight_decay_shrinks_parameters() {
+        // x = 0: no data gradient, only decay.
         let mut sgd = Sgd::new(0.1, 0.0, 0.5);
-        let mut model = Scalar {
-            w: Param::new(Tensor::from_vec(vec![4.0], &[1]), true),
-            x: 0.0, // no data gradient, only decay
-        };
-        for _ in 0..10 {
-            model.zero_grad();
-            let _ = model.forward(&Tensor::zeros(&[1]), Mode::Train);
-            let _ = model.backward(&Tensor::from_vec(vec![0.0], &[1]));
-            sgd.step(&mut model);
-        }
-        assert!(model.w.value.data()[0] < 4.0);
+        let w = optimize(&mut scalar(4.0, 0.0), &mut |m, g| sgd.step(m, g), 10);
+        assert!(w < 4.0);
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! state tensors visited by [`Layer::visit_state`] (parameters and
 //! buffers — the weights). The format therefore stores the architecture
 //! header followed by one record per state tensor, each tagged with the
-//! kind name of the layer that owns it. Loading rebuilds the topology via
-//! [`Architecture::build`] (the same registry of layer constructors the
-//! `clone_box` machinery relies on), then overwrites every state tensor in
-//! visitation order, verifying kind and shape as it goes.
+//! kind name of the layer that owns it. Loading checks the header against
+//! explicit limits ([`MAX_INPUT_CHANNELS`] and friends), rebuilds the
+//! topology via [`Architecture::build`], then overwrites every state
+//! tensor in visitation order, verifying kind and shape as it goes.
 //!
 //! Because the payload is the bit-exact `f32` image of every parameter and
 //! buffer, a loaded f32 network's forward passes — and therefore any
 //! defense verdict computed on it — are **bit-identical** to the
 //! original's (`tests/persistence_roundtrip.rs` enforces this). Optimizer
-//! state and forward caches are transient and not persisted.
+//! state, gradients and tapes live outside the model and are not
+//! persisted.
 //!
 //! Version 2 adds low-precision weight storage: a `u8` weight dtype in the
 //! header (a cheap sniff — the per-record dtype tags are authoritative and
@@ -86,6 +87,40 @@ fn model_kind_from_tag(tag: u8) -> Result<ModelKind, IoError> {
     })
 }
 
+/// Largest input channel count a model header may declare.
+pub const MAX_INPUT_CHANNELS: usize = 4;
+/// Largest input height or width a model header may declare.
+pub const MAX_INPUT_SIDE: usize = 128;
+/// Largest class count a model header may declare.
+pub const MAX_CLASSES: usize = 256;
+/// Largest width multiplier (base channel count) a model or IAD-generator
+/// header may declare.
+pub const MAX_WIDTH: usize = 32;
+
+/// Reads one `u32` size field of a model header and checks it against
+/// `1..=max` **before** the caller builds anything from it.
+///
+/// Every reader of a model header (this module's network blobs, the IAD
+/// generator in `usb-attacks` bundles) goes through here, so the limits
+/// above bound what a CRC-valid but hostile bundle can make a loader
+/// allocate. They cover every architecture this repository builds —
+/// inputs up to 3×64×64, widths up to 16, up to 43 classes — with
+/// headroom; the largest model they admit (a BasicCnn on 4×128×128 at
+/// width 32) has about 28M parameters.
+///
+/// # Errors
+///
+/// [`IoError::Format`] naming the field when it is zero or above `max`.
+pub fn read_header_field(r: &mut impl Read, field: &str, max: usize) -> Result<usize, IoError> {
+    let value = read_u32(r)? as usize;
+    if !(1..=max).contains(&value) {
+        return Err(IoError::format(format!(
+            "model header declares {field} {value}, outside 1..={max}"
+        )));
+    }
+    Ok(value)
+}
+
 /// Writes the architecture header fields (everything after magic+version).
 fn write_architecture(w: &mut impl Write, arch: Architecture) -> Result<(), IoError> {
     w.write_all(&[model_kind_tag(arch.kind)])?;
@@ -101,16 +136,11 @@ fn read_architecture(r: &mut impl Read) -> Result<Architecture, IoError> {
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
     let kind = model_kind_from_tag(tag[0])?;
-    let c = read_u32(r)? as usize;
-    let h = read_u32(r)? as usize;
-    let w = read_u32(r)? as usize;
-    let classes = read_u32(r)? as usize;
-    let width = read_u32(r)? as usize;
-    if c == 0 || h == 0 || w == 0 || classes == 0 || width == 0 {
-        return Err(IoError::format(
-            "architecture header contains a zero dimension",
-        ));
-    }
+    let c = read_header_field(r, "input channels", MAX_INPUT_CHANNELS)?;
+    let h = read_header_field(r, "input height", MAX_INPUT_SIDE)?;
+    let w = read_header_field(r, "input width", MAX_INPUT_SIDE)?;
+    let classes = read_header_field(r, "class count", MAX_CLASSES)?;
+    let width = read_header_field(r, "width multiplier", MAX_WIDTH)?;
     Ok(Architecture::new(kind, (c, h, w), classes).with_width(width))
 }
 
@@ -118,8 +148,8 @@ fn read_architecture(r: &mut impl Read) -> Result<Architecture, IoError> {
 /// current weight storage (dense networks write f32 records, quantized
 /// networks write their quantized payloads verbatim).
 ///
-/// Takes `&mut` because state visitation shares the mutable
-/// [`Layer::visit_params`] plumbing; the network is not modified.
+/// Takes `&mut` because state visitation hands out mutable slots; the
+/// network is not modified.
 pub fn write_network(w: &mut impl Write, net: &mut Network) -> Result<(), IoError> {
     let dtype = net.weight_dtype().ok_or_else(|| {
         IoError::format("network has mixed weight dtypes and cannot be serialized")
@@ -151,10 +181,10 @@ pub fn write_network_dtype(
     w.write_all(&[dtype.tag()])?;
     // First pass: count entries (the traversal is cheap — no copies).
     let mut count: u32 = 0;
-    net.visit_state_q(&mut |_, _| count += 1);
+    net.visit_state(&mut |_, _| count += 1);
     write_u32(w, count)?;
     let mut result = Ok(());
-    net.visit_state_q(&mut |kind, slot| {
+    net.visit_state(&mut |kind, slot| {
         if result.is_err() {
             return;
         }
@@ -196,7 +226,7 @@ pub fn read_network(r: &mut impl Read) -> Result<Network, IoError> {
     // any seed yields the same topology.
     let mut net = arch.build(&mut StdRng::seed_from_u64(0));
     let mut expected: u32 = 0;
-    net.visit_state_q(&mut |_, _| expected += 1);
+    net.visit_state(&mut |_, _| expected += 1);
     if count != expected as usize {
         return Err(IoError::format(format!(
             "network blob has {count} state tensors but the {:?} topology has {expected}",
@@ -213,7 +243,7 @@ pub fn read_network(r: &mut impl Read) -> Result<Network, IoError> {
     }
     let mut idx = 0usize;
     let mut mismatch: Option<String> = None;
-    net.visit_state_q(&mut |kind, slot| {
+    net.visit_state(&mut |kind, slot| {
         if mismatch.is_some() {
             return;
         }
@@ -253,7 +283,7 @@ pub fn read_network(r: &mut impl Read) -> Result<Network, IoError> {
                     dense.data_mut().copy_from_slice(stored.data());
                 }
             }
-            (TensorRecord::Quant(q), StateSlot::Weight { dense, grad, quant }) => {
+            (TensorRecord::Quant(q), StateSlot::Weight { dense, quant }) => {
                 if q.dtype() != header_dtype {
                     mismatch = Some(format!(
                         "state tensor {idx} ({kind}): {} weight record in a {header_dtype} blob",
@@ -266,11 +296,10 @@ pub fn read_network(r: &mut impl Read) -> Result<Network, IoError> {
                         dense.shape()
                     ));
                 } else {
-                    // Install the payload and free the dense buffers the
+                    // Install the payload and free the dense buffer the
                     // topology build allocated — the whole point of a
                     // low-precision bundle is the resident saving.
                     *dense = Tensor::zeros(&[0]);
-                    *grad = Tensor::zeros(&[0]);
                     *quant = Some(q);
                 }
             }
@@ -323,8 +352,8 @@ pub fn load_network(path: &Path) -> Result<Network, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::Mode;
-    use usb_tensor::Tensor;
+    use crate::layer::{Grads, Mode};
+    use usb_tensor::{Tape, Tensor, Workspace};
 
     fn trained_ish(kind: ModelKind, input: (usize, usize, usize)) -> Network {
         let arch = Architecture::new(kind, input, 4).with_width(4);
@@ -333,8 +362,19 @@ mod tests {
         let x = Tensor::from_fn(&[2, input.0, input.1, input.2], |i| {
             ((i as f32) * 0.1).sin()
         });
+        let mut grads = Grads::for_model(&mut net);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         for _ in 0..3 {
-            let _ = net.forward(&x, Mode::Train);
+            grads.zero();
+            tape.begin();
+            let y = net.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+            let _ = net.grad(
+                &Tensor::ones(y.shape()),
+                &mut tape,
+                &mut ws,
+                Some(&mut grads),
+            );
+            net.commit_running_stats(&mut grads);
         }
         net
     }
@@ -343,13 +383,14 @@ mod tests {
         let mut net = trained_ish(kind, input);
         let mut buf = Vec::new();
         write_network(&mut buf, &mut net).unwrap();
-        let mut back = read_network(&mut buf.as_slice()).unwrap();
+        let back = read_network(&mut buf.as_slice()).unwrap();
         assert_eq!(back.arch(), net.arch());
         let x = Tensor::from_fn(&[2, input.0, input.1, input.2], |i| {
             ((i as f32) * 0.2).cos()
         });
-        let ya = net.forward(&x, Mode::Eval);
-        let yb = back.forward(&x, Mode::Eval);
+        let mut ws = Workspace::new();
+        let ya = net.infer(&x, &mut ws);
+        let yb = back.infer(&x, &mut ws);
         assert_eq!(
             ya.data(),
             yb.data(),
@@ -402,7 +443,7 @@ mod tests {
         assert_eq!(back.weight_dtype(), Some(Dtype::Q8));
         net.quantize_weights(Dtype::Q8);
         let x = Tensor::from_fn(&[2, 1, 12, 12], |i| ((i as f32) * 0.2).cos());
-        let mut ws = usb_tensor::Workspace::new();
+        let mut ws = Workspace::new();
         let ya = net.infer(&x, &mut ws);
         let yb = back.infer(&x, &mut ws);
         assert_eq!(ya.data(), yb.data());
@@ -487,5 +528,62 @@ mod tests {
         assert!(state > params, "state {state} <= params {params}");
         assert_eq!(bn_tensors % 4, 0);
         assert!(bn_tensors > 0);
+    }
+
+    /// Offset of each `u32` architecture field in a network blob, after
+    /// magic (4), version (2) and the kind tag (1).
+    const FIELDS: [(&str, usize); 5] = [
+        ("input channels", 7),
+        ("input height", 11),
+        ("input width", 15),
+        ("class count", 19),
+        ("width multiplier", 23),
+    ];
+
+    #[test]
+    fn oversized_header_fields_are_rejected_before_building() {
+        let mut net = trained_ish(ModelKind::BasicCnn, (1, 12, 12));
+        let mut buf = Vec::new();
+        write_network(&mut buf, &mut net).unwrap();
+        for (field, at) in FIELDS {
+            for value in [u32::MAX, 0] {
+                let mut bad = buf.clone();
+                bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                match read_network(&mut bad.as_slice()) {
+                    Err(IoError::Format(msg)) => {
+                        assert!(msg.contains(field), "{field} = {value}: {msg}")
+                    }
+                    Err(err) => panic!("{field} = {value}: not a format error: {err}"),
+                    Ok(_) => panic!("{field} = {value} decoded successfully"),
+                }
+                assert!(peek_weight_dtype(&mut bad.as_slice()).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn header_limits_admit_the_repository_architectures() {
+        // The largest shapes the repository builds: ImageNet-subset inputs
+        // (3×64×64), GTSRB's 43 classes, width 16.
+        for kind in [
+            ModelKind::BasicCnn,
+            ModelKind::ResNet18,
+            ModelKind::Vgg16,
+            ModelKind::EfficientNetB0,
+        ] {
+            let arch = Architecture::new(kind, (3, 64, 64), 43).with_width(16);
+            let mut header = Vec::new();
+            write_architecture(&mut header, arch).unwrap();
+            assert_eq!(read_architecture(&mut header.as_slice()).unwrap(), arch);
+        }
+        let edge = Architecture::new(
+            ModelKind::ResNet18,
+            (MAX_INPUT_CHANNELS, MAX_INPUT_SIDE, MAX_INPUT_SIDE),
+            MAX_CLASSES,
+        )
+        .with_width(MAX_WIDTH);
+        let mut header = Vec::new();
+        write_architecture(&mut header, edge).unwrap();
+        assert_eq!(read_architecture(&mut header.as_slice()).unwrap(), edge);
     }
 }

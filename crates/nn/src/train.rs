@@ -3,13 +3,13 @@
 //! Dataset handling (synthetic generation, poisoning) lives in higher
 //! crates; this module only needs a `[N, C, H, W]` tensor and class labels.
 
-use crate::layer::Mode;
+use crate::layer::{Grads, Layer, Mode};
 use crate::loss::softmax_cross_entropy;
 use crate::models::Network;
 use crate::optim::Sgd;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use usb_tensor::{ops, par, Tensor, Workspace};
+use usb_tensor::{ops, par, Tape, Tensor, Workspace};
 
 /// Hyperparameters for supervised training.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,7 +86,9 @@ pub struct EpochStats {
 /// Trains `net` in place on `(images, labels)` and returns per-epoch stats.
 ///
 /// Batches are reshuffled each epoch with `rng`, so runs are deterministic
-/// given the seed.
+/// given the seed. Each step is one [`Mode::Train`] recording on a tape,
+/// one backward pass into a [`Grads`] sink, the batch-norm running-stat
+/// commit, and an SGD step.
 ///
 /// # Panics
 ///
@@ -103,6 +105,8 @@ pub fn fit(
     assert_eq!(labels.len(), n, "fit: label count mismatch");
     assert!(n > 0, "fit: empty dataset");
     let mut sgd = Sgd::new(config.lr, config.momentum, config.weight_decay);
+    let mut grads = Grads::for_model(net);
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
     let mut order: Vec<usize> = (0..n).collect();
     let mut history = Vec::with_capacity(config.epochs);
     for epoch in 0..config.epochs {
@@ -121,7 +125,9 @@ pub fn fit(
         let mut hits = 0usize;
         for chunk in order.chunks(config.batch_size) {
             let (bx, by) = gather_batch(images, labels, chunk);
-            let logits = net.forward(&bx, Mode::Train);
+            tape.begin();
+            grads.zero();
+            let logits = net.infer_recording(&bx, Mode::Train, &mut tape, &mut ws);
             let (loss, dlogits) = softmax_cross_entropy(&logits, &by);
             epoch_loss += loss as f64 * chunk.len() as f64;
             hits += ops::argmax_rows(&logits)
@@ -129,9 +135,11 @@ pub fn fit(
                 .zip(&by)
                 .filter(|(p, l)| p == l)
                 .count();
-            net.zero_grad();
-            let _ = net.backward(&dlogits);
-            sgd.step(net);
+            let gi = net.grad(&dlogits, &mut tape, &mut ws, Some(&mut grads));
+            ws.recycle(gi);
+            ws.recycle(logits);
+            net.commit_running_stats(&mut grads);
+            sgd.step(net, &grads);
         }
         history.push(EpochStats {
             loss: epoch_loss / n as f64,

@@ -53,30 +53,11 @@ impl Default for ConvSpec {
     }
 }
 
-/// Unfolds one `[C, H, W]` image into a `[C*KH*KW, OH*OW]` column matrix.
-///
-/// Column `(oy, ox)` holds the receptive field that the kernel sees when it
-/// produces output pixel `(oy, ox)`; out-of-bounds taps read as zero.
-///
-/// # Panics
-///
-/// Panics if `img` is not rank-3 or the kernel does not fit.
-pub fn im2col(img: &Tensor, kh: usize, kw: usize, spec: ConvSpec) -> Tensor {
-    assert_eq!(img.ndim(), 3, "im2col: need [C,H,W], got {:?}", img.shape());
-    let (c, h, w) = (img.shape()[0], img.shape()[1], img.shape()[2]);
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let rows = c * kh * kw;
-    let cols = oh * ow;
-    let mut out = vec![0.0f32; rows * cols];
-    im2col_into(img.data(), c, h, w, kh, kw, spec, &mut out);
-    Tensor::from_vec(out, &[rows, cols])
-}
-
-/// Slice-level [`im2col`] kernel: unfolds one `[C, H, W]` image (given as a
-/// flat slice) into `out` (overwritten, including the zero padding taps, so
-/// dirty [`Workspace`] buffers can be handed in). Single implementation
-/// behind both call paths — results are bit-identical by construction.
+/// Unfolds one `[C, H, W]` image (given as a flat slice) into the
+/// `[C*KH*KW, OH*OW]` column matrix `out`: column `(oy, ox)` holds the
+/// receptive field the kernel sees when it produces output pixel
+/// `(oy, ox)`. `out` is overwritten, including the zero padding taps, so
+/// dirty [`Workspace`] buffers can be handed in.
 ///
 /// # Panics
 ///
@@ -192,37 +173,10 @@ pub fn im2col_strided_into(
     }
 }
 
-/// Adjoint of [`im2col`]: folds a `[C*KH*KW, OH*OW]` column matrix back into
-/// a `[C, H, W]` image, *summing* overlapping contributions.
-///
-/// # Panics
-///
-/// Panics if the column matrix shape is inconsistent with the geometry.
-pub fn col2im(
-    cols_mat: &Tensor,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    spec: ConvSpec,
-) -> Tensor {
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    assert_eq!(
-        cols_mat.shape(),
-        &[c * kh * kw, oh * ow],
-        "col2im: column matrix shape mismatch"
-    );
-    let mut out = vec![0.0f32; c * h * w];
-    col2im_into(cols_mat.data(), c, h, w, kh, kw, spec, &mut out);
-    Tensor::from_vec(out, &[c, h, w])
-}
-
-/// Slice-level [`col2im`] kernel folding a column matrix into `out`
-/// (overwritten before the overlapping contributions are summed, so dirty
-/// [`Workspace`] buffers can be handed in). Single implementation behind
-/// both call paths — results are bit-identical by construction.
+/// Adjoint of [`im2col_into`]: folds a `[C*KH*KW, OH*OW]` column matrix
+/// back into a `[C, H, W]` image `out`, *summing* overlapping
+/// contributions (`out` is overwritten first, so dirty [`Workspace`]
+/// buffers can be handed in).
 ///
 /// # Panics
 ///
@@ -331,7 +285,7 @@ pub fn col2im_strided_into(
     }
 }
 
-/// The `dL/d input` half of [`conv2d_backward`] alone: for input-space
+/// The `dL/d input` half of [`conv2d_backward_ws`] alone: for input-space
 /// optimisation (DeepFool, trigger refinement) the parameter gradients are
 /// computed and immediately discarded, so this kernel skips them — no
 /// im2col of the cached input, no weight/bias GEMM — and folds
@@ -341,7 +295,7 @@ pub fn col2im_strided_into(
 /// back per image. Every output element still sums over `oc` in ascending
 /// order and the col2im scatter order per image is unchanged, so the
 /// result is **bit-identical** to the first element of the
-/// [`conv2d_backward`] tuple; `h`/`w` are the spatial dims of the forward
+/// [`conv2d_backward_ws`] tuple; `h`/`w` are the spatial dims of the forward
 /// input.
 ///
 /// The returned gradient is built from a workspace buffer ([`col2im_into`]
@@ -424,31 +378,10 @@ pub fn conv2d_input_backward_ref_ws(
     Tensor::from_vec(grad_input, &[n, ic, h, w])
 }
 
-/// The `dL/d input` half of [`depthwise_backward`] alone (see
-/// [`conv2d_input_backward_ws`] for why): the weight/bias accumulation is
-/// skipped, and the returned gradient is exactly the first element of the
-/// [`depthwise_backward`] tuple (which calls this).
-///
-/// Convenience wrapper over [`depthwise_input_backward_ws`] with a
-/// throwaway workspace — the two share one implementation, so results are
-/// bit-identical by construction.
-///
-/// # Panics
-///
-/// Panics on rank or shape mismatches.
-pub fn depthwise_input_backward(
-    weight: &Tensor,
-    grad_out: &Tensor,
-    h: usize,
-    w: usize,
-    spec: ConvSpec,
-) -> Tensor {
-    depthwise_input_backward_ws(weight, grad_out, h, w, spec, &mut Workspace::new())
-}
-
-/// [`depthwise_input_backward`] drawing the gradient buffer from `ws`: one
-/// [`stencil_adjoint_ws`] over the `N·C` planes, plane `i·C + ch` scattered
-/// through kernel `ch`. Single implementation behind both entry points.
+/// The `dL/d input` half of [`depthwise_backward_ws`] alone (see
+/// [`conv2d_input_backward_ws`] for why): one [`stencil_adjoint_ws`] over
+/// the `N·C` planes, plane `i·C + ch` scattered through kernel `ch`, into a
+/// buffer drawn from `ws`.
 ///
 /// # Panics
 ///
@@ -476,29 +409,12 @@ pub fn depthwise_input_backward_ws(
     Tensor::from_vec(grad_input, &[n, c, h, w])
 }
 
-/// Dense convolution forward pass.
+/// Dense convolution forward pass: `input` `[N, IC, H, W]`, `weight`
+/// `[OC, IC, KH, KW]` and optional `bias` `[OC]` give `[N, OC, OH, OW]`.
+/// Every scratch buffer — the im2col columns and the output itself — comes
+/// from `ws` instead of the allocator.
 ///
-/// `input` is `[N, IC, H, W]`, `weight` is `[OC, IC, KH, KW]`, optional
-/// `bias` is `[OC]`; the result is `[N, OC, OH, OW]`.
-///
-/// # Panics
-///
-/// Panics on any rank or channel-count mismatch.
-pub fn conv2d_forward(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-) -> Tensor {
-    conv2d_forward_ws(input, weight, bias, spec, &mut Workspace::new())
-}
-
-/// [`conv2d_forward`] drawing every scratch buffer — the im2col columns and
-/// the output itself — from `ws` instead of the allocator.
-///
-/// This is the single dense-conv forward implementation
-/// ([`conv2d_forward`] wraps it with a throwaway workspace), so the two
-/// entry points are bit-identical by construction. The batch is fused into
+/// The batch is fused into
 /// **one wide GEMM**: all N images are unfolded side by side into a
 /// `[IC·KH·KW, N·OH·OW]` column matrix and multiplied by the weight panel
 /// in a single call — each output element is still the same ascending-`k`
@@ -600,32 +516,13 @@ pub fn conv2d_forward_ref_ws(
     Tensor::from_vec(out, &[n, oc, oh, ow])
 }
 
-/// Gradients of a dense convolution.
+/// Gradients of a dense convolution: given `grad_out = dL/d output` of
+/// shape `[N, OC, OH, OW]`, returns `(grad_input, grad_weight, grad_bias)`
+/// with the shapes of `input`, `weight`, and `[OC]`.
 ///
-/// Given `grad_out = dL/d output` of shape `[N, OC, OH, OW]`, returns
-/// `(grad_input, grad_weight, grad_bias)` with the shapes of `input`,
-/// `weight`, and `[OC]` respectively.
-///
-/// # Panics
-///
-/// Panics on any rank or shape mismatch.
-pub fn conv2d_backward(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_out: &Tensor,
-    spec: ConvSpec,
-) -> (Tensor, Tensor, Tensor) {
-    conv2d_backward_ws(input, weight, grad_out, spec, &mut Workspace::new())
-}
-
-/// [`conv2d_backward`] drawing its im2col / GEMM scratch buffers from `ws`.
-///
-/// Single implementation behind both entry points ([`conv2d_backward`]
-/// wraps it with a throwaway workspace): the per-image accumulation order
-/// is unchanged, so gradients are bit-identical by construction. The
-/// training path holds a layer-owned workspace across steps so the im2col
-/// columns — the dominant transient of the backward pass — are allocated
-/// once per geometry instead of once per call.
+/// The im2col / GEMM scratch buffers come from `ws`, so a training loop
+/// holding one workspace across steps allocates the im2col columns — the
+/// dominant transient of the backward pass — once per geometry.
 ///
 /// # Panics
 ///
@@ -651,7 +548,11 @@ pub fn conv2d_backward_ws(
     let id = input.data();
     let wd = weight.data(); // [OC, IC·KH·KW] row-major, no reshape copy
     let god = grad_out.data();
-    let mut grad_input = Tensor::zeros(&[n, ic, h, w]);
+    // `col2im_into` overwrites each image's slice, so a dirty checkout is
+    // safe; drawing it from `ws` keeps a training loop, which hands the
+    // gradient back after the next layer consumed it, from growing the
+    // pool by one buffer per step.
+    let mut grad_input = Tensor::from_vec(ws.take_dirty(n * ic * h * w), &[n, ic, h, w]);
     let mut grad_w_mat = Tensor::zeros(&[oc, rows]);
     let mut grad_bias = Tensor::zeros(&[oc]);
     let mut cols_buf = ws.take_dirty(rows * cols);
@@ -682,32 +583,15 @@ pub fn conv2d_backward_ws(
     (grad_input, grad_w_mat.reshape(weight.shape()), grad_bias)
 }
 
-/// Depthwise convolution forward pass: each channel is convolved with its own
-/// single-channel kernel.
-///
-/// `input` is `[N, C, H, W]`, `weight` is `[C, 1, KH, KW]`, optional `bias`
-/// is `[C]`; the result is `[N, C, OH, OW]`.
-///
-/// # Panics
-///
-/// Panics on rank, channel or bias-length mismatches.
-pub fn depthwise_forward(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-) -> Tensor {
-    depthwise_forward_ws(input, weight, bias, spec, &mut Workspace::new())
-}
-
-/// [`depthwise_forward`] drawing the output buffer from `ws`: one
+/// Depthwise convolution forward pass: each channel of `input`
+/// `[N, C, H, W]` is convolved with its own `[1, KH, KW]` kernel of
+/// `weight` `[C, 1, KH, KW]`, plus optional `bias` `[C]`. One
 /// [`stencil_gather_ws`] over the `N·C` planes, plane `i·C + ch` using
-/// kernel and bias `ch`.
+/// kernel and bias `ch`, into an output buffer drawn from `ws`.
 ///
-/// Single implementation behind both entry points — bit-identical by
-/// construction. The gather fully overwrites the output, so a dirty
-/// workspace buffer is fine; recycling the returned tensor keeps
-/// steady-state inference allocation-free.
+/// The gather fully overwrites the output, so a dirty workspace buffer is
+/// fine; recycling the returned tensor keeps steady-state inference
+/// allocation-free.
 ///
 /// # Panics
 ///
@@ -745,18 +629,19 @@ pub fn depthwise_forward_ws(
 /// Gradients of a depthwise convolution; returns
 /// `(grad_input, grad_weight, grad_bias)`.
 ///
-/// The input gradient is [`depthwise_input_backward`]; this adds the
+/// The input gradient is [`depthwise_input_backward_ws`]; this adds the
 /// weight/bias accumulation, each weight tap summing its contributions in
 /// ascending `(image, oy, ox)` order and skipping zero gradients.
 ///
 /// # Panics
 ///
 /// Panics on rank or shape mismatches.
-pub fn depthwise_backward(
+pub fn depthwise_backward_ws(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     spec: ConvSpec,
+    ws: &mut Workspace,
 ) -> (Tensor, Tensor, Tensor) {
     let (n, c, h, w) = dims4(input);
     let (_, _, kh, kw) = dims4(weight);
@@ -767,7 +652,7 @@ pub fn depthwise_backward(
         &[n, c, oh, ow],
         "depthwise_backward: grad_out shape mismatch"
     );
-    let grad_input = depthwise_input_backward(weight, grad_out, h, w, spec);
+    let grad_input = depthwise_input_backward_ws(weight, grad_out, h, w, spec, ws);
     let mut grad_weight = vec![0.0f32; c * kh * kw];
     let mut grad_bias = vec![0.0f32; c];
     let id = input.data();
@@ -1138,6 +1023,23 @@ mod tests {
         Tensor::from_fn(shape, |i| (i as f32 * 0.37).sin())
     }
 
+    fn conv2d_forward(x: &Tensor, w: &Tensor, b: Option<&Tensor>, spec: ConvSpec) -> Tensor {
+        conv2d_forward_ws(x, w, b, spec, &mut Workspace::new())
+    }
+
+    fn conv2d_backward(
+        x: &Tensor,
+        w: &Tensor,
+        go: &Tensor,
+        spec: ConvSpec,
+    ) -> (Tensor, Tensor, Tensor) {
+        conv2d_backward_ws(x, w, go, spec, &mut Workspace::new())
+    }
+
+    fn depthwise_forward(x: &Tensor, w: &Tensor, b: Option<&Tensor>, spec: ConvSpec) -> Tensor {
+        depthwise_forward_ws(x, w, b, spec, &mut Workspace::new())
+    }
+
     #[test]
     fn out_size_math() {
         let s = ConvSpec::new(1, 0);
@@ -1185,11 +1087,13 @@ mod tests {
         // true adjoint, which is exactly what backprop needs.
         let spec = ConvSpec::new(2, 1);
         let x = seq_tensor(&[2, 5, 5]);
-        let cols_mat = im2col(&x, 3, 3, spec);
-        let y = Tensor::from_fn(cols_mat.shape(), |i| ((i * 13 % 7) as f32) - 3.0);
-        let lhs = cols_mat.dot(&y);
-        let folded = col2im(&y, 2, 5, 5, 3, 3, spec);
-        let rhs = x.dot(&folded);
+        let mut cols_mat = vec![0.0; 2 * 9 * 9];
+        im2col_into(x.data(), 2, 5, 5, 3, 3, spec, &mut cols_mat);
+        let y = Tensor::from_fn(&[cols_mat.len()], |i| ((i * 13 % 7) as f32) - 3.0);
+        let lhs = Tensor::from_vec(cols_mat, &[y.len()]).dot(&y);
+        let mut folded = vec![0.0; x.len()];
+        col2im_into(y.data(), 2, 5, 5, 3, 3, spec, &mut folded);
+        let rhs = x.dot(&Tensor::from_vec(folded, x.shape()));
         assert!((lhs - rhs).abs() < 1e-3, "lhs={lhs} rhs={rhs}");
     }
 
@@ -1270,7 +1174,7 @@ mod tests {
         let w = seq_tensor(&[2, 1, 3, 3]);
         let out = depthwise_forward(&x, &w, None, spec);
         let go = Tensor::ones(out.shape());
-        let (gi, gw, _gb) = depthwise_backward(&x, &w, &go, spec);
+        let (gi, gw, _gb) = depthwise_backward_ws(&x, &w, &go, spec, &mut Workspace::new());
         let eps = 1e-3;
         for &flat in &[0usize, 5, 17, 31] {
             let mut xp = x.clone();

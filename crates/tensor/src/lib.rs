@@ -31,18 +31,18 @@
 //!   order-preserving [`par::par_map`]; the execution substrate behind the
 //!   per-class, per-model, and per-batch parallel loops higher up the
 //!   stack.
-//! * [`scratch`] — the [`Workspace`] arena of reusable scratch buffers
-//!   behind the allocation-free inference path: the `_ws` kernel variants
-//!   here and `Layer::infer` in `usb-nn` draw their im2col / matmul / pool
-//!   buffers from it instead of the allocator.
+//! * [`scratch`] — the [`Workspace`] arena of reusable scratch buffers:
+//!   the `_ws` conv / pool kernels here and every `Layer` pass in `usb-nn`
+//!   draw their im2col / matmul / pool buffers from it instead of the
+//!   allocator.
 //! * [`quant`] — low-precision weight storage: an f16 codec, a Q8 block
 //!   format, and the [`QTensor`] container the kernels dequantize on the
 //!   fly through the [`Workspace`] panel cache (inspection is read-only,
 //!   so frozen victims can live at 2–4× less memory).
-//! * [`tape`] — the [`Tape`] of per-layer activation frames behind the
-//!   read-only gradient path: `Layer::infer_recording` in `usb-nn` records
-//!   backward state into a caller-owned tape instead of the layers, so one
-//!   immutable model serves every worker thread.
+//! * [`tape`] — the [`Tape`] of per-layer activation frames behind every
+//!   gradient: `Layer::infer_recording` in `usb-nn` records backward state
+//!   into a caller-owned tape instead of the layers, so one immutable model
+//!   serves every worker thread, in inspection and training alike.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
-//! Spatial pooling (average, max, global-average) with backward passes,
-//! plus `_ws` / `_infer` variants that draw their output buffers from a
-//! [`Workspace`] for the allocation-free inference path.
+//! Spatial pooling (average, max, global-average) with backward passes.
+//! Every kernel draws its output buffer from a [`Workspace`], so warm
+//! passes allocate nothing.
 
 use crate::{Tensor, Workspace};
 
@@ -12,19 +12,8 @@ fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
 /// Average pooling over non-overlapping-or-strided `k x k` windows.
 ///
 /// `input` is `[N, C, H, W]`; the result is `[N, C, OH, OW]` with
-/// `OH = (H - k)/stride + 1`.
-///
-/// # Panics
-///
-/// Panics if the window does not fit or `stride == 0`.
-pub fn avg_pool2d_forward(input: &Tensor, k: usize, stride: usize) -> Tensor {
-    avg_pool2d_forward_ws(input, k, stride, &mut Workspace::new())
-}
-
-/// [`avg_pool2d_forward`] drawing the output buffer from `ws` — the single
-/// implementation behind both entry points, so results are bit-identical
-/// by construction. The kernel fully overwrites the output, so dirty
-/// workspace buffers are fine.
+/// `OH = (H - k)/stride + 1`. The kernel fully overwrites the output, so
+/// dirty workspace buffers are fine.
 ///
 /// # Panics
 ///
@@ -62,28 +51,9 @@ pub fn avg_pool2d_forward_ws(
     Tensor::from_vec(out, &[n, c, oh, ow])
 }
 
-/// Backward pass of [`avg_pool2d_forward`]: spreads each output gradient
-/// uniformly over its window.
-///
-/// Convenience wrapper over [`avg_pool2d_backward_ws`] with a throwaway
-/// workspace — one implementation behind both entry points, bit-identical
-/// by construction.
-///
-/// # Panics
-///
-/// Panics if `grad_out`'s shape is inconsistent with the geometry.
-pub fn avg_pool2d_backward(
-    grad_out: &Tensor,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-) -> Tensor {
-    avg_pool2d_backward_ws(grad_out, h, w, k, stride, &mut Workspace::new())
-}
-
-/// [`avg_pool2d_backward`] drawing the gradient buffer from `ws`
-/// (zero-filled checkout — overlapping windows accumulate with `+=`).
+/// Backward pass of [`avg_pool2d_forward_ws`]: spreads each output
+/// gradient uniformly over its window (zero-filled checkout — overlapping
+/// windows accumulate with `+=`).
 ///
 /// # Panics
 ///
@@ -119,25 +89,8 @@ pub fn avg_pool2d_backward_ws(
     Tensor::from_vec(gi, &[n, c, h, w])
 }
 
-/// Max pooling; returns the pooled tensor and the flat argmax index of each
-/// window (needed for the backward pass).
-///
-/// Convenience wrapper over [`max_pool2d_forward_rec`] with a throwaway
-/// workspace — one implementation of the window scan (and its
-/// first-maximum tie-breaking, which gradient bit-exactness depends on)
-/// behind both entry points.
-///
-/// # Panics
-///
-/// Panics if the window does not fit or `stride == 0`.
-pub fn max_pool2d_forward(input: &Tensor, k: usize, stride: usize) -> (Tensor, Vec<usize>) {
-    let mut arg = Vec::new();
-    let y = max_pool2d_forward_rec(input, k, stride, &mut Workspace::new(), &mut arg);
-    (y, arg)
-}
-
 /// Inference-only max pooling: the pooled values of
-/// [`max_pool2d_forward`] — identical window scan, identical results —
+/// [`max_pool2d_forward_rec`] — identical window scan, identical results —
 /// without materialising the argmax routing table (which only the backward
 /// pass needs) and with the output buffer drawn from `ws`.
 ///
@@ -173,21 +126,9 @@ pub fn max_pool2d_infer(input: &Tensor, k: usize, stride: usize, ws: &mut Worksp
     Tensor::from_vec(out, &[n, c, oh, ow])
 }
 
-/// Backward pass of [`max_pool2d_forward`]: routes each output gradient to
-/// the stored argmax position.
-///
-/// Convenience wrapper over [`max_pool2d_backward_ws`] with a throwaway
-/// workspace — one implementation behind both entry points.
-///
-/// # Panics
-///
-/// Panics if `argmax.len()` differs from `grad_out.len()`.
-pub fn max_pool2d_backward(grad_out: &Tensor, argmax: &[usize], input_shape: &[usize]) -> Tensor {
-    max_pool2d_backward_ws(grad_out, argmax, input_shape, &mut Workspace::new())
-}
-
-/// [`max_pool2d_backward`] drawing the gradient buffer from `ws`
-/// (zero-filled checkout — the scatter accumulates with `+=`).
+/// Backward pass of [`max_pool2d_forward_rec`]: routes each output
+/// gradient to the recorded argmax position (zero-filled checkout — the
+/// scatter accumulates with `+=`).
 ///
 /// # Panics
 ///
@@ -210,11 +151,10 @@ pub fn max_pool2d_backward_ws(
     Tensor::from_vec(gi, input_shape)
 }
 
-/// Recording variant of [`max_pool2d_forward`]: the same window scan (same
-/// `>` comparisons, so values **and** argmax choices are bit-identical),
-/// with the pooled values drawn from `ws` and the flat argmax indices
-/// appended to `argmax` (cleared first) instead of freshly allocated —
-/// the shape the gradient-tape route stores its routing table in.
+/// Max pooling that records its routing: the pooled values, drawn from
+/// `ws`, plus the flat argmax index of each window (the first maximum)
+/// written to `argmax` (cleared first) — the table the gradient-tape
+/// route stores and [`max_pool2d_backward_ws`] reads.
 ///
 /// # Panics
 ///
@@ -264,17 +204,6 @@ pub fn max_pool2d_forward_rec(
 /// # Panics
 ///
 /// Panics if `input` is not rank-4.
-pub fn global_avg_pool_forward(input: &Tensor) -> Tensor {
-    global_avg_pool_forward_ws(input, &mut Workspace::new())
-}
-
-/// [`global_avg_pool_forward`] drawing the output buffer from `ws` — the
-/// single implementation behind both entry points, bit-identical by
-/// construction.
-///
-/// # Panics
-///
-/// Panics if `input` is not rank-4.
 pub fn global_avg_pool_forward_ws(input: &Tensor, ws: &mut Workspace) -> Tensor {
     let (n, c, h, w) = dims4(input);
     let inv = 1.0 / (h * w) as f32;
@@ -288,20 +217,8 @@ pub fn global_avg_pool_forward_ws(input: &Tensor, ws: &mut Workspace) -> Tensor 
     Tensor::from_vec(out, &[n, c])
 }
 
-/// Backward pass of [`global_avg_pool_forward`].
-///
-/// Convenience wrapper over [`global_avg_pool_backward_ws`] with a
-/// throwaway workspace — one implementation behind both entry points.
-///
-/// # Panics
-///
-/// Panics if `grad_out` is not `[N, C]`.
-pub fn global_avg_pool_backward(grad_out: &Tensor, h: usize, w: usize) -> Tensor {
-    global_avg_pool_backward_ws(grad_out, h, w, &mut Workspace::new())
-}
-
-/// [`global_avg_pool_backward`] drawing the gradient buffer from `ws` (the
-/// fill fully overwrites every element, so a dirty checkout is safe).
+/// Backward pass of [`global_avg_pool_forward_ws`] (the fill fully
+/// overwrites every element, so a dirty checkout is safe).
 ///
 /// # Panics
 ///
@@ -329,6 +246,16 @@ pub fn global_avg_pool_backward_ws(
 mod tests {
     use super::*;
 
+    fn avg_pool2d_forward(x: &Tensor, k: usize, stride: usize) -> Tensor {
+        avg_pool2d_forward_ws(x, k, stride, &mut Workspace::new())
+    }
+
+    fn max_pool2d_forward(x: &Tensor, k: usize, stride: usize) -> (Tensor, Vec<usize>) {
+        let mut arg = Vec::new();
+        let y = max_pool2d_forward_rec(x, k, stride, &mut Workspace::new(), &mut arg);
+        (y, arg)
+    }
+
     #[test]
     fn avg_pool_values() {
         let x = Tensor::from_vec((1..=16).map(|i| i as f32).collect(), &[1, 1, 4, 4]);
@@ -340,7 +267,7 @@ mod tests {
     #[test]
     fn avg_pool_backward_spreads_uniformly() {
         let go = Tensor::from_vec(vec![4.0], &[1, 1, 1, 1]);
-        let gi = avg_pool2d_backward(&go, 2, 2, 2, 2);
+        let gi = avg_pool2d_backward_ws(&go, 2, 2, 2, 2, &mut Workspace::new());
         assert_eq!(gi.data(), &[1.0; 4]);
     }
 
@@ -348,7 +275,8 @@ mod tests {
     fn avg_pool_gradient_matches_finite_differences() {
         let x = Tensor::from_fn(&[1, 2, 4, 4], |i| (i as f32 * 0.3).cos());
         let y = avg_pool2d_forward(&x, 2, 2);
-        let gi = avg_pool2d_backward(&Tensor::ones(y.shape()), 4, 4, 2, 2);
+        let gi =
+            avg_pool2d_backward_ws(&Tensor::ones(y.shape()), 4, 4, 2, 2, &mut Workspace::new());
         let eps = 1e-3;
         for &flat in &[0usize, 9, 21, 31] {
             let mut xp = x.clone();
@@ -371,7 +299,12 @@ mod tests {
         );
         let (y, arg) = max_pool2d_forward(&x, 2, 2);
         assert_eq!(y.data(), &[3.0, 5.0, 7.0, 3.0]);
-        let gi = max_pool2d_backward(&Tensor::ones(y.shape()), &arg, &[1, 1, 4, 4]);
+        let gi = max_pool2d_backward_ws(
+            &Tensor::ones(y.shape()),
+            &arg,
+            &[1, 1, 4, 4],
+            &mut Workspace::new(),
+        );
         // Exactly one 1.0 routed per window, at the max position.
         assert_eq!(gi.data()[4], 1.0); // 3.0 at flat index 4
         assert_eq!(gi.data()[2], 1.0); // 5.0 at flat index 2
@@ -383,10 +316,10 @@ mod tests {
     #[test]
     fn global_avg_pool_roundtrip() {
         let x = Tensor::from_vec((0..8).map(|i| i as f32).collect(), &[1, 2, 2, 2]);
-        let y = global_avg_pool_forward(&x);
+        let y = global_avg_pool_forward_ws(&x, &mut Workspace::new());
         assert_eq!(y.shape(), &[1, 2]);
         assert_eq!(y.data(), &[1.5, 5.5]);
-        let gi = global_avg_pool_backward(&Tensor::ones(&[1, 2]), 2, 2);
+        let gi = global_avg_pool_backward_ws(&Tensor::ones(&[1, 2]), 2, 2, &mut Workspace::new());
         assert_eq!(gi.shape(), x.shape());
         assert_eq!(gi.data(), &[0.25; 8]);
     }

@@ -1,17 +1,11 @@
 //! The gradient [`Tape`]: caller-owned storage for everything a backward
 //! pass needs, so the model itself can stay immutable.
 //!
-//! The training-style `Layer::forward`/`Layer::backward` route stashes
-//! activations *inside* the layers (`cached_input`, batch-norm caches,
-//! max-pool argmax tables). That makes every gradient computation
-//! `&mut self` — and forced the parallel inspection engine to clone the
-//! whole victim once per worker, because two threads cannot share a model
-//! whose layers mutate on every pass.
-//!
-//! A [`Tape`] externalises that state. During a *recorded inference*
-//! (`Layer::infer_recording`) each layer pushes one [`Frame`] holding
-//! exactly what its gradient needs — an activation copy, an argmax table, a
-//! shape — onto the tape, in traversal order. The matching backward pass
+//! During a *recorded* forward pass (`Layer::infer_recording` in
+//! `usb-nn`) each layer pushes one [`Frame`] holding exactly what its
+//! gradient needs — an activation copy, an argmax table, a shape, and in
+//! training mode the input its weight gradient needs or batch norm's `x̂`
+//! — onto the tape, in traversal order. The matching backward pass
 //! (`Layer::grad`) pops frames in reverse order, strict stack discipline,
 //! so composites (sequential stacks, residual branches, squeeze-excite
 //! blocks) nest without any bookkeeping beyond "pop what you pushed,

@@ -339,7 +339,7 @@ fn stencil_soup(vals: &[f32], len: usize, salt: usize, nan_every: usize) -> Vec<
         .map(|i| {
             let j = i + salt;
             if nan_every > 0 && j % nan_every == nan_every / 2 {
-                if (j / nan_every) % 2 == 0 {
+                if (j / nan_every).is_multiple_of(2) {
                     f32::from_bits(0x7FC0_1234 | ((j as u32 & 0xFF) << 4))
                 } else {
                     f32::from_bits(0x7F80_0101)
@@ -349,7 +349,8 @@ fn stencil_soup(vals: &[f32], len: usize, salt: usize, nan_every: usize) -> Vec<
                     0 => 0.0,
                     4 => -0.0,
                     7 => {
-                        f32::from_bits(0x0000_3C00 + j as u32) * if j % 2 == 0 { 1.0 } else { -1.0 }
+                        f32::from_bits(0x0000_3C00 + j as u32)
+                            * if j.is_multiple_of(2) { 1.0 } else { -1.0 }
                     }
                     _ => vals[j % vals.len()] + 0.01 * (j % 5) as f32,
                 }

@@ -1,18 +1,21 @@
 //! The contract of the read-only gradient engine: `Network::input_grad_in`
-//! (recorded inference + tape backward, `&self`) returns **bit-identical**
-//! logits and `dL/dx` to the legacy `&mut` `Network::input_grad` (layer
-//! caches), for every victim architecture, with any tape/workspace
-//! history, from any number of threads sharing one `&Network`.
+//! and training steps (recorded inference + tape backward, `&self`) return
+//! **bit-identical** results with any tape/workspace/sink history and from
+//! any number of threads sharing one `&Network`, and never write the model.
+//! The reference is always a fresh tape and workspace on the same route;
+//! that the gradients are *right* is `gradcheck.rs`'s job.
 //!
 //! Bit-exactness is what lets the whole detection pipeline — DeepFool,
-//! UAP refinement, NC, TABOR — switch to the shared-model route without
+//! UAP refinement, NC, TABOR — share one model across threads without
 //! retuning a single seed.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use universal_soldier::nn::layer::Layer;
+use universal_soldier::nn::layer::{Grads, Layer, Mode};
 use universal_soldier::nn::models::{Architecture, ModelKind, Network};
+use universal_soldier::nn::serde::write_network;
+use universal_soldier::tensor::io::fnv1a64;
 use universal_soldier::tensor::{Tape, Tensor, Workspace};
 
 /// One small instance of each of the paper's four architectures, hitting
@@ -56,41 +59,55 @@ fn grad_seed_ws(logits: &Tensor, _ws: &mut Workspace) -> Tensor {
     grad_seed(logits)
 }
 
+/// One training step's `dL/dx` and parameter gradients (as bits).
+fn train_step(
+    net: &Network,
+    x: &Tensor,
+    tape: &mut Tape,
+    ws: &mut Workspace,
+    grads: &mut Grads,
+) -> (Tensor, Vec<Vec<u32>>) {
+    grads.zero();
+    tape.begin();
+    let logits = net.infer_recording(x, Mode::Train, tape, ws);
+    let dx = net.grad(&grad_seed(&logits), tape, ws, Some(grads));
+    let bits = grads
+        .params()
+        .iter()
+        .map(|g| g.data().iter().map(|v| v.to_bits()).collect())
+        .collect();
+    (dx, bits)
+}
+
+fn model_hash(net: &mut Network) -> u64 {
+    let mut bytes = Vec::new();
+    write_network(&mut bytes, net).expect("in-memory write");
+    fnv1a64(&bytes)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `input_grad_in` == `input_grad` bit for bit — logits and input
-    /// gradient — on all four victim architectures, for a cold tape and a
-    /// warm (reused) one alike.
+    /// A training step — train-mode recording, backward into a `Grads`
+    /// sink — on a tape, workspace and sink that just served *another*
+    /// model and batch size returns the same parameter gradients and
+    /// `dL/dx`, bit for bit, as on fresh ones.
     #[test]
-    fn input_grad_in_matches_legacy_input_grad_bitwise(
+    fn train_steps_on_reused_tapes_and_sinks_match_fresh_ones_bitwise(
         vals in proptest::collection::vec(0.0f32..1.0, 32),
-        n in 1usize..3,
+        order in proptest::collection::vec(0usize..4, 2..6),
     ) {
-        for (kind, mut net) in zoo() {
-            let x = batch_for(&net, n, &vals);
-            let (logits_ref, grad_ref) = net.input_grad(&x, grad_seed);
-            let mut tape = Tape::new();
-            let mut ws = Workspace::new();
-            let (logits_cold, grad_cold) = net.input_grad_in(&x, grad_seed_ws, &mut tape, &mut ws);
-            prop_assert!(
-                logits_cold.data() == logits_ref.data(),
-                "{:?}: cold tape logits deviate from input_grad", kind
-            );
-            prop_assert!(
-                grad_cold.data() == grad_ref.data(),
-                "{:?}: cold tape dL/dx deviates from input_grad", kind
-            );
-            prop_assert_eq!(grad_cold.shape(), x.shape());
-            // Warm pass: same tape, same workspace — must reproduce exactly.
-            ws.recycle(logits_cold);
-            ws.recycle(grad_cold);
-            let (logits_warm, grad_warm) = net.input_grad_in(&x, grad_seed_ws, &mut tape, &mut ws);
-            prop_assert!(
-                logits_warm.data() == logits_ref.data()
-                    && grad_warm.data() == grad_ref.data(),
-                "{:?}: warm tape deviates from input_grad", kind
-            );
+        let mut zoo = zoo();
+        let mut sinks: Vec<Grads> = zoo.iter_mut().map(|(_, net)| Grads::for_model(net)).collect();
+        let mut tape = Tape::new();
+        let mut ws = Workspace::new();
+        for (step, &zi) in order.iter().enumerate() {
+            let (kind, net) = &zoo[zi];
+            let x = batch_for(net, 2 + step % 2, &vals);
+            let (dx_ref, grads_ref) = train_step(net, &x, &mut Tape::new(), &mut Workspace::new(), &mut Grads::for_model(&mut net.clone()));
+            let (dx, grads) = train_step(net, &x, &mut tape, &mut ws, &mut sinks[zi]);
+            prop_assert!(dx.data() == dx_ref.data(), "{:?} (step {}): dL/dx changed", kind, step);
+            prop_assert!(grads == grads_ref, "{:?} (step {}): parameter gradients changed", kind, step);
         }
     }
 
@@ -170,20 +187,64 @@ fn shared_network_gradients_are_thread_count_invariant() {
     }
 }
 
-/// The tape route never touches parameter gradients (it has no mutable
-/// access to touch them with) — and the legacy contract that `input_grad`
-/// leaves them zeroed still holds afterwards.
+/// Gradient passes only read the model: an input gradient, and even a
+/// full training backward into a sink, leave every weight and running
+/// statistic bit for bit as it was. Batch-norm running statistics move
+/// only when the step commits them.
 #[test]
-fn tape_gradients_leave_parameter_gradients_untouched() {
+fn tape_passes_leave_the_model_bitwise_unchanged() {
     for (kind, mut net) in zoo() {
-        let x = batch_for(&net, 1, &[0.3, 0.6, 0.9]);
+        let x = batch_for(&net, 2, &[0.3, 0.6, 0.9]);
+        let before = model_hash(&mut net);
         let _ = net.input_grad_in(&x, grad_seed_ws, &mut Tape::new(), &mut Workspace::new());
-        let mut max_param_grad = 0.0f32;
-        net.visit_params(&mut |s| max_param_grad = max_param_grad.max(s.grad.linf_norm()));
-        assert_eq!(
-            max_param_grad, 0.0,
-            "{kind:?}: tape route touched parameter gradients"
+        let mut grads = Grads::for_model(&mut net);
+        let _ = train_step(
+            &net,
+            &x,
+            &mut Tape::new(),
+            &mut Workspace::new(),
+            &mut grads,
         );
+        assert_eq!(
+            model_hash(&mut net),
+            before,
+            "{kind:?}: a tape pass wrote the model"
+        );
+        net.commit_running_stats(&mut grads);
+        let has_batch_norm = kind != ModelKind::BasicCnn;
+        assert_eq!(
+            model_hash(&mut net) != before,
+            has_batch_norm,
+            "{kind:?}: the commit must move exactly the running statistics"
+        );
+    }
+}
+
+/// Training steps reuse their scratch: once warm, the workspace pool and
+/// the tape hold the same buffers step after step, so a training loop's
+/// memory does not grow with its length.
+#[test]
+fn train_steps_reach_a_steady_workspace_and_tape() {
+    for (kind, mut net) in zoo() {
+        let x = batch_for(&net, 2, &[0.2, 0.5, 0.8]);
+        let mut grads = Grads::for_model(&mut net);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let mut step = |tape: &mut Tape, ws: &mut Workspace| {
+            let (dx, _) = train_step(&net, &x, tape, ws, &mut grads);
+            ws.recycle(dx);
+            (ws.pooled(), ws.pooled_capacity(), tape.pooled_capacity())
+        };
+        // Two warm-up steps: the first sizes the buffers, the second settles
+        // which buffer serves which size.
+        let _ = step(&mut tape, &mut ws);
+        let warm = step(&mut tape, &mut ws);
+        for i in 0..5 {
+            assert_eq!(
+                step(&mut tape, &mut ws),
+                warm,
+                "{kind:?}: step {i} changed the (buffers, capacity, tape) footprint"
+            );
+        }
     }
 }
 

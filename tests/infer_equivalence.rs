@@ -1,11 +1,14 @@
 //! The contract of the allocation-free inference path: `Network::infer`
 //! (and everything built on it — `predict`, `predict_one`, `evaluate`)
-//! returns **bit-identical** results to an eval-mode `forward`, for every
+//! returns **bit-identical** results to the eval-mode forward pass the
+//! gradient route records (`infer_recording` in `Mode::Eval`), for every
 //! victim architecture, with any workspace history.
 //!
-//! Bit-exactness is what lets the detection pipeline route all its
-//! forward-only passes through `infer` without retuning a single seed:
-//! same bits in, same verdicts out.
+//! Bit-exactness is what lets the detection pipeline mix forward-only
+//! passes and gradient passes over one model: the logits a gradient is
+//! taken at are the logits a prediction sees. The references here are
+//! fresh-workspace runs of the same route; gradients themselves are
+//! checked against central differences in `gradcheck.rs`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -13,7 +16,7 @@ use rand::SeedableRng;
 use universal_soldier::nn::layer::{Layer, Mode};
 use universal_soldier::nn::models::{Architecture, ModelKind, Network};
 use universal_soldier::nn::train::{evaluate, evaluate_with_workers};
-use universal_soldier::tensor::{Tensor, Workspace};
+use universal_soldier::tensor::{Tape, Tensor, Workspace};
 
 /// One small instance of each of the paper's four architectures, hitting
 /// every layer kind: conv, depthwise conv, linear, flatten, batch-norm,
@@ -48,23 +51,24 @@ fn batch_for(net: &Network, n: usize, vals: &[f32]) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `infer` == `forward(Mode::Eval)` bit for bit, on all four victim
-    /// architectures, for cold and warm workspaces alike — and a second
-    /// warm-workspace call reproduces the first exactly (no state bleeds
-    /// from one inference into the next).
+    /// `infer` == the eval-mode recorded forward bit for bit, on all four
+    /// victim architectures, for cold and warm workspaces alike — and a
+    /// second warm-workspace call reproduces the first exactly (no state
+    /// bleeds from one inference into the next).
     #[test]
     fn infer_matches_eval_forward_bitwise(
         vals in proptest::collection::vec(0.0f32..1.0, 32),
         n in 1usize..3,
     ) {
-        for (kind, mut net) in zoo() {
+        for (kind, net) in zoo() {
             let x = batch_for(&net, n, &vals);
-            let reference = net.forward(&x, Mode::Eval);
+            let reference =
+                net.infer_recording(&x, Mode::Eval, &mut Tape::new(), &mut Workspace::new());
             let mut ws = Workspace::new();
             let cold = net.infer(&x, &mut ws);
             prop_assert!(
                 cold.data() == reference.data(),
-                "{:?}: cold infer deviates from forward(Eval)", kind
+                "{:?}: cold infer deviates from the eval-mode recording", kind
             );
             prop_assert_eq!(cold.shape(), reference.shape());
             let warm = net.infer(&x, &mut ws);
@@ -84,9 +88,9 @@ proptest! {
         junk_shapes in proptest::collection::vec(1usize..2000, 0..6),
         junk_fill in -1.0e6f32..1.0e6,
     ) {
-        for (kind, mut net) in zoo() {
+        for (kind, net) in zoo() {
             let x = batch_for(&net, 1, &vals);
-            let reference = net.forward(&x, Mode::Eval);
+            let reference = net.infer(&x, &mut Workspace::new());
             let mut ws = Workspace::new();
             for &len in &junk_shapes {
                 let mut t = ws.take_tensor(&[len]);
@@ -151,11 +155,11 @@ fn predict_one_matches_batched_predict() {
 /// same at any thread count, and equal to a manual sequential count.
 #[test]
 fn shared_model_evaluate_is_thread_count_invariant() {
-    for (kind, mut net) in zoo() {
+    for (kind, net) in zoo() {
         let x = batch_for(&net, 150, &[0.2, 0.7, 0.4, 0.95, 0.05, 0.5]);
         let labels: Vec<usize> = (0..150).map(|i| i % net.num_classes()).collect();
         let manual = {
-            let logits = net.forward(&x, Mode::Eval);
+            let logits = net.infer(&x, &mut Workspace::new());
             let preds = universal_soldier::tensor::ops::argmax_rows(&logits);
             preds.iter().zip(&labels).filter(|(p, l)| p == l).count() as f64 / 150.0
         };
@@ -174,47 +178,14 @@ fn shared_model_evaluate_is_thread_count_invariant() {
     }
 }
 
-/// `input_backward` — the parameter-gradient-free backward the
-/// input-space defenses run on — must return the same `dL/dx` as the full
-/// `backward`, bit for bit, in both modes, while leaving parameter
-/// gradients untouched.
+/// A cloned network computes the same function, bit for bit.
 #[test]
-fn input_backward_matches_backward_bitwise() {
-    for mode in [Mode::Eval, Mode::Train] {
-        for (kind, mut net) in zoo() {
-            let x = batch_for(&net, 2, &[0.15, 0.45, 0.85, 0.35]);
-            let logits = net.forward(&x, mode);
-            let g = Tensor::from_fn(logits.shape(), |i| ((i as f32) * 0.37).sin());
-            let reference = net.backward(&g);
-            net.zero_grad();
-            // Fresh forward so both backwards run off identical caches.
-            let _ = net.forward(&x, mode);
-            let gi = net.input_backward(&g);
-            assert_eq!(
-                gi.data(),
-                reference.data(),
-                "{kind:?} ({mode:?}): input_backward deviates from backward"
-            );
-            let mut max_param_grad = 0.0f32;
-            net.visit_params(&mut |s| max_param_grad = max_param_grad.max(s.grad.linf_norm()));
-            assert_eq!(
-                max_param_grad, 0.0,
-                "{kind:?} ({mode:?}): input_backward touched parameter gradients"
-            );
-        }
-    }
-}
-
-/// Cloning a network drops transient forward caches (cheap per-worker
-/// clones) but must preserve the mathematical function exactly.
-#[test]
-fn clones_drop_caches_but_preserve_the_function() {
-    for (kind, mut net) in zoo() {
+fn clones_preserve_the_function() {
+    for (kind, net) in zoo() {
         let x = batch_for(&net, 2, &[0.25, 0.5, 0.75]);
-        // Populate forward caches, then clone.
-        let reference = net.forward(&x, Mode::Eval);
-        let clone = net.clone();
         let mut ws = Workspace::new();
+        let reference = net.infer(&x, &mut ws);
+        let clone = net.clone();
         assert_eq!(
             clone.infer(&x, &mut ws).data(),
             reference.data(),

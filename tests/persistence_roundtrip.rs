@@ -12,10 +12,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use universal_soldier::nn::layer::Mode;
+use universal_soldier::nn::layer::{Grads, Layer, Mode};
 use universal_soldier::nn::serde::{read_network, write_network};
 use universal_soldier::prelude::*;
 use universal_soldier::tensor::io::{self, IoError};
+use universal_soldier::tensor::{Tape, Workspace};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -72,10 +73,10 @@ proptest! {
     }
 }
 
-fn forward_probe(net: &mut Network) -> Vec<u32> {
+fn forward_probe(net: &Network) -> Vec<u32> {
     let (c, h, w) = net.input_shape();
     let x = Tensor::from_fn(&[2, c, h, w], |i| ((i as f32) * 0.17).sin() * 0.5 + 0.5);
-    net.forward(&x, Mode::Eval)
+    net.infer(&x, &mut Workspace::new())
         .data()
         .iter()
         .map(|v| v.to_bits())
@@ -87,18 +88,29 @@ fn network_roundtrip_forward_pass_is_bitwise_equal() {
     for kind in [ModelKind::BasicCnn, ModelKind::ResNet18] {
         let arch = Architecture::new(kind, (1, 12, 12), 4).with_width(4);
         let mut net = arch.build(&mut StdRng::seed_from_u64(31));
-        // A few train-mode forwards give batch-norm layers non-trivial
+        // A few train-mode steps give batch-norm layers non-trivial
         // running statistics — the state a parameters-only format would lose.
         let x = Tensor::from_fn(&[4, 1, 12, 12], |i| ((i as f32) * 0.09).cos() * 0.5 + 0.5);
+        let mut grads = Grads::for_model(&mut net);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         for _ in 0..3 {
-            let _ = net.forward(&x, Mode::Train);
+            grads.zero();
+            tape.begin();
+            let y = net.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+            let _ = net.grad(
+                &Tensor::ones(y.shape()),
+                &mut tape,
+                &mut ws,
+                Some(&mut grads),
+            );
+            net.commit_running_stats(&mut grads);
         }
         let mut buf = Vec::new();
         write_network(&mut buf, &mut net).unwrap();
-        let mut back = read_network(&mut buf.as_slice()).unwrap();
+        let back = read_network(&mut buf.as_slice()).unwrap();
         assert_eq!(
-            forward_probe(&mut net),
-            forward_probe(&mut back),
+            forward_probe(&net),
+            forward_probe(&back),
             "{kind:?}: loaded forward pass must be bit-identical"
         );
     }
@@ -279,15 +291,11 @@ fn fixture_cache_is_warm_on_second_request() {
     let arch = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4).with_width(4);
     let fixture = FixtureSpec::new("warm-cache", spec, 5, 6).with_config(&[&format!("{arch:?}")]);
     let train = |data: &Dataset| train_clean_victim(data, arch, TrainConfig::fast(), 6);
-    let (_, mut first) =
-        universal_soldier::attacks::fixtures::cached_victim_in(&dir, &fixture, train);
-    let (_, mut second) =
+    let (_, first) = universal_soldier::attacks::fixtures::cached_victim_in(&dir, &fixture, train);
+    let (_, second) =
         universal_soldier::attacks::fixtures::cached_victim_in(&dir, &fixture, |_| {
             panic!("fixture cache was warm — the trainer must not run")
         });
-    assert_eq!(
-        forward_probe(&mut first.model),
-        forward_probe(&mut second.model)
-    );
+    assert_eq!(forward_probe(&first.model), forward_probe(&second.model));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -257,8 +257,9 @@ fn resident_cache_keeps_daemon_memory_bounded() {
 
     let stats = server.stop();
     // The budget was sized for `ENTRIES` f32 entries, but the Q8 twin is
-    // charged its own, smaller model: it fits beside the two f32 entries
-    // the cache last held, so the cache keeps all three.
+    // charged its own, smaller model (2553 bytes against 6005 for f32):
+    // it fits beside the two f32 entries the cache last held, so the
+    // cache keeps all three.
     let q8_footprint = charged_footprint(&q8);
     assert!(
         ENTRIES * entry_footprint + q8_footprint <= config.cache_bytes,
@@ -271,9 +272,11 @@ fn resident_cache_keeps_daemon_memory_bounded() {
 
     // With the daemon gone (no concurrent allocation traffic), measure
     // the low-precision storage win: the Q8 twin must be ≥ 1.8× smaller
-    // than its f32 twin on disk AND in resident memory. (In memory the
-    // win is larger than on disk: a dense f32 weight keeps a same-sized
-    // gradient buffer resident, a quantized weight keeps none.)
+    // than its f32 twin on disk AND in resident memory. Models carry no
+    // gradient buffers, so in memory the win is the weights' alone,
+    // diluted by per-layer bookkeeping both twins share: on this small
+    // fixture 7509 vs 4153 live bytes (1.81×), against 6751 vs 3299 bytes
+    // on disk (2.05×).
     assert!(
         bundle.len() as f64 >= 1.8 * q8.len() as f64,
         "Q8 bundle is only {:.2}x smaller on disk ({} vs {} bytes)",

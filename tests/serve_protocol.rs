@@ -398,3 +398,56 @@ fn implausible_recipe_gets_an_error_frame_and_the_daemon_keeps_serving() {
     assert_eq!(stats.failed, recipes.len() as u64);
     assert_eq!(stats.completed, 1, "the valid request completed");
 }
+
+#[test]
+fn unbounded_model_header_gets_an_error_frame_and_the_daemon_keeps_serving() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let bundle = serve_util::bundle_bytes(serve_util::FIXTURE_DATA_SEED);
+    // The network blob's architecture header: magic, u16 version, u8 kind
+    // tag, then five u32 size fields. No checksum covers it, so each edit
+    // below is a well-formed bundle declaring a model no loader should
+    // try to build.
+    let blob = bundle
+        .windows(4)
+        .position(|w| w == b"USBN")
+        .expect("the bundle embeds a network blob");
+    let fields = [
+        "input channels",
+        "input height",
+        "input width",
+        "class count",
+        "width multiplier",
+    ];
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Some(DEADLINE))
+        .expect("setting a read timeout");
+    for (i, field) in fields.iter().enumerate() {
+        let at = blob + 7 + 4 * i;
+        let mut hostile = bundle.clone();
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let opts = SubmitOptions {
+            tag: i as u64,
+            seed: 17,
+            subset: 32,
+            workers: 1,
+            fast: true,
+        };
+        match client.inspect(&hostile, &opts, |_| {}) {
+            Err(ClientError::Server { tag, message, .. }) => {
+                assert_eq!(tag, i as u64, "the error frame must echo the request tag");
+                assert!(
+                    message.contains("bundle rejected") && message.contains(field),
+                    "{field}: unexpected error message: {message}"
+                );
+            }
+            Err(other) => panic!("{field}: expected a server error frame, got {other}"),
+            Ok(_) => panic!("{field}: an unbounded header cannot produce a verdict"),
+        }
+    }
+    assert_daemon_still_serves(addr, &bundle);
+    let stats = server.stop();
+    assert_eq!(stats.failed, fields.len() as u64);
+    assert_eq!(stats.completed, 1, "the valid request completed");
+}
