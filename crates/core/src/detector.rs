@@ -11,11 +11,11 @@
 //! `StdRng` stream, derived from the caller's rng in class order before
 //! any worker starts, so no class's randomness depends on scheduling.
 
-use crate::refine::{refine_uap, RefineConfig};
+use crate::refine::refine_uap;
 use crate::uap::{targeted_uap, UapConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use usb_defenses::{ClassResult, Defense, DetectionOutcome};
+use usb_defenses::{ClassResult, Defense, DetectionOutcome, RefineConfig};
 use usb_nn::models::Network;
 use usb_tensor::{par, Tensor};
 
@@ -192,7 +192,7 @@ impl UsbDetector {
             on_class(&result);
             result
         });
-        DetectionOutcome::from_class_results(self.static_name(), per_class, self.min_success())
+        DetectionOutcome::from_class_results(self.name(), per_class, self.min_success())
     }
 }
 
@@ -207,10 +207,6 @@ pub struct StageSeconds {
 
 impl Defense for UsbDetector {
     fn name(&self) -> &'static str {
-        "USB"
-    }
-
-    fn static_name(&self) -> &'static str {
         "USB"
     }
 

@@ -13,7 +13,11 @@
 //! 2. **UAP refinement (Alg. 2)** — [`refine_uap`] decomposes `v` into a
 //!    `trigger × mask` pair and optimises
 //!    `L = CE(f(x'), t) − SSIM(x, x') + λ‖mask‖₁` with Adam, focusing the
-//!    perturbation on the pixels that actually carry the shortcut.
+//!    perturbation on the pixels that actually carry the shortcut. This
+//!    crate supplies only the UAP start and the loss weights
+//!    ([`RefineConfig`]); the steps run in
+//!    [`usb_defenses::optimise_trigger`], the loop Neural Cleanse and TABOR
+//!    run from a random start.
 //!
 //! The [`UsbDetector`] packages both phases as a
 //! [`usb_defenses::Defense`], so it plugs into the same MAD outlier test
@@ -63,6 +67,7 @@ pub mod viz;
 
 pub use deepfool::{deepfool, deepfool_in, DeepfoolConfig};
 pub use detector::{StageSeconds, UsbConfig, UsbDetector};
-pub use refine::{refine_uap, RefineConfig, RefinedTrigger};
+pub use refine::{refine_uap, RefinedTrigger};
 pub use transfer::{transfer_uap, TransferOutcome};
 pub use uap::{targeted_uap, UapConfig, UapResult};
+pub use usb_defenses::RefineConfig;

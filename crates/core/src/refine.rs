@@ -15,73 +15,13 @@
 //!
 //! Unlike NC, the optimisation starts from the UAP — which already carries
 //! the model's shortcut features — instead of a random point, so it needs
-//! far fewer iterations (paper §4.4 and Fig. 1).
+//! far fewer iterations (paper §4.4 and Fig. 1). Everything after the
+//! initialisation is Neural Cleanse's loop with USB's loss: this module
+//! supplies the start, `usb_defenses::optimise_trigger` runs the steps.
 
-use usb_defenses::TriggerVar;
-use usb_nn::loss::softmax_cross_entropy_uniform_target_ws;
+use usb_defenses::{masked_pattern, optimise_trigger, Objective, RefineConfig, TriggerVar};
 use usb_nn::models::Network;
-use usb_nn::optim::TensorAdam;
-use usb_tensor::ssim::ssim_with_grad_ws;
-use usb_tensor::{Tape, Tensor, Workspace};
-
-/// Hyperparameters of the Alg. 2 optimisation.
-///
-/// Defaults (via [`RefineConfig::standard`]): `steps: 80`, `lr: 0.1`
-/// (Adam, betas `(0.5, 0.9)` as in the paper), `ssim_weight: 1.0`,
-/// `mask_l1_weight: 0.05` (dimensionless loss weights), `batch_size: 16`
-/// images per step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefineConfig {
-    /// Maximum iterations `m` (the paper uses 500 at full scale; the
-    /// synthetic substrate converges far sooner because the UAP seed is
-    /// already informative).
-    pub steps: usize,
-    /// Adam learning rate (paper: 0.1 with betas (0.5, 0.9)).
-    pub lr: f32,
-    /// Weight of the SSIM similarity reward.
-    pub ssim_weight: f32,
-    /// Weight of the `‖mask‖₁` penalty (set to 0 to reproduce the paper's
-    /// §A.6 unconstrained-mask study, Fig. 5).
-    pub mask_l1_weight: f32,
-    /// Per-step batch size drawn in order from `X`.
-    pub batch_size: usize,
-}
-
-impl RefineConfig {
-    /// Full-strength configuration.
-    pub fn standard() -> Self {
-        RefineConfig {
-            steps: 80,
-            lr: 0.1,
-            ssim_weight: 1.0,
-            mask_l1_weight: 0.05,
-            batch_size: 16,
-        }
-    }
-
-    /// Reduced configuration for unit tests.
-    pub fn fast() -> Self {
-        RefineConfig {
-            steps: 40,
-            ..Self::standard()
-        }
-    }
-
-    /// The paper's §A.6 variant: no mask-size constraint
-    /// (`L = CE − SSIM`), used to visualise what the optimisation learns
-    /// per class (Fig. 5).
-    #[must_use]
-    pub fn without_mask_constraint(mut self) -> Self {
-        self.mask_l1_weight = 0.0;
-        self
-    }
-}
-
-impl Default for RefineConfig {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
+use usb_tensor::{Tensor, Workspace};
 
 /// The refined trigger: `v' = trigger × mask` plus statistics.
 #[derive(Debug, Clone)]
@@ -104,19 +44,7 @@ impl RefinedTrigger {
 
     /// The effective perturbation `v' = trigger × mask` (`[C, H, W]`).
     pub fn effective_perturbation(&self) -> Tensor {
-        let (c, h, w) = (
-            self.pattern.shape()[0],
-            self.pattern.shape()[1],
-            self.pattern.shape()[2],
-        );
-        let mut out = Tensor::zeros(&[c, h, w]);
-        for ch in 0..c {
-            for j in 0..h * w {
-                out.data_mut()[ch * h * w + j] =
-                    self.pattern.data()[ch * h * w + j] * self.mask.data()[j];
-            }
-        }
-        out
+        masked_pattern(&self.pattern, &self.mask, &mut Workspace::new())
     }
 }
 
@@ -142,12 +70,13 @@ pub fn init_from_uap(v: &Tensor) -> (Tensor, Tensor) {
 }
 
 /// Runs Alg. 2: refine the UAP `v` into a `trigger × mask` pair for
-/// `target` using the clean data `images`.
+/// `target` using the clean data `images`: the UAP-derived start (mask from
+/// `|v|`, trigger from `v`) followed by the trigger optimiser shared with
+/// NC and TABOR ([`optimise_trigger`] under [`Objective::Usb`]).
 ///
-/// The model is only **read**: the per-step CE gradient goes through the
-/// tape-backed [`Network::input_grad_in`] route and the final scoring
-/// through the cache-free inference path, so concurrent per-class
-/// refinements can share one `&Network`.
+/// The model is only **read** (tape-backed input gradients, cache-free
+/// final scoring), so concurrent per-class refinements can share one
+/// `&Network`.
 ///
 /// # Panics
 ///
@@ -159,84 +88,14 @@ pub fn refine_uap(
     v: &Tensor,
     config: RefineConfig,
 ) -> RefinedTrigger {
-    let n = images.shape()[0];
-    assert!(n > 0, "refine_uap: no data points");
     let (mask0, pattern0) = init_from_uap(v);
-    let mut var = TriggerVar::from_values(&mask0, &pattern0);
-    let mut adam = TensorAdam::new(config.lr).with_betas(0.5, 0.9);
-    let bs = config.batch_size.min(n);
-    assert_eq!(images.ndim(), 4, "refine_uap: images must be [N,C,H,W]");
-    let row = images.len() / n;
-    let batch_shape = [bs, images.shape()[1], images.shape()[2], images.shape()[3]];
-    let mut cursor = 0usize;
-    let mut final_ssim = 0.0f32;
-    // One tape and workspace reused across all optimisation steps: every
-    // per-step tensor below is either drawn from the workspace pool or
-    // recycled back into it, so the steady-state step allocates nothing
-    // (pinned by the `refine_alloc` test).
-    let mut tape = Tape::new();
-    let mut ws = Workspace::new();
-    for _ in 0..config.steps {
-        // Take a batch of data from X in order (Alg. 2 line 3): rows copied
-        // straight into one pooled buffer — same bytes the old
-        // `index_axis0` + `stack` pair produced per step.
-        let mut bdata = ws.take_dirty(bs * row);
-        for i in 0..bs {
-            let src = (cursor + i) % n;
-            bdata[i * row..(i + 1) * row]
-                .copy_from_slice(&images.data()[src * row..(src + 1) * row]);
-        }
-        cursor = (cursor + bs) % n;
-        let batch = Tensor::from_vec(bdata, &batch_shape);
-        let stamped = var.apply_ws(&batch, &mut ws);
-        // CE term.
-        let (logits, d_ce) = model.input_grad_in(
-            &stamped,
-            |logits, ws| {
-                let (_, dlogits) = softmax_cross_entropy_uniform_target_ws(logits, target, ws);
-                dlogits
-            },
-            &mut tape,
-            &mut ws,
-        );
-        ws.recycle(logits);
-        // −SSIM term (reward similarity): gradient of −w·SSIM(x', x) wrt x'.
-        let (ssim_val, d_ssim) = ssim_with_grad_ws(&stamped, &batch, &mut ws);
-        final_ssim = ssim_val;
-        // d_ce + (−w)·d_ssim in place — bit-identical to the old
-        // `d_ce.add(&d_ssim.scale(-w))` (f32 multiplication commutes).
-        let mut d_stamped = d_ce;
-        d_stamped.axpy(-config.ssim_weight, &d_ssim);
-        ws.recycle(d_ssim);
-        ws.recycle(stamped);
-        let (mut d_tm, d_tp) = var.backward_ws(&batch, &d_stamped, &mut ws);
-        ws.recycle(d_stamped);
-        ws.recycle(batch);
-        if config.mask_l1_weight > 0.0 {
-            let l1 = var.mask_l1_grad_ws(config.mask_l1_weight, &mut ws);
-            d_tm.add_assign(&l1);
-            ws.recycle(l1);
-        }
-        {
-            let (tm, tp) = var.params_mut();
-            adam.step(&mut [tm, tp], &[&d_tm, &d_tp]);
-        }
-        ws.recycle(d_tm);
-        ws.recycle(d_tp);
-    }
-    // Final success over all data points: a pure read of the model, so it
-    // goes through the cache-free inference path.
-    let stamped = var.apply(images);
-    let hits = model
-        .predict(&stamped)
-        .iter()
-        .filter(|&&p| p == target)
-        .count();
+    let var = TriggerVar::from_values(&mask0, &pattern0);
+    let fit = optimise_trigger(model, images, target, var, Objective::Usb(config));
     RefinedTrigger {
-        pattern: var.pattern(),
-        mask: var.mask(),
-        success_rate: hits as f64 / n as f64,
-        final_ssim,
+        pattern: fit.var.pattern(),
+        mask: fit.var.mask(),
+        success_rate: fit.success_rate,
+        final_ssim: fit.final_ssim,
     }
 }
 

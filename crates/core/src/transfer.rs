@@ -5,7 +5,8 @@
 //! once." — this module reuses a UAP generated on a *source* model to seed
 //! Alg. 2 on a *different* model, skipping Alg. 1 entirely.
 
-use crate::refine::{refine_uap, RefineConfig, RefinedTrigger};
+use crate::refine::{refine_uap, RefinedTrigger};
+use usb_defenses::RefineConfig;
 use usb_nn::models::Network;
 use usb_tensor::Tensor;
 

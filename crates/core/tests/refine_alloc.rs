@@ -1,9 +1,10 @@
-//! Pins the zero-allocation contract of the Alg. 2 hot loop: once the
-//! workspace pool and the Adam state are warm, a `refine_uap` optimisation
-//! step performs **no heap allocations at all** — every per-step tensor is
-//! drawn from, and recycled back into, the reused `Workspace`.
+//! Pins the zero-allocation contract of the shared trigger optimiser: once
+//! the workspace pool and the Adam state are warm, an optimisation step —
+//! under USB's Alg. 2 objective (`refine_uap`), Neural Cleanse's and
+//! TABOR's — performs **no heap allocations at all**: every per-step
+//! tensor is drawn from, and recycled back into, the reused `Workspace`.
 //!
-//! The proof is a counting global allocator: two refinement runs that
+//! The proof is a counting global allocator: two optimisation runs that
 //! differ only in their step count must allocate exactly the same number
 //! of times, because the extra steps are all steady-state.
 
@@ -13,7 +14,8 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use usb_core::{refine_uap, RefineConfig};
-use usb_nn::models::{Architecture, ModelKind};
+use usb_defenses::{Defense, NcConfig, NeuralCleanse, Tabor, TaborConfig};
+use usb_nn::models::{Architecture, ModelKind, Network};
 use usb_tensor::Tensor;
 
 thread_local! {
@@ -49,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn allocs_for(steps: usize, model: &usb_nn::models::Network, images: &Tensor, v: &Tensor) -> u64 {
+fn allocs_for(steps: usize, model: &Network, images: &Tensor, v: &Tensor) -> u64 {
     let config = RefineConfig {
         steps,
         ..RefineConfig::fast()
@@ -63,9 +65,52 @@ fn allocs_for(steps: usize, model: &usb_nn::models::Network, images: &Tensor, v:
     after - before
 }
 
+/// Allocations of one `defense.reverse_class` run (random start, shared
+/// loop, final scoring), counted like [`allocs_for`].
+fn reverse_allocs(defense: &dyn Defense, model: &Network, images: &Tensor) -> u64 {
+    let mut rng = StdRng::seed_from_u64(5);
+    let before = ALLOCS.with(|c| c.get());
+    let result = defense.reverse_class(model, images, 0, &mut rng);
+    let after = ALLOCS.with(|c| c.get());
+    assert!(result.l1_norm.is_finite());
+    after - before
+}
+
+/// The Neural Cleanse schedule at `steps`, with λ moving every 2 steps so
+/// the adaptive schedule runs inside the measured steps.
+fn nc_config(steps: usize) -> NcConfig {
+    NcConfig {
+        steps,
+        patience: 2,
+        ..NcConfig::fast()
+    }
+}
+
+fn nc_allocs_for(steps: usize, model: &Network, images: &Tensor, _v: &Tensor) -> u64 {
+    reverse_allocs(&NeuralCleanse::new(nc_config(steps)), model, images)
+}
+
+fn tabor_allocs_for(steps: usize, model: &Network, images: &Tensor, _v: &Tensor) -> u64 {
+    let config = TaborConfig {
+        base: nc_config(steps),
+        ..TaborConfig::fast()
+    };
+    reverse_allocs(&Tabor::new(config), model, images)
+}
+
 /// Builds `kind` at `input`, then checks that 6 extra refine steps
 /// allocate nothing.
 fn assert_steady_state_allocation_free(kind: ModelKind, input: (usize, usize, usize)) {
+    assert_objective_allocation_free(kind, input, allocs_for);
+}
+
+/// Builds `kind` at `input`, then checks that 6 extra optimisation steps
+/// of `allocs_for`'s objective allocate nothing.
+fn assert_objective_allocation_free(
+    kind: ModelKind,
+    input: (usize, usize, usize),
+    allocs_for: fn(usize, &Network, &Tensor, &Tensor) -> u64,
+) {
     let mut rng = StdRng::seed_from_u64(11);
     let model = Architecture::new(kind, input, 6)
         .with_width(4)
@@ -87,7 +132,7 @@ fn assert_steady_state_allocation_free(kind: ModelKind, input: (usize, usize, us
     assert_eq!(
         longer,
         base,
-        "{kind:?}: 6 extra refine steps allocated {} times (steady-state \
+        "{kind:?}: 6 extra optimisation steps allocated {} times (steady-state \
          step must draw everything from the workspace)",
         longer.saturating_sub(base)
     );
@@ -104,4 +149,18 @@ fn steady_state_refine_step_allocates_nothing() {
 #[test]
 fn steady_state_efficientnet_refine_step_allocates_nothing() {
     assert_steady_state_allocation_free(ModelKind::EfficientNetB0, (3, 16, 16));
+}
+
+/// Neural Cleanse through the shared loop: the random start, the adaptive
+/// λ schedule and the per-step success count add nothing per step.
+#[test]
+fn steady_state_nc_step_allocates_nothing() {
+    assert_objective_allocation_free(ModelKind::ResNet18, (3, 12, 12), nc_allocs_for);
+}
+
+/// TABOR adds its elastic-net and total-variation gradients on top of
+/// Neural Cleanse's, all from the same workspace.
+#[test]
+fn steady_state_tabor_step_allocates_nothing() {
+    assert_objective_allocation_free(ModelKind::ResNet18, (3, 12, 12), tabor_allocs_for);
 }

@@ -20,6 +20,14 @@
 //!   Detection* table columns.
 //! * [`TriggerVar`] — the tanh-parameterised `(mask, pattern)` optimisation
 //!   variable shared by NC, TABOR, and USB's Alg. 2.
+//! * [`optimise_trigger`] — the **one** trigger-optimisation loop all three
+//!   run: in-order batches, the CE input gradient, Adam with betas
+//!   `(0.5, 0.9)`, and the final success rate over all images. Each method
+//!   supplies only its start and its [`Objective`]: USB (`usb-core`'s
+//!   `refine_uap`) starts from the targeted UAP and adds the SSIM reward
+//!   and a fixed-weight `‖mask‖₁` ([`RefineConfig`]); NC starts from noise
+//!   and adds the adaptively weighted `‖mask‖₁` ([`NcConfig`]); TABOR adds
+//!   its elastic-net and total-variation terms on top ([`TaborConfig`]).
 //!
 //! # Example
 //!
@@ -44,14 +52,16 @@
 #![deny(missing_docs)]
 
 mod nc;
+mod optimise;
 mod tabor;
 mod trigger_var;
 mod ulp;
 mod verdict;
 
 pub use nc::{NcConfig, NeuralCleanse};
+pub use optimise::{optimise_trigger, Objective, RefineConfig, TriggerFit};
 pub use tabor::{Tabor, TaborConfig};
-pub use trigger_var::{total_variation_with_grad, TriggerVar};
+pub use trigger_var::{masked_pattern, total_variation_with_grad, TriggerVar};
 pub use ulp::{Ulp, UlpConfig};
 pub use verdict::{
     score_outcome, ClassResult, Defense, DetectionOutcome, ModelVerdict, TargetClassCall,

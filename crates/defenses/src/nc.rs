@@ -12,13 +12,12 @@
 //! working. A backdoored class admits a much smaller working mask than clean
 //! classes, so its L1 norm is a small-side MAD outlier.
 
+use crate::optimise::{optimise_trigger, Objective};
 use crate::trigger_var::TriggerVar;
 use crate::verdict::{ClassResult, Defense};
 use rand::rngs::StdRng;
-use usb_nn::loss::softmax_cross_entropy_uniform_target_ws;
 use usb_nn::models::Network;
-use usb_nn::optim::TensorAdam;
-use usb_tensor::{ops, Tape, Tensor, Workspace};
+use usb_tensor::Tensor;
 
 /// Hyperparameters for Neural Cleanse.
 ///
@@ -68,6 +67,20 @@ impl NcConfig {
             ..Self::standard()
         }
     }
+
+    /// NC's dynamic λ after `step`: every `patience` steps, tighten
+    /// (×`lambda_factor`) while the trigger sent at least `asr_threshold`
+    /// of the step's batch to the target, relax (÷`lambda_factor`) when it
+    /// did not.
+    pub(crate) fn next_lambda(&self, step: usize, lambda: f32, batch_success: f64) -> f32 {
+        if !(step + 1).is_multiple_of(self.patience) {
+            lambda
+        } else if batch_success >= self.asr_threshold {
+            lambda * self.lambda_factor
+        } else {
+            lambda / self.lambda_factor
+        }
+    }
 }
 
 impl Default for NcConfig {
@@ -97,88 +110,8 @@ impl NeuralCleanse {
     }
 }
 
-/// One mask/pattern optimisation shared by NC and TABOR: per step, apply
-/// the trigger to a batch, backprop `CE + λ‖m‖₁ (+ extra regularisers)`,
-/// Adam-update, adapt λ. The model is only read (gradients through the
-/// tape-backed route), so concurrent per-class optimisations can share
-/// one `&Network`.
-pub(crate) fn optimise_trigger(
-    model: &Network,
-    images: &Tensor,
-    target: usize,
-    config: &NcConfig,
-    mut var: TriggerVar,
-    mut extra_reg: impl FnMut(&TriggerVar) -> (Tensor, Tensor),
-) -> (TriggerVar, f64) {
-    let n = images.shape()[0];
-    assert!(n > 0, "optimise_trigger: no clean data");
-    let bs = config.batch_size.min(n);
-    let mut adam = TensorAdam::new(config.lr).with_betas(0.5, 0.9);
-    let mut lambda = config.init_lambda;
-    let mut cursor = 0usize;
-    let mut recent_success;
-    // One tape and workspace reused across all optimisation steps.
-    let mut tape = Tape::new();
-    let mut ws = Workspace::new();
-    for step in 0..config.steps {
-        // Take a batch of data from X in order (paper Alg. 2 line 3).
-        let idx: Vec<usize> = (0..bs).map(|i| (cursor + i) % n).collect();
-        cursor = (cursor + bs) % n.max(1);
-        let items: Vec<Tensor> = idx.iter().map(|&i| images.index_axis0(i)).collect();
-        let batch = Tensor::stack(&items);
-        let stamped = var.apply(&batch);
-        let (logits, d_stamped) = model.input_grad_in(
-            &stamped,
-            |logits, ws| {
-                let (_, dlogits) = softmax_cross_entropy_uniform_target_ws(logits, target, ws);
-                dlogits
-            },
-            &mut tape,
-            &mut ws,
-        );
-        let hits = ops::argmax_rows(&logits)
-            .iter()
-            .filter(|&&p| p == target)
-            .count();
-        recent_success = hits as f64 / bs as f64;
-        let (mut d_tm, mut d_tp) = var.backward(&batch, &d_stamped);
-        // Workspace-backed tensors go back for the next step's reuse.
-        ws.recycle(logits);
-        ws.recycle(d_stamped);
-        d_tm.add_assign(&var.mask_l1_grad(lambda));
-        let (reg_tm, reg_tp) = extra_reg(&var);
-        d_tm.add_assign(&reg_tm);
-        d_tp.add_assign(&reg_tp);
-        {
-            let (tm, tp) = var.params_mut();
-            adam.step(&mut [tm, tp], &[&d_tm, &d_tp]);
-        }
-        // Dynamic λ: tighten while the trigger works, relax when it breaks.
-        if (step + 1) % config.patience == 0 {
-            if recent_success >= config.asr_threshold {
-                lambda *= config.lambda_factor;
-            } else {
-                lambda /= config.lambda_factor;
-            }
-        }
-    }
-    // Final success rate over all clean data: a pure read of the model, so
-    // it goes through the cache-free inference path.
-    let stamped = var.apply(images);
-    let hits = model
-        .predict(&stamped)
-        .iter()
-        .filter(|&&p| p == target)
-        .count();
-    (var, hits as f64 / n as f64)
-}
-
 impl Defense for NeuralCleanse {
     fn name(&self) -> &'static str {
-        "NC"
-    }
-
-    fn static_name(&self) -> &'static str {
         "NC"
     }
 
@@ -191,16 +124,8 @@ impl Defense for NeuralCleanse {
     ) -> ClassResult {
         let (c, h, w) = model.input_shape();
         let var = TriggerVar::random(c, h, w, rng);
-        let (var, success) = optimise_trigger(model, images, target, &self.config, var, |_| {
-            (Tensor::zeros(&[h, w]), Tensor::zeros(&[c, h, w]))
-        });
-        ClassResult {
-            class: target,
-            l1_norm: var.mask_l1(),
-            attack_success: success,
-            pattern: var.pattern(),
-            mask: var.mask(),
-        }
+        optimise_trigger(model, images, target, var, Objective::Nc(self.config))
+            .class_result(target)
     }
 }
 

@@ -13,12 +13,13 @@
 //! behaviour, slower optimisation) and omits the NLP-specific terms of the
 //! original paper.
 
-use crate::nc::{optimise_trigger, NcConfig};
-use crate::trigger_var::{total_variation_with_grad, TriggerVar};
+use crate::nc::NcConfig;
+use crate::optimise::{optimise_trigger, Objective};
+use crate::trigger_var::{masked_pattern, total_variation_with_grad, TriggerVar};
 use crate::verdict::{ClassResult, Defense};
 use rand::rngs::StdRng;
 use usb_nn::models::Network;
-use usb_tensor::Tensor;
+use usb_tensor::{Tensor, Workspace};
 
 /// TABOR hyperparameters: the shared NC schedule plus regulariser weights.
 ///
@@ -59,6 +60,51 @@ impl TaborConfig {
             ..Self::standard()
         }
     }
+
+    /// Adds the gradients of TABOR's regularisers — the elastic net
+    /// `λ₁(‖m‖₁ + ‖m‖₂²)`, `λ₂·TV(m)` and `λ₃·TV(p⊙m)` — with respect to
+    /// `(θ_mask, θ_pattern)` onto one step's gradients, all scratch drawn
+    /// from `ws`.
+    pub(crate) fn add_regulariser_grads(
+        &self,
+        var: &TriggerVar,
+        d_tm: &mut Tensor,
+        d_tp: &mut Tensor,
+        ws: &mut Workspace,
+    ) {
+        let (mask, pattern) = var.values_in(ws);
+        // Elastic net on the mask: d(‖m‖₁ + ‖m‖₂²)/dm = 1 + 2m.
+        let mut d_mask = Tensor::from_vec(ws.take_dirty(mask.len()), mask.shape());
+        for (d, &m) in d_mask.data_mut().iter_mut().zip(mask.data()) {
+            *d = self.elastic_weight * (1.0 + 2.0 * m);
+        }
+        // Mask smoothness.
+        let (_, tv_m) = total_variation_with_grad(&mask, ws);
+        d_mask.axpy(self.mask_tv_weight, &tv_m);
+        // Masked-pattern smoothness: TV(p⊙m), chained to both factors.
+        let masked = masked_pattern(&pattern, &mask, ws);
+        let (_, tv_pm) = total_variation_with_grad(&masked, ws);
+        let mut d_pattern = Tensor::from_vec(ws.take_dirty(pattern.len()), pattern.shape());
+        let (dm, dp) = (d_mask.data_mut(), d_pattern.data_mut());
+        let m = mask.data();
+        for ((dpc, tvc), pc) in dp
+            .chunks_exact_mut(m.len())
+            .zip(tv_pm.data().chunks_exact(m.len()))
+            .zip(pattern.data().chunks_exact(m.len()))
+        {
+            for j in 0..m.len() {
+                let g = self.pattern_tv_weight * tvc[j];
+                dpc[j] = g * m[j];
+                dm[j] += g * pc[j];
+            }
+        }
+        var.chain(dm, dp);
+        d_tm.add_assign(&d_mask);
+        d_tp.add_assign(&d_pattern);
+        for t in [d_mask, d_pattern, tv_m, masked, tv_pm, mask, pattern] {
+            ws.recycle(t);
+        }
+    }
 }
 
 impl Default for TaborConfig {
@@ -93,10 +139,6 @@ impl Defense for Tabor {
         "TABOR"
     }
 
-    fn static_name(&self) -> &'static str {
-        "TABOR"
-    }
-
     fn reverse_class(
         &self,
         model: &Network,
@@ -106,53 +148,8 @@ impl Defense for Tabor {
     ) -> ClassResult {
         let (c, h, w) = model.input_shape();
         let var = TriggerVar::random(c, h, w, rng);
-        let cfg = self.config;
-        let (var, success) = optimise_trigger(
-            model,
-            images,
-            target,
-            &cfg.base,
-            var,
-            move |v: &TriggerVar| {
-                let mask = v.mask();
-                let pattern = v.pattern();
-                // Elastic net on the mask: d(‖m‖₁ + ‖m‖₂²)/dm = 1 + 2m.
-                let mut d_mask = mask.map(|m| cfg.elastic_weight * (1.0 + 2.0 * m));
-                // Mask smoothness.
-                let (_, tv_m) = total_variation_with_grad(&mask);
-                d_mask.axpy(cfg.mask_tv_weight, &tv_m);
-                // Masked-pattern smoothness: TV(p⊙m); chain to both factors.
-                let masked: Tensor = {
-                    let (ch, hh, ww) = (pattern.shape()[0], pattern.shape()[1], pattern.shape()[2]);
-                    let mut out = Tensor::zeros(&[ch, hh, ww]);
-                    for cc in 0..ch {
-                        for j in 0..hh * ww {
-                            out.data_mut()[cc * hh * ww + j] =
-                                pattern.data()[cc * hh * ww + j] * mask.data()[j];
-                        }
-                    }
-                    out
-                };
-                let (_, tv_pm) = total_variation_with_grad(&masked);
-                let (ch, hh, ww) = (pattern.shape()[0], pattern.shape()[1], pattern.shape()[2]);
-                let mut d_pattern = Tensor::zeros(&[ch, hh, ww]);
-                for cc in 0..ch {
-                    for j in 0..hh * ww {
-                        let g = cfg.pattern_tv_weight * tv_pm.data()[cc * hh * ww + j];
-                        d_pattern.data_mut()[cc * hh * ww + j] = g * mask.data()[j];
-                        d_mask.data_mut()[j] += g * pattern.data()[cc * hh * ww + j];
-                    }
-                }
-                (v.chain_mask(&d_mask), v.chain_pattern(&d_pattern))
-            },
-        );
-        ClassResult {
-            class: target,
-            l1_norm: var.mask_l1(),
-            attack_success: success,
-            pattern: var.pattern(),
-            mask: var.mask(),
-        }
+        optimise_trigger(model, images, target, var, Objective::Tabor(self.config))
+            .class_result(target)
     }
 }
 

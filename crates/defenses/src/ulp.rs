@@ -150,10 +150,6 @@ impl Defense for Ulp {
         "ULP"
     }
 
-    fn static_name(&self) -> &'static str {
-        "ULP"
-    }
-
     /// Litmus responses are probabilities, not reverse-engineered masks:
     /// the convergence filter does not apply.
     fn min_success(&self) -> f64 {
@@ -187,7 +183,7 @@ impl Defense for Ulp {
             .map(|t| class_result_from_probs(&bank.patterns, &probs, t, (h, w)))
             .collect();
         let mut outcome =
-            DetectionOutcome::from_class_results(self.static_name(), per_class, self.min_success());
+            DetectionOutcome::from_class_results(self.name(), per_class, self.min_success());
         let score = sigmoid(bank.weight * pooled_response(&probs) + bank.bias);
         if score < 0.5 {
             outcome.flagged.clear();

@@ -32,7 +32,8 @@ pub struct ClassResult {
 /// Everything a defense reports about one model.
 #[derive(Debug, Clone)]
 pub struct DetectionOutcome {
-    /// Defense name ("nc", "tabor", "usb").
+    /// Defense name as [`Defense::name`] returns it: `"NC"`, `"TABOR"`,
+    /// `"USB"` or `"ULP"`.
     pub method: &'static str,
     /// One entry per class, in class order.
     pub per_class: Vec<ClassResult>,
@@ -198,7 +199,8 @@ pub fn score_outcome(outcome: &DetectionOutcome, truth: &[usize]) -> ModelVerdic
 /// never mutate it, which is what lets parallel engines fan one model out
 /// across worker threads without cloning.
 pub trait Defense {
-    /// Name as used in the paper's tables ("NC", "TABOR", "USB").
+    /// Name as used in the paper's tables: `"NC"`, `"TABOR"`, `"USB"` or
+    /// `"ULP"` (`'static`, so verdicts can outlive the defense object).
     fn name(&self) -> &'static str;
 
     /// Reverse-engineers a trigger that sends `images` to `target`.
@@ -223,11 +225,8 @@ pub trait Defense {
         let per_class: Vec<ClassResult> = (0..k)
             .map(|t| self.reverse_class(model, images, t, rng))
             .collect();
-        DetectionOutcome::from_class_results(self.static_name(), per_class, self.min_success())
+        DetectionOutcome::from_class_results(self.name(), per_class, self.min_success())
     }
-
-    /// `'static` copy of the name (verdicts outlive the defense object).
-    fn static_name(&self) -> &'static str;
 }
 
 #[cfg(test)]

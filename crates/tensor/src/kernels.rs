@@ -310,7 +310,7 @@ pub fn try_div(y: &mut [f32], z: f32) -> bool {
 }
 
 /// One trigger-blend plane: `out[j] = batch[j]*(1 − m[j]) + p[j]*m[j]`
-/// (`TriggerVar::apply_ws`). All four slices must share one length.
+/// (`TriggerVar::apply`). All four slices must share one length.
 #[inline]
 pub fn try_trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]) -> bool {
     assert!(
@@ -328,7 +328,7 @@ pub fn try_trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]) -
     false
 }
 
-/// One trigger-backward plane (`TriggerVar::backward_ws`): where
+/// One trigger-backward plane (`TriggerVar::backward`): where
 /// `g[j] != 0.0`, accumulates `d_pattern[j] += g[j]*m[j]` and
 /// `d_mask[j] += g[j]*(p[j] − x[j])`; where `g[j] == 0.0` both
 /// accumulators keep their exact old bits (the scalar loop `continue`s,

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use universal_soldier::defenses::TriggerVar;
 use universal_soldier::tensor::ssim::ssim;
 use universal_soldier::tensor::stats::{anomaly_indices, flag_small_outliers, median};
-use universal_soldier::tensor::Tensor;
+use universal_soldier::tensor::{Tensor, Workspace};
 
 fn unit_image(seed_vals: &[f32], c: usize, h: usize, w: usize) -> Tensor {
     Tensor::from_fn(&[c, h, w], |i| {
@@ -27,7 +27,7 @@ proptest! {
         let pattern = Tensor::from_vec(pat_vals, &[1, 4, 4]);
         let var = TriggerVar::from_values(&mask, &pattern);
         let batch = Tensor::from_vec(img_vals, &[1, 1, 4, 4]);
-        let out = var.apply(&batch);
+        let out = var.apply(&batch, &mut Workspace::new());
         prop_assert!(out.min() >= -1e-4, "below 0: {}", out.min());
         prop_assert!(out.max() <= 1.0 + 1e-4, "above 1: {}", out.max());
     }
@@ -41,7 +41,7 @@ proptest! {
         let pattern = Tensor::from_vec(pat_vals, &[1, 4, 4]);
         let var = TriggerVar::from_values(&mask, &pattern);
         let batch = Tensor::from_vec(img_vals.clone(), &[1, 1, 4, 4]);
-        let out = var.apply(&batch);
+        let out = var.apply(&batch, &mut Workspace::new());
         for (a, b) in out.data().iter().zip(&img_vals) {
             prop_assert!((a - b).abs() < 2e-3, "zero mask changed pixel {a} vs {b}");
         }
@@ -56,7 +56,7 @@ proptest! {
         let pattern = Tensor::from_vec(pat_vals.clone(), &[1, 4, 4]);
         let var = TriggerVar::from_values(&mask, &pattern);
         let batch = Tensor::from_vec(img_vals, &[1, 1, 4, 4]);
-        let out = var.apply(&batch);
+        let out = var.apply(&batch, &mut Workspace::new());
         for (a, p) in out.data().iter().zip(&pat_vals) {
             // atanh clamping costs a little precision near 0/1.
             prop_assert!((a - p).abs() < 2e-2, "full mask should yield pattern: {a} vs {p}");
