@@ -16,6 +16,7 @@ use usb_tensor::conv::{
     conv2d_backward_ws, conv2d_forward_ws, depthwise_forward_ws, depthwise_input_backward_ws,
     ConvSpec,
 };
+use usb_tensor::panel::GemmWeight;
 use usb_tensor::ssim::{ssim, ssim_with_grad, ssim_with_grad_ws};
 use usb_tensor::{init, ops, par, Dtype, QTensor, Tensor, Workspace};
 
@@ -31,9 +32,9 @@ fn bench_matmul(c: &mut Criterion) {
         bench.iter(|| black_box(ops::matmul(&a, &b)))
     });
     // The packed-panel route against the strided B^T kernel on the same
-    // x·Wᵀ product a `Linear::infer` performs: packing pays once per
-    // weight (cached on the tensor's content id), so the steady state is
-    // a pure unit-stride GEMM.
+    // x·Wᵀ product a `Linear::infer` performs: the layer's weight builds
+    // its k-major panel once, so the steady state is a pure unit-stride
+    // GEMM.
     let w = init::uniform(&[64, 128], -0.2, 0.2, &mut rng);
     let mut y = vec![0.0f32; 64 * 64];
     c.bench_function("substrate/gemm_xwt_unpacked_64x128x64", |bench| {
@@ -42,32 +43,29 @@ fn bench_matmul(c: &mut Criterion) {
             black_box(y[0]);
         })
     });
+    let gw = GemmWeight::new(w.clone());
     c.bench_function("substrate/gemm_xwt_packed_64x128x64", |bench| {
-        let mut ws = Workspace::new();
         bench.iter(|| {
-            let wt = ws.packed_transpose(&w, 64, 128);
-            ops::matmul_into(a.data(), wt, 64, 128, 64, &mut y);
+            ops::matmul_into(a.data(), gw.kmajor(), 64, 128, 64, &mut y);
             black_box(y[0]);
         })
     });
-    // Same product with the weight stored as Q8 blocks: the panel is
-    // dequantized once on the first touch and served from the content-id
-    // cache afterwards, so the steady state should sit on top of the
-    // packed f32 case — the dequant cost is amortized to zero.
-    let q = QTensor::quantize(&w, Dtype::Q8);
-    c.bench_function("substrate/gemm_xwt_packed_q8_64x128x64", |bench| {
-        let mut ws = Workspace::new();
+    // What a quantized layer pays once per weight version: decode the Q8
+    // blocks and transpose them into the k-major panel (`state_mut` drops
+    // the previous panel, so every iteration rebuilds it).
+    let mut gq = GemmWeight::new(w);
+    gq.quantize(Dtype::Q8);
+    c.bench_function("substrate/panel_build_q8_64x128", |bench| {
         bench.iter(|| {
-            let wt = ws.packed_dequant(&q, 64, 128);
-            ops::matmul_into(a.data(), wt, 64, 128, 64, &mut y);
-            black_box(y[0]);
+            let _ = gq.state_mut();
+            black_box(gq.kmajor()[0]);
         })
     });
 }
 
 /// The refine-loop elementwise ops the SIMD tier covers beyond the GEMMs:
 /// the UAP-update axpy, one Adam step, and the Q8 block decoder feeding
-/// the dequant panel cache — measured so the non-GEMM wins are numbers,
+/// the quantized layers' panels — measured so the non-GEMM wins are numbers,
 /// not assertions.
 fn bench_elementwise(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(9);
@@ -203,7 +201,7 @@ fn bench_infer(c: &mut Criterion) {
         })
     });
     // The quantized twin of the warm case: weights stored as Q8 blocks,
-    // dequantized into the panel cache on the first batch — compare with
+    // decoded into the layers' panels on the first batch — compare with
     // `infer_warm_ws_b16` to see the steady-state cost of low-precision
     // storage (it should be within noise of the f32 route).
     c.bench_function("substrate/infer_warm_q8_b16", |bench| {

@@ -3,6 +3,8 @@
 //! under USB's Alg. 2 objective (`refine_uap`), Neural Cleanse's and
 //! TABOR's — performs **no heap allocations at all**: every per-step
 //! tensor is drawn from, and recycled back into, the reused `Workspace`.
+//! The refine cases run on f32, f16 and q8 weights alike: a quantized
+//! layer decodes its GEMM panels once and reads them on every later step.
 //!
 //! The proof is a counting global allocator: two optimisation runs that
 //! differ only in their step count must allocate exactly the same number
@@ -16,7 +18,7 @@ use rand::SeedableRng;
 use usb_core::{refine_uap, RefineConfig};
 use usb_defenses::{Defense, NcConfig, NeuralCleanse, Tabor, TaborConfig};
 use usb_nn::models::{Architecture, ModelKind, Network};
-use usb_tensor::Tensor;
+use usb_tensor::{Dtype, Tensor};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -98,23 +100,28 @@ fn tabor_allocs_for(steps: usize, model: &Network, images: &Tensor, _v: &Tensor)
     reverse_allocs(&Tabor::new(config), model, images)
 }
 
-/// Builds `kind` at `input`, then checks that 6 extra refine steps
-/// allocate nothing.
+/// Builds `kind` at `input` with its GEMM weights stored as each of f32,
+/// f16 and q8, then checks that 6 extra refine steps allocate nothing.
+/// A quantized model builds its decoded panels in the warm-up run.
 fn assert_steady_state_allocation_free(kind: ModelKind, input: (usize, usize, usize)) {
-    assert_objective_allocation_free(kind, input, allocs_for);
+    for dtype in [Dtype::F32, Dtype::F16, Dtype::Q8] {
+        assert_objective_allocation_free(kind, input, dtype, allocs_for);
+    }
 }
 
-/// Builds `kind` at `input`, then checks that 6 extra optimisation steps
-/// of `allocs_for`'s objective allocate nothing.
+/// Builds `kind` at `input` with `dtype` GEMM weights, then checks that 6
+/// extra optimisation steps of `allocs_for`'s objective allocate nothing.
 fn assert_objective_allocation_free(
     kind: ModelKind,
     input: (usize, usize, usize),
+    dtype: Dtype,
     allocs_for: fn(usize, &Network, &Tensor, &Tensor) -> u64,
 ) {
     let mut rng = StdRng::seed_from_u64(11);
-    let model = Architecture::new(kind, input, 6)
+    let mut model = Architecture::new(kind, input, 6)
         .with_width(4)
         .build(&mut rng);
+    model.quantize_weights(dtype);
     let (c, h, w) = input;
     let images = Tensor::from_fn(&[24, c, h, w], |i| 0.5 + 0.4 * ((i as f32) * 0.13).sin());
     let v = Tensor::from_fn(&[c, h, w], |i| 0.3 * ((i as f32) * 0.37).cos());
@@ -132,8 +139,8 @@ fn assert_objective_allocation_free(
     assert_eq!(
         longer,
         base,
-        "{kind:?}: 6 extra optimisation steps allocated {} times (steady-state \
-         step must draw everything from the workspace)",
+        "{kind:?} ({dtype}): 6 extra optimisation steps allocated {} times \
+         (steady-state step must draw everything from the workspace)",
         longer.saturating_sub(base)
     );
 }
@@ -155,12 +162,17 @@ fn steady_state_efficientnet_refine_step_allocates_nothing() {
 /// λ schedule and the per-step success count add nothing per step.
 #[test]
 fn steady_state_nc_step_allocates_nothing() {
-    assert_objective_allocation_free(ModelKind::ResNet18, (3, 12, 12), nc_allocs_for);
+    assert_objective_allocation_free(ModelKind::ResNet18, (3, 12, 12), Dtype::F32, nc_allocs_for);
 }
 
 /// TABOR adds its elastic-net and total-variation gradients on top of
 /// Neural Cleanse's, all from the same workspace.
 #[test]
 fn steady_state_tabor_step_allocates_nothing() {
-    assert_objective_allocation_free(ModelKind::ResNet18, (3, 12, 12), tabor_allocs_for);
+    assert_objective_allocation_free(
+        ModelKind::ResNet18,
+        (3, 12, 12),
+        Dtype::F32,
+        tabor_allocs_for,
+    );
 }

@@ -49,7 +49,10 @@
 //! the same budget with no flag change. One entry is always admitted even
 //! if it alone exceeds the budget — a daemon that cannot hold its working
 //! model would answer nothing. Memory stays bounded no matter how many distinct bundles a
-//! tenant streams in (pinned by the counting-allocator soak test).
+//! tenant streams in (pinned by the counting-allocator soak test). The
+//! GEMM panels a job's layers build live only as long as the job: the
+//! scheduler drops them when it ends, so the charge stays model plus
+//! prototypes.
 
 use super::proto::{
     read_frame_or_eof, verdict_from_outcome, write_frame, Frame, ProgressEvent, SubmitRequest,
@@ -66,6 +69,7 @@ use std::time::Instant;
 use usb_attacks::persist::{bundle_fingerprint, read_victim_bytes, VictimBundle};
 use usb_core::{UsbConfig, UsbDetector};
 use usb_data::ClassPrototypes;
+use usb_nn::layer::Layer;
 use usb_tensor::io::IoError;
 
 /// Hard cap on the per-request clean-subset size (fresh samples are drawn
@@ -742,6 +746,13 @@ fn run_job(job: &Job, cache: &mut ResidentCache, shared: &Arc<Shared>) -> Frame 
         .into_iter()
         .map(|t| t as u32)
         .collect();
+    // Drop the GEMM panels the job built: each `&mut` state slot releases
+    // its layer's panels, so the resident entry is back to its charge.
+    cache.entries[slot]
+        .bundle
+        .victim
+        .model
+        .visit_state(&mut |_, _| {});
     let verdict = verdict_from_outcome(job.job, &outcome, &truth, hit, t0.elapsed().as_secs_f64());
     shared.counters.completed.fetch_add(1, Ordering::Relaxed);
     Frame::Verdict(verdict)

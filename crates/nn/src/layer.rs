@@ -35,8 +35,8 @@ pub enum StateSlot<'a> {
     Dense(&'a mut Tensor),
     /// A quantizable GEMM weight. When `quant` is `Some`, the layer is in
     /// low-precision inference mode: `dense` is empty (its buffer freed)
-    /// and the kernels read `quant` through the workspace dequant-panel
-    /// cache.
+    /// and the kernels read panels the layer decodes from `quant`. Taking
+    /// this slot drops those panels.
     Weight {
         /// The dense f32 value (empty while `quant` is populated).
         dense: &'a mut Tensor,

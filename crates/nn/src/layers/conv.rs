@@ -4,10 +4,11 @@ use super::{record_input, with_recorded_input};
 use crate::layer::{Grads, Layer, Mode, Param, ParamSlot, StateSlot};
 use rand::Rng;
 use usb_tensor::conv::{
-    conv2d_backward_ws, conv2d_forward_ref_ws, conv2d_input_backward_ref_ws, depthwise_backward_ws,
-    depthwise_forward_ws, depthwise_input_backward_ws, ConvSpec,
+    conv2d_backward_ws, conv2d_forward_panel_ws, conv2d_input_backward_panel_ws,
+    depthwise_backward_ws, depthwise_forward_ws, depthwise_input_backward_ws, ConvSpec,
 };
-use usb_tensor::{init, Dtype, QTensor, Tape, Tensor, WeightRef, Workspace};
+use usb_tensor::panel::GemmWeight;
+use usb_tensor::{init, Dtype, Tape, Tensor, Workspace};
 
 /// Adds a layer's `(weight, bias)` gradients into its accumulators at the
 /// back of `grads`.
@@ -22,13 +23,12 @@ fn accumulate(grads: &mut Grads, gw: &Tensor, gb: &Tensor, has_bias: bool) {
 /// A 2-D convolution `[N, IC, H, W] -> [N, OC, OH, OW]`.
 ///
 /// Weights are Kaiming-uniform initialised with fan-in `IC·KH·KW`. Like
-/// [`super::Linear`], the weight can be swapped for a quantized payload,
-/// after which the layer is inference-only and the kernels dequantize
-/// through the workspace panel cache.
+/// [`super::Linear`], the layer holds its weight as a [`GemmWeight`] and
+/// hands the kernels its shared panels; the weight can be swapped for a
+/// quantized payload, after which the layer is inference-only.
 #[derive(Clone)]
 pub struct Conv2d {
-    weight: Param, // [OC, IC, KH, KW]; empty while `qweight` is populated
-    qweight: Option<QTensor>,
+    weight: GemmWeight, // [OC, IC, KH, KW]
     bias: Option<Param>,
     spec: ConvSpec,
 }
@@ -51,14 +51,10 @@ impl Conv2d {
     ) -> Self {
         assert!(in_ch > 0 && out_ch > 0 && k > 0, "Conv2d: zero dimension");
         let fan_in = in_ch * k * k;
-        let weight = Param::new(
-            init::kaiming_uniform(&[out_ch, in_ch, k, k], fan_in, rng),
-            true,
-        );
+        let weight = GemmWeight::new(init::kaiming_uniform(&[out_ch, in_ch, k, k], fan_in, rng));
         let bias = bias.then(|| Param::new(Tensor::zeros(&[out_ch]), false));
         Conv2d {
             weight,
-            qweight: None,
             bias,
             spec: ConvSpec::new(stride, pad),
         }
@@ -72,24 +68,16 @@ impl Conv2d {
     /// Immutable access to the dense weight tensor (e.g. for inspection in
     /// tests). Empty while the layer is quantized.
     pub fn weight(&self) -> &Tensor {
-        &self.weight.value
-    }
-
-    fn weight_ref(&self) -> WeightRef<'_> {
-        match &self.qweight {
-            Some(q) => WeightRef::Quant(q),
-            None => WeightRef::Dense(&self.weight.value),
-        }
+        self.weight.dense()
     }
 }
 
 impl Layer for Conv2d {
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        // The dense arm of the ref kernel runs the exact code the dense
-        // kernel does; the quantized arm swaps only the panel source.
-        conv2d_forward_ref_ws(
+        conv2d_forward_panel_ws(
             x,
-            self.weight_ref(),
+            self.weight.kmajor(),
+            self.weight.shape(),
             self.bias.as_ref().map(|b| &b.value),
             self.spec,
             ws,
@@ -125,15 +113,16 @@ impl Layer for Conv2d {
             // weight GEMM.
             None => {
                 let (h, w) = (frame.aux[2], frame.aux[3]);
-                conv2d_input_backward_ref_ws(self.weight_ref(), grad_out, h, w, self.spec, ws)
+                let (wd, wshape) = (self.weight.natural(), self.weight.shape());
+                conv2d_input_backward_panel_ws(wd, wshape, grad_out, h, w, self.spec, ws)
             }
             Some(grads) => {
                 assert!(
-                    self.qweight.is_none(),
+                    self.weight.quant().is_none(),
                     "Conv2d: training pass on a quantized (inference-only) layer"
                 );
                 let (gi, gw, gb) = with_recorded_input(&mut frame, "Conv2d", |x| {
-                    conv2d_backward_ws(x, &self.weight.value, grad_out, self.spec, ws)
+                    conv2d_backward_ws(x, self.weight.dense(), grad_out, self.spec, ws)
                 });
                 accumulate(grads, &gw, &gb, self.bias.is_some());
                 gi
@@ -145,8 +134,8 @@ impl Layer for Conv2d {
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
         // A quantized weight is invisible to optimisers and weight decay.
-        if self.qweight.is_none() {
-            f(self.weight.slot());
+        if let Some(value) = self.weight.dense_mut() {
+            f(ParamSlot { value, decay: true });
         }
         if let Some(b) = self.bias.as_mut() {
             f(b.slot());
@@ -154,32 +143,20 @@ impl Layer for Conv2d {
     }
 
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
-        f(
-            "conv2d",
-            StateSlot::Weight {
-                dense: &mut self.weight.value,
-                quant: &mut self.qweight,
-            },
-        );
+        let (dense, quant) = self.weight.state_mut();
+        f("conv2d", StateSlot::Weight { dense, quant });
         if let Some(b) = self.bias.as_mut() {
             f("conv2d", StateSlot::Dense(&mut b.value));
         }
     }
 
     fn quantize_weights(&mut self, dtype: Dtype) {
-        if dtype == Dtype::F32 || self.qweight.is_some() {
-            return;
-        }
-        self.qweight = Some(QTensor::quantize(&self.weight.value, dtype));
-        self.weight.value = Tensor::zeros(&[0]);
+        self.weight.quantize(dtype);
     }
 
     fn param_count(&self) -> usize {
         // Logical counts: a quantized weight still holds OC·IC·KH·KW params.
-        let w: usize = match &self.qweight {
-            Some(q) => q.len(),
-            None => self.weight.value.len(),
-        };
+        let w: usize = self.weight.shape().iter().product();
         w + self.bias.as_ref().map_or(0, |b| b.value.len())
     }
 
@@ -377,6 +354,23 @@ mod tests {
         let _ = q.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
         let qgi = q.grad(&g, &mut tape, &mut ws, None);
         assert_eq!(qgi.data(), dense_gi.data());
+    }
+
+    #[test]
+    fn q8_panels_are_built_once_and_shared() {
+        let c = Conv2d::new(3, 8, 3, 1, 1, true, &mut StdRng::seed_from_u64(9));
+        let x = Tensor::from_fn(&[2, 3, 6, 6], |i| ((i as f32) * 0.3).cos());
+        crate::layers::panel_checks::q8_panels_are_built_once(c, |c| &c.weight, &x);
+    }
+
+    #[test]
+    fn every_mut_route_drops_the_panels() {
+        let build = || -> Box<dyn Layer> {
+            let mut rng = StdRng::seed_from_u64(9);
+            Box::new(Conv2d::new(3, 8, 3, 1, 1, true, &mut rng))
+        };
+        let x = Tensor::from_fn(&[2, 3, 6, 6], |i| ((i as f32) * 0.3).cos());
+        crate::layers::panel_checks::mutation_drops_panels(&build, &x);
     }
 
     #[test]

@@ -3,19 +3,20 @@
 use super::{record_input, with_recorded_input};
 use crate::layer::{Grads, Layer, Mode, Param, ParamSlot, StateSlot};
 use rand::Rng;
+use usb_tensor::panel::GemmWeight;
 use usb_tensor::{init, ops, Dtype, QTensor, Tape, Tensor, Workspace};
 
 /// A dense layer `y = x Wᵀ + b` mapping `[N, in] -> [N, out]`.
 ///
-/// The weight can be swapped for a quantized payload
-/// ([`Layer::quantize_weights`] or a low-precision bundle load), after
-/// which the layer is inference-only: `infer`/`grad` dequantize through
-/// the workspace panel cache, while a parameter-gradient sink panics.
+/// The weight is a [`GemmWeight`]: the layer builds its GEMM panels once
+/// and every thread shares them. It can be swapped for a quantized
+/// payload ([`Layer::quantize_weights`] or a low-precision bundle load),
+/// after which the layer is inference-only: `infer`/`grad` read decoded
+/// panels, while a parameter-gradient sink panics.
 #[derive(Clone)]
 pub struct Linear {
-    weight: Param, // [out, in]; empty while `qweight` is populated
-    qweight: Option<QTensor>,
-    bias: Param, // [out], always dense
+    weight: GemmWeight, // [out, in]
+    bias: Param,        // [out], always dense
 }
 
 impl Linear {
@@ -30,36 +31,29 @@ impl Linear {
             "Linear: zero dimension"
         );
         Linear {
-            weight: Param::new(
-                init::kaiming_uniform(&[out_features, in_features], in_features, rng),
-                true,
-            ),
-            qweight: None,
+            weight: GemmWeight::new(init::kaiming_uniform(
+                &[out_features, in_features],
+                in_features,
+                rng,
+            )),
             bias: Param::new(Tensor::zeros(&[out_features]), false),
-        }
-    }
-
-    fn weight_shape(&self) -> &[usize] {
-        match &self.qweight {
-            Some(q) => q.shape(),
-            None => self.weight.value.shape(),
         }
     }
 
     /// Output dimensionality.
     pub fn out_features(&self) -> usize {
-        self.weight_shape()[0]
+        self.weight.shape()[0]
     }
 
     /// Input dimensionality.
     pub fn in_features(&self) -> usize {
-        self.weight_shape()[1]
+        self.weight.shape()[1]
     }
 
     /// The quantized weight payload, if the layer is in low-precision
     /// inference mode.
     pub fn qweight(&self) -> Option<&QTensor> {
-        self.qweight.as_ref()
+        self.weight.quant()
     }
 }
 
@@ -75,16 +69,10 @@ impl Layer for Linear {
         );
         let (n, out, inf) = (x.shape()[0], self.out_features(), self.in_features());
         let mut y = ws.take_dirty(n * out);
-        // x @ Wᵀ with W packed k-major once per weight version and reused
-        // across calls: each output element is the ascending-`k` dot
-        // product `Σ x[i,k]·W[j,k]`. A quantized weight dequantizes into
-        // the same panel cache once per content-id — steady-state calls hit
-        // an identical unit-stride f32 panel.
-        let wt = match &self.qweight {
-            None => ws.packed_transpose(&self.weight.value, out, inf),
-            Some(q) => ws.packed_dequant(q, out, inf),
-        };
-        ops::matmul_into(x.data(), wt, n, inf, out, &mut y);
+        // x @ Wᵀ on the layer's k-major panel: each output element is the
+        // ascending-`k` dot product `Σ x[i,k]·W[j,k]`, the same for a dense
+        // weight and a decoded quantized one.
+        ops::matmul_into(x.data(), self.weight.kmajor(), n, inf, out, &mut y);
         let bd = self.bias.value.data();
         for i in 0..n {
             for (v, &b) in y[i * out..(i + 1) * out].iter_mut().zip(bd) {
@@ -122,7 +110,7 @@ impl Layer for Linear {
         assert_eq!(grad_out.shape()[1], out, "Linear: grad_out width mismatch");
         if let Some(grads) = grads {
             assert!(
-                self.qweight.is_none(),
+                self.qweight().is_none(),
                 "Linear: training pass on a quantized (inference-only) layer"
             );
             // dL/dW = gᵀ x ; dL/db = column sums of g.
@@ -138,15 +126,9 @@ impl Layer for Linear {
                 }
             }
         }
-        // dL/dx = g W. The quantized path reads W from a natural-order
-        // dequant panel instead; `gi` is checked out first so no workspace
-        // buffer is taken while the panel is borrowed.
+        // dL/dx = g W on the natural-order panel.
         let mut gi = ws.take_dirty(n * inf);
-        let wd: &[f32] = match &self.qweight {
-            None => self.weight.value.data(),
-            Some(q) => ws.dequant_panel(q),
-        };
-        ops::matmul_into(grad_out.data(), wd, n, out, inf, &mut gi);
+        ops::matmul_into(grad_out.data(), self.weight.natural(), n, out, inf, &mut gi);
         tape.recycle(frame);
         Tensor::from_vec(gi, &[n, inf])
     }
@@ -154,34 +136,25 @@ impl Layer for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
         // A quantized weight is invisible to optimisers and weight decay —
         // its dense storage is empty and must not be updated or counted.
-        if self.qweight.is_none() {
-            f(self.weight.slot());
+        if let Some(value) = self.weight.dense_mut() {
+            f(ParamSlot { value, decay: true });
         }
         f(self.bias.slot());
     }
 
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
-        f(
-            "linear",
-            StateSlot::Weight {
-                dense: &mut self.weight.value,
-                quant: &mut self.qweight,
-            },
-        );
+        let (dense, quant) = self.weight.state_mut();
+        f("linear", StateSlot::Weight { dense, quant });
         f("linear", StateSlot::Dense(&mut self.bias.value));
     }
 
     fn quantize_weights(&mut self, dtype: Dtype) {
-        if dtype == Dtype::F32 || self.qweight.is_some() {
-            return;
-        }
-        self.qweight = Some(QTensor::quantize(&self.weight.value, dtype));
-        self.weight.value = Tensor::zeros(&[0]);
+        self.weight.quantize(dtype);
     }
 
     fn param_count(&self) -> usize {
         // Logical counts: a quantized weight still holds out·in parameters.
-        let w: usize = self.weight_shape().iter().product();
+        let w: usize = self.weight.shape().iter().product();
         w + self.bias.value.len()
     }
 
@@ -376,6 +349,21 @@ mod tests {
             kinds.push((kind, matches!(slot, StateSlot::Weight { .. })));
         });
         assert_eq!(kinds, [("linear", true), ("linear", false)]);
+    }
+
+    #[test]
+    fn q8_panels_are_built_once_and_shared() {
+        let l = Linear::new(24, 10, &mut StdRng::seed_from_u64(6));
+        let x = Tensor::from_fn(&[3, 24], |i| ((i as f32) * 0.7).sin());
+        crate::layers::panel_checks::q8_panels_are_built_once(l, |l| &l.weight, &x);
+    }
+
+    #[test]
+    fn every_mut_route_drops_the_panels() {
+        let build =
+            || -> Box<dyn Layer> { Box::new(Linear::new(24, 10, &mut StdRng::seed_from_u64(6))) };
+        let x = Tensor::from_fn(&[3, 24], |i| ((i as f32) * 0.7).sin());
+        crate::layers::panel_checks::mutation_drops_panels(&build, &x);
     }
 
     #[test]

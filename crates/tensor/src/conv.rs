@@ -11,7 +11,6 @@
 //! because the defenses in this workspace optimise over the *input space*
 //! (triggers, masks, universal perturbations).
 
-use crate::quant::WeightRef;
 use crate::{kernels, ops, Tensor, Workspace};
 
 /// Geometry of a convolution: strides and symmetric zero padding.
@@ -314,29 +313,28 @@ pub fn conv2d_input_backward_ws(
     spec: ConvSpec,
     ws: &mut Workspace,
 ) -> Tensor {
-    conv2d_input_backward_ref_ws(WeightRef::Dense(weight), grad_out, h, w, spec, ws)
+    conv2d_input_backward_panel_ws(weight.data(), weight.shape(), grad_out, h, w, spec, ws)
 }
 
-/// [`conv2d_input_backward_ws`] generalized over the weight precision.
-///
-/// The dense arm is the exact pre-quantization code path (bit-identical
-/// results); a quantized weight goes through [`Workspace::dequant_panel`]
-/// — its `[OC, IC·KH·KW]` row-major layout is already the k-major panel
-/// `Wᵀ@g` consumes, so the panel is a straight dequantization, cached per
-/// content id with zero steady-state cost.
+/// [`conv2d_input_backward_ws`] on a weight of shape `wshape`
+/// (`[OC, IC, KH, KW]`) given as its natural-order panel: the row-major
+/// values, which as an `[OC, IC·KH·KW]` matrix are already the k-major
+/// panel `Wᵀ@g` consumes. A quantized layer passes its decoded
+/// [`crate::panel::GemmWeight::natural`].
 ///
 /// # Panics
 ///
 /// Panics on rank or shape mismatches.
-pub fn conv2d_input_backward_ref_ws(
-    weight: WeightRef<'_>,
+pub fn conv2d_input_backward_panel_ws(
+    natural: &[f32],
+    wshape: &[usize],
     grad_out: &Tensor,
     h: usize,
     w: usize,
     spec: ConvSpec,
     ws: &mut Workspace,
 ) -> Tensor {
-    let (oc, ic, kh, kw) = dims4_ref(&weight);
+    let (oc, ic, kh, kw) = shape4(wshape);
     let (n, goc, oh, ow) = dims4(grad_out);
     assert_eq!(goc, oc, "conv2d_input_backward: channel mismatch");
     assert_eq!(
@@ -359,14 +357,7 @@ pub fn conv2d_input_backward_ref_ws(
         }
     }
     let mut grad_cols = ws.take_dirty(rows * wide);
-    // All scratch checkouts happen above: the panel borrow below must be
-    // the workspace's last, ending at the GEMM call.
-    let wd: &[f32] = match weight {
-        // [OC, IC·KH·KW] row-major: already k-major for Wᵀ@g.
-        WeightRef::Dense(t) => t.data(),
-        WeightRef::Quant(q) => ws.dequant_panel(q),
-    };
-    ops::matmul_transa_into(wd, &go_wide, rows, oc, wide, &mut grad_cols);
+    ops::matmul_transa_into(natural, &go_wide, rows, oc, wide, &mut grad_cols);
     let mut grad_input = ws.take_dirty(n * ic * h * w);
     for i in 0..n {
         let gi = &mut grad_input[i * ic * h * w..(i + 1) * ic * h * w];
@@ -411,23 +402,9 @@ pub fn depthwise_input_backward_ws(
 
 /// Dense convolution forward pass: `input` `[N, IC, H, W]`, `weight`
 /// `[OC, IC, KH, KW]` and optional `bias` `[OC]` give `[N, OC, OH, OW]`.
-/// Every scratch buffer — the im2col columns and the output itself — comes
-/// from `ws` instead of the allocator.
-///
-/// The batch is fused into
-/// **one wide GEMM**: all N images are unfolded side by side into a
-/// `[IC·KH·KW, N·OH·OW]` column matrix and multiplied by the weight panel
-/// in a single call — each output element is still the same ascending-`k`
-/// dot product, so results are bit-identical to the per-image loop. The
-/// weight is packed k-major once per weight version via
-/// [`Workspace::packed_transpose`] and the panel is reused across every
-/// subsequent call (every Adam step of a refine loop).
-///
-/// After the first call at a given geometry, repeat calls with the same
-/// (warm) workspace perform no heap allocation inside the kernel; the
-/// returned output tensor is built from a workspace buffer, so callers
-/// that hand it back via [`Workspace::recycle`] keep the steady state
-/// allocation-free.
+/// The weight is packed k-major into a workspace buffer on every call;
+/// layers that own a weight call [`conv2d_forward_panel_ws`] with the
+/// panel they keep instead.
 ///
 /// # Panics
 ///
@@ -439,31 +416,44 @@ pub fn conv2d_forward_ws(
     spec: ConvSpec,
     ws: &mut Workspace,
 ) -> Tensor {
-    conv2d_forward_ref_ws(input, WeightRef::Dense(weight), bias, spec, ws)
+    let (oc, ic, kh, kw) = dims4(weight);
+    let mut kmajor = ws.take_dirty(weight.len());
+    ops::transpose_into(weight.data(), oc, ic * kh * kw, &mut kmajor);
+    let out = conv2d_forward_panel_ws(input, &kmajor, weight.shape(), bias, spec, ws);
+    ws.put(kmajor);
+    out
 }
 
-/// [`conv2d_forward_ws`] generalized over the weight precision.
+/// [`conv2d_forward_ws`] on a weight of shape `wshape` (`[OC, IC, KH, KW]`)
+/// given as its k-major panel: the `[IC·KH·KW, OC]` transpose, e.g.
+/// [`crate::panel::GemmWeight::kmajor`].
 ///
-/// The dense arm is the exact pre-quantization code path (bit-identical
-/// results, pinned by `tests/kernel_reference.rs`); a quantized weight
-/// goes through [`Workspace::packed_dequant`], which unpacks + transposes
-/// the panel once per content id — the GEMM tiles themselves see the same
-/// unit-stride f32 panels either way, so the steady-state dequantization
-/// cost is zero.
+/// The batch is fused into **one wide GEMM**: all N images are unfolded
+/// side by side into a `[IC·KH·KW, N·OH·OW]` column matrix and multiplied
+/// by the panel in a single call. Each output element is still the same
+/// ascending-`k` dot product, so results are bit-identical to a per-image
+/// loop.
+///
+/// Every scratch buffer comes from `ws`. After the first call at a given
+/// geometry, repeat calls with the same (warm) workspace perform no heap
+/// allocation; the returned output tensor is built from a workspace
+/// buffer, so callers that hand it back via [`Workspace::recycle`] keep
+/// the steady state allocation-free.
 ///
 /// # Panics
 ///
 /// Panics on any rank or channel-count mismatch.
-pub fn conv2d_forward_ref_ws(
+pub fn conv2d_forward_panel_ws(
     input: &Tensor,
-    weight: WeightRef<'_>,
+    kmajor: &[f32],
+    wshape: &[usize],
     bias: Option<&Tensor>,
     spec: ConvSpec,
     ws: &mut Workspace,
 ) -> Tensor {
     assert_eq!(input.ndim(), 4, "conv2d: input must be [N,IC,H,W]");
     let (n, ic, h, w) = dims4(input);
-    let (oc, wic, kh, kw) = dims4_ref(&weight);
+    let (oc, wic, kh, kw) = shape4(wshape);
     assert_eq!(
         ic, wic,
         "conv2d: input channels {ic} != weight channels {wic}"
@@ -487,14 +477,7 @@ pub fn conv2d_forward_ref_ws(
     }
     let mut out_wide = ws.take_dirty(oc * wide);
     let mut out = ws.take_dirty(n * oc * cols);
-    // weight is [OC, IC, KH, KW] row-major == the [OC, IC·KH·KW] GEMM
-    // matrix; packed k-major once per weight version, then one wide GEMM.
-    // (The panel fetch is the workspace's last borrow before the GEMM.)
-    let wt: &[f32] = match weight {
-        WeightRef::Dense(t) => ws.packed_transpose(t, oc, rows),
-        WeightRef::Quant(q) => ws.packed_dequant(q, oc, rows),
-    };
-    ops::matmul_transa_into(wt, &cols_all, oc, rows, wide, &mut out_wide);
+    ops::matmul_transa_into(kmajor, &cols_all, oc, rows, wide, &mut out_wide);
     // Un-interleave [OC, N·cols] → [N, OC, cols], fusing the bias add.
     for i in 0..n {
         for ch in 0..oc {
@@ -1005,13 +988,11 @@ pub fn conv2d_valid_single_adjoint(grad: &Tensor, ker: &Tensor, h: usize, w: usi
 }
 
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
-    assert_eq!(t.ndim(), 4, "expected rank-4 tensor, got {:?}", t.shape());
-    (t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3])
+    shape4(t.shape())
 }
 
-fn dims4_ref(w: &WeightRef<'_>) -> (usize, usize, usize, usize) {
-    let s = w.shape();
-    assert_eq!(s.len(), 4, "expected rank-4 weight, got {s:?}");
+fn shape4(s: &[usize]) -> (usize, usize, usize, usize) {
+    assert_eq!(s.len(), 4, "expected rank-4 tensor, got {s:?}");
     (s[0], s[1], s[2], s[3])
 }
 

@@ -36,9 +36,11 @@
 //!   draw their im2col / matmul / pool buffers from it instead of the
 //!   allocator.
 //! * [`quant`] — low-precision weight storage: an f16 codec, a Q8 block
-//!   format, and the [`QTensor`] container the kernels dequantize on the
-//!   fly through the [`Workspace`] panel cache (inspection is read-only,
-//!   so frozen victims can live at 2–4× less memory).
+//!   format, and the [`QTensor`] container (inspection is read-only, so
+//!   frozen victims can live at 2–4× less memory).
+//! * [`panel`] — [`panel::GemmWeight`], a dense or quantized GEMM weight
+//!   that builds its k-major and natural-order f32 panels once and shares
+//!   them with every thread.
 //! * [`tape`] — the [`Tape`] of per-layer activation frames behind every
 //!   gradient: `Layer::infer_recording` in `usb-nn` records backward state
 //!   into a caller-owned tape instead of the layers, so one immutable model
@@ -66,6 +68,7 @@ pub mod init;
 pub mod io;
 pub mod kernels;
 pub mod ops;
+pub mod panel;
 pub mod par;
 pub mod pool;
 pub mod quant;
@@ -75,7 +78,7 @@ pub mod stats;
 pub mod tape;
 mod tensor;
 
-pub use quant::{Dtype, QTensor, WeightRef};
+pub use quant::{Dtype, QTensor};
 pub use scratch::Workspace;
 pub use tape::Tape;
 pub use tensor::{ShapeError, Tensor};

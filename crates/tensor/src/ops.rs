@@ -303,7 +303,7 @@ pub fn matmul_transa_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, ou
 /// Writes the transpose of `src` (`[rows, cols]` row-major) into `out`
 /// (`[cols, rows]` row-major, fully overwritten — dirty buffers are fine).
 ///
-/// This is the packing primitive behind [`crate::Workspace::packed_transpose`]:
+/// This is the packing primitive behind [`crate::panel::GemmWeight::kmajor`]:
 /// a row-major weight matrix transposed once into a k-major panel lets the
 /// GEMM address it with unit-stride tile loads.
 ///

@@ -18,12 +18,10 @@
 //!   partial block is zero-padded, so the encoded length depends only on
 //!   the element count.
 //!
-//! A [`QTensor`] is immutable after construction and carries a
-//! [`QTensor::content_id`] drawn from the same source as
-//! [`Tensor::content_id`], so the [`crate::Workspace`] panel cache can key
-//! dequantized panels on it without ever colliding with a dense tensor.
+//! A [`QTensor`] is immutable after construction. The layer that owns it
+//! decodes it into f32 GEMM panels once, through
+//! [`crate::panel::GemmWeight`].
 
-use crate::tensor::new_tensor_id;
 use crate::Tensor;
 use std::fmt;
 
@@ -206,16 +204,12 @@ fn encode(data: &[f32], dtype: Dtype) -> Vec<u8> {
 ///
 /// Built either by quantizing a dense [`Tensor`] ([`QTensor::quantize`])
 /// or from stored bytes ([`QTensor::from_bytes`]). There is no mutable
-/// access — quantized weights are inference-only — so the
-/// [`QTensor::content_id`] assigned at construction is stable for the
-/// value's whole lifetime, which is what lets the [`crate::Workspace`]
-/// panel cache hold dequantized panels with zero steady-state cost.
+/// access: quantized weights are inference-only.
 #[derive(Clone)]
 pub struct QTensor {
     dtype: Dtype,
     shape: Vec<usize>,
     bytes: Vec<u8>,
-    id: u64,
 }
 
 impl fmt::Debug for QTensor {
@@ -242,7 +236,6 @@ impl QTensor {
             dtype,
             shape: t.shape().to_vec(),
             bytes: encode(t.data(), dtype),
-            id: new_tensor_id(),
         }
     }
 
@@ -268,7 +261,6 @@ impl QTensor {
             dtype,
             shape: shape.to_vec(),
             bytes,
-            id: new_tensor_id(),
         })
     }
 
@@ -300,12 +292,6 @@ impl QTensor {
     /// Encoded payload size in bytes.
     pub fn byte_len(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// Cache key for dequantized panels; same id space as
-    /// [`Tensor::content_id`], and stable because a `QTensor` is immutable.
-    pub fn content_id(&self) -> u64 {
-        self.id
     }
 
     /// Dequantizes the payload into `out` (row-major logical order).
@@ -351,43 +337,6 @@ impl QTensor {
         let mut data = vec![0.0f32; self.len()];
         self.dequantize_into(&mut data);
         Tensor::from_vec(data, &self.shape)
-    }
-}
-
-/// A borrowed weight for kernel dispatch: dense f32 or quantized.
-///
-/// The `_ws` kernels take this where they used to take `&Tensor`, so one
-/// kernel body serves both precisions — the dense arm is byte-for-byte
-/// the pre-quantization code path (bit-exactness preserved), the quant
-/// arm goes through the [`crate::Workspace`] dequant panel cache.
-#[derive(Clone, Copy)]
-pub enum WeightRef<'a> {
-    /// A dense f32 weight (the exact route).
-    Dense(&'a Tensor),
-    /// A quantized weight, dequantized on the fly by the kernels.
-    Quant(&'a QTensor),
-}
-
-impl WeightRef<'_> {
-    /// Logical element count of the referenced weight.
-    pub fn len(&self) -> usize {
-        match self {
-            WeightRef::Dense(t) => t.len(),
-            WeightRef::Quant(q) => q.len(),
-        }
-    }
-
-    /// Whether the referenced weight has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Logical shape of the referenced weight.
-    pub fn shape(&self) -> &[usize] {
-        match self {
-            WeightRef::Dense(t) => t.shape(),
-            WeightRef::Quant(q) => q.shape(),
-        }
     }
 }
 
@@ -599,15 +548,6 @@ mod tests {
             let r = QTensor::from_bytes(dtype, q.shape(), q.bytes().to_vec()).unwrap();
             assert_eq!(r.dequantize().data(), q.dequantize().data());
         }
-    }
-
-    #[test]
-    fn content_ids_are_unique_even_across_tensor_kinds() {
-        let t = Tensor::zeros(&[8]);
-        let a = QTensor::quantize(&t, Dtype::F16);
-        let b = QTensor::quantize(&t, Dtype::F16);
-        assert_ne!(a.content_id(), b.content_id());
-        assert_ne!(a.content_id(), t.content_id());
     }
 
     #[test]

@@ -31,6 +31,10 @@
 //! A `Workspace` is deliberately *not* shared between threads; each worker
 //! owns its own (`Send` but used behind `&mut`).
 //!
+//! A workspace is only a buffer pool. Packed weight panels are not scratch:
+//! the layer that owns a weight builds them once and shares them with every
+//! worker ([`crate::panel::GemmWeight`]).
+//!
 //! # Example
 //!
 //! ```rust
@@ -44,44 +48,13 @@
 //! assert_eq!(b.data(), &[0.0; 6]);
 //! ```
 
-use crate::quant::QTensor;
-use crate::{ops, Tensor};
-
-/// Upper bound on cached packed panels per workspace; the oldest entry is
-/// evicted (its buffer returned to the pool) beyond this. Sized for the
-/// deepest model in the zoo (ResNet-18 has ~20 packable weight matrices).
-const MAX_PACKS: usize = 32;
-
-/// Orientation of a cached panel relative to the source tensor's
-/// row-major layout. A quantized weight can be cached in *both*
-/// orientations at once (infer wants the transpose, the input-gradient
-/// GEMMs want natural order), so the orientation is part of the cache key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PackKind {
-    /// The `[cols, rows]` transpose of the source (GEMM B-panel layout).
-    Transposed,
-    /// The source's own row-major order, merely dequantized.
-    Natural,
-}
-
-/// One cached packed panel, identified by the source tensor's content id
-/// (dense [`Tensor::content_id`] or [`QTensor::content_id`] — the two
-/// draw from one id space) plus view shape and orientation at pack time.
-#[derive(Debug)]
-struct PackEntry {
-    key: u64,
-    kind: PackKind,
-    rows: usize,
-    cols: usize,
-    data: Vec<f32>,
-}
+use crate::Tensor;
 
 /// An arena of reusable `f32` scratch buffers (see the module docs for the
 /// zero-fill and `Clone` contract).
 #[derive(Debug, Default)]
 pub struct Workspace {
     pool: Vec<Vec<f32>>,
-    packs: Vec<PackEntry>,
 }
 
 impl Clone for Workspace {
@@ -97,133 +70,7 @@ impl Workspace {
     /// Creates an empty workspace (no buffers until the first
     /// [`Workspace::put`]).
     pub fn new() -> Self {
-        Workspace {
-            pool: Vec::new(),
-            packs: Vec::new(),
-        }
-    }
-
-    /// The transpose of `t` (viewed as a `[rows, cols]` matrix), packed once
-    /// and cached.
-    ///
-    /// The cache is keyed on [`Tensor::content_id`], so as long as `t` is
-    /// not mutated — a weight matrix across the 40–80 Adam steps of one
-    /// refine loop, say — every call after the first is a lookup, not a
-    /// transpose. When `t` *is* mutated (training), its id changes and the
-    /// panel is repacked; stale entries age out of the bounded cache and
-    /// their buffers return to the pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t.len() != rows * cols`.
-    pub fn packed_transpose(&mut self, t: &Tensor, rows: usize, cols: usize) -> &[f32] {
-        assert_eq!(
-            t.len(),
-            rows * cols,
-            "packed_transpose: {rows}x{cols} view of a {}-element tensor",
-            t.len()
-        );
-        let key = t.content_id();
-        let pos = match self.find_pack(key, PackKind::Transposed, rows, cols) {
-            Some(p) => p,
-            None => {
-                let mut data = self.pack_slot(rows * cols);
-                ops::transpose_into(t.data(), rows, cols, &mut data);
-                self.push_pack(key, PackKind::Transposed, rows, cols, data)
-            }
-        };
-        &self.packs[pos].data
-    }
-
-    /// The transpose of a quantized weight (viewed as `[rows, cols]`),
-    /// dequantized and packed once per [`QTensor::content_id`].
-    ///
-    /// This is [`Workspace::packed_transpose`] for the low-precision
-    /// route: the first call per content id pays one dequantization and
-    /// one transpose; every later call is a cache lookup, so the refine
-    /// loop's steady state has **zero** dequantization cost. `QTensor`s
-    /// are immutable, so — unlike the dense panels — a cached quant panel
-    /// can never go stale; it only ages out of the bounded cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q.len() != rows * cols`.
-    pub fn packed_dequant(&mut self, q: &QTensor, rows: usize, cols: usize) -> &[f32] {
-        assert_eq!(
-            q.len(),
-            rows * cols,
-            "packed_dequant: {rows}x{cols} view of a {}-element tensor",
-            q.len()
-        );
-        let key = q.content_id();
-        let pos = match self.find_pack(key, PackKind::Transposed, rows, cols) {
-            Some(p) => p,
-            None => {
-                let mut tmp = self.take_dirty(rows * cols);
-                q.dequantize_into(&mut tmp);
-                let mut data = self.pack_slot(rows * cols);
-                ops::transpose_into(&tmp, rows, cols, &mut data);
-                self.put(tmp);
-                self.push_pack(key, PackKind::Transposed, rows, cols, data)
-            }
-        };
-        &self.packs[pos].data
-    }
-
-    /// A quantized weight dequantized into its natural row-major order,
-    /// cached once per [`QTensor::content_id`].
-    ///
-    /// The sibling of [`Workspace::packed_dequant`] for kernels that
-    /// consume the weight untransposed (the `g·W` input-gradient GEMMs and
-    /// the convolution input-backward, whose `[OC, IC·KH·KW]` layout is
-    /// already the k-major panel they need).
-    pub fn dequant_panel(&mut self, q: &QTensor) -> &[f32] {
-        let len = q.len();
-        let key = q.content_id();
-        let pos = match self.find_pack(key, PackKind::Natural, len, 1) {
-            Some(p) => p,
-            None => {
-                let mut data = self.pack_slot(len);
-                q.dequantize_into(&mut data);
-                self.push_pack(key, PackKind::Natural, len, 1, data)
-            }
-        };
-        &self.packs[pos].data
-    }
-
-    fn find_pack(&self, key: u64, kind: PackKind, rows: usize, cols: usize) -> Option<usize> {
-        self.packs
-            .iter()
-            .position(|p| p.key == key && p.kind == kind && p.rows == rows && p.cols == cols)
-    }
-
-    /// Checks out a dirty buffer for a new panel, evicting the oldest
-    /// cached panel first when the cache is full (FIFO; the evicted
-    /// buffer returns to the pool and is usually the one handed back).
-    fn pack_slot(&mut self, len: usize) -> Vec<f32> {
-        if self.packs.len() >= MAX_PACKS {
-            let old = self.packs.remove(0);
-            self.put(old.data);
-        }
-        self.take_dirty(len)
-    }
-
-    fn push_pack(
-        &mut self,
-        key: u64,
-        kind: PackKind,
-        rows: usize,
-        cols: usize,
-        data: Vec<f32>,
-    ) -> usize {
-        self.packs.push(PackEntry {
-            key,
-            kind,
-            rows,
-            cols,
-            data,
-        });
-        self.packs.len() - 1
+        Workspace { pool: Vec::new() }
     }
 
     /// Checks out a zero-filled buffer of exactly `len` elements.
@@ -375,101 +222,6 @@ mod tests {
         ws.put(c);
         let d = ws.take(20);
         assert!(d.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn packed_transpose_caches_until_mutation() {
-        let mut ws = Workspace::new();
-        let mut w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let expect = [1.0, 4.0, 2.0, 5.0, 3.0, 6.0];
-        assert_eq!(ws.packed_transpose(&w, 2, 3), &expect);
-
-        // Second call is a cache hit: the pool is untouched.
-        let pooled = ws.pooled();
-        assert_eq!(ws.packed_transpose(&w, 2, 3), &expect);
-        assert_eq!(ws.pooled(), pooled);
-
-        // Mutation re-stamps the id, so the pack is rebuilt with new data.
-        w.data_mut()[0] = 10.0;
-        assert_eq!(
-            ws.packed_transpose(&w, 2, 3),
-            &[10.0, 4.0, 2.0, 5.0, 3.0, 6.0]
-        );
-    }
-
-    #[test]
-    fn packed_transpose_cache_is_bounded() {
-        let mut ws = Workspace::new();
-        for i in 0..3 * MAX_PACKS {
-            let t = Tensor::full(&[2, 2], i as f32);
-            let _ = ws.packed_transpose(&t, 2, 2);
-        }
-        assert_eq!(ws.packs.len(), MAX_PACKS);
-        // Each eviction returns its buffer to the pool and the replacement
-        // pack immediately reuses it, so the steady state is one buffer per
-        // cache slot and an empty pool — eviction recycles, never leaks.
-        assert_eq!(ws.pooled(), 0);
-    }
-
-    #[test]
-    fn packed_dequant_caches_per_content_id() {
-        use crate::quant::{Dtype, QTensor};
-        let mut ws = Workspace::new();
-        let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let q = QTensor::quantize(&w, Dtype::F16);
-        // All six values are small integers: f16 encodes them exactly, so
-        // the dequant panel equals the dense transpose bit-for-bit.
-        let expect = [1.0, 4.0, 2.0, 5.0, 3.0, 6.0];
-        assert_eq!(ws.packed_dequant(&q, 2, 3), &expect);
-        let pooled = ws.pooled();
-        assert_eq!(ws.packed_dequant(&q, 2, 3), &expect, "hit, not repack");
-        assert_eq!(ws.pooled(), pooled);
-        // Natural orientation coexists with the transpose in the cache.
-        assert_eq!(ws.dequant_panel(&q), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(ws.packed_dequant(&q, 2, 3), &expect, "still cached");
-    }
-
-    #[test]
-    fn dequant_panels_never_leak_stale_data_across_evictions() {
-        use crate::quant::{Dtype, QTensor};
-        // Fuzz the FIFO cache: interleave many distinct quantized tensors
-        // (forcing evictions into recycled dirty buffers) with dense packs
-        // and re-reads, checking every returned panel against a fresh
-        // dequantization. This is the no-stale-data property for panels.
-        let mut ws = Workspace::new();
-        let qs: Vec<QTensor> = (0..3 * MAX_PACKS)
-            .map(|i| {
-                let t = Tensor::from_fn(&[4, 8], |j| ((i * 37 + j) as f32 * 0.11).sin());
-                QTensor::quantize(&t, if i % 2 == 0 { Dtype::Q8 } else { Dtype::F16 })
-            })
-            .collect();
-        let mut step = 0usize;
-        for round in 0..4 {
-            for (i, q) in qs.iter().enumerate() {
-                step = step
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(round + i);
-                let mut want = vec![0.0f32; 32];
-                match step % 3 {
-                    0 => {
-                        let mut nat = vec![0.0f32; 32];
-                        q.dequantize_into(&mut nat);
-                        crate::ops::transpose_into(&nat, 4, 8, &mut want);
-                        assert_eq!(ws.packed_dequant(q, 4, 8), &want[..], "t-panel {i}");
-                    }
-                    1 => {
-                        q.dequantize_into(&mut want);
-                        assert_eq!(ws.dequant_panel(q), &want[..], "n-panel {i}");
-                    }
-                    _ => {
-                        let d = Tensor::from_fn(&[4, 8], |j| (i + j) as f32);
-                        crate::ops::transpose_into(d.data(), 4, 8, &mut want);
-                        assert_eq!(ws.packed_transpose(&d, 4, 8), &want[..], "dense {i}");
-                    }
-                }
-                assert!(ws.packs.len() <= MAX_PACKS);
-            }
-        }
     }
 
     #[test]

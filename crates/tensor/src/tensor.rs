@@ -65,14 +65,6 @@ impl Dims {
     }
 }
 
-/// Source of fresh [`Tensor::content_id`] values.
-static NEXT_TENSOR_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-#[inline]
-pub(crate) fn new_tensor_id() -> u64 {
-    NEXT_TENSOR_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
 /// A contiguous, row-major, `f32` n-dimensional array.
 ///
 /// `Tensor` is the single numeric currency of the whole workspace: images are
@@ -94,16 +86,10 @@ pub(crate) fn new_tensor_id() -> u64 {
 pub struct Tensor {
     shape: Dims,
     data: Vec<f32>,
-    /// Content-identity token for caches keyed on tensor data (see
-    /// [`Tensor::content_id`]). A clone keeps the id (same bytes); any
-    /// `&mut` access re-stamps it.
-    id: u64,
 }
 
 impl PartialEq for Tensor {
-    /// Value equality: same shape and same element bytes. The
-    /// [`Tensor::content_id`] is deliberately ignored — two tensors built
-    /// independently from equal data compare equal.
+    /// Value equality: same shape and equal elements.
     fn eq(&self, other: &Self) -> bool {
         self.shape() == other.shape() && self.data == other.data
     }
@@ -130,7 +116,6 @@ impl Default for Tensor {
         Tensor {
             shape: Dims::from_slice(&[0]),
             data: Vec::new(),
-            id: new_tensor_id(),
         }
     }
 }
@@ -170,7 +155,6 @@ impl Tensor {
         Tensor {
             shape: Dims::from_slice(shape),
             data: vec![value; numel(shape)],
-            id: new_tensor_id(),
         }
     }
 
@@ -207,7 +191,6 @@ impl Tensor {
         Ok(Tensor {
             shape: Dims::from_slice(shape),
             data,
-            id: new_tensor_id(),
         })
     }
 
@@ -221,7 +204,6 @@ impl Tensor {
         Tensor {
             shape: Dims::from_slice(shape),
             data,
-            id: new_tensor_id(),
         }
     }
 
@@ -237,27 +219,6 @@ impl Tensor {
     /// Number of dimensions (rank).
     pub fn ndim(&self) -> usize {
         self.shape().len()
-    }
-
-    /// An opaque token identifying this tensor's current contents.
-    ///
-    /// Two tensors with the same id are guaranteed to hold the same bytes:
-    /// ids are globally unique per construction, a clone keeps the id of
-    /// its source (same bytes by definition), and every `&mut` accessor
-    /// re-stamps a fresh id before handing out mutable access. The converse
-    /// does not hold — equal data under different ids is common and fine.
-    ///
-    /// [`crate::Workspace::packed_transpose`] keys its pack cache on this,
-    /// which is what lets a weight matrix be packed once and reused across
-    /// every step of a refine loop without any staleness hazard.
-    pub fn content_id(&self) -> u64 {
-        self.id
-    }
-
-    /// Re-stamps [`Tensor::content_id`]; called by every `&mut` accessor.
-    #[inline]
-    fn touch(&mut self) {
-        self.id = new_tensor_id();
     }
 
     /// Total number of elements.
@@ -277,7 +238,6 @@ impl Tensor {
 
     /// Mutable view of the underlying buffer (row-major).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        self.touch();
         &mut self.data
     }
 
@@ -324,7 +284,6 @@ impl Tensor {
     /// Panics on rank mismatch or out-of-bounds coordinates.
     pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
         let off = self.offset(index);
-        self.touch();
         &mut self.data[off]
     }
 
@@ -359,7 +318,6 @@ impl Tensor {
         Ok(Tensor {
             shape: Dims::from_slice(shape),
             data: self.data.clone(),
-            id: new_tensor_id(),
         })
     }
 
@@ -378,7 +336,6 @@ impl Tensor {
         Tensor {
             shape: Dims::from_slice(&self.shape()[1..]),
             data,
-            id: new_tensor_id(),
         }
     }
 
@@ -392,7 +349,6 @@ impl Tensor {
         assert!(i < n, "index {i} out of bounds for axis 0 of size {n}");
         let inner: usize = self.shape()[1..].iter().product();
         assert_eq!(src.len(), inner, "slice length mismatch in set_axis0");
-        self.touch();
         self.data[i * inner..(i + 1) * inner].copy_from_slice(&src.data);
     }
 
@@ -415,7 +371,6 @@ impl Tensor {
         Tensor {
             shape: Dims::from_slice(&shape),
             data,
-            id: new_tensor_id(),
         }
     }
 
@@ -487,7 +442,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&a| f(a)).collect(),
-            id: new_tensor_id(),
         }
     }
 
@@ -506,7 +460,6 @@ impl Tensor {
                 .zip(&other.data)
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
-            id: new_tensor_id(),
         }
     }
 
@@ -517,7 +470,6 @@ impl Tensor {
     /// `self += other`. Panics on shape mismatch.
     pub fn add_assign(&mut self, other: &Tensor) {
         self.assert_same_shape(other, "add_assign");
-        self.touch();
         if crate::kernels::try_add_assign(&mut self.data, &other.data) {
             return;
         }
@@ -529,7 +481,6 @@ impl Tensor {
     /// `self -= other`. Panics on shape mismatch.
     pub fn sub_assign(&mut self, other: &Tensor) {
         self.assert_same_shape(other, "sub_assign");
-        self.touch();
         if crate::kernels::try_sub_assign(&mut self.data, &other.data) {
             return;
         }
@@ -541,7 +492,6 @@ impl Tensor {
     /// `self += s * other` (axpy). Panics on shape mismatch.
     pub fn axpy(&mut self, s: f32, other: &Tensor) {
         self.assert_same_shape(other, "axpy");
-        self.touch();
         if crate::kernels::try_axpy(&mut self.data, s, &other.data) {
             return;
         }
@@ -552,7 +502,6 @@ impl Tensor {
 
     /// `self *= s` in place.
     pub fn scale_assign(&mut self, s: f32) {
-        self.touch();
         if crate::kernels::try_scale(&mut self.data, s) {
             return;
         }
@@ -563,7 +512,6 @@ impl Tensor {
 
     /// Sets every element to zero (keeps the allocation).
     pub fn fill(&mut self, value: f32) {
-        self.touch();
         for a in &mut self.data {
             *a = value;
         }
@@ -571,7 +519,6 @@ impl Tensor {
 
     /// Applies `f` to every element in place.
     pub fn map_assign(&mut self, f: impl Fn(f32) -> f32) {
-        self.touch();
         for a in &mut self.data {
             *a = f(*a);
         }
@@ -774,35 +721,6 @@ mod tests {
         assert!(t.all_finite());
         t.data_mut()[0] = f32::NAN;
         assert!(!t.all_finite());
-    }
-
-    #[test]
-    fn content_id_tracks_mutation() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let b = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        assert_ne!(
-            a.content_id(),
-            b.content_id(),
-            "fresh tensors get fresh ids"
-        );
-        assert_eq!(a, b, "equality ignores the id");
-
-        let mut c = a.clone();
-        assert_eq!(
-            a.content_id(),
-            c.content_id(),
-            "a clone shares its source's id (same bytes)"
-        );
-        c.data_mut()[0] = 5.0;
-        assert_ne!(
-            a.content_id(),
-            c.content_id(),
-            "&mut access re-stamps the id"
-        );
-
-        let before = c.content_id();
-        c.fill(0.0);
-        assert_ne!(before, c.content_id());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use usb_tensor::conv::{
     conv2d_valid_single_adjoint, depthwise_forward_ws, depthwise_input_backward_ws, im2col_into,
     stencil_adjoint_ws, stencil_gather_ws, ConvSpec, Stencil,
 };
+use usb_tensor::panel::GemmWeight;
 use usb_tensor::quant::{f16_decode, Q8_BLOCK};
 use usb_tensor::{ops, Dtype, QTensor, Tensor, Workspace};
 
@@ -416,8 +417,9 @@ proptest! {
         assert_bits_eq(&out, &naive_matmul_transb(&a, &bt, m, k, n), "matmul_transb_into");
     }
 
-    /// `x @ Wᵀ` through a packed k-major panel (the inference fast path)
-    /// equals the direct transb kernel bitwise, including on cache hits.
+    /// `x @ Wᵀ` through a [`GemmWeight`]'s k-major panel (the inference
+    /// fast path) equals the direct transb kernel bitwise, on the call
+    /// that builds the panel and on later calls alike.
     #[test]
     fn packed_panel_matches_transb_bitwise(
         m in 1usize..10,
@@ -429,12 +431,12 @@ proptest! {
         let wt = Tensor::from_vec(tensor_from(&vals, n * k, -0.02), &[n, k]);
         let mut want = vec![0.0f32; m * n];
         ops::matmul_transb_into(&x, wt.data(), m, k, n, &mut want);
+        let weight = GemmWeight::new(wt);
         let mut ws = dirty_workspace();
         for round in 0..2 {
-            // Round 0 packs the panel, round 1 hits the content-id cache.
+            // Round 0 builds the panel, round 1 reads the built one.
             let mut got = ws.take_dirty(m * n);
-            let packed = ws.packed_transpose(&wt, n, k);
-            ops::matmul_into(&x, packed, m, k, n, &mut got);
+            ops::matmul_into(&x, weight.kmajor(), m, k, n, &mut got);
             assert_bits_eq(&got, &want, &format!("packed panel (round {round})"));
             ws.put(got);
         }
@@ -523,7 +525,7 @@ proptest! {
 
         let mut ws = dirty_workspace();
         for round in 0..2 {
-            // Round 1 reruns on the warm pool and packed-panel cache.
+            // Round 1 reruns on the warm pool.
             let got = conv2d_forward_ws(
                 &input,
                 &weight,
@@ -577,13 +579,13 @@ proptest! {
         }
     }
 
-    /// Dequantized panels against the from-scratch byte-level decode: the
-    /// panel cache must serve exactly the codec's floats — natural order
-    /// for `dequant_panel`, `[k, n]` transposed order for `packed_dequant`
-    /// — on the cold pack and on warm cache hits alike, and the GEMM fed
-    /// from the panel must match the GEMM fed the naive decode bitwise.
+    /// A quantized [`GemmWeight`]'s panels against the from-scratch
+    /// byte-level decode: they must hold exactly the codec's floats —
+    /// natural order for `natural`, `[k, n]` transposed order for
+    /// `kmajor` — when built and when read again, and the GEMM fed from
+    /// the panel must match the GEMM fed the naive decode bitwise.
     #[test]
-    fn dequant_panels_match_naive_decode_bitwise(
+    fn quantized_panels_match_naive_decode_bitwise(
         n in 1usize..13,
         k in 1usize..40,
         m in 1usize..6,
@@ -591,9 +593,9 @@ proptest! {
         vals in proptest::collection::vec(-2.0f32..2.0, 8..32),
     ) {
         let dtype = if dtype_bit == 0 { Dtype::F16 } else { Dtype::Q8 };
-        let w = Tensor::from_vec(tensor_from(&vals, n * k, 0.015), &[n, k]);
-        let q = QTensor::quantize(&w, dtype);
-        let want = naive_decode(&q);
+        let mut weight = GemmWeight::new(Tensor::from_vec(tensor_from(&vals, n * k, 0.015), &[n, k]));
+        weight.quantize(dtype);
+        let want = naive_decode(weight.quant().expect("quantized"));
         let mut want_t = vec![0.0f32; n * k];
         ops::transpose_into(&want, n, k, &mut want_t);
         let x = tensor_from(&vals, m * k, 0.01);
@@ -602,14 +604,12 @@ proptest! {
 
         let mut ws = dirty_workspace();
         for round in 0..2 {
-            // Round 0 dequantizes into the panel cache, round 1 hits it.
-            let flat = ws.dequant_panel(&q).to_vec();
-            assert_bits_eq(&flat, &want, &format!("dequant_panel {dtype} (round {round})"));
+            // Round 0 builds both panels, round 1 reads the built ones.
+            assert_bits_eq(weight.natural(), &want, &format!("natural {dtype} (round {round})"));
+            assert_bits_eq(weight.kmajor(), &want_t, &format!("kmajor {dtype} (round {round})"));
             let mut got_y = ws.take_dirty(m * n);
-            let packed = ws.packed_dequant(&q, n, k);
-            assert_bits_eq(packed, &want_t, &format!("packed_dequant {dtype} (round {round})"));
-            ops::matmul_into(&x, packed, m, k, n, &mut got_y);
-            assert_bits_eq(&got_y, &want_y, &format!("gemm via packed_dequant {dtype} (round {round})"));
+            ops::matmul_into(&x, weight.kmajor(), m, k, n, &mut got_y);
+            assert_bits_eq(&got_y, &want_y, &format!("gemm via kmajor {dtype} (round {round})"));
             ws.put(got_y);
         }
     }

@@ -17,7 +17,12 @@
 //!   what the budget affords, and live bytes stay bounded;
 //! * a quantized (Q8) twin of the fixture bundle is accepted by the
 //!   daemon, and is ≥ 1.8× smaller than its f32 twin both on disk and in
-//!   resident memory (measured with the counting allocator).
+//!   resident memory (measured with the counting allocator);
+//! * a finished job leaves no GEMM panels behind: after a job, an f32 and
+//!   a Q8 resident entry each hold what parsing built plus the recipe's
+//!   prototypes, and nothing more;
+//! * a truncated tensor record claiming 2²⁸ elements is rejected without
+//!   allocating its claimed gigabyte.
 //!
 //! Everything runs in ONE `#[test]` so no concurrent test traffic
 //! pollutes the live-byte readings; this file is its own test binary for
@@ -28,6 +33,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Duration;
 use universal_soldier::attacks::persist::read_victim_bytes;
 use universal_soldier::eval::serve::{Client, ServeConfig, Server, SubmitOptions};
+use universal_soldier::tensor::io::{read_tensor_record, IoError, TENSOR_MAGIC, TENSOR_VERSION};
 use universal_soldier::tensor::Dtype;
 
 mod serve_util;
@@ -89,6 +95,22 @@ fn reset_peak() -> i64 {
     live
 }
 
+/// Live bytes once the daemon has gone idle: the scheduler drops a job's
+/// request only after its verdict is on the wire, so a reading right after
+/// the verdict may race that drop. Waits for two equal readings in a row.
+fn settled_live_bytes() -> i64 {
+    let mut last = live_bytes();
+    for _ in 0..200 {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = live_bytes();
+        if now == last {
+            break;
+        }
+        last = now;
+    }
+    last
+}
+
 fn peak_bytes() -> i64 {
     PEAK_BYTES.load(Ordering::Relaxed)
 }
@@ -105,6 +127,17 @@ fn resident_footprint(bytes: &[u8]) -> i64 {
     delta
 }
 
+/// Live-heap delta held by the class prototypes of a bundle's recipe,
+/// measured like [`resident_footprint`].
+fn prototype_footprint(bytes: &[u8]) -> i64 {
+    let parsed = read_victim_bytes(bytes).expect("parsing a fixture bundle");
+    let before = live_bytes();
+    let protos = parsed.data_spec.prototypes(parsed.data_seed);
+    let delta = live_bytes() - before;
+    drop(protos);
+    delta
+}
+
 /// What the daemon charges a bundle against its cache budget: the parsed
 /// model plus the class prototypes of its recipe.
 fn charged_footprint(bytes: &[u8]) -> usize {
@@ -117,6 +150,11 @@ fn charged_footprint(bytes: &[u8]) -> usize {
 /// bookkeeping the charge leaves out (tensor shape vectors, layer
 /// structs, the resident entry's own slot).
 const ZOO_SLACK: usize = 32 << 10;
+
+/// Bookkeeping a finished job may leave beyond its entry's post-parse
+/// footprint. Far below the fixture's GEMM panels: a few KiB for the f32
+/// twin, more for the Q8 one.
+const PANEL_SLACK: i64 = 256;
 
 #[test]
 fn resident_cache_keeps_daemon_memory_bounded() {
@@ -275,7 +313,7 @@ fn resident_cache_keeps_daemon_memory_bounded() {
     // than its f32 twin on disk AND in resident memory. Models carry no
     // gradient buffers, so in memory the win is the weights' alone,
     // diluted by per-layer bookkeeping both twins share: on this small
-    // fixture 7509 vs 4153 live bytes (1.81×), against 6751 vs 3299 bytes
+    // fixture 7477 vs 4121 live bytes (1.81×), against 6751 vs 3299 bytes
     // on disk (2.05×).
     assert!(
         bundle.len() as f64 >= 1.8 * q8.len() as f64,
@@ -292,5 +330,71 @@ fn resident_cache_keeps_daemon_memory_bounded() {
         f32_resident as f64 / q8_resident as f64,
         f32_resident,
         q8_resident
+    );
+
+    // --- Phase 4: a finished job leaves no GEMM panels behind -----------
+    // A job's layers build their panels (for the Q8 twin, a decode plus a
+    // transpose per weight: more than twice its resident payload), and the
+    // scheduler drops them when the job ends. So after a miss, the daemon
+    // holds what parsing built plus the recipe's prototypes, and nothing
+    // more. A fresh daemon runs one warm-up job on an unrelated bundle
+    // first, so one-time setup (cache slots, thread bookkeeping) is not
+    // charged to the bundles under test.
+    let server = Server::start(
+        ("127.0.0.1", 0),
+        ServeConfig {
+            cache_bytes: 1 << 30,
+            ..config
+        },
+    )
+    .expect("binding a second loopback daemon");
+    let mut client = Client::connect(server.local_addr()).expect("connecting to the daemon");
+    client
+        .set_read_timeout(Some(Duration::from_secs(600)))
+        .expect("setting a read timeout");
+    let warm_up = serve_util::bundle_bytes(2000);
+    assert!(!submit(&mut client, 400, &warm_up).cache_hit);
+    assert!(submit(&mut client, 401, &warm_up).cache_hit);
+    for (tag, twin, name) in [(410, &bundle, "f32"), (420, &q8, "Q8")] {
+        let before = settled_live_bytes();
+        let entry = resident_footprint(twin) + prototype_footprint(twin);
+        assert!(!submit(&mut client, tag, twin).cache_hit);
+        let after_miss = settled_live_bytes() - before;
+        assert!(submit(&mut client, tag + 1, twin).cache_hit);
+        let after_hit = settled_live_bytes() - before;
+        for (job, held) in [("miss", after_miss), ("hit", after_hit)] {
+            assert!(
+                held <= entry + PANEL_SLACK,
+                "after a {name} {job} job the daemon holds {held} bytes for the \
+                 bundle; parsing it and building its prototypes holds {entry} \
+                 (+{PANEL_SLACK} slack): the job left its GEMM panels resident"
+            );
+        }
+    }
+    let stats = server.stop();
+    assert_eq!(stats.failed, 0);
+
+    // --- Phase 5: a truncated record cannot make the reader allocate its claim
+    // A ~60-byte f32 record header claiming 2²⁸ elements (1 GiB of payload)
+    // followed by 32 payload bytes. The reader must reject it as truncated
+    // having allocated no more than the bytes actually present.
+    let mut record = Vec::new();
+    record.extend_from_slice(&TENSOR_MAGIC);
+    record.extend_from_slice(&TENSOR_VERSION.to_le_bytes());
+    record.extend_from_slice(&(Dtype::F32.tag() as u16).to_le_bytes());
+    record.extend_from_slice(&1u32.to_le_bytes());
+    record.extend_from_slice(&(1u64 << 28).to_le_bytes());
+    record.extend_from_slice(&[0x5a; 32]);
+    let baseline = reset_peak();
+    let result = read_tensor_record(&mut record.as_slice());
+    let peak = peak_bytes() - baseline;
+    assert!(
+        matches!(result, Err(IoError::Format(_))),
+        "a truncated 2^28-element record must be a format error"
+    );
+    assert!(
+        peak < 1 << 20,
+        "rejecting a {}-byte truncated record peaked {peak} bytes above baseline",
+        record.len()
     );
 }
