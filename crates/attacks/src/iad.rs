@@ -236,7 +236,7 @@ impl Attack for IadAttack {
                 let (_, dlogits) = softmax_cross_entropy(&logits, &train_labels);
                 let gi = model.grad(&dlogits, &mut tape, &mut ws, Some(&mut grads));
                 ws.recycle(gi);
-                model.commit_running_stats(&mut grads);
+                grads.commit(&mut model);
                 sgd.step(&mut model, &grads);
                 // --- Generator step: backdoor CE + diversity. -------------
                 let gx = bx; // whole batch drives the generator

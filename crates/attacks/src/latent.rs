@@ -127,7 +127,7 @@ impl Attack for LatentBackdoor {
                     .features
                     .grad(&dfeats, &mut tape, &mut ws, Some(&mut grads));
                 ws.recycle(gi);
-                model.commit_running_stats(&mut grads);
+                grads.commit(&mut model);
                 sgd.step(&mut model, &grads);
                 // Update the clean-target feature centroid (EMA, detached).
                 let clean_target_rows: Vec<usize> = (poison_count..bn)

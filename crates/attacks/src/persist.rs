@@ -66,11 +66,10 @@ use std::fs;
 use std::io::{Read, Write};
 use std::path::Path;
 use usb_data::SyntheticSpec;
-use usb_nn::layer::Layer;
 use usb_nn::models::Network;
 use usb_nn::serde::{
-    read_header_field, read_network, write_network, write_network_dtype, MAX_INPUT_CHANNELS,
-    MAX_WIDTH,
+    read_header_field, read_network, read_state, write_network, write_network_dtype, write_state,
+    MAX_INPUT_CHANNELS, MAX_WIDTH,
 };
 use usb_tensor::io::{
     expect_magic, expect_version, read_f32, read_f64, read_str, read_tensor, read_u32, read_u64,
@@ -192,17 +191,7 @@ fn write_generator(w: &mut impl Write, gen: &mut IadGenerator) -> Result<(), IoE
     write_u32(w, gen.channels() as u32)?;
     write_u32(w, gen.width() as u32)?;
     write_f32(w, gen.epsilon())?;
-    let mut count: u32 = 0;
-    gen.net_mut().visit_state(&mut |_, _| count += 1);
-    write_u32(w, count)?;
-    let mut result = Ok(());
-    gen.net_mut().visit_state(&mut |kind, slot| {
-        if result.is_err() {
-            return;
-        }
-        result = write_str(w, kind).and_then(|()| write_tensor(w, slot.dense()));
-    });
-    result
+    write_state(w, gen.net_mut(), Dtype::F32)
 }
 
 fn read_generator(r: &mut impl Read) -> Result<IadGenerator, IoError> {
@@ -214,44 +203,9 @@ fn read_generator(r: &mut impl Read) -> Result<IadGenerator, IoError> {
             "IAD generator header is implausible: epsilon {epsilon}"
         )));
     }
-    let count = read_u32(r)? as usize;
     let mut gen = IadGenerator::new(channels, width, epsilon, &mut StdRng::seed_from_u64(0));
-    let mut expected: u32 = 0;
-    gen.net_mut().visit_state(&mut |_, _| expected += 1);
-    if count != expected as usize {
-        return Err(IoError::format(format!(
-            "IAD generator has {count} state tensors, topology expects {expected}"
-        )));
-    }
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        let kind = read_str(r)?;
-        let tensor = read_tensor(r)?;
-        records.push((kind, tensor));
-    }
-    let mut idx = 0usize;
-    let mut mismatch: Option<String> = None;
-    gen.net_mut().visit_state(&mut |kind, slot| {
-        if mismatch.is_some() {
-            return;
-        }
-        let tensor = slot.dense();
-        let (stored_kind, stored) = &records[idx];
-        if stored_kind != kind || stored.shape() != tensor.shape() {
-            mismatch = Some(format!(
-                "IAD generator state tensor {idx}: stored ({stored_kind}, {:?}) vs topology ({kind}, {:?})",
-                stored.shape(),
-                tensor.shape()
-            ));
-        } else {
-            tensor.data_mut().copy_from_slice(stored.data());
-        }
-        idx += 1;
-    });
-    match mismatch {
-        Some(msg) => Err(IoError::format(msg)),
-        None => Ok(gen),
-    }
+    read_state(r, gen.net_mut(), Dtype::F32)?;
+    Ok(gen)
 }
 
 fn write_trigger(w: &mut impl Write, trigger: &mut InjectedTrigger) -> Result<(), IoError> {

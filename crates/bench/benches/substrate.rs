@@ -53,8 +53,8 @@ fn bench_matmul(c: &mut Criterion) {
     // What a quantized layer pays once per weight version: decode the Q8
     // blocks and transpose them into the k-major panel (`state_mut` drops
     // the previous panel, so every iteration rebuilds it).
-    let mut gq = GemmWeight::new(w);
-    gq.quantize(Dtype::Q8);
+    let mut gq = GemmWeight::new(Tensor::zeros(&[0, 0]));
+    *gq.state_mut().1 = Some(QTensor::quantize(&w, Dtype::Q8));
     c.bench_function("substrate/panel_build_q8_64x128", |bench| {
         bench.iter(|| {
             let _ = gq.state_mut();

@@ -1,9 +1,9 @@
 //! Composite layers: sequential stacks, residual blocks, squeeze-excite.
 
-use crate::layer::{Grads, Layer, Mode, ParamSlot, StateSlot};
+use crate::layer::{Grads, Layer, Mode, StateSlot};
 use crate::layers::{Linear, ReLU, Sigmoid};
 use rand::Rng;
-use usb_tensor::{pool, Dtype, Tape, Tensor, Workspace};
+use usb_tensor::{pool, Tape, Tensor, Workspace};
 
 /// An ordered stack of layers applied one after another.
 ///
@@ -99,22 +99,6 @@ impl Layer for Sequential {
         })
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
-        }
-    }
-
-    fn commit_running_stats(&mut self, grads: &mut Grads) {
-        for layer in &mut self.layers {
-            layer.commit_running_stats(grads);
-        }
-    }
-
-    fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
-    }
-
     fn name(&self) -> &'static str {
         "sequential"
     }
@@ -126,12 +110,6 @@ impl Layer for Sequential {
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         for layer in &mut self.layers {
             layer.visit_state(f);
-        }
-    }
-
-    fn quantize_weights(&mut self, dtype: Dtype) {
-        for layer in &mut self.layers {
-            layer.quantize_weights(dtype);
         }
     }
 }
@@ -230,20 +208,6 @@ impl Layer for Residual {
         }
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
-        self.main.visit_params(f);
-        self.shortcut.visit_params(f);
-    }
-
-    fn commit_running_stats(&mut self, grads: &mut Grads) {
-        self.main.commit_running_stats(grads);
-        self.shortcut.commit_running_stats(grads);
-    }
-
-    fn param_count(&self) -> usize {
-        self.main.param_count() + self.shortcut.param_count()
-    }
-
     fn name(&self) -> &'static str {
         "residual"
     }
@@ -255,11 +219,6 @@ impl Layer for Residual {
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         self.main.visit_state(f);
         self.shortcut.visit_state(f);
-    }
-
-    fn quantize_weights(&mut self, dtype: Dtype) {
-        self.main.quantize_weights(dtype);
-        self.shortcut.quantize_weights(dtype);
     }
 }
 
@@ -409,15 +368,6 @@ impl Layer for SqueezeExcite {
         gi
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
-        self.fc1.visit_params(f);
-        self.fc2.visit_params(f);
-    }
-
-    fn param_count(&self) -> usize {
-        self.fc1.param_count() + self.fc2.param_count()
-    }
-
     fn name(&self) -> &'static str {
         "squeeze_excite"
     }
@@ -429,11 +379,6 @@ impl Layer for SqueezeExcite {
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         self.fc1.visit_state(f);
         self.fc2.visit_state(f);
-    }
-
-    fn quantize_weights(&mut self, dtype: Dtype) {
-        self.fc1.quantize_weights(dtype);
-        self.fc2.quantize_weights(dtype);
     }
 }
 
@@ -476,7 +421,7 @@ mod tests {
     #[test]
     fn sequential_composes() {
         let mut rng = StdRng::seed_from_u64(0);
-        let s = Sequential::new()
+        let mut s = Sequential::new()
             .push(Conv2d::new(1, 2, 3, 1, 1, true, &mut rng))
             .push(ReLU::new());
         let x = Tensor::from_fn(&[1, 1, 4, 4], |i| (i as f32) - 8.0);
@@ -484,7 +429,7 @@ mod tests {
         assert_eq!(y.shape(), &[1, 2, 4, 4]);
         assert!(y.min() >= 0.0, "relu output must be non-negative");
         assert_eq!(gi.shape(), x.shape());
-        assert!(s.param_count() > 0);
+        assert!(!Grads::for_model(&mut s).params().is_empty());
     }
 
     #[test]
@@ -501,7 +446,7 @@ mod tests {
         // main = zero conv -> residual output equals input.
         let mut rng = StdRng::seed_from_u64(1);
         let mut conv = Conv2d::new(2, 2, 1, 1, 0, false, &mut rng);
-        conv.visit_params(&mut |s| s.value.fill(0.0));
+        crate::layer::visit_params(&mut conv, |value, _| value.fill(0.0));
         let r = Residual::new(Sequential::new().push(conv));
         let x = Tensor::from_fn(&[1, 2, 3, 3], |i| (i as f32) * 0.1);
         let (y, gi) = tape_grad(&r, &x);

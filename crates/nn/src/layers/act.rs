@@ -1,6 +1,6 @@
 //! Activation layers: ReLU, Sigmoid, SiLU (swish).
 
-use crate::layer::{Grads, Layer, Mode, ParamSlot};
+use crate::layer::{Grads, Layer, Mode, StateSlot};
 use usb_tensor::{Tape, Tensor, Workspace};
 
 /// Elementwise map into a workspace buffer: the allocation-free counterpart
@@ -84,11 +84,7 @@ impl Layer for ReLU {
         gi
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(ParamSlot<'_>)) {}
-
-    fn param_count(&self) -> usize {
-        0 // no parameters
-    }
+    fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
     fn name(&self) -> &'static str {
         "relu"
@@ -151,11 +147,7 @@ impl Layer for Sigmoid {
         gi
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(ParamSlot<'_>)) {}
-
-    fn param_count(&self) -> usize {
-        0 // no parameters
-    }
+    fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
     fn name(&self) -> &'static str {
         "sigmoid"
@@ -231,11 +223,7 @@ impl Layer for SiLU {
         Tensor::from_vec(out, grad_out.shape())
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(ParamSlot<'_>)) {}
-
-    fn param_count(&self) -> usize {
-        0 // no parameters
-    }
+    fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
     fn name(&self) -> &'static str {
         "silu"

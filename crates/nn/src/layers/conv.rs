@@ -1,14 +1,14 @@
 //! Dense and depthwise convolution layers.
 
 use super::{record_input, with_recorded_input};
-use crate::layer::{Grads, Layer, Mode, Param, ParamSlot, StateSlot};
+use crate::layer::{Grads, Layer, Mode, StateSlot};
 use rand::Rng;
 use usb_tensor::conv::{
     conv2d_backward_ws, conv2d_forward_panel_ws, conv2d_input_backward_panel_ws,
     depthwise_backward_ws, depthwise_forward_ws, depthwise_input_backward_ws, ConvSpec,
 };
 use usb_tensor::panel::GemmWeight;
-use usb_tensor::{init, Dtype, Tape, Tensor, Workspace};
+use usb_tensor::{init, Tape, Tensor, Workspace};
 
 /// Adds a layer's `(weight, bias)` gradients into its accumulators at the
 /// back of `grads`.
@@ -29,7 +29,7 @@ fn accumulate(grads: &mut Grads, gw: &Tensor, gb: &Tensor, has_bias: bool) {
 #[derive(Clone)]
 pub struct Conv2d {
     weight: GemmWeight, // [OC, IC, KH, KW]
-    bias: Option<Param>,
+    bias: Option<Tensor>,
     spec: ConvSpec,
 }
 
@@ -52,7 +52,7 @@ impl Conv2d {
         assert!(in_ch > 0 && out_ch > 0 && k > 0, "Conv2d: zero dimension");
         let fan_in = in_ch * k * k;
         let weight = GemmWeight::new(init::kaiming_uniform(&[out_ch, in_ch, k, k], fan_in, rng));
-        let bias = bias.then(|| Param::new(Tensor::zeros(&[out_ch]), false));
+        let bias = bias.then(|| Tensor::zeros(&[out_ch]));
         Conv2d {
             weight,
             bias,
@@ -78,7 +78,7 @@ impl Layer for Conv2d {
             x,
             self.weight.kmajor(),
             self.weight.shape(),
-            self.bias.as_ref().map(|b| &b.value),
+            self.bias.as_ref(),
             self.spec,
             ws,
         )
@@ -132,32 +132,12 @@ impl Layer for Conv2d {
         gi
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
-        // A quantized weight is invisible to optimisers and weight decay.
-        if let Some(value) = self.weight.dense_mut() {
-            f(ParamSlot { value, decay: true });
-        }
-        if let Some(b) = self.bias.as_mut() {
-            f(b.slot());
-        }
-    }
-
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         let (dense, quant) = self.weight.state_mut();
         f("conv2d", StateSlot::Weight { dense, quant });
-        if let Some(b) = self.bias.as_mut() {
-            f("conv2d", StateSlot::Dense(&mut b.value));
+        if let Some(value) = self.bias.as_mut() {
+            f("conv2d", StateSlot::Param(value, false));
         }
-    }
-
-    fn quantize_weights(&mut self, dtype: Dtype) {
-        self.weight.quantize(dtype);
-    }
-
-    fn param_count(&self) -> usize {
-        // Logical counts: a quantized weight still holds OC·IC·KH·KW params.
-        let w: usize = self.weight.shape().iter().product();
-        w + self.bias.as_ref().map_or(0, |b| b.value.len())
     }
 
     fn name(&self) -> &'static str {
@@ -174,8 +154,8 @@ impl Layer for Conv2d {
 /// Used by the EfficientNet-B0 MBConv blocks.
 #[derive(Clone)]
 pub struct DepthwiseConv2d {
-    weight: Param,
-    bias: Option<Param>,
+    weight: Tensor, // [C, 1, KH, KW]
+    bias: Option<Tensor>,
     spec: ConvSpec,
 }
 
@@ -195,8 +175,8 @@ impl DepthwiseConv2d {
         rng: &mut impl Rng,
     ) -> Self {
         assert!(ch > 0 && k > 0, "DepthwiseConv2d: zero dimension");
-        let weight = Param::new(init::kaiming_uniform(&[ch, 1, k, k], k * k, rng), true);
-        let bias = bias.then(|| Param::new(Tensor::zeros(&[ch]), false));
+        let weight = init::kaiming_uniform(&[ch, 1, k, k], k * k, rng);
+        let bias = bias.then(|| Tensor::zeros(&[ch]));
         DepthwiseConv2d {
             weight,
             bias,
@@ -207,13 +187,7 @@ impl DepthwiseConv2d {
 
 impl Layer for DepthwiseConv2d {
     fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        depthwise_forward_ws(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|b| &b.value),
-            self.spec,
-            ws,
-        )
+        depthwise_forward_ws(x, &self.weight, self.bias.as_ref(), self.spec, ws)
     }
 
     fn infer_recording(
@@ -243,11 +217,11 @@ impl Layer for DepthwiseConv2d {
         let gi = match grads {
             None => {
                 let (h, w) = (frame.aux[2], frame.aux[3]);
-                depthwise_input_backward_ws(&self.weight.value, grad_out, h, w, self.spec, ws)
+                depthwise_input_backward_ws(&self.weight, grad_out, h, w, self.spec, ws)
             }
             Some(grads) => {
                 let (gi, gw, gb) = with_recorded_input(&mut frame, "DepthwiseConv2d", |x| {
-                    depthwise_backward_ws(x, &self.weight.value, grad_out, self.spec, ws)
+                    depthwise_backward_ws(x, &self.weight, grad_out, self.spec, ws)
                 });
                 accumulate(grads, &gw, &gb, self.bias.is_some());
                 gi
@@ -257,15 +231,11 @@ impl Layer for DepthwiseConv2d {
         gi
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
-        f(self.weight.slot());
-        if let Some(b) = self.bias.as_mut() {
-            f(b.slot());
+    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
+        f("depthwise_conv2d", StateSlot::Param(&mut self.weight, true));
+        if let Some(value) = self.bias.as_mut() {
+            f("depthwise_conv2d", StateSlot::Param(value, false));
         }
-    }
-
-    fn param_count(&self) -> usize {
-        self.weight.value.len() + self.bias.as_ref().map_or(0, |b| b.value.len())
     }
 
     fn name(&self) -> &'static str {
@@ -280,8 +250,19 @@ impl Layer for DepthwiseConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::{quantize_weights, visit_params};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use usb_tensor::Dtype;
+
+    /// The element count of each parameter, in [`Grads`] order.
+    fn param_lens(layer: &mut dyn Layer) -> Vec<usize> {
+        Grads::for_model(layer)
+            .params()
+            .iter()
+            .map(Tensor::len)
+            .collect()
+    }
 
     /// One train-mode record→grad step into `grads`; returns `dL/dx`.
     fn train_step(layer: &dyn Layer, x: &Tensor, grads: &mut Grads) -> Tensor {
@@ -291,10 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn conv_shapes_and_param_count() {
+    fn conv_shapes_and_param_layout() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut c = Conv2d::new(3, 8, 3, 1, 1, true, &mut rng);
-        assert_eq!(c.param_count(), 8 * 3 * 3 * 3 + 8);
+        assert_eq!(param_lens(&mut c), [8 * 3 * 3 * 3, 8]);
         let x = Tensor::zeros(&[2, 3, 8, 8]);
         let y = c.infer(&x, &mut Workspace::new());
         assert_eq!(y.shape(), &[2, 8, 8, 8]);
@@ -334,16 +315,15 @@ mod tests {
     fn quantized_conv_matches_dense_on_f16_exact_weights() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut c = Conv2d::new(2, 3, 3, 1, 1, true, &mut rng);
-        c.visit_params(&mut |slot| {
-            *slot.value = Tensor::from_fn(slot.value.shape(), |i| ((i % 11) as f32) - 5.0);
+        visit_params(&mut c, |value, _| {
+            *value = Tensor::from_fn(value.shape(), |i| ((i % 11) as f32) - 5.0);
         });
         let x = Tensor::from_fn(&[2, 2, 6, 6], |i| ((i % 7) as f32) * 0.5 - 1.5);
         let mut ws = Workspace::default();
         let dense_y = c.infer(&x, &mut ws);
 
         let mut q = c.clone();
-        q.quantize_weights(Dtype::F16);
-        assert_eq!(q.param_count(), c.param_count());
+        quantize_weights(&mut q, Dtype::F16);
         let qy = q.infer(&x, &mut ws);
         assert_eq!(qy.data(), dense_y.data());
 
@@ -378,7 +358,7 @@ mod tests {
     fn quantized_conv_rejects_training() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut c = Conv2d::new(1, 1, 3, 1, 1, false, &mut rng);
-        c.quantize_weights(Dtype::Q8);
+        quantize_weights(&mut c, Dtype::Q8);
         let _ = train_step(&c, &Tensor::zeros(&[1, 1, 4, 4]), &mut Grads::default());
     }
 
@@ -391,6 +371,6 @@ mod tests {
         assert_eq!(y.shape(), &[1, 4, 4, 4]);
         let mut grads = Grads::for_model(&mut d);
         assert_eq!(train_step(&d, &x, &mut grads).shape(), x.shape());
-        assert_eq!(d.param_count(), 4 * 9 + 4);
+        assert_eq!(param_lens(&mut d), [4 * 9, 4]);
     }
 }

@@ -1,22 +1,23 @@
 //! Fully-connected layer and flattening.
 
 use super::{record_input, with_recorded_input};
-use crate::layer::{Grads, Layer, Mode, Param, ParamSlot, StateSlot};
+use crate::layer::{Grads, Layer, Mode, StateSlot};
 use rand::Rng;
 use usb_tensor::panel::GemmWeight;
-use usb_tensor::{init, ops, Dtype, QTensor, Tape, Tensor, Workspace};
+use usb_tensor::{init, ops, QTensor, Tape, Tensor, Workspace};
 
 /// A dense layer `y = x Wᵀ + b` mapping `[N, in] -> [N, out]`.
 ///
 /// The weight is a [`GemmWeight`]: the layer builds its GEMM panels once
 /// and every thread shares them. It can be swapped for a quantized
-/// payload ([`Layer::quantize_weights`] or a low-precision bundle load),
+/// payload ([`crate::layer::quantize_weights`] or a low-precision bundle
+/// load),
 /// after which the layer is inference-only: `infer`/`grad` read decoded
 /// panels, while a parameter-gradient sink panics.
 #[derive(Clone)]
 pub struct Linear {
     weight: GemmWeight, // [out, in]
-    bias: Param,        // [out], always dense
+    bias: Tensor,       // [out], always dense
 }
 
 impl Linear {
@@ -36,7 +37,7 @@ impl Linear {
                 in_features,
                 rng,
             )),
-            bias: Param::new(Tensor::zeros(&[out_features]), false),
+            bias: Tensor::zeros(&[out_features]),
         }
     }
 
@@ -73,7 +74,7 @@ impl Layer for Linear {
         // ascending-`k` dot product `Σ x[i,k]·W[j,k]`, the same for a dense
         // weight and a decoded quantized one.
         ops::matmul_into(x.data(), self.weight.kmajor(), n, inf, out, &mut y);
-        let bd = self.bias.value.data();
+        let bd = self.bias.data();
         for i in 0..n {
             for (v, &b) in y[i * out..(i + 1) * out].iter_mut().zip(bd) {
                 *v += b;
@@ -133,29 +134,10 @@ impl Layer for Linear {
         Tensor::from_vec(gi, &[n, inf])
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
-        // A quantized weight is invisible to optimisers and weight decay —
-        // its dense storage is empty and must not be updated or counted.
-        if let Some(value) = self.weight.dense_mut() {
-            f(ParamSlot { value, decay: true });
-        }
-        f(self.bias.slot());
-    }
-
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         let (dense, quant) = self.weight.state_mut();
         f("linear", StateSlot::Weight { dense, quant });
-        f("linear", StateSlot::Dense(&mut self.bias.value));
-    }
-
-    fn quantize_weights(&mut self, dtype: Dtype) {
-        self.weight.quantize(dtype);
-    }
-
-    fn param_count(&self) -> usize {
-        // Logical counts: a quantized weight still holds out·in parameters.
-        let w: usize = self.weight.shape().iter().product();
-        w + self.bias.value.len()
+        f("linear", StateSlot::Param(&mut self.bias, false));
     }
 
     fn name(&self) -> &'static str {
@@ -221,11 +203,7 @@ impl Layer for Flatten {
         gi
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(ParamSlot<'_>)) {}
-
-    fn param_count(&self) -> usize {
-        0 // no parameters
-    }
+    fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
     fn name(&self) -> &'static str {
         "flatten"
@@ -239,19 +217,21 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::{quantize_weights, visit_params};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use usb_tensor::Dtype;
 
     #[test]
     fn linear_forward_matches_manual() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut l = Linear::new(2, 2, &mut rng);
         // Overwrite with known weights.
-        l.visit_params(&mut |slot| {
-            if slot.value.shape() == [2usize, 2] {
-                *slot.value = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
+        visit_params(&mut l, |value, _| {
+            if value.shape() == [2usize, 2] {
+                *value = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
             } else {
-                *slot.value = Tensor::from_vec(vec![0.5, -0.5], &[2]);
+                *value = Tensor::from_vec(vec![0.5, -0.5], &[2]);
             }
         });
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
@@ -307,19 +287,17 @@ mod tests {
     fn quantized_linear_matches_dense_on_f16_exact_weights() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut l = Linear::new(4, 3, &mut rng);
-        l.visit_params(&mut |slot| {
-            let ints = Tensor::from_fn(slot.value.shape(), |i| (i as f32) - 5.0);
-            *slot.value = ints;
+        visit_params(&mut l, |value, _| {
+            *value = Tensor::from_fn(value.shape(), |i| (i as f32) - 5.0);
         });
         let x = Tensor::from_fn(&[2, 4], |i| (i as f32) * 0.25 - 1.0);
         let mut ws = Workspace::default();
         let dense_y = l.infer(&x, &mut ws);
 
         let mut q = l.clone();
-        q.quantize_weights(Dtype::F16);
+        quantize_weights(&mut q, Dtype::F16);
         assert_eq!(q.out_features(), 3);
         assert_eq!(q.in_features(), 4);
-        assert_eq!(q.param_count(), l.param_count());
         let qy = q.infer(&x, &mut ws);
         assert_eq!(qy.data(), dense_y.data());
 
@@ -336,10 +314,10 @@ mod tests {
     fn quantized_linear_hides_weight_from_optimizers() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut l = Linear::new(3, 2, &mut rng);
-        l.quantize_weights(Dtype::Q8);
+        quantize_weights(&mut l, Dtype::Q8);
         let mut slots = 0usize;
-        l.visit_params(&mut |slot| {
-            assert_eq!(slot.value.shape(), [2usize], "only the bias is left");
+        visit_params(&mut l, |value, _| {
+            assert_eq!(value.shape(), [2usize], "only the bias is left");
             slots += 1;
         });
         assert_eq!(slots, 1);
@@ -371,7 +349,7 @@ mod tests {
     fn quantized_linear_rejects_training() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut l = Linear::new(3, 2, &mut rng);
-        l.quantize_weights(Dtype::F16);
+        quantize_weights(&mut l, Dtype::F16);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         let y = l.infer_recording(&Tensor::zeros(&[1, 3]), Mode::Train, &mut tape, &mut ws);
         let _ = l.grad(&y, &mut tape, &mut ws, Some(&mut Grads::default()));

@@ -48,7 +48,7 @@ fn with_recorded_input<R>(frame: &mut Frame, layer: &str, f: impl FnOnce(&Tensor
 /// Panel checks shared by the two GEMM layers, [`Linear`] and [`Conv2d`].
 #[cfg(test)]
 mod panel_checks {
-    use crate::layer::{Layer, ParamSlot, StateSlot};
+    use crate::layer::{quantize_weights, visit_params, Layer, StateSlot};
     use usb_tensor::panel::GemmWeight;
     use usb_tensor::{Dtype, QTensor, Tape, Tensor, Workspace};
 
@@ -75,7 +75,7 @@ mod panel_checks {
         weight: fn(&L) -> &GemmWeight,
         x: &Tensor,
     ) {
-        layer.quantize_weights(Dtype::Q8);
+        quantize_weights(&mut layer, Dtype::Q8);
         let layer = &layer;
         let warm = step(layer, x);
         let built = addresses(weight(layer));
@@ -106,15 +106,15 @@ mod panel_checks {
     fn keep(_: &mut dyn Layer) {}
 
     fn to_f16(l: &mut dyn Layer) {
-        l.quantize_weights(Dtype::F16);
+        quantize_weights(l, Dtype::F16);
     }
 
     fn to_q8(l: &mut dyn Layer) {
-        l.quantize_weights(Dtype::Q8);
+        quantize_weights(l, Dtype::Q8);
     }
 
     fn reweight(l: &mut dyn Layer) {
-        l.visit_params(&mut |s: ParamSlot<'_>| s.value.map_assign(|v| 0.5 - v));
+        visit_params(l, |value, _| value.map_assign(|v| 0.5 - v));
     }
 
     fn restate(l: &mut dyn Layer) {
@@ -126,8 +126,9 @@ mod panel_checks {
         });
     }
 
-    /// Each `&mut` route to the weight — `visit_params`, `visit_state`,
-    /// `quantize_weights` — after a warm pass must drop the panels: the
+    /// Each `&mut` route to the weight — the state walk itself and the
+    /// `visit_params` and `quantize_weights` functions over it — after a
+    /// warm pass must drop the panels: the
     /// next passes equal, bitwise, those of a freshly built layer given
     /// the same state before it ever ran.
     pub(super) fn mutation_drops_panels(build: &dyn Fn() -> Box<dyn Layer>, x: &Tensor) {

@@ -1,6 +1,6 @@
 //! Batch normalisation over `[N, C, H, W]` activations.
 
-use crate::layer::{Grads, Layer, Mode, Param, ParamSlot, StateSlot};
+use crate::layer::{Grads, Layer, Mode, StateSlot};
 use usb_tensor::{Tape, Tensor, Workspace};
 
 /// 2-D batch normalisation with learned affine parameters and running
@@ -8,14 +8,14 @@ use usb_tensor::{Tape, Tensor, Workspace};
 ///
 /// In [`Mode::Train`] the layer normalises with batch statistics; the
 /// exponential running averages move when the step's
-/// [`Layer::commit_running_stats`] runs. In [`Mode::Eval`] it applies the
+/// [`Grads::commit`] runs. In [`Mode::Eval`] it applies the
 /// frozen affine transform built from the running statistics. Gradients
 /// work in both modes — defenses differentiate through eval-mode models,
 /// where the layer is an elementwise affine map.
 #[derive(Clone)]
 pub struct BatchNorm2d {
-    gamma: Param,
-    beta: Param,
+    gamma: Tensor,
+    beta: Tensor,
     running_mean: Tensor,
     running_var: Tensor,
     momentum: f32,
@@ -32,8 +32,8 @@ impl BatchNorm2d {
     pub fn new(ch: usize) -> Self {
         assert!(ch > 0, "BatchNorm2d: zero channels");
         BatchNorm2d {
-            gamma: Param::new(Tensor::ones(&[ch]), false),
-            beta: Param::new(Tensor::zeros(&[ch]), false),
+            gamma: Tensor::ones(&[ch]),
+            beta: Tensor::zeros(&[ch]),
             running_mean: Tensor::zeros(&[ch]),
             running_var: Tensor::ones(&[ch]),
             momentum: 0.1,
@@ -54,7 +54,7 @@ impl BatchNorm2d {
     fn check_input(&self, x: &Tensor) -> (usize, usize, usize) {
         assert_eq!(x.ndim(), 4, "BatchNorm2d: input must be [N,C,H,W]");
         let (n, c) = (x.shape()[0], x.shape()[1]);
-        assert_eq!(c, self.gamma.value.len(), "BatchNorm2d: channel mismatch");
+        assert_eq!(c, self.gamma.len(), "BatchNorm2d: channel mismatch");
         (n, c, x.shape()[2] * x.shape()[3])
     }
 
@@ -92,8 +92,8 @@ impl BatchNorm2d {
             frame.extra[ch] = istd;
             frame.extra[c + ch] = (1.0 - mom) * self.running_mean.data()[ch] + mom * mean;
             frame.extra[2 * c + ch] = (1.0 - mom) * self.running_var.data()[ch] + mom * var;
-            let g = self.gamma.value.data()[ch];
-            let b = self.beta.value.data()[ch];
+            let g = self.gamma.data()[ch];
+            let b = self.beta.data()[ch];
             for i in 0..n {
                 let base = (i * c + ch) * plane;
                 for j in 0..plane {
@@ -116,8 +116,8 @@ impl Layer for BatchNorm2d {
             let mean = self.running_mean.data()[ch];
             let var = self.running_var.data()[ch];
             let istd = 1.0 / (var + self.eps).sqrt();
-            let g = self.gamma.value.data()[ch];
-            let b = self.beta.value.data()[ch];
+            let g = self.gamma.data()[ch];
+            let b = self.beta.data()[ch];
             for i in 0..n {
                 let base = (i * c + ch) * plane;
                 for j in 0..plane {
@@ -173,7 +173,7 @@ impl Layer for BatchNorm2d {
                 // arithmetic the eval forward used.
                 let var = self.running_var.data()[ch];
                 let istd = 1.0 / (var + self.eps).sqrt();
-                let k = self.gamma.value.data()[ch] * istd;
+                let k = self.gamma.data()[ch] * istd;
                 for i in 0..n {
                     let base = (i * c + ch) * plane;
                     for j in 0..plane {
@@ -199,7 +199,7 @@ impl Layer for BatchNorm2d {
                 sums[ch] = dgamma;
                 sums[c + ch] = dbeta;
                 // dx = (γ·istd/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
-                let k = self.gamma.value.data()[ch] * frame.extra[ch] / m;
+                let k = self.gamma.data()[ch] * frame.extra[ch] / m;
                 for i in 0..n {
                     let base = (i * c + ch) * plane;
                     for j in 0..plane {
@@ -213,8 +213,9 @@ impl Layer for BatchNorm2d {
                 };
                 acc_gamma.add_assign(&Tensor::from_vec(sums[..c].to_vec(), &[c]));
                 acc_beta.add_assign(&Tensor::from_vec(sums[c..].to_vec(), &[c]));
-                grads.push_stat(Tensor::from_vec(frame.extra[c..2 * c].to_vec(), &[c]));
+                // Reverse walk order: `commit` pops the mean first.
                 grads.push_stat(Tensor::from_vec(frame.extra[2 * c..].to_vec(), &[c]));
+                grads.push_stat(Tensor::from_vec(frame.extra[c..2 * c].to_vec(), &[c]));
             }
         }
         let gi = Tensor::from_vec(gi, &frame.aux);
@@ -222,26 +223,14 @@ impl Layer for BatchNorm2d {
         gi
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
-        f(self.gamma.slot());
-        f(self.beta.slot());
-    }
-
-    fn commit_running_stats(&mut self, grads: &mut Grads) {
-        // `grad` pushed mean then variance.
-        let var = grads.pop_stat();
-        let mean = grads.pop_stat();
-        assert_eq!(
-            mean.shape(),
-            self.running_mean.shape(),
-            "BatchNorm2d: running statistics from another layer"
-        );
-        self.running_var = var;
-        self.running_mean = mean;
-    }
-
-    fn param_count(&self) -> usize {
-        self.gamma.value.len() + self.beta.value.len()
+    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
+        for value in [&mut self.gamma, &mut self.beta] {
+            f("batchnorm2d", StateSlot::Param(value, false));
+        }
+        // Running statistics are state but not parameters: eval-mode
+        // passes are a function of them, so persistence must carry them.
+        f("batchnorm2d", StateSlot::Stat(&mut self.running_mean));
+        f("batchnorm2d", StateSlot::Stat(&mut self.running_var));
     }
 
     fn name(&self) -> &'static str {
@@ -250,19 +239,6 @@ impl Layer for BatchNorm2d {
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
-        // Running statistics are state but not parameters: eval-mode
-        // passes are a function of them, so persistence must carry them.
-        for t in [
-            &mut self.gamma.value,
-            &mut self.beta.value,
-            &mut self.running_mean,
-            &mut self.running_var,
-        ] {
-            f("batchnorm2d", StateSlot::Dense(t));
-        }
     }
 }
 
@@ -281,7 +257,7 @@ mod tests {
         let mut grads = Grads::for_model(bn);
         let y = bn.infer_recording(x, Mode::Train, &mut tape, &mut ws);
         let gi = bn.grad(go, &mut tape, &mut ws, Some(&mut grads));
-        bn.commit_running_stats(&mut grads);
+        grads.commit(bn);
         (y, gi)
     }
 

@@ -1,6 +1,6 @@
 //! Pooling layers wrapping the kernels in [`usb_tensor::pool`].
 
-use crate::layer::{Grads, Layer, Mode, ParamSlot};
+use crate::layer::{Grads, Layer, Mode, StateSlot};
 use usb_tensor::{pool, Tape, Tensor, Workspace};
 
 /// Average pooling over `k x k` windows with the given stride.
@@ -54,11 +54,7 @@ impl Layer for AvgPool2d {
         gi
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(ParamSlot<'_>)) {}
-
-    fn param_count(&self) -> usize {
-        0 // no parameters
-    }
+    fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
     fn name(&self) -> &'static str {
         "avg_pool2d"
@@ -127,11 +123,7 @@ impl Layer for MaxPool2d {
         gi
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(ParamSlot<'_>)) {}
-
-    fn param_count(&self) -> usize {
-        0 // no parameters
-    }
+    fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
     fn name(&self) -> &'static str {
         "max_pool2d"
@@ -185,11 +177,7 @@ impl Layer for GlobalAvgPool {
         gi
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(ParamSlot<'_>)) {}
-
-    fn param_count(&self) -> usize {
-        0 // no parameters
-    }
+    fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
     fn name(&self) -> &'static str {
         "global_avg_pool"

@@ -12,7 +12,11 @@
 //! for forward-only work, and [`layer::Layer::infer_recording`] +
 //! [`layer::Layer::grad`] for gradients, with the backward state kept on a
 //! caller-owned [`usb_tensor::Tape`] and parameter gradients (when
-//! training) in a caller-owned [`layer::Grads`] sink. Models are
+//! training) in a caller-owned [`layer::Grads`] sink. A model's state —
+//! trainable tensors, running statistics, quantizable GEMM weights — is
+//! reached through one walk, [`layer::Layer::visit_state`], and everything
+//! else that touches it (optimizers, quantization, the running-statistics
+//! commit, [`serde`]) is a function over that walk. Models are
 //! [`compose::Sequential`] stacks (plus residual / squeeze-excite
 //! composites) wrapped in a [`models::Network`] that splits feature
 //! extractor from classifier head so the latent-backdoor attack can inject
@@ -41,11 +45,12 @@
 //! let logits = net.infer(&x, &mut ws);
 //! assert_eq!(logits.shape(), &[2, 4]);
 //!
-//! // One training step: record, backpropagate into the sink, step.
+//! // One training step: record, backpropagate into the sink, install the
+//! // batch-norm running statistics, step.
 //! let mut grads = Grads::for_model(&mut net);
 //! let logits = net.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
 //! let _ = net.grad(&Tensor::ones(logits.shape()), &mut tape, &mut ws, Some(&mut grads));
-//! net.commit_running_stats(&mut grads);
+//! grads.commit(&mut net);
 //! Sgd::new(0.1, 0.9, 0.0).step(&mut net, &grads);
 //! ```
 

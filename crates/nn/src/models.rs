@@ -12,7 +12,7 @@
 //! DESIGN.md for the substitution argument).
 
 use crate::compose::{Residual, Sequential, SqueezeExcite};
-use crate::layer::{Grads, Layer, Mode, ParamSlot, StateSlot};
+use crate::layer::{self, Grads, Layer, Mode, StateSlot};
 use crate::layers::{
     AvgPool2d, BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d,
     ReLU, SiLU,
@@ -132,7 +132,7 @@ impl Architecture {
 /// across every worker thread, each worker bringing its own tape and
 /// [`Workspace`]. Training goes through the same route with
 /// [`Mode::Train`] and a [`Grads`] sink; only the optimizer step and
-/// [`Layer::commit_running_stats`] need `&mut`.
+/// [`Grads::commit`] need `&mut`.
 pub struct Network {
     /// Everything up to (and including) the penultimate representation.
     pub features: Sequential,
@@ -192,11 +192,6 @@ impl Network {
     /// Expected input shape `(C, H, W)`.
     pub fn input_shape(&self) -> (usize, usize, usize) {
         self.arch.input
-    }
-
-    /// Total number of scalar parameters. `&self` — it only visits shapes.
-    pub fn param_count(&self) -> usize {
-        self.features.param_count() + self.classifier.param_count()
     }
 
     /// Inference-only logits for a batch `[N, C, H, W]` in [`Mode::Eval`]
@@ -290,8 +285,7 @@ impl Network {
     /// dtype, freeing the dense copies. `Dtype::F32` is a no-op. The network
     /// becomes inference-only: training entry points panic afterwards.
     pub fn quantize_weights(&mut self, dtype: Dtype) {
-        Layer::quantize_weights(&mut self.features, dtype);
-        Layer::quantize_weights(&mut self.classifier, dtype);
+        layer::quantize_weights(self, dtype);
     }
 
     /// The storage dtype of the GEMM weights: `Some(F16)`/`Some(Q8)` when
@@ -320,14 +314,11 @@ impl Network {
     /// is the model component of a serve-cache entry's footprint.
     pub fn resident_bytes(&mut self) -> usize {
         let mut bytes = 0usize;
-        self.visit_state(&mut |_, slot| match slot {
-            StateSlot::Dense(t) => bytes += 4 * t.len(),
-            StateSlot::Weight { dense, quant, .. } => {
-                bytes += 4 * dense.len();
-                if let Some(q) = quant {
-                    bytes += q.byte_len();
-                }
+        self.visit_state(&mut |_, slot| {
+            if let StateSlot::Weight { quant: Some(q), .. } = &slot {
+                bytes += q.byte_len();
             }
+            bytes += 4 * slot.dense().len();
         });
         bytes
     }
@@ -364,17 +355,6 @@ impl Layer for Network {
         ws.recycle(g_feat);
         gi
     }
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
-        self.features.visit_params(f);
-        self.classifier.visit_params(f);
-    }
-    fn commit_running_stats(&mut self, grads: &mut Grads) {
-        self.features.commit_running_stats(grads);
-        self.classifier.commit_running_stats(grads);
-    }
-    fn param_count(&self) -> usize {
-        Network::param_count(self)
-    }
     fn name(&self) -> &'static str {
         "network"
     }
@@ -386,10 +366,6 @@ impl Layer for Network {
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         self.features.visit_state(f);
         self.classifier.visit_state(f);
-    }
-
-    fn quantize_weights(&mut self, dtype: Dtype) {
-        Network::quantize_weights(self, dtype);
     }
 }
 
@@ -606,8 +582,8 @@ mod tests {
         assert!(gi.all_finite(), "{kind:?} produced non-finite input grads");
         assert_eq!(tape.recorded(), 0, "{kind:?}: frames left on the tape");
         assert!(grads.params().iter().all(Tensor::all_finite));
-        net.commit_running_stats(&mut grads);
-        assert!(net.param_count() > 0);
+        grads.commit(&mut net);
+        assert!(!grads.params().is_empty());
         // Eval mode also works and supports input gradients.
         let (logits_eval, gi) =
             net.input_grad_in(&x, |l, _| Tensor::ones(l.shape()), &mut tape, &mut ws);
@@ -679,7 +655,11 @@ mod tests {
         let arch = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 3).with_width(4);
         let mut net = arch.build(&mut StdRng::seed_from_u64(5));
         assert_eq!(net.weight_dtype(), Some(Dtype::F32));
-        let params = net.param_count();
+        let params: usize = Grads::for_model(&mut net)
+            .params()
+            .iter()
+            .map(Tensor::len)
+            .sum();
         let dense_bytes = net.resident_bytes();
         assert_eq!(dense_bytes, 4 * params, "a dense BasicCnn holds its params");
         let x = Tensor::from_fn(&[2, 1, 12, 12], |i| (i as f32 * 0.03).sin());
@@ -688,7 +668,6 @@ mod tests {
 
         net.quantize_weights(Dtype::Q8);
         assert_eq!(net.weight_dtype(), Some(Dtype::Q8));
-        assert_eq!(net.param_count(), params, "logical count must not change");
         let q_bytes = net.resident_bytes();
         assert!(
             q_bytes * 2 < dense_bytes,

@@ -2,13 +2,13 @@
 //!
 //! Two APIs are provided:
 //!
-//! * [`Sgd`] / [`Adam`] step a whole [`Layer`] via parameter visitation —
-//!   used by the model-training loops.
+//! * [`Sgd`] / [`Adam`] step a whole [`Layer`] through its parameter view
+//!   ([`visit_params`]) — used by the model-training loops.
 //! * [`TensorAdam`] steps a flat list of free tensors — used by the
 //!   defenses, whose optimisation variables (mask, pattern, UAP) are not
 //!   layer parameters.
 
-use crate::layer::{Grads, Layer};
+use crate::layer::{visit_params, Grads, Layer};
 use usb_tensor::kernels;
 use usb_tensor::Tensor;
 
@@ -50,15 +50,15 @@ impl Sgd {
         let momentum = self.momentum;
         let wd = self.weight_decay;
         let velocity = &mut self.velocity;
-        model.visit_params(&mut |slot| {
+        visit_params(model, |value, decay| {
             if velocity.len() <= idx {
-                velocity.push(Tensor::zeros(slot.value.shape()));
+                velocity.push(Tensor::zeros(value.shape()));
             }
             let v = &mut velocity[idx];
             let vd = v.data_mut();
-            let pd = slot.value.data_mut();
+            let pd = value.data_mut();
             let gd = grads[idx].data();
-            let decay = if slot.decay { wd } else { 0.0 };
+            let decay = if decay { wd } else { 0.0 };
             for i in 0..pd.len() {
                 let g = gd[i] + decay * pd[i];
                 vd[i] = momentum * vd[i] + g;
@@ -76,7 +76,7 @@ struct AdamSlotState {
     v: Tensor,
 }
 
-/// Adam over a model's parameters (visitation order defines state pairing,
+/// Adam over a model's parameters (walk order defines state pairing,
 /// which is stable because layer structure never changes during training).
 #[derive(Debug)]
 pub struct Adam {
@@ -121,15 +121,15 @@ impl Adam {
         let mut idx = 0;
         let inner = &mut self.inner;
         let wd = self.weight_decay;
-        model.visit_params(&mut |slot| {
+        visit_params(model, |value, decay| {
             if inner.state.len() <= idx {
                 inner.state.push(AdamSlotState {
-                    m: Tensor::zeros(slot.value.shape()),
-                    v: Tensor::zeros(slot.value.shape()),
+                    m: Tensor::zeros(value.shape()),
+                    v: Tensor::zeros(value.shape()),
                 });
             }
-            let decay = if slot.decay { wd } else { 0.0 };
-            inner.apply(idx, slot.value, &grads[idx], decay);
+            let decay = if decay { wd } else { 0.0 };
+            inner.apply(idx, value, &grads[idx], decay);
             idx += 1;
         });
     }
@@ -241,19 +241,19 @@ impl TensorAdam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{Mode, Param, ParamSlot};
+    use crate::layer::{Mode, StateSlot};
     use usb_tensor::{Tape, Workspace};
 
     /// y = w·x ; single scalar parameter.
     #[derive(Clone)]
     struct Scalar {
-        w: Param,
+        w: Tensor,
         x: f32,
     }
 
     impl Layer for Scalar {
         fn infer(&self, _x: &Tensor, _ws: &mut Workspace) -> Tensor {
-            Tensor::from_vec(vec![self.w.value.data()[0] * self.x], &[1])
+            Tensor::from_vec(vec![self.w.data()[0] * self.x], &[1])
         }
         fn infer_recording(
             &self,
@@ -279,11 +279,8 @@ mod tests {
             }
             grad_out.clone()
         }
-        fn visit_params(&mut self, f: &mut dyn FnMut(ParamSlot<'_>)) {
-            f(self.w.slot());
-        }
-        fn param_count(&self) -> usize {
-            self.w.value.len()
+        fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
+            f("scalar", StateSlot::Param(&mut self.w, true));
         }
         fn name(&self) -> &'static str {
             "scalar"
@@ -310,12 +307,12 @@ mod tests {
             );
             opt(model, &grads);
         }
-        model.w.value.data()[0]
+        model.w.data()[0]
     }
 
     fn scalar(w: f32, x: f32) -> Scalar {
         Scalar {
-            w: Param::new(Tensor::from_vec(vec![w], &[1]), true),
+            w: Tensor::from_vec(vec![w], &[1]),
             x,
         }
     }

@@ -7,11 +7,13 @@
 //! input shape, classes, width — the topology) plus the flat sequence of
 //! state tensors visited by [`Layer::visit_state`] (parameters and
 //! buffers — the weights). The format therefore stores the architecture
-//! header followed by one record per state tensor, each tagged with the
-//! kind name of the layer that owns it. Loading checks the header against
-//! explicit limits ([`MAX_INPUT_CHANNELS`] and friends), rebuilds the
-//! topology via [`Architecture::build`], then overwrites every state
-//! tensor in visitation order, verifying kind and shape as it goes.
+//! header followed by a state dict ([`write_state`]): one record per state
+//! tensor, each tagged with the kind name of the layer that owns it.
+//! Loading checks the header against explicit limits
+//! ([`MAX_INPUT_CHANNELS`] and friends), rebuilds the topology via
+//! [`Architecture::build`], then walks its state ([`read_state`]),
+//! checking each record's kind and shape against the slot before reading
+//! the record's payload.
 //!
 //! Because the payload is the bit-exact `f32` image of every parameter and
 //! buffer, a loaded f32 network's forward passes — and therefore any
@@ -53,8 +55,8 @@ use std::fs;
 use std::io::{Read, Write};
 use std::path::Path;
 use usb_tensor::io::{
-    expect_magic, expect_version, read_str, read_tensor_record, read_u32, write_qtensor, write_str,
-    write_tensor, write_u16, write_u32, IoError, TensorRecord,
+    expect_magic, expect_version, read_str, read_tensor_record_shaped, read_u32, write_qtensor,
+    write_str, write_tensor, write_u16, write_u32, IoError, TensorRecord,
 };
 use usb_tensor::{Dtype, QTensor, Tensor};
 
@@ -179,25 +181,118 @@ pub fn write_network_dtype(
     write_u16(w, NETWORK_VERSION)?;
     write_architecture(w, net.arch())?;
     w.write_all(&[dtype.tag()])?;
-    // First pass: count entries (the traversal is cheap — no copies).
-    let mut count: u32 = 0;
-    net.visit_state(&mut |_, _| count += 1);
-    write_u32(w, count)?;
+    write_state(w, net, dtype)
+}
+
+/// The number of slots [`Layer::visit_state`] visits.
+fn state_len(layer: &mut dyn Layer) -> usize {
+    let mut count = 0;
+    layer.visit_state(&mut |_, _| count += 1);
+    count
+}
+
+/// Writes `layer`'s state dict: a `u32` slot count, then per
+/// [`Layer::visit_state`] slot its layer kind and one tensor record. GEMM
+/// weights are stored as `dtype` — a dense one quantized on the fly, a
+/// quantized one verbatim — and every other slot as exact f32. `layer` is
+/// not modified.
+///
+/// Network blobs and the IAD generators of `usb-attacks` victim bundles
+/// both store their state this way.
+pub fn write_state(w: &mut impl Write, layer: &mut dyn Layer, dtype: Dtype) -> Result<(), IoError> {
+    write_u32(w, state_len(layer) as u32)?;
     let mut result = Ok(());
-    net.visit_state(&mut |kind, slot| {
-        if result.is_err() {
-            return;
+    layer.visit_state(&mut |kind, slot| {
+        if result.is_ok() {
+            result = write_str(w, kind).and_then(|()| match slot {
+                StateSlot::Weight { quant: Some(q), .. } => write_qtensor(w, q),
+                StateSlot::Weight { dense, .. } if dtype != Dtype::F32 => {
+                    write_qtensor(w, &QTensor::quantize(dense, dtype))
+                }
+                slot => write_tensor(w, slot.dense()),
+            });
         }
-        result = write_str(w, kind).and_then(|()| match slot {
-            StateSlot::Dense(tensor) => write_tensor(w, tensor),
-            StateSlot::Weight { dense, quant, .. } => match quant {
-                Some(q) => write_qtensor(w, q),
-                None if dtype == Dtype::F32 => write_tensor(w, dense),
-                None => write_qtensor(w, &QTensor::quantize(dense, dtype)),
-            },
-        });
     });
     result
+}
+
+/// Reads a state dict written by [`write_state`] into `layer`, whose
+/// topology must match it: the same slot count and, slot by slot, the
+/// same layer kind and shape. Each record's kind and shape are checked
+/// against its slot **before** the record's payload is read, so a record
+/// that does not fit costs no more than its header. GEMM weights must be
+/// stored as `dtype` (a quantized payload is installed verbatim and the
+/// slot's dense buffer freed); every other slot must be f32.
+///
+/// # Errors
+///
+/// [`IoError::Format`] on a count, kind, shape or dtype mismatch, or a
+/// corrupt record. `layer` may then be partly overwritten.
+pub fn read_state(r: &mut impl Read, layer: &mut dyn Layer, dtype: Dtype) -> Result<(), IoError> {
+    let count = read_u32(r)? as usize;
+    let expected = state_len(layer);
+    if count != expected {
+        return Err(IoError::format(format!(
+            "{count} state tensors stored but the topology has {expected}"
+        )));
+    }
+    let mut idx = 0usize;
+    let mut result = Ok(());
+    layer.visit_state(&mut |kind, slot| {
+        if result.is_ok() {
+            result = read_slot(r, kind, slot, dtype)
+                .map_err(|e| IoError::format(format!("state tensor {idx} ({kind}): {e}")));
+        }
+        idx += 1;
+    });
+    result
+}
+
+/// Reads one state-dict entry into `slot`; see [`read_state`].
+fn read_slot(
+    r: &mut impl Read,
+    kind: &str,
+    slot: StateSlot<'_>,
+    dtype: Dtype,
+) -> Result<(), IoError> {
+    let stored = read_str(r)?;
+    if stored != kind {
+        return Err(IoError::format(format!(
+            "stored layer kind {stored:?} but the topology expects {kind:?}"
+        )));
+    }
+    let shape = match &slot {
+        StateSlot::Param(t, _) | StateSlot::Stat(t) | StateSlot::Weight { dense: t, .. } => {
+            t.shape()
+        }
+    };
+    match (read_tensor_record_shaped(r, shape)?, slot) {
+        (TensorRecord::Dense(t), StateSlot::Weight { dense, .. }) if dtype == Dtype::F32 => {
+            dense.data_mut().copy_from_slice(t.data())
+        }
+        (TensorRecord::Quant(q), StateSlot::Weight { dense, quant }) if q.dtype() == dtype => {
+            // Free the dense buffer the topology build allocated: the
+            // resident saving is the point of a low-precision bundle.
+            *dense = Tensor::zeros(&[0]);
+            *quant = Some(q);
+        }
+        (TensorRecord::Dense(t), StateSlot::Param(value, _) | StateSlot::Stat(value)) => {
+            value.data_mut().copy_from_slice(t.data())
+        }
+        (TensorRecord::Quant(_), StateSlot::Param(..) | StateSlot::Stat(_)) => {
+            return Err(IoError::format("quantized record on a non-weight slot"))
+        }
+        (record, StateSlot::Weight { .. }) => {
+            let stored = match record {
+                TensorRecord::Dense(_) => Dtype::F32,
+                TensorRecord::Quant(q) => q.dtype(),
+            };
+            return Err(IoError::format(format!(
+                "{stored} weight record in a {dtype} blob"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Reads a network blob written by [`write_network`], rebuilding the
@@ -221,100 +316,11 @@ pub fn read_network(r: &mut impl Read) -> Result<Network, IoError> {
             tag[0]
         ))
     })?;
-    let count = read_u32(r)? as usize;
     // The build rng only sets initial weights, which are overwritten below;
     // any seed yields the same topology.
     let mut net = arch.build(&mut StdRng::seed_from_u64(0));
-    let mut expected: u32 = 0;
-    net.visit_state(&mut |_, _| expected += 1);
-    if count != expected as usize {
-        return Err(IoError::format(format!(
-            "network blob has {count} state tensors but the {:?} topology has {expected}",
-            arch.kind
-        )));
-    }
-    // Decode all records first (reader calls can fail; the visitor cannot).
-    let mut records: Vec<(String, Option<TensorRecord>)> = Vec::with_capacity(count);
-    for i in 0..count {
-        let kind = read_str(r)?;
-        let record = read_tensor_record(r)
-            .map_err(|e| IoError::format(format!("state tensor {i} ({kind}): {e}")))?;
-        records.push((kind, Some(record)));
-    }
-    let mut idx = 0usize;
-    let mut mismatch: Option<String> = None;
-    net.visit_state(&mut |kind, slot| {
-        if mismatch.is_some() {
-            return;
-        }
-        let (stored_kind, record) = &mut records[idx];
-        if stored_kind != kind {
-            mismatch = Some(format!(
-                "state tensor {idx}: stored layer kind {stored_kind:?} but topology expects {kind:?}"
-            ));
-            return;
-        }
-        // The header dtype is a sniffable summary; every record must agree
-        // with it so a corrupt or hand-edited blob fails loudly.
-        match (record.take().expect("record visited twice"), slot) {
-            (TensorRecord::Dense(stored), StateSlot::Dense(tensor)) => {
-                if stored.shape() != tensor.shape() {
-                    mismatch = Some(format!(
-                        "state tensor {idx} ({kind}): stored shape {:?} but topology expects {:?}",
-                        stored.shape(),
-                        tensor.shape()
-                    ));
-                } else {
-                    tensor.data_mut().copy_from_slice(stored.data());
-                }
-            }
-            (TensorRecord::Dense(stored), StateSlot::Weight { dense, .. }) => {
-                if header_dtype != Dtype::F32 {
-                    mismatch = Some(format!(
-                        "state tensor {idx} ({kind}): f32 weight record in a {header_dtype} blob"
-                    ));
-                } else if stored.shape() != dense.shape() {
-                    mismatch = Some(format!(
-                        "state tensor {idx} ({kind}): stored shape {:?} but topology expects {:?}",
-                        stored.shape(),
-                        dense.shape()
-                    ));
-                } else {
-                    dense.data_mut().copy_from_slice(stored.data());
-                }
-            }
-            (TensorRecord::Quant(q), StateSlot::Weight { dense, quant }) => {
-                if q.dtype() != header_dtype {
-                    mismatch = Some(format!(
-                        "state tensor {idx} ({kind}): {} weight record in a {header_dtype} blob",
-                        q.dtype()
-                    ));
-                } else if q.shape() != dense.shape() {
-                    mismatch = Some(format!(
-                        "state tensor {idx} ({kind}): stored shape {:?} but topology expects {:?}",
-                        q.shape(),
-                        dense.shape()
-                    ));
-                } else {
-                    // Install the payload and free the dense buffer the
-                    // topology build allocated — the whole point of a
-                    // low-precision bundle is the resident saving.
-                    *dense = Tensor::zeros(&[0]);
-                    *quant = Some(q);
-                }
-            }
-            (TensorRecord::Quant(_), StateSlot::Dense(_)) => {
-                mismatch = Some(format!(
-                    "state tensor {idx} ({kind}): quantized record on a non-weight slot"
-                ));
-            }
-        }
-        idx += 1;
-    });
-    match mismatch {
-        Some(msg) => Err(IoError::format(msg)),
-        None => Ok(net),
-    }
+    read_state(r, &mut net, header_dtype)?;
+    Ok(net)
 }
 
 /// Reads just the weight-dtype byte from a network blob header (magic,
@@ -374,7 +380,7 @@ mod tests {
                 &mut ws,
                 Some(&mut grads),
             );
-            net.commit_running_stats(&mut grads);
+            grads.commit(&mut net);
         }
         net
     }
@@ -508,26 +514,6 @@ mod tests {
             Err(err) => assert!(err.to_string().contains("model kind"), "{err}"),
             Ok(_) => panic!("corrupt kind tag decoded successfully"),
         }
-    }
-
-    #[test]
-    fn state_visitation_includes_batchnorm_buffers() {
-        let mut net = trained_ish(ModelKind::ResNet18, (3, 8, 8));
-        let mut params = 0usize;
-        net.visit_params(&mut |_| params += 1);
-        let mut state = 0usize;
-        let mut bn_tensors = 0usize;
-        net.visit_state(&mut |kind, _| {
-            state += 1;
-            if kind == "batchnorm2d" {
-                bn_tensors += 1;
-            }
-        });
-        // Each batch-norm contributes 2 params + 2 buffers, so the state
-        // traversal must be strictly longer than the param traversal.
-        assert!(state > params, "state {state} <= params {params}");
-        assert_eq!(bn_tensors % 4, 0);
-        assert!(bn_tensors > 0);
     }
 
     /// Offset of each `u32` architecture field in a network blob, after

@@ -138,7 +138,7 @@ pub fn fit(
             let gi = net.grad(&dlogits, &mut tape, &mut ws, Some(&mut grads));
             ws.recycle(gi);
             ws.recycle(logits);
-            net.commit_running_stats(&mut grads);
+            grads.commit(net);
             sgd.step(net, &grads);
         }
         history.push(EpochStats {

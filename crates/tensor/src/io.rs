@@ -372,6 +372,25 @@ pub fn write_qtensor(w: &mut impl Write, q: &QTensor) -> Result<(), IoError> {
 /// dtype tag, truncation, an implausible shape, or checksum mismatch; the
 /// reader never panics on malformed input.
 pub fn read_tensor_record(r: &mut impl Read) -> Result<TensorRecord, IoError> {
+    read_record(r, None)
+}
+
+/// [`read_tensor_record`] for a record whose shape the caller knows. A
+/// record of any other shape is rejected once its header is read, before
+/// any payload is read or allocated.
+///
+/// # Errors
+///
+/// Same contract as [`read_tensor_record`], plus [`IoError::Format`] when
+/// the stored shape is not `shape`.
+pub fn read_tensor_record_shaped(
+    r: &mut impl Read,
+    shape: &[usize],
+) -> Result<TensorRecord, IoError> {
+    read_record(r, Some(shape))
+}
+
+fn read_record(r: &mut impl Read, expect: Option<&[usize]>) -> Result<TensorRecord, IoError> {
     expect_magic(r, &TENSOR_MAGIC, "tensor record")?;
     expect_version(r, TENSOR_VERSION, "tensor record")?;
     let tag = read_u16(r)?;
@@ -401,6 +420,11 @@ pub fn read_tensor_record(r: &mut impl Read) -> Result<TensorRecord, IoError> {
         let d = u64::from_le_bytes(b);
         numel = numel.saturating_mul(d);
         shape.push(d as usize);
+    }
+    if let Some(expect) = expect.filter(|&e| e != shape) {
+        return Err(IoError::format(format!(
+            "stored shape {shape:?} but {expect:?} expected"
+        )));
     }
     // 1 GiB of f32s is far beyond any model in this workspace; treat larger
     // claims as corruption rather than attempting the allocation.
@@ -619,6 +643,11 @@ mod tests {
             panic!("f32 record decoded as quantized");
         };
         assert_eq!(back.data(), t.data());
+        let shaped = read_tensor_record_shaped(&mut buf.as_slice(), t.shape()).unwrap();
+        assert!(matches!(shaped, TensorRecord::Dense(s) if s.data() == t.data()));
+        let wrong = [t.len(), 1];
+        let err = read_tensor_record_shaped(&mut buf.as_slice(), &wrong).unwrap_err();
+        assert!(err.to_string().contains("stored shape"), "{err}");
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!
 //! let mut w = GemmWeight::new(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]));
 //! assert_eq!(w.kmajor(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-//! w.dense_mut().unwrap().data_mut()[0] = 10.0; // drops the panel
+//! w.state_mut().0.data_mut()[0] = 10.0; // drops the panel
 //! assert_eq!(w.kmajor(), &[10.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
 //! ```
 
-use crate::{ops, Dtype, QTensor, Tensor};
+use crate::{ops, QTensor, Tensor};
 use std::sync::OnceLock;
 
 /// A GEMM weight, dense or quantized, viewed as a `[rows, cols]` matrix
@@ -87,32 +87,12 @@ impl GemmWeight {
         self.quant.as_ref()
     }
 
-    /// Mutable dense values for an optimiser, or `None` while the weight is
-    /// quantized. Drops the panels.
-    pub fn dense_mut(&mut self) -> Option<&mut Tensor> {
-        self.drop_panels();
-        match self.quant {
-            Some(_) => None,
-            None => Some(&mut self.dense),
-        }
-    }
-
-    /// Both storage slots, for loading and inspecting persistent state.
-    /// Drops the panels.
+    /// Both storage slots, for training, quantizing, loading and inspecting
+    /// persistent state. While `quant` is `Some`, `dense` must be empty and
+    /// the kernels read the quantized payload. Drops the panels.
     pub fn state_mut(&mut self) -> (&mut Tensor, &mut Option<QTensor>) {
         self.drop_panels();
         (&mut self.dense, &mut self.quant)
-    }
-
-    /// Converts the dense values to `dtype` and frees them. A no-op for
-    /// [`Dtype::F32`] and for a weight that is already quantized.
-    pub fn quantize(&mut self, dtype: Dtype) {
-        if dtype == Dtype::F32 || self.quant.is_some() {
-            return;
-        }
-        self.drop_panels();
-        self.quant = Some(QTensor::quantize(&self.dense, dtype));
-        self.dense = Tensor::zeros(&[0]);
     }
 
     /// The k-major panel: the `[cols, rows]` transpose of the (decoded)

@@ -593,8 +593,9 @@ proptest! {
         vals in proptest::collection::vec(-2.0f32..2.0, 8..32),
     ) {
         let dtype = if dtype_bit == 0 { Dtype::F16 } else { Dtype::Q8 };
-        let mut weight = GemmWeight::new(Tensor::from_vec(tensor_from(&vals, n * k, 0.015), &[n, k]));
-        weight.quantize(dtype);
+        let values = Tensor::from_vec(tensor_from(&vals, n * k, 0.015), &[n, k]);
+        let mut weight = GemmWeight::new(Tensor::zeros(&[0, 0]));
+        *weight.state_mut().1 = Some(QTensor::quantize(&values, dtype));
         let want = naive_decode(weight.quant().expect("quantized"));
         let mut want_t = vec![0.0f32; n * k];
         ops::transpose_into(&want, n, k, &mut want_t);

@@ -12,11 +12,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use universal_soldier::nn::layer::{Grads, Layer, Mode};
+use universal_soldier::nn::layer::{Grads, Layer, Mode, StateSlot};
 use universal_soldier::nn::models::{Architecture, ModelKind, Network};
 use universal_soldier::nn::serde::write_network;
 use universal_soldier::tensor::io::fnv1a64;
-use universal_soldier::tensor::{Tape, Tensor, Workspace};
+use universal_soldier::tensor::{Dtype, Tape, Tensor, Workspace};
 
 /// One small instance of each of the paper's four architectures, hitting
 /// every layer kind: conv, depthwise conv, linear, flatten, batch-norm,
@@ -210,7 +210,7 @@ fn tape_passes_leave_the_model_bitwise_unchanged() {
             before,
             "{kind:?}: a tape pass wrote the model"
         );
-        net.commit_running_stats(&mut grads);
+        grads.commit(&mut net);
         let has_batch_norm = kind != ModelKind::BasicCnn;
         assert_eq!(
             model_hash(&mut net) != before,
@@ -248,16 +248,74 @@ fn train_steps_reach_a_steady_workspace_and_tape() {
     }
 }
 
-/// `param_count` is `&self` and must agree with an explicit
-/// `visit_params` sweep on every architecture (guards the per-layer
-/// overrides the `&self` signature requires).
+/// What a [`StateSlot`] is: trainable (`P`), a running statistic (`S`)
+/// or a GEMM weight (`W`).
+fn class(slot: &StateSlot<'_>) -> char {
+    match slot {
+        StateSlot::Param(..) => 'P',
+        StateSlot::Stat(_) => 'S',
+        StateSlot::Weight { .. } => 'W',
+    }
+}
+
+/// The state walk says what each tensor is, and the consumers read it
+/// from there: a `Grads` sink is shaped like the trainable slots (GEMM
+/// weights included), each batch norm yields two trainable and two
+/// statistics slots (and nothing else has statistics), a q8 network's
+/// parameter view holds no GEMM weight, and a commit with no train-mode
+/// `grad` before it panics.
 #[test]
-fn param_count_matches_visit_params_sweep() {
+fn state_walk_classifies_every_tensor() {
     for (kind, mut net) in zoo() {
-        let counted = net.param_count();
-        let mut swept = 0usize;
-        net.visit_params(&mut |s| swept += s.value.len());
-        assert_eq!(counted, swept, "{kind:?}: param_count deviates");
-        assert!(counted > 0, "{kind:?}: no parameters counted");
+        // (layer kind, slot class, shape) of every slot, in walk order.
+        let mut walk = Vec::new();
+        net.visit_state(&mut |layer, slot| {
+            let class = class(&slot);
+            walk.push((layer, class, slot.dense().shape().to_vec()));
+        });
+        let count = |class: char| walk.iter().filter(|s| s.1 == class).count();
+        let trainable: Vec<&[usize]> = walk
+            .iter()
+            .filter(|s| s.1 != 'S')
+            .map(|s| &s.2[..])
+            .collect();
+        let sink = Grads::for_model(&mut net);
+        let sink: Vec<&[usize]> = sink.params().iter().map(Tensor::shape).collect();
+        assert_eq!(sink, trainable, "{kind:?}: the sink must mirror the walk");
+
+        let bn: String = walk
+            .iter()
+            .filter(|s| s.0 == "batchnorm2d")
+            .map(|s| s.1)
+            .collect();
+        let has_batch_norm = kind != ModelKind::BasicCnn;
+        assert_eq!(!bn.is_empty(), has_batch_norm, "{kind:?}");
+        assert_eq!(
+            bn,
+            "PPSS".repeat(bn.len() / 4),
+            "{kind:?}: batch-norm slots"
+        );
+        assert_eq!(
+            count('S'),
+            bn.matches('S').count(),
+            "{kind:?}: stray statistics"
+        );
+
+        let committed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Grads::for_model(&mut net).commit(&mut net)
+        }));
+        assert_eq!(
+            committed.is_err(),
+            has_batch_norm,
+            "{kind:?}: commit before grad"
+        );
+
+        net.quantize_weights(Dtype::Q8);
+        assert!(count('W') > 0, "{kind:?}: no GEMM weight");
+        assert_eq!(
+            Grads::for_model(&mut net).params().len(),
+            count('P'),
+            "{kind:?}: a q8 GEMM weight in the parameter view"
+        );
     }
 }

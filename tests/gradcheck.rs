@@ -23,7 +23,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use universal_soldier::nn::compose::{Residual, Sequential, SqueezeExcite};
-use universal_soldier::nn::layer::{Grads, Layer, Mode};
+use universal_soldier::nn::layer::{visit_params, Grads, Layer, Mode};
 use universal_soldier::nn::layers::{
     AvgPool2d, BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d,
     ReLU, SiLU, Sigmoid,
@@ -137,9 +137,9 @@ impl Tally {
 /// Overwrites entry `k` of parameter `p` (in `visit_params` order).
 fn set_param(layer: &mut dyn Layer, p: usize, k: usize, v: f32) {
     let mut idx = 0;
-    layer.visit_params(&mut |slot| {
+    visit_params(layer, |value, _| {
         if idx == p {
-            slot.value.data_mut()[k] = v;
+            value.data_mut()[k] = v;
         }
         idx += 1;
     });
@@ -176,9 +176,9 @@ fn gradcheck(name: &str, layer: &mut dyn Layer, x: &Tensor, mode: Mode) -> Tally
         tally.check(&format!("{name} (Train) dL/dθ{p}"), g, 6, |k| {
             let mut at = 0.0;
             let mut idx = 0;
-            layer.visit_params(&mut |slot| {
+            visit_params(layer, |value, _| {
                 if idx == p {
-                    at = slot.value.data()[k];
+                    at = value.data()[k];
                 }
                 idx += 1;
             });

@@ -103,7 +103,7 @@ fn network_roundtrip_forward_pass_is_bitwise_equal() {
                 &mut ws,
                 Some(&mut grads),
             );
-            net.commit_running_stats(&mut grads);
+            grads.commit(&mut net);
         }
         let mut buf = Vec::new();
         write_network(&mut buf, &mut net).unwrap();

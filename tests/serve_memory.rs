@@ -22,19 +22,28 @@
 //!   a Q8 resident entry each hold what parsing built plus the recipe's
 //!   prototypes, and nothing more;
 //! * a truncated tensor record claiming 2²⁸ elements is rejected without
-//!   allocating its claimed gigabyte.
+//!   allocating its claimed gigabyte;
+//! * a network blob whose first state record is complete and CRC-valid
+//!   but 2²² elements large, where the topology expects a small kernel, is
+//!   rejected before its 16 MiB payload is read or allocated.
 //!
 //! Everything runs in ONE `#[test]` so no concurrent test traffic
 //! pollutes the live-byte readings; this file is its own test binary for
 //! the same reason.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Duration;
 use universal_soldier::attacks::persist::read_victim_bytes;
 use universal_soldier::eval::serve::{Client, ServeConfig, Server, SubmitOptions};
-use universal_soldier::tensor::io::{read_tensor_record, IoError, TENSOR_MAGIC, TENSOR_VERSION};
-use universal_soldier::tensor::Dtype;
+use universal_soldier::nn::models::{Architecture, ModelKind};
+use universal_soldier::nn::serde::{read_network, write_network};
+use universal_soldier::tensor::io::{
+    read_tensor_record, write_tensor, IoError, TENSOR_MAGIC, TENSOR_VERSION,
+};
+use universal_soldier::tensor::{Dtype, Tensor};
 
 mod serve_util;
 
@@ -396,5 +405,36 @@ fn resident_cache_keeps_daemon_memory_bounded() {
         peak < 1 << 20,
         "rejecting a {}-byte truncated record peaked {peak} bytes above baseline",
         record.len()
+    );
+
+    // --- Phase 6: a complete record of the wrong shape costs only its header
+    // A valid f32 network blob whose first state record (a 4×1×3×3 conv
+    // kernel) is swapped for a complete, CRC-valid f32 record of shape
+    // 1024×1×64×64: 2²² elements, a 16 MiB payload. The loader must
+    // compare the stored shape with the slot before reading the payload.
+    let mut net = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4)
+        .with_width(4)
+        .build(&mut StdRng::seed_from_u64(0));
+    let mut blob = Vec::new();
+    write_network(&mut blob, &mut net).expect("in-memory write");
+    let first = blob
+        .windows(TENSOR_MAGIC.len())
+        .position(|w| w == TENSOR_MAGIC)
+        .expect("a state record");
+    let mut rest = &blob[first..];
+    read_tensor_record(&mut rest).expect("the original first record");
+    let mut hostile = blob[..first].to_vec();
+    write_tensor(&mut hostile, &Tensor::zeros(&[1024, 1, 64, 64])).expect("in-memory write");
+    hostile.extend_from_slice(rest);
+    let baseline = reset_peak();
+    let result = read_network(&mut hostile.as_slice());
+    let peak = peak_bytes() - baseline;
+    assert!(
+        matches!(result, Err(IoError::Format(_))),
+        "a state record of the wrong shape must be a format error"
+    );
+    assert!(
+        peak < 1 << 20,
+        "rejecting a 2^22-element state record peaked {peak} bytes above baseline"
     );
 }
