@@ -22,7 +22,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use usb_data::Dataset;
 use usb_nn::compose::Sequential;
-use usb_nn::layer::{Grads, Layer, Mode};
+use usb_nn::layer::{Grads, Layer, Pass};
 use usb_nn::layers::{Conv2d, ReLU, Sigmoid};
 use usb_nn::loss::{softmax_cross_entropy, softmax_cross_entropy_uniform_target_ws};
 use usb_nn::models::Architecture;
@@ -91,10 +91,11 @@ impl IadGenerator {
     }
 
     /// Generates patterns with a caller-owned workspace. The generator is
-    /// Conv/ReLU/Sigmoid only, with no train/eval-divergent layers, so
-    /// these are also the patterns its training step records.
+    /// Conv/ReLU/Sigmoid only, with no batch norm (the one layer whose
+    /// [`Pass::Train`] differs), so these are also the patterns its
+    /// training step records.
     pub fn generate_in(&self, batch: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.net.infer(batch, ws)
+        self.net.forward(batch, Pass::Infer, ws)
     }
 
     /// Stamps a batch: `(1−ε)·x + ε·G(x)` (read-only; allocates a
@@ -232,7 +233,7 @@ impl Attack for IadAttack {
                 let tx = Tensor::stack(&train_rows);
                 grads.zero();
                 tape.begin();
-                let logits = model.infer_recording(&tx, Mode::Train, &mut tape, &mut ws);
+                let logits = model.forward(&tx, Pass::Train(&mut tape), &mut ws);
                 let (_, dlogits) = softmax_cross_entropy(&logits, &train_labels);
                 let gi = model.grad(&dlogits, &mut tape, &mut ws, Some(&mut grads));
                 ws.recycle(gi);
@@ -242,10 +243,9 @@ impl Attack for IadAttack {
                 let gx = bx; // whole batch drives the generator
                 gen_grads.zero();
                 gen_tape.begin();
-                let patterns =
-                    generator
-                        .net
-                        .infer_recording(&gx, Mode::Train, &mut gen_tape, &mut ws);
+                let patterns = generator
+                    .net
+                    .forward(&gx, Pass::Train(&mut gen_tape), &mut ws);
                 let stamped = blend(&gx, &patterns, self.epsilon);
                 // The classifier is frozen for this step: only dL/dstamped.
                 let (_, dstamped) = model.input_grad_in(

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use usb_data::Dataset;
-use usb_nn::layer::{Grads, Layer, Mode};
+use usb_nn::layer::{Grads, Layer, Pass};
 use usb_nn::loss::softmax_cross_entropy;
 use usb_nn::models::Architecture;
 use usb_nn::optim::Sgd;
@@ -100,13 +100,10 @@ impl Attack for LatentBackdoor {
                 // head first so the feature-space term joins in between.
                 grads.zero();
                 tape.begin();
-                let feats = model
-                    .features
-                    .infer_recording(&bx, Mode::Train, &mut tape, &mut ws);
-                let logits =
-                    model
-                        .classifier
-                        .infer_recording(&feats, Mode::Train, &mut tape, &mut ws);
+                let feats = model.features.forward(&bx, Pass::Train(&mut tape), &mut ws);
+                let logits = model
+                    .classifier
+                    .forward(&feats, Pass::Train(&mut tape), &mut ws);
                 let (_, dlogits) = softmax_cross_entropy(&logits, &by);
                 let mut dfeats =
                     model

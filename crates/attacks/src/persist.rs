@@ -72,8 +72,9 @@ use usb_nn::serde::{
     MAX_INPUT_CHANNELS, MAX_WIDTH,
 };
 use usb_tensor::io::{
-    expect_magic, expect_version, read_f32, read_f64, read_str, read_tensor, read_u32, read_u64,
-    write_f32, write_f64, write_str, write_tensor, write_u16, write_u32, write_u64, IoError,
+    expect_magic, expect_version, read_f32, read_f64, read_str, read_tensor_record_shaped,
+    read_u32, read_u64, write_f32, write_f64, write_str, write_tensor, write_u16, write_u32,
+    write_u64, IoError,
 };
 use usb_tensor::Dtype;
 
@@ -194,8 +195,14 @@ fn write_generator(w: &mut impl Write, gen: &mut IadGenerator) -> Result<(), IoE
     write_state(w, gen.net_mut(), Dtype::F32)
 }
 
-fn read_generator(r: &mut impl Read) -> Result<IadGenerator, IoError> {
-    let channels = read_header_field(r, "IAD generator channels", MAX_INPUT_CHANNELS)?;
+/// Reads an IAD generator that must stamp `channels`-channel images.
+fn read_generator(r: &mut impl Read, channels: usize) -> Result<IadGenerator, IoError> {
+    let stored = read_header_field(r, "IAD generator channels", MAX_INPUT_CHANNELS)?;
+    if stored != channels {
+        return Err(IoError::format(format!(
+            "IAD generator channels {stored} do not match the model input's {channels}"
+        )));
+    }
     let width = read_header_field(r, "IAD generator width", MAX_WIDTH)?;
     let epsilon = read_f32(r)?;
     if !(epsilon > 0.0 && epsilon <= 1.0) {
@@ -222,23 +229,23 @@ fn write_trigger(w: &mut impl Write, trigger: &mut InjectedTrigger) -> Result<()
     }
 }
 
-fn read_trigger(r: &mut impl Read) -> Result<InjectedTrigger, IoError> {
+/// Reads a trigger for a model with input `(c, h, w)`. Stamping needs a
+/// `[c, h, w]` pattern and an `[h, w]` mask, so each record is held to its
+/// shape before its payload is read (PERSISTENCE.md, "Model header
+/// limits").
+fn read_trigger(
+    r: &mut impl Read,
+    (c, h, w): (usize, usize, usize),
+) -> Result<InjectedTrigger, IoError> {
     let mut ttag = [0u8; 1];
     r.read_exact(&mut ttag)?;
     match ttag[0] {
         0 => {
-            let pattern = read_tensor(r)?;
-            let mask = read_tensor(r)?;
-            if pattern.ndim() != 3 || mask.ndim() != 2 || pattern.shape()[1..] != *mask.shape() {
-                return Err(IoError::format(format!(
-                    "trigger records are inconsistent: pattern {:?}, mask {:?}",
-                    pattern.shape(),
-                    mask.shape()
-                )));
-            }
+            let pattern = read_tensor_record_shaped(r, &[c, h, w])?.into_dense()?;
+            let mask = read_tensor_record_shaped(r, &[h, w])?.into_dense()?;
             Ok(InjectedTrigger::Static(Trigger::new(pattern, mask)))
         }
-        1 => Ok(InjectedTrigger::Dynamic(read_generator(r)?)),
+        1 => Ok(InjectedTrigger::Dynamic(read_generator(r, c)?)),
         other => Err(IoError::format(format!("unknown trigger tag {other}"))),
     }
 }
@@ -335,7 +342,7 @@ pub fn read_victim(r: &mut impl Read) -> Result<VictimBundle, IoError> {
             let target = read_u32(r)? as usize;
             let asr = read_f64(r)?;
             let attack = attack_static_name(&read_str(r)?)?;
-            let trigger = read_trigger(r)?;
+            let trigger = read_trigger(r, model.input_shape())?;
             GroundTruth::Backdoored {
                 target,
                 asr,
@@ -355,7 +362,7 @@ pub fn read_victim(r: &mut impl Read) -> Result<VictimBundle, IoError> {
             for _ in 0..count {
                 let target = read_u32(r)? as usize;
                 let asr = read_f64(r)?;
-                let trigger = read_trigger(r)?;
+                let trigger = read_trigger(r, model.input_shape())?;
                 implants.push(BackdoorImplant {
                     target,
                     asr,
@@ -739,7 +746,7 @@ mod tests {
         let mut gen = IadGenerator::new(3, 4, 0.4, &mut rng);
         let mut buf = Vec::new();
         write_generator(&mut buf, &mut gen).unwrap();
-        let back = read_generator(&mut buf.as_slice()).unwrap();
+        let back = read_generator(&mut buf.as_slice(), 3).unwrap();
         assert_eq!(back.epsilon(), 0.4);
         let x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i as f32) * 0.07).cos().abs());
         assert_eq!(gen.generate(&x).data(), back.generate(&x).data());
@@ -756,7 +763,7 @@ mod tests {
             for value in [u32::MAX, 0] {
                 let mut bad = buf.clone();
                 bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
-                match read_generator(&mut bad.as_slice()) {
+                match read_generator(&mut bad.as_slice(), 3) {
                     Err(IoError::Format(msg)) => {
                         assert!(msg.contains(field), "{field} = {value}: {msg}")
                     }
@@ -826,6 +833,57 @@ mod tests {
         let mut buf = Vec::new();
         write_victim(&mut buf, &mut bundle).unwrap();
         buf
+    }
+
+    /// `write_victim`'s bytes for an untrained `(1, 12, 12)` BasicCnn
+    /// backdoored with `trigger`.
+    fn bundle_with_trigger(trigger: InjectedTrigger) -> Vec<u8> {
+        let arch = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4).with_width(2);
+        let mut bundle = VictimBundle {
+            victim: Victim {
+                model: arch.build(&mut StdRng::seed_from_u64(1)),
+                clean_accuracy: 0.0,
+                ground_truth: GroundTruth::Backdoored {
+                    target: 1,
+                    asr: 1.0,
+                    trigger,
+                    attack: "badnet",
+                },
+            },
+            train_seed: 1,
+            config_hash: 0,
+            data_spec: tiny_spec(),
+            data_seed: 2,
+        };
+        let mut buf = Vec::new();
+        write_victim(&mut buf, &mut bundle).unwrap();
+        buf
+    }
+
+    /// A trigger must stamp the model's own inputs: a static pattern and
+    /// mask that agree with each other but not with the `(1, 12, 12)`
+    /// input, or a generator for 3-channel images, is a format error.
+    #[test]
+    fn triggers_must_match_the_model_input() {
+        let fits = Trigger::new(Tensor::ones(&[1, 12, 12]), Tensor::ones(&[12, 12]));
+        assert!(read_victim_bytes(&bundle_with_trigger(InjectedTrigger::Static(fits))).is_ok());
+        let wide = Trigger::new(Tensor::ones(&[1, 16, 16]), Tensor::ones(&[16, 16]));
+        let generator = IadGenerator::new(3, 2, 0.4, &mut StdRng::seed_from_u64(3));
+        for (trigger, needle) in [
+            (InjectedTrigger::Static(wide), "stored shape [1, 16, 16]"),
+            (
+                InjectedTrigger::Dynamic(generator),
+                "IAD generator channels 3",
+            ),
+        ] {
+            match read_victim_bytes(&bundle_with_trigger(trigger)) {
+                Err(IoError::Format(msg)) => {
+                    assert!(msg.contains(needle), "{needle:?} not in {msg:?}")
+                }
+                Err(e) => panic!("wrong error kind for a misfit trigger: {e}"),
+                Ok(_) => panic!("a trigger that cannot stamp the model's inputs was accepted"),
+            }
+        }
     }
 
     fn assert_recipe_rejected(bytes: &[u8], needle: &str) {

@@ -9,6 +9,11 @@
 //! The proof is a counting global allocator: two optimisation runs that
 //! differ only in their step count must allocate exactly the same number
 //! of times, because the extra steps are all steady-state.
+//!
+//! Forward-only passes are held to the same contract call by call: once
+//! the workspace is warm, `Network::infer` and the per-sample
+//! `Network::predict_one_in` of the Alg. 1 sweep allocate nothing, on
+//! every architecture and weight dtype.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,7 +23,7 @@ use rand::SeedableRng;
 use usb_core::{refine_uap, RefineConfig};
 use usb_defenses::{Defense, NcConfig, NeuralCleanse, Tabor, TaborConfig};
 use usb_nn::models::{Architecture, ModelKind, Network};
-use usb_tensor::{Dtype, Tensor};
+use usb_tensor::{Dtype, Tensor, Workspace};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -53,29 +58,32 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations made on this thread while `f` runs.
+fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(|c| c.get());
+    let out = f();
+    (ALLOCS.with(|c| c.get()) - before, out)
+}
+
 fn allocs_for(steps: usize, model: &Network, images: &Tensor, v: &Tensor) -> u64 {
     let config = RefineConfig {
         steps,
         ..RefineConfig::fast()
     };
-    let before = ALLOCS.with(|c| c.get());
-    let refined = refine_uap(model, images, 0, v, config);
-    let after = ALLOCS.with(|c| c.get());
-    // Keep the result alive past the measurement so its drops don't shift
-    // between runs, and sanity-check it did real work.
+    // The result outlives the measurement, so its drops don't shift
+    // between runs; sanity-check it did real work.
+    let (n, refined) = allocs_in(|| refine_uap(model, images, 0, v, config));
     assert!(refined.final_ssim.is_finite());
-    after - before
+    n
 }
 
 /// Allocations of one `defense.reverse_class` run (random start, shared
 /// loop, final scoring), counted like [`allocs_for`].
 fn reverse_allocs(defense: &dyn Defense, model: &Network, images: &Tensor) -> u64 {
     let mut rng = StdRng::seed_from_u64(5);
-    let before = ALLOCS.with(|c| c.get());
-    let result = defense.reverse_class(model, images, 0, &mut rng);
-    let after = ALLOCS.with(|c| c.get());
+    let (n, result) = allocs_in(|| defense.reverse_class(model, images, 0, &mut rng));
     assert!(result.l1_norm.is_finite());
-    after - before
+    n
 }
 
 /// The Neural Cleanse schedule at `steps`, with λ moving every 2 steps so
@@ -175,4 +183,50 @@ fn steady_state_tabor_step_allocates_nothing() {
         Dtype::F32,
         tabor_allocs_for,
     );
+}
+
+/// The forward-only passes — every layer's `Pass::Infer` branch, VGG's
+/// max pool without its routing table included — draw everything from a
+/// warm workspace: each further `infer` and `predict_one_in` call
+/// allocates nothing, whatever the architecture and weight dtype.
+#[test]
+fn warm_forward_only_passes_allocate_nothing() {
+    let kinds = [
+        (ModelKind::BasicCnn, (1, 12, 12)),
+        (ModelKind::ResNet18, (3, 12, 12)),
+        (ModelKind::Vgg16, (3, 12, 12)),
+        (ModelKind::EfficientNetB0, (3, 16, 16)),
+    ];
+    for (kind, (c, h, w)) in kinds {
+        for dtype in [Dtype::F32, Dtype::F16, Dtype::Q8] {
+            let mut model = Architecture::new(kind, (c, h, w), 6)
+                .with_width(4)
+                .build(&mut StdRng::seed_from_u64(13));
+            model.quantize_weights(dtype);
+            let images = Tensor::from_fn(&[8, c, h, w], |i| 0.5 + 0.4 * ((i as f32) * 0.29).sin());
+            let one = images.index_axis0(3);
+            let mut ws = Workspace::new();
+            // Warm-up: the layers build their GEMM panels, the pool grows.
+            for _ in 0..2 {
+                let logits = model.infer(&images, &mut ws);
+                ws.recycle(logits);
+                let _ = model.predict_one_in(&one, &mut ws);
+            }
+            for call in 0..5 {
+                let (n, logits) = allocs_in(|| model.infer(&images, &mut ws));
+                assert_eq!(
+                    n, 0,
+                    "{kind:?} ({dtype}): warm infer call {call} allocated {n} times"
+                );
+                ws.recycle(logits);
+            }
+            for call in 0..5 {
+                let (n, _) = allocs_in(|| model.predict_one_in(&one, &mut ws));
+                assert_eq!(
+                    n, 0,
+                    "{kind:?} ({dtype}): warm predict_one_in call {call} allocated {n} times"
+                );
+            }
+        }
+    }
 }

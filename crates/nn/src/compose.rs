@@ -1,6 +1,6 @@
 //! Composite layers: sequential stacks, residual blocks, squeeze-excite.
 
-use crate::layer::{Grads, Layer, Mode, StateSlot};
+use crate::layer::{Grads, Layer, Pass, StateSlot};
 use crate::layers::{Linear, ReLU, Sigmoid};
 use rand::Rng;
 use usb_tensor::{pool, Tape, Tensor, Workspace};
@@ -68,20 +68,10 @@ fn chain<'a>(
 }
 
 impl Layer for Sequential {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        chain(self.layers.iter(), x, ws, |layer, x, ws| layer.infer(x, ws))
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         // Each sub-layer pushes its own frames in stack order.
         chain(self.layers.iter(), x, ws, |layer, x, ws| {
-            layer.infer_recording(x, mode, tape, ws)
+            layer.forward(x, pass.reborrow(), ws)
         })
     }
 
@@ -97,10 +87,6 @@ impl Layer for Sequential {
         chain(self.layers.iter().rev(), grad_out, ws, |layer, g, ws| {
             layer.grad(g, tape, ws, grads.as_deref_mut())
         })
-    }
-
-    fn name(&self) -> &'static str {
-        "sequential"
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -153,32 +139,14 @@ fn add_branch(main: &mut Tensor, skip: &Tensor) {
 }
 
 impl Layer for Residual {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut main = self.main.infer(x, ws);
-        if self.shortcut.is_empty() {
-            add_branch(&mut main, x);
-        } else {
-            let skip = self.shortcut.infer(x, ws);
-            add_branch(&mut main, &skip);
-            ws.recycle(skip);
-        }
-        main
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         // Record main first, then shortcut, so `grad` pops shortcut frames
         // first.
-        let mut main = self.main.infer_recording(x, mode, tape, ws);
+        let mut main = self.main.forward(x, pass.reborrow(), ws);
         if self.shortcut.is_empty() {
             add_branch(&mut main, x);
         } else {
-            let skip = self.shortcut.infer_recording(x, mode, tape, ws);
+            let skip = self.shortcut.forward(x, pass, ws);
             add_branch(&mut main, &skip);
             ws.recycle(skip);
         }
@@ -206,10 +174,6 @@ impl Layer for Residual {
             ws.recycle(g_skip);
             g_main
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "residual"
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -267,46 +231,25 @@ fn gated(x: &Tensor, gate: &Tensor, ws: &mut Workspace) -> Tensor {
 }
 
 impl Layer for SqueezeExcite {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.ndim(), 4, "SqueezeExcite: input must be [N,C,H,W]");
         let squeezed = pool::global_avg_pool_forward_ws(x, ws); // [N, C]
-        let z1 = self.fc1.infer(&squeezed, ws);
+        let z1 = self.fc1.forward(&squeezed, pass.reborrow(), ws);
         ws.recycle(squeezed);
-        let z2 = self.relu.infer(&z1, ws);
+        let z2 = self.relu.forward(&z1, pass.reborrow(), ws);
         ws.recycle(z1);
-        let z3 = self.fc2.infer(&z2, ws);
+        let z3 = self.fc2.forward(&z2, pass.reborrow(), ws);
         ws.recycle(z2);
-        let gate = self.sigmoid.infer(&z3, ws); // [N, C]
-        ws.recycle(z3);
-        let y = gated(x, &gate, ws);
-        ws.recycle(gate);
-        y
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        assert_eq!(x.ndim(), 4, "SqueezeExcite: input must be [N,C,H,W]");
-        let squeezed = pool::global_avg_pool_forward_ws(x, ws); // [N, C]
-        let z1 = self.fc1.infer_recording(&squeezed, mode, tape, ws);
-        ws.recycle(squeezed);
-        let z2 = self.relu.infer_recording(&z1, mode, tape, ws);
-        ws.recycle(z1);
-        let z3 = self.fc2.infer_recording(&z2, mode, tape, ws);
-        ws.recycle(z2);
-        let gate = self.sigmoid.infer_recording(&z3, mode, tape, ws); // [N, C]
+        let gate = self.sigmoid.forward(&z3, pass.reborrow(), ws); // [N, C]
         ws.recycle(z3);
         // The block's own frame — input in `vals`, gate in `extra`, shape
         // in `aux` — pushes *after* the sub-layers so it pops first in
         // `grad`.
-        let frame = tape.push();
-        frame.vals.extend_from_slice(x.data());
-        frame.extra.extend_from_slice(gate.data());
-        frame.aux.extend_from_slice(x.shape());
+        if let Some(frame) = pass.push() {
+            frame.vals.extend_from_slice(x.data());
+            frame.extra.extend_from_slice(gate.data());
+            frame.aux.extend_from_slice(x.shape());
+        }
         let y = gated(x, &gate, ws);
         ws.recycle(gate);
         y
@@ -368,10 +311,6 @@ impl Layer for SqueezeExcite {
         gi
     }
 
-    fn name(&self) -> &'static str {
-        "squeeze_excite"
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -392,7 +331,7 @@ mod tests {
     /// Output and input gradient of `Σ layer(x)` through a train-mode tape.
     fn tape_grad(layer: &dyn Layer, x: &Tensor) -> (Tensor, Tensor) {
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = layer.infer_recording(x, Mode::Train, &mut tape, &mut ws);
+        let y = layer.forward(x, Pass::Train(&mut tape), &mut ws);
         let gi = layer.grad(&Tensor::ones(y.shape()), &mut tape, &mut ws, None);
         assert_eq!(tape.recorded(), 0, "grad must pop every frame it pushed");
         (y, gi)
@@ -408,8 +347,8 @@ mod tests {
             xp.data_mut()[flat] += eps;
             let mut xm = x.clone();
             xm.data_mut()[flat] -= eps;
-            let num =
-                (layer.infer(&xp, &mut ws).sum() - layer.infer(&xm, &mut ws).sum()) / (2.0 * eps);
+            let loss = |x: &Tensor, ws: &mut Workspace| layer.forward(x, Pass::Infer, ws).sum();
+            let num = (loss(&xp, &mut ws) - loss(&xm, &mut ws)) / (2.0 * eps);
             assert!(
                 (num - gi.data()[flat]).abs() < 2e-2,
                 "flat {flat}: num={num} ana={}",
@@ -485,7 +424,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let se = SqueezeExcite::new(2, 2, &mut rng);
         let x = Tensor::ones(&[1, 2, 2, 2]);
-        let y = se.infer(&x, &mut Workspace::new());
+        let y = se.forward(&x, Pass::Infer, &mut Workspace::new());
         // Gate in (0,1) -> |y| < |x|.
         for (a, b) in y.data().iter().zip(x.data()) {
             assert!(a.abs() < b.abs() + 1e-6);

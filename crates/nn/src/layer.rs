@@ -1,24 +1,52 @@
-//! The [`Layer`] trait: the cache-free [`Layer::infer`] path, the
-//! tape-backed gradient route ([`Layer::infer_recording`] /
-//! [`Layer::grad`]) that serves both input-space optimisation and
-//! training, the one state walk [`Layer::visit_state`] with the functions
-//! derived from it, and the caller-owned parameter-gradient sink [`Grads`].
+//! The [`Layer`] trait: one forward, [`Layer::forward`], run as a
+//! [`Pass`] that says whether and how it records; the tape-backed
+//! gradient [`Layer::grad`] that serves both input-space optimisation and
+//! training; the one state walk [`Layer::visit_state`] with the functions
+//! derived from it; and the caller-owned parameter-gradient sink
+//! [`Grads`].
 
+use usb_tensor::tape::Frame;
 use usb_tensor::{Dtype, QTensor, Tape, Tensor, Workspace};
 
-/// Whether a recorded pass runs in training mode or evaluation mode.
+/// How a [`Layer::forward`] runs: forward only, or recording onto a
+/// caller-owned [`Tape`] in evaluation or training mode.
 ///
-/// Only batch norm computes differently: [`Mode::Train`] normalises with
-/// batch statistics, [`Mode::Eval`] with the running ones. Beyond that,
-/// a `Train` recording also stores what *parameter* gradients need (layer
-/// inputs, batch-norm `x̂`), so a [`Grads`] sink may only follow a `Train`
-/// recording. Defenses differentiate frozen models in `Eval`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Training: batch statistics, parameter-gradient state recorded.
-    Train,
-    /// Inference: running statistics; input gradients only.
-    Eval,
+/// Only batch norm computes differently: [`Pass::Train`] normalises with
+/// batch statistics, the other two with the running ones. A recording
+/// pass pushes each layer's backward state as frames. An `Eval` frame
+/// holds what the *input* gradient needs; a `Train` frame also holds
+/// what parameter gradients need (layer inputs, batch-norm `x̂`), so a
+/// [`Grads`] sink may only follow a `Train` pass. Defenses differentiate
+/// frozen models in `Eval`; predictions and scoring run `Infer`.
+#[derive(Debug)]
+pub enum Pass<'t> {
+    /// Forward only, on running statistics; records nothing.
+    Infer,
+    /// Running statistics; frames for the input gradient.
+    Eval(&'t mut Tape),
+    /// Batch statistics; frames for input and parameter gradients.
+    Train(&'t mut Tape),
+}
+
+impl Pass<'_> {
+    /// The same pass on a shorter borrow of the tape, so a composite can
+    /// hand it to each of its children in turn.
+    pub fn reborrow(&mut self) -> Pass<'_> {
+        match self {
+            Pass::Infer => Pass::Infer,
+            Pass::Eval(tape) => Pass::Eval(tape),
+            Pass::Train(tape) => Pass::Train(tape),
+        }
+    }
+
+    /// Pushes an empty frame onto the tape of a recording pass; `None`
+    /// for [`Pass::Infer`].
+    pub fn push(&mut self) -> Option<&mut Frame> {
+        match self {
+            Pass::Infer => None,
+            Pass::Eval(tape) | Pass::Train(tape) => Some(tape.push()),
+        }
+    }
 }
 
 /// A mutable view of one persistent-state tensor, as [`Layer::visit_state`]
@@ -80,7 +108,7 @@ impl<'a> StateSlot<'a> {
 ///   *reads* the model, so one model is shared by reference across
 ///   threads, each thread bringing its own [`Tape`] (backward state) and
 ///   [`Workspace`] (scratch).
-/// * [`Layer::infer_recording`] pushes exactly the frames the matching
+/// * A recording [`Layer::forward`] pushes exactly the frames the matching
 ///   [`Layer::grad`] pops — strict stack discipline, so composites nest
 ///   with no bookkeeping beyond "pop what you pushed, backwards".
 /// * Parameter gradients go to a caller-owned [`Grads`] sink laid out in
@@ -91,59 +119,44 @@ impl<'a> StateSlot<'a> {
 ///   [`Layer::clone_box`]), so trained models move across threads, are
 ///   shared by reference, and sit in `OnceLock` fixtures.
 pub trait Layer: Send + Sync {
-    /// Inference-only forward pass in [`Mode::Eval`].
+    /// The forward pass, recording this layer's backward state as frames
+    /// on the pass's tape when it has one.
     ///
     /// # Contract
     ///
-    /// * Same values as [`Layer::infer_recording`] in `Eval`, bit for bit;
-    ///   recording is a pure side channel.
-    /// * All scratch (im2col columns, matmul outputs, intermediate
-    ///   activations) is drawn from `ws`; after a first warming call at a
-    ///   given input geometry, repeat calls allocate nothing. Callers that
-    ///   no longer need the returned tensor can hand it back via
-    ///   [`Workspace::recycle`].
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor;
-
-    /// Forward pass in `mode` that records this layer's backward state as
-    /// frames on the caller-owned `tape`.
-    ///
-    /// # Contract
-    ///
-    /// * In [`Mode::Eval`] the output is **bit-identical** to
-    ///   [`Layer::infer`] (same kernels), and frames hold only what the
-    ///   *input* gradient needs (often just a shape).
-    /// * In [`Mode::Train`] batch norm normalises with batch statistics,
-    ///   and frames also hold what parameter gradients need (layer inputs,
-    ///   `x̂`). Running statistics are not touched here: `&self` cannot
+    /// * One body and the same kernels for every pass, so [`Pass::Infer`]
+    ///   and [`Pass::Eval`] outputs are **bit-identical**: recording is a
+    ///   pure side channel. [`Pass::Train`] differs only in batch norm.
+    /// * An `Eval` frame holds what the *input* gradient needs (often just
+    ///   a shape); a `Train` frame also holds what parameter gradients
+    ///   need. Running statistics are not touched here: `&self` cannot
     ///   write them. See [`Grads::commit`].
-    /// * Frames reuse tape buffers: after one warm-up record→grad cycle at
-    ///   a given geometry, repeat cycles allocate nothing in the tape.
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor;
+    /// * All scratch (im2col columns, matmul outputs, intermediate
+    ///   activations) is drawn from `ws` and frames reuse tape buffers:
+    ///   after one warm-up pass (or record→grad cycle) at a given
+    ///   geometry, repeat passes allocate nothing. Callers that no longer
+    ///   need the returned tensor can hand it back via
+    ///   [`Workspace::recycle`].
+    fn forward(&self, x: &Tensor, pass: Pass<'_>, ws: &mut Workspace) -> Tensor;
 
     /// Propagates `grad_out = dL/d output` backwards through the state
-    /// recorded by the **most recent** [`Layer::infer_recording`] on
+    /// recorded by the **most recent** recording [`Layer::forward`] on
     /// `tape`, returning `dL/d input`.
     ///
     /// With `grads` set, parameter gradients are **added** into the sink's
     /// accumulators (see [`Grads`]) and batch-norm running statistics are
-    /// queued for [`Grads::commit`]; this needs a [`Mode::Train`]
+    /// queued for [`Grads::commit`]; this needs a [`Pass::Train`]
     /// recording. With `None` no parameter-gradient kernel runs at all —
     /// the input-space optimisation hot path.
     ///
-    /// Pops exactly the frames `infer_recording` pushed and recycles them,
+    /// Pops exactly the frames the forward pass pushed and recycles them,
     /// leaving the tape ready for the next recording.
     ///
     /// # Panics
     ///
-    /// Panics if called without a matching `infer_recording` (empty tape),
-    /// with a gradient whose shape does not match the recorded output, or
-    /// with a sink after an `Eval` recording of a layer with parameters.
+    /// Panics if called without a matching recording (empty tape), with a
+    /// gradient whose shape does not match the recorded output, or with a
+    /// sink after an `Eval` recording of a layer with parameters.
     fn grad(
         &self,
         grad_out: &Tensor,
@@ -154,7 +167,8 @@ pub trait Layer: Send + Sync {
 
     /// Visits every tensor of this layer's persistent state, recursing
     /// into sub-layers in recording order, and tags each with the owning
-    /// layer's [`Layer::name`] and a [`StateSlot`] saying what it is.
+    /// leaf layer's kind string (`"conv2d"`, `"batchnorm2d"`, ...) and a
+    /// [`StateSlot`] saying what it is.
     ///
     /// This is the model's only traversal; everything that walks a model
     /// is a function over it: the parameter view of optimizers and
@@ -168,9 +182,6 @@ pub trait Layer: Send + Sync {
     /// empty body, so a forgotten implementation is a compile error
     /// rather than a silently missing tensor.
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>));
-
-    /// Human-readable layer name for debugging.
-    fn name(&self) -> &'static str;
 
     /// Clones this layer behind a fresh box. Layers hold only persistent
     /// state (parameters, running statistics, geometry), so
@@ -218,8 +229,8 @@ pub fn quantize_weights(model: &mut dyn Layer, dtype: Dtype) {
 /// batch-norm running statistics awaiting [`Grads::commit`].
 ///
 /// Resident models carry no gradient buffers; only a training loop holds
-/// one of these. A step is [`Grads::zero`], a [`Mode::Train`]
-/// [`Layer::infer_recording`], [`Layer::grad`] with `Some(&mut grads)`,
+/// one of these. A step is [`Grads::zero`], a [`Pass::Train`]
+/// [`Layer::forward`], [`Layer::grad`] with `Some(&mut grads)`,
 /// [`Grads::commit`], then an optimizer step reading [`Grads::params`].
 #[derive(Debug, Default)]
 pub struct Grads {
@@ -278,7 +289,7 @@ impl Grads {
         self.stats.push(stat);
     }
 
-    /// Installs the running statistics a [`Mode::Train`] [`Layer::grad`]
+    /// Installs the running statistics a train-mode [`Layer::grad`]
     /// queued in this sink: batch norm's `(1 − m)·running + m·batch`,
     /// computed at recording time from the statistics this call replaces.
     /// Train-mode backward never reads running statistics, so deferring
@@ -321,18 +332,9 @@ mod tests {
     }
 
     impl Layer for Dummy {
-        fn infer(&self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
+        fn forward(&self, x: &Tensor, mut pass: Pass<'_>, _ws: &mut Workspace) -> Tensor {
+            let _ = pass.push();
             x.scale(self.w.data()[0])
-        }
-        fn infer_recording(
-            &self,
-            x: &Tensor,
-            _mode: Mode,
-            tape: &mut Tape,
-            ws: &mut Workspace,
-        ) -> Tensor {
-            let _ = tape.push();
-            self.infer(x, ws)
         }
         fn grad(
             &self,
@@ -354,9 +356,6 @@ mod tests {
             f("dummy", StateSlot::Param(&mut self.w, true));
             f("dummy", StateSlot::Param(&mut self.b, false));
         }
-        fn name(&self) -> &'static str {
-            "dummy"
-        }
         fn clone_box(&self) -> Box<dyn Layer> {
             Box::new(self.clone())
         }
@@ -376,7 +375,7 @@ mod tests {
         let shapes: Vec<&[usize]> = grads.params().iter().map(Tensor::shape).collect();
         assert_eq!(shapes, [&[2usize][..], &[1]]);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = d.infer_recording(&Tensor::ones(&[1]), Mode::Train, &mut tape, &mut ws);
+        let y = d.forward(&Tensor::ones(&[1]), Pass::Train(&mut tape), &mut ws);
         let _ = d.grad(&y, &mut tape, &mut ws, Some(&mut grads));
         assert_eq!(grads.params()[0].data(), &[1.0, 0.0]);
         assert_eq!(grads.params()[1].data(), &[1.0]);
@@ -395,13 +394,5 @@ mod tests {
     fn grads_reject_a_walk_longer_than_the_sink() {
         let mut grads = Grads::for_model(&mut dummy());
         let _ = grads.take_last(3);
-    }
-
-    #[test]
-    fn mode_is_copy_and_comparable() {
-        let m = Mode::Train;
-        let n = m;
-        assert_eq!(m, n);
-        assert_ne!(Mode::Train, Mode::Eval);
     }
 }

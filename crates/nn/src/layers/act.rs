@@ -1,6 +1,6 @@
 //! Activation layers: ReLU, Sigmoid, SiLU (swish).
 
-use crate::layer::{Grads, Layer, Mode, StateSlot};
+use crate::layer::{Grads, Layer, Pass, StateSlot};
 use usb_tensor::{Tape, Tensor, Workspace};
 
 /// Elementwise map into a workspace buffer: the allocation-free counterpart
@@ -45,18 +45,10 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        map_into(x, ws, |v| v.max(0.0))
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        _mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        tape.push().vals.extend_from_slice(x.data());
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
+        if let Some(frame) = pass.push() {
+            frame.vals.extend_from_slice(x.data());
+        }
         map_into(x, ws, |v| v.max(0.0))
     }
 
@@ -86,10 +78,6 @@ impl Layer for ReLU {
 
     fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
-    fn name(&self) -> &'static str {
-        "relu"
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -117,20 +105,12 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 }
 
 impl Layer for Sigmoid {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        map_into(x, ws, sigmoid_scalar)
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        _mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        // The *output* is what the gradient needs.
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         let y = map_into(x, ws, sigmoid_scalar);
-        tape.push().vals.extend_from_slice(y.data());
+        // The *output* is what the gradient needs.
+        if let Some(frame) = pass.push() {
+            frame.vals.extend_from_slice(y.data());
+        }
         y
     }
 
@@ -148,10 +128,6 @@ impl Layer for Sigmoid {
     }
 
     fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
-
-    fn name(&self) -> &'static str {
-        "sigmoid"
-    }
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
@@ -171,21 +147,13 @@ impl SiLU {
 }
 
 impl Layer for SiLU {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        map_into(x, ws, |v| v * sigmoid_scalar(v))
-    }
-
-    /// Records the input in `vals` and the sigmoid it computes on the way
-    /// in `extra`, so [`SiLU::grad`] reads `σ(x)` instead of recomputing
-    /// the exponential — the same bits either way.
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        _mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let frame = tape.push();
+    /// A recording pass stores the input in `vals` and the sigmoid it
+    /// computes on the way in `extra`, so [`SiLU::grad`] reads `σ(x)`
+    /// instead of recomputing the exponential — the same bits either way.
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
+        let Some(frame) = pass.push() else {
+            return map_into(x, ws, |v| v * sigmoid_scalar(v));
+        };
         frame.vals.extend_from_slice(x.data());
         frame
             .extra
@@ -225,10 +193,6 @@ impl Layer for SiLU {
 
     fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
-    fn name(&self) -> &'static str {
-        "silu"
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -241,7 +205,7 @@ mod tests {
     /// Input gradient of `Σ layer(x)` through the tape.
     fn tape_grad(layer: &dyn Layer, x: &Tensor) -> (Tensor, Tensor) {
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = layer.infer_recording(x, Mode::Eval, &mut tape, &mut ws);
+        let y = layer.forward(x, Pass::Eval(&mut tape), &mut ws);
         let gi = layer.grad(&Tensor::ones(y.shape()), &mut tape, &mut ws, None);
         (y, gi)
     }

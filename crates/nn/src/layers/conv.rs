@@ -1,7 +1,7 @@
 //! Dense and depthwise convolution layers.
 
 use super::{record_input, with_recorded_input};
-use crate::layer::{Grads, Layer, Mode, StateSlot};
+use crate::layer::{Grads, Layer, Pass, StateSlot};
 use rand::Rng;
 use usb_tensor::conv::{
     conv2d_backward_ws, conv2d_forward_panel_ws, conv2d_input_backward_panel_ws,
@@ -73,7 +73,8 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
+        record_input(&mut pass, x);
         conv2d_forward_panel_ws(
             x,
             self.weight.kmajor(),
@@ -82,17 +83,6 @@ impl Layer for Conv2d {
             self.spec,
             ws,
         )
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        record_input(tape, x, mode);
-        self.infer(x, ws)
     }
 
     fn grad(
@@ -140,10 +130,6 @@ impl Layer for Conv2d {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -186,19 +172,9 @@ impl DepthwiseConv2d {
 }
 
 impl Layer for DepthwiseConv2d {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
+        record_input(&mut pass, x);
         depthwise_forward_ws(x, &self.weight, self.bias.as_ref(), self.spec, ws)
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        record_input(tape, x, mode);
-        self.infer(x, ws)
     }
 
     fn grad(
@@ -238,10 +214,6 @@ impl Layer for DepthwiseConv2d {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "depthwise_conv2d"
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -267,7 +239,7 @@ mod tests {
     /// One train-mode record→grad step into `grads`; returns `dL/dx`.
     fn train_step(layer: &dyn Layer, x: &Tensor, grads: &mut Grads) -> Tensor {
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = layer.infer_recording(x, Mode::Train, &mut tape, &mut ws);
+        let y = layer.forward(x, Pass::Train(&mut tape), &mut ws);
         layer.grad(&Tensor::ones(y.shape()), &mut tape, &mut ws, Some(grads))
     }
 
@@ -277,7 +249,7 @@ mod tests {
         let mut c = Conv2d::new(3, 8, 3, 1, 1, true, &mut rng);
         assert_eq!(param_lens(&mut c), [8 * 3 * 3 * 3, 8]);
         let x = Tensor::zeros(&[2, 3, 8, 8]);
-        let y = c.infer(&x, &mut Workspace::new());
+        let y = c.forward(&x, Pass::Infer, &mut Workspace::new());
         assert_eq!(y.shape(), &[2, 8, 8, 8]);
         let mut grads = Grads::for_model(&mut c);
         assert_eq!(train_step(&c, &x, &mut grads).shape(), x.shape());
@@ -299,13 +271,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Mode::Train recording")]
+    #[should_panic(expected = "Pass::Train recording")]
     fn param_gradients_after_an_eval_recording_panic() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut c = Conv2d::new(1, 1, 1, 1, 0, false, &mut rng);
         let mut grads = Grads::for_model(&mut c);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = c.infer_recording(&Tensor::ones(&[1, 1, 2, 2]), Mode::Eval, &mut tape, &mut ws);
+        let y = c.forward(&Tensor::ones(&[1, 1, 2, 2]), Pass::Eval(&mut tape), &mut ws);
         let _ = c.grad(&y, &mut tape, &mut ws, Some(&mut grads));
     }
 
@@ -320,18 +292,18 @@ mod tests {
         });
         let x = Tensor::from_fn(&[2, 2, 6, 6], |i| ((i % 7) as f32) * 0.5 - 1.5);
         let mut ws = Workspace::default();
-        let dense_y = c.infer(&x, &mut ws);
+        let dense_y = c.forward(&x, Pass::Infer, &mut ws);
 
         let mut q = c.clone();
         quantize_weights(&mut q, Dtype::F16);
-        let qy = q.infer(&x, &mut ws);
+        let qy = q.forward(&x, Pass::Infer, &mut ws);
         assert_eq!(qy.data(), dense_y.data());
 
         let mut tape = Tape::default();
-        let _ = c.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
+        let _ = c.forward(&x, Pass::Eval(&mut tape), &mut ws);
         let g = Tensor::from_fn(dense_y.shape(), |i| ((i % 5) as f32) - 2.0);
         let dense_gi = c.grad(&g, &mut tape, &mut ws, None);
-        let _ = q.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
+        let _ = q.forward(&x, Pass::Eval(&mut tape), &mut ws);
         let qgi = q.grad(&g, &mut tape, &mut ws, None);
         assert_eq!(qgi.data(), dense_gi.data());
     }
@@ -367,7 +339,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut d = DepthwiseConv2d::new(4, 3, 2, 1, true, &mut rng);
         let x = Tensor::zeros(&[1, 4, 8, 8]);
-        let y = d.infer(&x, &mut Workspace::new());
+        let y = d.forward(&x, Pass::Infer, &mut Workspace::new());
         assert_eq!(y.shape(), &[1, 4, 4, 4]);
         let mut grads = Grads::for_model(&mut d);
         assert_eq!(train_step(&d, &x, &mut grads).shape(), x.shape());

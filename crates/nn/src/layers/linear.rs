@@ -1,7 +1,7 @@
 //! Fully-connected layer and flattening.
 
 use super::{record_input, with_recorded_input};
-use crate::layer::{Grads, Layer, Mode, StateSlot};
+use crate::layer::{Grads, Layer, Pass, StateSlot};
 use rand::Rng;
 use usb_tensor::panel::GemmWeight;
 use usb_tensor::{init, ops, QTensor, Tape, Tensor, Workspace};
@@ -12,7 +12,7 @@ use usb_tensor::{init, ops, QTensor, Tape, Tensor, Workspace};
 /// and every thread shares them. It can be swapped for a quantized
 /// payload ([`crate::layer::quantize_weights`] or a low-precision bundle
 /// load),
-/// after which the layer is inference-only: `infer`/`grad` read decoded
+/// after which the layer is inference-only: `forward`/`grad` read decoded
 /// panels, while a parameter-gradient sink panics.
 #[derive(Clone)]
 pub struct Linear {
@@ -59,7 +59,7 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear: input must be [N, in]");
         assert_eq!(
             x.shape()[1],
@@ -68,6 +68,7 @@ impl Layer for Linear {
             self.in_features(),
             x.shape()[1]
         );
+        record_input(&mut pass, x);
         let (n, out, inf) = (x.shape()[0], self.out_features(), self.in_features());
         let mut y = ws.take_dirty(n * out);
         // x @ Wᵀ on the layer's k-major panel: each output element is the
@@ -81,17 +82,6 @@ impl Layer for Linear {
             }
         }
         Tensor::from_vec(y, &[n, out])
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        record_input(tape, x, mode);
-        self.infer(x, ws)
     }
 
     fn grad(
@@ -140,10 +130,6 @@ impl Layer for Linear {
         f("linear", StateSlot::Param(&mut self.bias, false));
     }
 
-    fn name(&self) -> &'static str {
-        "linear"
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -162,25 +148,17 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         assert!(x.ndim() >= 2, "Flatten: need at least rank-2 input");
+        if let Some(frame) = pass.push() {
+            frame.aux.extend_from_slice(x.shape());
+        }
         let n = x.shape()[0];
         // A reshape is a copy in this tensor library; drawing the copy from
         // the workspace keeps the inference path allocation-free.
         let mut out = ws.take_dirty(x.len());
         out.copy_from_slice(x.data());
         Tensor::from_vec(out, &[n, x.len() / n])
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        _mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        tape.push().aux.extend_from_slice(x.shape());
-        self.infer(x, ws)
     }
 
     fn grad(
@@ -204,10 +182,6 @@ impl Layer for Flatten {
     }
 
     fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
-
-    fn name(&self) -> &'static str {
-        "flatten"
-    }
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
@@ -235,7 +209,7 @@ mod tests {
             }
         });
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let y = l.infer(&x, &mut Workspace::new());
+        let y = l.forward(&x, Pass::Infer, &mut Workspace::new());
         // y = [1+2+0.5, 3+4-0.5]
         assert_eq!(y.data(), &[3.5, 6.5]);
     }
@@ -248,7 +222,7 @@ mod tests {
         let x = Tensor::from_vec(vec![0.5, -0.25, 1.0, 0.25, 1.5, -0.5], &[2, 3]);
         let mut grads = Grads::for_model(&mut l);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = l.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+        let y = l.forward(&x, Pass::Train(&mut tape), &mut ws);
         let _ = l.grad(
             &Tensor::ones(y.shape()),
             &mut tape,
@@ -267,7 +241,7 @@ mod tests {
         let f = Flatten::new();
         let x = Tensor::from_fn(&[2, 3, 2, 2], |i| i as f32);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = f.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+        let y = f.forward(&x, Pass::Train(&mut tape), &mut ws);
         assert_eq!(y.shape(), &[2, 12]);
         let g = f.grad(&Tensor::ones(&[2, 12]), &mut tape, &mut ws, None);
         assert_eq!(g.shape(), x.shape());
@@ -278,7 +252,7 @@ mod tests {
     fn linear_rejects_wrong_width() {
         let mut rng = StdRng::seed_from_u64(2);
         let l = Linear::new(3, 2, &mut rng);
-        let _ = l.infer(&Tensor::zeros(&[1, 4]), &mut Workspace::new());
+        let _ = l.forward(&Tensor::zeros(&[1, 4]), Pass::Infer, &mut Workspace::new());
     }
 
     /// Small integers are exact in f16, so the quantized inference and
@@ -292,20 +266,20 @@ mod tests {
         });
         let x = Tensor::from_fn(&[2, 4], |i| (i as f32) * 0.25 - 1.0);
         let mut ws = Workspace::default();
-        let dense_y = l.infer(&x, &mut ws);
+        let dense_y = l.forward(&x, Pass::Infer, &mut ws);
 
         let mut q = l.clone();
         quantize_weights(&mut q, Dtype::F16);
         assert_eq!(q.out_features(), 3);
         assert_eq!(q.in_features(), 4);
-        let qy = q.infer(&x, &mut ws);
+        let qy = q.forward(&x, Pass::Infer, &mut ws);
         assert_eq!(qy.data(), dense_y.data());
 
         let mut tape = Tape::default();
-        let _ = l.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
+        let _ = l.forward(&x, Pass::Eval(&mut tape), &mut ws);
         let g = Tensor::from_fn(&[2, 3], |i| 1.0 + i as f32);
         let dense_gi = l.grad(&g, &mut tape, &mut ws, None);
-        let _ = q.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
+        let _ = q.forward(&x, Pass::Eval(&mut tape), &mut ws);
         let qgi = q.grad(&g, &mut tape, &mut ws, None);
         assert_eq!(qgi.data(), dense_gi.data());
     }
@@ -351,7 +325,7 @@ mod tests {
         let mut l = Linear::new(3, 2, &mut rng);
         quantize_weights(&mut l, Dtype::F16);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = l.infer_recording(&Tensor::zeros(&[1, 3]), Mode::Train, &mut tape, &mut ws);
+        let y = l.forward(&Tensor::zeros(&[1, 3]), Pass::Train(&mut tape), &mut ws);
         let _ = l.grad(&y, &mut tape, &mut ws, Some(&mut Grads::default()));
     }
 }

@@ -13,18 +13,20 @@ pub use linear::{Flatten, Linear};
 pub use norm::BatchNorm2d;
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 
-use crate::layer::Mode;
+use crate::layer::Pass;
 use usb_tensor::tape::Frame;
-use usb_tensor::{Tape, Tensor};
+use usb_tensor::Tensor;
 
-/// Pushes the frame of a convolution or linear layer: `x`'s shape (all the
-/// input gradient needs) and, in [`Mode::Train`], `x` itself (what the
-/// weight gradient needs).
-fn record_input(tape: &mut Tape, x: &Tensor, mode: Mode) {
-    let frame = tape.push();
-    frame.aux.extend_from_slice(x.shape());
-    if mode == Mode::Train {
-        frame.vals.extend_from_slice(x.data());
+/// Records the frame of a convolution or linear layer, if `pass` records:
+/// `x`'s shape (all the input gradient needs) and, in [`Pass::Train`],
+/// `x` itself (what the weight gradient needs).
+fn record_input(pass: &mut Pass<'_>, x: &Tensor) {
+    let train = matches!(pass, Pass::Train(_));
+    if let Some(frame) = pass.push() {
+        frame.aux.extend_from_slice(x.shape());
+        if train {
+            frame.vals.extend_from_slice(x.data());
+        }
     }
 }
 
@@ -37,7 +39,7 @@ fn record_input(tape: &mut Tape, x: &Tensor, mode: Mode) {
 fn with_recorded_input<R>(frame: &mut Frame, layer: &str, f: impl FnOnce(&Tensor) -> R) -> R {
     assert!(
         !frame.vals.is_empty(),
-        "{layer}: parameter gradients need a Mode::Train recording"
+        "{layer}: parameter gradients need a Pass::Train recording"
     );
     let x = Tensor::from_vec(std::mem::take(&mut frame.vals), &frame.aux);
     let out = f(&x);
@@ -48,15 +50,16 @@ fn with_recorded_input<R>(frame: &mut Frame, layer: &str, f: impl FnOnce(&Tensor
 /// Panel checks shared by the two GEMM layers, [`Linear`] and [`Conv2d`].
 #[cfg(test)]
 mod panel_checks {
-    use crate::layer::{quantize_weights, visit_params, Layer, StateSlot};
+    use crate::layer::{quantize_weights, visit_params, Layer, Pass, StateSlot};
     use usb_tensor::panel::GemmWeight;
     use usb_tensor::{Dtype, QTensor, Tape, Tensor, Workspace};
 
-    /// One `infer` plus one input-gradient step: the outputs of both.
+    /// One forward-only pass plus one input-gradient step: the outputs of
+    /// both.
     fn step(layer: &dyn Layer, x: &Tensor) -> (Tensor, Tensor) {
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = layer.infer(x, &mut ws);
-        let _ = layer.infer_recording(x, crate::Mode::Eval, &mut tape, &mut ws);
+        let y = layer.forward(x, Pass::Infer, &mut ws);
+        let _ = layer.forward(x, Pass::Eval(&mut tape), &mut ws);
         let g = y.map(|v| 1.0 + v * v);
         let gi = layer.grad(&g, &mut tape, &mut ws, None);
         (y, gi)

@@ -1,14 +1,14 @@
 //! Batch normalisation over `[N, C, H, W]` activations.
 
-use crate::layer::{Grads, Layer, Mode, StateSlot};
+use crate::layer::{Grads, Layer, Pass, StateSlot};
 use usb_tensor::{Tape, Tensor, Workspace};
 
 /// 2-D batch normalisation with learned affine parameters and running
 /// statistics.
 ///
-/// In [`Mode::Train`] the layer normalises with batch statistics; the
+/// In a [`Pass::Train`] the layer normalises with batch statistics; the
 /// exponential running averages move when the step's
-/// [`Grads::commit`] runs. In [`Mode::Eval`] it applies the
+/// [`Grads::commit`] runs. Every other pass applies the
 /// frozen affine transform built from the running statistics. Gradients
 /// work in both modes — defenses differentiate through eval-mode models,
 /// where the layer is an elementwise affine map.
@@ -108,8 +108,16 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
+        if let Pass::Train(tape) = pass {
+            return self.record_train(x, tape, ws);
+        }
         let (n, c, plane) = self.check_input(x);
+        // A frozen affine map: the input gradient needs only the running
+        // statistics (read from `&self`) and the shape.
+        if let Some(frame) = pass.push() {
+            frame.aux.extend_from_slice(x.shape());
+        }
         let mut out = ws.take_dirty(x.len());
         let xd = x.data();
         for ch in 0..c {
@@ -127,24 +135,6 @@ impl Layer for BatchNorm2d {
             }
         }
         Tensor::from_vec(out, x.shape())
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        match mode {
-            Mode::Train => self.record_train(x, tape, ws),
-            // A frozen affine map: the input gradient needs only the
-            // running statistics (read from `&self`) and the shape.
-            Mode::Eval => {
-                tape.push().aux.extend_from_slice(x.shape());
-                self.infer(x, ws)
-            }
-        }
     }
 
     fn grad(
@@ -166,7 +156,7 @@ impl Layer for BatchNorm2d {
         if frame.extra.is_empty() {
             assert!(
                 grads.is_none(),
-                "BatchNorm2d: parameter gradients need a Mode::Train recording"
+                "BatchNorm2d: parameter gradients need a Pass::Train recording"
             );
             for ch in 0..c {
                 // `istd` recomputed from the running statistics with the
@@ -233,10 +223,6 @@ impl Layer for BatchNorm2d {
         f("batchnorm2d", StateSlot::Stat(&mut self.running_var));
     }
 
-    fn name(&self) -> &'static str {
-        "batchnorm2d"
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -255,7 +241,7 @@ mod tests {
     fn train_step(bn: &mut BatchNorm2d, x: &Tensor, go: &Tensor) -> (Tensor, Tensor) {
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         let mut grads = Grads::for_model(bn);
-        let y = bn.infer_recording(x, Mode::Train, &mut tape, &mut ws);
+        let y = bn.forward(x, Pass::Train(&mut tape), &mut ws);
         let gi = bn.grad(go, &mut tape, &mut ws, Some(&mut grads));
         grads.commit(bn);
         (y, gi)
@@ -287,7 +273,7 @@ mod tests {
         let mut bn = BatchNorm2d::new(3);
         let x = sample().add_scalar(5.0);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let _ = bn.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+        let _ = bn.forward(&x, Pass::Train(&mut tape), &mut ws);
         assert_eq!(
             bn.running_mean().data(),
             &[0.0; 3],
@@ -305,7 +291,7 @@ mod tests {
         let bn = BatchNorm2d::new(1);
         let x = Tensor::from_vec(vec![2.0, 2.0, 2.0, 2.0], &[1, 1, 2, 2]);
         // Untouched running stats: mean 0, var 1 -> y = x (gamma=1, beta=0).
-        let y = bn.infer(&x, &mut Workspace::new());
+        let y = bn.forward(&x, Pass::Infer, &mut Workspace::new());
         for (a, b) in y.data().iter().zip(x.data()) {
             assert!((a - b).abs() < 1e-3);
         }
@@ -319,7 +305,7 @@ mod tests {
         let x = sample();
         let mut grads = Grads::for_model(&mut bn);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let _ = bn.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+        let _ = bn.forward(&x, Pass::Train(&mut tape), &mut ws);
         let _ = bn.grad(
             &Tensor::ones(x.shape()),
             &mut tape,
@@ -337,7 +323,7 @@ mod tests {
         bn.running_var = Tensor::from_vec(vec![4.0, 0.25], &[2]);
         let x = Tensor::zeros(&[1, 2, 2, 2]);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let _ = bn.infer_recording(&x, Mode::Eval, &mut tape, &mut ws);
+        let _ = bn.forward(&x, Pass::Eval(&mut tape), &mut ws);
         let gi = bn.grad(&Tensor::ones(&[1, 2, 2, 2]), &mut tape, &mut ws, None);
         // dx = gamma / sqrt(var+eps): 1/2 for ch0, 1/0.5=2 for ch1.
         assert!((gi.data()[0] - 0.5).abs() < 1e-3);

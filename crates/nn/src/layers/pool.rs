@@ -1,6 +1,6 @@
 //! Pooling layers wrapping the kernels in [`usb_tensor::pool`].
 
-use crate::layer::{Grads, Layer, Mode, StateSlot};
+use crate::layer::{Grads, Layer, Pass, StateSlot};
 use usb_tensor::{pool, Tape, Tensor, Workspace};
 
 /// Average pooling over `k x k` windows with the given stride.
@@ -23,21 +23,11 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
+        if let Some(frame) = pass.push() {
+            frame.aux.extend_from_slice(&x.shape()[2..]);
+        }
         pool::avg_pool2d_forward_ws(x, self.k, self.stride, ws)
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        _mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let frame = tape.push();
-        frame.aux.push(x.shape()[2]);
-        frame.aux.push(x.shape()[3]);
-        self.infer(x, ws)
     }
 
     fn grad(
@@ -55,10 +45,6 @@ impl Layer for AvgPool2d {
     }
 
     fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
-
-    fn name(&self) -> &'static str {
-        "avg_pool2d"
-    }
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
@@ -85,27 +71,15 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        // The recording scan minus the argmax routing table only the
-        // backward pass needs.
-        pool::max_pool2d_infer(x, self.k, self.stride, ws)
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        _mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        // The gradient routes through the argmax table, so the recording
-        // scan computes it. The frame stores the argmax indices followed by
-        // the input shape.
-        let frame = tape.push();
-        let mut arg = std::mem::take(&mut frame.aux); // reuse frame capacity
-        let y = pool::max_pool2d_forward_rec(x, self.k, self.stride, ws, &mut arg);
-        arg.extend_from_slice(x.shape());
-        frame.aux = arg;
+    /// The gradient routes through the argmax table, so only a recording
+    /// pass computes it. The frame stores the argmax indices followed by
+    /// the input shape.
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
+        let Some(frame) = pass.push() else {
+            return pool::max_pool2d_forward_ws(x, self.k, self.stride, ws, None);
+        };
+        let y = pool::max_pool2d_forward_ws(x, self.k, self.stride, ws, Some(&mut frame.aux));
+        frame.aux.extend_from_slice(x.shape());
         y
     }
 
@@ -125,10 +99,6 @@ impl Layer for MaxPool2d {
 
     fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
-    fn name(&self) -> &'static str {
-        "max_pool2d"
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -146,21 +116,11 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
+        if let Some(frame) = pass.push() {
+            frame.aux.extend_from_slice(&x.shape()[2..]);
+        }
         pool::global_avg_pool_forward_ws(x, ws)
-    }
-
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        _mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let frame = tape.push();
-        frame.aux.push(x.shape()[2]);
-        frame.aux.push(x.shape()[3]);
-        self.infer(x, ws)
     }
 
     fn grad(
@@ -179,10 +139,6 @@ impl Layer for GlobalAvgPool {
 
     fn visit_state(&mut self, _f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {}
 
-    fn name(&self) -> &'static str {
-        "global_avg_pool"
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -195,7 +151,7 @@ mod tests {
     /// Output and input gradient of `Σ layer(x)` through the tape.
     fn tape_grad(layer: &dyn Layer, x: &Tensor) -> (Tensor, Tensor) {
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = layer.infer_recording(x, Mode::Eval, &mut tape, &mut ws);
+        let y = layer.forward(x, Pass::Eval(&mut tape), &mut ws);
         let gi = layer.grad(&Tensor::ones(y.shape()), &mut tape, &mut ws, None);
         (y, gi)
     }

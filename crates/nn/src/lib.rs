@@ -8,11 +8,12 @@
 //! (the paper's Alg. 1/2).
 //!
 //! Design in one paragraph: a model only holds data — parameters, running
-//! statistics, geometry. Every pass takes `&self`: [`layer::Layer::infer`]
-//! for forward-only work, and [`layer::Layer::infer_recording`] +
-//! [`layer::Layer::grad`] for gradients, with the backward state kept on a
-//! caller-owned [`usb_tensor::Tape`] and parameter gradients (when
-//! training) in a caller-owned [`layer::Grads`] sink. A model's state —
+//! statistics, geometry. Every pass takes `&self` and runs one forward,
+//! [`layer::Layer::forward`], as one of three [`layer::Pass`]es:
+//! `Infer` for forward-only work, and `Eval` or `Train` recording onto a
+//! caller-owned [`usb_tensor::Tape`] that [`layer::Layer::grad`] then
+//! consumes, with parameter gradients (when training) in a caller-owned
+//! [`layer::Grads`] sink. A model's state —
 //! trainable tensors, running statistics, quantizable GEMM weights — is
 //! reached through one walk, [`layer::Layer::visit_state`], and everything
 //! else that touches it (optimizers, quantization, the running-statistics
@@ -31,7 +32,7 @@
 //! # Example
 //!
 //! ```rust
-//! use usb_nn::layer::{Grads, Layer, Mode};
+//! use usb_nn::layer::{Grads, Layer, Pass};
 //! use usb_nn::models::{Architecture, ModelKind};
 //! use usb_nn::optim::Sgd;
 //! use usb_tensor::{Tape, Tensor, Workspace};
@@ -42,13 +43,14 @@
 //! let mut net = arch.build(&mut rng);
 //! let x = Tensor::zeros(&[2, 1, 12, 12]);
 //! let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-//! let logits = net.infer(&x, &mut ws);
+//! let logits = net.forward(&x, Pass::Infer, &mut ws);
 //! assert_eq!(logits.shape(), &[2, 4]);
 //!
-//! // One training step: record, backpropagate into the sink, install the
-//! // batch-norm running statistics, step.
+//! // One training step: the same forward recording onto the tape,
+//! // backpropagate into the sink, install the batch-norm running
+//! // statistics, step.
 //! let mut grads = Grads::for_model(&mut net);
-//! let logits = net.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+//! let logits = net.forward(&x, Pass::Train(&mut tape), &mut ws);
 //! let _ = net.grad(&Tensor::ones(logits.shape()), &mut tape, &mut ws, Some(&mut grads));
 //! grads.commit(&mut net);
 //! Sgd::new(0.1, 0.9, 0.0).step(&mut net, &grads);
@@ -66,5 +68,5 @@ pub mod optim;
 pub mod serde;
 pub mod train;
 
-pub use layer::{Layer, Mode};
+pub use layer::{Layer, Pass};
 pub use models::Network;

@@ -12,7 +12,7 @@
 //! DESIGN.md for the substitution argument).
 
 use crate::compose::{Residual, Sequential, SqueezeExcite};
-use crate::layer::{self, Grads, Layer, Mode, StateSlot};
+use crate::layer::{self, Grads, Layer, Pass, StateSlot};
 use crate::layers::{
     AvgPool2d, BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d,
     ReLU, SiLU,
@@ -124,14 +124,14 @@ impl Architecture {
 /// The split lets the latent-backdoor attack inject a gradient term on the
 /// penultimate activations between the two halves of a backward pass.
 ///
-/// Every pass takes `&self`: forward-only work goes through
-/// [`Network::infer`] and the `predict` family, and gradients through
-/// [`Layer::infer_recording`] + [`Layer::grad`] (or
-/// [`Network::input_grad_in`]), whose backward state lives in a
-/// caller-owned [`Tape`]. One victim is therefore shared by reference
-/// across every worker thread, each worker bringing its own tape and
-/// [`Workspace`]. Training goes through the same route with
-/// [`Mode::Train`] and a [`Grads`] sink; only the optimizer step and
+/// Every pass takes `&self` and runs the one [`Layer::forward`]:
+/// forward-only work as [`Pass::Infer`] ([`Network::infer`] and the
+/// `predict` family), and gradients as a recording pass plus
+/// [`Layer::grad`] (or [`Network::input_grad_in`]), whose backward state
+/// lives in a caller-owned [`Tape`]. One victim is therefore shared by
+/// reference across every worker thread, each worker bringing its own
+/// tape and [`Workspace`]. Training goes through the same route with
+/// [`Pass::Train`] and a [`Grads`] sink; only the optimizer step and
 /// [`Grads::commit`] need `&mut`.
 pub struct Network {
     /// Everything up to (and including) the penultimate representation.
@@ -194,19 +194,14 @@ impl Network {
         self.arch.input
     }
 
-    /// Inference-only logits for a batch `[N, C, H, W]` in [`Mode::Eval`]
-    /// (no allocation once `ws` is warm). See [`Layer::infer`] for the
-    /// full contract.
+    /// Inference-only logits for a batch `[N, C, H, W]`: [`Layer::forward`]
+    /// as a [`Pass::Infer`] (no allocation once `ws` is warm).
     ///
     /// # Panics
     ///
     /// Panics if the input shape does not match the architecture.
     pub fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.check_input(x);
-        let feats = self.features.infer(x, ws);
-        let logits = self.classifier.infer(&feats, ws);
-        ws.recycle(feats);
-        logits
+        self.forward(x, Pass::Infer, ws)
     }
 
     /// Predicted class per batch row (eval mode, cache-free).
@@ -244,10 +239,8 @@ impl Network {
         assert_eq!(x.ndim(), 3, "predict_one: x must be [C,H,W]");
         let mut batch = ws.take_dirty(x.len());
         batch.copy_from_slice(x.data());
-        let shape4: Vec<usize> = std::iter::once(1)
-            .chain(x.shape().iter().copied())
-            .collect();
-        let batch = Tensor::from_vec(batch, &shape4);
+        let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let batch = Tensor::from_vec(batch, &[1, c, h, w]);
         let logits = self.infer(&batch, ws);
         let pred = ops::argmax_row(logits.data());
         ws.recycle(batch);
@@ -274,7 +267,7 @@ impl Network {
         ws: &mut Workspace,
     ) -> (Tensor, Tensor) {
         tape.begin();
-        let logits = self.infer_recording(x, Mode::Eval, tape, ws);
+        let logits = self.forward(x, Pass::Eval(tape), ws);
         let g = grad_of(&logits, ws);
         let gi = self.grad(&g, tape, ws, None);
         ws.recycle(g);
@@ -325,19 +318,10 @@ impl Network {
 }
 
 impl Layer for Network {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        Network::infer(self, x, ws)
-    }
-    fn infer_recording(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        tape: &mut Tape,
-        ws: &mut Workspace,
-    ) -> Tensor {
+    fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         self.check_input(x);
-        let feats = self.features.infer_recording(x, mode, tape, ws);
-        let logits = self.classifier.infer_recording(&feats, mode, tape, ws);
+        let feats = self.features.forward(x, pass.reborrow(), ws);
+        let logits = self.classifier.forward(&feats, pass, ws);
         ws.recycle(feats);
         logits
     }
@@ -355,10 +339,6 @@ impl Layer for Network {
         ws.recycle(g_feat);
         gi
     }
-    fn name(&self) -> &'static str {
-        "network"
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -568,7 +548,7 @@ mod tests {
         });
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         let mut grads = Grads::for_model(&mut net);
-        let logits = net.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+        let logits = net.forward(&x, Pass::Train(&mut tape), &mut ws);
         assert_eq!(logits.shape(), &[2, classes], "{kind:?} logits shape");
         assert!(logits.all_finite(), "{kind:?} produced non-finite logits");
         // Input and parameter gradients flow end to end.
@@ -624,7 +604,7 @@ mod tests {
         let arch = Architecture::new(ModelKind::BasicCnn, (1, 28, 28), 10).with_width(16);
         let net = arch.build(&mut rng);
         let x = Tensor::zeros(&[1, 1, 28, 28]);
-        let feats = net.features.infer(&x, &mut Workspace::new());
+        let feats = net.features.forward(&x, Pass::Infer, &mut Workspace::new());
         assert_eq!(feats.shape(), &[1, 512]);
     }
 
@@ -635,8 +615,8 @@ mod tests {
         let net = arch.build(&mut rng);
         let x = Tensor::from_fn(&[2, 1, 12, 12], |i| (i as f32 * 0.05).cos());
         let mut ws = Workspace::new();
-        let feats = net.features.infer(&x, &mut ws);
-        let via_head = net.classifier.infer(&feats, &mut ws);
+        let feats = net.features.forward(&x, Pass::Infer, &mut ws);
+        let via_head = net.classifier.forward(&feats, Pass::Infer, &mut ws);
         let direct = net.infer(&x, &mut ws);
         assert_eq!(via_head.data(), direct.data());
     }

@@ -241,7 +241,7 @@ impl TensorAdam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{Mode, StateSlot};
+    use crate::layer::{Pass, StateSlot};
     use usb_tensor::{Tape, Workspace};
 
     /// y = w·x ; single scalar parameter.
@@ -252,18 +252,9 @@ mod tests {
     }
 
     impl Layer for Scalar {
-        fn infer(&self, _x: &Tensor, _ws: &mut Workspace) -> Tensor {
+        fn forward(&self, _x: &Tensor, mut pass: Pass<'_>, _ws: &mut Workspace) -> Tensor {
+            let _ = pass.push();
             Tensor::from_vec(vec![self.w.data()[0] * self.x], &[1])
-        }
-        fn infer_recording(
-            &self,
-            x: &Tensor,
-            _mode: Mode,
-            tape: &mut Tape,
-            ws: &mut Workspace,
-        ) -> Tensor {
-            let _ = tape.push();
-            self.infer(x, ws)
         }
         fn grad(
             &self,
@@ -282,10 +273,6 @@ mod tests {
         fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
             f("scalar", StateSlot::Param(&mut self.w, true));
         }
-        fn name(&self) -> &'static str {
-            "scalar"
-        }
-
         fn clone_box(&self) -> Box<dyn Layer> {
             Box::new(self.clone())
         }
@@ -297,7 +284,7 @@ mod tests {
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         for _ in 0..steps {
             grads.zero();
-            let y = model.infer_recording(&Tensor::zeros(&[1]), Mode::Train, &mut tape, &mut ws);
+            let y = model.forward(&Tensor::zeros(&[1]), Pass::Train(&mut tape), &mut ws);
             let dl = 2.0 * (y.data()[0] - 1.0);
             let _ = model.grad(
                 &Tensor::from_vec(vec![dl], &[1]),

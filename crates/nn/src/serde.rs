@@ -358,7 +358,7 @@ pub fn load_network(path: &Path) -> Result<Network, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{Grads, Mode};
+    use crate::layer::{Grads, Pass};
     use usb_tensor::{Tape, Tensor, Workspace};
 
     fn trained_ish(kind: ModelKind, input: (usize, usize, usize)) -> Network {
@@ -373,7 +373,7 @@ mod tests {
         for _ in 0..3 {
             grads.zero();
             tape.begin();
-            let y = net.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+            let y = net.forward(&x, Pass::Train(&mut tape), &mut ws);
             let _ = net.grad(
                 &Tensor::ones(y.shape()),
                 &mut tape,

@@ -3,7 +3,7 @@
 //! Dataset handling (synthetic generation, poisoning) lives in higher
 //! crates; this module only needs a `[N, C, H, W]` tensor and class labels.
 
-use crate::layer::{Grads, Layer, Mode};
+use crate::layer::{Grads, Layer, Pass};
 use crate::loss::softmax_cross_entropy;
 use crate::models::Network;
 use crate::optim::Sgd;
@@ -86,7 +86,7 @@ pub struct EpochStats {
 /// Trains `net` in place on `(images, labels)` and returns per-epoch stats.
 ///
 /// Batches are reshuffled each epoch with `rng`, so runs are deterministic
-/// given the seed. Each step is one [`Mode::Train`] recording on a tape,
+/// given the seed. Each step is one [`Pass::Train`] forward on a tape,
 /// one backward pass into a [`Grads`] sink, the batch-norm running-stat
 /// commit, and an SGD step.
 ///
@@ -127,7 +127,7 @@ pub fn fit(
             let (bx, by) = gather_batch(images, labels, chunk);
             tape.begin();
             grads.zero();
-            let logits = net.infer_recording(&bx, Mode::Train, &mut tape, &mut ws);
+            let logits = net.forward(&bx, Pass::Train(&mut tape), &mut ws);
             let (loss, dlogits) = softmax_cross_entropy(&logits, &by);
             epoch_loss += loss as f64 * chunk.len() as f64;
             hits += ops::argmax_rows(&logits)

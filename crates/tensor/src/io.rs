@@ -316,6 +316,26 @@ pub enum TensorRecord {
     Quant(QTensor),
 }
 
+impl TensorRecord {
+    /// The record's dense f32 tensor. Records whose payload the caller
+    /// expects to be exact — triggers, batch-norm buffers — go through
+    /// this: a quantized record where an f32 one is required is a format
+    /// error, not a silent dequantization.
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::Format`] when the record is quantized.
+    pub fn into_dense(self) -> Result<Tensor, IoError> {
+        match self {
+            TensorRecord::Dense(t) => Ok(t),
+            TensorRecord::Quant(q) => Err(IoError::format(format!(
+                "expected an f32 tensor record, found {}",
+                q.dtype()
+            ))),
+        }
+    }
+}
+
 /// Writes `t` as one self-delimiting dense (f32) tensor record (see
 /// module docs for the byte layout).
 pub fn write_tensor(w: &mut impl Write, t: &Tensor) -> Result<(), IoError> {
@@ -474,25 +494,15 @@ fn read_record(r: &mut impl Read, expect: Option<&[usize]>) -> Result<TensorReco
     }
 }
 
-/// Reads one **dense f32** tensor record written by [`write_tensor`].
-///
-/// Records whose payload the caller expects to be exact — triggers, IAD
-/// generator state, batch-norm buffers — go through this; a quantized
-/// record where an f32 one is required is a format error, not a silent
-/// dequantization.
+/// Reads one **dense f32** tensor record written by [`write_tensor`]:
+/// [`read_tensor_record`] then [`TensorRecord::into_dense`].
 ///
 /// # Errors
 ///
 /// Same contract as [`read_tensor_record`], plus [`IoError::Format`] when
 /// the record is quantized.
 pub fn read_tensor(r: &mut impl Read) -> Result<Tensor, IoError> {
-    match read_tensor_record(r)? {
-        TensorRecord::Dense(t) => Ok(t),
-        TensorRecord::Quant(q) => Err(IoError::format(format!(
-            "expected an f32 tensor record, found {}",
-            q.dtype()
-        ))),
-    }
+    read_tensor_record(r)?.into_dense()
 }
 
 /// Saves one tensor to `path` (creating parent directories).

@@ -42,9 +42,10 @@
 //!   that builds its k-major and natural-order f32 panels once and shares
 //!   them with every thread.
 //! * [`tape`] — the [`Tape`] of per-layer activation frames behind every
-//!   gradient: `Layer::infer_recording` in `usb-nn` records backward state
-//!   into a caller-owned tape instead of the layers, so one immutable model
-//!   serves every worker thread, in inspection and training alike.
+//!   gradient: a `Layer::forward` in `usb-nn` whose `Pass` carries a tape
+//!   records backward state there instead of in the layers, so one
+//!   immutable model serves every worker thread, in inspection and
+//!   training alike.
 //!
 //! # Example
 //!

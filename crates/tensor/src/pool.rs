@@ -89,44 +89,7 @@ pub fn avg_pool2d_backward_ws(
     Tensor::from_vec(gi, &[n, c, h, w])
 }
 
-/// Inference-only max pooling: the pooled values of
-/// [`max_pool2d_forward_rec`] — identical window scan, identical results —
-/// without materialising the argmax routing table (which only the backward
-/// pass needs) and with the output buffer drawn from `ws`.
-///
-/// # Panics
-///
-/// Panics if the window does not fit or `stride == 0`.
-pub fn max_pool2d_infer(input: &Tensor, k: usize, stride: usize, ws: &mut Workspace) -> Tensor {
-    assert!(stride > 0, "max_pool2d: stride must be positive");
-    let (n, c, h, w) = dims4(input);
-    assert!(k <= h && k <= w, "max_pool2d: window {k} larger than input");
-    let oh = (h - k) / stride + 1;
-    let ow = (w - k) / stride + 1;
-    let mut out = ws.take_dirty(n * c * oh * ow);
-    let id = input.data();
-    for plane in 0..n * c {
-        let img = &id[plane * h * w..(plane + 1) * h * w];
-        let base = plane * oh * ow;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let idx = (oy * stride + ky) * w + ox * stride + kx;
-                        if img[idx] > best {
-                            best = img[idx];
-                        }
-                    }
-                }
-                out[base + oy * ow + ox] = best;
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n, c, oh, ow])
-}
-
-/// Backward pass of [`max_pool2d_forward_rec`]: routes each output
+/// Backward pass of [`max_pool2d_forward_ws`]: routes each output
 /// gradient to the recorded argmax position (zero-filled checkout — the
 /// scatter accumulates with `+=`).
 ///
@@ -151,20 +114,21 @@ pub fn max_pool2d_backward_ws(
     Tensor::from_vec(gi, input_shape)
 }
 
-/// Max pooling that records its routing: the pooled values, drawn from
-/// `ws`, plus the flat argmax index of each window (the first maximum)
-/// written to `argmax` (cleared first) — the table the gradient-tape
-/// route stores and [`max_pool2d_backward_ws`] reads.
+/// Max pooling over `k × k` windows: the pooled values, drawn from `ws`.
+/// With `argmax`, also the flat input index of each window's first
+/// maximum, written to it (cleared first) — the routing table a recording
+/// pass stores and [`max_pool2d_backward_ws`] reads. The window scan is
+/// the same either way, so the values are too.
 ///
 /// # Panics
 ///
 /// Panics if the window does not fit or `stride == 0`.
-pub fn max_pool2d_forward_rec(
+pub fn max_pool2d_forward_ws(
     input: &Tensor,
     k: usize,
     stride: usize,
     ws: &mut Workspace,
-    argmax: &mut Vec<usize>,
+    mut argmax: Option<&mut Vec<usize>>,
 ) -> Tensor {
     assert!(stride > 0, "max_pool2d: stride must be positive");
     let (n, c, h, w) = dims4(input);
@@ -172,8 +136,10 @@ pub fn max_pool2d_forward_rec(
     let oh = (h - k) / stride + 1;
     let ow = (w - k) / stride + 1;
     let mut out = ws.take_dirty(n * c * oh * ow);
-    argmax.clear();
-    argmax.reserve(n * c * oh * ow);
+    if let Some(arg) = argmax.as_deref_mut() {
+        arg.clear();
+        arg.reserve(n * c * oh * ow);
+    }
     let id = input.data();
     for plane in 0..n * c {
         let img = &id[plane * h * w..(plane + 1) * h * w];
@@ -192,7 +158,9 @@ pub fn max_pool2d_forward_rec(
                     }
                 }
                 out[base + oy * ow + ox] = best;
-                argmax.push(plane * h * w + best_idx);
+                if let Some(arg) = argmax.as_deref_mut() {
+                    arg.push(plane * h * w + best_idx);
+                }
             }
         }
     }
@@ -252,7 +220,9 @@ mod tests {
 
     fn max_pool2d_forward(x: &Tensor, k: usize, stride: usize) -> (Tensor, Vec<usize>) {
         let mut arg = Vec::new();
-        let y = max_pool2d_forward_rec(x, k, stride, &mut Workspace::new(), &mut arg);
+        let y = max_pool2d_forward_ws(x, k, stride, &mut Workspace::new(), Some(&mut arg));
+        let plain = max_pool2d_forward_ws(x, k, stride, &mut Workspace::new(), None);
+        assert_eq!(y.data(), plain.data(), "the routing table changes no value");
         (y, arg)
     }
 

@@ -1,11 +1,12 @@
 //! The gradient [`Tape`]: caller-owned storage for everything a backward
 //! pass needs, so the model itself can stay immutable.
 //!
-//! During a *recorded* forward pass (`Layer::infer_recording` in
-//! `usb-nn`) each layer pushes one [`Frame`] holding exactly what its
-//! gradient needs — an activation copy, an argmax table, a shape, and in
-//! training mode the input its weight gradient needs or batch norm's `x̂`
-//! — onto the tape, in traversal order. The matching backward pass
+//! During a *recording* forward pass (`Layer::forward` in `usb-nn`, run
+//! as a `Pass::Eval` or `Pass::Train` that carries the tape; a
+//! `Pass::Infer` records nothing) each layer pushes one [`Frame`] holding
+//! exactly what its gradient needs — an activation copy, an argmax table,
+//! a shape, and in training mode the input its weight gradient needs or
+//! batch norm's `x̂` — onto the tape, in traversal order. The matching backward pass
 //! (`Layer::grad`) pops frames in reverse order, strict stack discipline,
 //! so composites (sequential stacks, residual branches, squeeze-excite
 //! blocks) nest without any bookkeeping beyond "pop what you pushed,
@@ -63,9 +64,9 @@ impl Frame {
     }
 }
 
-/// A stack of per-layer activation [`Frame`]s recorded by
-/// `Layer::infer_recording` and consumed by `Layer::grad` (see the module
-/// docs for the reuse contract).
+/// A stack of per-layer activation [`Frame`]s recorded by a recording
+/// `Layer::forward` and consumed by `Layer::grad` (see the module docs for
+/// the reuse contract).
 #[derive(Debug, Default)]
 pub struct Tape {
     /// Recorded frames awaiting the backward pass (push/pop stack).
@@ -118,11 +119,11 @@ impl Tape {
     /// # Panics
     ///
     /// Panics if no frame is recorded — i.e. `grad` was called without a
-    /// matching `infer_recording`, or layers popped more than they pushed.
+    /// matching recording forward, or layers popped more than they pushed.
     pub fn pop(&mut self) -> Frame {
         self.frames
             .pop()
-            .expect("Tape::pop: grad before infer_recording (tape is empty)")
+            .expect("Tape::pop: grad before a recording forward (tape is empty)")
     }
 
     /// Returns a consumed frame's buffers to the spare pool.
@@ -220,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "grad before infer_recording")]
+    #[should_panic(expected = "grad before a recording forward")]
     fn pop_on_empty_tape_panics() {
         let mut tape = Tape::new();
         let _ = tape.pop();

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use universal_soldier::nn::layer::{Grads, Layer, Mode, StateSlot};
+use universal_soldier::nn::layer::{Grads, Layer, Pass, StateSlot};
 use universal_soldier::nn::models::{Architecture, ModelKind, Network};
 use universal_soldier::nn::serde::write_network;
 use universal_soldier::tensor::io::fnv1a64;
@@ -69,7 +69,7 @@ fn train_step(
 ) -> (Tensor, Vec<Vec<u32>>) {
     grads.zero();
     tape.begin();
-    let logits = net.infer_recording(x, Mode::Train, tape, ws);
+    let logits = net.forward(x, Pass::Train(tape), ws);
     let dx = net.grad(&grad_seed(&logits), tape, ws, Some(grads));
     let bits = grads
         .params()

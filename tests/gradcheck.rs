@@ -23,7 +23,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use universal_soldier::nn::compose::{Residual, Sequential, SqueezeExcite};
-use universal_soldier::nn::layer::{visit_params, Grads, Layer, Mode};
+use universal_soldier::nn::layer::{visit_params, Grads, Layer, Pass};
 use universal_soldier::nn::layers::{
     AvgPool2d, BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d,
     ReLU, SiLU, Sigmoid,
@@ -40,10 +40,26 @@ const TOL: f64 = 2e-2;
 /// over `EPS/4` is a few 1e-4 on these shapes.
 const ATOL: f64 = 2e-3;
 
+/// Which recording pass a check runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Recording {
+    Eval,
+    Train,
+}
+
+impl Recording {
+    fn pass(self, tape: &mut Tape) -> Pass<'_> {
+        match self {
+            Recording::Eval => Pass::Eval(tape),
+            Recording::Train => Pass::Train(tape),
+        }
+    }
+}
+
 /// `L = Σ w·layer(x)` in f64, from a pass recorded in `mode` on a fresh
 /// tape.
-fn loss(layer: &dyn Layer, x: &Tensor, w: &Tensor, mode: Mode) -> f64 {
-    let y = layer.infer_recording(x, mode, &mut Tape::new(), &mut Workspace::new());
+fn loss(layer: &dyn Layer, x: &Tensor, w: &Tensor, mode: Recording) -> f64 {
+    let y = layer.forward(x, mode.pass(&mut Tape::new()), &mut Workspace::new());
     y.data()
         .iter()
         .zip(w.data())
@@ -145,12 +161,12 @@ fn set_param(layer: &mut dyn Layer, p: usize, k: usize, v: f32) {
     });
 }
 
-/// Checks `layer`'s input gradient in `mode` and, in [`Mode::Train`], its
+/// Checks `layer`'s input gradient in `mode` and, in [`Recording::Train`], its
 /// parameter gradients, against central differences of [`loss`].
-fn gradcheck(name: &str, layer: &mut dyn Layer, x: &Tensor, mode: Mode) -> Tally {
+fn gradcheck(name: &str, layer: &mut dyn Layer, x: &Tensor, mode: Recording) -> Tally {
     let mut tally = Tally::default();
     let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-    let y = layer.infer_recording(x, mode, &mut tape, &mut ws);
+    let y = layer.forward(x, mode.pass(&mut tape), &mut ws);
     let w = Tensor::from_fn(y.shape(), |i| ((i as f32) * 0.73 + 0.3).sin());
     let dx = layer.grad(&w, &mut tape, &mut ws, None);
     assert_eq!(dx.shape(), x.shape(), "{name}: dL/dx shape");
@@ -161,11 +177,11 @@ fn gradcheck(name: &str, layer: &mut dyn Layer, x: &Tensor, mode: Mode) -> Tally
             loss(layer, &xv, &w, mode)
         })
     });
-    if mode == Mode::Eval {
+    if mode == Recording::Eval {
         return tally;
     }
     let mut grads = Grads::for_model(layer);
-    let _ = layer.infer_recording(x, mode, &mut tape, &mut ws);
+    let _ = layer.forward(x, mode.pass(&mut tape), &mut ws);
     let dx_sink = layer.grad(&w, &mut tape, &mut ws, Some(&mut grads));
     assert_eq!(
         dx_sink.data(),
@@ -292,7 +308,7 @@ fn layer_zoo() -> Vec<(&'static str, Box<dyn Layer>, Tensor)> {
 #[test]
 fn every_layer_kind_matches_central_differences() {
     for (name, mut layer, x) in layer_zoo() {
-        for mode in [Mode::Eval, Mode::Train] {
+        for mode in [Recording::Eval, Recording::Train] {
             gradcheck(name, layer.as_mut(), &x, mode).assert_ok(name, 0);
         }
     }
@@ -325,7 +341,7 @@ fn model_zoo() -> Vec<(ModelKind, Box<dyn Layer>, Tensor)> {
 fn every_model_input_gradient_matches_central_differences_in_eval_mode() {
     for (kind, mut net, x) in model_zoo() {
         let name = format!("{kind:?}");
-        let t = gradcheck(&name, net.as_mut(), &x, Mode::Eval);
+        let t = gradcheck(&name, net.as_mut(), &x, Recording::Eval);
         t.assert_ok(&name, 2);
     }
 }
@@ -334,7 +350,7 @@ fn every_model_input_gradient_matches_central_differences_in_eval_mode() {
 fn every_model_parameter_and_input_gradient_matches_central_differences_in_train_mode() {
     for (kind, mut net, x) in model_zoo() {
         let name = format!("{kind:?}");
-        let t = gradcheck(&name, net.as_mut(), &x, Mode::Train);
+        let t = gradcheck(&name, net.as_mut(), &x, Recording::Train);
         t.assert_ok(&name, 2);
     }
 }

@@ -1,8 +1,9 @@
-//! The contract of the allocation-free inference path: `Network::infer`
-//! (and everything built on it — `predict`, `predict_one`, `evaluate`)
-//! returns **bit-identical** results to the eval-mode forward pass the
-//! gradient route records (`infer_recording` in `Mode::Eval`), for every
-//! victim architecture, with any workspace history.
+//! The contract of the one forward across its passes: `Network::infer`
+//! (a `Pass::Infer` forward, and everything built on it — `predict`,
+//! `predict_one`, `evaluate`) returns **bit-identical** results to the
+//! `Pass::Eval` forward the gradient route records, for every victim
+//! architecture, with any workspace history; and on a model without batch
+//! norm a `Pass::Train` forward computes the same values too.
 //!
 //! Bit-exactness is what lets the detection pipeline mix forward-only
 //! passes and gradient passes over one model: the logits a gradient is
@@ -13,7 +14,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use universal_soldier::nn::layer::{Layer, Mode};
+use universal_soldier::attacks::IadGenerator;
+use universal_soldier::nn::layer::{Layer, Pass};
 use universal_soldier::nn::models::{Architecture, ModelKind, Network};
 use universal_soldier::nn::train::{evaluate, evaluate_with_workers};
 use universal_soldier::tensor::{Tape, Tensor, Workspace};
@@ -51,7 +53,7 @@ fn batch_for(net: &Network, n: usize, vals: &[f32]) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `infer` == the eval-mode recorded forward bit for bit, on all four
+    /// `infer` == the `Pass::Eval` forward bit for bit, on all four
     /// victim architectures, for cold and warm workspaces alike — and a
     /// second warm-workspace call reproduces the first exactly (no state
     /// bleeds from one inference into the next).
@@ -62,8 +64,7 @@ proptest! {
     ) {
         for (kind, net) in zoo() {
             let x = batch_for(&net, n, &vals);
-            let reference =
-                net.infer_recording(&x, Mode::Eval, &mut Tape::new(), &mut Workspace::new());
+            let reference = net.forward(&x, Pass::Eval(&mut Tape::new()), &mut Workspace::new());
             let mut ws = Workspace::new();
             let cold = net.infer(&x, &mut ws);
             prop_assert!(
@@ -191,5 +192,44 @@ fn clones_preserve_the_function() {
             reference.data(),
             "{kind:?}: clone computes a different function"
         );
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Only batch norm depends on the pass: a `Pass::Train` forward of a net
+/// without it computes exactly the `Pass::Infer` values. This is what lets
+/// `IadGenerator::generate_in` (forward only) stand in for the patterns
+/// the generator's training step records, and BasicCnn victims score the
+/// logits they were trained on. A batch-norm model shows the check can
+/// fail.
+#[test]
+fn train_pass_matches_infer_on_nets_without_batch_norm() {
+    let mut generator = IadGenerator::new(3, 4, 0.4, &mut StdRng::seed_from_u64(21));
+    let x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i as f32) * 0.19).sin().abs());
+    let patterns = generator.generate(&x);
+    let net = &*generator.net_mut();
+    let recorded = net.forward(&x, Pass::Train(&mut Tape::new()), &mut Workspace::new());
+    assert_eq!(
+        bits(&recorded),
+        bits(&patterns),
+        "IAD generator: the train pass deviates from generate"
+    );
+
+    for (kind, net) in zoo() {
+        let x = batch_for(&net, 2, &[0.15, 0.6, 0.35, 0.9]);
+        let infer = net.infer(&x, &mut Workspace::new());
+        let train = net.forward(&x, Pass::Train(&mut Tape::new()), &mut Workspace::new());
+        if kind == ModelKind::BasicCnn {
+            assert_eq!(bits(&train), bits(&infer), "BasicCnn: train pass deviates");
+        } else {
+            assert_ne!(
+                bits(&train),
+                bits(&infer),
+                "{kind:?}: batch norm must see the pass"
+            );
+        }
     }
 }

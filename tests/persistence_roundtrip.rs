@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use universal_soldier::nn::layer::{Grads, Layer, Mode};
+use universal_soldier::nn::layer::{Grads, Layer, Pass};
 use universal_soldier::nn::serde::{read_network, write_network};
 use universal_soldier::prelude::*;
 use universal_soldier::tensor::io::{self, IoError};
@@ -96,7 +96,7 @@ fn network_roundtrip_forward_pass_is_bitwise_equal() {
         for _ in 0..3 {
             grads.zero();
             tape.begin();
-            let y = net.infer_recording(&x, Mode::Train, &mut tape, &mut ws);
+            let y = net.forward(&x, Pass::Train(&mut tape), &mut ws);
             let _ = net.grad(
                 &Tensor::ones(y.shape()),
                 &mut tape,

@@ -25,7 +25,9 @@
 //!   allocating its claimed gigabyte;
 //! * a network blob whose first state record is complete and CRC-valid
 //!   but 2²² elements large, where the topology expects a small kernel, is
-//!   rejected before its 16 MiB payload is read or allocated.
+//!   rejected before its 16 MiB payload is read or allocated;
+//! * so is a bundle whose trigger pattern is such a record, where the
+//!   model's input shape fixes a small one.
 //!
 //! Everything runs in ONE `#[test]` so no concurrent test traffic
 //! pollutes the live-byte readings; this file is its own test binary for
@@ -436,5 +438,37 @@ fn resident_cache_keeps_daemon_memory_bounded() {
     assert!(
         peak < 1 << 20,
         "rejecting a 2^22-element state record peaked {peak} bytes above baseline"
+    );
+
+    // --- Phase 7: so does a trigger pattern of the wrong shape ------------
+    // The fixture bundle ends with its BadNet trigger: a [1, 12, 12]
+    // pattern record, then a [12, 12] mask record. Swap the pattern for a
+    // complete, CRC-valid f32 record of 2²² elements; the reader must hold
+    // it to the model's input shape before reading its payload.
+    let record_len = |shape: &[usize]| {
+        let mut buf = Vec::new();
+        write_tensor(&mut buf, &Tensor::zeros(shape)).expect("in-memory write");
+        buf.len()
+    };
+    let mask_at = bundle.len() - record_len(&[12, 12]);
+    let pattern_at = mask_at - record_len(&[1, 12, 12]);
+    assert!(
+        bundle[pattern_at..].starts_with(&TENSOR_MAGIC)
+            && bundle[mask_at..].starts_with(&TENSOR_MAGIC),
+        "the fixture bundle must end with its pattern and mask records"
+    );
+    let mut hostile = bundle[..pattern_at].to_vec();
+    write_tensor(&mut hostile, &Tensor::zeros(&[1024, 1, 64, 64])).expect("in-memory write");
+    hostile.extend_from_slice(&bundle[mask_at..]);
+    let baseline = reset_peak();
+    let result = read_victim_bytes(&hostile);
+    let peak = peak_bytes() - baseline;
+    assert!(
+        matches!(result, Err(IoError::Format(_))),
+        "a trigger pattern of the wrong shape must be a format error"
+    );
+    assert!(
+        peak < 1 << 20,
+        "rejecting a 2^22-element trigger pattern peaked {peak} bytes above baseline"
     );
 }
