@@ -10,7 +10,13 @@
 //!
 //! by iterating the linearised step `r = (z_c − z_t) / ‖w‖² · w` with
 //! `w = ∇(z_t − z_c)`, where `c` is the currently predicted class.
+//!
+//! Each iteration is one recorded forward, and a backward only when the
+//! sample is still off target. The first forward is therefore the
+//! sample's prediction, which is the `f(xᵢ + v) ≠ t` test of Alg. 1 line 5:
+//! the UAP sweep asks the question and runs DeepFool in one loop.
 
+use usb_nn::layer::{Layer, Pass};
 use usb_nn::models::Network;
 use usb_tensor::{ops, Tape, Tensor, Workspace};
 
@@ -45,96 +51,86 @@ impl Default for DeepfoolConfig {
 /// `target` unless the iteration budget ran out (callers check). The
 /// perturbation is `0` when `x` already classifies as `target`.
 ///
-/// The model is only **read**: gradients go through the tape-backed
-/// [`Network::input_grad_in`] route, so one `&Network` serves every
-/// caller. Convenience wrapper over [`deepfool_in`] with a throwaway
-/// [`Tape`]/[`Workspace`]; hot loops (the Alg. 1 sweep) hold both and call
-/// the `_in` variant so buffers are reused across iterations.
+/// The model is only **read**: gradients go through a tape-backed
+/// `Pass::Eval` recording, so one `&Network` serves every caller. This
+/// single-image entry point runs the loop the Alg. 1 sweep runs, with a
+/// throwaway [`Tape`] and [`Workspace`].
 ///
 /// # Panics
 ///
 /// Panics if `x` is not rank-3 or `target` is out of range.
 pub fn deepfool(model: &Network, x: &Tensor, target: usize, config: DeepfoolConfig) -> Tensor {
-    deepfool_in(
-        model,
-        x,
-        target,
-        config,
-        &mut Tape::new(),
-        &mut Workspace::new(),
-    )
-}
-
-/// [`deepfool`] drawing all gradient state from `tape` and all arithmetic
-/// scratch from `ws`, both reused across the iteration loop (and across
-/// calls — after one warm-up step the loop allocates only the tiny
-/// logit-seed tensors).
-///
-/// # Panics
-///
-/// Panics if `x` is not rank-3 or `target` is out of range.
-pub fn deepfool_in(
-    model: &Network,
-    x: &Tensor,
-    target: usize,
-    config: DeepfoolConfig,
-    tape: &mut Tape,
-    ws: &mut Workspace,
-) -> Tensor {
     assert_eq!(x.ndim(), 3, "deepfool: x must be [C,H,W]");
     assert!(
         target < model.num_classes(),
         "deepfool: target {target} out of range"
     );
-    let shape4: Vec<usize> = std::iter::once(1)
-        .chain(x.shape().iter().copied())
-        .collect();
-    let mut xi = x.reshape(&shape4);
-    let orig = xi.clone();
-    for _ in 0..config.max_iters {
-        // One backward pass for the logit difference z_t − z_c; the
-        // predicted class `c` is the shared [`ops::argmax_row`] both here
-        // and after the pass (first-maximum tie-breaking in both).
-        let (logits, grad) = model.input_grad_in(
-            &xi,
-            |logits, ws| {
-                // Zeroed seed from the pool; only two entries are written.
-                let mut g = ws.take_tensor(logits.shape());
-                let cur = ops::argmax_row(logits.data());
-                if cur != target {
-                    g.data_mut()[target] = 1.0;
-                    g.data_mut()[cur] = -1.0;
-                }
-                g
-            },
-            tape,
-            ws,
-        );
+    let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let mut xi = x.reshape(&[1, c, h, w]);
+    deepfool_in_place(
+        model,
+        &mut xi,
+        target,
+        config,
+        &mut Tape::new(),
+        &mut Workspace::new(),
+    );
+    xi.reshape(x.shape()).sub(x)
+}
+
+/// Moves the `[1, C, H, W]` sample `xi` toward `target` in place and
+/// returns whether it started off target.
+///
+/// Each iteration records one `Pass::Eval` forward into `tape` and takes
+/// the predicted class `c` with [`ops::argmax_row`]. On target the loop
+/// stops without a backward; otherwise the `±1` logit seed drawn from `ws`
+/// goes through [`Layer::grad`], `xi` takes the step and is clamped in
+/// place. At most `max_iters` steps run and no forward follows the last
+/// one; the first forward always runs, since it is the prediction. Every
+/// tensor is drawn from and recycled into `ws`, so a warm call allocates
+/// nothing.
+pub(crate) fn deepfool_in_place(
+    model: &Network,
+    xi: &mut Tensor,
+    target: usize,
+    config: DeepfoolConfig,
+    tape: &mut Tape,
+    ws: &mut Workspace,
+) -> bool {
+    let mut steps = 0;
+    loop {
+        tape.begin();
+        let logits = model.forward(xi, Pass::Eval(tape), ws);
         let cur = ops::argmax_row(logits.data());
         // > 0 while not yet at target.
         let f_diff = logits.data()[cur] - logits.data()[target];
-        // Both tensors are workspace-backed; hand them back on *every*
-        // exit from the iteration — the common `cur == target` break is
-        // the hot path of the Alg. 1 sweep, and dropping the buffers
-        // there would make each call re-allocate them.
         ws.recycle(logits);
-        if cur == target {
-            ws.recycle(grad);
-            break;
+        // A zero budget leaves only the prediction.
+        if cur == target || config.max_iters == 0 {
+            return cur != target || steps > 0;
         }
+        // One backward pass for the logit difference z_t − z_c.
+        let mut seed = ws.take_tensor(&[1, model.num_classes()]);
+        seed.data_mut()[target] = 1.0;
+        seed.data_mut()[cur] = -1.0;
+        let grad = model.grad(&seed, tape, ws, None);
+        ws.recycle(seed);
         let w_norm_sq = grad.data().iter().map(|g| g * g).sum::<f32>();
         if w_norm_sq <= 1e-12 {
             ws.recycle(grad);
-            break; // flat landscape; nothing to exploit
+            return true; // flat landscape; nothing to exploit
         }
         let step = (f_diff + 1e-4) / w_norm_sq * (1.0 + config.overshoot);
         xi.axpy(step, &grad);
         ws.recycle(grad);
         if config.clamp_pixels {
-            xi = xi.clamp(0.0, 1.0);
+            xi.map_assign(|p| p.clamp(0.0, 1.0));
+        }
+        steps += 1;
+        if steps == config.max_iters {
+            return true;
         }
     }
-    xi.sub(&orig).reshape(x.shape())
 }
 
 #[cfg(test)]
@@ -146,6 +142,10 @@ mod tests {
     use usb_data::SyntheticSpec;
     use usb_nn::models::{Architecture, ModelKind};
     use usb_nn::train::TrainConfig;
+
+    fn predict(model: &Network, x: &Tensor) -> usize {
+        model.predict(&x.reshape(&[1, 1, 12, 12]))[0]
+    }
 
     fn trained_victim() -> (usb_data::Dataset, Network) {
         let data = SyntheticSpec::mnist()
@@ -170,7 +170,7 @@ mod tests {
             let target = (label + 1) % 4;
             let r = deepfool(&model, &x, target, DeepfoolConfig::default());
             let adv = x.add(&r).clamp(0.0, 1.0);
-            let pred = model.predict_one(&adv);
+            let pred = predict(&model, &adv);
             total += 1;
             if pred == target {
                 reached += 1;
@@ -188,7 +188,7 @@ mod tests {
         // Find a test image the model classifies correctly.
         for i in 0..10 {
             let x = data.test_images.index_axis0(i);
-            let pred = model.predict_one(&x);
+            let pred = predict(&model, &x);
             if pred == data.test_labels[i] {
                 let r = deepfool(&model, &x, pred, DeepfoolConfig::default());
                 assert_eq!(r.l1_norm(), 0.0, "no perturbation needed");
@@ -196,6 +196,23 @@ mod tests {
             }
         }
         panic!("model never classified correctly");
+    }
+
+    #[test]
+    fn zero_budget_only_predicts() {
+        let (data, model) = trained_victim();
+        let x = data.test_images.index_axis0(0);
+        let target = (data.test_labels[0] + 1) % 4;
+        let config = DeepfoolConfig {
+            max_iters: 0,
+            ..DeepfoolConfig::default()
+        };
+        let (c, h, w) = model.input_shape();
+        let mut xi = x.reshape(&[1, c, h, w]);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let off = deepfool_in_place(&model, &mut xi, target, config, &mut tape, &mut ws);
+        assert_eq!(off, predict(&model, &x) != target);
+        assert_eq!(xi.data(), x.data(), "a zero budget takes no step");
     }
 
     #[test]

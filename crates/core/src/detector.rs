@@ -94,8 +94,8 @@ impl Default for UsbConfig {
 /// Unlike the baselines, `inspect` runs the classes **in parallel** on
 /// [`UsbConfig::workers`] threads, all sharing one `&Network`: forward
 /// passes go through the cache-free `Network::infer` path, and the
-/// DeepFool / refinement gradient steps through the tape-backed
-/// `Network::input_grad_in` route, so no worker ever writes to the model
+/// DeepFool / refinement gradient steps through tape-backed `Pass::Eval`
+/// recordings, so no worker ever writes to the model
 /// and **no victim clones are made** (each worker brings its own tape and
 /// workspace instead — kilobytes, not a full parameter copy). Class `t`
 /// always draws from its own rng stream, so the outcome is a pure
@@ -150,16 +150,10 @@ impl UsbDetector {
         let uap = targeted_uap(model, &subset, target, self.config.uap);
         let uap_seconds = t0.elapsed().as_secs_f64();
         let t1 = std::time::Instant::now();
-        let refined = refine_uap(model, images, target, &uap.perturbation, self.config.refine);
+        let fit = refine_uap(model, images, target, &uap.perturbation, self.config.refine);
         let refine_seconds = t1.elapsed().as_secs_f64();
         (
-            ClassResult {
-                class: target,
-                l1_norm: refined.mask_l1(),
-                attack_success: refined.success_rate,
-                pattern: refined.pattern,
-                mask: refined.mask,
-            },
+            fit.class_result(target),
             StageSeconds {
                 uap: uap_seconds,
                 refine: refine_seconds,

@@ -8,8 +8,10 @@
 //!    adversarial perturbation `v` that sends *most* clean inputs to a
 //!    candidate target class, by repeatedly applying a targeted
 //!    [`deepfool`] step to every not-yet-fooled sample and projecting onto
-//!    an L∞ ball. A backdoored class has a poisoning-built shortcut from
-//!    every class, so its UAP needs far less perturbation.
+//!    an L∞ ball. Per sample, one loop asks and acts: DeepFool's first
+//!    forward is the prediction, and it steps only while off target. A
+//!    backdoored class has a poisoning-built shortcut from every class, so
+//!    its UAP needs far less perturbation.
 //! 2. **UAP refinement (Alg. 2)** — [`refine_uap`] decomposes `v` into a
 //!    `trigger × mask` pair and optimises
 //!    `L = CE(f(x'), t) − SSIM(x, x') + λ‖mask‖₁` with Adam, focusing the
@@ -17,7 +19,8 @@
 //!    crate supplies only the UAP start and the loss weights
 //!    ([`RefineConfig`]); the steps run in
 //!    [`usb_defenses::optimise_trigger`], the loop Neural Cleanse and TABOR
-//!    run from a random start.
+//!    run from a random start, and the result is the same
+//!    [`usb_defenses::TriggerFit`] they get.
 //!
 //! The [`UsbDetector`] packages both phases as a
 //! [`usb_defenses::Defense`], so it plugs into the same MAD outlier test
@@ -65,9 +68,9 @@ mod transfer;
 mod uap;
 pub mod viz;
 
-pub use deepfool::{deepfool, deepfool_in, DeepfoolConfig};
+pub use deepfool::{deepfool, DeepfoolConfig};
 pub use detector::{StageSeconds, UsbConfig, UsbDetector};
-pub use refine::{refine_uap, RefinedTrigger};
+pub use refine::refine_uap;
 pub use transfer::{transfer_uap, TransferOutcome};
 pub use uap::{targeted_uap, UapConfig, UapResult};
 pub use usb_defenses::RefineConfig;

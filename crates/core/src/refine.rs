@@ -19,34 +19,9 @@
 //! initialisation is Neural Cleanse's loop with USB's loss: this module
 //! supplies the start, `usb_defenses::optimise_trigger` runs the steps.
 
-use usb_defenses::{masked_pattern, optimise_trigger, Objective, RefineConfig, TriggerVar};
+use usb_defenses::{optimise_trigger, Objective, RefineConfig, TriggerFit, TriggerVar};
 use usb_nn::models::Network;
-use usb_tensor::{Tensor, Workspace};
-
-/// The refined trigger: `v' = trigger × mask` plus statistics.
-#[derive(Debug, Clone)]
-pub struct RefinedTrigger {
-    /// Refined pattern `[C, H, W]` in `[0, 1]`.
-    pub pattern: Tensor,
-    /// Refined mask `[H, W]` in `[0, 1]`.
-    pub mask: Tensor,
-    /// Success rate of the refined trigger over all of `X`.
-    pub success_rate: f64,
-    /// Mean SSIM between clean and triggered inputs at the last step.
-    pub final_ssim: f32,
-}
-
-impl RefinedTrigger {
-    /// L1 norm of the mask — the statistic reported in the paper's tables.
-    pub fn mask_l1(&self) -> f64 {
-        self.mask.l1_norm() as f64
-    }
-
-    /// The effective perturbation `v' = trigger × mask` (`[C, H, W]`).
-    pub fn effective_perturbation(&self) -> Tensor {
-        masked_pattern(&self.pattern, &self.mask, &mut Workspace::new())
-    }
-}
+use usb_tensor::Tensor;
 
 /// Builds the Alg. 2 initialisation from a UAP: the mask is the
 /// channel-averaged magnitude of `v` (normalised), the trigger is `v`
@@ -87,16 +62,10 @@ pub fn refine_uap(
     target: usize,
     v: &Tensor,
     config: RefineConfig,
-) -> RefinedTrigger {
+) -> TriggerFit {
     let (mask0, pattern0) = init_from_uap(v);
     let var = TriggerVar::from_values(&mask0, &pattern0);
-    let fit = optimise_trigger(model, images, target, var, Objective::Usb(config));
-    RefinedTrigger {
-        pattern: fit.var.pattern(),
-        mask: fit.var.mask(),
-        success_rate: fit.success_rate,
-        final_ssim: fit.final_ssim,
-    }
+    optimise_trigger(model, images, target, var, Objective::Usb(config))
 }
 
 #[cfg(test)]
@@ -158,26 +127,14 @@ mod tests {
         // The refined mask concentrates: far smaller than an all-ones mask.
         let full = (12 * 12) as f64;
         assert!(
-            refined.mask_l1() < 0.5 * full,
+            refined.var.mask_l1() < 0.5 * full,
             "mask did not concentrate: {}",
-            refined.mask_l1()
+            refined.var.mask_l1()
         );
         assert!(
             refined.final_ssim > 0.2,
             "ssim collapsed: {}",
             refined.final_ssim
         );
-    }
-
-    #[test]
-    fn effective_perturbation_is_product() {
-        let r = RefinedTrigger {
-            pattern: Tensor::full(&[1, 2, 2], 0.5),
-            mask: Tensor::from_vec(vec![1.0, 0.0, 0.5, 0.0], &[2, 2]),
-            success_rate: 1.0,
-            final_ssim: 1.0,
-        };
-        let v = r.effective_perturbation();
-        assert_eq!(v.data(), &[0.5, 0.0, 0.25, 0.0]);
     }
 }

@@ -5,16 +5,17 @@
 //! once." — this module reuses a UAP generated on a *source* model to seed
 //! Alg. 2 on a *different* model, skipping Alg. 1 entirely.
 
-use crate::refine::{refine_uap, RefinedTrigger};
-use usb_defenses::RefineConfig;
+use crate::refine::refine_uap;
+use crate::uap::targeted_success_rate;
+use usb_defenses::{RefineConfig, TriggerFit};
 use usb_nn::models::Network;
-use usb_tensor::Tensor;
+use usb_tensor::{Tensor, Workspace};
 
 /// Result of running refinement on a transferred UAP.
 #[derive(Debug, Clone)]
 pub struct TransferOutcome {
     /// The refined trigger on the destination model.
-    pub refined: RefinedTrigger,
+    pub refined: TriggerFit,
     /// Targeted success of the *raw* (un-refined) UAP on the destination
     /// model, measuring how well the perturbation transfers by itself.
     pub raw_transfer_success: f64,
@@ -33,7 +34,7 @@ pub fn transfer_uap(
     uap: &Tensor,
     config: RefineConfig,
 ) -> TransferOutcome {
-    let raw = crate::uap::targeted_success_rate(dest, images, uap, target);
+    let raw = targeted_success_rate(dest, images, uap, target, &mut Workspace::new());
     let refined = refine_uap(dest, images, target, uap, config);
     TransferOutcome {
         refined,

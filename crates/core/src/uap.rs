@@ -13,14 +13,18 @@
 //!             v ← project(v + Δvᵢ)
 //! ```
 //!
+//! The `f(xᵢ + v) ≠ t` test and the DeepFool call are one loop: the
+//! DeepFool loop's first forward is the sample's prediction, and it takes
+//! gradient steps only when that prediction is off target.
+//!
 //! The key observation of the paper: on a backdoored model the loop
 //! converges with a much *smaller* `v` for the implanted target class,
 //! because poisoning built a shortcut from every class region to the
 //! target.
 
-use crate::deepfool::{deepfool_in, DeepfoolConfig};
+use crate::deepfool::{deepfool_in_place, DeepfoolConfig};
 use usb_nn::models::Network;
-use usb_tensor::{Tape, Tensor, Workspace};
+use usb_tensor::{ops, Tape, Tensor, Workspace};
 
 /// Hyperparameters for targeted-UAP generation (paper Alg. 1).
 ///
@@ -85,25 +89,23 @@ impl UapResult {
     }
 }
 
-/// Fraction of `images + v` (clamped) classified as `target`.
-///
-/// Pure inference: the model is only read (shared `&Network`). Convenience
-/// wrapper over [`targeted_success_rate_in`] with a throwaway
-/// [`Workspace`]; hot loops (the Alg. 1 sweep) hold a workspace and call
-/// the `_in` variant so scratch buffers are reused across calls.
-pub fn targeted_success_rate(model: &Network, images: &Tensor, v: &Tensor, target: usize) -> f64 {
-    targeted_success_rate_in(model, images, v, target, &mut Workspace::new())
+/// One pixel of the perturbed input `clamp(x + v, 0, 1)`.
+fn perturbed(x: f32, v: f32) -> f32 {
+    (x + v).clamp(0.0, 1.0)
 }
 
-/// [`targeted_success_rate`] drawing all model-pass scratch from `ws`,
-/// reused across the evaluation batches.
+/// Fraction of `images + v` (clamped) classified as `target`, drawing all
+/// model-pass scratch from `ws`.
 ///
-/// The range `0..n` is chunked directly (no index vector) and each chunk
-/// is stamped straight into one workspace-backed batch buffer — per
-/// element `(x + v).clamp(0, 1)`, the same arithmetic the old
-/// per-image `add`/`clamp` tensor chain performed, so predictions are
-/// bit-identical while the loop re-stacks nothing.
-pub fn targeted_success_rate_in(
+/// Pure inference: the model is only read (shared `&Network`). Chunks of
+/// `images` are stamped straight into one workspace-backed batch, and the
+/// hits are counted from the `infer` logits row by row, so a warm call
+/// allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `images` is not `[N, C, H, W]` or `v` is not one image of it.
+pub(crate) fn targeted_success_rate(
     model: &Network,
     images: &Tensor,
     v: &Tensor,
@@ -111,35 +113,31 @@ pub fn targeted_success_rate_in(
     ws: &mut Workspace,
 ) -> f64 {
     const CHUNK: usize = 64;
-    let n = images.shape()[0];
+    let [n, c, h, w]: [usize; 4] = images.shape().try_into().expect("images must be [N,C,H,W]");
     if n == 0 {
         return 0.0;
     }
-    let item = images.len() / n;
+    let item = c * h * w;
     assert_eq!(v.len(), item, "targeted_success_rate: v shape mismatch");
-    let vd = v.data();
+    let k = model.num_classes();
     let mut hits = 0usize;
-    let mut start = 0usize;
-    while start < n {
-        let len = CHUNK.min(n - start);
-        let mut batch = ws.take_dirty(len * item);
-        for bi in 0..len {
-            let src = &images.data()[(start + bi) * item..(start + bi + 1) * item];
-            let dst = &mut batch[bi * item..(bi + 1) * item];
-            for ((o, &x), &p) in dst.iter_mut().zip(src).zip(vd) {
-                *o = (x + p).clamp(0.0, 1.0);
+    for chunk in images.data().chunks(CHUNK * item) {
+        let len = chunk.len() / item;
+        let mut batch = ws.take_dirty(chunk.len());
+        for (dst, src) in batch.chunks_exact_mut(item).zip(chunk.chunks_exact(item)) {
+            for ((o, &x), &p) in dst.iter_mut().zip(src).zip(v.data()) {
+                *o = perturbed(x, p);
             }
         }
-        let mut shape = vec![len];
-        shape.extend_from_slice(&images.shape()[1..]);
-        let batch = Tensor::from_vec(batch, &shape);
-        hits += model
-            .predict_in(&batch, ws)
-            .iter()
-            .filter(|&&p| p == target)
+        let batch = Tensor::from_vec(batch, &[len, c, h, w]);
+        let logits = model.infer(&batch, ws);
+        hits += logits
+            .data()
+            .chunks_exact(k)
+            .filter(|row| ops::argmax_row(row) == target)
             .count();
+        ws.recycle(logits);
         ws.recycle(batch);
-        start += len;
     }
     hits as f64 / n as f64
 }
@@ -152,6 +150,13 @@ pub fn targeted_success_rate_in(
 /// gradient tape — so concurrent per-class UAP generations can share one
 /// `&Network`.
 ///
+/// Each sample visit writes `x' = clamp(xᵢ + v)` into one reused buffer and
+/// runs the DeepFool loop on it; that loop's first forward answers
+/// `f(x') ≠ t`. When it does, the sample's DeepFool displacement is added
+/// to `v`, which is then projected onto the L∞ ball of radius δ. One tape
+/// and one workspace serve every sample and pass, so a warm pass allocates
+/// nothing.
+///
 /// # Panics
 ///
 /// Panics if `images` is empty or `target` is out of range.
@@ -161,45 +166,36 @@ pub fn targeted_uap(
     target: usize,
     config: UapConfig,
 ) -> UapResult {
-    assert!(images.shape()[0] > 0, "targeted_uap: no data points");
+    let [n, c, h, w]: [usize; 4] = images.shape().try_into().expect("images must be [N,C,H,W]");
+    assert!(n > 0, "targeted_uap: no data points");
     assert!(
         target < model.num_classes(),
         "targeted_uap: target out of range"
     );
-    let n = images.shape()[0];
-    let mut v = Tensor::zeros(&images.shape()[1..]);
+    let delta = config.linf_budget;
+    let mut v = Tensor::zeros(&[c, h, w]);
     let mut passes = 0usize;
     let mut deepfool_calls = 0usize;
-    // One workspace and one gradient tape outlive the whole sweep: the
-    // per-sample prediction below is the hottest forward-only loop of
-    // Alg. 1, the DeepFool steps are its gradient loop, and both reuse
-    // these buffers across every pass.
     let mut ws = Workspace::new();
     let mut tape = Tape::new();
-    let mut success = targeted_success_rate_in(model, images, &v, target, &mut ws);
+    let mut adv = Tensor::zeros(&[1, c, h, w]);
+    let mut success = targeted_success_rate(model, images, &v, target, &mut ws);
     while success < config.error_rate && passes < config.max_passes {
-        for i in 0..n {
-            let xi = images.index_axis0(i);
-            let perturbed = xi.add(&v).clamp(0.0, 1.0);
-            let pred = model.predict_one_in(&perturbed, &mut ws);
-            if pred != target {
-                let dv = deepfool_in(
-                    model,
-                    &perturbed,
-                    target,
-                    config.deepfool,
-                    &mut tape,
-                    &mut ws,
-                );
+        for xi in images.data().chunks_exact(v.len()) {
+            for ((a, &x), &p) in adv.data_mut().iter_mut().zip(xi).zip(v.data()) {
+                *a = perturbed(x, p);
+            }
+            if deepfool_in_place(model, &mut adv, target, config.deepfool, &mut tape, &mut ws) {
                 deepfool_calls += 1;
-                v.add_assign(&dv);
-                // Project onto the L∞ ball of radius δ (the "update under
-                // limitation" of Alg. 1 line 7).
-                v = v.clamp(-config.linf_budget, config.linf_budget);
+                // v ← project(v + Δvᵢ) with Δvᵢ = adv − x' (Alg. 1 line 7);
+                // x' is recomputed bit for bit, as `v` has not moved.
+                for ((p, &a), &x) in v.data_mut().iter_mut().zip(adv.data()).zip(xi) {
+                    *p = (*p + (a - perturbed(x, *p))).clamp(-delta, delta);
+                }
             }
         }
         passes += 1;
-        success = targeted_success_rate_in(model, images, &v, target, &mut ws);
+        success = targeted_success_rate(model, images, &v, target, &mut ws);
     }
     UapResult {
         perturbation: v,
@@ -264,6 +260,29 @@ mod tests {
             to_backdoor.l1_norm(),
             to_clean.l1_norm()
         );
+    }
+
+    #[test]
+    fn zero_deepfool_budget_counts_calls_and_leaves_v_unchanged() {
+        let model = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4)
+            .with_width(4)
+            .build(&mut StdRng::seed_from_u64(3));
+        let x = Tensor::from_fn(&[12, 1, 12, 12], |i| 0.5 + 0.4 * ((i as f32) * 0.29).sin());
+        let target = 2;
+        let config = UapConfig {
+            error_rate: 1.01,
+            deepfool: DeepfoolConfig {
+                max_iters: 0,
+                ..DeepfoolConfig::default()
+            },
+            ..UapConfig::fast()
+        };
+        let result = targeted_uap(&model, &x, target, config);
+        let off_target = model.predict(&x).iter().filter(|&&p| p != target).count();
+        assert!(off_target > 0);
+        assert_eq!(result.passes, 2);
+        assert_eq!(result.deepfool_calls, 2 * off_target);
+        assert_eq!(result.l1_norm(), 0.0);
     }
 
     #[test]

@@ -10,17 +10,18 @@
 //! differ only in their step count must allocate exactly the same number
 //! of times, because the extra steps are all steady-state.
 //!
-//! Forward-only passes are held to the same contract call by call: once
-//! the workspace is warm, `Network::infer` and the per-sample
-//! `Network::predict_one_in` of the Alg. 1 sweep allocate nothing, on
-//! every architecture and weight dtype.
+//! An Alg. 1 pass is held to the same contract: a `targeted_uap` run with
+//! one more sweep allocates exactly as often, on every weight dtype. And
+//! forward-only passes are held to it call by call: once the workspace is
+//! warm, `Network::infer` allocates nothing, on every architecture and
+//! weight dtype.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use usb_core::{refine_uap, RefineConfig};
+use usb_core::{refine_uap, targeted_uap, RefineConfig, UapConfig};
 use usb_defenses::{Defense, NcConfig, NeuralCleanse, Tabor, TaborConfig};
 use usb_nn::models::{Architecture, ModelKind, Network};
 use usb_tensor::{Dtype, Tensor, Workspace};
@@ -185,10 +186,69 @@ fn steady_state_tabor_step_allocates_nothing() {
     );
 }
 
+/// Allocations of one `targeted_uap` run of `max_passes` sweeps under an
+/// unreachable θ, so every sweep runs, and a tight L∞ budget δ, so samples
+/// stay off target and every sweep takes DeepFool steps; also returns the
+/// run's DeepFool call count.
+fn uap_allocs_for(
+    max_passes: usize,
+    model: &Network,
+    images: &Tensor,
+    target: usize,
+) -> (u64, usize) {
+    let config = UapConfig {
+        error_rate: 1.01,
+        max_passes,
+        linf_budget: 0.02,
+        ..UapConfig::fast()
+    };
+    let (n, result) = allocs_in(|| targeted_uap(model, images, target, config));
+    (n, result.deepfool_calls)
+}
+
+/// An Alg. 1 pass — per sample the prediction, and per off-target sample
+/// the DeepFool steps and the projection of `v` — draws everything from
+/// the sweep's workspace and tape: a third pass adds no allocation to a
+/// two-pass run, on every architecture and weight dtype.
+#[test]
+fn warm_uap_pass_allocates_nothing() {
+    let kinds = [
+        (ModelKind::BasicCnn, (1, 12, 12)),
+        (ModelKind::ResNet18, (3, 12, 12)),
+        (ModelKind::EfficientNetB0, (3, 16, 16)),
+    ];
+    for (kind, (c, h, w)) in kinds {
+        for dtype in [Dtype::F32, Dtype::F16, Dtype::Q8] {
+            let mut model = Architecture::new(kind, (c, h, w), 6)
+                .with_width(4)
+                .build(&mut StdRng::seed_from_u64(17));
+            model.quantize_weights(dtype);
+            let images = Tensor::from_fn(&[8, c, h, w], |i| 0.5 + 0.4 * ((i as f32) * 0.29).sin());
+            // A class no sample starts in, so every sample takes steps.
+            let preds = model.predict(&images);
+            let target = (0..6).find(|t| !preds.contains(t)).unwrap();
+            // Absorb one-time initialisation (GEMM panels, lazy statics).
+            let _ = uap_allocs_for(2, &model, &images, target);
+            let (base, base_calls) = uap_allocs_for(2, &model, &images, target);
+            let (longer, longer_calls) = uap_allocs_for(3, &model, &images, target);
+            assert!(
+                longer_calls > base_calls,
+                "{kind:?} ({dtype}): the third pass ran no DeepFool ({base_calls} calls)"
+            );
+            assert_eq!(
+                longer,
+                base,
+                "{kind:?} ({dtype}): a third Alg. 1 pass allocated {} times",
+                longer.saturating_sub(base)
+            );
+        }
+    }
+}
+
 /// The forward-only passes — every layer's `Pass::Infer` branch, VGG's
 /// max pool without its routing table included — draw everything from a
-/// warm workspace: each further `infer` and `predict_one_in` call
-/// allocates nothing, whatever the architecture and weight dtype.
+/// warm workspace: each further `infer` call allocates nothing, whatever
+/// the architecture and weight dtype.
 #[test]
 fn warm_forward_only_passes_allocate_nothing() {
     let kinds = [
@@ -204,13 +264,11 @@ fn warm_forward_only_passes_allocate_nothing() {
                 .build(&mut StdRng::seed_from_u64(13));
             model.quantize_weights(dtype);
             let images = Tensor::from_fn(&[8, c, h, w], |i| 0.5 + 0.4 * ((i as f32) * 0.29).sin());
-            let one = images.index_axis0(3);
             let mut ws = Workspace::new();
             // Warm-up: the layers build their GEMM panels, the pool grows.
             for _ in 0..2 {
                 let logits = model.infer(&images, &mut ws);
                 ws.recycle(logits);
-                let _ = model.predict_one_in(&one, &mut ws);
             }
             for call in 0..5 {
                 let (n, logits) = allocs_in(|| model.infer(&images, &mut ws));
@@ -219,13 +277,6 @@ fn warm_forward_only_passes_allocate_nothing() {
                     "{kind:?} ({dtype}): warm infer call {call} allocated {n} times"
                 );
                 ws.recycle(logits);
-            }
-            for call in 0..5 {
-                let (n, _) = allocs_in(|| model.predict_one_in(&one, &mut ws));
-                assert_eq!(
-                    n, 0,
-                    "{kind:?} ({dtype}): warm predict_one_in call {call} allocated {n} times"
-                );
             }
         }
     }

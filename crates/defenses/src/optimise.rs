@@ -112,8 +112,9 @@ pub struct TriggerFit {
 }
 
 impl TriggerFit {
-    /// The per-class result NC and TABOR report.
-    pub(crate) fn class_result(&self, class: usize) -> ClassResult {
+    /// The per-class result USB, NC and TABOR report for `class`: the
+    /// squashed mask and pattern, the mask's L1 norm and the success rate.
+    pub fn class_result(&self, class: usize) -> ClassResult {
         ClassResult {
             class,
             l1_norm: self.var.mask_l1(),

@@ -20,9 +20,10 @@ use usb_core::{
     refine_uap, targeted_uap, transfer_uap, RefineConfig, UapConfig, UsbConfig, UsbDetector,
 };
 use usb_data::SyntheticSpec;
-use usb_defenses::{Defense, NeuralCleanse, Tabor, TriggerVar};
+use usb_defenses::{masked_pattern, Defense, NeuralCleanse, Tabor, TriggerVar};
 use usb_nn::models::{Architecture, ModelKind};
 use usb_nn::train::TrainConfig;
+use usb_tensor::Workspace;
 
 fn cifar_resnet_setup() -> (usb_data::Dataset, Architecture) {
     let dataset = SyntheticSpec::cifar10()
@@ -210,8 +211,8 @@ pub fn fig5(out_dir: &Path, mut progress: impl FnMut(&str)) -> io::Result<Vec<f6
     let mut norms = Vec::new();
     for t in 0..10 {
         let uap = targeted_uap(&victim.model, &x, t, UapConfig::default());
-        let refined = refine_uap(&victim.model, &x, t, &uap.perturbation, refine);
-        let v = refined.effective_perturbation();
+        let fit = refine_uap(&victim.model, &x, t, &uap.perturbation, refine);
+        let v = masked_pattern(&fit.var.pattern(), &fit.var.mask(), &mut Workspace::new());
         save_image(&out_dir.join(format!("fig5_class{t}.ppm")), &v, 0.0, 1.0)?;
         norms.push(v.l1_norm() as f64);
         progress(&format!(

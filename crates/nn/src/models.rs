@@ -221,37 +221,11 @@ impl Network {
         preds
     }
 
-    /// Predicted class of a **single** image `[C, H, W]` — the replacement
-    /// for the awkward `predict(&Tensor::stack(slice::from_ref(&x)))[0]`
-    /// batch-of-one pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not rank-3 or its shape mismatches the
-    /// architecture.
-    pub fn predict_one(&self, x: &Tensor) -> usize {
-        self.predict_one_in(x, &mut Workspace::new())
-    }
-
-    /// [`Network::predict_one`] drawing scratch from `ws` (the per-sample
-    /// prediction loop of the UAP sweep runs through this).
-    pub fn predict_one_in(&self, x: &Tensor, ws: &mut Workspace) -> usize {
-        assert_eq!(x.ndim(), 3, "predict_one: x must be [C,H,W]");
-        let mut batch = ws.take_dirty(x.len());
-        batch.copy_from_slice(x.data());
-        let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        let batch = Tensor::from_vec(batch, &[1, c, h, w]);
-        let logits = self.infer(&batch, ws);
-        let pred = ops::argmax_row(logits.data());
-        ws.recycle(batch);
-        ws.recycle(logits);
-        pred
-    }
-
     /// `dL/dx` and the logits of a frozen network for an arbitrary
     /// logit-space loss: one eval-mode recorded inference plus one tape
     /// backward, drawing all scratch from `tape`/`ws` (both fully reused
-    /// across calls — a warm DeepFool loop allocates nothing here).
+    /// across calls — a warm trigger-optimisation step allocates nothing
+    /// here).
     ///
     /// Takes `&self`: **one network serves concurrent gradient
     /// computations on every worker thread**, each worker holding its own

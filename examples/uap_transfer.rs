@@ -59,13 +59,13 @@ fn main() {
     println!(
         "\nfull pipeline on B : {t_full:?}, refined success {:.2}, mask L1 {:.2}",
         full_refined.success_rate,
-        full_refined.mask_l1()
+        full_refined.var.mask_l1()
     );
     println!(
         "transfer (A -> B)  : {t_transfer:?}, raw UAP success {:.2}, refined success {:.2}, mask L1 {:.2}",
         transferred.raw_transfer_success,
         transferred.refined.success_rate,
-        transferred.refined.mask_l1()
+        transferred.refined.var.mask_l1()
     );
     println!(
         "\nspeedup from skipping Alg. 1: {:.1}x",

@@ -1,6 +1,6 @@
 //! The contract of the one forward across its passes: `Network::infer`
 //! (a `Pass::Infer` forward, and everything built on it — `predict`,
-//! `predict_one`, `evaluate`) returns **bit-identical** results to the
+//! `evaluate`) returns **bit-identical** results to the
 //! `Pass::Eval` forward the gradient route records, for every victim
 //! architecture, with any workspace history; and on a model without batch
 //! norm a `Pass::Train` forward computes the same values too.
@@ -125,28 +125,6 @@ proptest! {
             let mut t = Tensor::from_vec(buf, &[len]);
             t.fill(fill); // dirty it before returning
             ws.recycle(t);
-        }
-    }
-}
-
-#[test]
-fn predict_one_matches_batched_predict() {
-    for (kind, net) in zoo() {
-        let x = batch_for(&net, 3, &[0.3, 0.8, 0.1, 0.6, 0.9]);
-        let batched = net.predict(&x);
-        let mut ws = Workspace::new();
-        for (i, &expected) in batched.iter().enumerate() {
-            let one = x.index_axis0(i);
-            assert_eq!(
-                net.predict_one(&one),
-                expected,
-                "{kind:?}: predict_one deviates from predict row {i}"
-            );
-            assert_eq!(
-                net.predict_one_in(&one, &mut ws),
-                expected,
-                "{kind:?}: predict_one_in deviates from predict row {i}"
-            );
         }
     }
 }
