@@ -89,7 +89,7 @@ impl TriggerVar {
     /// Applies the trigger to a batch: `x' = x·(1−m) + p·m`, with the mask
     /// broadcast across channels. Every buffer — the squashed mask and
     /// pattern and the stamped batch — is drawn from `ws`; each plane goes
-    /// through the SIMD blend kernel when the tier has one.
+    /// through [`kernels::trigger_blend`].
     ///
     /// # Panics
     ///
@@ -114,13 +114,7 @@ impl TriggerVar {
                 .zip(bb.chunks_exact(plane))
                 .zip(p.chunks_exact(plane))
             {
-                if kernels::try_trigger_blend(ob, bb, m, pb) {
-                    continue;
-                }
-                for j in 0..plane {
-                    let mv = m[j];
-                    ob[j] = bb[j] * (1.0 - mv) + pb[j] * mv;
-                }
+                kernels::trigger_blend(ob, bb, m, pb);
             }
         }
         ws.recycle(mask);
@@ -163,17 +157,7 @@ impl TriggerVar {
                 .zip(p.chunks_exact(plane))
                 .zip(d_pattern.chunks_exact_mut(plane))
             {
-                if kernels::try_trigger_backward(gb, xb, m, pb, dpb, &mut d_mask) {
-                    continue;
-                }
-                for j in 0..plane {
-                    let g = gb[j];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    dpb[j] += g * m[j];
-                    d_mask[j] += g * (pb[j] - xb[j]);
-                }
+                kernels::trigger_backward(gb, xb, m, pb, dpb, &mut d_mask);
             }
         }
         self.chain(&mut d_mask, &mut d_pattern);

@@ -46,25 +46,14 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
 }
 
 /// Softmax cross-entropy where every row shares one target class — the form
-/// used by all trigger reverse-engineering losses (`CE(f(x'), t)`).
+/// used by all trigger reverse-engineering losses (`CE(f(x'), t)`) — with
+/// the gradient drawn from `ws` instead of freshly allocated, the per-step
+/// form the refine hot loop uses.
 ///
-/// # Panics
-///
-/// Panics if `target >= K`.
-pub fn softmax_cross_entropy_uniform_target(logits: &Tensor, target: usize) -> (f32, Tensor) {
-    let n = logits.shape()[0];
-    let labels = vec![target; n];
-    softmax_cross_entropy(logits, &labels)
-}
-
-/// [`softmax_cross_entropy_uniform_target`] with the gradient drawn from
-/// `ws` instead of freshly allocated — the per-step form the refine hot
-/// loop uses.
-///
-/// The float-op sequence is the same as the allocating path — max-shifted
-/// exponentials, divide by the row sum, subtract one at the target, scale
-/// everything by `1/N` — so loss and gradient are bit-identical (see
-/// `ws_variant_is_bitwise_identical`).
+/// The float-op sequence is that of [`softmax_cross_entropy`] with every
+/// label `target` — [`kernels::softmax_row`] per row, subtract one at the
+/// target, scale everything by `1/N` — so loss and gradient are
+/// bit-identical (see `ws_variant_is_bitwise_identical`).
 ///
 /// # Panics
 ///
@@ -84,30 +73,13 @@ pub fn softmax_cross_entropy_uniform_target_ws(
     let mut grad = ws.take_dirty(n * k);
     let mut loss = 0.0f64;
     for i in 0..n {
-        let row = &logits.data()[i * k..(i + 1) * k];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0;
-        for (o, &v) in grad[i * k..(i + 1) * k].iter_mut().zip(row) {
-            let e = (v - m).exp();
-            *o = e;
-            z += e;
-        }
-        let row_grad = &mut grad[i * k..(i + 1) * k];
-        if !kernels::try_div(row_grad, z) {
-            for o in row_grad {
-                *o /= z;
-            }
-        }
+        let row = i * k..(i + 1) * k;
+        kernels::softmax_row(&logits.data()[row.clone()], &mut grad[row]);
         let p = grad[i * k + target].max(1e-12);
         loss -= (p as f64).ln();
         grad[i * k + target] -= 1.0;
     }
-    let inv_n = 1.0 / n as f32;
-    if !kernels::try_scale(&mut grad, inv_n) {
-        for v in &mut grad {
-            *v *= inv_n;
-        }
-    }
+    kernels::scale(&mut grad, 1.0 / n as f32);
     ((loss / n as f64) as f32, Tensor::from_vec(grad, &[n, k]))
 }
 
@@ -198,15 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_target_matches_explicit_labels() {
-        let logits = Tensor::from_vec(vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6], &[2, 3]);
-        let (a, ga) = softmax_cross_entropy_uniform_target(&logits, 1);
-        let (b, gb) = softmax_cross_entropy(&logits, &[1, 1]);
-        assert_eq!(a, b);
-        assert_eq!(ga.data(), gb.data());
-    }
-
-    #[test]
     fn ws_variant_is_bitwise_identical() {
         let mut ws = Workspace::new();
         let logits = Tensor::from_vec(
@@ -216,7 +179,7 @@ mod tests {
             &[4, 3],
         );
         for target in 0..3 {
-            let (l0, g0) = softmax_cross_entropy_uniform_target(&logits, target);
+            let (l0, g0) = softmax_cross_entropy(&logits, &[target; 4]);
             let (l1, g1) = softmax_cross_entropy_uniform_target_ws(&logits, target, &mut ws);
             assert_eq!(l0.to_bits(), l1.to_bits());
             assert_eq!(g0.shape(), g1.shape());

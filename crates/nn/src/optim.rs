@@ -205,36 +205,17 @@ impl TensorAdam {
     fn apply(&mut self, idx: usize, value: &mut Tensor, grad: &Tensor, decay: f32) {
         let st = &mut self.state[idx];
         assert_eq!(st.m.shape(), value.shape(), "TensorAdam: state shape drift");
-        let b1 = self.beta1;
-        let b2 = self.beta2;
-        let bc1 = 1.0 - b1.powi(self.t as i32);
-        let bc2 = 1.0 - b2.powi(self.t as i32);
-        let lr = self.lr;
-        let eps = self.eps;
-        let md = st.m.data_mut();
-        let vd = st.v.data_mut();
-        let pd = value.data_mut();
-        let gd = grad.data();
         let params = kernels::AdamParams {
-            b1,
-            b2,
-            bc1,
-            bc2,
-            lr,
-            eps,
+            b1: self.beta1,
+            b2: self.beta2,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+            lr: self.lr,
+            eps: self.eps,
             decay,
         };
-        if kernels::try_adam_step(pd, gd, md, vd, &params) {
-            return;
-        }
-        for i in 0..pd.len() {
-            let g = gd[i] + decay * pd[i];
-            md[i] = b1 * md[i] + (1.0 - b1) * g;
-            vd[i] = b2 * vd[i] + (1.0 - b2) * g * g;
-            let mhat = md[i] / bc1;
-            let vhat = vd[i] / bc2;
-            pd[i] -= lr * mhat / (vhat.sqrt() + eps);
-        }
+        let (md, vd) = (st.m.data_mut(), st.v.data_mut());
+        kernels::adam_step(value.data_mut(), grad.data(), md, vd, &params);
     }
 }
 

@@ -284,18 +284,17 @@ pub fn col2im_strided_into(
     }
 }
 
-/// The `dL/d input` half of [`conv2d_backward_ws`] alone: for input-space
-/// optimisation (DeepFool, trigger refinement) the parameter gradients are
-/// computed and immediately discarded, so this kernel skips them — no
-/// im2col of the cached input, no weight/bias GEMM — and folds
-/// `Wᵀ @ grad_out` straight back into image space. The whole batch goes
-/// through **one wide GEMM**: the per-image `[OC, OH·OW]` gradients are
-/// interleaved into a `[OC, N·OH·OW]` matrix, multiplied once, and folded
-/// back per image. Every output element still sums over `oc` in ascending
-/// order and the col2im scatter order per image is unchanged, so the
-/// result is **bit-identical** to the first element of the
-/// [`conv2d_backward_ws`] tuple; `h`/`w` are the spatial dims of the forward
-/// input.
+/// The `dL/d input` half of [`conv2d_backward_ws`] alone (which takes its
+/// input gradient from here): for input-space optimisation (DeepFool,
+/// trigger refinement) the parameter gradients are not needed, so this
+/// kernel skips them — no im2col of the cached input, no weight/bias GEMM —
+/// and folds `Wᵀ @ grad_out` straight back into image space. The whole
+/// batch goes through **one wide GEMM**: the per-image `[OC, OH·OW]`
+/// gradients are interleaved into a `[OC, N·OH·OW]` matrix, multiplied
+/// once, and folded back per image. Every output element still sums over
+/// `oc` in ascending order and the col2im scatter order per image is that
+/// of a per-image [`col2im_into`]; `h`/`w` are the spatial dims of the
+/// forward input.
 ///
 /// The returned gradient is built from a workspace buffer ([`col2im_into`]
 /// fully overwrites each per-image slice, so a dirty checkout is safe);
@@ -503,9 +502,11 @@ pub fn conv2d_forward_panel_ws(
 /// shape `[N, OC, OH, OW]`, returns `(grad_input, grad_weight, grad_bias)`
 /// with the shapes of `input`, `weight`, and `[OC]`.
 ///
-/// The im2col / GEMM scratch buffers come from `ws`, so a training loop
-/// holding one workspace across steps allocates the im2col columns — the
-/// dominant transient of the backward pass — once per geometry.
+/// The input gradient is [`conv2d_input_backward_ws`]; this adds the
+/// per-image weight/bias accumulation. The im2col / GEMM scratch buffers
+/// come from `ws`, so a training loop holding one workspace across steps
+/// allocates the im2col columns — the dominant transient of the backward
+/// pass — once per geometry.
 ///
 /// # Panics
 ///
@@ -529,18 +530,12 @@ pub fn conv2d_backward_ws(
     let rows = ic * kh * kw;
     let cols = oh * ow;
     let id = input.data();
-    let wd = weight.data(); // [OC, IC·KH·KW] row-major, no reshape copy
     let god = grad_out.data();
-    // `col2im_into` overwrites each image's slice, so a dirty checkout is
-    // safe; drawing it from `ws` keeps a training loop, which hands the
-    // gradient back after the next layer consumed it, from growing the
-    // pool by one buffer per step.
-    let mut grad_input = Tensor::from_vec(ws.take_dirty(n * ic * h * w), &[n, ic, h, w]);
+    let grad_input = conv2d_input_backward_ws(weight, grad_out, h, w, spec, ws);
     let mut grad_w_mat = Tensor::zeros(&[oc, rows]);
     let mut grad_bias = Tensor::zeros(&[oc]);
     let mut cols_buf = ws.take_dirty(rows * cols);
     let mut gw_buf = ws.take_dirty(oc * rows);
-    let mut grad_cols = ws.take_dirty(rows * cols);
     for i in 0..n {
         let img = &id[i * ic * h * w..(i + 1) * ic * h * w];
         im2col_into(img, ic, h, w, kh, kw, spec, &mut cols_buf);
@@ -555,14 +550,9 @@ pub fn conv2d_backward_ws(
             let s: f32 = go[ch * cols..(ch + 1) * cols].iter().sum();
             grad_bias.data_mut()[ch] += s;
         }
-        // dL/dcols = W^T @ grad_out_i, then fold back.
-        ops::matmul_transa_into(wd, go, rows, oc, cols, &mut grad_cols);
-        let gi = &mut grad_input.data_mut()[i * ic * h * w..(i + 1) * ic * h * w];
-        col2im_into(&grad_cols, ic, h, w, kh, kw, spec, gi);
     }
     ws.put(cols_buf);
     ws.put(gw_buf);
-    ws.put(grad_cols);
     (grad_input, grad_w_mat.reshape(weight.shape()), grad_bias)
 }
 
@@ -779,40 +769,15 @@ fn sources(i: usize, n_out: usize, k: usize, spec: ConvSpec) -> (usize, usize) {
     (o0, o1.max(o0))
 }
 
-/// Checks a planar-stencil call's slice lengths against the geometry.
-fn check_planes(
-    src: &[f32],
-    src_plane: usize,
-    ker: &[f32],
-    kk: usize,
-    out: &[f32],
-    out_plane: usize,
-) {
-    assert!(
-        !ker.is_empty() && ker.len().is_multiple_of(kk),
-        "stencil: kernel length {} is not a multiple of {kk}",
-        ker.len()
-    );
-    assert!(
-        src.len().is_multiple_of(src_plane),
-        "stencil: ragged input planes"
-    );
-    assert_eq!(
-        out.len(),
-        src.len() / src_plane * out_plane,
-        "stencil: output length mismatch"
-    );
-}
-
 /// Planar-stencil gather: `out` plane `p` (`[OH, OW]`) is plane `p` of `x`
 /// (`[H, W]`) cross-correlated with kernel `p % K` of `ker` (`K` kernels of
 /// `KH·KW` taps, row-major), plus `bias[p % K]` (or `0.0`).
 ///
 /// Per output: `acc = bias`, then `acc += x·k` over the in-bounds taps in
-/// ascending `(ky, kx)` order — no FMA, no reassociation — so the AVX2
-/// tier (lanes across planes, `kernels::try_stencil_gather`)
-/// and this scalar reference agree bit for bit. `out` is fully
-/// overwritten, so dirty workspace buffers are fine.
+/// ascending `(ky, kx)` order — no FMA, no reassociation — so both tiers
+/// of [`kernels::stencil_gather`] (the AVX2 one puts its lanes across
+/// planes) agree bit for bit. `out` is fully overwritten, so dirty
+/// workspace buffers are fine.
 ///
 /// # Panics
 ///
@@ -826,50 +791,7 @@ pub fn stencil_gather_ws(
     out: &mut [f32],
     ws: &mut Workspace,
 ) {
-    let kk = st.kh * st.kw;
-    check_planes(x, st.h * st.w, ker, kk, out, st.out_h() * st.out_w());
-    if let Some(b) = bias {
-        assert_eq!(b.len(), ker.len() / kk, "stencil: one bias per kernel");
-    }
-    if !kernels::try_stencil_gather(x, st, ker, bias, out, ws) {
-        stencil_gather_scalar(x, st, ker, bias, out);
-    }
-}
-
-/// Scalar reference of [`stencil_gather_ws`].
-pub(crate) fn stencil_gather_scalar(
-    x: &[f32],
-    st: Stencil,
-    ker: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let (w, kw, s, pad) = (st.w, st.kw, st.spec.stride, st.spec.pad);
-    let (oh, ow) = (st.out_h(), st.out_w());
-    let kk = st.kh * kw;
-    let nk = ker.len() / kk;
-    for (p, (img, o)) in x
-        .chunks_exact(st.h * w)
-        .zip(out.chunks_exact_mut(oh * ow))
-        .enumerate()
-    {
-        let k = &ker[(p % nk) * kk..(p % nk + 1) * kk];
-        let b = bias.map_or(0.0, |b| b[p % nk]);
-        for oy in 0..oh {
-            let (ky0, ky1) = st.taps_y(oy);
-            for ox in 0..ow {
-                let (kx0, kx1) = st.taps_x(ox);
-                let mut acc = b;
-                for ky in ky0..ky1 {
-                    let row = (oy * s + ky - pad) * w + ox * s;
-                    for kx in kx0..kx1 {
-                        acc += img[row + kx - pad] * k[ky * kw + kx];
-                    }
-                }
-                o[oy * ow + ox] = acc;
-            }
-        }
-    }
+    kernels::stencil_gather(x, st, ker, bias, out, ws);
 }
 
 /// Planar-stencil adjoint of [`stencil_gather_ws`] (without the bias):
@@ -893,98 +815,7 @@ pub fn stencil_adjoint_ws(
     out: &mut [f32],
     ws: &mut Workspace,
 ) {
-    check_planes(
-        g,
-        st.out_h() * st.out_w(),
-        ker,
-        st.kh * st.kw,
-        out,
-        st.h * st.w,
-    );
-    if !kernels::try_stencil_adjoint(g, st, ker, out, ws) {
-        stencil_adjoint_scalar(g, st, ker, out);
-    }
-}
-
-/// Scalar reference of [`stencil_adjoint_ws`].
-pub(crate) fn stencil_adjoint_scalar(g: &[f32], st: Stencil, ker: &[f32], out: &mut [f32]) {
-    let (h, w, kw, s, pad) = (st.h, st.w, st.kw, st.spec.stride, st.spec.pad);
-    let ow = st.out_w();
-    let kk = st.kh * kw;
-    let nk = ker.len() / kk;
-    for (p, (go, gi)) in g
-        .chunks_exact(st.out_h() * ow)
-        .zip(out.chunks_exact_mut(h * w))
-        .enumerate()
-    {
-        let k = &ker[(p % nk) * kk..(p % nk + 1) * kk];
-        for iy in 0..h {
-            let (oy0, oy1) = st.sources_y(iy);
-            for ix in 0..w {
-                let (ox0, ox1) = st.sources_x(ix);
-                let mut acc = 0.0f32;
-                for oy in oy0..oy1 {
-                    let krow = (iy + pad - oy * s) * kw + ix + pad;
-                    for ox in ox0..ox1 {
-                        let gv = go[oy * ow + ox];
-                        if gv != 0.0 {
-                            acc += gv * k[krow - ox * s];
-                        }
-                    }
-                }
-                gi[iy * w + ix] = acc;
-            }
-        }
-    }
-}
-
-/// Valid (no padding, stride 1) convolution of one `[H, W]` plane with a
-/// `[KH, KW]` kernel; the result is `[H-KH+1, W-KW+1]`.
-///
-/// # Panics
-///
-/// Panics if either tensor is not rank-2 or the kernel does not fit.
-pub fn conv2d_valid_single(img: &Tensor, ker: &Tensor) -> Tensor {
-    assert_eq!(img.ndim(), 2, "conv2d_valid_single: image must be rank-2");
-    assert_eq!(ker.ndim(), 2, "conv2d_valid_single: kernel must be rank-2");
-    let st = Stencil::new(
-        img.shape()[0],
-        img.shape()[1],
-        ker.shape()[0],
-        ker.shape()[1],
-        ConvSpec::new(1, 0),
-    );
-    let mut out = vec![0.0f32; st.out_h() * st.out_w()];
-    stencil_gather_ws(
-        img.data(),
-        st,
-        ker.data(),
-        None,
-        &mut out,
-        &mut Workspace::new(),
-    );
-    Tensor::from_vec(out, &[st.out_h(), st.out_w()])
-}
-
-/// Adjoint of [`conv2d_valid_single`] with respect to the image: scatters an
-/// output-sized gradient back onto an `[H, W]` input-gradient plane
-/// ("full" correlation with the same kernel).
-///
-/// # Panics
-///
-/// Panics on rank mismatches or if `grad.shape()` is inconsistent with
-/// `(h, w)` and the kernel.
-pub fn conv2d_valid_single_adjoint(grad: &Tensor, ker: &Tensor, h: usize, w: usize) -> Tensor {
-    assert_eq!(grad.ndim(), 2, "adjoint: grad must be rank-2");
-    assert_eq!(ker.ndim(), 2, "adjoint: kernel must be rank-2");
-    let (kh, kw) = (ker.shape()[0], ker.shape()[1]);
-    let (oh, ow) = (grad.shape()[0], grad.shape()[1]);
-    assert_eq!(oh, h + 1 - kh, "adjoint: grad height mismatch");
-    assert_eq!(ow, w + 1 - kw, "adjoint: grad width mismatch");
-    let st = Stencil::new(h, w, kh, kw, ConvSpec::new(1, 0));
-    let mut out = vec![0.0f32; h * w];
-    stencil_adjoint_ws(grad.data(), st, ker.data(), &mut out, &mut Workspace::new());
-    Tensor::from_vec(out, &[h, w])
+    kernels::stencil_adjoint(g, st, ker, out, ws);
 }
 
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
@@ -1238,15 +1069,19 @@ mod tests {
     }
 
     #[test]
-    fn valid_single_and_adjoint_are_adjoint() {
+    fn valid_stencil_gather_and_adjoint_are_adjoint() {
         let img = seq_tensor(&[6, 7]);
         let ker = seq_tensor(&[3, 3]);
-        let out = conv2d_valid_single(&img, &ker);
-        assert_eq!(out.shape(), &[4, 5]);
-        let y = Tensor::from_fn(out.shape(), |i| (i as f32 % 5.0) - 2.0);
-        let lhs = out.dot(&y);
-        let back = conv2d_valid_single_adjoint(&y, &ker, 6, 7);
-        let rhs = img.dot(&back);
+        let st = Stencil::new(6, 7, 3, 3, ConvSpec::new(1, 0));
+        assert_eq!((st.out_h(), st.out_w()), (4, 5));
+        let mut ws = Workspace::new();
+        let mut out = vec![0.0f32; 4 * 5];
+        stencil_gather_ws(img.data(), st, ker.data(), None, &mut out, &mut ws);
+        let y = Tensor::from_fn(&[4, 5], |i| (i as f32 % 5.0) - 2.0);
+        let lhs = Tensor::from_vec(out, &[4, 5]).dot(&y);
+        let mut back = vec![0.0f32; 6 * 7];
+        stencil_adjoint_ws(y.data(), st, ker.data(), &mut back, &mut ws);
+        let rhs = img.dot(&Tensor::from_vec(back, &[6, 7]));
         assert!((lhs - rhs).abs() < 1e-3);
     }
 

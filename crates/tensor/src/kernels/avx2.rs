@@ -1,0 +1,759 @@
+//! The AVX2 transcriptions of the [`super::scalar`] reference loops.
+//!
+//! Lane layout is always "8 independent output elements" (for the
+//! stencils: one pixel of 8 planes, interleaved into scratch); every lane
+//! executes the scalar op sequence for its element verbatim (mul then
+//! add — `vmulps`/`vaddps`, never `vfmadd`), and ragged tails run the
+//! scalar twin itself, so results are bit-identical to the scalar tier.
+//! `unsafe` here is confined to the raw-pointer `loadu`/`storeu` helpers,
+//! each guarded by a `debug_assert!` and called only with in-bounds
+//! geometry — which is why the dispatch functions in [`super`] check every
+//! slice length before calling in, after runtime feature detection.
+#![allow(clippy::too_many_arguments)]
+
+use super::scalar::{self, MR, NR};
+use super::AdamParams;
+use crate::conv::Stencil;
+use crate::quant::Q8_BLOCK;
+use core::arch::x86_64::*;
+
+/// Unaligned 8-lane load of `s[at..at + 8]`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load8(s: &[f32], at: usize) -> __m256 {
+    debug_assert!(at + 8 <= s.len());
+    // SAFETY: callers pass `at + 8 <= s.len()` (debug-asserted).
+    unsafe { _mm256_loadu_ps(s.as_ptr().add(at)) }
+}
+
+/// Unaligned 8-lane store into `s[at..at + 8]`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn store8(s: &mut [f32], at: usize, v: __m256) {
+    debug_assert!(at + 8 <= s.len());
+    // SAFETY: callers pass `at + 8 <= s.len()` (debug-asserted).
+    unsafe { _mm256_storeu_ps(s.as_mut_ptr().add(at), v) }
+}
+
+/// Loads 8 consecutive bytes of `s` into the low half of a 128-bit reg.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load_bytes8(s: &[u8], at: usize) -> __m128i {
+    debug_assert!(at + 8 <= s.len());
+    // SAFETY: callers pass `at + 8 <= s.len()` (debug-asserted).
+    unsafe { _mm_loadl_epi64(s.as_ptr().add(at) as *const __m128i) }
+}
+
+/// Loads 16 consecutive bytes of `s` (8 little-endian u16 lanes).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load_bytes16(s: &[u8], at: usize) -> __m128i {
+    debug_assert!(at + 16 <= s.len());
+    // SAFETY: callers pass `at + 16 <= s.len()` (debug-asserted).
+    unsafe { _mm_loadu_si128(s.as_ptr().add(at) as *const __m128i) }
+}
+
+/// AVX2 width of one full GEMM tile: two 8-lane column vectors per
+/// row, so four rows fill 8 of the 16 ymm registers with accumulators.
+const NR_AVX: usize = 16;
+
+/// AVX2 twin of [`scalar::gemm_strided_a`] — same geometry contract.
+#[target_feature(enable = "avx2")]
+pub(super) fn gemm_strided_a(
+    a: &[f32],
+    ars: usize,
+    aks: usize,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    let mut i = 0;
+    while i < m {
+        let rows = (m - i).min(MR);
+        let abase = i * ars;
+        let obase = i * n;
+        let mut j = 0;
+        if rows == MR {
+            while j + NR_AVX <= n {
+                tile_full(a, abase, ars, aks, b, j, k, n, out, obase);
+                j += NR_AVX;
+            }
+        }
+        // Ragged right/bottom edges reuse the scalar edge tile: per
+        // output element it is the same ascending-k chain either way.
+        while j < n {
+            let jw = (n - j).min(NR);
+            scalar::gemm_tile_edge(a, abase, ars, aks, b, j, jw, k, n, out, obase, rows);
+            j += NR;
+        }
+        i += MR;
+    }
+}
+
+/// Full `MR × NR_AVX` register tile: per `k` step, two `b` vector
+/// loads and `MR` scalar broadcasts feed 8 mul+add pairs. Each lane
+/// is one output element's ascending-`k` chain — no FMA, no
+/// cross-lane math — so the tile is a transcription of
+/// the scalar `gemm_tile_full` at twice the width.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn tile_full(
+    a: &[f32],
+    abase: usize,
+    ars: usize,
+    aks: usize,
+    b: &[f32],
+    j0: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+    obase: usize,
+) {
+    let mut lo = [_mm256_setzero_ps(); MR];
+    let mut hi = [_mm256_setzero_ps(); MR];
+    for kk in 0..k {
+        let b0 = kk * n + j0;
+        let blo = load8(b, b0);
+        let bhi = load8(b, b0 + 8);
+        let a0 = abase + kk * aks;
+        for r in 0..MR {
+            let av = _mm256_set1_ps(a[a0 + r * ars]);
+            lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, blo));
+            hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, bhi));
+        }
+    }
+    for r in 0..MR {
+        let o0 = obase + r * n + j0;
+        store8(out, o0, lo[r]);
+        store8(out, o0 + 8, hi[r]);
+    }
+}
+
+/// AVX2 twin of [`scalar::gemm_transb`]: both operands
+/// k-contiguous, columns vectorized 8 wide via strided gathers.
+#[target_feature(enable = "avx2")]
+pub(super) fn gemm_transb(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    const MRT: usize = 4;
+    let mut i = 0;
+    while i < m {
+        let rows = (m - i).min(MRT);
+        let mut j = 0;
+        if rows == MRT {
+            while j + 8 <= n {
+                let mut acc = [_mm256_setzero_ps(); MRT];
+                for kk in 0..k {
+                    // One column-strided gather of b[(j..j+8) * k + kk];
+                    // set_ps takes lanes high-to-low.
+                    let bv = _mm256_set_ps(
+                        b[(j + 7) * k + kk],
+                        b[(j + 6) * k + kk],
+                        b[(j + 5) * k + kk],
+                        b[(j + 4) * k + kk],
+                        b[(j + 3) * k + kk],
+                        b[(j + 2) * k + kk],
+                        b[(j + 1) * k + kk],
+                        b[j * k + kk],
+                    );
+                    for r in 0..MRT {
+                        let av = _mm256_set1_ps(a[(i + r) * k + kk]);
+                        acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(av, bv));
+                    }
+                }
+                for (r, &accr) in acc.iter().enumerate() {
+                    store8(out, (i + r) * n + j, accr);
+                }
+                j += 8;
+            }
+        }
+        // Ragged edge: independent ascending-k dot products, the same
+        // per-element op sequence every tile shape produces.
+        for r in 0..rows {
+            for c in j..n {
+                let mut s = 0.0f32;
+                for kk in 0..k {
+                    s += a[(i + r) * k + kk] * b[c * k + kk];
+                }
+                out[(i + r) * n + c] = s;
+            }
+        }
+        i += MRT;
+    }
+}
+
+/// AVX2 twin of [`scalar::q8_decode`]: sign-extend 8 quants,
+/// exact int→float convert, one multiply by the block scale.
+#[target_feature(enable = "avx2")]
+pub(super) fn q8_decode(bytes: &[u8], out: &mut [f32]) {
+    for (ob, block) in out
+        .chunks_mut(Q8_BLOCK)
+        .zip(bytes.chunks_exact(4 + Q8_BLOCK))
+    {
+        let scale = f32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        if ob.len() == Q8_BLOCK {
+            let sv = _mm256_set1_ps(scale);
+            let mut off = 0;
+            while off < Q8_BLOCK {
+                let q = load_bytes8(block, 4 + off);
+                // Exact: |q| ≤ 127 converts without rounding, so the
+                // only rounding step is the scale multiply — same as
+                // the scalar `(q as i8) as f32 * scale`.
+                let f = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q));
+                store8(ob, off, _mm256_mul_ps(f, sv));
+                off += 8;
+            }
+        } else {
+            // Final partial logical block (padding bytes are ignored).
+            scalar::q8_decode(block, ob);
+        }
+    }
+}
+
+/// AVX2 twin of [`scalar::f16_decode`].
+///
+/// Branchless integer decode instead of F16C's `vcvtph2ps`, which
+/// quiets signalling NaNs and would diverge from the scalar decoder's
+/// payload-preserving semantics. Per lane: normals rebias the
+/// exponent, subnormals convert the mantissa exactly (`m · 2⁻²⁴`,
+/// both factors exact in f32), Inf/NaN keep the shifted payload; the
+/// three cases are blended by exponent-field compares.
+#[target_feature(enable = "avx2")]
+pub(super) fn f16_decode(bytes: &[u8], out: &mut [f32]) {
+    debug_assert!(bytes.len() >= 2 * out.len());
+    let full = out.len() / 8 * 8;
+    let mut i = 0;
+    while i < full {
+        let h = _mm256_cvtepu16_epi32(load_bytes16(bytes, 2 * i));
+        let sign = _mm256_slli_epi32(_mm256_and_si256(h, _mm256_set1_epi32(0x8000)), 16);
+        let exp = _mm256_and_si256(_mm256_srli_epi32(h, 10), _mm256_set1_epi32(0x1F));
+        let mant = _mm256_and_si256(h, _mm256_set1_epi32(0x03FF));
+        let m13 = _mm256_slli_epi32(mant, 13);
+        // Normal: sign | ((e + 112) << 23) | (m << 13).
+        let normal = _mm256_or_si256(
+            _mm256_slli_epi32(_mm256_add_epi32(exp, _mm256_set1_epi32(112)), 23),
+            m13,
+        );
+        // Inf/NaN (e = 31): max exponent, payload in the top bits.
+        let infnan = _mm256_or_si256(_mm256_set1_epi32(0x7F80_0000), m13);
+        // Subnormal/zero (e = 0): m · 2⁻²⁴ exactly, sign OR-ed on —
+        // m = 0 yields +0.0 bits, so ±0 falls out of the same lane.
+        let mag = _mm256_mul_ps(_mm256_cvtepi32_ps(mant), _mm256_set1_ps(1.0 / 16_777_216.0));
+        let sub = _mm256_castps_si256(mag);
+        let is_e0 = _mm256_cmpeq_epi32(exp, _mm256_setzero_si256());
+        let is_e31 = _mm256_cmpeq_epi32(exp, _mm256_set1_epi32(0x1F));
+        let mut bits = _mm256_blendv_epi8(normal, infnan, is_e31);
+        bits = _mm256_blendv_epi8(bits, sub, is_e0);
+        bits = _mm256_or_si256(sign, bits);
+        store8(out, i, _mm256_castsi256_ps(bits));
+        i += 8;
+    }
+    scalar::f16_decode(&bytes[2 * full..], &mut out[full..]);
+}
+
+/// `y[i] += s * x[i]`.
+#[target_feature(enable = "avx2")]
+pub(super) fn axpy(y: &mut [f32], s: f32, x: &[f32]) {
+    let full = y.len() / 8 * 8;
+    let sv = _mm256_set1_ps(s);
+    let mut i = 0;
+    while i < full {
+        store8(
+            y,
+            i,
+            _mm256_add_ps(load8(y, i), _mm256_mul_ps(sv, load8(x, i))),
+        );
+        i += 8;
+    }
+    scalar::axpy(&mut y[full..], s, &x[full..]);
+}
+
+/// `y[i] += x[i]`.
+#[target_feature(enable = "avx2")]
+pub(super) fn add_assign(y: &mut [f32], x: &[f32]) {
+    let full = y.len() / 8 * 8;
+    let mut i = 0;
+    while i < full {
+        store8(y, i, _mm256_add_ps(load8(y, i), load8(x, i)));
+        i += 8;
+    }
+    scalar::add_assign(&mut y[full..], &x[full..]);
+}
+
+/// `y[i] -= x[i]`.
+#[target_feature(enable = "avx2")]
+pub(super) fn sub_assign(y: &mut [f32], x: &[f32]) {
+    let full = y.len() / 8 * 8;
+    let mut i = 0;
+    while i < full {
+        store8(y, i, _mm256_sub_ps(load8(y, i), load8(x, i)));
+        i += 8;
+    }
+    scalar::sub_assign(&mut y[full..], &x[full..]);
+}
+
+/// `y[i] *= s`.
+#[target_feature(enable = "avx2")]
+pub(super) fn scale(y: &mut [f32], s: f32) {
+    let full = y.len() / 8 * 8;
+    let sv = _mm256_set1_ps(s);
+    let mut i = 0;
+    while i < full {
+        store8(y, i, _mm256_mul_ps(load8(y, i), sv));
+        i += 8;
+    }
+    scalar::scale(&mut y[full..], s);
+}
+
+/// `y[i] /= z`.
+#[target_feature(enable = "avx2")]
+pub(super) fn div(y: &mut [f32], z: f32) {
+    let full = y.len() / 8 * 8;
+    let zv = _mm256_set1_ps(z);
+    let mut i = 0;
+    while i < full {
+        store8(y, i, _mm256_div_ps(load8(y, i), zv));
+        i += 8;
+    }
+    scalar::div(&mut y[full..], z);
+}
+
+/// `out[j] = batch[j]*(1 − m[j]) + p[j]*m[j]`.
+#[target_feature(enable = "avx2")]
+pub(super) fn trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]) {
+    let full = out.len() / 8 * 8;
+    let one = _mm256_set1_ps(1.0);
+    let mut j = 0;
+    while j < full {
+        let mv = load8(m, j);
+        let blended = _mm256_add_ps(
+            _mm256_mul_ps(load8(batch, j), _mm256_sub_ps(one, mv)),
+            _mm256_mul_ps(load8(p, j), mv),
+        );
+        store8(out, j, blended);
+        j += 8;
+    }
+    scalar::trigger_blend(&mut out[full..], &batch[full..], &m[full..], &p[full..]);
+}
+
+/// Masked trigger-gradient accumulation (see [`super::trigger_backward`]).
+#[target_feature(enable = "avx2")]
+pub(super) fn trigger_backward(
+    g: &[f32],
+    x: &[f32],
+    m: &[f32],
+    p: &[f32],
+    d_pattern: &mut [f32],
+    d_mask: &mut [f32],
+) {
+    let full = g.len() / 8 * 8;
+    let zero = _mm256_setzero_ps();
+    let mut j = 0;
+    while j < full {
+        let gv = load8(g, j);
+        // Accumulate exactly where the scalar guard `g == 0.0` fails:
+        // NEQ_UQ is true for non-zeros *and* NaN (NaN == 0.0 is false),
+        // false for ±0. Skipped lanes keep their old accumulator bits
+        // via blend, so a -0.0 accumulator is never rewritten to +0.0.
+        let go = _mm256_cmp_ps::<_CMP_NEQ_UQ>(gv, zero);
+        let dp_old = load8(d_pattern, j);
+        let dm_old = load8(d_mask, j);
+        let dp_new = _mm256_add_ps(dp_old, _mm256_mul_ps(gv, load8(m, j)));
+        let dm_new = _mm256_add_ps(
+            dm_old,
+            _mm256_mul_ps(gv, _mm256_sub_ps(load8(p, j), load8(x, j))),
+        );
+        store8(d_pattern, j, _mm256_blendv_ps(dp_old, dp_new, go));
+        store8(d_mask, j, _mm256_blendv_ps(dm_old, dm_new, go));
+        j += 8;
+    }
+    scalar::trigger_backward(
+        &g[full..],
+        &x[full..],
+        &m[full..],
+        &p[full..],
+        &mut d_pattern[full..],
+        &mut d_mask[full..],
+    );
+}
+
+/// One Adam update; per lane the op-for-op scalar sequence, with
+/// `_mm256_sqrt_ps` (IEEE correctly rounded, like `f32::sqrt`).
+#[target_feature(enable = "avx2")]
+pub(super) fn adam_step(
+    pd: &mut [f32],
+    gd: &[f32],
+    md: &mut [f32],
+    vd: &mut [f32],
+    params: &AdamParams,
+) {
+    let full = pd.len() / 8 * 8;
+    let b1 = _mm256_set1_ps(params.b1);
+    let b2 = _mm256_set1_ps(params.b2);
+    let ob1 = _mm256_set1_ps(1.0 - params.b1);
+    let ob2 = _mm256_set1_ps(1.0 - params.b2);
+    let bc1 = _mm256_set1_ps(params.bc1);
+    let bc2 = _mm256_set1_ps(params.bc2);
+    let lr = _mm256_set1_ps(params.lr);
+    let eps = _mm256_set1_ps(params.eps);
+    let decay = _mm256_set1_ps(params.decay);
+    let mut i = 0;
+    while i < full {
+        let pv = load8(pd, i);
+        let g = _mm256_add_ps(load8(gd, i), _mm256_mul_ps(decay, pv));
+        let mv = _mm256_add_ps(_mm256_mul_ps(b1, load8(md, i)), _mm256_mul_ps(ob1, g));
+        // (1 − β₂) * g * g associates left in the scalar loop.
+        let vv = _mm256_add_ps(
+            _mm256_mul_ps(b2, load8(vd, i)),
+            _mm256_mul_ps(_mm256_mul_ps(ob2, g), g),
+        );
+        store8(md, i, mv);
+        store8(vd, i, vv);
+        let mhat = _mm256_div_ps(mv, bc1);
+        let vhat = _mm256_div_ps(vv, bc2);
+        let upd = _mm256_div_ps(
+            _mm256_mul_ps(lr, mhat),
+            _mm256_add_ps(_mm256_sqrt_ps(vhat), eps),
+        );
+        store8(pd, i, _mm256_sub_ps(pv, upd));
+        i += 8;
+    }
+    scalar::adam_step(
+        &mut pd[full..],
+        &gd[full..],
+        &mut md[full..],
+        &mut vd[full..],
+        params,
+    );
+}
+
+/// In-register 8×8 transpose: lane `j` of output row `i` is lane `i`
+/// of input row `j`. Pure bit moves, so NaN payloads pass unchanged.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    [
+        _mm256_permute2f128_ps::<0x20>(s0, s4),
+        _mm256_permute2f128_ps::<0x20>(s1, s5),
+        _mm256_permute2f128_ps::<0x20>(s2, s6),
+        _mm256_permute2f128_ps::<0x20>(s3, s7),
+        _mm256_permute2f128_ps::<0x31>(s0, s4),
+        _mm256_permute2f128_ps::<0x31>(s1, s5),
+        _mm256_permute2f128_ps::<0x31>(s2, s6),
+        _mm256_permute2f128_ps::<0x31>(s3, s7),
+    ]
+}
+
+/// Interleaves planes `p0..p0 + lanes` of `src` (`len` floats each)
+/// pixel-major into `dst`: element `(j, l)` lands at `dst[j*8 + l]`.
+/// Lanes past `lanes` (a ragged last group) are zero-filled.
+#[target_feature(enable = "avx2")]
+fn interleave(src: &[f32], len: usize, p0: usize, lanes: usize, dst: &mut [f32]) {
+    let mut j = 0;
+    if lanes == 8 {
+        while j + 8 <= len {
+            let mut rows = [_mm256_setzero_ps(); 8];
+            for (l, r) in rows.iter_mut().enumerate() {
+                *r = load8(src, (p0 + l) * len + j);
+            }
+            for (i, v) in transpose8(rows).into_iter().enumerate() {
+                store8(dst, (j + i) * 8, v);
+            }
+            j += 8;
+        }
+    }
+    for j in j..len {
+        for l in 0..8 {
+            dst[j * 8 + l] = if l < lanes {
+                src[(p0 + l) * len + j]
+            } else {
+                0.0
+            };
+        }
+    }
+}
+
+/// Inverse of [`interleave`] for the first `lanes` lanes.
+#[target_feature(enable = "avx2")]
+fn deinterleave(src: &[f32], len: usize, p0: usize, lanes: usize, dst: &mut [f32]) {
+    let mut j = 0;
+    if lanes == 8 {
+        while j + 8 <= len {
+            let mut rows = [_mm256_setzero_ps(); 8];
+            for (i, r) in rows.iter_mut().enumerate() {
+                *r = load8(src, (j + i) * 8);
+            }
+            for (l, v) in transpose8(rows).into_iter().enumerate() {
+                store8(dst, (p0 + l) * len + j, v);
+            }
+            j += 8;
+        }
+    }
+    for j in j..len {
+        for l in 0..lanes {
+            dst[(p0 + l) * len + j] = src[j * 8 + l];
+        }
+    }
+}
+
+/// Interleaves the kernel taps (and bias) of planes `p0..p0 + 8`:
+/// plane `p` uses kernel `p % nk`; missing lanes get zeros.
+fn interleave_kernels(
+    ker: &[f32],
+    kk: usize,
+    bias: Option<&[f32]>,
+    p0: usize,
+    lanes: usize,
+    ks: &mut [f32],
+    bs: &mut [f32],
+) {
+    let nk = ker.len() / kk;
+    for l in 0..8 {
+        let kid = (p0 + l) % nk;
+        for t in 0..kk {
+            ks[t * 8 + l] = if l < lanes { ker[kid * kk + t] } else { 0.0 };
+        }
+        bs[l] = match bias {
+            Some(b) if l < lanes => b[kid],
+            _ => 0.0,
+        };
+    }
+}
+
+/// Scratch `f32`s the stencil kernels take: the lane-interleaved input,
+/// output and kernel of the 8-plane groups the adjoint runs in lockstep
+/// (the gather uses the first), plus bias lanes.
+pub(super) fn stencil_scratch_len(st: &Stencil) -> usize {
+    8 * ADJOINT_GROUPS * (st.h * st.w + st.out_h() * st.out_w() + st.kh * st.kw) + 8
+}
+
+/// Splits the stencil scratch into its interleaved input, output,
+/// kernel and bias regions (the sizes [`stencil_scratch_len`] budgets).
+fn split_scratch(
+    scratch: &mut [f32],
+    in_len: usize,
+    out_len: usize,
+    kk: usize,
+) -> (&mut [f32], &mut [f32], &mut [f32], &mut [f32]) {
+    let (a, rest) = scratch.split_at_mut(in_len * 8);
+    let (b, rest) = rest.split_at_mut(out_len * 8);
+    let (k, rest) = rest.split_at_mut(kk * 8);
+    (a, b, k, &mut rest[..8])
+}
+
+/// AVX2 twin of [`scalar::stencil_gather`], 8 planes per group.
+#[target_feature(enable = "avx2")]
+pub(super) fn stencil_gather(
+    x: &[f32],
+    st: Stencil,
+    ker: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    scratch: &mut [f32],
+) {
+    let (hw, ohw, kk) = (st.h * st.w, st.out_h() * st.out_w(), st.kh * st.kw);
+    let planes = out.len() / ohw;
+    let shared = ker.len() == kk;
+    let (xs, os, ks, bs) = split_scratch(scratch, hw, ohw, kk);
+    if shared {
+        interleave_kernels(ker, kk, bias, 0, 8, ks, bs);
+    }
+    for p0 in (0..planes).step_by(8) {
+        let lanes = (planes - p0).min(8);
+        if !shared {
+            interleave_kernels(ker, kk, bias, p0, lanes, ks, bs);
+        }
+        interleave(x, hw, p0, lanes, xs);
+        gather_group(xs, st, ks, load8(bs, 0), os);
+        deinterleave(os, ohw, p0, lanes, out);
+    }
+}
+
+/// Gather over one interleaved group. Outputs whose window lies fully
+/// inside the plane horizontally run four (or two) at a time, each in
+/// its own accumulator, to hide the add latency of the serial tap chain.
+#[target_feature(enable = "avx2")]
+fn gather_group(xs: &[f32], st: Stencil, ks: &[f32], bias: __m256, os: &mut [f32]) {
+    let (s, pad, kw) = (st.spec.stride, st.spec.pad, st.kw);
+    let ow = st.out_w();
+    // Outputs ox_lo..ox_hi use every kernel column.
+    let ox_lo = pad.div_ceil(s).min(ow);
+    let ox_hi = (st.w + pad)
+        .checked_sub(kw)
+        .map_or(0, |room| room / s + 1)
+        .min(ow)
+        .max(ox_lo);
+    for oy in 0..st.out_h() {
+        let (ky0, ky1) = st.taps_y(oy);
+        let mut ox = 0;
+        while ox < ow {
+            if ox >= ox_lo && ox + 4 <= ox_hi {
+                gather_run::<4>(xs, st, ks, bias, os, oy, (ky0, ky1), ox, (0, kw));
+                ox += 4;
+            } else if ox >= ox_lo && ox + 2 <= ox_hi {
+                gather_run::<2>(xs, st, ks, bias, os, oy, (ky0, ky1), ox, (0, kw));
+                ox += 2;
+            } else {
+                gather_run::<1>(xs, st, ks, bias, os, oy, (ky0, ky1), ox, st.taps_x(ox));
+                ox += 1;
+            }
+        }
+    }
+}
+
+/// `N` adjacent outputs of row `oy` sharing tap ranges `ky`, `kx`:
+/// per lane `acc = bias`, then `acc + x·k` in ascending `(ky, kx)`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn gather_run<const N: usize>(
+    xs: &[f32],
+    st: Stencil,
+    ks: &[f32],
+    bias: __m256,
+    os: &mut [f32],
+    oy: usize,
+    (ky0, ky1): (usize, usize),
+    ox: usize,
+    (kx0, kx1): (usize, usize),
+) {
+    let (s, pad, w, kw) = (st.spec.stride, st.spec.pad, st.w, st.kw);
+    let mut acc = [bias; N];
+    for ky in ky0..ky1 {
+        let row = (oy * s + ky - pad) * w + ox * s;
+        for kx in kx0..kx1 {
+            let kv = load8(ks, (ky * kw + kx) * 8);
+            for (j, a) in acc.iter_mut().enumerate() {
+                let xv = load8(xs, (row + j * s + kx - pad) * 8);
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, kv));
+            }
+        }
+    }
+    let ow = st.out_w();
+    for (j, a) in acc.into_iter().enumerate() {
+        store8(os, (oy * ow + ox + j) * 8, a);
+    }
+}
+
+/// 8-plane groups the adjoint runs in lockstep, one accumulator each.
+pub(super) const ADJOINT_GROUPS: usize = 4;
+
+/// AVX2 twin of [`scalar::stencil_adjoint`]: batches of up to
+/// [`ADJOINT_GROUPS`] 8-plane groups, each interleaved into its own
+/// slice of the scratch (the slices are the gather's regions, scaled).
+#[target_feature(enable = "avx2")]
+pub(super) fn stencil_adjoint(
+    g: &[f32],
+    st: Stencil,
+    ker: &[f32],
+    out: &mut [f32],
+    scratch: &mut [f32],
+) {
+    let (hw, ohw, kk) = (st.h * st.w, st.out_h() * st.out_w(), st.kh * st.kw);
+    let planes = g.len() / ohw;
+    let shared = ker.len() == kk;
+    let (is, gs, ks, bs) = split_scratch(
+        scratch,
+        ADJOINT_GROUPS * hw,
+        ADJOINT_GROUPS * ohw,
+        ADJOINT_GROUPS * kk,
+    );
+    if shared {
+        for ksg in ks.chunks_exact_mut(kk * 8) {
+            interleave_kernels(ker, kk, None, 0, 8, ksg, bs);
+        }
+    }
+    let mut p0 = 0;
+    while p0 < planes {
+        let groups = (planes - p0).div_ceil(8).min(ADJOINT_GROUPS);
+        for j in 0..groups {
+            let q0 = p0 + 8 * j;
+            let lanes = (planes - q0).min(8);
+            if !shared {
+                interleave_kernels(
+                    ker,
+                    kk,
+                    None,
+                    q0,
+                    lanes,
+                    &mut ks[j * kk * 8..(j + 1) * kk * 8],
+                    bs,
+                );
+            }
+            interleave(g, ohw, q0, lanes, &mut gs[j * ohw * 8..(j + 1) * ohw * 8]);
+        }
+        match groups {
+            1 => adjoint_groups::<1>(gs, st, ks, is),
+            2 => adjoint_groups::<2>(gs, st, ks, is),
+            3 => adjoint_groups::<3>(gs, st, ks, is),
+            _ => adjoint_groups::<4>(gs, st, ks, is),
+        }
+        for j in 0..groups {
+            let q0 = p0 + 8 * j;
+            deinterleave(
+                &is[j * hw * 8..(j + 1) * hw * 8],
+                hw,
+                q0,
+                (planes - q0).min(8),
+                out,
+            );
+        }
+        p0 += 8 * groups;
+    }
+}
+
+/// Adjoint over `G` interleaved groups, input pixel by input pixel:
+/// `acc = 0`, then for every covering output in ascending `(oy, ox)`
+/// `acc + g·k`, kept only in lanes where `g != 0` (NEQ_UQ: true for
+/// NaN, false for ±0 — exactly the scalar `if`).
+///
+/// The groups share every index and branch, so their `G` serial
+/// chains overlap. Lanes across groups rather than adjacent pixels:
+/// a pixel's covering outputs are clipped differently from its
+/// neighbours' wherever the window is wide relative to the output
+/// (SSIM's 11×11 window over 10×10 outputs clips every pixel, giving
+/// chains of up to 100 add + blend steps), but never differently from
+/// the same pixel of another plane.
+#[target_feature(enable = "avx2")]
+fn adjoint_groups<const G: usize>(gs: &[f32], st: Stencil, ks: &[f32], is: &mut [f32]) {
+    let (s, pad, w, kw, ow) = (st.spec.stride, st.spec.pad, st.w, st.kw, st.out_w());
+    let (gstride, kstride, istride) = (st.out_h() * ow * 8, st.kh * kw * 8, st.h * w * 8);
+    let zero = _mm256_setzero_ps();
+    for iy in 0..st.h {
+        let (oy0, oy1) = st.sources_y(iy);
+        for ix in 0..w {
+            let (ox0, ox1) = st.sources_x(ix);
+            let mut acc = [zero; G];
+            for oy in oy0..oy1 {
+                let krow = (iy + pad - oy * s) * kw + ix + pad;
+                for ox in ox0..ox1 {
+                    let (gat, kat) = ((oy * ow + ox) * 8, (krow - ox * s) * 8);
+                    for (j, a) in acc.iter_mut().enumerate() {
+                        let gv = load8(gs, j * gstride + gat);
+                        let kv = load8(ks, j * kstride + kat);
+                        let sum = _mm256_add_ps(*a, _mm256_mul_ps(gv, kv));
+                        *a = _mm256_blendv_ps(*a, sum, _mm256_cmp_ps::<_CMP_NEQ_UQ>(gv, zero));
+                    }
+                }
+            }
+            for (j, a) in acc.into_iter().enumerate() {
+                store8(is, j * istride + (iy * w + ix) * 8, a);
+            }
+        }
+    }
+}

@@ -1,0 +1,883 @@
+//! Runtime-dispatched SIMD kernel tier: one home per hot loop.
+//!
+//! Every hot f32 kernel in the crate — the GEMM tiles behind the three
+//! [`crate::ops`] orientations, the Q8/f16 decoders behind
+//! [`crate::quant::QTensor`], the refine-loop elementwise ops, the trigger
+//! blend and its backward, Adam, and the planar-stencil gather/adjoint
+//! behind depthwise convolution and SSIM ([`crate::conv::Stencil`]) — is
+//! one public function here with two implementations side by side: the
+//! scalar loop in `kernels/scalar.rs` (the *reference*, always compiled,
+//! the only one on non-x86 targets) and its AVX2 twin of the same name in
+//! `kernels/avx2.rs`, behind `#[target_feature(enable = "avx2")]`. The
+//! public function checks the slice lengths and runs the twin of the tier
+//! this module picks **once per process**; callers just call it.
+//!
+//! # Tier selection
+//!
+//! The tier is probed on first use and cached for the process lifetime:
+//!
+//! | `USB_KERNEL` | resolved tier |
+//! |--------------|---------------|
+//! | unset / `auto` | `avx2` if `is_x86_feature_detected!("avx2")`, else `scalar` |
+//! | `scalar`     | `scalar` (reference path, any machine) |
+//! | `avx2`       | `avx2`, **panics** if the CPU lacks AVX2 |
+//!
+//! Any other value panics — a silently ignored typo would invalidate an
+//! A/B measurement.
+//!
+//! # Bit-exactness contract
+//!
+//! The AVX2 kernels are *transcriptions*, not re-derivations, of the
+//! scalar loops: each output element performs the identical floating-point
+//! operation sequence (same ops, same operand order, ascending-`k`
+//! accumulation, **no FMA contraction, no reassociation**), with lanes
+//! laid across independent output elements only — for the stencils, the
+//! same pixel of 8 different planes. Reductions whose scalar
+//! form is a single serial chain (softmax row sums, max folds) stay
+//! scalar. IEEE-754 arithmetic is deterministic per operation, so both
+//! tiers produce bit-identical results — enforced by the `avx2_vs_scalar`
+//! unit tests here, which run each twin against its scalar reference, and
+//! by running `kernel_reference` / `refine_alloc` / the determinism suite
+//! under both `USB_KERNEL=scalar` and the default tier in CI.
+#![allow(unsafe_code)]
+
+use crate::conv::Stencil;
+use crate::quant::Dtype;
+use crate::Workspace;
+use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+mod scalar;
+
+/// The kernel implementation a process routes its hot loops through.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Tier {
+    /// Portable scalar Rust loops — the reference implementation.
+    Scalar,
+    /// AVX2 256-bit lanes across independent output elements.
+    Avx2,
+}
+
+impl Tier {
+    /// Stable lowercase name, recorded in the BENCH json `kernel` field.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Avx2 => "avx2",
+        }
+    }
+}
+
+static TIER: OnceLock<Tier> = OnceLock::new();
+
+/// The active kernel tier, probed once per process (see module docs).
+///
+/// # Panics
+///
+/// Panics if `USB_KERNEL` holds an unknown value, or forces `avx2` on a
+/// CPU without AVX2.
+pub fn tier() -> Tier {
+    *TIER.get_or_init(|| {
+        let request = std::env::var("USB_KERNEL");
+        resolve(request.as_deref().unwrap_or("auto"), avx2_supported())
+    })
+}
+
+/// [`Tier::name`] of the active tier — the BENCH json `kernel` field.
+pub fn tier_name() -> &'static str {
+    tier().name()
+}
+
+/// Maps a `USB_KERNEL` request onto a tier given the probed CPU support.
+fn resolve(request: &str, avx2: bool) -> Tier {
+    match request {
+        "" | "auto" => {
+            if avx2 {
+                Tier::Avx2
+            } else {
+                Tier::Scalar
+            }
+        }
+        "scalar" => Tier::Scalar,
+        "avx2" => {
+            assert!(
+                avx2,
+                "USB_KERNEL=avx2 requested but this CPU does not support AVX2"
+            );
+            Tier::Avx2
+        }
+        other => panic!("USB_KERNEL: expected scalar|avx2|auto, got {other:?}"),
+    }
+}
+
+/// Whether the running CPU supports AVX2 (always `false` off x86-64).
+fn avx2_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2_active() -> bool {
+    tier() == Tier::Avx2
+}
+
+/// Runs `avx2::$f` when the AVX2 tier is active, else `scalar::$f`.
+/// Expands inside a dispatch function, after its length checks.
+macro_rules! dispatch {
+    ($f:ident($($arg:expr),* $(,)?)) => {{
+        #[cfg(target_arch = "x86_64")]
+        if avx2_active() {
+            // SAFETY: `avx2_active` is true only after runtime AVX2
+            // detection, and the enclosing dispatch function has checked
+            // every slice length the twin's unchecked accesses rely on.
+            return unsafe { avx2::$f($($arg),*) };
+        }
+        scalar::$f($($arg),*)
+    }};
+}
+
+/// Scalar Adam hyper-parameters handed to [`adam_step`] as one bundle.
+///
+/// `bc1`/`bc2` are the bias corrections `1 − βᵢᵗ`, computed scalar by the
+/// caller.
+#[derive(Clone, Copy, Debug)]
+pub struct AdamParams {
+    /// First-moment decay β₁.
+    pub b1: f32,
+    /// Second-moment decay β₂.
+    pub b2: f32,
+    /// First-moment bias correction `1 − β₁ᵗ`.
+    pub bc1: f32,
+    /// Second-moment bias correction `1 − β₂ᵗ`.
+    pub bc2: f32,
+    /// Learning rate.
+    pub lr: f32,
+    /// Denominator fuzz ε.
+    pub eps: f32,
+    /// Decoupled weight decay added into the gradient.
+    pub decay: f32,
+}
+
+/// Register-blocked GEMM over a strided left operand, the driver behind
+/// [`crate::ops::matmul_into`] (`ars = k, aks = 1`) and
+/// [`crate::ops::matmul_transa_into`] (`ars = 1, aks = m`): `out[r, c] =
+/// Σ a[r·ars + kk·aks] · b[kk·n + c]`, `b` row-major `[k, n]`, `out`
+/// row-major `[m, n]`. Every output element accumulates in ascending `kk`
+/// (bit-identical to the naive triple loop) and is written exactly once,
+/// so dirty scratch buffers are fine.
+///
+/// # Panics
+///
+/// Panics if `b` or `out` disagree with the dimensions, or `a` is too
+/// short for its strides.
+#[allow(clippy::too_many_arguments)] // flat scalar geometry, hot path
+#[inline]
+pub fn gemm_strided_a(
+    a: &[f32],
+    ars: usize,
+    aks: usize,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(b.len(), k * n, "gemm_strided_a: rhs length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_strided_a: out length mismatch");
+    dispatch!(gemm_strided_a(a, ars, aks, b, m, k, n, out))
+}
+
+/// `a @ bᵀ` ([`crate::ops::matmul_transb_into`]): `a` is `[m, k]`, `b` is
+/// `[n, k]`, both k-contiguous, `out` is `[m, n]` (fully overwritten).
+/// Each output element is one ascending-`k` dot product.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the dimensions.
+#[inline]
+pub fn gemm_transb(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "gemm_transb: lhs length mismatch");
+    assert_eq!(b.len(), n * k, "gemm_transb: rhs length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_transb: out length mismatch");
+    dispatch!(gemm_transb(a, b, m, k, n, out))
+}
+
+/// Decodes a little-endian f16 byte stream into `out`, bit-identical to
+/// [`crate::quant::f16_decode`] per element (NaN payloads included).
+///
+/// # Panics
+///
+/// Panics unless `bytes` holds exactly `out.len()` halves.
+#[inline]
+pub fn f16_decode(bytes: &[u8], out: &mut [f32]) {
+    assert_eq!(
+        bytes.len(),
+        Dtype::F16.encoded_len(out.len()),
+        "f16_decode: length mismatch"
+    );
+    dispatch!(f16_decode(bytes, out))
+}
+
+/// Decodes Q8 blocks (`4`-byte scale + [`crate::quant::Q8_BLOCK`] signed
+/// bytes per block) into `out`: `q · scale` per element.
+///
+/// # Panics
+///
+/// Panics unless `bytes` holds exactly the blocks `out.len()` elements
+/// encode to.
+#[inline]
+pub fn q8_decode(bytes: &[u8], out: &mut [f32]) {
+    assert_eq!(
+        bytes.len(),
+        Dtype::Q8.encoded_len(out.len()),
+        "q8_decode: length mismatch"
+    );
+    dispatch!(q8_decode(bytes, out))
+}
+
+/// `y[i] += s * x[i]` over paired slices.
+///
+/// # Panics
+///
+/// Panics on length mismatch.
+#[inline]
+pub fn axpy(y: &mut [f32], s: f32, x: &[f32]) {
+    assert_eq!(y.len(), x.len(), "axpy: length mismatch");
+    dispatch!(axpy(y, s, x))
+}
+
+/// `y[i] += x[i]` over paired slices.
+///
+/// # Panics
+///
+/// Panics on length mismatch.
+#[inline]
+pub fn add_assign(y: &mut [f32], x: &[f32]) {
+    assert_eq!(y.len(), x.len(), "add_assign: length mismatch");
+    dispatch!(add_assign(y, x))
+}
+
+/// `y[i] -= x[i]` over paired slices.
+///
+/// # Panics
+///
+/// Panics on length mismatch.
+#[inline]
+pub fn sub_assign(y: &mut [f32], x: &[f32]) {
+    assert_eq!(y.len(), x.len(), "sub_assign: length mismatch");
+    dispatch!(sub_assign(y, x))
+}
+
+/// `y[i] *= s` in place.
+#[inline]
+pub fn scale(y: &mut [f32], s: f32) {
+    dispatch!(scale(y, s))
+}
+
+/// `y[i] /= z` in place — the per-lane normalisation pass of softmax /
+/// cross-entropy.
+#[inline]
+pub fn div(y: &mut [f32], z: f32) {
+    dispatch!(div(y, z))
+}
+
+/// Numerically stable softmax of one logits `row` into `out`: subtract the
+/// row max, exponentiate, sum serially, then [`div`] by the sum. The max
+/// fold and the sum are single serial chains, so they stay scalar on
+/// every tier; only the divide is lane-parallel.
+///
+/// # Panics
+///
+/// Panics on length mismatch.
+pub fn softmax_row(row: &[f32], out: &mut [f32]) {
+    assert_eq!(row.len(), out.len(), "softmax_row: length mismatch");
+    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut z = 0.0;
+    for (o, &v) in out.iter_mut().zip(row) {
+        let e = (v - m).exp();
+        *o = e;
+        z += e;
+    }
+    div(out, z);
+}
+
+/// One trigger-blend plane: `out[j] = batch[j]*(1 − m[j]) + p[j]*m[j]`.
+///
+/// # Panics
+///
+/// Panics unless all four slices share one length.
+#[inline]
+pub fn trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]) {
+    assert!(
+        batch.len() == out.len() && m.len() == out.len() && p.len() == out.len(),
+        "trigger_blend: length mismatch"
+    );
+    dispatch!(trigger_blend(out, batch, m, p))
+}
+
+/// One trigger-backward plane: where `g[j] != 0.0`, accumulates
+/// `d_pattern[j] += g[j]*m[j]` and `d_mask[j] += g[j]*(p[j] − x[j])`;
+/// where `g[j] == 0.0` both accumulators keep their exact old bits (the
+/// scalar loop `continue`s, so even a `-0.0` accumulator must not be
+/// rewritten).
+///
+/// # Panics
+///
+/// Panics unless all six slices share one length.
+#[inline]
+pub fn trigger_backward(
+    g: &[f32],
+    x: &[f32],
+    m: &[f32],
+    p: &[f32],
+    d_pattern: &mut [f32],
+    d_mask: &mut [f32],
+) {
+    assert!(
+        x.len() == g.len()
+            && m.len() == g.len()
+            && p.len() == g.len()
+            && d_pattern.len() == g.len()
+            && d_mask.len() == g.len(),
+        "trigger_backward: length mismatch"
+    );
+    dispatch!(trigger_backward(g, x, m, p, d_pattern, d_mask))
+}
+
+/// One Adam update over paired param / grad / moment slices:
+/// `g = grad + decay·θ`, `m = β₁m + (1 − β₁)g`, `v = β₂v + (1 − β₂)g·g`,
+/// `θ −= lr·(m / bc1) / (√(v / bc2) + ε)`.
+///
+/// # Panics
+///
+/// Panics unless all four slices share one length.
+#[inline]
+pub fn adam_step(pd: &mut [f32], gd: &[f32], md: &mut [f32], vd: &mut [f32], params: &AdamParams) {
+    assert!(
+        gd.len() == pd.len() && md.len() == pd.len() && vd.len() == pd.len(),
+        "adam_step: length mismatch"
+    );
+    dispatch!(adam_step(pd, gd, md, vd, params))
+}
+
+/// Checks a planar-stencil call's slice lengths against the geometry.
+fn check_planes(
+    src: &[f32],
+    src_plane: usize,
+    ker: &[f32],
+    kk: usize,
+    out: &[f32],
+    out_plane: usize,
+) {
+    assert!(
+        !ker.is_empty() && ker.len().is_multiple_of(kk),
+        "stencil: kernel length {} is not a multiple of {kk}",
+        ker.len()
+    );
+    assert!(
+        src.len().is_multiple_of(src_plane),
+        "stencil: ragged input planes"
+    );
+    assert_eq!(
+        out.len(),
+        src.len() / src_plane * out_plane,
+        "stencil: output length mismatch"
+    );
+}
+
+/// Planar-stencil gather ([`crate::conv::stencil_gather_ws`]). The AVX2
+/// twin runs lanes across planes: each group of 8 planes is interleaved
+/// pixel-major into a workspace buffer, so one vector load fetches the
+/// same pixel of 8 planes, each lane multiplying by its own plane's
+/// kernel tap. Every lane shares the output's tap range, so borders and
+/// strides cost no extra work per lane.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the geometry, or `bias` does not
+/// hold one value per kernel.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+#[inline]
+pub fn stencil_gather(
+    x: &[f32],
+    st: Stencil,
+    ker: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    ws: &mut Workspace,
+) {
+    let kk = st.kh * st.kw;
+    check_planes(x, st.h * st.w, ker, kk, out, st.out_h() * st.out_w());
+    if let Some(b) = bias {
+        assert_eq!(b.len(), ker.len() / kk, "stencil: one bias per kernel");
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx2_active() {
+        let mut scratch = ws.take_dirty(avx2::stencil_scratch_len(&st));
+        // SAFETY: `avx2_active` is true only after runtime AVX2 detection;
+        // the slice lengths were checked above and the scratch is sized by
+        // `stencil_scratch_len`, which bounds every unchecked access.
+        unsafe { avx2::stencil_gather(x, st, ker, bias, out, &mut scratch) };
+        ws.put(scratch);
+        return;
+    }
+    scalar::stencil_gather(x, st, ker, bias, out)
+}
+
+/// Planar-stencil adjoint ([`crate::conv::stencil_adjoint_ws`]), lanes
+/// across planes like [`stencil_gather`]. The scalar `g == 0.0` skip
+/// becomes a `_CMP_NEQ_UQ` blend mask: lanes whose gradient is `±0.0`
+/// keep their accumulator bits, NaN gradients accumulate.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the geometry.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+#[inline]
+pub fn stencil_adjoint(g: &[f32], st: Stencil, ker: &[f32], out: &mut [f32], ws: &mut Workspace) {
+    check_planes(
+        g,
+        st.out_h() * st.out_w(),
+        ker,
+        st.kh * st.kw,
+        out,
+        st.h * st.w,
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2_active() {
+        let mut scratch = ws.take_dirty(avx2::stencil_scratch_len(&st));
+        // SAFETY: as in `stencil_gather`.
+        unsafe { avx2::stencil_adjoint(g, st, ker, out, &mut scratch) };
+        ws.put(scratch);
+        return;
+    }
+    scalar::stencil_adjoint(g, st, ker, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolve_honours_requests_and_detection() {
+        assert_eq!(resolve("auto", true), Tier::Avx2);
+        assert_eq!(resolve("", true), Tier::Avx2);
+        assert_eq!(resolve("auto", false), Tier::Scalar);
+        assert_eq!(resolve("scalar", true), Tier::Scalar);
+        assert_eq!(resolve("scalar", false), Tier::Scalar);
+        assert_eq!(resolve("avx2", true), Tier::Avx2);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not support AVX2")]
+    fn resolve_rejects_forced_avx2_without_support() {
+        let _ = resolve("avx2", false);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected scalar|avx2|auto")]
+    fn resolve_rejects_unknown_values() {
+        let _ = resolve("sse9", true);
+    }
+
+    #[test]
+    fn tier_names_are_stable() {
+        assert_eq!(Tier::Scalar.name(), "scalar");
+        assert_eq!(Tier::Avx2.name(), "avx2");
+    }
+
+    // The AVX2 twins' loads and stores are unchecked, so a short slice
+    // must stop at the dispatch function on every tier.
+    #[test]
+    #[should_panic(expected = "gemm_strided_a: out length mismatch")]
+    fn gemm_rejects_a_short_output() {
+        gemm_strided_a(&[1.0; 32], 8, 1, &[1.0; 128], 4, 8, 16, &mut [0.0; 63]);
+    }
+
+    #[test]
+    #[should_panic(expected = "f16_decode: length mismatch")]
+    fn f16_decode_rejects_a_short_payload() {
+        f16_decode(&[0; 30], &mut [0.0; 16]);
+    }
+
+    /// Deterministic value soup including the awkward cases: ±0,
+    /// subnormals, huge/tiny magnitudes, and exact zeros for the
+    /// trigger-backward guard.
+    fn soup(n: usize, salt: u32) -> Vec<f32> {
+        (0..n)
+            .map(|i| {
+                let x = ((i as u32).wrapping_mul(2654435761).wrapping_add(salt)) as f32;
+                match i % 7 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => (x / 4.0e9 - 0.5) * 2.0,
+                    3 => f32::from_bits((i as u32 % 0x7F_FFFF) | 1), // subnormal
+                    4 => (x / 4.0e9) * 1.0e30,
+                    5 => -(x / 4.0e9) * 1.0e-30,
+                    _ => (x / 4.0e9 - 0.5) * 8.0,
+                }
+            })
+            .collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    mod avx2_vs_scalar {
+        use super::super::*;
+        use super::soup;
+
+        fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
+            assert_eq!(a.len(), b.len(), "{what}: length");
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: lane {i}: {x:?} vs {y:?}");
+            }
+        }
+
+        /// The AVX2 twin `simd` against the scalar twin `twin` that runs
+        /// under `USB_KERNEL=scalar`, and against an independent oracle.
+        fn assert_twins(simd: &[f32], twin: &[f32], oracle: &[f32], what: &str) {
+            assert_bits_eq(simd, twin, &format!("{what} vs scalar twin"));
+            assert_bits_eq(simd, oracle, what);
+        }
+
+        fn have_avx2() -> bool {
+            std::arch::is_x86_feature_detected!("avx2")
+        }
+
+        #[test]
+        fn axpy_matches_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            for n in [0, 1, 7, 8, 9, 64, 130] {
+                let x = soup(n, 3);
+                let mut y_simd = soup(n, 17);
+                let mut y_twin = y_simd.clone();
+                let mut y_ref = y_simd.clone();
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::axpy(&mut y_simd, -0.37, &x) };
+                scalar::axpy(&mut y_twin, -0.37, &x);
+                for (a, &b) in y_ref.iter_mut().zip(&x) {
+                    *a += -0.37 * b;
+                }
+                assert_twins(&y_simd, &y_twin, &y_ref, "axpy");
+            }
+        }
+
+        #[test]
+        fn elementwise_kernels_match_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            for n in [1, 8, 23, 129] {
+                let x = soup(n, 5);
+                let mut add_s = soup(n, 11);
+                let mut add_t = add_s.clone();
+                let mut add_r = add_s.clone();
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::add_assign(&mut add_s, &x) };
+                scalar::add_assign(&mut add_t, &x);
+                for (a, &b) in add_r.iter_mut().zip(&x) {
+                    *a += b;
+                }
+                assert_twins(&add_s, &add_t, &add_r, "add_assign");
+
+                let mut sub_s = soup(n, 13);
+                let mut sub_t = sub_s.clone();
+                let mut sub_r = sub_s.clone();
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::sub_assign(&mut sub_s, &x) };
+                scalar::sub_assign(&mut sub_t, &x);
+                for (a, &b) in sub_r.iter_mut().zip(&x) {
+                    *a -= b;
+                }
+                assert_twins(&sub_s, &sub_t, &sub_r, "sub_assign");
+
+                let mut sc_s = soup(n, 19);
+                let mut sc_t = sc_s.clone();
+                let mut sc_r = sc_s.clone();
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::scale(&mut sc_s, 1.0 / 3.0) };
+                scalar::scale(&mut sc_t, 1.0 / 3.0);
+                for a in &mut sc_r {
+                    *a *= 1.0 / 3.0;
+                }
+                assert_twins(&sc_s, &sc_t, &sc_r, "scale");
+
+                let mut dv_s = soup(n, 23);
+                let mut dv_t = dv_s.clone();
+                let mut dv_r = dv_s.clone();
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::div(&mut dv_s, 0.7) };
+                scalar::div(&mut dv_t, 0.7);
+                for a in &mut dv_r {
+                    *a /= 0.7;
+                }
+                assert_twins(&dv_s, &dv_t, &dv_r, "div");
+            }
+        }
+
+        #[test]
+        fn trigger_blend_and_backward_match_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            for n in [1, 8, 50, 131] {
+                let batch = soup(n, 29);
+                let m: Vec<f32> = soup(n, 31).iter().map(|v| v.abs().min(1.0)).collect();
+                let p = soup(n, 37);
+                let mut out_s = vec![f32::NAN; n];
+                let mut out_t = vec![f32::NAN; n];
+                let mut out_r = vec![f32::NAN; n];
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::trigger_blend(&mut out_s, &batch, &m, &p) };
+                scalar::trigger_blend(&mut out_t, &batch, &m, &p);
+                for j in 0..n {
+                    out_r[j] = batch[j] * (1.0 - m[j]) + p[j] * m[j];
+                }
+                assert_twins(&out_s, &out_t, &out_r, "trigger_blend");
+
+                // g holds exact ±0 lanes so the skip path is exercised,
+                // and the accumulators start at -0.0 so a sloppy
+                // "accumulate 0" would flip their sign bit.
+                let g = soup(n, 41);
+                let x = soup(n, 43);
+                let mut dp_s = vec![-0.0f32; n];
+                let mut dm_s = vec![-0.0f32; n];
+                let (mut dp_t, mut dm_t) = (dp_s.clone(), dm_s.clone());
+                let (mut dp_r, mut dm_r) = (dp_s.clone(), dm_s.clone());
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::trigger_backward(&g, &x, &m, &p, &mut dp_s, &mut dm_s) };
+                scalar::trigger_backward(&g, &x, &m, &p, &mut dp_t, &mut dm_t);
+                for j in 0..n {
+                    let gs = g[j];
+                    if gs == 0.0 {
+                        continue;
+                    }
+                    dp_r[j] += gs * m[j];
+                    dm_r[j] += gs * (p[j] - x[j]);
+                }
+                assert_twins(&dp_s, &dp_t, &dp_r, "trigger_backward d_pattern");
+                assert_twins(&dm_s, &dm_t, &dm_r, "trigger_backward d_mask");
+            }
+        }
+
+        #[test]
+        fn adam_step_matches_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            let params = AdamParams {
+                b1: 0.5,
+                b2: 0.9,
+                bc1: 1.0 - 0.5f32.powi(3),
+                bc2: 1.0 - 0.9f32.powi(3),
+                lr: 0.05,
+                eps: 1e-8,
+                decay: 0.01,
+            };
+            for n in [1, 8, 33, 200] {
+                let gd = soup(n, 47);
+                let mut pd_s = soup(n, 53);
+                let mut md_s = soup(n, 59);
+                let mut vd_s: Vec<f32> = soup(n, 61).iter().map(|v| v.abs()).collect();
+                let (mut pd_t, mut md_t, mut vd_t) = (pd_s.clone(), md_s.clone(), vd_s.clone());
+                let (mut pd_r, mut md_r, mut vd_r) = (pd_s.clone(), md_s.clone(), vd_s.clone());
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::adam_step(&mut pd_s, &gd, &mut md_s, &mut vd_s, &params) };
+                scalar::adam_step(&mut pd_t, &gd, &mut md_t, &mut vd_t, &params);
+                for i in 0..n {
+                    let g = gd[i] + params.decay * pd_r[i];
+                    md_r[i] = params.b1 * md_r[i] + (1.0 - params.b1) * g;
+                    vd_r[i] = params.b2 * vd_r[i] + (1.0 - params.b2) * g * g;
+                    let mhat = md_r[i] / params.bc1;
+                    let vhat = vd_r[i] / params.bc2;
+                    pd_r[i] -= params.lr * mhat / (vhat.sqrt() + params.eps);
+                }
+                assert_twins(&pd_s, &pd_t, &pd_r, "adam params");
+                assert_twins(&md_s, &md_t, &md_r, "adam m");
+                assert_twins(&vd_s, &vd_t, &vd_r, "adam v");
+            }
+        }
+
+        #[test]
+        fn gemm_kernels_match_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            // Shapes straddling both the 16-wide AVX2 tile and the 8-wide
+            // scalar edge tile, plus degenerate edges.
+            for &(m, k, n) in &[
+                (4, 16, 16),
+                (3, 5, 7),
+                (5, 65, 130),
+                (17, 100, 129),
+                (1, 200, 3),
+                (9, 7, 33),
+                (8, 1, 16),
+            ] {
+                let a = soup(m * k, 67);
+                let b = soup(k * n, 71);
+                let mut out_s = vec![f32::NAN; m * n];
+                let mut out_t = vec![f32::NAN; m * n];
+                let mut out_r = vec![f32::NAN; m * n];
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::gemm_strided_a(&a, k, 1, &b, m, k, n, &mut out_s) };
+                scalar::gemm_strided_a(&a, k, 1, &b, m, k, n, &mut out_t);
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut s = 0.0f32;
+                        for kk in 0..k {
+                            s += a[i * k + kk] * b[kk * n + j];
+                        }
+                        out_r[i * n + j] = s;
+                    }
+                }
+                assert_twins(&out_s, &out_t, &out_r, "gemm_strided_a");
+
+                // The k-major (`aᵀ @ b`) addressing of the same driver.
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::gemm_strided_a(&a, 1, m, &b, m, k, n, &mut out_s) };
+                scalar::gemm_strided_a(&a, 1, m, &b, m, k, n, &mut out_t);
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut s = 0.0f32;
+                        for kk in 0..k {
+                            s += a[kk * m + i] * b[kk * n + j];
+                        }
+                        out_r[i * n + j] = s;
+                    }
+                }
+                assert_twins(&out_s, &out_t, &out_r, "gemm_strided_a k-major");
+
+                let bt = soup(n * k, 73);
+                let mut t_s = vec![f32::NAN; m * n];
+                let mut t_t = vec![f32::NAN; m * n];
+                let mut t_r = vec![f32::NAN; m * n];
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::gemm_transb(&a, &bt, m, k, n, &mut t_s) };
+                scalar::gemm_transb(&a, &bt, m, k, n, &mut t_t);
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut s = 0.0f32;
+                        for kk in 0..k {
+                            s += a[i * k + kk] * bt[j * k + kk];
+                        }
+                        t_r[i * n + j] = s;
+                    }
+                }
+                assert_twins(&t_s, &t_t, &t_r, "gemm_transb");
+            }
+        }
+
+        #[test]
+        fn stencil_kernels_match_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            use crate::conv::ConvSpec;
+            // (planes, h, w, k, stride, pad, kernels): ragged 8-plane
+            // groups, 1–4 groups in lockstep and more than one batch of
+            // them, per-plane and shared kernels, borders, strides 1–3
+            // (3 takes the general division path), SSIM's valid 11×11.
+            for &(planes, h, w, k, stride, pad, nk) in &[
+                (1, 1, 1, 1, 1, 0, 1),
+                (3, 5, 7, 3, 1, 1, 3),
+                (8, 20, 20, 3, 2, 1, 8),
+                (13, 9, 6, 5, 2, 2, 13),
+                (17, 12, 12, 11, 1, 0, 1),
+                (10, 10, 10, 5, 1, 2, 5),
+                (9, 7, 11, 3, 3, 0, 3),
+                (24, 4, 9, 1, 2, 0, 6),
+                (32, 12, 12, 11, 1, 0, 1),
+                (45, 6, 7, 3, 2, 1, 45),
+            ] {
+                let st = Stencil::new(h, w, k, k, ConvSpec::new(stride, pad));
+                let (oh, ow) = (st.out_h(), st.out_w());
+                let mut scratch = vec![f32::NAN; avx2::stencil_scratch_len(&st)];
+                let x = soup(planes * h * w, 83);
+                // One infinite tap: `0·∞` is NaN, so the adjoint's
+                // skip of `±0` gradients (soup lanes 0 and 1) shows.
+                let mut ker = soup(nk * k * k, 89);
+                ker[k * k / 2] = f32::INFINITY;
+                let bias = soup(nk, 97);
+                for b in [None, Some(&bias[..])] {
+                    let mut out_s = vec![f32::NAN; planes * oh * ow];
+                    let mut out_r = vec![f32::NAN; planes * oh * ow];
+                    // SAFETY: guarded by have_avx2().
+                    unsafe { avx2::stencil_gather(&x, st, &ker, b, &mut out_s, &mut scratch) };
+                    scalar::stencil_gather(&x, st, &ker, b, &mut out_r);
+                    assert_bits_eq(&out_s, &out_r, "stencil_gather vs scalar twin");
+                }
+                // One NaN-payload gradient: NaN != 0, so it accumulates.
+                let mut g = soup(planes * oh * ow, 101);
+                let mid = g.len() / 2;
+                g[mid] = f32::from_bits(0x7FC0_0ABC);
+                let mut out_s = vec![f32::NAN; planes * h * w];
+                let mut out_r = vec![f32::NAN; planes * h * w];
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::stencil_adjoint(&g, st, &ker, &mut out_s, &mut scratch) };
+                scalar::stencil_adjoint(&g, st, &ker, &mut out_r);
+                assert_bits_eq(&out_s, &out_r, "stencil_adjoint vs scalar twin");
+            }
+        }
+
+        #[test]
+        fn decoders_match_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            // f16: every half-bit pattern in 8 chunks would be slow here
+            // (the exhaustive sweep lives in quant.rs); cover the class
+            // representatives plus misaligned tails.
+            let halves: Vec<u16> = (0..4099u32)
+                .map(|i| (i.wrapping_mul(16385) % 65536) as u16)
+                .chain([
+                    0x0000, 0x8000, 0x7C00, 0xFC00, 0x7C01, 0xFE00, 0x0001, 0x83FF,
+                ])
+                .collect();
+            let bytes: Vec<u8> = halves.iter().flat_map(|h| h.to_le_bytes()).collect();
+            let mut out_s = vec![0.0f32; halves.len()];
+            let mut out_t = vec![0.0f32; halves.len()];
+            // SAFETY: guarded by have_avx2().
+            unsafe { avx2::f16_decode(&bytes, &mut out_s) };
+            scalar::f16_decode(&bytes, &mut out_t);
+            assert_bits_eq(&out_s, &out_t, "f16_decode vs scalar twin");
+            for (o, &h) in out_s.iter().zip(&halves) {
+                let r = crate::quant::f16_decode(h);
+                assert_eq!(o.to_bits(), r.to_bits(), "f16 0x{h:04x}: {o:?} vs {r:?}");
+            }
+
+            for n in [1, 31, 32, 33, 64, 257] {
+                let data = soup(n, 79);
+                let q = crate::quant::QTensor::quantize(
+                    &crate::Tensor::from_vec(data, &[n]),
+                    crate::quant::Dtype::Q8,
+                );
+                let mut simd = vec![f32::NAN; n];
+                let mut twin = vec![f32::NAN; n];
+                let mut reference = vec![f32::NAN; n];
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::q8_decode(q.bytes(), &mut simd) };
+                scalar::q8_decode(q.bytes(), &mut twin);
+                for (ob, block) in reference
+                    .chunks_mut(crate::quant::Q8_BLOCK)
+                    .zip(q.bytes().chunks_exact(4 + crate::quant::Q8_BLOCK))
+                {
+                    let scale = f32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+                    for (o, &qv) in ob.iter_mut().zip(&block[4..]) {
+                        *o = (qv as i8) as f32 * scale;
+                    }
+                }
+                assert_twins(&simd, &twin, &reference, "q8_decode");
+            }
+        }
+    }
+}

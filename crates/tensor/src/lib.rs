@@ -10,10 +10,11 @@
 //! * [`Tensor`] — a contiguous, row-major, `f32` n-dimensional array with
 //!   elementwise arithmetic, reductions, and shape algebra.
 //! * [`ops`] — matrix multiplication, transposition, softmax, argmax.
-//! * [`kernels`] — the runtime-dispatched SIMD tier: probes the CPU once
-//!   (`USB_KERNEL=scalar|avx2|auto` overridable) and routes the hot GEMM /
-//!   dequant / elementwise loops through AVX2 twins that are bit-identical
-//!   to the scalar reference loops.
+//! * [`kernels`] — the one home of every hot loop (GEMM tiles, dequant,
+//!   elementwise passes, the softmax row, trigger blend, Adam, planar
+//!   stencils): each is one function that runs its scalar reference loop
+//!   or its bit-identical AVX2 twin, the tier probed once per process
+//!   (`USB_KERNEL=scalar|avx2|auto` overridable).
 //! * [`conv`] — im2col/col2im based 2-D convolution kernels (dense and
 //!   depthwise) with full forward and backward (input, weight, and bias
 //!   gradients).

@@ -1,135 +1,12 @@
 //! Linear-algebra and classification helper operations on [`Tensor`]s.
 
-use crate::Tensor;
-
-/// Register-tile height: rows of the output each micro-kernel call produces.
-pub const MR: usize = 4;
-/// Register-tile width: output columns per micro-kernel call. `MR × NR`
-/// accumulators are 8 SSE vectors at the default x86-64 target, leaving
-/// half the register file for the `b` row and the `a` broadcasts.
-pub const NR: usize = 8;
-
-/// Full `MR × NR` register tile of `out[i0.., j0..] = Σ_k a ⊙ b`.
-///
-/// `a` is addressed as `a[abase + r*ars + kk*aks]` so the same kernel serves
-/// both the row-major (`ars = k, aks = 1`) and the transposed / k-major
-/// (`ars = 1, aks = m`) left operand without a copy. The accumulators live
-/// in a fixed-size array for the whole `k` sweep and are stored exactly
-/// once, and every output element still accumulates in ascending-`k` order,
-/// so results are bit-identical to the naive triple loop.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gemm_tile_full(
-    a: &[f32],
-    abase: usize,
-    ars: usize,
-    aks: usize,
-    b: &[f32],
-    j0: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-    obase: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in 0..k {
-        let b0 = kk * n + j0;
-        let brow: [f32; NR] = b[b0..b0 + NR].try_into().unwrap();
-        let a0 = abase + kk * aks;
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let av = a[a0 + r * ars];
-            for (o, &bv) in accr.iter_mut().zip(&brow) {
-                *o += av * bv;
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let o0 = obase + r * n + j0;
-        out[o0..o0 + NR].copy_from_slice(accr);
-    }
-}
-
-/// Partial tile (`rows ≤ MR`, `jw ≤ NR`) for the ragged right/bottom edges.
-/// Same accumulation order as [`gemm_tile_full`], just with runtime bounds.
-/// Crate-visible: the AVX2 driver in [`crate::kernels`] reuses it for its
-/// own edges — per output element the chain is identical either way.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_tile_edge(
-    a: &[f32],
-    abase: usize,
-    ars: usize,
-    aks: usize,
-    b: &[f32],
-    j0: usize,
-    jw: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-    obase: usize,
-    rows: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in 0..k {
-        let b0 = kk * n + j0;
-        let a0 = abase + kk * aks;
-        for (r, accr) in acc.iter_mut().enumerate().take(rows) {
-            let av = a[a0 + r * ars];
-            for (o, &bv) in accr.iter_mut().zip(&b[b0..b0 + jw]) {
-                *o += av * bv;
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate().take(rows) {
-        let o0 = obase + r * n + j0;
-        out[o0..o0 + jw].copy_from_slice(&accr[..jw]);
-    }
-}
-
-/// Register-blocked GEMM driver shared by [`matmul_into`] (`ars = k,
-/// aks = 1`) and [`matmul_transa_into`] (`ars = 1, aks = m`). Walks the
-/// output in `MR × NR` tiles; every element of `out` is written exactly
-/// once, so dirty scratch buffers are fine without a pre-fill.
-#[allow(clippy::too_many_arguments)] // flat scalar geometry, hot path
-fn gemm_strided_a(
-    a: &[f32],
-    ars: usize,
-    aks: usize,
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    if crate::kernels::try_gemm_strided_a(a, ars, aks, b, m, k, n, out) {
-        return;
-    }
-    let mut i = 0;
-    while i < m {
-        let rows = (m - i).min(MR);
-        let abase = i * ars;
-        let obase = i * n;
-        let mut j = 0;
-        if rows == MR {
-            while j + NR <= n {
-                gemm_tile_full(a, abase, ars, aks, b, j, k, n, out, obase);
-                j += NR;
-            }
-        }
-        while j < n {
-            let jw = (n - j).min(NR);
-            gemm_tile_edge(a, abase, ars, aks, b, j, jw, k, n, out, obase, rows);
-            j += NR;
-        }
-        i += MR;
-    }
-}
+use crate::{kernels, Tensor};
 
 /// Dense matrix product `a @ b` for 2-D tensors `[m, k] x [k, n] -> [m, n]`.
 ///
-/// Uses `MR × NR` register tiles (`gemm_tile_full`): the accumulators
-/// for one output tile live in registers across the whole `k` sweep and are
-/// stored once, with fixed-width inner loops the autovectorizer turns into
+/// Runs on the register tiles of [`kernels::gemm_strided_a`]: the
+/// accumulators for one output tile live in registers across the whole `k`
+/// sweep and are stored once, with fixed-width inner loops the autovectorizer turns into
 /// SSE rank-1 updates — the access pattern the im2col GEMM in
 /// `conv::conv2d_forward_ws` / `conv::conv2d_backward` hits on every layer
 /// of every forward and backward pass.
@@ -186,7 +63,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
     assert_eq!(a.len(), m * k, "matmul_into: lhs length mismatch");
     assert_eq!(b.len(), k * n, "matmul_into: rhs length mismatch");
     assert_eq!(out.len(), m * n, "matmul_into: out length mismatch");
-    gemm_strided_a(a, k, 1, b, m, k, n, out);
+    kernels::gemm_strided_a(a, k, 1, b, m, k, n, out);
 }
 
 /// `a @ b^T` for 2-D tensors `[m, k] x [n, k] -> [m, n]` without
@@ -220,43 +97,7 @@ pub fn matmul_transb_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, ou
     assert_eq!(a.len(), m * k, "matmul_transb_into: lhs length mismatch");
     assert_eq!(b.len(), n * k, "matmul_transb_into: rhs length mismatch");
     assert_eq!(out.len(), m * n, "matmul_transb_into: out length mismatch");
-    if crate::kernels::try_gemm_transb(a, b, m, k, n, out) {
-        return;
-    }
-    // Both operands are k-contiguous, so each output element is one dot
-    // product; a 4×2 tile runs eight independent accumulator chains to hide
-    // FP-add latency (the old single-chain loop serialised on it). Each
-    // chain still sums in ascending `k`, so results are bit-identical.
-    const MRT: usize = 4;
-    const NRT: usize = 2;
-    let mut i = 0;
-    while i < m {
-        let rows = (m - i).min(MRT);
-        let mut j = 0;
-        while j < n {
-            let cols = (n - j).min(NRT);
-            let mut acc = [[0.0f32; NRT]; MRT];
-            for kk in 0..k {
-                let mut bv = [0.0f32; NRT];
-                for (c, bvc) in bv.iter_mut().enumerate().take(cols) {
-                    *bvc = b[(j + c) * k + kk];
-                }
-                for (r, accr) in acc.iter_mut().enumerate().take(rows) {
-                    let av = a[(i + r) * k + kk];
-                    for (o, &bvc) in accr.iter_mut().zip(&bv).take(cols) {
-                        *o += av * bvc;
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate().take(rows) {
-                for (c, &v) in accr.iter().enumerate().take(cols) {
-                    out[(i + r) * n + j + c] = v;
-                }
-            }
-            j += NRT;
-        }
-        i += MRT;
-    }
+    kernels::gemm_transb(a, b, m, k, n, out);
 }
 
 /// `a^T @ b` for 2-D tensors `[k, m] x [k, n] -> [m, n]` without
@@ -297,7 +138,7 @@ pub fn matmul_transa_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, ou
     assert_eq!(a.len(), k * m, "matmul_transa_into: lhs length mismatch");
     assert_eq!(b.len(), k * n, "matmul_transa_into: rhs length mismatch");
     assert_eq!(out.len(), m * n, "matmul_transa_into: out length mismatch");
-    gemm_strided_a(a, 1, m, b, m, k, n, out);
+    kernels::gemm_strided_a(a, 1, m, b, m, k, n, out);
 }
 
 /// Writes the transpose of `src` (`[rows, cols]` row-major) into `out`
@@ -353,20 +194,8 @@ pub fn softmax_rows(logits: &Tensor) -> Tensor {
     let (n, k) = (logits.shape()[0], logits.shape()[1]);
     let mut out = vec![0.0f32; n * k];
     for i in 0..n {
-        let row = &logits.data()[i * k..(i + 1) * k];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0;
-        for (o, &v) in out[i * k..(i + 1) * k].iter_mut().zip(row) {
-            let e = (v - m).exp();
-            *o = e;
-            z += e;
-        }
-        let row_out = &mut out[i * k..(i + 1) * k];
-        if !crate::kernels::try_div(row_out, z) {
-            for o in row_out {
-                *o /= z;
-            }
-        }
+        let row = i * k..(i + 1) * k;
+        kernels::softmax_row(&logits.data()[row.clone()], &mut out[row]);
     }
     Tensor::from_vec(out, &[n, k])
 }

@@ -309,26 +309,8 @@ impl QTensor {
         );
         match self.dtype {
             Dtype::F32 => unreachable!("QTensor is never f32"),
-            Dtype::F16 => {
-                if !crate::kernels::try_f16_decode(&self.bytes, out) {
-                    for (o, h) in out.iter_mut().zip(self.bytes.chunks_exact(2)) {
-                        *o = f16_decode(u16::from_le_bytes([h[0], h[1]]));
-                    }
-                }
-            }
-            Dtype::Q8 => {
-                if !crate::kernels::try_q8_decode(&self.bytes, out) {
-                    for (ob, block) in out
-                        .chunks_mut(Q8_BLOCK)
-                        .zip(self.bytes.chunks_exact(4 + Q8_BLOCK))
-                    {
-                        let scale = f32::from_le_bytes([block[0], block[1], block[2], block[3]]);
-                        for (o, &q) in ob.iter_mut().zip(&block[4..]) {
-                            *o = (q as i8) as f32 * scale;
-                        }
-                    }
-                }
-            }
+            Dtype::F16 => crate::kernels::f16_decode(&self.bytes, out),
+            Dtype::Q8 => crate::kernels::q8_decode(&self.bytes, out),
         }
     }
 

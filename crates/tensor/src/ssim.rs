@@ -20,7 +20,8 @@
 //! ∂ssim/∂x = Gᵀ(∂S/∂p)/|S| + 2x∘Gᵀ(∂S/∂q)/|S| + y∘Gᵀ(∂S/∂r)/|S|
 //! ```
 //!
-//! where `Gᵀ` is the adjoint blur ([`crate::conv::conv2d_valid_single_adjoint`]).
+//! where `Gᵀ` is the adjoint blur ([`crate::conv::stencil_adjoint_ws`] over
+//! the same window).
 //! The gradient is verified against finite differences in the tests.
 
 use crate::conv::{stencil_adjoint_ws, stencil_gather_ws, ConvSpec, Stencil};

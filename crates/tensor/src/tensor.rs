@@ -470,44 +470,24 @@ impl Tensor {
     /// `self += other`. Panics on shape mismatch.
     pub fn add_assign(&mut self, other: &Tensor) {
         self.assert_same_shape(other, "add_assign");
-        if crate::kernels::try_add_assign(&mut self.data, &other.data) {
-            return;
-        }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        crate::kernels::add_assign(&mut self.data, &other.data);
     }
 
     /// `self -= other`. Panics on shape mismatch.
     pub fn sub_assign(&mut self, other: &Tensor) {
         self.assert_same_shape(other, "sub_assign");
-        if crate::kernels::try_sub_assign(&mut self.data, &other.data) {
-            return;
-        }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
+        crate::kernels::sub_assign(&mut self.data, &other.data);
     }
 
     /// `self += s * other` (axpy). Panics on shape mismatch.
     pub fn axpy(&mut self, s: f32, other: &Tensor) {
         self.assert_same_shape(other, "axpy");
-        if crate::kernels::try_axpy(&mut self.data, s, &other.data) {
-            return;
-        }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += s * b;
-        }
+        crate::kernels::axpy(&mut self.data, s, &other.data);
     }
 
     /// `self *= s` in place.
     pub fn scale_assign(&mut self, s: f32) {
-        if crate::kernels::try_scale(&mut self.data, s) {
-            return;
-        }
-        for a in &mut self.data {
-            *a *= s;
-        }
+        crate::kernels::scale(&mut self.data, s);
     }
 
     /// Sets every element to zero (keeps the allocation).

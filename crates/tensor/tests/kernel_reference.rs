@@ -12,9 +12,9 @@
 
 use proptest::prelude::*;
 use usb_tensor::conv::{
-    col2im_into, conv2d_forward_ws, conv2d_input_backward_ws, conv2d_valid_single,
-    conv2d_valid_single_adjoint, depthwise_forward_ws, depthwise_input_backward_ws, im2col_into,
-    stencil_adjoint_ws, stencil_gather_ws, ConvSpec, Stencil,
+    col2im_into, conv2d_forward_ws, conv2d_input_backward_ws, depthwise_forward_ws,
+    depthwise_input_backward_ws, im2col_into, stencil_adjoint_ws, stencil_gather_ws, ConvSpec,
+    Stencil,
 };
 use usb_tensor::panel::GemmWeight;
 use usb_tensor::quant::{f16_decode, Q8_BLOCK};
@@ -693,8 +693,7 @@ proptest! {
     }
 
     /// SSIM's blur and adjoint blur (one shared window over every plane,
-    /// valid geometry) against the historical single-plane loops, plus
-    /// the single-plane tensor entry points.
+    /// valid geometry) against the historical single-plane loops.
     #[test]
     fn ssim_blur_and_adjoint_match_historical_loops_bitwise(
         planes in 1usize..40,
@@ -737,12 +736,5 @@ proptest! {
             ws.put(blur);
             ws.put(adj);
         }
-        let ker = Tensor::from_vec(window.clone(), &[win, win]);
-        let single = conv2d_valid_single(&Tensor::from_vec(x[..h * w].to_vec(), &[h, w]), &ker);
-        assert_bits_eq(single.data(), &want_blur[..oh * ow], "conv2d_valid_single");
-        let single = conv2d_valid_single_adjoint(
-            &Tensor::from_vec(g[..oh * ow].to_vec(), &[oh, ow]), &ker, h, w,
-        );
-        assert_bits_eq(single.data(), &want_adj[..h * w], "conv2d_valid_single_adjoint");
     }
 }
