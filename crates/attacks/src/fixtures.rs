@@ -1,12 +1,12 @@
 //! Disk-backed victim fixtures: train once, reuse everywhere.
 //!
-//! Training victims is by far the dominant cost of the test, bench, and
-//! example suites — and it is deterministic given the dataset recipe and
-//! seeds, so there is no reason to pay it more than once. This module
-//! memoizes trained victims under a cache directory (default
-//! `target/fixtures/`, override with the `USB_FIXTURE_DIR` environment
-//! variable) as [`crate::persist`] bundles keyed by a fingerprint of
-//! everything that determines the training run.
+//! Training victims is by far the dominant cost of the test and example
+//! suites and the experiment grid — and it is deterministic given the
+//! dataset recipe and seeds, so there is no reason to pay it more than
+//! once. This module memoizes trained victims under a cache directory
+//! (default `target/fixtures/`, override with the `USB_FIXTURE_DIR`
+//! environment variable) as [`crate::persist`] bundles keyed by a
+//! fingerprint of everything that determines the training run.
 //!
 //! A cache *hit* loads the bundle and — because bundles are bit-exact —
 //! yields a victim whose forwards, ASR, and defense verdicts are
@@ -83,12 +83,12 @@ impl FixtureSpec {
 ///
 /// The workspace root is the nearest `Cargo.lock`-holding ancestor of, in
 /// order: `$CARGO_MANIFEST_DIR` (cargo points it at the *package* being
-/// run — `crates/bench` for benches, the root for workspace tests), the
-/// running executable (covers `target/release/usb_repro` invoked from an
-/// arbitrary directory), or the current directory. This keeps every test
-/// binary, bench, and example sharing one cache regardless of the working
-/// directory cargo gave it; with no workspace in sight the cache degrades
-/// to `./target/fixtures`.
+/// run — a member crate for its unit tests, the root for workspace tests),
+/// the running executable (covers `target/release/usb_repro` invoked from
+/// an arbitrary directory), or the current directory. This keeps every
+/// test binary, example, and `usb_repro` run sharing one cache regardless
+/// of the working directory cargo gave it; with no workspace in sight the
+/// cache degrades to `./target/fixtures`.
 pub fn fixture_dir() -> PathBuf {
     if let Some(dir) = std::env::var_os("USB_FIXTURE_DIR") {
         if !dir.is_empty() {
@@ -106,20 +106,6 @@ pub fn fixture_dir() -> PathBuf {
         }
     }
     PathBuf::from("target").join("fixtures")
-}
-
-/// Content hash used for fixture fingerprints (FNV-1a over the parts,
-/// separator-delimited). Exposed so callers can key auxiliary artifacts
-/// consistently with the cache.
-pub fn fixture_hash(parts: &[&str]) -> u64 {
-    let mut h = fnv1a64(b"usb-fixture");
-    for p in parts {
-        let mut bytes = h.to_le_bytes().to_vec();
-        bytes.push(0x1f);
-        bytes.extend_from_slice(p.as_bytes());
-        h = fnv1a64(&bytes);
-    }
-    h
 }
 
 /// Returns the fixture dataset and victim, training only on a cache miss.
@@ -264,7 +250,5 @@ mod tests {
         let a = tiny_fixture("x");
         let b = tiny_fixture("x").with_config(&["extra"]);
         assert_ne!(a.config_hash, b.config_hash);
-        assert_ne!(fixture_hash(&["a", "b"]), fixture_hash(&["ab"]));
-        assert_ne!(fixture_hash(&["a", "b"]), fixture_hash(&["b", "a"]));
     }
 }

@@ -26,8 +26,9 @@
 //! Victims persist to disk as self-contained bundles ([`persist`]) —
 //! model, trigger, ground truth, and dataset recipe in one checksummed
 //! file — and the [`fixtures`] cache memoizes trained victims under
-//! `target/fixtures/` so tests, benches, and examples retrain only when
-//! their configuration changes. See `PERSISTENCE.md` for the format.
+//! `target/fixtures/` so tests, examples, and the experiment grid retrain
+//! only when their configuration changes. See `PERSISTENCE.md` for the
+//! format.
 //!
 //! # Example
 //!

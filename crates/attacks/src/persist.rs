@@ -92,7 +92,7 @@ pub struct VictimBundle {
     pub train_seed: u64,
     /// Caller-defined fingerprint of the full training configuration
     /// (attack, architecture, train config); fixture caching uses it to
-    /// detect stale files. See `usb_attacks::fixtures::fixture_hash`.
+    /// detect stale files. See [`crate::fixtures::FixtureSpec::with_config`].
     pub config_hash: u64,
     /// Recipe of the dataset the victim was trained on.
     pub data_spec: SyntheticSpec,

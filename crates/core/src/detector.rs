@@ -120,7 +120,7 @@ impl UsbDetector {
     }
 
     /// Detector with the reduced test configuration pinned to an explicit
-    /// worker count (used by benches and the determinism suite).
+    /// worker count (used by the determinism and multi-backdoor suites).
     pub fn fast_with_workers(workers: usize) -> Self {
         UsbDetector {
             config: UsbConfig::fast().with_workers(workers),

@@ -3,11 +3,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use usb_attacks::fixtures::{cached_victim, FixtureSpec};
 use usb_attacks::{
     train_clean_victim, Attack, BadNet, IadAttack, LatentBackdoor, MultiBadNet, Victim,
 };
 use usb_core::{UsbConfig, UsbDetector};
-use usb_data::SyntheticSpec;
+use usb_data::{Dataset, SyntheticSpec};
 use usb_defenses::{
     score_outcome, Defense, NcConfig, NeuralCleanse, Tabor, TaborConfig, TargetClassCall, Ulp,
     UlpConfig,
@@ -199,30 +200,60 @@ impl DefenseSuite {
     }
 }
 
-/// Trains one victim for `case` with the table's settings.
-pub fn train_victim(spec: &TableSpec, case: &CaseSpec, seed: u64) -> Victim {
-    let data = spec.dataset.generate(seed);
+/// The fixture-cache entry of one grid victim: keyed by table id, seeded
+/// with `seed` for both data and training, and fingerprinted by the
+/// architecture, train config and case. The fingerprint covers settings,
+/// not code: after a change to an attack or to training, clear
+/// `target/fixtures` (or point `USB_FIXTURE_DIR` elsewhere) so tables and
+/// timing runs retrain instead of reusing stale victims.
+pub fn victim_fixture(spec: &TableSpec, case: &CaseSpec, seed: u64) -> FixtureSpec {
+    FixtureSpec::new(
+        &format!("grid-{}", spec.id),
+        spec.dataset.clone(),
+        seed,
+        seed,
+    )
+    .with_config(&[
+        &format!("{:?}", spec.arch()),
+        &format!("{:?}", spec.train),
+        &format!("{case:?}"),
+    ])
+}
+
+/// Trains one victim for `case` on `data` with the table's settings,
+/// bypassing the fixture cache.
+pub fn train_case(data: &Dataset, spec: &TableSpec, case: &CaseSpec, seed: u64) -> Victim {
     let arch = spec.arch();
     let target = (seed as usize) % spec.dataset.num_classes;
     match case.attack {
-        AttackChoice::Clean => train_clean_victim(&data, arch, spec.train, seed),
+        AttackChoice::Clean => train_clean_victim(data, arch, spec.train, seed),
         AttackChoice::BadNet { trigger } => {
-            BadNet::new(trigger, target, case.poison_rate).execute(&data, arch, spec.train, seed)
+            BadNet::new(trigger, target, case.poison_rate).execute(data, arch, spec.train, seed)
         }
         AttackChoice::Latent { trigger } => LatentBackdoor::new(trigger, target, case.poison_rate)
-            .execute(&data, arch, spec.train, seed),
-        AttackChoice::Iad => IadAttack::new(target).execute(&data, arch, spec.train, seed),
+            .execute(data, arch, spec.train, seed),
+        AttackChoice::Iad => IadAttack::new(target).execute(data, arch, spec.train, seed),
         AttackChoice::MultiBadNet { trigger, targets } => {
             let k = spec.dataset.num_classes;
             let count = targets.min(k);
             let classes: Vec<usize> = (0..count).map(|i| (target + i) % k).collect();
             MultiBadNet::new(trigger, classes, case.poison_rate)
-                .execute(&data, arch, spec.train, seed)
+                .execute(data, arch, spec.train, seed)
         }
         AttackChoice::Blended { alpha } => MultiBadNet::new(2, vec![target], case.poison_rate)
             .with_blend(alpha)
-            .execute(&data, arch, spec.train, seed),
+            .execute(data, arch, spec.train, seed),
     }
+}
+
+/// [`train_case`] through the [`usb_attacks::fixtures`] disk cache under
+/// [`victim_fixture`]'s key: each (table, case, seed) trains once and loads
+/// bit-exact thereafter. Returns the generated dataset the victim was
+/// trained on alongside it.
+pub fn train_victim(spec: &TableSpec, case: &CaseSpec, seed: u64) -> (Dataset, Victim) {
+    cached_victim(&victim_fixture(spec, case, seed), |data| {
+        train_case(data, spec, case, seed)
+    })
 }
 
 /// Everything one victim contributes to its case's aggregates: accuracy,
@@ -244,7 +275,7 @@ fn run_model(
     suite: &DefenseSuite,
     progress: &(impl Fn(&str) + Sync),
 ) -> ModelRun {
-    let victim = train_victim(spec, case, seed);
+    let (data, victim) = train_victim(spec, case, seed);
     progress(&format!(
         "[{}] case '{}' model {}/{}: acc {:.2} asr {:.2}",
         spec.id,
@@ -254,7 +285,6 @@ fn run_model(
         victim.clean_accuracy,
         victim.asr()
     ));
-    let data = spec.dataset.generate(seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xdefe_15e5);
     let (clean_x, _) = data.clean_subset(spec.defense_samples, &mut rng);
     let truth = victim.targets();
@@ -625,7 +655,7 @@ mod tests {
             attack: AttackChoice::BadNet { trigger: 2 },
             poison_rate: 0.15,
         };
-        let victim = train_victim(&spec, &case, 3);
+        let victim = train_case(&spec.dataset.generate(3), &spec, &case, 3);
         assert!(victim.is_backdoored());
         assert_eq!(victim.target(), Some(3)); // seed % classes
     }
@@ -648,7 +678,7 @@ mod tests {
             },
             poison_rate: 0.15,
         };
-        let victim = train_victim(&spec, &case, 3);
+        let victim = train_case(&spec.dataset.generate(3), &spec, &case, 3);
         assert!(victim.is_backdoored());
         // base = seed % classes = 3, so targets {3, (3+1)%4} = {0, 3}.
         assert_eq!(victim.targets(), vec![0, 3]);
@@ -670,7 +700,7 @@ mod tests {
             attack: AttackChoice::Blended { alpha: 0.15 },
             poison_rate: 0.15,
         };
-        let victim = train_victim(&spec, &case, 3);
+        let victim = train_case(&spec.dataset.generate(3), &spec, &case, 3);
         assert!(victim.is_backdoored());
         assert_eq!(victim.targets(), vec![3]);
     }

@@ -104,7 +104,7 @@ pub fn run_timing(
     ];
     for m in 0..models {
         let seed = 9000 + m as u64;
-        let victim = train_victim(&spec, &case, seed);
+        let (data, victim) = train_victim(&spec, &case, seed);
         progress(&format!(
             "[table7] model {}/{}: acc {:.2} asr {:.2}",
             m + 1,
@@ -112,7 +112,6 @@ pub fn run_timing(
             victim.clean_accuracy,
             victim.asr()
         ));
-        let data = spec.dataset.generate(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7131);
         let (clean_x, _) = data.clean_subset(spec.defense_samples, &mut rng);
         let baselines: [&dyn Defense; 2] = [&suite.nc, &suite.tabor];

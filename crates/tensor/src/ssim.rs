@@ -113,24 +113,15 @@ pub fn ssim_with_constants(x: &Tensor, y: &Tensor, k: SsimConstants) -> f32 {
     val
 }
 
-/// Mean SSIM and its gradient with respect to `x`.
+/// Mean SSIM and its gradient with respect to `x`, drawing every
+/// intermediate from `ws`.
 ///
 /// Returns `(ssim, d ssim / d x)` where the gradient has `x`'s shape.
-///
-/// # Panics
-///
-/// Panics if the shapes differ or the rank is not 3 or 4.
-pub fn ssim_with_grad(x: &Tensor, y: &Tensor) -> (f32, Tensor) {
-    ssim_with_grad_ws(x, y, &mut Workspace::new())
-}
-
-/// [`ssim_with_grad`] drawing every intermediate from `ws`.
 ///
 /// The hot refine loop calls this once per Adam step; all window
 /// statistics, adjoint planes and the product scratch come from (and
 /// return to) the workspace pool, so steady-state calls allocate only the
 /// returned gradient tensor — which callers can in turn [`Workspace::recycle`].
-/// Results are bit-identical to [`ssim_with_grad`], which wraps this.
 ///
 /// # Panics
 ///
@@ -559,7 +550,7 @@ mod tests {
     fn ssim_gradient_is_finite_everywhere_sampled() {
         let x = image(&[1, 8, 8], 0.4);
         let grey = Tensor::full(&[1, 8, 8], 0.5);
-        let (s, g) = ssim_with_grad(&x, &grey);
+        let (s, g) = ssim_with_grad_ws(&x, &grey, &mut Workspace::new());
         assert!(s.is_finite());
         assert!(g.data().iter().all(|v| v.is_finite()));
         assert_eq!(g.shape(), x.shape());
@@ -582,7 +573,7 @@ mod tests {
     fn gradient_matches_finite_differences() {
         let x = image(&[1, 10, 10], 0.4);
         let y = image(&[1, 10, 10], 1.1);
-        let (_, grad) = ssim_with_grad(&x, &y);
+        let (_, grad) = ssim_with_grad_ws(&x, &y, &mut Workspace::new());
         let eps = 1e-3;
         for &flat in &[0usize, 13, 47, 55, 99] {
             let mut xp = x.clone();
@@ -602,7 +593,7 @@ mod tests {
     fn gradient_at_identity_is_near_zero() {
         // SSIM is maximised at x == y, so the gradient there must vanish.
         let x = image(&[1, 12, 12], 0.0);
-        let (s, grad) = ssim_with_grad(&x, &x);
+        let (s, grad) = ssim_with_grad_ws(&x, &x, &mut Workspace::new());
         assert!((s - 1.0).abs() < 1e-4);
         assert!(grad.linf_norm() < 1e-3, "grad max={}", grad.linf_norm());
     }
@@ -612,7 +603,7 @@ mod tests {
         // Moving x a small step along the gradient must not decrease SSIM.
         let x = image(&[1, 12, 12], 0.0);
         let y = image(&[1, 12, 12], 0.8);
-        let (s0, grad) = ssim_with_grad(&x, &y);
+        let (s0, grad) = ssim_with_grad_ws(&x, &y, &mut Workspace::new());
         let stepped = x.add(&grad.scale(0.5));
         let s1 = ssim(&stepped, &y);
         assert!(s1 >= s0, "s0={s0} s1={s1}");

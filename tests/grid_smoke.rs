@@ -1,9 +1,10 @@
 //! Smoke test of the `usb-eval` grid: a miniature table runs end to end and
 //! produces a structurally correct report plus CSV.
 
+use universal_soldier::attacks::fixtures::fixture_dir;
 use universal_soldier::data::SyntheticSpec;
 use universal_soldier::eval::grid::{
-    run_table, table5, AttackChoice, CaseSpec, DefenseSuite, TableSpec,
+    run_table, table5, victim_fixture, AttackChoice, CaseSpec, DefenseSuite, TableSpec,
 };
 use universal_soldier::eval::{format_table, write_csv};
 use universal_soldier::nn::models::ModelKind;
@@ -28,9 +29,19 @@ fn tiny_spec() -> TableSpec {
     }
 }
 
+/// Deletes the cached bundle of the one victim `run_table(spec, 1, ..)`
+/// trains (case 0, seed 0), so the run below trains it afresh and the
+/// accuracy/ASR checks measure today's attack and training code rather
+/// than a stored bundle.
+fn force_retrain(spec: &TableSpec) {
+    let bundle = fixture_dir().join(victim_fixture(spec, &spec.cases[0], 0).file_name());
+    std::fs::remove_file(bundle).ok();
+}
+
 #[test]
 fn mini_table_runs_and_reports() {
     let spec = tiny_spec();
+    force_retrain(&spec);
     let suite = DefenseSuite::fast();
     // The grid may call `progress` from worker threads.
     let lines = std::sync::atomic::AtomicUsize::new(0);
@@ -89,6 +100,7 @@ fn mini_multi_target_row_runs_and_reports() {
         }],
         ..tiny_spec()
     };
+    force_retrain(&spec);
     let suite = DefenseSuite::fast();
     let report = run_table(&spec, 1, &suite, |_| {});
     assert_eq!(report.cases.len(), 1);

@@ -131,7 +131,7 @@ fn truncated_network_blob_is_a_clean_error() {
     }
 }
 
-/// The PR's headline acceptance criterion: a victim saved to disk,
+/// The persistence layer's headline contract: a victim saved to disk,
 /// reloaded, and inspected produces bit-identical verdicts and USB norms
 /// to the in-memory victim.
 #[test]
@@ -179,7 +179,7 @@ fn loaded_victim_inspection_is_bit_identical_to_in_memory() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The multi-target extension of the criterion above: a 2-target
+/// The multi-target extension of the contract above: a 2-target
 /// `MultiBadNet` victim survives USBV v2 save → load with its full
 /// implant set, and inspecting the loaded model is bit-identical.
 #[test]
