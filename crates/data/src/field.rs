@@ -7,7 +7,7 @@
 
 use crate::SyntheticSpec;
 use rand::Rng;
-use usb_tensor::Tensor;
+use usb_tensor::{kernels, Tensor};
 
 /// One gaussian bump in image space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,20 +31,23 @@ impl Bump {
         }
     }
 
-    /// Adds this bump (shifted by `(dy, dx)`) onto `img`.
-    fn splat(&self, img: &mut Tensor, dy: f32, dx: f32) {
+    /// Adds this bump (shifted by `(dy, dx)`) onto `img`. `plane` is
+    /// scratch for one `[H, W]` plane of exponentials.
+    fn splat(&self, img: &mut Tensor, dy: f32, dx: f32, plane: &mut [f32]) {
         let (c, h, w) = (img.shape()[0], img.shape()[1], img.shape()[2]);
         debug_assert!(self.channel < c);
         let inv = 1.0 / (2.0 * self.sigma * self.sigma);
-        let data = img.data_mut();
-        let base = self.channel * h * w;
-        for y in 0..h {
+        for (y, row) in plane.chunks_exact_mut(w).enumerate() {
             let ddy = y as f32 - (self.cy + dy);
-            for x in 0..w {
+            for (x, e) in row.iter_mut().enumerate() {
                 let ddx = x as f32 - (self.cx + dx);
-                let v = self.amp * (-(ddy * ddy + ddx * ddx) * inv).exp();
-                data[base + y * w + x] += v;
+                *e = -(ddy * ddy + ddx * ddx) * inv;
             }
+        }
+        kernels::exp_in_place(plane);
+        let base = self.channel * h * w;
+        for (d, &e) in img.data_mut()[base..base + h * w].iter_mut().zip(&*plane) {
+            *d += self.amp * e;
         }
     }
 }
@@ -101,15 +104,16 @@ impl ClassPrototypes {
         );
         let shape = [self.spec.channels, self.spec.height, self.spec.width];
         let mut img = Tensor::zeros(&shape);
+        let mut plane = vec![0.0; self.spec.height * self.spec.width];
         for b in &self.class_bumps[class] {
-            b.splat(&mut img, dy, dx);
+            b.splat(&mut img, dy, dx, &mut plane);
         }
         let sw = self.spec.shared_weight;
         if sw > 0.0 {
             for &si in &self.shared_assignment[class] {
                 let mut scaled = self.shared_bumps[si];
                 scaled.amp *= sw / (1.0 - sw).max(0.2);
-                scaled.splat(&mut img, dy, dx);
+                scaled.splat(&mut img, dy, dx, &mut plane);
             }
         }
         // Squash into [0, 1] around a 0.5 baseline.

@@ -306,8 +306,7 @@ impl ResidentCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i)
                 .expect("cache is non-empty");
-            self.resident_bytes -= self.entries[lru].bytes;
-            self.entries.swap_remove(lru);
+            self.remove(lru);
         }
         self.resident_bytes += footprint;
         self.entries.push(Resident {
@@ -318,6 +317,19 @@ impl ResidentCache {
             last_used: self.tick,
         });
         Ok((self.entries.len() - 1, false))
+    }
+
+    /// Drops the entry for this bundle, if it is resident.
+    fn evict(&mut self, bytes: &[u8]) {
+        let key = bundle_fingerprint(bytes);
+        if let Some(i) = self.entries.iter().position(|e| e.key == key) {
+            self.remove(i);
+        }
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.resident_bytes -= self.entries[i].bytes;
+        self.entries.swap_remove(i);
     }
 }
 
@@ -639,7 +651,21 @@ fn scheduler_loop(shared: &Arc<Shared>) {
             }
         };
         let Some(job) = job else { break };
-        let answer = run_job(&job, &mut cache, shared);
+        let answer = contain(|| run_job(&job, &mut cache, shared)).unwrap_or_else(|message| {
+            // The model may hold half-built panels: the bundle's next job
+            // parses it afresh.
+            cache.evict(&job.req.bundle);
+            shared
+                .counters
+                .resident_models
+                .store(cache.entries.len() as u64, Ordering::Relaxed);
+            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
+            Frame::Error {
+                tag: job.req.tag,
+                job: job.job,
+                message: format!("inspection panicked: {message}"),
+            }
+        });
         // Release the job's admission slot *before* answering: a client
         // that resubmits the moment it sees the verdict must not bounce
         // off its own still-occupied `running` count.
@@ -671,6 +697,18 @@ fn scheduler_loop(shared: &Arc<Shared>) {
             },
         );
     }
+}
+
+/// Runs `run`, returning its panic message instead of unwinding, so a
+/// panicking job cannot take the scheduler thread down with it.
+fn contain<T>(run: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned())
+    })
 }
 
 /// Runs one inspection end to end, streaming progress on the job's
@@ -756,4 +794,18 @@ fn run_job(job: &Job, cache: &mut ResidentCache, shared: &Arc<Shared>) -> Frame 
     let verdict = verdict_from_outcome(job.job, &outcome, &truth, hit, t0.elapsed().as_secs_f64());
     shared.counters.completed.fetch_add(1, Ordering::Relaxed);
     Frame::Verdict(verdict)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn contain_turns_a_panic_into_its_message() {
+        let formatted = contain(|| -> Frame { panic!("half-built {}", "panel") });
+        assert_eq!(formatted, Err("half-built panel".to_owned()));
+        let literal = contain(|| -> Frame { panic!("static message") });
+        assert_eq!(literal, Err("static message".to_owned()));
+        assert_eq!(contain(|| Frame::Pong), Ok(Frame::Pong));
+    }
 }

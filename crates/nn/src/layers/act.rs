@@ -1,7 +1,7 @@
 //! Activation layers: ReLU, Sigmoid, SiLU (swish).
 
 use crate::layer::{Grads, Layer, Pass, StateSlot};
-use usb_tensor::{Tape, Tensor, Workspace};
+use usb_tensor::{kernels, Tape, Tensor, Workspace};
 
 /// Elementwise map into a workspace buffer: the allocation-free counterpart
 /// of [`Tensor::map`].
@@ -94,24 +94,35 @@ impl Sigmoid {
     }
 }
 
-/// Scalar logistic sigmoid used by several layers and losses.
-pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
+/// `out[i] = σ(x[i])`, branch-free over the slice: `e = exp(-|x|)` through
+/// [`kernels::exp_in_place`], then `1/(1+e)` where `x ≥ 0` and `e/(1+e)`
+/// elsewhere. A NaN input enters `exp` as it is (`-|x|` would flip its
+/// sign bit), so it comes out quietened with its sign and payload.
+fn sigmoid_into(x: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(x.len(), out.len());
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = if v > 0.0 { -v } else { v };
+    }
+    kernels::exp_in_place(out);
+    for (o, &v) in out.iter_mut().zip(x) {
+        let e = *o;
+        *o = if v >= 0.0 {
+            1.0 / (1.0 + e)
+        } else {
+            e / (1.0 + e)
+        };
     }
 }
 
 impl Layer for Sigmoid {
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
-        let y = map_into(x, ws, sigmoid_scalar);
+        let mut y = ws.take_dirty(x.len());
+        sigmoid_into(x.data(), &mut y);
         // The *output* is what the gradient needs.
         if let Some(frame) = pass.push() {
-            frame.vals.extend_from_slice(y.data());
+            frame.vals.extend_from_slice(&y);
         }
-        y
+        Tensor::from_vec(y, x.shape())
     }
 
     fn grad(
@@ -151,16 +162,14 @@ impl Layer for SiLU {
     /// computes on the way in `extra`, so [`SiLU::grad`] reads `σ(x)`
     /// instead of recomputing the exponential — the same bits either way.
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
-        let Some(frame) = pass.push() else {
-            return map_into(x, ws, |v| v * sigmoid_scalar(v));
-        };
-        frame.vals.extend_from_slice(x.data());
-        frame
-            .extra
-            .extend(x.data().iter().map(|&v| sigmoid_scalar(v)));
         let mut out = ws.take_dirty(x.len());
-        for ((o, &v), &s) in out.iter_mut().zip(x.data()).zip(&frame.extra) {
-            *o = v * s;
+        sigmoid_into(x.data(), &mut out);
+        if let Some(frame) = pass.push() {
+            frame.vals.extend_from_slice(x.data());
+            frame.extra.extend_from_slice(&out);
+        }
+        for (o, &v) in out.iter_mut().zip(x.data()) {
+            *o *= v;
         }
         Tensor::from_vec(out, x.shape())
     }
@@ -226,6 +235,63 @@ mod tests {
         assert!((y.data()[1] - 0.5).abs() < 1e-6);
         assert!((g.data()[1] - 0.25).abs() < 1e-6, "σ'(0) = 1/4");
         assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
+    }
+
+    /// The branchy sigmoid `sigmoid_into` replaced, over the port's `exp`.
+    fn sigmoid_branchy(x: f32) -> f32 {
+        if x >= 0.0 {
+            1.0 / (1.0 + kernels::exp(-x))
+        } else {
+            let e = kernels::exp(x);
+            e / (1.0 + e)
+        }
+    }
+
+    /// `sigmoid_into` equals the branchy formula on every bit pattern,
+    /// `±0`, `±∞` and NaN sign and payload included.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "exhaustive; run with --release")]
+    fn sigmoid_into_matches_branchy_formula_exhaustively() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u64;
+        let span = (1u64 << 32).div_ceil(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                s.spawn(move || {
+                    let (lo, hi) = (t * span, ((t + 1) * span).min(1 << 32));
+                    let (mut x, mut y) = (Vec::with_capacity(4096), vec![0.0; 4096]);
+                    for start in (lo..hi).step_by(4096) {
+                        x.clear();
+                        x.extend((start..(start + 4096).min(hi)).map(|b| f32::from_bits(b as u32)));
+                        sigmoid_into(&x, &mut y[..x.len()]);
+                        for (&v, &o) in x.iter().zip(&y) {
+                            let want = sigmoid_branchy(v);
+                            assert_eq!(o.to_bits(), want.to_bits(), "σ({v:e}): {o:e} vs {want:e}");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn sigmoid_into_passes_nan_through_and_keeps_signed_zero_cases() {
+        let x = [
+            f32::from_bits(0xff80_0abc),
+            f32::NAN,
+            -0.0,
+            0.0,
+            30.0,
+            -30.0,
+            -200.0,
+        ];
+        let mut y = [0.0; 7];
+        sigmoid_into(&x, &mut y);
+        for (&v, &o) in x.iter().zip(&y) {
+            assert_eq!(o.to_bits(), sigmoid_branchy(v).to_bits(), "σ({v:e})");
+        }
+        assert_eq!(y[0].to_bits(), 0xffc0_0abc, "NaN keeps sign and payload");
+        assert_eq!((y[2], y[3]), (0.5, 0.5));
+        assert_eq!(y[6], 0.0);
     }
 
     #[test]

@@ -427,6 +427,53 @@ pub(super) fn adam_step(
     );
 }
 
+/// [`scalar::exp`] on 4 f64 lanes: the same op sequence per lane, every
+/// multiply and add a separate instruction, the table read by a gather.
+/// `x` must hold finite values with `|x| < 88`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn exp4(x: __m128) -> __m128 {
+    let z = _mm256_mul_pd(_mm256_set1_pd(scalar::EXP_INV_LN2_N), _mm256_cvtps_pd(x));
+    let shift = _mm256_set1_pd(scalar::EXP_SHIFT);
+    let kd = _mm256_add_pd(z, shift);
+    let ki = _mm256_castpd_si256(kd);
+    let r = _mm256_sub_pd(z, _mm256_sub_pd(kd, shift));
+    let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+    // SAFETY: every index is masked to 0..32, inside `EXP_TAB`.
+    let t = unsafe { _mm256_i64gather_epi64::<8>(scalar::EXP_TAB.as_ptr().cast(), idx) };
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    let [c0, c1, c2] = scalar::EXP_C;
+    let p = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(c0), r), _mm256_set1_pd(c1));
+    let r2 = _mm256_mul_pd(r, r);
+    let y = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(c2), r), _mm256_set1_pd(1.0));
+    let y = _mm256_add_pd(_mm256_mul_pd(p, r2), y);
+    _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+}
+
+/// `y[i] = exp(y[i])`, 8 elements per step as two [`exp4`] halves. A
+/// chunk with any lane at `|x| ≥ 88` or NaN runs the scalar twin, which
+/// owns the special cases; so does the ragged tail.
+#[target_feature(enable = "avx2")]
+pub(super) fn exp_in_place(y: &mut [f32]) {
+    let full = y.len() / 8 * 8;
+    let abs = _mm256_set1_epi32(0x7fff_ffff);
+    let big = _mm256_set1_epi32(scalar::EXP_BIG as i32 - 1);
+    let mut i = 0;
+    while i < full {
+        let x = load8(y, i);
+        let mag = _mm256_and_si256(_mm256_castps_si256(x), abs);
+        if _mm256_movemask_epi8(_mm256_cmpgt_epi32(mag, big)) != 0 {
+            scalar::exp_in_place(&mut y[i..i + 8]);
+        } else {
+            let lo = exp4(_mm256_castps256_ps128(x));
+            let hi = exp4(_mm256_extractf128_ps::<1>(x));
+            store8(y, i, _mm256_set_m128(hi, lo));
+        }
+        i += 8;
+    }
+    scalar::exp_in_place(&mut y[full..]);
+}
+
 /// In-register 8×8 transpose: lane `j` of output row `i` is lane `i`
 /// of input row `j`. Pure bit moves, so NaN payloads pass unchanged.
 #[inline]

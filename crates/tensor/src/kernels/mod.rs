@@ -3,8 +3,9 @@
 //! Every hot f32 kernel in the crate — the GEMM tiles behind the three
 //! [`crate::ops`] orientations, the Q8/f16 decoders behind
 //! [`crate::quant::QTensor`], the refine-loop elementwise ops, the trigger
-//! blend and its backward, Adam, and the planar-stencil gather/adjoint
-//! behind depthwise convolution and SSIM ([`crate::conv::Stencil`]) — is
+//! blend and its backward, Adam, the planar-stencil gather/adjoint
+//! behind depthwise convolution and SSIM ([`crate::conv::Stencil`]), and
+//! [`exp`]/[`exp_in_place`] behind SiLU, Sigmoid and [`softmax_row`] — is
 //! one public function here with two implementations side by side: the
 //! scalar loop in `kernels/scalar.rs` (the *reference*, always compiled,
 //! the only one on non-x86 targets) and its AVX2 twin of the same name in
@@ -39,6 +40,17 @@
 //! unit tests here, which run each twin against its scalar reference, and
 //! by running `kernel_reference` / `refine_alloc` / the determinism suite
 //! under both `USB_KERNEL=scalar` and the default tier in CI.
+//!
+//! # `exp`
+//!
+//! [`exp`] is the crate's own `e^x` for f32, so no hot exponential reaches
+//! the host's libm. It ports glibc's `expf`: a 32-entry `2^(i/32)` table,
+//! a degree-3 polynomial evaluated in f64 with no FMA, one rounding to
+//! f32, and glibc's special cases. Its bits are therefore the same on
+//! every IEEE-754 host and tier, and equal glibc's non-FMA `expf`; glibc's
+//! FMA variant rounds two f32 inputs differently (`32.564632` and
+//! `-63.09946`). The AVX2 twin of [`exp_in_place`] runs the same f64 op
+//! sequence on 4 lanes at a time.
 #![allow(unsafe_code)]
 
 use crate::conv::Stencil;
@@ -289,10 +301,24 @@ pub fn div(y: &mut [f32], z: f32) {
     dispatch!(div(y, z))
 }
 
+/// `e^x` for one value: the scalar reference of [`exp_in_place`] (see
+/// the module docs for its contract).
+#[inline]
+pub fn exp(x: f32) -> f32 {
+    scalar::exp(x)
+}
+
+/// `y[i] = exp(y[i])` in place, bit-identical to [`exp`] per element on
+/// every tier.
+#[inline]
+pub fn exp_in_place(y: &mut [f32]) {
+    dispatch!(exp_in_place(y))
+}
+
 /// Numerically stable softmax of one logits `row` into `out`: subtract the
-/// row max, exponentiate, sum serially, then [`div`] by the sum. The max
-/// fold and the sum are single serial chains, so they stay scalar on
-/// every tier; only the divide is lane-parallel.
+/// row max, [`exp_in_place`], sum serially, then [`div`] by the sum. The
+/// max fold and the sum are single serial chains, so they stay scalar on
+/// every tier.
 ///
 /// # Panics
 ///
@@ -300,12 +326,11 @@ pub fn div(y: &mut [f32], z: f32) {
 pub fn softmax_row(row: &[f32], out: &mut [f32]) {
     assert_eq!(row.len(), out.len(), "softmax_row: length mismatch");
     let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut z = 0.0;
     for (o, &v) in out.iter_mut().zip(row) {
-        let e = (v - m).exp();
-        *o = e;
-        z += e;
+        *o = v - m;
     }
+    exp_in_place(out);
+    let z = out.iter().fold(0.0, |z, &e| z + e);
     div(out, z);
 }
 
@@ -506,6 +531,120 @@ mod tests {
     #[should_panic(expected = "f16_decode: length mismatch")]
     fn f16_decode_rejects_a_short_payload() {
         f16_decode(&[0; 30], &mut [0.0; 16]);
+    }
+
+    /// The inputs where the port may differ from the host's `f32::exp`:
+    /// glibc's FMA `expf` variant rounds these two differently. Its
+    /// non-FMA variant matches the port on all 2³² inputs.
+    const EXP_LIBM_EXCEPTIONS: [f32; 2] = [32.564632, -63.09946];
+
+    /// The AVX2 twin of [`exp_in_place`] where the CPU has AVX2, whatever
+    /// the active tier; the dispatch function elsewhere.
+    fn simd_exp_in_place(y: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected just above.
+            return unsafe { avx2::exp_in_place(y) };
+        }
+        exp_in_place(y)
+    }
+
+    /// Runs the port on every `stride`-th bit pattern in `lo..hi` and
+    /// returns the inputs where it differs from `f32::exp`, checking on the
+    /// way that the AVX2 twin equals the scalar [`exp`] bitwise.
+    fn exp_sweep(lo: u64, hi: u64, stride: u64) -> Vec<f32> {
+        let mut off_libm = Vec::new();
+        let mut buf = Vec::with_capacity(4096);
+        let mut bits = lo;
+        while bits < hi {
+            buf.clear();
+            while bits < hi && buf.len() < 4096 {
+                buf.push(f32::from_bits(bits as u32));
+                bits += stride;
+            }
+            let mut lanes = buf.clone();
+            simd_exp_in_place(&mut lanes);
+            for (&x, &e) in buf.iter().zip(&lanes) {
+                let port = exp(x);
+                assert_eq!(e.to_bits(), port.to_bits(), "exp({x:e}): AVX2 vs scalar");
+                if port.to_bits() != x.exp().to_bits() {
+                    off_libm.push(x);
+                }
+            }
+        }
+        off_libm
+    }
+
+    fn assert_libm_exceptions(off_libm: &[f32]) {
+        for x in off_libm {
+            assert!(
+                EXP_LIBM_EXCEPTIONS
+                    .iter()
+                    .any(|n| n.to_bits() == x.to_bits()),
+                "exp({x:e}) = {:e} but libm gives {:e}",
+                exp(*x),
+                x.exp()
+            );
+        }
+    }
+
+    #[test]
+    fn exp_special_cases_follow_glibc() {
+        assert_eq!(exp(f32::NEG_INFINITY).to_bits(), 0.0f32.to_bits());
+        assert_eq!(exp(f32::INFINITY), f32::INFINITY);
+        let snan = f32::from_bits(0xff80_0abc);
+        assert_eq!(
+            exp(snan).to_bits(),
+            0xffc0_0abc,
+            "NaN keeps sign and payload, quietened"
+        );
+        assert_eq!(exp(88.72284), f32::INFINITY);
+        assert!(exp(f32::from_bits(0x42b1_7217)).is_finite());
+        assert_eq!(exp(-103.98).to_bits(), 0.0f32.to_bits());
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        assert_eq!(exp(-103.9).to_bits(), 1, "the smallest subnormal");
+    }
+
+    /// Every 61st bit pattern, the special values and the named exceptions:
+    /// the port differs from the host's libm on at most the named list.
+    #[test]
+    fn exp_matches_libm_except_named_inputs() {
+        let mut off_libm = exp_sweep(0, 1 << 32, 61);
+        for x in EXP_LIBM_EXCEPTIONS.into_iter().chain([
+            0.0,
+            -0.0,
+            88.0,
+            -88.0,
+            88.72284,
+            -103.97,
+            f32::MIN_POSITIVE,
+        ]) {
+            if exp(x).to_bits() != x.exp().to_bits() {
+                off_libm.push(x);
+            }
+        }
+        assert_libm_exceptions(&off_libm);
+    }
+
+    /// All 2³² bit patterns, split over a few threads: the AVX2 twin
+    /// equals the scalar [`exp`] bitwise, and the port
+    /// differs from the host's `f32::exp` on at most the named list.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "exhaustive; run with --release")]
+    fn exp_exhaustive_tiers_and_libm() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u64;
+        let span = (1u64 << 32).div_ceil(threads);
+        let off_libm: Vec<f32> = std::thread::scope(|s| {
+            let parts: Vec<_> = (0..threads)
+                .map(|t| s.spawn(move || exp_sweep(t * span, ((t + 1) * span).min(1 << 32), 1)))
+                .collect();
+            parts
+                .into_iter()
+                .flat_map(|p| p.join().expect("sweep thread"))
+                .collect()
+        });
+        assert_libm_exceptions(&off_libm);
     }
 
     /// Deterministic value soup including the awkward cases: ±0,
@@ -826,6 +965,49 @@ mod tests {
                 unsafe { avx2::stencil_adjoint(&g, st, &ker, &mut out_s, &mut scratch) };
                 scalar::stencil_adjoint(&g, st, &ker, &mut out_r);
                 assert_bits_eq(&out_s, &out_r, "stencil_adjoint vs scalar twin");
+            }
+        }
+
+        #[test]
+        fn exp_in_place_matches_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            // In-range lanes, with the lanes the vector path must hand to
+            // the scalar twin (|x| ≥ 88, ±∞, NaN) mixed into some chunks,
+            // and -0.0 and subnormals, which stay on the vector path.
+            let specials = [
+                88.0,
+                -88.0,
+                88.5,
+                -88.5,
+                88.72284,
+                -103.98,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                f32::from_bits(0xff80_0abc),
+                -0.0,
+                f32::from_bits(1),
+                -f32::from_bits(0x7f_ffff),
+            ];
+            for n in [0, 1, 7, 8, 9, 23, 64, 131] {
+                let mut x: Vec<f32> = soup(n, 107)
+                    .iter()
+                    .map(|v| v.clamp(-1.0e3, 1.0e3).rem_euclid(176.0) - 88.0)
+                    .collect();
+                for (i, &sp) in specials.iter().enumerate() {
+                    let at = 19 * i + 3;
+                    if at < n && (at / 8) % 2 == 0 {
+                        x[at] = sp;
+                    }
+                }
+                let mut simd = x.clone();
+                let mut twin = x.clone();
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::exp_in_place(&mut simd) };
+                scalar::exp_in_place(&mut twin);
+                assert_bits_eq(&simd, &twin, "exp_in_place vs scalar twin");
             }
         }
 

@@ -217,6 +217,75 @@ pub(super) fn div(y: &mut [f32], z: f32) {
     }
 }
 
+/// `exp2f` table: `EXP_TAB[i] = bits(2^(i/32)) − (i << 47)`, so
+/// `EXP_TAB[k % 32] + (k << 47)` is the bit pattern of `2^(k/32)` for any
+/// integer `|k| < 150·32`.
+#[rustfmt::skip]
+pub(super) const EXP_TAB: [u64; 32] = [
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+];
+/// `32 / ln 2` (`0x1.71547652b82fep+5`).
+pub(super) const EXP_INV_LN2_N: f64 = f64::from_bits(0x40471547652b82fe);
+/// `0x1.8p52`: adding it rounds a double to an integer held in the low
+/// mantissa bits.
+pub(super) const EXP_SHIFT: f64 = f64::from_bits(0x4338000000000000);
+/// The degree-3 polynomial for `2^(r/32)`, highest degree first:
+/// `0x1.c6af84b912394p-20`, `0x1.ebfce50fac4f3p-13`, `0x1.62e42ff0c52d6p-6`.
+pub(super) const EXP_C: [f64; 3] = [
+    f64::from_bits(0x3ebc6af84b912394),
+    f64::from_bits(0x3f2ebfce50fac4f3),
+    f64::from_bits(0x3f962e42ff0c52d6),
+];
+/// Bits of `88.0f32`: at or above this `|x|` (NaN included) `exp` takes
+/// the special-case checks before the main path.
+pub(super) const EXP_BIG: u32 = 0x42b0_0000;
+
+/// `e^x`, a port of glibc's `expf` (`sysdeps/ieee754/flt-32/e_expf.c`):
+/// `x·32/ln 2 = k + r`, `2^(k/32)` from [`EXP_TAB`], `2^(r/32)` from a
+/// degree-3 polynomial in f64, rounded once to f32. No FMA, so the bits
+/// are glibc's non-FMA `expf` on every host.
+pub(super) fn exp(x: f32) -> f32 {
+    let bits = x.to_bits();
+    if bits & 0x7fff_ffff >= EXP_BIG {
+        if bits == f32::NEG_INFINITY.to_bits() {
+            return 0.0;
+        }
+        if bits & 0x7fff_ffff >= f32::INFINITY.to_bits() {
+            return x + x; // NaN (quietened) or +∞
+        }
+        if x > f32::from_bits(0x42b1_7217) {
+            return f32::INFINITY; // x > 0x1.62e42ep6 = ln 2^128
+        }
+        if x < f32::from_bits(0xc2cf_f1b4) {
+            return 0.0; // x < -0x1.9fe368p6 = ln 2^-150
+        }
+    }
+    let z = EXP_INV_LN2_N * f64::from(x);
+    let kd = z + EXP_SHIFT;
+    let ki = kd.to_bits();
+    let r = z - (kd - EXP_SHIFT);
+    let s = f64::from_bits(EXP_TAB[(ki % 32) as usize].wrapping_add(ki << 47));
+    let p = EXP_C[0] * r + EXP_C[1];
+    let r2 = r * r;
+    let y = EXP_C[2] * r + 1.0;
+    let y = p * r2 + y;
+    (y * s) as f32
+}
+
+/// `y[i] = exp(y[i])`.
+pub(super) fn exp_in_place(y: &mut [f32]) {
+    for v in y {
+        *v = exp(*v);
+    }
+}
+
 /// `out[j] = batch[j]*(1 − m[j]) + p[j]*m[j]`.
 pub(super) fn trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]) {
     for j in 0..out.len() {

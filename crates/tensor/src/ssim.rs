@@ -72,7 +72,7 @@ pub fn gaussian_window(size: usize, sigma: f32) -> Tensor {
     for y in -half..=half {
         for x in -half..=half {
             let d2 = (x * x + y * y) as f32;
-            data.push((-d2 / (2.0 * sigma * sigma)).exp());
+            data.push(crate::kernels::exp(-d2 / (2.0 * sigma * sigma)));
         }
     }
     let sum: f32 = data.iter().sum();
