@@ -8,8 +8,6 @@
 //! usb-repro serve   [--addr A] [--workers N] [--cache-mb N]
 //! usb-repro submit  <PATH> [--addr A] [--fast] [--seed N] [--subset N] [--workers N]
 //! usb-repro submit  --shutdown [--addr A]
-//! usb-repro loadgen [PATH] [--clients N] [--requests N] [--fast] [--out PATH]
-//!                   [--dtype f32|f16|q8]
 //!
 //! experiments: table1 table2 table3 table4 table5 table6 table7 table8
 //!              fig1 fig2 fig3 fig4 fig5 fig6 headline transfer all
@@ -30,8 +28,6 @@
 //! queueing across client connections and a bounded resident-model cache.
 //! `submit` sends one bundle to a running daemon and streams per-class
 //! progress + the verdict back — same exit-code contract as `inspect`.
-//! `loadgen` measures the daemon under concurrent load and writes the
-//! `BENCH_serve.json` latency/throughput document.
 
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -46,10 +42,7 @@ use usb_data::SyntheticSpec;
 use usb_defenses::Defense;
 use usb_eval::figures;
 use usb_eval::grid::{self, DefenseSuite};
-use usb_eval::serve::{
-    format_loadgen, loadgen_json, run_loadgen, Client, LoadgenConfig, ServeConfig, Server,
-    SubmitOptions,
-};
+use usb_eval::serve::{Client, ServeConfig, Server, SubmitOptions};
 use usb_eval::timing::{
     compare_bench_totals, format_timing, parse_bench_totals, report_totals, run_timing, timing_json,
 };
@@ -70,8 +63,6 @@ struct Options {
     addr: String,
     workers: usize,
     subset: u32,
-    clients: usize,
-    requests: usize,
     shutdown: bool,
     dtype: Dtype,
     cache_mb: usize,
@@ -92,8 +83,6 @@ fn parse_args() -> Result<Options, String> {
         addr: "127.0.0.1:7878".to_owned(),
         workers: 0,
         subset: 48,
-        clients: 2,
-        requests: 4,
         shutdown: false,
         dtype: Dtype::F32,
         cache_mb: 64,
@@ -108,8 +97,8 @@ fn parse_args() -> Result<Options, String> {
         }
         "save" => options.out = figures::default_out_dir().join("victim.usbv"),
         // The bundle path is positional but optional: `submit --shutdown`
-        // sends no bundle, and `loadgen` trains its own when none is given.
-        "submit" | "loadgen" => {
+        // sends no bundle.
+        "submit" => {
             if let Some(p) = args.peek() {
                 if !p.starts_with("--") {
                     options.path = Some(PathBuf::from(args.next().expect("peeked")));
@@ -151,14 +140,6 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--subset needs a value")?;
                 options.subset = v.parse().map_err(|_| format!("bad --subset value {v}"))?;
             }
-            "--clients" => {
-                let v = args.next().ok_or("--clients needs a value")?;
-                options.clients = v.parse().map_err(|_| format!("bad --clients value {v}"))?;
-            }
-            "--requests" => {
-                let v = args.next().ok_or("--requests needs a value")?;
-                options.requests = v.parse().map_err(|_| format!("bad --requests value {v}"))?;
-            }
             "--shutdown" => options.shutdown = true,
             "--dtype" => {
                 let v = args.next().ok_or("--dtype needs a value (f32|f16|q8)")?;
@@ -183,9 +164,7 @@ fn usage() -> String {
      usb-repro inspect <PATH> [--fast] [--seed N]\n       \
      usb-repro serve [--addr A] [--workers N] [--cache-mb N]\n       \
      usb-repro submit <PATH> [--addr A] [--fast] [--seed N] [--subset N] [--workers N]\n       \
-     usb-repro submit --shutdown [--addr A]\n       \
-     usb-repro loadgen [PATH] [--clients N] [--requests N] [--fast] [--seed N] [--out PATH] \
-     [--dtype f32|f16|q8]"
+     usb-repro submit --shutdown [--addr A]"
         .to_owned()
 }
 
@@ -437,101 +416,12 @@ fn run_submit(options: &Options) -> Result<(), String> {
     }
 }
 
-fn run_loadgen_cmd(options: &Options) -> Result<(), String> {
-    // A bundle path on the command line is used as-is; otherwise train the
-    // fast `save` recipe (through the fixture cache) and write it under
-    // the out dir so the cold-process baseline has a file to inspect.
-    let out_is_file = options.out.extension().is_some();
-    let out_dir = if out_is_file {
-        options
-            .out
-            .parent()
-            .map(PathBuf::from)
-            .filter(|p| !p.as_os_str().is_empty())
-    } else {
-        Some(options.out.clone())
-    };
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    }
-    let bundle_path = match &options.path {
-        Some(p) => p.clone(),
-        None => {
-            let (spec, arch, attack, tc) = save_setting(true);
-            let fixture = FixtureSpec::new("repro-save-fast", spec, 111, 7).with_config(&[
-                &format!("{arch:?}"),
-                &format!("{attack:?}"),
-                &format!("{tc:?}"),
-            ]);
-            let config_hash = fixture.config_hash;
-            println!("training the fast save recipe for the workload bundle...");
-            let (_, victim) = cached_victim(&fixture, |data| attack.execute(data, arch, tc, 7));
-            // The saved recipe is inflated to model-zoo scale, as a zoo
-            // bundle would declare it. Inspection — cold process and cold
-            // daemon cache alike — builds only the recipe's class
-            // prototypes and never renders those splits, so the declared
-            // size costs nothing. Verdicts are unaffected: the prototypes
-            // are drawn before the splits, and the inspection subset
-            // samples from them.
-            let zoo_spec = fixture
-                .data_spec
-                .with_train_size(60_000)
-                .with_test_size(10_000);
-            let mut bundle = VictimBundle {
-                victim,
-                train_seed: 7,
-                config_hash,
-                data_spec: zoo_spec,
-                data_seed: fixture.data_seed,
-            };
-            // `--dtype` applies here, to the workload bundle the command
-            // trains itself — measuring the daemon per storage precision.
-            // A bundle given on the command line is submitted as-is.
-            let path = out_dir
-                .clone()
-                .unwrap_or_else(figures::default_out_dir)
-                .join(format!("loadgen_victim_{}.usbv", options.dtype));
-            if options.dtype == Dtype::F32 {
-                save_victim(&path, &mut bundle)
-                    .map_err(|e| format!("saving {}: {e}", path.display()))?;
-            } else {
-                save_victim_dtype(&path, &mut bundle, options.dtype)
-                    .map_err(|e| format!("saving {}: {e}", path.display()))?;
-            }
-            path
-        }
-    };
-    let bundle = std::fs::read(&bundle_path)
-        .map_err(|e| format!("reading {}: {e}", bundle_path.display()))?;
-    let config = LoadgenConfig {
-        clients: options.clients,
-        requests_per_client: options.requests,
-        fast: options.fast,
-        seed: options.seed,
-        subset: options.subset,
-        workers: options.workers,
-        cold_baseline: std::env::current_exe().ok(),
-    };
-    let report = run_loadgen(&bundle, Some(&bundle_path), &config, progress)?;
-    print!("{}", format_loadgen(&report));
-    let json_path = if out_is_file {
-        options.out.clone()
-    } else {
-        options.out.join("BENCH_serve.json")
-    };
-    std::fs::write(&json_path, loadgen_json(&report))
-        .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
-    println!("wrote {}", json_path.display());
-    Ok(())
-}
-
 fn run_one(id: &str, options: &Options, suite: &DefenseSuite) -> Result<(), String> {
     match id {
         "save" => run_save(options)?,
         "inspect" => run_inspect(options)?,
         "serve" => run_serve(options)?,
         "submit" => run_submit(options)?,
-        "loadgen" => run_loadgen_cmd(options)?,
         "table1" | "table2" | "table3" | "table4" | "table5" | "table6" | "table8" => {
             let spec = match id {
                 "table1" => grid::table1(),

@@ -16,7 +16,7 @@
 //! paper-vs-measured comparison.
 //!
 //! The [`serve`] module turns the same engine into a resident daemon
-//! (`usb-repro serve` / `submit` / `loadgen`): victim bundles stream in
+//! (`usb-repro serve` / `submit`): victim bundles stream in
 //! over TCP, verdicts stream back, and hot models stay cached between
 //! requests.
 

@@ -1,5 +1,5 @@
 //! Inspection-as-a-service: the resident daemon behind `usb-repro
-//! serve`, its wire protocol, client library, and load generator.
+//! serve`, its wire protocol, and client library.
 //!
 //! Every `usb-repro inspect` pays process startup, bundle load, and
 //! prototype construction before a single class is scanned. The serve
@@ -13,9 +13,10 @@
 //!   queueing across connections, admission control, the resident-model
 //!   cache;
 //! * [`client`] — the blocking client used by `usb-repro submit`, the
-//!   tests, and the load generator;
-//! * [`mod@bench`] — the `loadgen` harness measuring p50/p99 verdict latency
-//!   and verdicts/sec, serialised to `BENCH_serve.json`.
+//!   tests and perfbench.
+//!
+//! Verdict latency and throughput are measured by perfbench's
+//! `serve-churn` workload, not here.
 //!
 //! Verdicts over the socket are **bit-identical** to offline `usb-repro
 //! inspect` with the same seed: the daemon replays the exact offline
@@ -23,12 +24,10 @@
 //! the cached model, and `tests/determinism.rs` pins warm, cold, and
 //! offline against each other at 1/2/4 workers.
 
-pub mod bench;
 pub mod client;
 pub mod proto;
 pub mod server;
 
-pub use bench::{format_loadgen, loadgen_json, run_loadgen, LoadgenConfig, LoadgenReport};
 pub use client::{Client, ClientError, SubmitOptions};
 pub use proto::{Frame, ProgressEvent, SubmitRequest, WireVerdict};
 pub use server::{ServeConfig, ServeStats, Server};

@@ -473,12 +473,23 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 running: 0,
             });
         }
-        let handle = {
+        let spawned = {
             let shared = Arc::clone(shared);
-            std::thread::spawn(move || connection_loop(conn, stream, &shared))
+            std::thread::Builder::new().spawn(move || connection_loop(conn, stream, &shared))
         };
-        if let Ok(mut readers) = shared.readers.lock() {
-            readers.push(handle);
+        match spawned {
+            Ok(handle) => {
+                if let Ok(mut readers) = shared.readers.lock() {
+                    // A finished reader's handle still holds its stack
+                    // mapping; drop those so a long-lived daemon's handle
+                    // list tracks live connections, not every one it saw.
+                    readers.retain(|h| !h.is_finished());
+                    readers.push(handle);
+                }
+            }
+            // Out of threads or mappings: drop this connection (the failed
+            // spawn closed its stream) and keep accepting.
+            Err(_) => disconnect(conn, shared),
         }
     }
 }
@@ -807,5 +818,35 @@ mod tests {
         let literal = contain(|| -> Frame { panic!("static message") });
         assert_eq!(literal, Err("static message".to_owned()));
         assert_eq!(contain(|| Frame::Pong), Ok(Frame::Pong));
+    }
+
+    /// Polls `done` until it holds, panicking after ten seconds.
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn finished_reader_handles_are_pruned() {
+        let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let shared = Arc::clone(&server.shared);
+        for n in 1..=16 {
+            drop(TcpStream::connect(server.local_addr()).expect("connect"));
+            wait_until("connection deregistered", || {
+                server.stats().connections == n
+                    && shared.conn_streams.lock().expect("conns").is_empty()
+            });
+        }
+        // Every earlier reader had left its loop before the next accept,
+        // so at most the latest one or two are still held (16 unpruned).
+        let held = shared.readers.lock().expect("readers").len();
+        assert!(
+            held <= 2,
+            "{held} reader handles held after 16 closed connections"
+        );
+        server.stop();
     }
 }

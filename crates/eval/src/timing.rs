@@ -424,53 +424,6 @@ pub fn compare_bench_totals(
     regressions
 }
 
-/// Latency percentiles over a set of request samples — the serve layer's
-/// unit of measurement (`usb-repro loadgen` reports warm-daemon verdict
-/// latency with these).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencyStats {
-    /// Number of samples summarised.
-    pub n: usize,
-    /// Arithmetic mean, milliseconds.
-    pub mean_ms: f64,
-    /// Minimum, milliseconds.
-    pub min_ms: f64,
-    /// Median (p50), milliseconds.
-    pub p50_ms: f64,
-    /// 90th percentile, milliseconds.
-    pub p90_ms: f64,
-    /// 99th percentile, milliseconds.
-    pub p99_ms: f64,
-    /// Maximum, milliseconds.
-    pub max_ms: f64,
-}
-
-impl LatencyStats {
-    /// Summarises a set of millisecond samples (empty input yields all
-    /// zeros). Percentiles use the nearest-rank method on the sorted
-    /// samples, so `p99` of fewer than 100 samples is the maximum.
-    pub fn from_millis(samples: &[f64]) -> LatencyStats {
-        if samples.is_empty() {
-            return LatencyStats::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latency samples must be finite"));
-        let rank = |p: f64| {
-            let idx = (p * sorted.len() as f64).ceil() as usize;
-            sorted[idx.clamp(1, sorted.len()) - 1]
-        };
-        LatencyStats {
-            n: sorted.len(),
-            mean_ms: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            min_ms: sorted[0],
-            p50_ms: rank(0.50),
-            p90_ms: rank(0.90),
-            p99_ms: rank(0.99),
-            max_ms: sorted[sorted.len() - 1],
-        }
-    }
-}
-
 /// Formats a [`TimingReport`] like the paper's Table 7 (time per class),
 /// with indented per-stage rows under defenses that expose them.
 pub fn format_timing(report: &TimingReport) -> String {
@@ -502,24 +455,6 @@ pub fn format_timing(report: &TimingReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_stats_use_nearest_rank_percentiles() {
-        let samples: Vec<f64> = (1..=100).map(f64::from).collect();
-        let stats = LatencyStats::from_millis(&samples);
-        assert_eq!(stats.n, 100);
-        assert_eq!(stats.min_ms, 1.0);
-        assert_eq!(stats.p50_ms, 50.0);
-        assert_eq!(stats.p90_ms, 90.0);
-        assert_eq!(stats.p99_ms, 99.0);
-        assert_eq!(stats.max_ms, 100.0);
-        assert!((stats.mean_ms - 50.5).abs() < 1e-12);
-        // Few samples: upper percentiles saturate at the maximum.
-        let small = LatencyStats::from_millis(&[3.0, 1.0, 2.0]);
-        assert_eq!(small.p50_ms, 2.0);
-        assert_eq!(small.p99_ms, 3.0);
-        assert_eq!(LatencyStats::from_millis(&[]).n, 0);
-    }
 
     #[test]
     fn formatting_includes_all_methods() {
