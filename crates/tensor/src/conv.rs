@@ -1,10 +1,14 @@
-//! 2-D convolution kernels (dense and depthwise) built on im2col / col2im.
+//! 2-D convolution kernels: dense ones built on im2col / col2im and one
+//! wide GEMM per batch, depthwise ones on the planar [`Stencil`] kernels.
 //!
 //! Layout conventions:
 //!
 //! * activations: `[N, C, H, W]`
 //! * dense weights: `[OC, IC, KH, KW]`
 //! * depthwise weights: `[C, 1, KH, KW]`
+//! * inside the dense kernels, images across lanes: `[C, H, W, N]`
+//!   activations and `[C·KH·KW, OH·OW·N]` column matrices (see
+//!   [`conv2d_forward_panel_ws`])
 //!
 //! All functions provide forward *and* backward passes; the backward passes
 //! return gradients with respect to the input as well as the parameters,
@@ -52,11 +56,18 @@ impl Default for ConvSpec {
     }
 }
 
-/// Unfolds one `[C, H, W]` image (given as a flat slice) into the
-/// `[C*KH*KW, OH*OW]` column matrix `out`: column `(oy, ox)` holds the
-/// receptive field the kernel sees when it produces output pixel
-/// `(oy, ox)`. `out` is overwritten, including the zero padding taps, so
-/// dirty [`Workspace`] buffers can be handed in.
+/// Unfolds `n` images held *images across lanes* — `[C, H, W, N]`, the
+/// `N` values of one pixel contiguous — into the `[C·KH·KW, OH·OW·N]`
+/// column matrix `out`: row `(ch, ky, kx)`, column `(oy, ox, i)` holds the
+/// tap `(ky, kx)` of channel `ch` that image `i` feeds output pixel
+/// `(oy, ox)`, or `0.0` where the tap falls in the padding. With `n == 1`
+/// this is the classic per-image `[C·KH·KW, OH·OW]` unfolding.
+///
+/// In this layout one kernel tap's in-bounds outputs along a row are one
+/// contiguous run of `len · N` floats (stride 1) or `N`-float runs
+/// (larger strides), so the unfolding is a few long copies rather than
+/// one short copy per image. `out` is fully overwritten, padding zeros
+/// included, so dirty [`Workspace`] buffers are fine.
 ///
 /// # Panics
 ///
@@ -67,115 +78,63 @@ pub fn im2col_into(
     c: usize,
     h: usize,
     w: usize,
+    n: usize,
     kh: usize,
     kw: usize,
     spec: ConvSpec,
-    out: &mut [f32],
-) {
-    assert_eq!(img.len(), c * h * w, "im2col_into: image length mismatch");
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let cols = oh * ow;
-    assert_eq!(
-        out.len(),
-        c * kh * kw * cols,
-        "im2col_into: out length mismatch"
-    );
-    out.fill(0.0);
-    im2col_strided_into(img, c, h, w, kh, kw, spec, cols, 0, out);
-}
-
-/// [`im2col_into`] writing into a column *block* of a wider matrix: row `r`
-/// of the unfolding lands at `out[r * row_stride + col0 ..]`. This is how
-/// the batched conv GEMM lays N images side by side into one `[C·KH·KW,
-/// N·OH·OW]` matrix so a single wide GEMM replaces N skinny ones.
-///
-/// Only in-bounds taps are written — the caller must pre-zero the
-/// destination so padding taps read as zero (exactly the zeros
-/// [`im2col_into`]'s own `fill` would have produced, so results are
-/// bit-identical to the per-image path). Stride-1 geometries take a
-/// contiguous `copy_from_slice` fast path per kernel row.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the geometry or the block does
-/// not fit within `row_stride`.
-#[allow(clippy::too_many_arguments)] // flat scalar geometry, hot path
-pub fn im2col_strided_into(
-    img: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    spec: ConvSpec,
-    row_stride: usize,
-    col0: usize,
     out: &mut [f32],
 ) {
     assert_eq!(
         img.len(),
-        c * h * w,
-        "im2col_strided: image length mismatch"
+        c * h * w * n,
+        "im2col_into: image length mismatch"
     );
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let cols = oh * ow;
-    assert!(
-        col0 + cols <= row_stride,
-        "im2col_strided: block [{col0}, {}) exceeds row stride {row_stride}",
-        col0 + cols
+    let (oh, ow) = (spec.out_size(h, kh), spec.out_size(w, kw));
+    let (plane, orow) = (oh * ow * n, ow * n);
+    assert_eq!(
+        out.len(),
+        c * kh * kw * plane,
+        "im2col_into: out length mismatch"
     );
-    assert!(
-        out.len() >= c * kh * kw * row_stride,
-        "im2col_strided: out length mismatch"
-    );
-    for ch in 0..c {
-        let img_ch = &img[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ch * kh + ky) * kw + kx;
-                let out_row = &mut out[row * row_stride + col0..row * row_stride + col0 + cols];
-                if spec.stride == 1 {
-                    // In-bounds output range is an interval: one contiguous
-                    // copy per (kernel row, output row).
-                    let oy0 = spec.pad.saturating_sub(ky);
-                    let oy1 = oh.min((h + spec.pad).saturating_sub(ky));
-                    let ox0 = spec.pad.saturating_sub(kx);
-                    let ox1 = ow.min((w + spec.pad).saturating_sub(kx));
-                    if ox1 > ox0 {
-                        for oy in oy0..oy1 {
-                            let iy = oy + ky - spec.pad;
-                            let ix0 = ox0 + kx - spec.pad;
-                            out_row[oy * ow + ox0..oy * ow + ox1]
-                                .copy_from_slice(&img_ch[iy * w + ix0..iy * w + ix0 + (ox1 - ox0)]);
-                        }
-                    }
-                } else {
-                    for oy in 0..oh {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let src_row = &img_ch[iy as usize * w..(iy as usize + 1) * w];
-                        for ox in 0..ow {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            out_row[oy * ow + ox] = src_row[ix as usize];
-                        }
-                    }
+    let (s, pad) = (spec.stride, spec.pad);
+    for row in 0..c * kh * kw {
+        let dst = &mut out[row * plane..(row + 1) * plane];
+        let (ch, ky, kx) = (row / (kh * kw), row / kw % kh, row % kw);
+        let (ox0, ox1) = in_bounds(kx, w, ow, spec);
+        // A tap that misses every column (wide kernel, large padding,
+        // narrow plane) touches no row either, and has no run start.
+        let (oy0, oy1) = if ox0 < ox1 {
+            in_bounds(ky, h, oh, spec)
+        } else {
+            (0, 0)
+        };
+        dst[..oy0 * orow].fill(0.0);
+        dst[oy1 * orow..].fill(0.0);
+        for oy in oy0..oy1 {
+            let src = &img[(ch * h + oy * s + ky - pad) * w * n..];
+            let d = &mut dst[oy * orow..(oy + 1) * orow];
+            d[..ox0 * n].fill(0.0);
+            d[ox1 * n..].fill(0.0);
+            if s == 1 {
+                let ix0 = ox0 + kx - pad;
+                let len = (ox1 - ox0) * n;
+                d[ox0 * n..ox1 * n].copy_from_slice(&src[ix0 * n..ix0 * n + len]);
+            } else {
+                for ox in ox0..ox1 {
+                    let ix = ox * s + kx - pad;
+                    d[ox * n..(ox + 1) * n].copy_from_slice(&src[ix * n..(ix + 1) * n]);
                 }
             }
         }
     }
 }
 
-/// Adjoint of [`im2col_into`]: folds a `[C*KH*KW, OH*OW]` column matrix
-/// back into a `[C, H, W]` image `out`, *summing* overlapping
-/// contributions (`out` is overwritten first, so dirty [`Workspace`]
-/// buffers can be handed in).
+/// Adjoint of [`im2col_into`]: folds a `[C·KH·KW, OH·OW·N]` column matrix
+/// back into `n` images held images across lanes (`[C, H, W, N]`),
+/// *summing* overlapping contributions. `out` is zeroed first (dirty
+/// [`Workspace`] buffers are fine), then every element receives its
+/// contributions in ascending `(ch, ky, kx, oy, ox)` order — per image the
+/// classic per-image scatter order, so the sums are bit-identical to it.
 ///
 /// # Panics
 ///
@@ -186,120 +145,112 @@ pub fn col2im_into(
     c: usize,
     h: usize,
     w: usize,
+    n: usize,
     kh: usize,
     kw: usize,
     spec: ConvSpec,
     out: &mut [f32],
 ) {
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let cols = oh * ow;
+    let (oh, ow) = (spec.out_size(h, kh), spec.out_size(w, kw));
+    let (plane, orow) = (oh * ow * n, ow * n);
     assert_eq!(
         cols_mat.len(),
-        c * kh * kw * cols,
+        c * kh * kw * plane,
         "col2im_into: column matrix length mismatch"
     );
-    assert_eq!(out.len(), c * h * w, "col2im_into: out length mismatch");
+    assert_eq!(out.len(), c * h * w * n, "col2im_into: out length mismatch");
     out.fill(0.0);
-    col2im_strided_into(cols_mat, c, h, w, kh, kw, spec, cols, 0, out);
-}
-
-/// [`col2im_into`] reading one column *block* of a wider matrix (see
-/// [`im2col_strided_into`] for the layout). Accumulates with `+=` into
-/// `out`, which the caller must pre-zero; the (channel, kernel-row,
-/// kernel-col, output-row) scatter order matches the per-image kernel
-/// exactly, so overlapping contributions sum in the same order and results
-/// are bit-identical. Stride-1 geometries take a contiguous vectorizable
-/// fast path.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the geometry or the block does
-/// not fit within `row_stride`.
-#[allow(clippy::too_many_arguments)] // flat scalar geometry, hot path
-pub fn col2im_strided_into(
-    cols_mat: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    spec: ConvSpec,
-    row_stride: usize,
-    col0: usize,
-    out: &mut [f32],
-) {
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let cols = oh * ow;
-    assert!(
-        col0 + cols <= row_stride,
-        "col2im_strided: block [{col0}, {}) exceeds row stride {row_stride}",
-        col0 + cols
-    );
-    assert!(
-        cols_mat.len() >= c * kh * kw * row_stride,
-        "col2im_strided: column matrix length mismatch"
-    );
-    assert_eq!(out.len(), c * h * w, "col2im_strided: out length mismatch");
-    for ch in 0..c {
-        let img_ch = &mut out[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ch * kh + ky) * kw + kx;
-                let src_row = &cols_mat[row * row_stride + col0..row * row_stride + col0 + cols];
-                if spec.stride == 1 {
-                    let oy0 = spec.pad.saturating_sub(ky);
-                    let oy1 = oh.min((h + spec.pad).saturating_sub(ky));
-                    let ox0 = spec.pad.saturating_sub(kx);
-                    let ox1 = ow.min((w + spec.pad).saturating_sub(kx));
-                    if ox1 > ox0 {
-                        for oy in oy0..oy1 {
-                            let iy = oy + ky - spec.pad;
-                            let ix0 = ox0 + kx - spec.pad;
-                            let dst = &mut img_ch[iy * w + ix0..iy * w + ix0 + (ox1 - ox0)];
-                            let src = &src_row[oy * ow + ox0..oy * ow + ox1];
-                            for (d, &s) in dst.iter_mut().zip(src) {
-                                *d += s;
-                            }
-                        }
-                    }
-                } else {
-                    for oy in 0..oh {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for ox in 0..ow {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            img_ch[iy as usize * w + ix as usize] += src_row[oy * ow + ox];
-                        }
-                    }
+    let (s, pad) = (spec.stride, spec.pad);
+    for row in 0..c * kh * kw {
+        let src = &cols_mat[row * plane..(row + 1) * plane];
+        let (ch, ky, kx) = (row / (kh * kw), row / kw % kh, row % kw);
+        let (ox0, ox1) = in_bounds(kx, w, ow, spec);
+        // A tap that misses every column (wide kernel, large padding,
+        // narrow plane) touches no row either, and has no run start.
+        let (oy0, oy1) = if ox0 < ox1 {
+            in_bounds(ky, h, oh, spec)
+        } else {
+            (0, 0)
+        };
+        for oy in oy0..oy1 {
+            let dst = &mut out[(ch * h + oy * s + ky - pad) * w * n..];
+            let g = &src[oy * orow..(oy + 1) * orow];
+            if s == 1 {
+                let ix0 = ox0 + kx - pad;
+                let len = (ox1 - ox0) * n;
+                add_run(&mut dst[ix0 * n..ix0 * n + len], &g[ox0 * n..ox1 * n]);
+            } else {
+                for ox in ox0..ox1 {
+                    let ix = ox * s + kx - pad;
+                    add_run(&mut dst[ix * n..(ix + 1) * n], &g[ox * n..(ox + 1) * n]);
                 }
             }
         }
     }
 }
 
+/// `dst[i] += src[i]`: inline, as col2im's runs are often a few floats.
+#[inline(always)]
+fn add_run(dst: &mut [f32], src: &[f32]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d += v;
+    }
+}
+
+/// Outputs `o0..o1` (of `n_out`) whose tap `t` lands inside the plane:
+/// `o·stride + t − pad ∈ 0..n_in`.
+#[inline]
+fn in_bounds(t: usize, n_in: usize, n_out: usize, spec: ConvSpec) -> (usize, usize) {
+    let o0 = spec.pad.saturating_sub(t).div_ceil(spec.stride);
+    let o1 = (n_in + spec.pad)
+        .saturating_sub(t)
+        .div_ceil(spec.stride)
+        .min(n_out);
+    (o0.min(o1), o1)
+}
+
+/// `[N, L]` → `[L, N]`: the `N` images of a batch across lanes, in a
+/// buffer from `ws`, or `None` when `n == 1` and the batch already is.
+fn lanes_from_images(x: &[f32], n: usize, ws: &mut Workspace) -> Option<Vec<f32>> {
+    (n > 1).then(|| {
+        let mut t = ws.take_dirty(x.len());
+        ops::transpose_into(x, n, x.len() / n, &mut t);
+        t
+    })
+}
+
+/// `[L, N]` → `[N, L]`, the inverse of [`lanes_from_images`]: `lanes` goes
+/// back to `ws` and a fresh buffer comes out, unless `n == 1`.
+fn images_from_lanes(lanes: Vec<f32>, n: usize, ws: &mut Workspace) -> Vec<f32> {
+    if n == 1 {
+        return lanes;
+    }
+    let mut images = ws.take_dirty(lanes.len());
+    ops::transpose_into(&lanes, lanes.len() / n, n, &mut images);
+    ws.put(lanes);
+    images
+}
+
 /// The `dL/d input` half of [`conv2d_backward_ws`] alone (which takes its
 /// input gradient from here): for input-space optimisation (DeepFool,
 /// trigger refinement) the parameter gradients are not needed, so this
 /// kernel skips them — no im2col of the cached input, no weight/bias GEMM —
-/// and folds `Wᵀ @ grad_out` straight back into image space. The whole
-/// batch goes through **one wide GEMM**: the per-image `[OC, OH·OW]`
-/// gradients are interleaved into a `[OC, N·OH·OW]` matrix, multiplied
-/// once, and folded back per image. Every output element still sums over
-/// `oc` in ascending order and the col2im scatter order per image is that
-/// of a per-image [`col2im_into`]; `h`/`w` are the spatial dims of the
-/// forward input.
+/// and folds `Wᵀ @ grad_out` straight back into image space. `h`/`w` are
+/// the spatial dims of the forward input.
 ///
-/// The returned gradient is built from a workspace buffer ([`col2im_into`]
-/// fully overwrites each per-image slice, so a dirty checkout is safe);
-/// callers on the hot path hand it back via [`Workspace::recycle`] to keep
-/// the steady state allocation-free.
+/// The whole batch goes through **one wide GEMM** with the images across
+/// lanes (see [`conv2d_forward_panel_ws`]): `grad_out` is transposed to
+/// `[OC, OH·OW·N]`, multiplied once by `Wᵀ`, folded by [`col2im_into`]
+/// into `[IC, H, W, N]` and transposed back to `[N, IC, H, W]` (both
+/// transposes are skipped when `n == 1`). Every element still sums over
+/// `oc` in ascending order, and the fold adds each pixel's contributions
+/// in the per-image `(ch, ky, kx, oy, ox)` order onto `0.0`, so results
+/// are bit-identical to a per-image loop.
+///
+/// The returned gradient is built from a workspace buffer (fully
+/// overwritten, so a dirty checkout is safe); callers on the hot path
+/// hand it back via [`Workspace::recycle`] to keep the steady state
+/// allocation-free.
 ///
 /// # Panics
 ///
@@ -342,29 +293,18 @@ pub fn conv2d_input_backward_panel_ws(
         "conv2d_input_backward: grad_out spatial dims mismatch"
     );
     let rows = ic * kh * kw;
-    let cols = oh * ow;
-    let wide = n * cols;
-    let god = grad_out.data();
-    // Interleave [N, OC, cols] → [OC, N·cols] so one wide GEMM covers the
-    // whole batch (the per-image `cols` is tiny on deep layers, far below
-    // the width a register-tiled GEMM needs).
-    let mut go_wide = ws.take_dirty(oc * wide);
-    for i in 0..n {
-        for ch in 0..oc {
-            go_wide[ch * wide + i * cols..ch * wide + (i + 1) * cols]
-                .copy_from_slice(&god[(i * oc + ch) * cols..(i * oc + ch + 1) * cols]);
-        }
-    }
+    let wide = oh * ow * n;
+    let go_lanes = lanes_from_images(grad_out.data(), n, ws);
     let mut grad_cols = ws.take_dirty(rows * wide);
-    ops::matmul_transa_into(natural, &go_wide, rows, oc, wide, &mut grad_cols);
-    let mut grad_input = ws.take_dirty(n * ic * h * w);
-    for i in 0..n {
-        let gi = &mut grad_input[i * ic * h * w..(i + 1) * ic * h * w];
-        gi.fill(0.0);
-        col2im_strided_into(&grad_cols, ic, h, w, kh, kw, spec, wide, i * cols, gi);
+    let go_wide = go_lanes.as_deref().unwrap_or(grad_out.data());
+    ops::matmul_transa_into(natural, go_wide, rows, oc, wide, &mut grad_cols);
+    if let Some(t) = go_lanes {
+        ws.put(t);
     }
-    ws.put(go_wide);
+    let mut folded = ws.take_dirty(n * ic * h * w);
+    col2im_into(&grad_cols, ic, h, w, n, kh, kw, spec, &mut folded);
     ws.put(grad_cols);
+    let grad_input = images_from_lanes(folded, n, ws);
     Tensor::from_vec(grad_input, &[n, ic, h, w])
 }
 
@@ -427,11 +367,20 @@ pub fn conv2d_forward_ws(
 /// given as its k-major panel: the `[IC·KH·KW, OC]` transpose, e.g.
 /// [`crate::panel::GemmWeight::kmajor`].
 ///
-/// The batch is fused into **one wide GEMM**: all N images are unfolded
-/// side by side into a `[IC·KH·KW, N·OH·OW]` column matrix and multiplied
-/// by the panel in a single call. Each output element is still the same
-/// ascending-`k` dot product, so results are bit-identical to a per-image
-/// loop.
+/// The batch is fused into **one wide GEMM** over a `[IC·KH·KW,
+/// OH·OW·N]` column matrix with the images across lanes: column
+/// `(oy, ox, i)` is image `i`'s receptive field of output pixel
+/// `(oy, ox)`. The input is transposed to `[IC, H, W, N]`, unfolded by
+/// [`im2col_into`], multiplied by the panel, and the `[OC, OH·OW, N]`
+/// product is transposed back to `[N, OC, OH, OW]` with the bias added.
+/// Two steps drop out by geometry: with `n == 1` both transposes are the
+/// identity, and a 1×1, stride-1, unpadded convolution's unfolding is
+/// the transposed input itself. This is the only layout for every
+/// geometry; it is chosen over image-major columns `(i, oy, ox)` because
+/// those split each unfolding copy into one short run per image, which
+/// cost more than the GEMM on small planes. A permutation of GEMM
+/// columns changes no element's ascending-`k` dot product, so results
+/// are bit-identical to a per-image loop.
 ///
 /// Every scratch buffer comes from `ws`. After the first call at a given
 /// geometry, repeat calls with the same (warm) workspace perform no heap
@@ -464,37 +413,31 @@ pub fn conv2d_forward_panel_ws(
     let ow = spec.out_size(w, kw);
     let rows = ic * kh * kw;
     let cols = oh * ow;
-    let wide = n * cols;
-    let id = input.data();
-    // All N images side by side: padding taps must read as zero, so the
-    // wide column matrix is blanket-zeroed once before the strided writes.
-    let mut cols_all = ws.take_dirty(rows * wide);
-    cols_all.fill(0.0);
-    for i in 0..n {
-        let img = &id[i * ic * h * w..(i + 1) * ic * h * w];
-        im2col_strided_into(img, ic, h, w, kh, kw, spec, wide, i * cols, &mut cols_all);
+    let wide = cols * n;
+    // The column matrix, or `None` while it is the input itself.
+    let mut cols_mat = lanes_from_images(input.data(), n, ws);
+    if (kh, kw) != (1, 1) || spec != ConvSpec::default() {
+        let mut unfolded = ws.take_dirty(rows * wide);
+        let x = cols_mat.as_deref().unwrap_or(input.data());
+        im2col_into(x, ic, h, w, n, kh, kw, spec, &mut unfolded);
+        if let Some(t) = cols_mat.replace(unfolded) {
+            ws.put(t);
+        }
     }
-    let mut out_wide = ws.take_dirty(oc * wide);
-    let mut out = ws.take_dirty(n * oc * cols);
-    ops::matmul_transa_into(kmajor, &cols_all, oc, rows, wide, &mut out_wide);
-    // Un-interleave [OC, N·cols] → [N, OC, cols], fusing the bias add.
-    for i in 0..n {
-        for ch in 0..oc {
-            let src = &out_wide[ch * wide + i * cols..ch * wide + (i + 1) * cols];
-            let dst = &mut out[(i * oc + ch) * cols..(i * oc + ch + 1) * cols];
-            match bias {
-                Some(b) => {
-                    let bv = b.data()[ch];
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d = s + bv;
-                    }
-                }
-                None => dst.copy_from_slice(src),
+    let mut prod = ws.take_dirty(oc * wide);
+    let x = cols_mat.as_deref().unwrap_or(input.data());
+    ops::matmul_transa_into(kmajor, x, oc, rows, wide, &mut prod);
+    if let Some(t) = cols_mat {
+        ws.put(t);
+    }
+    let mut out = images_from_lanes(prod, n, ws);
+    if let Some(b) = bias {
+        for (plane, &bv) in out.chunks_exact_mut(cols).zip(b.data().iter().cycle()) {
+            for v in plane {
+                *v += bv;
             }
         }
     }
-    ws.put(cols_all);
-    ws.put(out_wide);
     Tensor::from_vec(out, &[n, oc, oh, ow])
 }
 
@@ -538,7 +481,7 @@ pub fn conv2d_backward_ws(
     let mut gw_buf = ws.take_dirty(oc * rows);
     for i in 0..n {
         let img = &id[i * ic * h * w..(i + 1) * ic * h * w];
-        im2col_into(img, ic, h, w, kh, kw, spec, &mut cols_buf);
+        im2col_into(img, ic, h, w, 1, kh, kw, spec, &mut cols_buf);
         let go = &god[i * oc * cols..(i + 1) * oc * cols];
         // dL/dW += grad_out_i @ cols^T
         ops::matmul_transb_into(go, &cols_buf, oc, cols, rows, &mut gw_buf);
@@ -896,17 +839,43 @@ mod tests {
     #[test]
     fn im2col_col2im_adjoint_property() {
         // <im2col(x), y> == <x, col2im(y)> for random x, y: the pair is a
-        // true adjoint, which is exactly what backprop needs.
-        let spec = ConvSpec::new(2, 1);
-        let x = seq_tensor(&[2, 5, 5]);
-        let mut cols_mat = vec![0.0; 2 * 9 * 9];
-        im2col_into(x.data(), 2, 5, 5, 3, 3, spec, &mut cols_mat);
-        let y = Tensor::from_fn(&[cols_mat.len()], |i| ((i * 13 % 7) as f32) - 3.0);
-        let lhs = Tensor::from_vec(cols_mat, &[y.len()]).dot(&y);
-        let mut folded = vec![0.0; x.len()];
-        col2im_into(y.data(), 2, 5, 5, 3, 3, spec, &mut folded);
-        let rhs = x.dot(&Tensor::from_vec(folded, x.shape()));
-        assert!((lhs - rhs).abs() < 1e-3, "lhs={lhs} rhs={rhs}");
+        // true adjoint, which is exactly what backprop needs — for one
+        // image and for three across lanes.
+        for n in [1, 3] {
+            let spec = ConvSpec::new(2, 1);
+            let x = seq_tensor(&[2, 5, 5, n]);
+            let mut cols_mat = vec![0.0; 2 * 9 * 9 * n];
+            im2col_into(x.data(), 2, 5, 5, n, 3, 3, spec, &mut cols_mat);
+            let y = Tensor::from_fn(&[cols_mat.len()], |i| ((i * 13 % 7) as f32) - 3.0);
+            let lhs = Tensor::from_vec(cols_mat, &[y.len()]).dot(&y);
+            let mut folded = vec![0.0; x.len()];
+            col2im_into(y.data(), 2, 5, 5, n, 3, 3, spec, &mut folded);
+            let rhs = x.dot(&Tensor::from_vec(folded, x.shape()));
+            assert!((lhs - rhs).abs() < 1e-3, "n={n}: lhs={lhs} rhs={rhs}");
+        }
+    }
+
+    #[test]
+    fn in_bounds_matches_brute_force() {
+        for stride in 1..4 {
+            for pad in 0..3 {
+                for t in 0..6 {
+                    for n_in in 1..9 {
+                        let spec = ConvSpec::new(stride, pad);
+                        let n_out = 7;
+                        let want: Vec<usize> = (0..n_out)
+                            .filter(|&o| (pad..n_in + pad).contains(&(o * stride + t)))
+                            .collect();
+                        let (o0, o1) = in_bounds(t, n_in, n_out, spec);
+                        assert_eq!(
+                            (o0..o1).collect::<Vec<_>>(),
+                            want,
+                            "{spec:?} t={t} n={n_in}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! stencils: one pixel of 8 planes, interleaved into scratch); every lane
 //! executes the scalar op sequence for its element verbatim (mul then
 //! add — `vmulps`/`vaddps`, never `vfmadd`), and ragged tails run the
-//! scalar twin itself, so results are bit-identical to the scalar tier.
-//! `unsafe` here is confined to the raw-pointer `loadu`/`storeu` helpers,
+//! scalar twin itself (the GEMM instead masks the lanes past its right
+//! edge), so results are bit-identical to the scalar tier.
+//! `unsafe` here is confined to the raw-pointer load/store helpers,
 //! each guarded by a `debug_assert!` and called only with in-bounds
 //! geometry — which is why the dispatch functions in [`super`] check every
 //! slice length before calling in, after runtime feature detection.
 #![allow(clippy::too_many_arguments)]
 
-use super::scalar::{self, MR, NR};
+use super::scalar::{self, MR};
 use super::AdamParams;
 use crate::conv::Stencil;
 use crate::quant::Q8_BLOCK;
@@ -33,6 +34,39 @@ fn store8(s: &mut [f32], at: usize, v: __m256) {
     debug_assert!(at + 8 <= s.len());
     // SAFETY: callers pass `at + 8 <= s.len()` (debug-asserted).
     unsafe { _mm256_storeu_ps(s.as_mut_ptr().add(at), v) }
+}
+
+/// Lanes `0..live` set (all bits), the rest clear: the mask of
+/// [`maskload8`]/[`maskstore8`].
+#[inline]
+#[target_feature(enable = "avx2")]
+fn lane_mask(live: usize) -> __m256i {
+    debug_assert!((1..=8).contains(&live));
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(live as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
+/// Masked load of `s[at..at + live]` into lanes `0..live`; the other lanes
+/// read as `0.0` and touch no memory.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn maskload8(s: &[f32], at: usize, live: usize, mask: __m256i) -> __m256 {
+    debug_assert!(at + live <= s.len());
+    // SAFETY: `at + live <= s.len()` (debug-asserted) and `mask` enables
+    // lanes `0..live` only, so no disabled lane is dereferenced.
+    unsafe { _mm256_maskload_ps(s.as_ptr().add(at), mask) }
+}
+
+/// Masked store of lanes `0..live` into `s[at..at + live]`; memory under
+/// the other lanes is left untouched.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn maskstore8(s: &mut [f32], at: usize, live: usize, mask: __m256i, v: __m256) {
+    debug_assert!(at + live <= s.len());
+    // SAFETY: as in `maskload8`.
+    unsafe { _mm256_maskstore_ps(s.as_mut_ptr().add(at), mask, v) }
 }
 
 /// Loads 8 consecutive bytes of `s` into the low half of a 128-bit reg.
@@ -81,14 +115,53 @@ pub(super) fn gemm_strided_a(
                 j += NR_AVX;
             }
         }
-        // Ragged right/bottom edges reuse the scalar edge tile: per
-        // output element it is the same ascending-k chain either way.
+        // Ragged right and bottom edges: 8-lane masked tiles.
         while j < n {
-            let jw = (n - j).min(NR);
-            scalar::gemm_tile_edge(a, abase, ars, aks, b, j, jw, k, n, out, obase, rows);
-            j += NR;
+            let jw = (n - j).min(8);
+            match rows {
+                1 => tile_edge::<1>(a, abase, ars, aks, b, j, jw, k, n, out, obase),
+                2 => tile_edge::<2>(a, abase, ars, aks, b, j, jw, k, n, out, obase),
+                3 => tile_edge::<3>(a, abase, ars, aks, b, j, jw, k, n, out, obase),
+                _ => tile_edge::<MR>(a, abase, ars, aks, b, j, jw, k, n, out, obase),
+            }
+            j += 8;
         }
         i += MR;
+    }
+}
+
+/// Edge tile of `R ≤ MR` rows and `jw ≤ 8` columns: [`tile_full`] at one
+/// vector per row, with the lanes past `jw` masked off on every `b` load
+/// and on the store. Each live lane is one output element's ascending-`k`
+/// mul-then-add chain from `0.0`, the op sequence of the scalar
+/// `gemm_tile_edge`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn tile_edge<const R: usize>(
+    a: &[f32],
+    abase: usize,
+    ars: usize,
+    aks: usize,
+    b: &[f32],
+    j0: usize,
+    jw: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+    obase: usize,
+) {
+    let mask = lane_mask(jw);
+    let mut acc = [_mm256_setzero_ps(); R];
+    for kk in 0..k {
+        let bv = maskload8(b, kk * n + j0, jw, mask);
+        let a0 = abase + kk * aks;
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av = _mm256_set1_ps(a[a0 + r * ars]);
+            *accr = _mm256_add_ps(*accr, _mm256_mul_ps(av, bv));
+        }
+    }
+    for (r, &accr) in acc.iter().enumerate() {
+        maskstore8(out, obase + r * n + j0, jw, mask, accr);
     }
 }
 
@@ -505,6 +578,32 @@ fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
         _mm256_permute2f128_ps::<0x31>(s2, s6),
         _mm256_permute2f128_ps::<0x31>(s3, s7),
     ]
+}
+
+/// AVX2 twin of [`scalar::transpose`]: 8×8 blocks through
+/// [`transpose8`], column blocks outermost so each block row of `out`
+/// is finished before the next starts; the ragged right and bottom
+/// strips copy one element at a time.
+#[target_feature(enable = "avx2")]
+pub(super) fn transpose(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
+    let (rows8, cols8) = (rows / 8 * 8, cols / 8 * 8);
+    for j in (0..cols8).step_by(8) {
+        for i in (0..rows8).step_by(8) {
+            let mut block = [_mm256_setzero_ps(); 8];
+            for (l, v) in block.iter_mut().enumerate() {
+                *v = load8(src, (i + l) * cols + j);
+            }
+            for (l, v) in transpose8(block).into_iter().enumerate() {
+                store8(out, (j + l) * rows + i, v);
+            }
+        }
+    }
+    for i in 0..rows {
+        let j0 = if i < rows8 { cols8 } else { 0 };
+        for j in j0..cols {
+            out[j * rows + i] = src[i * cols + j];
+        }
+    }
 }
 
 /// Interleaves planes `p0..p0 + lanes` of `src` (`len` floats each)

@@ -1,12 +1,14 @@
 //! Runtime-dispatched SIMD kernel tier: one home per hot loop.
 //!
 //! Every hot f32 kernel in the crate — the GEMM tiles behind the three
-//! [`crate::ops`] orientations, the Q8/f16 decoders behind
-//! [`crate::quant::QTensor`], the refine-loop elementwise ops, the trigger
-//! blend and its backward, Adam, the planar-stencil gather/adjoint
-//! behind depthwise convolution and SSIM ([`crate::conv::Stencil`]), and
-//! [`exp`]/[`exp_in_place`] behind SiLU, Sigmoid and [`softmax_row`] — is
-//! one public function here with two implementations side by side: the
+//! [`crate::ops`] orientations, the [`transpose`] that packs weight
+//! panels and moves convolution batches across lanes, the Q8/f16
+//! decoders behind [`crate::quant::QTensor`], the refine-loop
+//! elementwise ops, the trigger blend and its backward, Adam, the
+//! planar-stencil gather/adjoint behind depthwise convolution and SSIM
+//! ([`crate::conv::Stencil`]), and [`exp`]/[`exp_in_place`] behind SiLU,
+//! Sigmoid and [`softmax_row`] — is one public function here with two
+//! implementations side by side: the
 //! scalar loop in `kernels/scalar.rs` (the *reference*, always compiled,
 //! the only one on non-x86 targets) and its AVX2 twin of the same name in
 //! `kernels/avx2.rs`, behind `#[target_feature(enable = "avx2")]`. The
@@ -220,6 +222,20 @@ pub fn gemm_transb(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
     assert_eq!(b.len(), n * k, "gemm_transb: rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm_transb: out length mismatch");
     dispatch!(gemm_transb(a, b, m, k, n, out))
+}
+
+/// `out` (`[cols, rows]`) = the transpose of `src` (`[rows, cols]`), both
+/// row-major; `out` is fully overwritten. A pure permutation: every bit
+/// pattern, NaN payloads included, arrives unchanged.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the dimensions.
+#[inline]
+pub fn transpose(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
+    assert_eq!(src.len(), rows * cols, "transpose: src length mismatch");
+    assert_eq!(out.len(), rows * cols, "transpose: out length mismatch");
+    dispatch!(transpose(src, rows, cols, out))
 }
 
 /// Decodes a little-endian f16 byte stream into `out`, bit-identical to
@@ -846,55 +862,96 @@ mod tests {
             }
         }
 
+        /// Reference `out[i, j] = Σ_k a[i·ars + kk·aks] · b[kk·n + j]`,
+        /// ascending `kk` from `0.0`.
+        fn naive_gemm(
+            a: &[f32],
+            ars: usize,
+            aks: usize,
+            b: &[f32],
+            m: usize,
+            k: usize,
+            n: usize,
+        ) -> Vec<f32> {
+            let mut out = vec![0.0f32; m * n];
+            for i in 0..m {
+                for j in 0..n {
+                    let mut s = 0.0f32;
+                    for kk in 0..k {
+                        s += a[i * ars + kk * aks] * b[kk * n + j];
+                    }
+                    out[i * n + j] = s;
+                }
+            }
+            out
+        }
+
         #[test]
         fn gemm_kernels_match_scalar_bitwise() {
             if !have_avx2() {
                 return;
             }
-            // Shapes straddling both the 16-wide AVX2 tile and the 8-wide
-            // scalar edge tile, plus degenerate edges.
+            // Every m ∈ 1..=9 × n ∈ 1..=40 covers each masked edge width,
+            // every bottom-edge height and 0–2 full 16-wide tiles; the k
+            // values cover the single-step and a long chain. `b` and `out`
+            // are exact-length prefixes of buffers whose tails hold
+            // sentinel NaNs: a masked load that leaked the tail would put
+            // a NaN into a stored lane, a masked store that spilled would
+            // rewrite the tail.
+            const TAIL: usize = 16;
+            let sentinel = f32::from_bits(0x7fc0_5e17);
+            for k in [1, 5, 7, 33] {
+                for m in 1..=9 {
+                    let a = soup(m * k, 67);
+                    for n in 1..=40 {
+                        let mut b = soup(k * n, 71);
+                        b.extend([sentinel; TAIL]);
+                        let b = &b[..k * n];
+                        for (ars, aks, what) in [(k, 1, "row-major"), (1, m, "k-major")] {
+                            let want = naive_gemm(&a, ars, aks, b, m, k, n);
+                            let mut out_s = vec![f32::NAN; m * n + TAIL];
+                            out_s[m * n..].fill(sentinel);
+                            let mut out_t = out_s.clone();
+                            // SAFETY: guarded by have_avx2().
+                            unsafe {
+                                avx2::gemm_strided_a(&a, ars, aks, b, m, k, n, &mut out_s[..m * n])
+                            };
+                            scalar::gemm_strided_a(&a, ars, aks, b, m, k, n, &mut out_t[..m * n]);
+                            let what = format!("gemm_strided_a {what} m={m} k={k} n={n}");
+                            assert_twins(&out_s[..m * n], &out_t[..m * n], &want, &what);
+                            assert!(
+                                out_s[m * n..]
+                                    .iter()
+                                    .all(|v| v.to_bits() == sentinel.to_bits()),
+                                "{what}: store spilled past the output"
+                            );
+                        }
+                    }
+                }
+            }
+            // Small-k shapes with full and ragged row blocks, and shapes
+            // straddling the 16-wide AVX2 tile on larger operands; these
+            // also drive the `gemm_transb` twin check.
             for &(m, k, n) in &[
-                (4, 16, 16),
                 (3, 5, 7),
+                (9, 7, 33),
+                (4, 16, 16),
                 (5, 65, 130),
                 (17, 100, 129),
                 (1, 200, 3),
-                (9, 7, 33),
                 (8, 1, 16),
             ] {
                 let a = soup(m * k, 67);
                 let b = soup(k * n, 71);
-                let mut out_s = vec![f32::NAN; m * n];
-                let mut out_t = vec![f32::NAN; m * n];
-                let mut out_r = vec![f32::NAN; m * n];
-                // SAFETY: guarded by have_avx2().
-                unsafe { avx2::gemm_strided_a(&a, k, 1, &b, m, k, n, &mut out_s) };
-                scalar::gemm_strided_a(&a, k, 1, &b, m, k, n, &mut out_t);
-                for i in 0..m {
-                    for j in 0..n {
-                        let mut s = 0.0f32;
-                        for kk in 0..k {
-                            s += a[i * k + kk] * b[kk * n + j];
-                        }
-                        out_r[i * n + j] = s;
-                    }
+                for (ars, aks) in [(k, 1), (1, m)] {
+                    let mut out_s = vec![f32::NAN; m * n];
+                    let mut out_t = vec![f32::NAN; m * n];
+                    // SAFETY: guarded by have_avx2().
+                    unsafe { avx2::gemm_strided_a(&a, ars, aks, &b, m, k, n, &mut out_s) };
+                    scalar::gemm_strided_a(&a, ars, aks, &b, m, k, n, &mut out_t);
+                    let want = naive_gemm(&a, ars, aks, &b, m, k, n);
+                    assert_twins(&out_s, &out_t, &want, "gemm_strided_a");
                 }
-                assert_twins(&out_s, &out_t, &out_r, "gemm_strided_a");
-
-                // The k-major (`aᵀ @ b`) addressing of the same driver.
-                // SAFETY: guarded by have_avx2().
-                unsafe { avx2::gemm_strided_a(&a, 1, m, &b, m, k, n, &mut out_s) };
-                scalar::gemm_strided_a(&a, 1, m, &b, m, k, n, &mut out_t);
-                for i in 0..m {
-                    for j in 0..n {
-                        let mut s = 0.0f32;
-                        for kk in 0..k {
-                            s += a[kk * m + i] * b[kk * n + j];
-                        }
-                        out_r[i * n + j] = s;
-                    }
-                }
-                assert_twins(&out_s, &out_t, &out_r, "gemm_strided_a k-major");
 
                 let bt = soup(n * k, 73);
                 let mut t_s = vec![f32::NAN; m * n];
@@ -913,6 +970,39 @@ mod tests {
                     }
                 }
                 assert_twins(&t_s, &t_t, &t_r, "gemm_transb");
+            }
+        }
+
+        #[test]
+        fn transpose_matches_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            // Full 8×8 blocks, ragged strips on either side, and the
+            // convolution shapes: [N, C·H·W] in and [OC·OH·OW, N] out.
+            for &(rows, cols) in &[
+                (1, 1),
+                (8, 8),
+                (3, 17),
+                (16, 40),
+                (9, 8),
+                (17, 23),
+                (16, 1152),
+                (576, 16),
+            ] {
+                let src = soup(rows * cols, 79);
+                let mut out_s = vec![f32::NAN; rows * cols];
+                let mut out_t = vec![f32::NAN; rows * cols];
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::transpose(&src, rows, cols, &mut out_s) };
+                scalar::transpose(&src, rows, cols, &mut out_t);
+                let mut want = vec![0.0f32; rows * cols];
+                for i in 0..rows {
+                    for j in 0..cols {
+                        want[j * rows + i] = src[i * cols + j];
+                    }
+                }
+                assert_twins(&out_s, &out_t, &want, &format!("transpose {rows}x{cols}"));
             }
         }
 

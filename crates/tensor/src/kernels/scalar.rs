@@ -58,10 +58,8 @@ fn gemm_tile_full(
 
 /// Partial tile (`rows ≤ MR`, `jw ≤ NR`) for the ragged right/bottom edges.
 /// Same accumulation order as [`gemm_tile_full`], just with runtime bounds.
-/// The AVX2 driver reuses it for its own edges — per output element the
-/// chain is identical either way.
 #[inline(always)]
-pub(super) fn gemm_tile_edge(
+fn gemm_tile_edge(
     a: &[f32],
     abase: usize,
     ars: usize,
@@ -159,6 +157,15 @@ pub(super) fn gemm_transb(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, ou
             j += NRT;
         }
         i += MRT;
+    }
+}
+
+/// `out[j·rows + i] = src[i·cols + j]`: one copy per element, row by row.
+pub(super) fn transpose(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
+    for i in 0..rows {
+        for (j, &v) in src[i * cols..(i + 1) * cols].iter().enumerate() {
+            out[j * rows + i] = v;
+        }
     }
 }
 

@@ -6,10 +6,11 @@ use crate::{kernels, Tensor};
 ///
 /// Runs on the register tiles of [`kernels::gemm_strided_a`]: the
 /// accumulators for one output tile live in registers across the whole `k`
-/// sweep and are stored once, with fixed-width inner loops the autovectorizer turns into
-/// SSE rank-1 updates — the access pattern the im2col GEMM in
-/// `conv::conv2d_forward_ws` / `conv::conv2d_backward` hits on every layer
-/// of every forward and backward pass.
+/// sweep and are stored once. On the AVX2 tier a full tile is 4 rows × 16
+/// columns and the ragged right and bottom edges run 8-lane masked tiles;
+/// the scalar tier uses 4 × 8 tiles. This is the GEMM that
+/// [`crate::conv::conv2d_forward_ws`] and [`crate::conv::conv2d_backward_ws`]
+/// run on every layer of every forward and backward pass.
 ///
 /// For any fixed output element the `k`-accumulation order is ascending
 /// regardless of the blocking, so results are bit-identical to the naive
@@ -144,29 +145,17 @@ pub fn matmul_transa_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, ou
 /// Writes the transpose of `src` (`[rows, cols]` row-major) into `out`
 /// (`[cols, rows]` row-major, fully overwritten — dirty buffers are fine).
 ///
-/// This is the packing primitive behind [`crate::panel::GemmWeight::kmajor`]:
-/// a row-major weight matrix transposed once into a k-major panel lets the
-/// GEMM address it with unit-stride tile loads.
+/// This is the packing primitive behind [`crate::panel::GemmWeight::kmajor`]
+/// (a row-major weight matrix transposed once into a k-major panel lets the
+/// GEMM address it with unit-stride tile loads) and the layout change that
+/// puts a convolution's images across lanes ([`crate::conv`]). It runs
+/// [`kernels::transpose`].
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with the dimensions.
 pub fn transpose_into(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
-    assert_eq!(
-        src.len(),
-        rows * cols,
-        "transpose_into: src length mismatch"
-    );
-    assert_eq!(
-        out.len(),
-        rows * cols,
-        "transpose_into: out length mismatch"
-    );
-    for i in 0..rows {
-        for (j, &v) in src[i * cols..(i + 1) * cols].iter().enumerate() {
-            out[j * rows + i] = v;
-        }
-    }
+    kernels::transpose(src, rows, cols, out);
 }
 
 /// Transpose of a 2-D tensor.

@@ -102,8 +102,8 @@ fn naive_im2col(
 }
 
 /// Adjoint scatter in the exact (channel, ky, kx, oy, ox) order of
-/// `col2im_strided_into` — overlapping contributions must sum in the same
-/// order for bit equality.
+/// `col2im_into` — overlapping contributions must sum in the same order for
+/// bit equality.
 fn naive_col2im(
     cols_mat: &[f32],
     c: usize,
@@ -132,6 +132,23 @@ fn naive_col2im(
                     }
                 }
             }
+        }
+    }
+    out
+}
+
+/// Image `i` of `n` held across lanes (`[.., N]`): every `n`-th value.
+fn lane(lanes: &[f32], n: usize, i: usize) -> Vec<f32> {
+    lanes.iter().skip(i).step_by(n).copied().collect()
+}
+
+/// Inverse of [`lane`]: `n` equal-length images interleaved across lanes.
+fn across_lanes(images: &[Vec<f32>]) -> Vec<f32> {
+    let n = images.len();
+    let mut out = vec![0.0f32; n * images[0].len()];
+    for (i, img) in images.iter().enumerate() {
+        for (j, &v) in img.iter().enumerate() {
+            out[j * n + i] = v;
         }
     }
     out
@@ -387,6 +404,154 @@ fn tensor_from(vals: &[f32], len: usize, lo: f32) -> Vec<f32> {
         .collect()
 }
 
+/// One dense convolution's shape: batch, channels, kernel, input plane.
+#[derive(Clone, Copy, Debug)]
+struct ConvGeom {
+    n: usize,
+    ic: usize,
+    oc: usize,
+    kh: usize,
+    kw: usize,
+    h: usize,
+    w: usize,
+    spec: ConvSpec,
+}
+
+/// `conv2d_forward_ws` against per-image naive im2col + matmul + bias,
+/// on a dirty workspace and again on the warm one.
+fn check_conv_forward(g: ConvGeom, with_bias: bool, vals: &[f32]) {
+    let ConvGeom {
+        n,
+        ic,
+        oc,
+        kh,
+        kw,
+        h,
+        w,
+        spec,
+    } = g;
+    let input = Tensor::from_vec(tensor_from(vals, n * ic * h * w, 0.02), &[n, ic, h, w]);
+    let weight = Tensor::from_vec(
+        tensor_from(vals, oc * ic * kh * kw, -0.01),
+        &[oc, ic, kh, kw],
+    );
+    let bias = Tensor::from_vec(tensor_from(vals, oc, 0.04), &[oc]);
+    let oh = spec.out_size(h, kh);
+    let ow = spec.out_size(w, kw);
+    let rows = ic * kh * kw;
+    let cols = oh * ow;
+
+    // Per-image reference: unfold, W @ cols (ascending k), add bias.
+    let mut want = Vec::with_capacity(n * oc * cols);
+    for i in 0..n {
+        let img = &input.data()[i * ic * h * w..(i + 1) * ic * h * w];
+        let unfolded = naive_im2col(img, ic, h, w, kh, kw, spec);
+        let prod = naive_matmul(weight.data(), &unfolded, oc, rows, cols);
+        for ch in 0..oc {
+            for col in 0..cols {
+                let b = if with_bias { bias.data()[ch] } else { 0.0 };
+                want.push(prod[ch * cols + col] + b);
+            }
+        }
+    }
+
+    let mut ws = dirty_workspace();
+    for round in 0..2 {
+        // Round 1 reruns on the warm pool.
+        let got = conv2d_forward_ws(&input, &weight, with_bias.then_some(&bias), spec, &mut ws);
+        assert_eq!(got.shape(), &[n, oc, oh, ow]);
+        assert_bits_eq(
+            got.data(),
+            &want,
+            &format!("conv forward {g:?} (round {round})"),
+        );
+        ws.recycle(got);
+    }
+}
+
+/// `conv2d_input_backward_ws` against per-image naive Wᵀ@g + fold.
+fn check_conv_input_backward(g: ConvGeom, vals: &[f32]) {
+    let ConvGeom {
+        n,
+        ic,
+        oc,
+        kh,
+        kw,
+        h,
+        w,
+        spec,
+    } = g;
+    let weight = Tensor::from_vec(
+        tensor_from(vals, oc * ic * kh * kw, 0.03),
+        &[oc, ic, kh, kw],
+    );
+    let oh = spec.out_size(h, kh);
+    let ow = spec.out_size(w, kw);
+    let rows = ic * kh * kw;
+    let cols = oh * ow;
+    let grad_out = Tensor::from_vec(tensor_from(vals, n * oc * cols, -0.02), &[n, oc, oh, ow]);
+
+    let mut want = Vec::with_capacity(n * ic * h * w);
+    for i in 0..n {
+        let go = &grad_out.data()[i * oc * cols..(i + 1) * oc * cols];
+        // Wᵀ @ g: weight is [oc, rows] row-major, so transa over oc.
+        let gcols = naive_matmul_transa(weight.data(), go, rows, oc, cols);
+        want.extend_from_slice(&naive_col2im(&gcols, ic, h, w, kh, kw, spec));
+    }
+
+    let mut ws = dirty_workspace();
+    for round in 0..2 {
+        let got = conv2d_input_backward_ws(&weight, &grad_out, h, w, spec, &mut ws);
+        assert_eq!(got.shape(), &[n, ic, h, w]);
+        assert_bits_eq(
+            got.data(),
+            &want,
+            &format!("conv input backward {g:?} (round {round})"),
+        );
+        ws.recycle(got);
+    }
+}
+
+/// Every batch-size class (one image, ragged and full 8-image groups)
+/// against every geometry class the kernels branch on — pointwise 1×1,
+/// strided 1×1 shortcuts, padded 3×3 and 5×5 at strides 1 and 2, padded
+/// 7×7 at stride 1 — on planes from 1 to 20 wide, with exact `±0.0`
+/// gradients. On planes 1–2 wide the 5×5 and 7×7 kernels have taps that
+/// miss every column.
+#[test]
+fn batched_conv_geometry_grid_matches_per_image_naive() {
+    let vals = [0.0, -0.0, 0.75, -1.25, 0.5, -0.0, 1.5, -0.5, 0.25];
+    for n in [1, 2, 8, 9, 16, 17] {
+        for (k, stride, pad) in [
+            (1, 1, 0),
+            (1, 2, 0),
+            (3, 1, 1),
+            (3, 2, 1),
+            (5, 1, 2),
+            (5, 2, 2),
+            (7, 1, 3),
+        ] {
+            for side in [1, 2, 3, 6, 12, 20] {
+                let geom = ConvGeom {
+                    n,
+                    ic: 3,
+                    oc: 5,
+                    kh: k,
+                    kw: k,
+                    h: side,
+                    w: side,
+                    spec: ConvSpec::new(stride, pad),
+                };
+                if side + 2 * pad < k {
+                    continue;
+                }
+                check_conv_forward(geom, n % 2 == 0, &vals);
+                check_conv_input_backward(geom, &vals);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -442,11 +607,13 @@ proptest! {
         }
     }
 
-    /// Unfold and fold against their naive scatter loops, including
-    /// strides and padding that push kernel taps out of bounds.
+    /// Unfold and fold against their naive per-image scatter loops,
+    /// including strides and padding that push kernel taps out of bounds,
+    /// for one image and for several held across lanes.
     #[test]
     fn im2col_col2im_match_naive_bitwise(
         c in 1usize..4,
+        n in 1usize..4,
         kh in 1usize..4,
         kw in 1usize..4,
         extra_h in 0usize..6,
@@ -457,126 +624,66 @@ proptest! {
     ) {
         let (h, w) = (kh + extra_h, kw + extra_w);
         let spec = ConvSpec::new(stride, pad);
-        let img = tensor_from(&vals, c * h * w, 0.05);
+        let img = tensor_from(&vals, c * h * w * n, 0.05);
         let oh = spec.out_size(h, kh);
         let ow = spec.out_size(w, kw);
         let rows = c * kh * kw;
         let cols = oh * ow;
 
         let mut ws = dirty_workspace();
-        let mut unfolded = ws.take_dirty(rows * cols);
-        im2col_into(&img, c, h, w, kh, kw, spec, &mut unfolded);
-        assert_bits_eq(
-            &unfolded,
-            &naive_im2col(&img, c, h, w, kh, kw, spec),
-            "im2col_into",
-        );
+        let mut unfolded = ws.take_dirty(rows * cols * n);
+        im2col_into(&img, c, h, w, n, kh, kw, spec, &mut unfolded);
+        let want: Vec<Vec<f32>> = (0..n)
+            .map(|i| naive_im2col(&lane(&img, n, i), c, h, w, kh, kw, spec))
+            .collect();
+        assert_bits_eq(&unfolded, &across_lanes(&want), "im2col_into");
 
-        let cols_mat = tensor_from(&vals, rows * cols, -0.03);
-        let mut folded = ws.take_dirty(c * h * w);
-        col2im_into(&cols_mat, c, h, w, kh, kw, spec, &mut folded);
-        assert_bits_eq(
-            &folded,
-            &naive_col2im(&cols_mat, c, h, w, kh, kw, spec),
-            "col2im_into",
-        );
+        let cols_mat = tensor_from(&vals, rows * cols * n, -0.03);
+        let mut folded = ws.take_dirty(c * h * w * n);
+        col2im_into(&cols_mat, c, h, w, n, kh, kw, spec, &mut folded);
+        let want: Vec<Vec<f32>> = (0..n)
+            .map(|i| naive_col2im(&lane(&cols_mat, n, i), c, h, w, kh, kw, spec))
+            .collect();
+        assert_bits_eq(&folded, &across_lanes(&want), "col2im_into");
     }
 
-    /// The batched wide-GEMM conv forward (all images unfolded side by
-    /// side, one GEMM, packed weights) against a per-image naive
-    /// im2col + matmul + bias composition.
+    /// The batched wide-GEMM conv forward (all images unfolded across
+    /// lanes, one GEMM, packed weights) against a per-image naive
+    /// im2col + matmul + bias composition. `n` spans full and ragged
+    /// 8-image groups; output widths span 1 to 23.
     #[test]
     fn batched_conv_forward_matches_per_image_naive(
-        n in 1usize..4,
-        ic in 1usize..4,
-        oc in 1usize..6,
+        n in 1usize..19,
+        ic in 1usize..10,
+        oc in 1usize..13,
         kh in 1usize..4,
         kw in 1usize..4,
-        extra in 0usize..5,
+        extra in 0usize..21,
         stride in 1usize..3,
         pad in 0usize..2,
         with_bias_bit in 0usize..2,
         vals in proptest::collection::vec(-1.5f32..1.5, 8..32),
     ) {
-        let with_bias = with_bias_bit == 1;
-        let (h, w) = (kh + extra, kw + extra);
-        let spec = ConvSpec::new(stride, pad);
-        let input = Tensor::from_vec(tensor_from(&vals, n * ic * h * w, 0.02), &[n, ic, h, w]);
-        let weight = Tensor::from_vec(tensor_from(&vals, oc * ic * kh * kw, -0.01), &[oc, ic, kh, kw]);
-        let bias = Tensor::from_vec(tensor_from(&vals, oc, 0.04), &[oc]);
-        let oh = spec.out_size(h, kh);
-        let ow = spec.out_size(w, kw);
-        let rows = ic * kh * kw;
-        let cols = oh * ow;
-
-        // Per-image reference: unfold, W @ cols (ascending k), add bias.
-        let mut want = Vec::with_capacity(n * oc * cols);
-        for i in 0..n {
-            let img = &input.data()[i * ic * h * w..(i + 1) * ic * h * w];
-            let unfolded = naive_im2col(img, ic, h, w, kh, kw, spec);
-            let prod = naive_matmul(weight.data(), &unfolded, oc, rows, cols);
-            for ch in 0..oc {
-                for col in 0..cols {
-                    let b = if with_bias { bias.data()[ch] } else { 0.0 };
-                    want.push(prod[ch * cols + col] + b);
-                }
-            }
-        }
-
-        let mut ws = dirty_workspace();
-        for round in 0..2 {
-            // Round 1 reruns on the warm pool.
-            let got = conv2d_forward_ws(
-                &input,
-                &weight,
-                with_bias.then_some(&bias),
-                spec,
-                &mut ws,
-            );
-            prop_assert_eq!(got.shape(), &[n, oc, oh, ow]);
-            assert_bits_eq(got.data(), &want, &format!("conv forward (round {round})"));
-            ws.recycle(got);
-        }
+        let geom = ConvGeom { n, ic, oc, kh, kw, h: kh + extra, w: kw + extra, spec: ConvSpec::new(stride, pad) };
+        check_conv_forward(geom, with_bias_bit == 1, &vals);
     }
 
-    /// The batched input backward (interleave, one wide transa GEMM,
-    /// per-image col2im) against a per-image naive Wᵀ@g + fold.
+    /// The batched input backward (images across lanes, one wide transa
+    /// GEMM, one col2im) against a per-image naive Wᵀ@g + fold.
     #[test]
     fn batched_conv_input_backward_matches_per_image_naive(
-        n in 1usize..4,
-        ic in 1usize..4,
-        oc in 1usize..5,
+        n in 1usize..19,
+        ic in 1usize..10,
+        oc in 1usize..13,
         kh in 1usize..4,
         kw in 1usize..4,
-        extra in 0usize..5,
+        extra in 0usize..21,
         stride in 1usize..3,
         pad in 0usize..2,
         vals in proptest::collection::vec(-1.5f32..1.5, 8..32),
     ) {
-        let (h, w) = (kh + extra, kw + extra);
-        let spec = ConvSpec::new(stride, pad);
-        let weight = Tensor::from_vec(tensor_from(&vals, oc * ic * kh * kw, 0.03), &[oc, ic, kh, kw]);
-        let oh = spec.out_size(h, kh);
-        let ow = spec.out_size(w, kw);
-        let rows = ic * kh * kw;
-        let cols = oh * ow;
-        let grad_out = Tensor::from_vec(tensor_from(&vals, n * oc * cols, -0.02), &[n, oc, oh, ow]);
-
-        let mut want = Vec::with_capacity(n * ic * h * w);
-        for i in 0..n {
-            let go = &grad_out.data()[i * oc * cols..(i + 1) * oc * cols];
-            // Wᵀ @ g: weight is [oc, rows] row-major, so transa over oc.
-            let gcols = naive_matmul_transa(weight.data(), go, rows, oc, cols);
-            want.extend_from_slice(&naive_col2im(&gcols, ic, h, w, kh, kw, spec));
-        }
-
-        let mut ws = dirty_workspace();
-        for round in 0..2 {
-            let got = conv2d_input_backward_ws(&weight, &grad_out, h, w, spec, &mut ws);
-            prop_assert_eq!(got.shape(), &[n, ic, h, w]);
-            assert_bits_eq(got.data(), &want, &format!("conv input backward (round {round})"));
-            ws.recycle(got);
-        }
+        let geom = ConvGeom { n, ic, oc, kh, kw, h: kh + extra, w: kw + extra, spec: ConvSpec::new(stride, pad) };
+        check_conv_input_backward(geom, &vals);
     }
 
     /// A quantized [`GemmWeight`]'s panels against the from-scratch

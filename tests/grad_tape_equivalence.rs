@@ -71,6 +71,7 @@ fn train_step(
     tape.begin();
     let logits = net.forward(x, Pass::Train(tape), ws);
     let dx = net.grad(&grad_seed(&logits), tape, ws, Some(grads));
+    ws.recycle(logits);
     let bits = grads
         .params()
         .iter()
