@@ -112,12 +112,6 @@ impl IadGenerator {
         blend(batch, &patterns, self.epsilon)
     }
 
-    /// Stamps `x` with patterns generated from *other* inputs (the
-    /// cross-trigger operation).
-    pub fn stamp_with_patterns(&self, batch: &Tensor, patterns: &Tensor) -> Tensor {
-        blend(batch, patterns, self.epsilon)
-    }
-
     /// Mutable access to the generator net (its parameters and state).
     pub fn net_mut(&mut self) -> &mut Sequential {
         &mut self.net

@@ -164,13 +164,6 @@ impl SyntheticSpec {
         self
     }
 
-    /// Overrides the pixel-noise level.
-    #[must_use]
-    pub fn with_noise(mut self, noise: f32) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// Generates the dataset deterministically from `seed`.
     ///
     /// The class prototypes depend only on `(spec, seed)`, so two datasets
@@ -261,11 +254,6 @@ impl Dataset {
     /// Number of training samples.
     pub fn train_len(&self) -> usize {
         self.train_labels.len()
-    }
-
-    /// Number of test samples.
-    pub fn test_len(&self) -> usize {
-        self.test_labels.len()
     }
 }
 

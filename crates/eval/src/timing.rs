@@ -192,12 +192,14 @@ pub fn timing_json(report: &TimingReport, config: &str, models: usize) -> String
     }
     format!(
         "{{\"schema\":\"usb-bench/1\",\"experiment\":\"timing\",\"label\":\"{}\",\
-         \"config\":\"{}\",\"models\":{},\"workers\":{},\"kernel\":\"{}\",\"rows\":[{}]}}\n",
+         \"config\":\"{}\",\"models\":{},\"workers\":{},\"kernel\":\"{}\",\
+         \"exp_read\":\"{}\",\"rows\":[{}]}}\n",
         esc(&report.label),
         esc(config),
         models,
         usb_tensor::par::worker_threads(),
         usb_tensor::kernels::tier_name(),
+        usb_tensor::kernels::exp_read().name(),
         rows.join(",")
     )
 }
@@ -519,6 +521,12 @@ mod tests {
             r#""kernel":"{}""#,
             usb_tensor::kernels::tier_name()
         )));
+        // So is the `exp` table read, which says which code produced a
+        // Table 7 number on a given host.
+        assert!(json.contains(&format!(
+            r#""exp_read":"{}""#,
+            usb_tensor::kernels::exp_read().name()
+        )));
         // Balanced braces/brackets (a cheap well-formedness proxy without a
         // JSON parser in the workspace).
         for (open, close) in [('{', '}'), ('[', ']')] {
@@ -585,20 +593,23 @@ mod tests {
         assert!(parse_bench_totals(r#"{"schema":"usb-bench/1"}"#).is_err());
     }
 
-    /// The `kernel` field is schema-additive: documents predating it (the
-    /// committed PR ≤ 9 baselines) and documents carrying it must parse to
-    /// the same totals, so `--compare` works across the boundary.
+    /// The `kernel` and `exp_read` fields are schema-additive: documents
+    /// predating them (the committed PR ≤ 9 baselines) and documents
+    /// carrying them must parse to the same totals, so `--compare` works
+    /// across the boundary.
     #[test]
     fn compare_is_indifferent_to_the_kernel_field() {
         let report = sample_report();
         let with_kernel = timing_json(&report, "fast", 1);
-        assert!(with_kernel.contains(r#""kernel":""#));
-        let without_kernel = {
-            let pos = with_kernel.find(r#""kernel":""#).unwrap();
-            let end = pos + with_kernel[pos + 10..].find('"').unwrap() + 11;
-            format!("{}{}", &with_kernel[..pos], &with_kernel[end + 1..])
+        let strip = |json: &str, key: &str| {
+            let field = format!(r#""{key}":""#);
+            let pos = json.find(&field).unwrap();
+            let end = pos + field.len() + json[pos + field.len()..].find('"').unwrap();
+            format!("{}{}", &json[..pos], &json[end + 2..])
         };
+        let without_kernel = strip(&strip(&with_kernel, "exp_read"), "kernel");
         assert!(!without_kernel.contains(r#""kernel""#));
+        assert!(!without_kernel.contains(r#""exp_read""#));
         let new = parse_bench_totals(&with_kernel).expect("new-format document");
         let old = parse_bench_totals(&without_kernel).expect("old-format document");
         assert_eq!(new, old, "totals must not depend on the kernel field");

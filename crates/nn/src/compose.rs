@@ -27,11 +27,6 @@ impl Sequential {
         self
     }
 
-    /// Appends a boxed layer in place.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of direct sub-layers.
     pub fn len(&self) -> usize {
         self.layers.len()

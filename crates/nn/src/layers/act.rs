@@ -94,30 +94,10 @@ impl Sigmoid {
     }
 }
 
-/// `out[i] = σ(x[i])`, branch-free over the slice: `e = exp(-|x|)` through
-/// [`kernels::exp_in_place`], then `1/(1+e)` where `x ≥ 0` and `e/(1+e)`
-/// elsewhere. A NaN input enters `exp` as it is (`-|x|` would flip its
-/// sign bit), so it comes out quietened with its sign and payload.
-fn sigmoid_into(x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = if v > 0.0 { -v } else { v };
-    }
-    kernels::exp_in_place(out);
-    for (o, &v) in out.iter_mut().zip(x) {
-        let e = *o;
-        *o = if v >= 0.0 {
-            1.0 / (1.0 + e)
-        } else {
-            e / (1.0 + e)
-        };
-    }
-}
-
 impl Layer for Sigmoid {
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         let mut y = ws.take_dirty(x.len());
-        sigmoid_into(x.data(), &mut y);
+        kernels::sigmoid_silu(x.data(), Some(&mut y), None);
         // The *output* is what the gradient needs.
         if let Some(frame) = pass.push() {
             frame.vals.extend_from_slice(&y);
@@ -158,19 +138,18 @@ impl SiLU {
 }
 
 impl Layer for SiLU {
-    /// A recording pass stores the input in `vals` and the sigmoid it
-    /// computes on the way in `extra`, so [`SiLU::grad`] reads `σ(x)`
-    /// instead of recomputing the exponential — the same bits either way.
+    /// A recording pass stores the input in `vals`, and the kernel writes
+    /// the sigmoid it computes on the way straight into `extra`, so
+    /// [`SiLU::grad`] reads `σ(x)` instead of recomputing the exponential —
+    /// the same bits either way.
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         let mut out = ws.take_dirty(x.len());
-        sigmoid_into(x.data(), &mut out);
-        if let Some(frame) = pass.push() {
+        let sigma = pass.push().map(|frame| {
             frame.vals.extend_from_slice(x.data());
-            frame.extra.extend_from_slice(&out);
-        }
-        for (o, &v) in out.iter_mut().zip(x.data()) {
-            *o *= v;
-        }
+            frame.extra.resize(x.len(), 0.0);
+            &mut frame.extra[..]
+        });
+        kernels::sigmoid_silu(x.data(), sigma, Some(&mut out));
         Tensor::from_vec(out, x.shape())
     }
 
@@ -237,61 +216,26 @@ mod tests {
         assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
-    /// The branchy sigmoid `sigmoid_into` replaced, over the port's `exp`.
-    fn sigmoid_branchy(x: f32) -> f32 {
-        if x >= 0.0 {
-            1.0 / (1.0 + kernels::exp(-x))
-        } else {
-            let e = kernels::exp(x);
-            e / (1.0 + e)
-        }
-    }
-
-    /// `sigmoid_into` equals the branchy formula on every bit pattern,
-    /// `±0`, `±∞` and NaN sign and payload included.
+    /// A recording SiLU forward gives the same bits as an unrecorded one,
+    /// and the σ it writes into its frame is the `Sigmoid` layer's output.
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "exhaustive; run with --release")]
-    fn sigmoid_into_matches_branchy_formula_exhaustively() {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u64;
-        let span = (1u64 << 32).div_ceil(threads);
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                s.spawn(move || {
-                    let (lo, hi) = (t * span, ((t + 1) * span).min(1 << 32));
-                    let (mut x, mut y) = (Vec::with_capacity(4096), vec![0.0; 4096]);
-                    for start in (lo..hi).step_by(4096) {
-                        x.clear();
-                        x.extend((start..(start + 4096).min(hi)).map(|b| f32::from_bits(b as u32)));
-                        sigmoid_into(&x, &mut y[..x.len()]);
-                        for (&v, &o) in x.iter().zip(&y) {
-                            let want = sigmoid_branchy(v);
-                            assert_eq!(o.to_bits(), want.to_bits(), "σ({v:e}): {o:e} vs {want:e}");
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn sigmoid_into_passes_nan_through_and_keeps_signed_zero_cases() {
-        let x = [
-            f32::from_bits(0xff80_0abc),
-            f32::NAN,
-            -0.0,
-            0.0,
-            30.0,
-            -30.0,
-            -200.0,
-        ];
-        let mut y = [0.0; 7];
-        sigmoid_into(&x, &mut y);
-        for (&v, &o) in x.iter().zip(&y) {
-            assert_eq!(o.to_bits(), sigmoid_branchy(v).to_bits(), "σ({v:e})");
-        }
-        assert_eq!(y[0].to_bits(), 0xffc0_0abc, "NaN keeps sign and payload");
-        assert_eq!((y[2], y[3]), (0.5, 0.5));
-        assert_eq!(y[6], 0.0);
+    fn silu_records_the_sigmoid_of_its_input() {
+        let x = Tensor::from_vec(
+            (0..37)
+                .map(|i| (i as f32 - 18.0) * 0.7)
+                .chain([f32::NAN, -0.0, 95.0])
+                .collect(),
+            &[40],
+        );
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let recorded = SiLU::new().forward(&x, Pass::Eval(&mut tape), &mut ws);
+        let plain = SiLU::new().forward(&x, Pass::Infer, &mut ws);
+        let sigma = Sigmoid::new().forward(&x, Pass::Infer, &mut ws);
+        let frame = tape.pop();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(recorded.data()), bits(plain.data()));
+        assert_eq!(bits(&frame.extra), bits(sigma.data()));
+        assert_eq!(bits(&frame.vals), bits(x.data()));
     }
 
     #[test]

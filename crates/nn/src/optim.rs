@@ -106,13 +106,6 @@ impl Adam {
         self
     }
 
-    /// Sets decoupled weight decay.
-    #[must_use]
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Applies one Adam step to every parameter of `model` from `grads`, a
     /// sink filled by a training backward pass over the same model.
     pub fn step(&mut self, model: &mut dyn Layer, grads: &Grads) {

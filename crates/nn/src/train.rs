@@ -58,14 +58,6 @@ impl TrainConfig {
         self.batch_size = batch_size;
         self
     }
-
-    /// Overrides the learning rate.
-    #[must_use]
-    pub fn with_lr(mut self, lr: f32) -> Self {
-        assert!(lr > 0.0, "TrainConfig: non-positive lr");
-        self.lr = lr;
-        self
-    }
 }
 
 impl Default for TrainConfig {

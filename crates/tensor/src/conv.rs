@@ -427,10 +427,13 @@ pub fn conv2d_forward_panel_ws(
     let mut prod = ws.take_dirty(oc * wide);
     let x = cols_mat.as_deref().unwrap_or(input.data());
     ops::matmul_transa_into(kmajor, x, oc, rows, wide, &mut prod);
+    // The column matrix goes back only after the output is drawn. Handed
+    // back first, it was the buffer best-fit grew for the output, and the
+    // Table 7 network's two workspace pools kept ~1.2 MB more.
+    let mut out = images_from_lanes(prod, n, ws);
     if let Some(t) = cols_mat {
         ws.put(t);
     }
-    let mut out = images_from_lanes(prod, n, ws);
     if let Some(b) = bias {
         for (plane, &bv) in out.chunks_exact_mut(cols).zip(b.data().iter().cycle()) {
             for v in plane {

@@ -523,28 +523,177 @@ fn exp4(x: __m128) -> __m128 {
     _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
 }
 
-/// `y[i] = exp(y[i])`, 8 elements per step as two [`exp4`] halves. A
-/// chunk with any lane at `|x| ≥ 88` or NaN runs the scalar twin, which
-/// owns the special cases; so does the ragged tail.
-#[target_feature(enable = "avx2")]
-pub(super) fn exp_in_place(y: &mut [f32]) {
-    let full = y.len() / 8 * 8;
-    let abs = _mm256_set1_epi32(0x7fff_ffff);
-    let big = _mm256_set1_epi32(scalar::EXP_BIG as i32 - 1);
-    let mut i = 0;
-    while i < full {
-        let x = load8(y, i);
-        let mag = _mm256_and_si256(_mm256_castps_si256(x), abs);
-        if _mm256_movemask_epi8(_mm256_cmpgt_epi32(mag, big)) != 0 {
-            scalar::exp_in_place(&mut y[i..i + 8]);
+/// [`scalar::exp`] on 8 f64 lanes, the op sequence of [`exp4`] with the
+/// table read from 4 zmm registers: `vpermt2pd` picks entry `k % 16` from
+/// each 16-entry half, and bit 4 of `k` blends the two. `x` must hold
+/// finite values with `|x| < 88`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn exp8_permute(x: __m256) -> __m256 {
+    let z = _mm512_mul_pd(_mm512_set1_pd(scalar::EXP_INV_LN2_N), _mm512_cvtps_pd(x));
+    let shift = _mm512_set1_pd(scalar::EXP_SHIFT);
+    let kd = _mm512_add_pd(z, shift);
+    let ki = _mm512_castpd_si512(kd);
+    let r = _mm512_sub_pd(z, _mm512_sub_pd(kd, shift));
+    let tab: *const f64 = scalar::EXP_TAB.as_ptr().cast();
+    // SAFETY: the four 8-entry loads cover `EXP_TAB`'s 32 entries exactly.
+    let [t0, t1, t2, t3] = [0, 8, 16, 24].map(|at| unsafe { _mm512_loadu_pd(tab.add(at)) });
+    let t = _mm512_mask_blend_pd(
+        _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)),
+        _mm512_permutex2var_pd(t0, ki, t1),
+        _mm512_permutex2var_pd(t2, ki, t3),
+    );
+    let s = _mm512_castsi512_pd(_mm512_add_epi64(
+        _mm512_castpd_si512(t),
+        _mm512_slli_epi64::<47>(ki),
+    ));
+    let [c0, c1, c2] = scalar::EXP_C;
+    let p = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(c0), r), _mm512_set1_pd(c1));
+    let r2 = _mm512_mul_pd(r, r);
+    let y = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(c2), r), _mm512_set1_pd(1.0));
+    let y = _mm512_add_pd(_mm512_mul_pd(p, r2), y);
+    _mm512_cvtpd_ps(_mm512_mul_pd(y, s))
+}
+
+/// [`scalar::exp`] on 8 lanes with `|x| < 88`, none NaN, through one of
+/// the two reads of `EXP_TAB`: [`exp8_permute`] when `PERMUTE`, else two
+/// [`exp4`] halves. The loops over it are written once, generic over the
+/// read, and compiled into one entry point per read.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and AVX-512F when `PERMUTE`.
+#[inline(always)]
+unsafe fn exp8<const PERMUTE: bool>(x: __m256) -> __m256 {
+    // SAFETY: the caller guarantees the features.
+    unsafe {
+        if PERMUTE {
+            exp8_permute(x)
         } else {
             let lo = exp4(_mm256_castps256_ps128(x));
             let hi = exp4(_mm256_extractf128_ps::<1>(x));
-            store8(y, i, _mm256_set_m128(hi, lo));
+            _mm256_set_m128(hi, lo)
+        }
+    }
+}
+
+/// Whether any lane of `x` has `|x| ≥ 88` or is NaN: the chunks whose
+/// exponentials the scalar twin computes, since it owns the special cases.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn exp_special(x: __m256) -> bool {
+    let mag = _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fff_ffff));
+    let big = _mm256_set1_epi32(scalar::EXP_BIG as i32 - 1);
+    _mm256_movemask_epi8(_mm256_cmpgt_epi32(mag, big)) != 0
+}
+
+/// `y[i] = exp(y[i])`, 8 elements per step through [`exp8`]; special
+/// chunks and the ragged tail run the scalar twin.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and AVX-512F when `PERMUTE`.
+#[inline(always)]
+unsafe fn exp_in_place_with<const PERMUTE: bool>(y: &mut [f32]) {
+    let full = y.len() / 8 * 8;
+    let mut i = 0;
+    while i < full {
+        // SAFETY: the caller guarantees the features; `i + 8 <= full <=
+        // y.len()`.
+        unsafe {
+            let x = load8(y, i);
+            if exp_special(x) {
+                scalar::exp_in_place(&mut y[i..i + 8]);
+            } else {
+                store8(y, i, exp8::<PERMUTE>(x));
+            }
         }
         i += 8;
     }
     scalar::exp_in_place(&mut y[full..]);
+}
+
+/// AVX2 twin of [`scalar::exp_in_place`], the table read by a gather.
+#[target_feature(enable = "avx2")]
+pub(super) fn exp_in_place(y: &mut [f32]) {
+    // SAFETY: AVX2 is enabled on this function.
+    unsafe { exp_in_place_with::<false>(y) }
+}
+
+/// AVX2 twin of [`scalar::exp_in_place`], the table read by permutes.
+#[target_feature(enable = "avx2,avx512f")]
+pub(super) fn exp_in_place_permute(y: &mut [f32]) {
+    // SAFETY: AVX2 and AVX-512F are enabled on this function.
+    unsafe { exp_in_place_with::<true>(y) }
+}
+
+/// [`scalar::sigmoid_silu`], 8 elements per step through [`exp8`]: the same
+/// select of `−|x|`, `exp`, select of the numerator and one divide per
+/// lane. Chunks with a lane at `|x| ≥ 88` or NaN, and the ragged tail, run
+/// the scalar twin.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and AVX-512F when `PERMUTE`; `sigma` and
+/// `silu` must be as long as `x`.
+#[inline(always)]
+unsafe fn sigmoid_silu_with<const PERMUTE: bool>(
+    x: &[f32],
+    mut sigma: Option<&mut [f32]>,
+    mut silu: Option<&mut [f32]>,
+) {
+    let full = x.len() / 8 * 8;
+    let mut i = 0;
+    while i < full {
+        // SAFETY: the caller guarantees the features and that every
+        // output is as long as `x`; `i + 8 <= full <= x.len()`.
+        unsafe {
+            let v = load8(x, i);
+            if exp_special(v) {
+                scalar::sigmoid_silu(
+                    &x[i..i + 8],
+                    sigma.as_deref_mut().map(|s| &mut s[i..i + 8]),
+                    silu.as_deref_mut().map(|s| &mut s[i..i + 8]),
+                );
+            } else {
+                let zero = _mm256_setzero_ps();
+                let one = _mm256_set1_ps(1.0);
+                let pos = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
+                let neg = _mm256_blendv_ps(v, _mm256_xor_ps(v, _mm256_set1_ps(-0.0)), pos);
+                let e = exp8::<PERMUTE>(neg);
+                let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(v, zero);
+                let s = _mm256_div_ps(_mm256_blendv_ps(e, one, ge), _mm256_add_ps(one, e));
+                if let Some(out) = sigma.as_deref_mut() {
+                    store8(out, i, s);
+                }
+                if let Some(out) = silu.as_deref_mut() {
+                    store8(out, i, _mm256_mul_ps(s, v));
+                }
+            }
+        }
+        i += 8;
+    }
+    scalar::sigmoid_silu(
+        &x[full..],
+        sigma.map(|s| &mut s[full..]),
+        silu.map(|s| &mut s[full..]),
+    );
+}
+
+/// AVX2 twin of [`scalar::sigmoid_silu`], the table read by a gather.
+#[target_feature(enable = "avx2")]
+pub(super) fn sigmoid_silu(x: &[f32], sigma: Option<&mut [f32]>, silu: Option<&mut [f32]>) {
+    // SAFETY: AVX2 is enabled on this function; the dispatch function
+    // checked the output lengths.
+    unsafe { sigmoid_silu_with::<false>(x, sigma, silu) }
+}
+
+/// AVX2 twin of [`scalar::sigmoid_silu`], the table read by permutes.
+#[target_feature(enable = "avx2,avx512f")]
+pub(super) fn sigmoid_silu_permute(x: &[f32], sigma: Option<&mut [f32]>, silu: Option<&mut [f32]>) {
+    // SAFETY: AVX2 and AVX-512F are enabled on this function; the
+    // dispatch function checked the output lengths.
+    unsafe { sigmoid_silu_with::<true>(x, sigma, silu) }
 }
 
 /// In-register 8×8 transpose: lane `j` of output row `i` is lane `i`

@@ -6,12 +6,13 @@
 //! decoders behind [`crate::quant::QTensor`], the refine-loop
 //! elementwise ops, the trigger blend and its backward, Adam, the
 //! planar-stencil gather/adjoint behind depthwise convolution and SSIM
-//! ([`crate::conv::Stencil`]), and [`exp`]/[`exp_in_place`] behind SiLU,
-//! Sigmoid and [`softmax_row`] — is one public function here with two
-//! implementations side by side: the
-//! scalar loop in `kernels/scalar.rs` (the *reference*, always compiled,
-//! the only one on non-x86 targets) and its AVX2 twin of the same name in
-//! `kernels/avx2.rs`, behind `#[target_feature(enable = "avx2")]`. The
+//! ([`crate::conv::Stencil`]), [`exp`]/[`exp_in_place`] behind
+//! [`softmax_row`], and [`sigmoid_silu`], SiLU's and Sigmoid's one-pass
+//! forward — is one public function here with two implementations side by
+//! side: the scalar loop in `kernels/scalar.rs` (the *reference*, always
+//! compiled, the only one on non-x86 targets) and its AVX2 twin of the
+//! same name in `kernels/avx2.rs`, behind
+//! `#[target_feature(enable = "avx2")]`. The
 //! public function checks the slice lengths and runs the twin of the tier
 //! this module picks **once per process**; callers just call it.
 //!
@@ -27,6 +28,12 @@
 //!
 //! Any other value panics — a silently ignored typo would invalidate an
 //! A/B measurement.
+//!
+//! The same probe picks how the AVX2 tier reads `exp`'s table
+//! ([`exp_read`]): on a CPU with AVX-512F the kernels over `exp` run
+//! AVX-512F code, not AVX2, with no setting of their own (see `exp`
+//! below). The tier names stay `scalar|avx2`; BENCH json records the read
+//! in its `exp_read` field.
 //!
 //! # Bit-exactness contract
 //!
@@ -51,8 +58,23 @@
 //! f32, and glibc's special cases. Its bits are therefore the same on
 //! every IEEE-754 host and tier, and equal glibc's non-FMA `expf`; glibc's
 //! FMA variant rounds two f32 inputs differently (`32.564632` and
-//! `-63.09946`). The AVX2 twin of [`exp_in_place`] runs the same f64 op
-//! sequence on 4 lanes at a time.
+//! `-63.09946`). The AVX2 tier runs the same f64 op sequence over 8 lanes
+//! per step, with one of two reads of the same table:
+//!
+//! | [`ExpRead`] | CPU | 8 f32 lanes as | table read |
+//! |-------------|-----|----------------|------------|
+//! | `gather` | AVX2 | two halves of 4 f64 lanes | `vpgatherqq` from memory |
+//! | `permute` | AVX-512F | 8 f64 lanes | two `vpermt2pd` and a blend over 4 zmm registers |
+//!
+//! Both are transcriptions of [`exp`], so the choice moves no bit; the
+//! exhaustive sweeps in this module's tests run every read the host can
+//! run. On a 2-core Emerald Rapids host, `exp_in_place` over 153,600
+//! floats took 0.67–0.89 ns per element with the permute read against
+//! 1.02–1.61 with the gather, in two runs. An AVX2 permute read
+//! (`vpermps` and blends) measured slower than the gather there, since
+//! its shuffles all queue on one port. [`exp_in_place`]
+//! (behind [`softmax_row`] and the data splat) and [`sigmoid_silu`] go
+//! through the chosen read; the SSIM window calls the scalar [`exp`].
 #![allow(unsafe_code)]
 
 use crate::conv::Stencil;
@@ -83,7 +105,39 @@ impl Tier {
     }
 }
 
-static TIER: OnceLock<Tier> = OnceLock::new();
+/// How the active tier reads `exp`'s `2^(i/32)` table (see module docs).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ExpRead {
+    /// The scalar tier: one indexed load per element.
+    Scalar,
+    /// The AVX2 tier without AVX-512F: `vpgatherqq` on 4 f64 lanes.
+    Gather,
+    /// The AVX2 tier on an AVX-512F CPU: two `vpermt2pd` and a blend over
+    /// the table held in 4 zmm registers, on 8 f64 lanes.
+    Permute,
+}
+
+impl ExpRead {
+    /// Stable lowercase name, recorded in the BENCH json `exp_read` field.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExpRead::Scalar => "scalar",
+            ExpRead::Gather => "gather",
+            ExpRead::Permute => "permute",
+        }
+    }
+}
+
+static PROBE: OnceLock<(Tier, ExpRead)> = OnceLock::new();
+
+/// The tier and its `exp` table read, probed together once per process.
+fn probe() -> (Tier, ExpRead) {
+    *PROBE.get_or_init(|| {
+        let request = std::env::var("USB_KERNEL");
+        let tier = resolve(request.as_deref().unwrap_or("auto"), avx2_supported());
+        (tier, exp_read_for(tier, avx512f_supported()))
+    })
+}
 
 /// The active kernel tier, probed once per process (see module docs).
 ///
@@ -92,15 +146,26 @@ static TIER: OnceLock<Tier> = OnceLock::new();
 /// Panics if `USB_KERNEL` holds an unknown value, or forces `avx2` on a
 /// CPU without AVX2.
 pub fn tier() -> Tier {
-    *TIER.get_or_init(|| {
-        let request = std::env::var("USB_KERNEL");
-        resolve(request.as_deref().unwrap_or("auto"), avx2_supported())
-    })
+    probe().0
 }
 
 /// [`Tier::name`] of the active tier — the BENCH json `kernel` field.
 pub fn tier_name() -> &'static str {
     tier().name()
+}
+
+/// The active tier's `exp` table read, probed with the tier.
+pub fn exp_read() -> ExpRead {
+    probe().1
+}
+
+/// The table read a tier uses given the probed AVX-512F support.
+fn exp_read_for(tier: Tier, avx512f: bool) -> ExpRead {
+    match tier {
+        Tier::Scalar => ExpRead::Scalar,
+        Tier::Avx2 if avx512f => ExpRead::Permute,
+        Tier::Avx2 => ExpRead::Gather,
+    }
 }
 
 /// Maps a `USB_KERNEL` request onto a tier given the probed CPU support.
@@ -137,6 +202,18 @@ fn avx2_supported() -> bool {
     }
 }
 
+/// Whether the running CPU supports AVX-512F (always `false` off x86-64).
+fn avx512f_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx2_active() -> bool {
@@ -153,6 +230,24 @@ macro_rules! dispatch {
             // detection, and the enclosing dispatch function has checked
             // every slice length the twin's unchecked accesses rely on.
             return unsafe { avx2::$f($($arg),*) };
+        }
+        scalar::$f($($arg),*)
+    }};
+}
+
+/// [`dispatch!`] for a kernel over `exp`: runs `avx2::$permute` when the
+/// probe chose the permute read, else `avx2::$f` or `scalar::$f` by tier.
+macro_rules! dispatch_exp {
+    ($f:ident | $permute:ident($($arg:expr),* $(,)?)) => {{
+        #[cfg(target_arch = "x86_64")]
+        match exp_read() {
+            // SAFETY: the permute read is chosen only on the AVX2 tier
+            // after runtime AVX-512F detection, and the enclosing dispatch
+            // function has checked every slice length.
+            ExpRead::Permute => return unsafe { avx2::$permute($($arg),*) },
+            // SAFETY: as in `dispatch!`.
+            ExpRead::Gather => return unsafe { avx2::$f($($arg),*) },
+            ExpRead::Scalar => {}
         }
         scalar::$f($($arg),*)
     }};
@@ -328,7 +423,24 @@ pub fn exp(x: f32) -> f32 {
 /// every tier.
 #[inline]
 pub fn exp_in_place(y: &mut [f32]) {
-    dispatch!(exp_in_place(y))
+    dispatch_exp!(exp_in_place | exp_in_place_permute(y))
+}
+
+/// The logistic sigmoid `σ(x) = 1/(1+e^{−x})` into `sigma` and SiLU's
+/// `σ(x)·x` into `silu`, each only if given, in one pass over `x`: per
+/// element, `e = exp(−|x|)`, then `1/(1+e)` where `x ≥ 0` and `e/(1+e)`
+/// elsewhere. A NaN input enters `exp` as it is (`−|x|` would flip its
+/// sign bit), so it comes out quietened with its sign and payload.
+///
+/// # Panics
+///
+/// Panics unless each given output is as long as `x`.
+#[inline]
+pub fn sigmoid_silu(x: &[f32], sigma: Option<&mut [f32]>, silu: Option<&mut [f32]>) {
+    for out in [&sigma, &silu].into_iter().flatten() {
+        assert_eq!(out.len(), x.len(), "sigmoid_silu: length mismatch");
+    }
+    dispatch_exp!(sigmoid_silu | sigmoid_silu_permute(x, sigma, silu))
 }
 
 /// Numerically stable softmax of one logits `row` into `out`: subtract the
@@ -554,22 +666,78 @@ mod tests {
     /// non-FMA variant matches the port on all 2³² inputs.
     const EXP_LIBM_EXCEPTIONS: [f32; 2] = [32.564632, -63.09946];
 
-    /// The AVX2 twin of [`exp_in_place`] where the CPU has AVX2, whatever
-    /// the active tier; the dispatch function elsewhere.
-    fn simd_exp_in_place(y: &mut [f32]) {
+    /// The SIMD table reads this CPU can run, whatever the active tier.
+    fn simd_reads() -> Vec<ExpRead> {
+        let mut reads = Vec::new();
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was detected just above.
-            return unsafe { avx2::exp_in_place(y) };
+            reads.push(ExpRead::Gather);
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                reads.push(ExpRead::Permute);
+            }
         }
-        exp_in_place(y)
+        reads
     }
 
-    /// Runs the port on every `stride`-th bit pattern in `lo..hi` and
-    /// returns the inputs where it differs from `f32::exp`, checking on the
-    /// way that the AVX2 twin equals the scalar [`exp`] bitwise.
-    fn exp_sweep(lo: u64, hi: u64, stride: u64) -> Vec<f32> {
-        let mut off_libm = Vec::new();
+    /// Names the reads a sweep covered, so a test log shows whether the
+    /// permute read ran on this host.
+    fn report_reads(sweep: &str) {
+        let names: Vec<_> = simd_reads().iter().map(|r| r.name()).collect();
+        println!("{sweep}: scalar vs table reads [{}]", names.join(", "));
+    }
+
+    /// `read`'s twin of [`exp_in_place`], whatever the active tier.
+    fn exp_in_place_by(read: ExpRead, y: &mut [f32]) {
+        match read {
+            // SAFETY: `simd_reads` lists a read only where the CPU runs it.
+            #[cfg(target_arch = "x86_64")]
+            ExpRead::Gather => unsafe { avx2::exp_in_place(y) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            ExpRead::Permute => unsafe { avx2::exp_in_place_permute(y) },
+            _ => scalar::exp_in_place(y),
+        }
+    }
+
+    /// `read`'s twin of [`sigmoid_silu`], whatever the active tier.
+    fn sigmoid_silu_by(
+        read: ExpRead,
+        x: &[f32],
+        sigma: Option<&mut [f32]>,
+        silu: Option<&mut [f32]>,
+    ) {
+        match read {
+            // SAFETY: `simd_reads` lists a read only where the CPU runs
+            // it, and every caller passes outputs as long as `x`.
+            #[cfg(target_arch = "x86_64")]
+            ExpRead::Gather => unsafe { avx2::sigmoid_silu(x, sigma, silu) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            ExpRead::Permute => unsafe { avx2::sigmoid_silu_permute(x, sigma, silu) },
+            _ => scalar::sigmoid_silu(x, sigma, silu),
+        }
+    }
+
+    /// Runs `sweep(lo, hi)` over all 2³² bit patterns, split over a few
+    /// threads, and returns what each part returned.
+    fn sweep_all_bits<T: Send>(sweep: impl Fn(u64, u64) -> T + Sync) -> Vec<T> {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u64;
+        let span = (1u64 << 32).div_ceil(threads);
+        let sweep = &sweep;
+        std::thread::scope(|s| {
+            let parts: Vec<_> = (0..threads)
+                .map(|t| s.spawn(move || sweep(t * span, ((t + 1) * span).min(1 << 32))))
+                .collect();
+            parts
+                .into_iter()
+                .map(|p| p.join().expect("sweep thread"))
+                .collect()
+        })
+    }
+
+    /// Calls `check` on successive chunks of every `stride`-th bit pattern
+    /// in `lo..hi`.
+    fn for_bit_chunks(lo: u64, hi: u64, stride: u64, mut check: impl FnMut(&[f32])) {
         let mut buf = Vec::with_capacity(4096);
         let mut bits = lo;
         while bits < hi {
@@ -578,16 +746,33 @@ mod tests {
                 buf.push(f32::from_bits(bits as u32));
                 bits += stride;
             }
-            let mut lanes = buf.clone();
-            simd_exp_in_place(&mut lanes);
-            for (&x, &e) in buf.iter().zip(&lanes) {
-                let port = exp(x);
-                assert_eq!(e.to_bits(), port.to_bits(), "exp({x:e}): AVX2 vs scalar");
-                if port.to_bits() != x.exp().to_bits() {
+            check(&buf);
+        }
+    }
+
+    /// Runs the port on every `stride`-th bit pattern in `lo..hi` and
+    /// returns the inputs where it differs from `f32::exp`, checking on the
+    /// way that every SIMD table read equals the scalar [`exp`] bitwise.
+    fn exp_sweep(lo: u64, hi: u64, stride: u64) -> Vec<f32> {
+        let reads = simd_reads();
+        let mut off_libm = Vec::new();
+        let mut lanes = Vec::with_capacity(4096);
+        for_bit_chunks(lo, hi, stride, |buf| {
+            let port: Vec<f32> = buf.iter().map(|&x| exp(x)).collect();
+            for &read in &reads {
+                lanes.clear();
+                lanes.extend_from_slice(buf);
+                exp_in_place_by(read, &mut lanes);
+                for ((&x, &e), &p) in buf.iter().zip(&lanes).zip(&port) {
+                    assert_eq!(e.to_bits(), p.to_bits(), "exp({x:e}): {read:?} vs scalar");
+                }
+            }
+            for (&x, &p) in buf.iter().zip(&port) {
+                if p.to_bits() != x.exp().to_bits() {
                     off_libm.push(x);
                 }
             }
-        }
+        });
         off_libm
     }
 
@@ -643,24 +828,146 @@ mod tests {
         assert_libm_exceptions(&off_libm);
     }
 
-    /// All 2³² bit patterns, split over a few threads: the AVX2 twin
-    /// equals the scalar [`exp`] bitwise, and the port
+    /// All 2³² bit patterns, split over a few threads: every SIMD table
+    /// read this CPU runs equals the scalar [`exp`] bitwise, and the port
     /// differs from the host's `f32::exp` on at most the named list.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "exhaustive; run with --release")]
     fn exp_exhaustive_tiers_and_libm() {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u64;
-        let span = (1u64 << 32).div_ceil(threads);
-        let off_libm: Vec<f32> = std::thread::scope(|s| {
-            let parts: Vec<_> = (0..threads)
-                .map(|t| s.spawn(move || exp_sweep(t * span, ((t + 1) * span).min(1 << 32), 1)))
-                .collect();
-            parts
-                .into_iter()
-                .flat_map(|p| p.join().expect("sweep thread"))
-                .collect()
-        });
+        report_reads("exp_exhaustive_tiers_and_libm");
+        let off_libm: Vec<f32> = sweep_all_bits(|lo, hi| exp_sweep(lo, hi, 1))
+            .into_iter()
+            .flatten()
+            .collect();
         assert_libm_exceptions(&off_libm);
+    }
+
+    /// The multi-pass composition `SiLU` and `Sigmoid` ran before
+    /// [`sigmoid_silu`]: write `−|x|` (a NaN as it is), [`exp`] the slice,
+    /// select `1/(1+e)` where `x ≥ 0` and `e/(1+e)` elsewhere, then
+    /// multiply by `x`. Returns `(σ, x·σ)`.
+    fn sigmoid_silu_composition(x: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let mut sigma: Vec<f32> = x.iter().map(|&v| if v > 0.0 { -v } else { v }).collect();
+        scalar::exp_in_place(&mut sigma);
+        for (o, &v) in sigma.iter_mut().zip(x) {
+            let e = *o;
+            *o = if v >= 0.0 {
+                1.0 / (1.0 + e)
+            } else {
+                e / (1.0 + e)
+            };
+        }
+        let silu = sigma.iter().zip(x).map(|(&s, &v)| s * v).collect();
+        (sigma, silu)
+    }
+
+    fn assert_same_bits(x: &[f32], got: &[f32], want: &[f32], what: &str) {
+        for ((&v, &g), &w) in x.iter().zip(got).zip(want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}({v:e}): {g:e} vs {w:e}");
+        }
+    }
+
+    /// Checks [`sigmoid_silu`]'s scalar reference and every SIMD table read
+    /// against [`sigmoid_silu_composition`] on every `stride`-th bit
+    /// pattern in `lo..hi`: both outputs together, σ alone (`Sigmoid`) and
+    /// `x·σ` alone (`SiLU` without a tape). Returns the patterns checked.
+    fn sigmoid_silu_sweep(lo: u64, hi: u64, stride: u64) -> u64 {
+        let reads: Vec<_> = [ExpRead::Scalar].into_iter().chain(simd_reads()).collect();
+        let (mut sigma, mut silu) = (vec![0.0; 4096], vec![0.0; 4096]);
+        let mut checked = 0;
+        for_bit_chunks(lo, hi, stride, |x| {
+            checked += x.len() as u64;
+            let (want_sigma, want_silu) = sigmoid_silu_composition(x);
+            let (sigma, silu) = (&mut sigma[..x.len()], &mut silu[..x.len()]);
+            for &read in &reads {
+                sigma.fill(f32::NAN);
+                silu.fill(f32::NAN);
+                sigmoid_silu_by(read, x, Some(&mut *sigma), Some(&mut *silu));
+                assert_same_bits(x, sigma, &want_sigma, &format!("{read:?} σ"));
+                assert_same_bits(x, silu, &want_silu, &format!("{read:?} x·σ"));
+                sigma.fill(f32::NAN);
+                sigmoid_silu_by(read, x, Some(&mut *sigma), None);
+                assert_same_bits(x, sigma, &want_sigma, &format!("{read:?} σ alone"));
+                silu.fill(f32::NAN);
+                sigmoid_silu_by(read, x, None, Some(&mut *silu));
+                assert_same_bits(x, silu, &want_silu, &format!("{read:?} x·σ alone"));
+            }
+        });
+        checked
+    }
+
+    /// Every 61st bit pattern: the sampled twin of
+    /// [`sigmoid_silu_exhaustive_tiers_and_composition`] for debug builds.
+    #[test]
+    fn sigmoid_silu_matches_composition_sampled() {
+        assert_eq!(sigmoid_silu_sweep(0, 1 << 32, 61), (1 << 32) / 61 + 1);
+    }
+
+    /// All 2³² bit patterns, `±0`, `±∞` and NaN sign and payload included:
+    /// the scalar [`sigmoid_silu`] and every SIMD table read this CPU runs
+    /// equal the multi-pass composition bitwise, for σ and `x·σ`.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "exhaustive; run with --release")]
+    fn sigmoid_silu_exhaustive_tiers_and_composition() {
+        report_reads("sigmoid_silu_exhaustive_tiers_and_composition");
+        let checked: u64 = sweep_all_bits(|lo, hi| sigmoid_silu_sweep(lo, hi, 1))
+            .into_iter()
+            .sum();
+        assert_eq!(checked, 1 << 32);
+    }
+
+    #[test]
+    fn sigmoid_silu_passes_nan_through_and_keeps_signed_zero_cases() {
+        let x = [
+            f32::from_bits(0xff80_0abc),
+            f32::NAN,
+            -0.0,
+            0.0,
+            30.0,
+            -30.0,
+            -200.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let (want_sigma, want_silu) = sigmoid_silu_composition(&x);
+        for read in [ExpRead::Scalar].into_iter().chain(simd_reads()) {
+            let (mut sigma, mut silu) = ([0.0; 9], [0.0; 9]);
+            sigmoid_silu_by(read, &x, Some(&mut sigma), Some(&mut silu));
+            assert_same_bits(&x, &sigma, &want_sigma, &format!("{read:?} σ"));
+            assert_same_bits(&x, &silu, &want_silu, &format!("{read:?} x·σ"));
+            assert_eq!(
+                sigma[0].to_bits(),
+                0xffc0_0abc,
+                "NaN keeps sign and payload"
+            );
+            assert_eq!(silu[0].to_bits(), 0xffc0_0abc, "NaN keeps sign and payload");
+            assert_eq!((sigma[2], sigma[3]), (0.5, 0.5));
+            assert_eq!(
+                (silu[2].to_bits(), silu[3].to_bits()),
+                ((-0.0f32).to_bits(), 0)
+            );
+            assert_eq!((sigma[6], sigma[7], sigma[8]), (0.0, 1.0, 0.0));
+            assert_eq!(silu[7], f32::INFINITY);
+            assert!(silu[8].is_nan(), "−∞ · 0 is NaN");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sigmoid_silu: length mismatch")]
+    fn sigmoid_silu_rejects_a_short_output() {
+        sigmoid_silu(&[1.0; 9], None, Some(&mut [0.0; 8]));
+    }
+
+    #[test]
+    fn exp_read_follows_tier_and_avx512f() {
+        assert_eq!(exp_read_for(Tier::Scalar, true), ExpRead::Scalar);
+        assert_eq!(exp_read_for(Tier::Scalar, false), ExpRead::Scalar);
+        assert_eq!(exp_read_for(Tier::Avx2, false), ExpRead::Gather);
+        assert_eq!(exp_read_for(Tier::Avx2, true), ExpRead::Permute);
+        assert_eq!(
+            [ExpRead::Scalar, ExpRead::Gather, ExpRead::Permute].map(ExpRead::name),
+            ["scalar", "gather", "permute"]
+        );
     }
 
     /// Deterministic value soup including the awkward cases: ±0,
@@ -1058,14 +1365,11 @@ mod tests {
             }
         }
 
-        #[test]
-        fn exp_in_place_matches_scalar_bitwise() {
-            if !have_avx2() {
-                return;
-            }
-            // In-range lanes, with the lanes the vector path must hand to
-            // the scalar twin (|x| ≥ 88, ±∞, NaN) mixed into some chunks,
-            // and -0.0 and subnormals, which stay on the vector path.
+        /// Finite lanes around `exp`'s working range, with the lanes the
+        /// vector paths hand to the scalar twin (|x| ≥ 88, ±∞, NaN) mixed
+        /// into some chunks, and -0.0 and subnormals, which stay on the
+        /// vector paths.
+        fn exp_inputs(n: usize) -> Vec<f32> {
             let specials = [
                 88.0,
                 -88.0,
@@ -1081,23 +1385,45 @@ mod tests {
                 f32::from_bits(1),
                 -f32::from_bits(0x7f_ffff),
             ];
-            for n in [0, 1, 7, 8, 9, 23, 64, 131] {
-                let mut x: Vec<f32> = soup(n, 107)
-                    .iter()
-                    .map(|v| v.clamp(-1.0e3, 1.0e3).rem_euclid(176.0) - 88.0)
-                    .collect();
-                for (i, &sp) in specials.iter().enumerate() {
-                    let at = 19 * i + 3;
-                    if at < n && (at / 8) % 2 == 0 {
-                        x[at] = sp;
-                    }
+            let mut x: Vec<f32> = soup(n, 107)
+                .iter()
+                .map(|v| v.clamp(-1.0e3, 1.0e3).rem_euclid(176.0) - 88.0)
+                .collect();
+            for (i, &sp) in specials.iter().enumerate() {
+                let at = 19 * i + 3;
+                if at < n && (at / 8) % 2 == 0 {
+                    x[at] = sp;
                 }
-                let mut simd = x.clone();
-                let mut twin = x.clone();
-                // SAFETY: guarded by have_avx2().
-                unsafe { avx2::exp_in_place(&mut simd) };
-                scalar::exp_in_place(&mut twin);
-                assert_bits_eq(&simd, &twin, "exp_in_place vs scalar twin");
+            }
+            x
+        }
+
+        #[test]
+        fn exp_in_place_matches_scalar_bitwise() {
+            for read in super::simd_reads() {
+                for n in [0, 1, 7, 8, 9, 23, 64, 131] {
+                    let x = exp_inputs(n);
+                    let mut simd = x.clone();
+                    let mut twin = x.clone();
+                    super::exp_in_place_by(read, &mut simd);
+                    scalar::exp_in_place(&mut twin);
+                    assert_bits_eq(&simd, &twin, &format!("exp_in_place {read:?} vs scalar"));
+                }
+            }
+        }
+
+        #[test]
+        fn sigmoid_silu_matches_scalar_bitwise() {
+            for read in super::simd_reads() {
+                for n in [0, 1, 7, 8, 9, 23, 64, 131] {
+                    let x = exp_inputs(n);
+                    let (mut sigma_s, mut silu_s) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+                    let (mut sigma_t, mut silu_t) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+                    super::sigmoid_silu_by(read, &x, Some(&mut sigma_s), Some(&mut silu_s));
+                    scalar::sigmoid_silu(&x, Some(&mut sigma_t), Some(&mut silu_t));
+                    assert_bits_eq(&sigma_s, &sigma_t, &format!("σ {read:?} vs scalar"));
+                    assert_bits_eq(&silu_s, &silu_t, &format!("x·σ {read:?} vs scalar"));
+                }
             }
         }
 

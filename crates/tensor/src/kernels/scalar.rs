@@ -293,6 +293,27 @@ pub(super) fn exp_in_place(y: &mut [f32]) {
     }
 }
 
+/// `σ(x)` into `sigma` and `σ(x)·x` (SiLU) into `silu`, each if given:
+/// `e = exp(−|x|)`, then `1/(1+e)` where `x ≥ 0` and `e/(1+e)` elsewhere.
+/// A NaN enters `exp` as it is (`−|x|` would flip its sign bit), so it
+/// comes out quietened with its sign and payload.
+pub(super) fn sigmoid_silu(x: &[f32], mut sigma: Option<&mut [f32]>, mut silu: Option<&mut [f32]>) {
+    for (i, &v) in x.iter().enumerate() {
+        let e = exp(if v > 0.0 { -v } else { v });
+        let s = if v >= 0.0 {
+            1.0 / (1.0 + e)
+        } else {
+            e / (1.0 + e)
+        };
+        if let Some(out) = sigma.as_deref_mut() {
+            out[i] = s;
+        }
+        if let Some(out) = silu.as_deref_mut() {
+            out[i] = s * v;
+        }
+    }
+}
+
 /// `out[j] = batch[j]*(1 − m[j]) + p[j]*m[j]`.
 pub(super) fn trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]) {
     for j in 0..out.len() {

@@ -422,11 +422,6 @@ impl Tensor {
         self.map(|a| a * s)
     }
 
-    /// Elementwise negation.
-    pub fn neg(&self) -> Tensor {
-        self.map(|a| -a)
-    }
-
     /// Elementwise absolute value.
     pub fn abs(&self) -> Tensor {
         self.map(f32::abs)
@@ -632,7 +627,6 @@ mod tests {
         assert_eq!(a.mul(&b).data(), &[3.0, -8.0]);
         assert_eq!(b.div(&a).data(), &[3.0, -2.0]);
         assert_eq!(a.abs().data(), &[1.0, 2.0]);
-        assert_eq!(a.neg().data(), &[-1.0, 2.0]);
         assert_eq!(a.clamp(-1.0, 0.5).data(), &[0.5, -1.0]);
         assert_eq!(a.add_scalar(1.0).data(), &[2.0, -1.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, -4.0]);
