@@ -22,7 +22,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use usb_data::Dataset;
 use usb_nn::compose::Sequential;
-use usb_nn::layer::{Grads, Layer, Pass};
+use usb_nn::layer::{forward_images, grad_images, Grads, Layer, Pass};
 use usb_nn::layers::{Conv2d, ReLU, Sigmoid};
 use usb_nn::loss::{softmax_cross_entropy, softmax_cross_entropy_uniform_target_ws};
 use usb_nn::models::Architecture;
@@ -95,7 +95,7 @@ impl IadGenerator {
     /// [`Pass::Train`] differs), so these are also the patterns its
     /// training step records.
     pub fn generate_in(&self, batch: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.net.forward(batch, Pass::Infer, ws)
+        forward_images(&self.net, batch, Pass::Infer, ws)
     }
 
     /// Stamps a batch: `(1−ε)·x + ε·G(x)` (read-only; allocates a
@@ -237,9 +237,8 @@ impl Attack for IadAttack {
                 let gx = bx; // whole batch drives the generator
                 gen_grads.zero();
                 gen_tape.begin();
-                let patterns = generator
-                    .net
-                    .forward(&gx, Pass::Train(&mut gen_tape), &mut ws);
+                let patterns =
+                    forward_images(&generator.net, &gx, Pass::Train(&mut gen_tape), &mut ws);
                 let stamped = blend(&gx, &patterns, self.epsilon);
                 // The classifier is frozen for this step: only dL/dstamped.
                 let (_, dstamped) = model.input_grad_in(
@@ -262,10 +261,13 @@ impl Attack for IadAttack {
                         dpatterns.data_mut()[nxt * plane + j] += lambda * s;
                     }
                 }
-                let _ =
-                    generator
-                        .net
-                        .grad(&dpatterns, &mut gen_tape, &mut ws, Some(&mut gen_grads));
+                let _ = grad_images(
+                    &generator.net,
+                    &dpatterns,
+                    &mut gen_tape,
+                    &mut ws,
+                    Some(&mut gen_grads),
+                );
                 gen_opt.step(&mut generator.net, &gen_grads);
             }
         }

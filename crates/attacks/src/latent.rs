@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use usb_data::Dataset;
-use usb_nn::layer::{Grads, Layer, Pass};
+use usb_nn::layer::{forward_images, grad_images, Grads, Pass};
 use usb_nn::loss::softmax_cross_entropy;
 use usb_nn::models::Architecture;
 use usb_nn::optim::Sgd;
@@ -100,15 +100,17 @@ impl Attack for LatentBackdoor {
                 // head first so the feature-space term joins in between.
                 grads.zero();
                 tape.begin();
-                let feats = model.features.forward(&bx, Pass::Train(&mut tape), &mut ws);
-                let logits = model
-                    .classifier
-                    .forward(&feats, Pass::Train(&mut tape), &mut ws);
+                let feats = forward_images(&model.features, &bx, Pass::Train(&mut tape), &mut ws);
+                let logits =
+                    forward_images(&model.classifier, &feats, Pass::Train(&mut tape), &mut ws);
                 let (_, dlogits) = softmax_cross_entropy(&logits, &by);
-                let mut dfeats =
-                    model
-                        .classifier
-                        .grad(&dlogits, &mut tape, &mut ws, Some(&mut grads));
+                let mut dfeats = grad_images(
+                    &model.classifier,
+                    &dlogits,
+                    &mut tape,
+                    &mut ws,
+                    Some(&mut grads),
+                );
                 // Latent anchoring toward the clean-target centroid.
                 if let Some(c) = &centroid {
                     let dim = feats.shape()[1];
@@ -120,9 +122,13 @@ impl Attack for LatentBackdoor {
                         }
                     }
                 }
-                let gi = model
-                    .features
-                    .grad(&dfeats, &mut tape, &mut ws, Some(&mut grads));
+                let gi = grad_images(
+                    &model.features,
+                    &dfeats,
+                    &mut tape,
+                    &mut ws,
+                    Some(&mut grads),
+                );
                 ws.recycle(gi);
                 grads.commit(&mut model);
                 sgd.step(&mut model, &grads);

@@ -212,14 +212,28 @@ impl SqueezeExcite {
     }
 }
 
-/// `x · gate`, each `[H, W]` plane of `x` scaled by its `[N, C]` gate.
+/// `x · gate` on batch-last `x` (`[C, H, W, N]`): each pixel's `N`-float
+/// run of channel `c` scaled lane by lane by the gate's run `[c, ..]`
+/// (`[C, N]`).
 fn gated(x: &Tensor, gate: &Tensor, ws: &mut Workspace) -> Tensor {
     let mut y = ws.take_dirty(x.len());
-    let plane = x.len() / gate.len();
-    for (k, &g) in gate.data().iter().enumerate() {
-        let base = k * plane;
-        for j in 0..plane {
-            y[base + j] = x.data()[base + j] * g;
+    let (c, n) = (gate.shape()[0], gate.shape()[1]);
+    let run = x.len() / c;
+    for ((ys, xs), g) in y
+        .chunks_exact_mut(run)
+        .zip(x.data().chunks_exact(run))
+        .zip(gate.data().chunks_exact(n))
+    {
+        if let [g] = g {
+            for (o, &v) in ys.iter_mut().zip(xs) {
+                *o = v * g;
+            }
+            continue;
+        }
+        for (yp, xp) in ys.chunks_exact_mut(n).zip(xs.chunks_exact(n)) {
+            for ((o, &v), &gv) in yp.iter_mut().zip(xp).zip(g) {
+                *o = v * gv;
+            }
         }
     }
     Tensor::from_vec(y, x.shape())
@@ -227,15 +241,15 @@ fn gated(x: &Tensor, gate: &Tensor, ws: &mut Workspace) -> Tensor {
 
 impl Layer for SqueezeExcite {
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
-        assert_eq!(x.ndim(), 4, "SqueezeExcite: input must be [N,C,H,W]");
-        let squeezed = pool::global_avg_pool_forward_ws(x, ws); // [N, C]
+        assert_eq!(x.ndim(), 4, "SqueezeExcite: input must be [C,H,W,N]");
+        let squeezed = pool::global_avg_pool_forward_ws(x, ws); // [C, N]
         let z1 = self.fc1.forward(&squeezed, pass.reborrow(), ws);
         ws.recycle(squeezed);
         let z2 = self.relu.forward(&z1, pass.reborrow(), ws);
         ws.recycle(z1);
         let z3 = self.fc2.forward(&z2, pass.reborrow(), ws);
         ws.recycle(z2);
-        let gate = self.sigmoid.forward(&z3, pass.reborrow(), ws); // [N, C]
+        let gate = self.sigmoid.forward(&z3, pass.reborrow(), ws); // [C, N]
         ws.recycle(z3);
         // The block's own frame — input in `vals`, gate in `extra`, shape
         // in `aux` — pushes *after* the sub-layers so it pops first in
@@ -257,37 +271,46 @@ impl Layer for SqueezeExcite {
         ws: &mut Workspace,
         mut grads: Option<&mut Grads>,
     ) -> Tensor {
-        // Direct path: dL/dx = dy · gate; gate path: dL/dgate = Σ_hw dy · x,
-        // then back through sigmoid → fc2 → relu → fc1 → GAP.
+        // dL/dx = dy · gate + GAP'(dL/dsqueeze), where the gate path
+        // dL/dgate = Σ_hw dy · x (per image, ascending pixels, across the
+        // lanes) runs back through sigmoid → fc2 → relu → fc1, and GAP's
+        // backward spreads `dL/dsqueeze / (H·W)` over the plane.
         let frame = tape.pop();
-        let (n, c, h, w) = (frame.aux[0], frame.aux[1], frame.aux[2], frame.aux[3]);
-        let plane = h * w;
+        let (c, h, w, n) = (frame.aux[0], frame.aux[1], frame.aux[2], frame.aux[3]);
+        let run = h * w * n;
         assert_eq!(
             grad_out.len(),
-            n * c * plane,
+            c * run,
             "SqueezeExcite: grad length does not match the recorded frame"
         );
-        let mut gi = ws.take_dirty(grad_out.len());
-        let mut d_gate = ws.take_dirty(n * c);
-        for i in 0..n {
-            for ch in 0..c {
-                let g = frame.extra[i * c + ch];
-                let base = (i * c + ch) * plane;
-                let mut acc = 0.0f32;
-                for j in 0..plane {
-                    let go = grad_out.data()[base + j];
-                    gi[base + j] = go * g;
-                    acc += go * frame.vals[base + j];
+        let god = grad_out.data();
+        let mut d_gate = ws.take_dirty(c * n);
+        for ((acc, go), xs) in d_gate
+            .chunks_exact_mut(n)
+            .zip(god.chunks_exact(run))
+            .zip(frame.vals.chunks_exact(run))
+        {
+            acc.fill(0.0);
+            if let [acc] = acc {
+                for (&g, &v) in go.iter().zip(xs) {
+                    *acc += g * v;
                 }
-                d_gate[i * c + ch] = acc;
+                continue;
+            }
+            for (gp, xp) in go.chunks_exact(n).zip(xs.chunks_exact(n)) {
+                for ((a, &g), &v) in acc.iter_mut().zip(gp).zip(xp) {
+                    *a += g * v;
+                }
             }
         }
-        // The frame's last read was the loop above; recycle it *before*
+        let mut gate = ws.take_dirty(c * n);
+        gate.copy_from_slice(&frame.extra);
+        // The frame's last read was the copy above; recycle it *before*
         // descending so frames return to the spare pool in pop order —
         // the invariant that rebinds each buffer to the same traversal
         // position on the next recording.
         tape.recycle(frame);
-        let d_gate = Tensor::from_vec(d_gate, &[n, c]);
+        let d_gate = Tensor::from_vec(d_gate, &[c, n]);
         // Descend the gate path; sub-layer frames pop in reverse recording
         // order: sigmoid, fc2, relu, fc1.
         let d = self.sigmoid.grad(&d_gate, tape, ws, None);
@@ -296,14 +319,35 @@ impl Layer for SqueezeExcite {
         ws.recycle(d);
         let d3 = self.relu.grad(&d2, tape, ws, None);
         ws.recycle(d2);
-        let d4 = self.fc1.grad(&d3, tape, ws, grads); // [N, C]
+        let d_squeeze = self.fc1.grad(&d3, tape, ws, grads); // [C, N]
         ws.recycle(d3);
-        let d_squeeze = pool::global_avg_pool_backward_ws(&d4, h, w, ws);
-        ws.recycle(d4);
-        let mut gi = Tensor::from_vec(gi, &[n, c, h, w]);
-        gi.add_assign(&d_squeeze);
+        // One pass for both terms: `dy·gate + dsqueeze·(1/(H·W))`, the
+        // sum of the direct gradient and GAP's backward, rounded as the
+        // two separate passes round them.
+        let inv = 1.0 / (h * w) as f32;
+        let mut gi = ws.take_dirty(grad_out.len());
+        for (((d, go), g), sq) in gi
+            .chunks_exact_mut(run)
+            .zip(god.chunks_exact(run))
+            .zip(gate.chunks_exact(n))
+            .zip(d_squeeze.data().chunks_exact(n))
+        {
+            if let ([g], [sq]) = (g, sq) {
+                let spread = sq * inv;
+                for (d, &go) in d.iter_mut().zip(go) {
+                    *d = go * g + spread;
+                }
+                continue;
+            }
+            for (dp, gp) in d.chunks_exact_mut(n).zip(go.chunks_exact(n)) {
+                for (((d, &go), &g), &sq) in dp.iter_mut().zip(gp).zip(g).zip(sq) {
+                    *d = go * g + sq * inv;
+                }
+            }
+        }
+        ws.put(gate);
         ws.recycle(d_squeeze);
-        gi
+        Tensor::from_vec(gi, &[c, h, w, n])
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -358,9 +402,9 @@ mod tests {
         let mut s = Sequential::new()
             .push(Conv2d::new(1, 2, 3, 1, 1, true, &mut rng))
             .push(ReLU::new());
-        let x = Tensor::from_fn(&[1, 1, 4, 4], |i| (i as f32) - 8.0);
+        let x = Tensor::from_fn(&[1, 4, 4, 1], |i| (i as f32) - 8.0);
         let (y, gi) = tape_grad(&s, &x);
-        assert_eq!(y.shape(), &[1, 2, 4, 4]);
+        assert_eq!(y.shape(), &[2, 4, 4, 1]);
         assert!(y.min() >= 0.0, "relu output must be non-negative");
         assert_eq!(gi.shape(), x.shape());
         assert!(!Grads::for_model(&mut s).params().is_empty());
@@ -382,7 +426,7 @@ mod tests {
         let mut conv = Conv2d::new(2, 2, 1, 1, 0, false, &mut rng);
         crate::layer::visit_params(&mut conv, |value, _| value.fill(0.0));
         let r = Residual::new(Sequential::new().push(conv));
-        let x = Tensor::from_fn(&[1, 2, 3, 3], |i| (i as f32) * 0.1);
+        let x = Tensor::from_fn(&[2, 3, 3, 1], |i| (i as f32) * 0.1);
         let (y, gi) = tape_grad(&r, &x);
         for (a, b) in y.data().iter().zip(x.data()) {
             assert!((a - b).abs() < 1e-6);
@@ -399,7 +443,7 @@ mod tests {
                 .push(Conv2d::new(2, 2, 3, 1, 1, true, &mut rng))
                 .push(ReLU::new()),
         );
-        let x = Tensor::from_fn(&[1, 2, 4, 4], |i| ((i as f32) * 0.17).sin());
+        let x = Tensor::from_fn(&[2, 4, 4, 1], |i| ((i as f32) * 0.17).sin());
         check_fd(&r, &x, &[0, 9, 20, 31]);
     }
 
@@ -407,7 +451,7 @@ mod tests {
     fn squeeze_excite_shapes_and_gradient() {
         let mut rng = StdRng::seed_from_u64(3);
         let se = SqueezeExcite::new(4, 2, &mut rng);
-        let x = Tensor::from_fn(&[2, 4, 3, 3], |i| ((i as f32) * 0.23).cos());
+        let x = Tensor::from_fn(&[4, 3, 3, 2], |i| ((i as f32) * 0.23).cos());
         let (y, gi) = tape_grad(&se, &x);
         assert_eq!(y.shape(), x.shape());
         assert_eq!(gi.shape(), x.shape());
@@ -418,7 +462,7 @@ mod tests {
     fn squeeze_excite_gates_are_bounded() {
         let mut rng = StdRng::seed_from_u64(4);
         let se = SqueezeExcite::new(2, 2, &mut rng);
-        let x = Tensor::ones(&[1, 2, 2, 2]);
+        let x = Tensor::ones(&[2, 2, 2, 1]);
         let y = se.forward(&x, Pass::Infer, &mut Workspace::new());
         // Gate in (0,1) -> |y| < |x|.
         for (a, b) in y.data().iter().zip(x.data()) {

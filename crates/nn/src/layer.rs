@@ -6,7 +6,7 @@
 //! [`Grads`].
 
 use usb_tensor::tape::Frame;
-use usb_tensor::{Dtype, QTensor, Tape, Tensor, Workspace};
+use usb_tensor::{ops, Dtype, QTensor, Tape, Tensor, Workspace};
 
 /// How a [`Layer::forward`] runs: forward only, or recording onto a
 /// caller-owned [`Tape`] in evaluation or training mode.
@@ -104,6 +104,19 @@ impl<'a> StateSlot<'a> {
 ///
 /// # Contract
 ///
+/// * Activations are **batch-last**, images across lanes: `[C, H, W, N]`
+///   between spatial layers and `[F, N]` after [`crate::layers::Flatten`],
+///   [`crate::layers::GlobalAvgPool`] and [`crate::layers::Linear`], so
+///   each channel (or feature) is one contiguous run of `H·W·N` (or `N`)
+///   floats and no layer moves data between layouts. Gradients share the
+///   layout of what they differentiate. The layout changes only at the
+///   boundary, in one pair of helpers, [`ops::lanes_from_images`] and
+///   [`ops::images_from_lanes`]: [`crate::Network`] takes images
+///   `[N, C, H, W]` and returns logits `[N, K]` and input gradients as
+///   images, and [`forward_images`]/[`grad_images`] do the same for any
+///   stack driven from images. Every per-image sum a layer computes runs
+///   in the order a per-image loop would, so results do not depend on
+///   the batch size or the layout.
 /// * Every method takes `&self` except [`Layer::visit_state`]: a pass only
 ///   *reads* the model, so one model is shared by reference across
 ///   threads, each thread bringing its own [`Tape`] (backward state) and
@@ -194,6 +207,37 @@ impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
     }
+}
+
+/// [`Layer::forward`] of a batch-last `layer` on an image-layout batch
+/// `[N, …]`: the batch moves across lanes on the way in and back on the
+/// way out ([`ops::lanes_from_images`], [`ops::images_from_lanes`]). For
+/// callers that hold images and drive a stack directly — the
+/// latent-backdoor attack's feature/classifier split, the IAD generator.
+pub fn forward_images(layer: &dyn Layer, x: &Tensor, pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
+    let lanes = ops::lanes_from_images(x, ws);
+    let y = layer.forward(&lanes, pass, ws);
+    ws.recycle(lanes);
+    let out = ops::images_from_lanes(&y, ws);
+    ws.recycle(y);
+    out
+}
+
+/// [`Layer::grad`] after a [`forward_images`] recording: `grad_out` and the
+/// returned input gradient are image-layout.
+pub fn grad_images(
+    layer: &dyn Layer,
+    grad_out: &Tensor,
+    tape: &mut Tape,
+    ws: &mut Workspace,
+    grads: Option<&mut Grads>,
+) -> Tensor {
+    let g = ops::lanes_from_images(grad_out, ws);
+    let gi = layer.grad(&g, tape, ws, grads);
+    ws.recycle(g);
+    let out = ops::images_from_lanes(&gi, ws);
+    ws.recycle(gi);
+    out
 }
 
 /// Calls `f(value, decay)` on every [`StateSlot::param`] of `model`, in

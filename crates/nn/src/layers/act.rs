@@ -167,14 +167,7 @@ impl Layer for SiLU {
         );
         // d/dx x·σ(x) = σ + x·σ·(1 − σ), on the recorded σ(x).
         let mut out = ws.take_dirty(grad_out.len());
-        for (((o, &g), &v), &s) in out
-            .iter_mut()
-            .zip(grad_out.data())
-            .zip(&frame.vals)
-            .zip(&frame.extra)
-        {
-            *o = g * (s + v * s * (1.0 - s));
-        }
+        kernels::silu_grad(grad_out.data(), &frame.vals, &frame.extra, &mut out);
         tape.recycle(frame);
         Tensor::from_vec(out, grad_out.shape())
     }

@@ -5,7 +5,7 @@ use crate::layer::{Grads, Layer, Pass, StateSlot};
 use rand::Rng;
 use usb_tensor::conv::{
     conv2d_backward_ws, conv2d_forward_panel_ws, conv2d_input_backward_panel_ws,
-    depthwise_backward_ws, depthwise_forward_ws, depthwise_input_backward_ws, ConvSpec,
+    depthwise_backward_ws, depthwise_forward_lanes_ws, depthwise_input_backward_ws, ConvSpec,
 };
 use usb_tensor::panel::GemmWeight;
 use usb_tensor::{init, Tape, Tensor, Workspace};
@@ -20,7 +20,8 @@ fn accumulate(grads: &mut Grads, gw: &Tensor, gb: &Tensor, has_bias: bool) {
     }
 }
 
-/// A 2-D convolution `[N, IC, H, W] -> [N, OC, OH, OW]`.
+/// A 2-D convolution `[IC, H, W, N] -> [OC, OH, OW, N]` (batch-last, see
+/// [`Layer`]), one wide GEMM over the batch.
 ///
 /// Weights are Kaiming-uniform initialised with fan-in `IC·KH·KW`. Like
 /// [`super::Linear`], the layer holds its weight as a [`GemmWeight`] and
@@ -94,15 +95,15 @@ impl Layer for Conv2d {
     ) -> Tensor {
         let mut frame = tape.pop();
         assert_eq!(
-            grad_out.shape()[0],
-            frame.aux[0],
+            grad_out.shape()[3],
+            frame.aux[3],
             "Conv2d: grad_out batch dim mismatch"
         );
         let gi = match grads {
             // dL/dx depends only on the weight: no im2col of the input, no
             // weight GEMM.
             None => {
-                let (h, w) = (frame.aux[2], frame.aux[3]);
+                let (h, w) = (frame.aux[1], frame.aux[2]);
                 let (wd, wshape) = (self.weight.natural(), self.weight.shape());
                 conv2d_input_backward_panel_ws(wd, wshape, grad_out, h, w, self.spec, ws)
             }
@@ -135,7 +136,8 @@ impl Layer for Conv2d {
     }
 }
 
-/// A depthwise 2-D convolution: each channel convolved with its own kernel.
+/// A depthwise 2-D convolution: each channel convolved with its own kernel,
+/// `[C, H, W, N] -> [C, OH, OW, N]`.
 ///
 /// Used by the EfficientNet-B0 MBConv blocks.
 #[derive(Clone)]
@@ -174,7 +176,7 @@ impl DepthwiseConv2d {
 impl Layer for DepthwiseConv2d {
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         record_input(&mut pass, x);
-        depthwise_forward_ws(x, &self.weight, self.bias.as_ref(), self.spec, ws)
+        depthwise_forward_lanes_ws(x, &self.weight, self.bias.as_ref(), self.spec, ws)
     }
 
     fn grad(
@@ -186,13 +188,13 @@ impl Layer for DepthwiseConv2d {
     ) -> Tensor {
         let mut frame = tape.pop();
         assert_eq!(
-            grad_out.shape()[0],
-            frame.aux[0],
+            grad_out.shape()[3],
+            frame.aux[3],
             "DepthwiseConv2d: grad_out batch dim mismatch"
         );
         let gi = match grads {
             None => {
-                let (h, w) = (frame.aux[2], frame.aux[3]);
+                let (h, w) = (frame.aux[1], frame.aux[2]);
                 depthwise_input_backward_ws(&self.weight, grad_out, h, w, self.spec, ws)
             }
             Some(grads) => {
@@ -248,9 +250,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut c = Conv2d::new(3, 8, 3, 1, 1, true, &mut rng);
         assert_eq!(param_lens(&mut c), [8 * 3 * 3 * 3, 8]);
-        let x = Tensor::zeros(&[2, 3, 8, 8]);
+        let x = Tensor::zeros(&[3, 8, 8, 2]);
         let y = c.forward(&x, Pass::Infer, &mut Workspace::new());
-        assert_eq!(y.shape(), &[2, 8, 8, 8]);
+        assert_eq!(y.shape(), &[8, 8, 8, 2]);
         let mut grads = Grads::for_model(&mut c);
         assert_eq!(train_step(&c, &x, &mut grads).shape(), x.shape());
     }
@@ -259,7 +261,7 @@ mod tests {
     fn zero_restarts_accumulation() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut c = Conv2d::new(1, 1, 1, 1, 0, false, &mut rng);
-        let x = Tensor::ones(&[1, 1, 2, 2]);
+        let x = Tensor::ones(&[1, 2, 2, 1]);
         let mut grads = Grads::for_model(&mut c);
         let _ = train_step(&c, &x, &mut grads);
         let first = grads.params()[0].clone();
@@ -277,7 +279,7 @@ mod tests {
         let mut c = Conv2d::new(1, 1, 1, 1, 0, false, &mut rng);
         let mut grads = Grads::for_model(&mut c);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = c.forward(&Tensor::ones(&[1, 1, 2, 2]), Pass::Eval(&mut tape), &mut ws);
+        let y = c.forward(&Tensor::ones(&[1, 2, 2, 1]), Pass::Eval(&mut tape), &mut ws);
         let _ = c.grad(&y, &mut tape, &mut ws, Some(&mut grads));
     }
 
@@ -290,7 +292,7 @@ mod tests {
         visit_params(&mut c, |value, _| {
             *value = Tensor::from_fn(value.shape(), |i| ((i % 11) as f32) - 5.0);
         });
-        let x = Tensor::from_fn(&[2, 2, 6, 6], |i| ((i % 7) as f32) * 0.5 - 1.5);
+        let x = Tensor::from_fn(&[2, 6, 6, 2], |i| ((i % 7) as f32) * 0.5 - 1.5);
         let mut ws = Workspace::default();
         let dense_y = c.forward(&x, Pass::Infer, &mut ws);
 
@@ -311,7 +313,7 @@ mod tests {
     #[test]
     fn q8_panels_are_built_once_and_shared() {
         let c = Conv2d::new(3, 8, 3, 1, 1, true, &mut StdRng::seed_from_u64(9));
-        let x = Tensor::from_fn(&[2, 3, 6, 6], |i| ((i as f32) * 0.3).cos());
+        let x = Tensor::from_fn(&[3, 6, 6, 2], |i| ((i as f32) * 0.3).cos());
         crate::layers::panel_checks::q8_panels_are_built_once(c, |c| &c.weight, &x);
     }
 
@@ -321,7 +323,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(9);
             Box::new(Conv2d::new(3, 8, 3, 1, 1, true, &mut rng))
         };
-        let x = Tensor::from_fn(&[2, 3, 6, 6], |i| ((i as f32) * 0.3).cos());
+        let x = Tensor::from_fn(&[3, 6, 6, 2], |i| ((i as f32) * 0.3).cos());
         crate::layers::panel_checks::mutation_drops_panels(&build, &x);
     }
 
@@ -331,16 +333,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut c = Conv2d::new(1, 1, 3, 1, 1, false, &mut rng);
         quantize_weights(&mut c, Dtype::Q8);
-        let _ = train_step(&c, &Tensor::zeros(&[1, 1, 4, 4]), &mut Grads::default());
+        let _ = train_step(&c, &Tensor::zeros(&[1, 4, 4, 1]), &mut Grads::default());
     }
 
     #[test]
     fn depthwise_shapes() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut d = DepthwiseConv2d::new(4, 3, 2, 1, true, &mut rng);
-        let x = Tensor::zeros(&[1, 4, 8, 8]);
+        let x = Tensor::zeros(&[4, 8, 8, 1]);
         let y = d.forward(&x, Pass::Infer, &mut Workspace::new());
-        assert_eq!(y.shape(), &[1, 4, 4, 4]);
+        assert_eq!(y.shape(), &[4, 4, 4, 1]);
         let mut grads = Grads::for_model(&mut d);
         assert_eq!(train_step(&d, &x, &mut grads).shape(), x.shape());
         assert_eq!(param_lens(&mut d), [4 * 9, 4]);

@@ -6,7 +6,7 @@ use rand::Rng;
 use usb_tensor::panel::GemmWeight;
 use usb_tensor::{init, ops, QTensor, Tape, Tensor, Workspace};
 
-/// A dense layer `y = x Wᵀ + b` mapping `[N, in] -> [N, out]`.
+/// A dense layer `y = W·x + b` mapping batch-last `[in, N] -> [out, N]`.
 ///
 /// The weight is a [`GemmWeight`]: the layer builds its GEMM panels once
 /// and every thread shares them. It can be swapped for a quantized
@@ -60,28 +60,34 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
-        assert_eq!(x.ndim(), 2, "Linear: input must be [N, in]");
+        assert_eq!(x.ndim(), 2, "Linear: input must be [in, N]");
         assert_eq!(
-            x.shape()[1],
+            x.shape()[0],
             self.in_features(),
             "Linear: expected {} input features, got {}",
             self.in_features(),
-            x.shape()[1]
+            x.shape()[0]
         );
         record_input(&mut pass, x);
-        let (n, out, inf) = (x.shape()[0], self.out_features(), self.in_features());
-        let mut y = ws.take_dirty(n * out);
-        // x @ Wᵀ on the layer's k-major panel: each output element is the
-        // ascending-`k` dot product `Σ x[i,k]·W[j,k]`, the same for a dense
-        // weight and a decoded quantized one.
-        ops::matmul_into(x.data(), self.weight.kmajor(), n, inf, out, &mut y);
-        let bd = self.bias.data();
-        for i in 0..n {
-            for (v, &b) in y[i * out..(i + 1) * out].iter_mut().zip(bd) {
+        let (n, out, inf) = (x.shape()[1], self.out_features(), self.in_features());
+        let mut y = ws.take_dirty(out * n);
+        // W·X on the layer's k-major panel: each output element is the
+        // ascending-`k` dot product `Σ W[j,k]·x[k,i]`, the same for a dense
+        // weight and a decoded quantized one. One image is one row `xᵀ`
+        // (the same memory), whose row form `xᵀ·Wᵀ` keeps the GEMM's lanes
+        // across the outputs instead of one live column.
+        let kmajor = self.weight.kmajor();
+        if n == 1 {
+            ops::matmul_into(x.data(), kmajor, 1, inf, out, &mut y);
+        } else {
+            ops::matmul_transa_into(kmajor, x.data(), out, inf, n, &mut y);
+        }
+        for (row, &b) in y.chunks_exact_mut(n).zip(self.bias.data()) {
+            for v in row {
                 *v += b;
             }
         }
-        Tensor::from_vec(y, &[n, out])
+        Tensor::from_vec(y, &[out, n])
     }
 
     fn grad(
@@ -93,35 +99,45 @@ impl Layer for Linear {
     ) -> Tensor {
         let mut frame = tape.pop();
         assert_eq!(
-            grad_out.shape()[0],
-            frame.aux[0],
+            grad_out.shape()[1],
+            frame.aux[1],
             "Linear: grad_out batch dim mismatch"
         );
-        let (n, out, inf) = (grad_out.shape()[0], self.out_features(), self.in_features());
-        assert_eq!(grad_out.shape()[1], out, "Linear: grad_out width mismatch");
+        let (out, n, inf) = (grad_out.shape()[0], grad_out.shape()[1], self.in_features());
+        assert_eq!(out, self.out_features(), "Linear: grad_out width mismatch");
         if let Some(grads) = grads {
             assert!(
                 self.qweight().is_none(),
                 "Linear: training pass on a quantized (inference-only) layer"
             );
-            // dL/dW = gᵀ x ; dL/db = column sums of g.
-            let gw = with_recorded_input(&mut frame, "Linear", |x| ops::matmul_transa(grad_out, x));
+            // dL/dW = g xᵀ and dL/db = row sums of g, both summed over
+            // images in ascending order.
+            let gw = with_recorded_input(&mut frame, "Linear", |x| ops::matmul_transb(grad_out, x));
             let [acc_w, acc_b] = grads.take_last(2) else {
                 unreachable!("take_last(2) yields two accumulators")
             };
             acc_w.add_assign(&gw);
-            let (bd, god) = (acc_b.data_mut(), grad_out.data());
-            for i in 0..n {
-                for j in 0..out {
-                    bd[j] += god[i * out + j];
+            for (b, row) in acc_b
+                .data_mut()
+                .iter_mut()
+                .zip(grad_out.data().chunks_exact(n))
+            {
+                for &g in row {
+                    *b += g;
                 }
             }
         }
-        // dL/dx = g W on the natural-order panel.
-        let mut gi = ws.take_dirty(n * inf);
-        ops::matmul_into(grad_out.data(), self.weight.natural(), n, out, inf, &mut gi);
+        // dL/dx = Wᵀ g on the natural-order panel (row form `gᵀ·W` for one
+        // image, as in `forward`).
+        let mut gi = ws.take_dirty(inf * n);
+        let natural = self.weight.natural();
+        if n == 1 {
+            ops::matmul_into(grad_out.data(), natural, 1, out, inf, &mut gi);
+        } else {
+            ops::matmul_transa_into(natural, grad_out.data(), inf, out, n, &mut gi);
+        }
         tape.recycle(frame);
-        Tensor::from_vec(gi, &[n, inf])
+        Tensor::from_vec(gi, &[inf, n])
     }
 
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
@@ -135,8 +151,9 @@ impl Layer for Linear {
     }
 }
 
-/// Reshapes `[N, C, H, W]` (or any rank ≥ 2) to `[N, C·H·W]`; the backward
-/// pass restores the recorded shape.
+/// Reshapes batch-last `[C, H, W, N]` (or any rank ≥ 2) to `[C·H·W, N]`,
+/// already the column form [`Linear`] reads; the backward pass restores
+/// the recorded shape.
 #[derive(Debug, Default, Clone)]
 pub struct Flatten;
 
@@ -153,12 +170,12 @@ impl Layer for Flatten {
         if let Some(frame) = pass.push() {
             frame.aux.extend_from_slice(x.shape());
         }
-        let n = x.shape()[0];
+        let n = x.shape()[x.ndim() - 1];
         // A reshape is a copy in this tensor library; drawing the copy from
         // the workspace keeps the inference path allocation-free.
         let mut out = ws.take_dirty(x.len());
         out.copy_from_slice(x.data());
-        Tensor::from_vec(out, &[n, x.len() / n])
+        Tensor::from_vec(out, &[x.len() / n, n])
     }
 
     fn grad(
@@ -208,7 +225,7 @@ mod tests {
                 *value = Tensor::from_vec(vec![0.5, -0.5], &[2]);
             }
         });
-        let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
+        let x = Tensor::from_vec(vec![1.0, 1.0], &[2, 1]);
         let y = l.forward(&x, Pass::Infer, &mut Workspace::new());
         // y = [1+2+0.5, 3+4-0.5]
         assert_eq!(y.data(), &[3.5, 6.5]);
@@ -216,10 +233,10 @@ mod tests {
 
     #[test]
     fn linear_parameter_gradients_are_exact() {
-        // y = x Wᵀ + b with loss Σ y: dL/dW[j,k] = Σ_i x[i,k], dL/db = N.
+        // y = W·x + b with loss Σ y: dL/dW[j,k] = Σ_i x[k,i], dL/db = N.
         let mut rng = StdRng::seed_from_u64(1);
         let mut l = Linear::new(3, 2, &mut rng);
-        let x = Tensor::from_vec(vec![0.5, -0.25, 1.0, 0.25, 1.5, -0.5], &[2, 3]);
+        let x = Tensor::from_vec(vec![0.5, 0.25, -0.25, 1.5, 1.0, -0.5], &[3, 2]);
         let mut grads = Grads::for_model(&mut l);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         let y = l.forward(&x, Pass::Train(&mut tape), &mut ws);
@@ -239,11 +256,11 @@ mod tests {
     #[test]
     fn flatten_roundtrip() {
         let f = Flatten::new();
-        let x = Tensor::from_fn(&[2, 3, 2, 2], |i| i as f32);
+        let x = Tensor::from_fn(&[3, 2, 2, 2], |i| i as f32);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         let y = f.forward(&x, Pass::Train(&mut tape), &mut ws);
-        assert_eq!(y.shape(), &[2, 12]);
-        let g = f.grad(&Tensor::ones(&[2, 12]), &mut tape, &mut ws, None);
+        assert_eq!(y.shape(), &[12, 2]);
+        let g = f.grad(&Tensor::ones(&[12, 2]), &mut tape, &mut ws, None);
         assert_eq!(g.shape(), x.shape());
     }
 
@@ -252,7 +269,7 @@ mod tests {
     fn linear_rejects_wrong_width() {
         let mut rng = StdRng::seed_from_u64(2);
         let l = Linear::new(3, 2, &mut rng);
-        let _ = l.forward(&Tensor::zeros(&[1, 4]), Pass::Infer, &mut Workspace::new());
+        let _ = l.forward(&Tensor::zeros(&[4, 1]), Pass::Infer, &mut Workspace::new());
     }
 
     /// Small integers are exact in f16, so the quantized inference and
@@ -264,7 +281,7 @@ mod tests {
         visit_params(&mut l, |value, _| {
             *value = Tensor::from_fn(value.shape(), |i| (i as f32) - 5.0);
         });
-        let x = Tensor::from_fn(&[2, 4], |i| (i as f32) * 0.25 - 1.0);
+        let x = Tensor::from_fn(&[4, 2], |i| (i as f32) * 0.25 - 1.0);
         let mut ws = Workspace::default();
         let dense_y = l.forward(&x, Pass::Infer, &mut ws);
 
@@ -277,7 +294,7 @@ mod tests {
 
         let mut tape = Tape::default();
         let _ = l.forward(&x, Pass::Eval(&mut tape), &mut ws);
-        let g = Tensor::from_fn(&[2, 3], |i| 1.0 + i as f32);
+        let g = Tensor::from_fn(&[3, 2], |i| 1.0 + i as f32);
         let dense_gi = l.grad(&g, &mut tape, &mut ws, None);
         let _ = q.forward(&x, Pass::Eval(&mut tape), &mut ws);
         let qgi = q.grad(&g, &mut tape, &mut ws, None);
@@ -306,7 +323,7 @@ mod tests {
     #[test]
     fn q8_panels_are_built_once_and_shared() {
         let l = Linear::new(24, 10, &mut StdRng::seed_from_u64(6));
-        let x = Tensor::from_fn(&[3, 24], |i| ((i as f32) * 0.7).sin());
+        let x = Tensor::from_fn(&[24, 3], |i| ((i as f32) * 0.7).sin());
         crate::layers::panel_checks::q8_panels_are_built_once(l, |l| &l.weight, &x);
     }
 
@@ -314,7 +331,7 @@ mod tests {
     fn every_mut_route_drops_the_panels() {
         let build =
             || -> Box<dyn Layer> { Box::new(Linear::new(24, 10, &mut StdRng::seed_from_u64(6))) };
-        let x = Tensor::from_fn(&[3, 24], |i| ((i as f32) * 0.7).sin());
+        let x = Tensor::from_fn(&[24, 3], |i| ((i as f32) * 0.7).sin());
         crate::layers::panel_checks::mutation_drops_panels(&build, &x);
     }
 
@@ -325,7 +342,7 @@ mod tests {
         let mut l = Linear::new(3, 2, &mut rng);
         quantize_weights(&mut l, Dtype::F16);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
-        let y = l.forward(&Tensor::zeros(&[1, 3]), Pass::Train(&mut tape), &mut ws);
+        let y = l.forward(&Tensor::zeros(&[3, 1]), Pass::Train(&mut tape), &mut ws);
         let _ = l.grad(&y, &mut tape, &mut ws, Some(&mut Grads::default()));
     }
 }

@@ -1,4 +1,5 @@
-//! Batch normalisation over `[N, C, H, W]` activations.
+//! Batch normalisation over batch-last `[C, H, W, N]` activations: each
+//! channel is one contiguous `H·W·N` run.
 
 use crate::layer::{Grads, Layer, Pass, StateSlot};
 use usb_tensor::{Tape, Tensor, Workspace};
@@ -51,38 +52,39 @@ impl BatchNorm2d {
         &self.running_var
     }
 
+    /// Channels, the length of one channel's `H·W·N` run, and `N`.
     fn check_input(&self, x: &Tensor) -> (usize, usize, usize) {
-        assert_eq!(x.ndim(), 4, "BatchNorm2d: input must be [N,C,H,W]");
-        let (n, c) = (x.shape()[0], x.shape()[1]);
+        assert_eq!(x.ndim(), 4, "BatchNorm2d: input must be [C,H,W,N]");
+        let c = x.shape()[0];
         assert_eq!(c, self.gamma.len(), "BatchNorm2d: channel mismatch");
-        (n, c, x.shape()[2] * x.shape()[3])
+        (c, x.len() / c, x.shape()[3])
     }
 
     /// The train-mode forward pass. The frame holds `x̂` in `vals` and, in
     /// `extra`, per channel `1/σ`, then the updated running mean, then the
     /// updated running variance — `(1 − m)·running + m·batch`, evaluated
-    /// now because `&self` cannot store it.
+    /// now because `&self` cannot store it. The batch statistics sum image
+    /// by image (a stride-`N` walk through each channel's run), in the
+    /// order of a per-image loop.
     fn record_train(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        let (n, c, plane) = self.check_input(x);
-        let m = (n * plane) as f32;
-        let xd = x.data();
+        let (c, run, n) = self.check_input(x);
+        let plane = run / n;
+        let m = run as f32;
         let frame = tape.push();
         frame.aux.extend_from_slice(x.shape());
         frame.vals.resize(x.len(), 0.0);
         frame.extra.resize(3 * c, 0.0);
         let mut out = ws.take_dirty(x.len());
-        for ch in 0..c {
+        for (ch, xs) in x.data().chunks_exact(run).enumerate() {
             let mut s = 0.0f32;
             for i in 0..n {
-                let base = (i * c + ch) * plane;
-                s += xd[base..base + plane].iter().sum::<f32>();
+                s += (0..plane).map(|j| xs[j * n + i]).sum::<f32>();
             }
             let mean = s / m;
             let mut v = 0.0f32;
             for i in 0..n {
-                let base = (i * c + ch) * plane;
-                for &xv in &xd[base..base + plane] {
-                    let d = xv - mean;
+                for j in 0..plane {
+                    let d = xs[j * n + i] - mean;
                     v += d * d;
                 }
             }
@@ -94,13 +96,14 @@ impl BatchNorm2d {
             frame.extra[2 * c + ch] = (1.0 - mom) * self.running_var.data()[ch] + mom * var;
             let g = self.gamma.data()[ch];
             let b = self.beta.data()[ch];
-            for i in 0..n {
-                let base = (i * c + ch) * plane;
-                for j in 0..plane {
-                    let xh = (xd[base + j] - mean) * istd;
-                    frame.vals[base + j] = xh;
-                    out[base + j] = g * xh + b;
-                }
+            let span = ch * run..(ch + 1) * run;
+            for ((xh, o), &xv) in frame.vals[span.clone()]
+                .iter_mut()
+                .zip(&mut out[span])
+                .zip(xs)
+            {
+                *xh = (xv - mean) * istd;
+                *o = g * *xh + b;
             }
         }
         Tensor::from_vec(out, x.shape())
@@ -112,26 +115,25 @@ impl Layer for BatchNorm2d {
         if let Pass::Train(tape) = pass {
             return self.record_train(x, tape, ws);
         }
-        let (n, c, plane) = self.check_input(x);
+        let (_, run, _) = self.check_input(x);
         // A frozen affine map: the input gradient needs only the running
         // statistics (read from `&self`) and the shape.
         if let Some(frame) = pass.push() {
             frame.aux.extend_from_slice(x.shape());
         }
         let mut out = ws.take_dirty(x.len());
-        let xd = x.data();
-        for ch in 0..c {
+        for (ch, (o, xs)) in out
+            .chunks_exact_mut(run)
+            .zip(x.data().chunks_exact(run))
+            .enumerate()
+        {
             let mean = self.running_mean.data()[ch];
             let var = self.running_var.data()[ch];
             let istd = 1.0 / (var + self.eps).sqrt();
             let g = self.gamma.data()[ch];
             let b = self.beta.data()[ch];
-            for i in 0..n {
-                let base = (i * c + ch) * plane;
-                for j in 0..plane {
-                    let xh = (xd[base + j] - mean) * istd;
-                    out[base + j] = g * xh + b;
-                }
+            for (o, &xv) in o.iter_mut().zip(xs) {
+                *o = g * ((xv - mean) * istd) + b;
             }
         }
         Tensor::from_vec(out, x.shape())
@@ -150,7 +152,8 @@ impl Layer for BatchNorm2d {
             &frame.aux[..],
             "BatchNorm2d: grad shape mismatch"
         );
-        let (n, c, plane) = (frame.aux[0], frame.aux[1], frame.aux[2] * frame.aux[3]);
+        let (c, n) = (frame.aux[0], frame.aux[3]);
+        let run = grad_out.len() / c;
         let mut gi = ws.take_dirty(grad_out.len());
         let god = grad_out.data();
         if frame.extra.is_empty() {
@@ -158,43 +161,42 @@ impl Layer for BatchNorm2d {
                 grads.is_none(),
                 "BatchNorm2d: parameter gradients need a Pass::Train recording"
             );
-            for ch in 0..c {
+            for (ch, (gi, go)) in gi
+                .chunks_exact_mut(run)
+                .zip(god.chunks_exact(run))
+                .enumerate()
+            {
                 // `istd` recomputed from the running statistics with the
                 // arithmetic the eval forward used.
                 let var = self.running_var.data()[ch];
                 let istd = 1.0 / (var + self.eps).sqrt();
                 let k = self.gamma.data()[ch] * istd;
-                for i in 0..n {
-                    let base = (i * c + ch) * plane;
-                    for j in 0..plane {
-                        gi[base + j] = k * god[base + j];
-                    }
+                for (d, &g) in gi.iter_mut().zip(go) {
+                    *d = k * g;
                 }
             }
         } else {
-            let m = (n * plane) as f32;
-            let xhat = &frame.vals;
+            let m = run as f32;
+            let plane = run / n;
             // Σdy·x̂ (= dL/dγ) then Σdy (= dL/dβ) per channel.
             let mut sums = vec![0.0f32; 2 * c];
             for ch in 0..c {
+                let span = ch * run..(ch + 1) * run;
+                let (go, xhat) = (&god[span.clone()], &frame.vals[span.clone()]);
                 let (mut dgamma, mut dbeta) = (0.0f32, 0.0f32);
                 for i in 0..n {
-                    let base = (i * c + ch) * plane;
                     for j in 0..plane {
-                        let go = god[base + j];
-                        dgamma += go * xhat[base + j];
-                        dbeta += go;
+                        let g = go[j * n + i];
+                        dgamma += g * xhat[j * n + i];
+                        dbeta += g;
                     }
                 }
                 sums[ch] = dgamma;
                 sums[c + ch] = dbeta;
                 // dx = (γ·istd/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
                 let k = self.gamma.data()[ch] * frame.extra[ch] / m;
-                for i in 0..n {
-                    let base = (i * c + ch) * plane;
-                    for j in 0..plane {
-                        gi[base + j] = k * (m * god[base + j] - dbeta - xhat[base + j] * dgamma);
-                    }
+                for ((d, &g), &xh) in gi[span].iter_mut().zip(go).zip(xhat) {
+                    *d = k * (m * g - dbeta - xh * dgamma);
                 }
             }
             if let Some(grads) = grads {
@@ -233,7 +235,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Tensor {
-        Tensor::from_fn(&[2, 3, 2, 2], |i| ((i * 7 % 11) as f32) * 0.3 - 1.0)
+        Tensor::from_fn(&[3, 2, 2, 2], |i| ((i * 7 % 11) as f32) * 0.3 - 1.0)
     }
 
     /// One train-mode step: record, backprop `go` into a fresh sink, commit
@@ -254,12 +256,7 @@ mod tests {
         let (y, _) = train_step(&mut bn, &x, &Tensor::ones(x.shape()));
         // Per channel, output should have ~zero mean and ~unit variance.
         for ch in 0..3 {
-            let mut vals = Vec::new();
-            for n in 0..2 {
-                for j in 0..4 {
-                    vals.push(y.data()[(n * 3 + ch) * 4 + j]);
-                }
-            }
+            let vals = &y.data()[ch * 8..(ch + 1) * 8];
             let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
             let var: f32 =
                 vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32;
@@ -289,7 +286,7 @@ mod tests {
     #[test]
     fn eval_mode_uses_running_stats() {
         let bn = BatchNorm2d::new(1);
-        let x = Tensor::from_vec(vec![2.0, 2.0, 2.0, 2.0], &[1, 1, 2, 2]);
+        let x = Tensor::from_vec(vec![2.0, 2.0, 2.0, 2.0], &[1, 2, 2, 1]);
         // Untouched running stats: mean 0, var 1 -> y = x (gamma=1, beta=0).
         let y = bn.forward(&x, Pass::Infer, &mut Workspace::new());
         for (a, b) in y.data().iter().zip(x.data()) {
@@ -321,10 +318,10 @@ mod tests {
         let mut bn = BatchNorm2d::new(2);
         // Set distinctive running stats.
         bn.running_var = Tensor::from_vec(vec![4.0, 0.25], &[2]);
-        let x = Tensor::zeros(&[1, 2, 2, 2]);
+        let x = Tensor::zeros(&[2, 2, 2, 1]);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         let _ = bn.forward(&x, Pass::Eval(&mut tape), &mut ws);
-        let gi = bn.grad(&Tensor::ones(&[1, 2, 2, 2]), &mut tape, &mut ws, None);
+        let gi = bn.grad(&Tensor::ones(&[2, 2, 2, 1]), &mut tape, &mut ws, None);
         // dx = gamma / sqrt(var+eps): 1/2 for ch0, 1/0.5=2 for ch1.
         assert!((gi.data()[0] - 0.5).abs() < 1e-3);
         assert!((gi.data()[4] - 2.0).abs() < 1e-2);

@@ -1,4 +1,5 @@
-//! Pooling layers wrapping the kernels in [`usb_tensor::pool`].
+//! Pooling layers wrapping the kernels in [`usb_tensor::pool`], on
+//! batch-last `[C, H, W, N]` activations.
 
 use crate::layer::{Grads, Layer, Pass, StateSlot};
 use usb_tensor::{pool, Tape, Tensor, Workspace};
@@ -25,7 +26,7 @@ impl AvgPool2d {
 impl Layer for AvgPool2d {
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         if let Some(frame) = pass.push() {
-            frame.aux.extend_from_slice(&x.shape()[2..]);
+            frame.aux.extend_from_slice(&x.shape()[1..3]);
         }
         pool::avg_pool2d_forward_ws(x, self.k, self.stride, ws)
     }
@@ -104,7 +105,8 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Global average pooling `[N, C, H, W] -> [N, C]`.
+/// Global average pooling `[C, H, W, N] -> [C, N]`: the column form
+/// [`super::Linear`] reads.
 #[derive(Debug, Default, Clone)]
 pub struct GlobalAvgPool;
 
@@ -118,7 +120,7 @@ impl GlobalAvgPool {
 impl Layer for GlobalAvgPool {
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         if let Some(frame) = pass.push() {
-            frame.aux.extend_from_slice(&x.shape()[2..]);
+            frame.aux.extend_from_slice(&x.shape()[1..3]);
         }
         pool::global_avg_pool_forward_ws(x, ws)
     }
@@ -158,18 +160,18 @@ mod tests {
 
     #[test]
     fn pooling_layers_roundtrip_shapes() {
-        let x = Tensor::from_fn(&[2, 3, 8, 8], |i| (i as f32).sin());
+        let x = Tensor::from_fn(&[3, 8, 8, 2], |i| (i as f32).sin());
         let (y, gi) = tape_grad(&AvgPool2d::new(2, 2), &x);
-        assert_eq!((y.shape(), gi.shape()), (&[2usize, 3, 4, 4][..], x.shape()));
+        assert_eq!((y.shape(), gi.shape()), (&[3usize, 4, 4, 2][..], x.shape()));
         let (y, gi) = tape_grad(&MaxPool2d::new(2, 2), &x);
-        assert_eq!((y.shape(), gi.shape()), (&[2usize, 3, 4, 4][..], x.shape()));
+        assert_eq!((y.shape(), gi.shape()), (&[3usize, 4, 4, 2][..], x.shape()));
         let (y, gi) = tape_grad(&GlobalAvgPool::new(), &x);
-        assert_eq!((y.shape(), gi.shape()), (&[2usize, 3][..], x.shape()));
+        assert_eq!((y.shape(), gi.shape()), (&[3usize, 2][..], x.shape()));
     }
 
     #[test]
     fn max_pool_grad_is_sparse() {
-        let x = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32);
+        let x = Tensor::from_fn(&[1, 4, 4, 1], |i| i as f32);
         let (_, g) = tape_grad(&MaxPool2d::new(2, 2), &x);
         assert_eq!(g.sum(), 4.0);
         assert_eq!(g.data().iter().filter(|&&v| v != 0.0).count(), 4);

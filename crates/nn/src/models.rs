@@ -122,7 +122,10 @@ impl Architecture {
 /// a linear classifier head.
 ///
 /// The split lets the latent-backdoor attack inject a gradient term on the
-/// penultimate activations between the two halves of a backward pass.
+/// penultimate activations between the two halves of a backward pass. The
+/// halves are batch-last stacks like every layer; callers holding images
+/// drive them through [`layer::forward_images`] and
+/// [`layer::grad_images`].
 ///
 /// Every pass takes `&self` and runs the one [`Layer::forward`]:
 /// forward-only work as [`Pass::Infer`] ([`Network::infer`] and the
@@ -291,13 +294,21 @@ impl Network {
     }
 }
 
+/// A network takes and returns the image layout — images `[N, C, H, W]`
+/// in, logits `[N, K]` out, and the input gradient as images — while its
+/// layers run batch-last between the two boundary transposes
+/// ([`ops::lanes_from_images`], [`ops::images_from_lanes`]).
 impl Layer for Network {
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         self.check_input(x);
-        let feats = self.features.forward(x, pass.reborrow(), ws);
+        let lanes = ops::lanes_from_images(x, ws);
+        let feats = self.features.forward(&lanes, pass.reborrow(), ws);
+        ws.recycle(lanes);
         let logits = self.classifier.forward(&feats, pass, ws);
         ws.recycle(feats);
-        logits
+        let out = ops::images_from_lanes(&logits, ws);
+        ws.recycle(logits);
+        out
     }
     fn grad(
         &self,
@@ -306,11 +317,13 @@ impl Layer for Network {
         ws: &mut Workspace,
         mut grads: Option<&mut Grads>,
     ) -> Tensor {
-        let g_feat = self
-            .classifier
-            .grad(grad_out, tape, ws, grads.as_deref_mut());
-        let gi = self.features.grad(&g_feat, tape, ws, grads);
+        let g = ops::lanes_from_images(grad_out, ws);
+        let g_feat = self.classifier.grad(&g, tape, ws, grads.as_deref_mut());
+        ws.recycle(g);
+        let g_in = self.features.grad(&g_feat, tape, ws, grads);
         ws.recycle(g_feat);
+        let gi = ops::images_from_lanes(&g_in, ws);
+        ws.recycle(g_in);
         gi
     }
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -578,7 +591,7 @@ mod tests {
         let arch = Architecture::new(ModelKind::BasicCnn, (1, 28, 28), 10).with_width(16);
         let net = arch.build(&mut rng);
         let x = Tensor::zeros(&[1, 1, 28, 28]);
-        let feats = net.features.forward(&x, Pass::Infer, &mut Workspace::new());
+        let feats = layer::forward_images(&net.features, &x, Pass::Infer, &mut Workspace::new());
         assert_eq!(feats.shape(), &[1, 512]);
     }
 
@@ -589,8 +602,8 @@ mod tests {
         let net = arch.build(&mut rng);
         let x = Tensor::from_fn(&[2, 1, 12, 12], |i| (i as f32 * 0.05).cos());
         let mut ws = Workspace::new();
-        let feats = net.features.forward(&x, Pass::Infer, &mut ws);
-        let via_head = net.classifier.forward(&feats, Pass::Infer, &mut ws);
+        let feats = layer::forward_images(&net.features, &x, Pass::Infer, &mut ws);
+        let via_head = layer::forward_images(&net.classifier, &feats, Pass::Infer, &mut ws);
         let direct = net.infer(&x, &mut ws);
         assert_eq!(via_head.data(), direct.data());
     }

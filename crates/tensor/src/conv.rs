@@ -1,19 +1,31 @@
 //! 2-D convolution kernels: dense ones built on im2col / col2im and one
-//! wide GEMM per batch, depthwise ones on the planar [`Stencil`] kernels.
+//! wide GEMM per batch, depthwise ones broadcasting each kernel tap over
+//! the batch.
 //!
-//! Layout conventions:
+//! # Layout
 //!
-//! * activations: `[N, C, H, W]`
-//! * dense weights: `[OC, IC, KH, KW]`
-//! * depthwise weights: `[C, 1, KH, KW]`
-//! * inside the dense kernels, images across lanes: `[C, H, W, N]`
-//!   activations and `[C·KH·KW, OH·OW·N]` column matrices (see
-//!   [`conv2d_forward_panel_ws`])
+//! Activations are held *images across lanes*, the batch last:
+//! `[C, H, W, N]`, the `N` values of one pixel contiguous. This is the
+//! layout every `usb-nn` layer passes to the next, so these kernels read
+//! and write it directly and no convolution moves data between layouts:
+//!
+//! * dense weights: `[OC, IC, KH, KW]`; depthwise weights:
+//!   `[C, 1, KH, KW]`;
+//! * dense column matrices: `[C·KH·KW, OH·OW·N]`, column `(oy, ox, n)`
+//!   (see [`conv2d_forward_panel_ws`]).
+//!
+//! Two entry points take the image layout `[N, C, H, W]` instead,
+//! [`conv2d_forward_ws`] and [`depthwise_forward_ws`]: thin wrappers that
+//! move the batch across lanes with [`ops::lanes_from_images`], run the
+//! lanes kernel and move the output back. Every other function here is
+//! batch-last. At `N = 1` the two layouts are the same memory.
 //!
 //! All functions provide forward *and* backward passes; the backward passes
 //! return gradients with respect to the input as well as the parameters,
 //! because the defenses in this workspace optimise over the *input space*
-//! (triggers, masks, universal perturbations).
+//! (triggers, masks, universal perturbations). The parameter gradients
+//! sum image by image, in the order of a per-image loop, so training bits
+//! do not depend on the layout.
 
 use crate::{kernels, ops, Tensor, Workspace};
 
@@ -66,8 +78,11 @@ impl Default for ConvSpec {
 /// In this layout one kernel tap's in-bounds outputs along a row are one
 /// contiguous run of `len · N` floats (stride 1) or `N`-float runs
 /// (larger strides), so the unfolding is a few long copies rather than
-/// one short copy per image. `out` is fully overwritten, padding zeros
-/// included, so dirty [`Workspace`] buffers are fine.
+/// one short copy per image. Each tap's in-bounds output ranges are
+/// computed once per call, and the rows of all channels are walked under
+/// them; at `n == 1` the runs are a few floats, so padding zeros and
+/// strided taps are written element by element. `out` is fully overwritten, padding zeros included, so dirty
+/// [`Workspace`] buffers are fine.
 ///
 /// # Panics
 ///
@@ -97,44 +112,66 @@ pub fn im2col_into(
         "im2col_into: out length mismatch"
     );
     let (s, pad) = (spec.stride, spec.pad);
-    for row in 0..c * kh * kw {
-        let dst = &mut out[row * plane..(row + 1) * plane];
-        let (ch, ky, kx) = (row / (kh * kw), row / kw % kh, row % kw);
-        let (ox0, ox1) = in_bounds(kx, w, ow, spec);
-        // A tap that misses every column (wide kernel, large padding,
-        // narrow plane) touches no row either, and has no run start.
-        let (oy0, oy1) = if ox0 < ox1 {
-            in_bounds(ky, h, oh, spec)
-        } else {
-            (0, 0)
-        };
-        dst[..oy0 * orow].fill(0.0);
-        dst[oy1 * orow..].fill(0.0);
-        for oy in oy0..oy1 {
-            let src = &img[(ch * h + oy * s + ky - pad) * w * n..];
-            let d = &mut dst[oy * orow..(oy + 1) * orow];
-            d[..ox0 * n].fill(0.0);
-            d[ox1 * n..].fill(0.0);
-            if s == 1 {
-                let ix0 = ox0 + kx - pad;
-                let len = (ox1 - ox0) * n;
-                d[ox0 * n..ox1 * n].copy_from_slice(&src[ix0 * n..ix0 * n + len]);
-            } else {
-                for ox in ox0..ox1 {
-                    let ix = ox * s + kx - pad;
-                    d[ox * n..(ox + 1) * n].copy_from_slice(&src[ix * n..(ix + 1) * n]);
+    for_each_tap(
+        h,
+        w,
+        oh,
+        ow,
+        kh,
+        kw,
+        spec,
+        |ky, kx, (oy0, oy1), (ox0, ox1)| {
+            for ch in 0..c {
+                let row = (ch * kh + ky) * kw + kx;
+                let dst = &mut out[row * plane..(row + 1) * plane];
+                dst[..oy0 * orow].fill(0.0);
+                dst[oy1 * orow..].fill(0.0);
+                for oy in oy0..oy1 {
+                    let src = &img[(ch * h + oy * s + ky - pad) * w * n..];
+                    let d = &mut dst[oy * orow..(oy + 1) * orow];
+                    if n == 1 {
+                        let (head, rest) = d.split_at_mut(ox0);
+                        let (run, tail) = rest.split_at_mut(ox1 - ox0);
+                        for v in head.iter_mut().chain(tail) {
+                            *v = 0.0;
+                        }
+                        if s == 1 {
+                            let ix0 = ox0 + kx - pad;
+                            run.copy_from_slice(&src[ix0..ix0 + run.len()]);
+                        } else {
+                            for (ox, v) in (ox0..).zip(run) {
+                                *v = src[ox * s + kx - pad];
+                            }
+                        }
+                        continue;
+                    }
+                    d[..ox0 * n].fill(0.0);
+                    d[ox1 * n..].fill(0.0);
+                    if s == 1 {
+                        let ix0 = ox0 + kx - pad;
+                        let len = (ox1 - ox0) * n;
+                        d[ox0 * n..ox1 * n].copy_from_slice(&src[ix0 * n..ix0 * n + len]);
+                    } else {
+                        for ox in ox0..ox1 {
+                            let ix = ox * s + kx - pad;
+                            d[ox * n..(ox + 1) * n].copy_from_slice(&src[ix * n..(ix + 1) * n]);
+                        }
+                    }
                 }
             }
-        }
-    }
+        },
+    );
 }
 
 /// Adjoint of [`im2col_into`]: folds a `[C·KH·KW, OH·OW·N]` column matrix
 /// back into `n` images held images across lanes (`[C, H, W, N]`),
 /// *summing* overlapping contributions. `out` is zeroed first (dirty
 /// [`Workspace`] buffers are fine), then every element receives its
-/// contributions in ascending `(ch, ky, kx, oy, ox)` order — per image the
+/// contributions in ascending `(ky, kx, oy, ox)` order — per image the
 /// classic per-image scatter order, so the sums are bit-identical to it.
+/// (Taps are walked outermost and channels inside them, as in
+/// [`im2col_into`]; a channel's rows write only that channel's plane, so
+/// the order each element sees is unchanged.)
 ///
 /// # Panics
 ///
@@ -161,30 +198,63 @@ pub fn col2im_into(
     assert_eq!(out.len(), c * h * w * n, "col2im_into: out length mismatch");
     out.fill(0.0);
     let (s, pad) = (spec.stride, spec.pad);
-    for row in 0..c * kh * kw {
-        let src = &cols_mat[row * plane..(row + 1) * plane];
-        let (ch, ky, kx) = (row / (kh * kw), row / kw % kh, row % kw);
-        let (ox0, ox1) = in_bounds(kx, w, ow, spec);
-        // A tap that misses every column (wide kernel, large padding,
-        // narrow plane) touches no row either, and has no run start.
-        let (oy0, oy1) = if ox0 < ox1 {
-            in_bounds(ky, h, oh, spec)
-        } else {
-            (0, 0)
-        };
-        for oy in oy0..oy1 {
-            let dst = &mut out[(ch * h + oy * s + ky - pad) * w * n..];
-            let g = &src[oy * orow..(oy + 1) * orow];
-            if s == 1 {
-                let ix0 = ox0 + kx - pad;
-                let len = (ox1 - ox0) * n;
-                add_run(&mut dst[ix0 * n..ix0 * n + len], &g[ox0 * n..ox1 * n]);
-            } else {
-                for ox in ox0..ox1 {
-                    let ix = ox * s + kx - pad;
-                    add_run(&mut dst[ix * n..(ix + 1) * n], &g[ox * n..(ox + 1) * n]);
+    for_each_tap(
+        h,
+        w,
+        oh,
+        ow,
+        kh,
+        kw,
+        spec,
+        |ky, kx, (oy0, oy1), (ox0, ox1)| {
+            for ch in 0..c {
+                let row = (ch * kh + ky) * kw + kx;
+                let src = &cols_mat[row * plane..(row + 1) * plane];
+                for oy in oy0..oy1 {
+                    let dst = &mut out[(ch * h + oy * s + ky - pad) * w * n..];
+                    let g = &src[oy * orow..(oy + 1) * orow];
+                    if s == 1 {
+                        let ix0 = ox0 + kx - pad;
+                        let len = (ox1 - ox0) * n;
+                        add_run(&mut dst[ix0 * n..ix0 * n + len], &g[ox0 * n..ox1 * n]);
+                    } else if n == 1 {
+                        for ox in ox0..ox1 {
+                            dst[ox * s + kx - pad] += g[ox];
+                        }
+                    } else {
+                        for ox in ox0..ox1 {
+                            let ix = ox * s + kx - pad;
+                            add_run(&mut dst[ix * n..(ix + 1) * n], &g[ox * n..(ox + 1) * n]);
+                        }
+                    }
                 }
             }
+        },
+    );
+}
+
+/// Calls `f(ky, kx, oy range, ox range)` for every kernel tap in
+/// ascending `(ky, kx)` order, with the outputs whose tap lands inside
+/// the plane. A tap that misses every column (wide kernel, large
+/// padding, narrow plane) gets an empty row range too, so it has no run
+/// start.
+#[allow(clippy::too_many_arguments)] // flat scalar geometry
+#[inline(always)]
+fn for_each_tap(
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    kh: usize,
+    kw: usize,
+    spec: ConvSpec,
+    mut f: impl FnMut(usize, usize, (usize, usize), (usize, usize)),
+) {
+    for ky in 0..kh {
+        let rows = in_bounds(ky, h, oh, spec);
+        for kx in 0..kw {
+            let cols = in_bounds(kx, w, ow, spec);
+            f(ky, kx, if cols.0 < cols.1 { rows } else { (0, 0) }, cols);
         }
     }
 }
@@ -209,43 +279,29 @@ fn in_bounds(t: usize, n_in: usize, n_out: usize, spec: ConvSpec) -> (usize, usi
     (o0.min(o1), o1)
 }
 
-/// `[N, L]` → `[L, N]`: the `N` images of a batch across lanes, in a
-/// buffer from `ws`, or `None` when `n == 1` and the batch already is.
-fn lanes_from_images(x: &[f32], n: usize, ws: &mut Workspace) -> Option<Vec<f32>> {
-    (n > 1).then(|| {
-        let mut t = ws.take_dirty(x.len());
-        ops::transpose_into(x, n, x.len() / n, &mut t);
-        t
-    })
-}
-
-/// `[L, N]` → `[N, L]`, the inverse of [`lanes_from_images`]: `lanes` goes
-/// back to `ws` and a fresh buffer comes out, unless `n == 1`.
-fn images_from_lanes(lanes: Vec<f32>, n: usize, ws: &mut Workspace) -> Vec<f32> {
-    if n == 1 {
-        return lanes;
-    }
-    let mut images = ws.take_dirty(lanes.len());
-    ops::transpose_into(&lanes, lanes.len() / n, n, &mut images);
-    ws.put(lanes);
-    images
+/// Whether a dense convolution's unfolding is the input itself: a 1×1,
+/// stride-1, unpadded kernel.
+fn pointwise(kh: usize, kw: usize, spec: ConvSpec) -> bool {
+    (kh, kw) == (1, 1) && spec == ConvSpec::default()
 }
 
 /// The `dL/d input` half of [`conv2d_backward_ws`] alone (which takes its
 /// input gradient from here): for input-space optimisation (DeepFool,
 /// trigger refinement) the parameter gradients are not needed, so this
 /// kernel skips them — no im2col of the cached input, no weight/bias GEMM —
-/// and folds `Wᵀ @ grad_out` straight back into image space. `h`/`w` are
-/// the spatial dims of the forward input.
+/// and folds `Wᵀ @ grad_out` straight back into image space. `grad_out`
+/// is batch-last `[OC, OH, OW, N]`, the result `[IC, H, W, N]`; `h`/`w`
+/// are the spatial dims of the forward input.
 ///
-/// The whole batch goes through **one wide GEMM** with the images across
-/// lanes (see [`conv2d_forward_panel_ws`]): `grad_out` is transposed to
-/// `[OC, OH·OW·N]`, multiplied once by `Wᵀ`, folded by [`col2im_into`]
-/// into `[IC, H, W, N]` and transposed back to `[N, IC, H, W]` (both
-/// transposes are skipped when `n == 1`). Every element still sums over
-/// `oc` in ascending order, and the fold adds each pixel's contributions
-/// in the per-image `(ch, ky, kx, oy, ox)` order onto `0.0`, so results
-/// are bit-identical to a per-image loop.
+/// The whole batch goes through **one wide GEMM** on the lanes layout
+/// (see [`conv2d_forward_panel_ws`]): `Wᵀ` times the `[OC, OH·OW·N]`
+/// gradient, folded by [`col2im_into`] into `[IC, H, W, N]`. For a 1×1,
+/// stride-1, unpadded convolution the GEMM output already is that
+/// gradient and the fold is skipped: its `0.0 + v` would change no bit,
+/// since a GEMM sum starts at `+0.0` and so is never `−0.0`. Every element
+/// still sums over `oc` in ascending order, and the fold adds each pixel's
+/// contributions in the per-image `(ch, ky, kx, oy, ox)` order onto `0.0`,
+/// so results are bit-identical to a per-image loop.
 ///
 /// The returned gradient is built from a workspace buffer (fully
 /// overwritten, so a dirty checkout is safe); callers on the hot path
@@ -285,7 +341,7 @@ pub fn conv2d_input_backward_panel_ws(
     ws: &mut Workspace,
 ) -> Tensor {
     let (oc, ic, kh, kw) = shape4(wshape);
-    let (n, goc, oh, ow) = dims4(grad_out);
+    let (goc, oh, ow, n) = dims4(grad_out);
     assert_eq!(goc, oc, "conv2d_input_backward: channel mismatch");
     assert_eq!(
         (oh, ow),
@@ -294,24 +350,25 @@ pub fn conv2d_input_backward_panel_ws(
     );
     let rows = ic * kh * kw;
     let wide = oh * ow * n;
-    let go_lanes = lanes_from_images(grad_out.data(), n, ws);
     let mut grad_cols = ws.take_dirty(rows * wide);
-    let go_wide = go_lanes.as_deref().unwrap_or(grad_out.data());
-    ops::matmul_transa_into(natural, go_wide, rows, oc, wide, &mut grad_cols);
-    if let Some(t) = go_lanes {
-        ws.put(t);
+    ops::matmul_transa_into(natural, grad_out.data(), rows, oc, wide, &mut grad_cols);
+    if pointwise(kh, kw, spec) {
+        return Tensor::from_vec(grad_cols, &[ic, h, w, n]);
     }
-    let mut folded = ws.take_dirty(n * ic * h * w);
+    let mut folded = ws.take_dirty(ic * h * w * n);
     col2im_into(&grad_cols, ic, h, w, n, kh, kw, spec, &mut folded);
     ws.put(grad_cols);
-    let grad_input = images_from_lanes(folded, n, ws);
-    Tensor::from_vec(grad_input, &[n, ic, h, w])
+    Tensor::from_vec(folded, &[ic, h, w, n])
 }
 
 /// The `dL/d input` half of [`depthwise_backward_ws`] alone (see
-/// [`conv2d_input_backward_ws`] for why): one [`stencil_adjoint_ws`] over
-/// the `N·C` planes, plane `i·C + ch` scattered through kernel `ch`, into a
-/// buffer drawn from `ws`.
+/// [`conv2d_input_backward_ws`] for why), batch-last: `grad_out`
+/// `[C, OH, OW, N]` gives `[C, H, W, N]`, into a buffer drawn from `ws`.
+/// Per input pixel, `acc = 0.0`, then `acc += g·k` for every output whose
+/// window covers it, in ascending `(oy, ox)` order, skipping `g == 0.0`:
+/// the per-image scatter's sums. At `N = 1` this is one
+/// [`stencil_adjoint_ws`] over the `C` planes; otherwise
+/// [`kernels::depthwise_adjoint`] broadcasts each tap over the batch.
 ///
 /// # Panics
 ///
@@ -326,7 +383,7 @@ pub fn depthwise_input_backward_ws(
 ) -> Tensor {
     let (c, one, kh, kw) = dims4(weight);
     assert_eq!(one, 1, "depthwise: weight second dim must be 1");
-    let (n, gc, oh, ow) = dims4(grad_out);
+    let (gc, oh, ow, n) = dims4(grad_out);
     assert_eq!(gc, c, "depthwise_input_backward: channel mismatch");
     assert_eq!(
         (oh, ow),
@@ -334,16 +391,22 @@ pub fn depthwise_input_backward_ws(
         "depthwise_input_backward: grad_out spatial dims mismatch"
     );
     let st = Stencil::new(h, w, kh, kw, spec);
-    let mut grad_input = ws.take_dirty(n * c * h * w);
-    stencil_adjoint_ws(grad_out.data(), st, weight.data(), &mut grad_input, ws);
-    Tensor::from_vec(grad_input, &[n, c, h, w])
+    let mut grad_input = ws.take_dirty(c * h * w * n);
+    if n == 1 {
+        stencil_adjoint_ws(grad_out.data(), st, weight.data(), &mut grad_input, ws);
+    } else {
+        kernels::depthwise_adjoint(grad_out.data(), st, n, weight.data(), &mut grad_input);
+    }
+    Tensor::from_vec(grad_input, &[c, h, w, n])
 }
 
-/// Dense convolution forward pass: `input` `[N, IC, H, W]`, `weight`
-/// `[OC, IC, KH, KW]` and optional `bias` `[OC]` give `[N, OC, OH, OW]`.
-/// The weight is packed k-major into a workspace buffer on every call;
-/// layers that own a weight call [`conv2d_forward_panel_ws`] with the
-/// panel they keep instead.
+/// Dense convolution forward pass on the image layout: `input`
+/// `[N, IC, H, W]`, `weight` `[OC, IC, KH, KW]` and optional `bias`
+/// `[OC]` give `[N, OC, OH, OW]`. A wrapper around
+/// [`conv2d_forward_panel_ws`] that packs the weight k-major into a
+/// workspace buffer and moves the batch across lanes and back on every
+/// call; layers keep their activations batch-last and their panel, and
+/// call the lanes kernel.
 ///
 /// # Panics
 ///
@@ -355,32 +418,37 @@ pub fn conv2d_forward_ws(
     spec: ConvSpec,
     ws: &mut Workspace,
 ) -> Tensor {
+    assert_eq!(input.ndim(), 4, "conv2d: input must be [N,IC,H,W]");
     let (oc, ic, kh, kw) = dims4(weight);
     let mut kmajor = ws.take_dirty(weight.len());
     ops::transpose_into(weight.data(), oc, ic * kh * kw, &mut kmajor);
-    let out = conv2d_forward_panel_ws(input, &kmajor, weight.shape(), bias, spec, ws);
+    let x = ops::lanes_from_images(input, ws);
+    let y = conv2d_forward_panel_ws(&x, &kmajor, weight.shape(), bias, spec, ws);
+    ws.recycle(x);
     ws.put(kmajor);
+    let out = ops::images_from_lanes(&y, ws);
+    ws.recycle(y);
     out
 }
 
-/// [`conv2d_forward_ws`] on a weight of shape `wshape` (`[OC, IC, KH, KW]`)
-/// given as its k-major panel: the `[IC·KH·KW, OC]` transpose, e.g.
-/// [`crate::panel::GemmWeight::kmajor`].
+/// Dense convolution forward pass, batch-last: `input` `[IC, H, W, N]`
+/// gives `[OC, OH, OW, N]`, on a weight of shape `wshape`
+/// (`[OC, IC, KH, KW]`) given as its k-major panel — the `[IC·KH·KW, OC]`
+/// transpose, e.g. [`crate::panel::GemmWeight::kmajor`] — plus an
+/// optional `bias` `[OC]`.
 ///
 /// The batch is fused into **one wide GEMM** over a `[IC·KH·KW,
-/// OH·OW·N]` column matrix with the images across lanes: column
-/// `(oy, ox, i)` is image `i`'s receptive field of output pixel
-/// `(oy, ox)`. The input is transposed to `[IC, H, W, N]`, unfolded by
-/// [`im2col_into`], multiplied by the panel, and the `[OC, OH·OW, N]`
-/// product is transposed back to `[N, OC, OH, OW]` with the bias added.
-/// Two steps drop out by geometry: with `n == 1` both transposes are the
-/// identity, and a 1×1, stride-1, unpadded convolution's unfolding is
-/// the transposed input itself. This is the only layout for every
-/// geometry; it is chosen over image-major columns `(i, oy, ox)` because
-/// those split each unfolding copy into one short run per image, which
-/// cost more than the GEMM on small planes. A permutation of GEMM
-/// columns changes no element's ascending-`k` dot product, so results
-/// are bit-identical to a per-image loop.
+/// OH·OW·N]` column matrix: column `(oy, ox, i)` is image `i`'s receptive
+/// field of output pixel `(oy, ox)`. [`im2col_into`] unfolds the input,
+/// the panel multiplies it, and the `[OC, OH·OW·N]` product is the output
+/// with the bias added to each channel's run. A 1×1, stride-1, unpadded
+/// convolution's unfolding is the input itself, so it is one GEMM with
+/// no copy either way. This is the only layout for every geometry; it is
+/// chosen over image-major columns `(i, oy, ox)` because those split each
+/// unfolding copy into one short run per image, which cost more than the
+/// GEMM on small planes. A permutation of GEMM columns changes no
+/// element's ascending-`k` dot product, so results are bit-identical to a
+/// per-image loop.
 ///
 /// Every scratch buffer comes from `ws`. After the first call at a given
 /// geometry, repeat calls with the same (warm) workspace perform no heap
@@ -399,8 +467,8 @@ pub fn conv2d_forward_panel_ws(
     spec: ConvSpec,
     ws: &mut Workspace,
 ) -> Tensor {
-    assert_eq!(input.ndim(), 4, "conv2d: input must be [N,IC,H,W]");
-    let (n, ic, h, w) = dims4(input);
+    assert_eq!(input.ndim(), 4, "conv2d: input must be [IC,H,W,N]");
+    let (ic, h, w, n) = dims4(input);
     let (oc, wic, kh, kw) = shape4(wshape);
     assert_eq!(
         ic, wic,
@@ -412,47 +480,40 @@ pub fn conv2d_forward_panel_ws(
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
     let rows = ic * kh * kw;
-    let cols = oh * ow;
-    let wide = cols * n;
+    let wide = oh * ow * n;
     // The column matrix, or `None` while it is the input itself.
-    let mut cols_mat = lanes_from_images(input.data(), n, ws);
-    if (kh, kw) != (1, 1) || spec != ConvSpec::default() {
+    let cols_mat = (!pointwise(kh, kw, spec)).then(|| {
         let mut unfolded = ws.take_dirty(rows * wide);
-        let x = cols_mat.as_deref().unwrap_or(input.data());
-        im2col_into(x, ic, h, w, n, kh, kw, spec, &mut unfolded);
-        if let Some(t) = cols_mat.replace(unfolded) {
-            ws.put(t);
-        }
-    }
-    let mut prod = ws.take_dirty(oc * wide);
+        im2col_into(input.data(), ic, h, w, n, kh, kw, spec, &mut unfolded);
+        unfolded
+    });
+    let mut out = ws.take_dirty(oc * wide);
     let x = cols_mat.as_deref().unwrap_or(input.data());
-    ops::matmul_transa_into(kmajor, x, oc, rows, wide, &mut prod);
-    // The column matrix goes back only after the output is drawn. Handed
-    // back first, it was the buffer best-fit grew for the output, and the
-    // Table 7 network's two workspace pools kept ~1.2 MB more.
-    let mut out = images_from_lanes(prod, n, ws);
+    ops::matmul_transa_into(kmajor, x, oc, rows, wide, &mut out);
     if let Some(t) = cols_mat {
         ws.put(t);
     }
     if let Some(b) = bias {
-        for (plane, &bv) in out.chunks_exact_mut(cols).zip(b.data().iter().cycle()) {
-            for v in plane {
+        for (run, &bv) in out.chunks_exact_mut(wide).zip(b.data()) {
+            for v in run {
                 *v += bv;
             }
         }
     }
-    Tensor::from_vec(out, &[n, oc, oh, ow])
+    Tensor::from_vec(out, &[oc, oh, ow, n])
 }
 
-/// Gradients of a dense convolution: given `grad_out = dL/d output` of
-/// shape `[N, OC, OH, OW]`, returns `(grad_input, grad_weight, grad_bias)`
-/// with the shapes of `input`, `weight`, and `[OC]`.
+/// Gradients of a dense convolution, batch-last: given `grad_out =
+/// dL/d output` of shape `[OC, OH, OW, N]` for `input` `[IC, H, W, N]`,
+/// returns `(grad_input, grad_weight, grad_bias)` with the shapes of
+/// `input`, `weight`, and `[OC]`.
 ///
 /// The input gradient is [`conv2d_input_backward_ws`]; this adds the
-/// per-image weight/bias accumulation. The im2col / GEMM scratch buffers
-/// come from `ws`, so a training loop holding one workspace across steps
-/// allocates the im2col columns — the dominant transient of the backward
-/// pass — once per geometry.
+/// weight/bias accumulation, image by image as a per-image loop sums it:
+/// the input and gradient are moved back to the image layout for it, so
+/// trained weights do not depend on the layout. The im2col / GEMM scratch
+/// buffers come from `ws`, so a training loop holding one workspace
+/// across steps allocates them once per geometry.
 ///
 /// # Panics
 ///
@@ -464,20 +525,21 @@ pub fn conv2d_backward_ws(
     spec: ConvSpec,
     ws: &mut Workspace,
 ) -> (Tensor, Tensor, Tensor) {
-    let (n, ic, h, w) = dims4(input);
+    let (ic, h, w, n) = dims4(input);
     let (oc, _, kh, kw) = dims4(weight);
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
     assert_eq!(
         grad_out.shape(),
-        &[n, oc, oh, ow],
+        &[oc, oh, ow, n],
         "conv2d_backward: grad_out shape mismatch"
     );
     let rows = ic * kh * kw;
     let cols = oh * ow;
-    let id = input.data();
-    let god = grad_out.data();
     let grad_input = conv2d_input_backward_ws(weight, grad_out, h, w, spec, ws);
+    let images = ops::images_from_lanes(input, ws);
+    let grads = ops::images_from_lanes(grad_out, ws);
+    let (id, god) = (images.data(), grads.data());
     let mut grad_w_mat = Tensor::zeros(&[oc, rows]);
     let mut grad_bias = Tensor::zeros(&[oc]);
     let mut cols_buf = ws.take_dirty(rows * cols);
@@ -499,18 +561,16 @@ pub fn conv2d_backward_ws(
     }
     ws.put(cols_buf);
     ws.put(gw_buf);
+    ws.recycle(images);
+    ws.recycle(grads);
     (grad_input, grad_w_mat.reshape(weight.shape()), grad_bias)
 }
 
-/// Depthwise convolution forward pass: each channel of `input`
-/// `[N, C, H, W]` is convolved with its own `[1, KH, KW]` kernel of
-/// `weight` `[C, 1, KH, KW]`, plus optional `bias` `[C]`. One
-/// [`stencil_gather_ws`] over the `N·C` planes, plane `i·C + ch` using
-/// kernel and bias `ch`, into an output buffer drawn from `ws`.
-///
-/// The gather fully overwrites the output, so a dirty workspace buffer is
-/// fine; recycling the returned tensor keeps steady-state inference
-/// allocation-free.
+/// Depthwise convolution forward pass on the image layout: each channel
+/// of `input` `[N, C, H, W]` is convolved with its own `[1, KH, KW]`
+/// kernel of `weight` `[C, 1, KH, KW]`, plus optional `bias` `[C]`. A
+/// wrapper that moves the batch across lanes, runs
+/// [`depthwise_forward_lanes_ws`] and moves the output back.
 ///
 /// # Panics
 ///
@@ -523,8 +583,40 @@ pub fn depthwise_forward_ws(
     ws: &mut Workspace,
 ) -> Tensor {
     assert_eq!(input.ndim(), 4, "depthwise: input must be [N,C,H,W]");
+    let x = ops::lanes_from_images(input, ws);
+    let y = depthwise_forward_lanes_ws(&x, weight, bias, spec, ws);
+    ws.recycle(x);
+    let out = ops::images_from_lanes(&y, ws);
+    ws.recycle(y);
+    out
+}
+
+/// Depthwise convolution forward pass, batch-last: `input` `[C, H, W, N]`
+/// gives `[C, OH, OW, N]`, into an output buffer drawn from `ws`. Per
+/// output, `acc = bias`, then `acc += x·k` over the in-bounds taps in
+/// ascending `(ky, kx)` order. At `N = 1` this is one
+/// [`stencil_gather_ws`] over the `C` planes (the layouts coincide, and
+/// the planar kernel puts 8 channels across its lanes); otherwise
+/// [`kernels::depthwise_gather`] broadcasts each tap's weight over the
+/// batch's `N`-float runs.
+///
+/// The gather fully overwrites the output, so a dirty workspace buffer is
+/// fine; recycling the returned tensor keeps steady-state inference
+/// allocation-free.
+///
+/// # Panics
+///
+/// Panics on rank, channel or bias-length mismatches.
+pub fn depthwise_forward_lanes_ws(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: ConvSpec,
+    ws: &mut Workspace,
+) -> Tensor {
+    assert_eq!(input.ndim(), 4, "depthwise: input must be [C,H,W,N]");
     assert_eq!(weight.ndim(), 4, "depthwise: weight must be [C,1,KH,KW]");
-    let (n, c, h, w) = dims4(input);
+    let (c, h, w, n) = dims4(input);
     let (wc, one, kh, kw) = dims4(weight);
     assert_eq!(c, wc, "depthwise: channel mismatch {c} vs {wc}");
     assert_eq!(one, 1, "depthwise: weight second dim must be 1");
@@ -533,24 +625,24 @@ pub fn depthwise_forward_ws(
     }
     let st = Stencil::new(h, w, kh, kw, spec);
     let (oh, ow) = (st.out_h(), st.out_w());
-    let mut out = ws.take_dirty(n * c * oh * ow);
-    stencil_gather_ws(
-        input.data(),
-        st,
-        weight.data(),
-        bias.map(Tensor::data),
-        &mut out,
-        ws,
-    );
-    Tensor::from_vec(out, &[n, c, oh, ow])
+    let mut out = ws.take_dirty(c * oh * ow * n);
+    let (x, k, b) = (input.data(), weight.data(), bias.map(Tensor::data));
+    if n == 1 {
+        stencil_gather_ws(x, st, k, b, &mut out, ws);
+    } else {
+        kernels::depthwise_gather(x, st, n, k, b, &mut out);
+    }
+    Tensor::from_vec(out, &[c, oh, ow, n])
 }
 
-/// Gradients of a depthwise convolution; returns
+/// Gradients of a depthwise convolution, batch-last (`input`
+/// `[C, H, W, N]`, `grad_out` `[C, OH, OW, N]`); returns
 /// `(grad_input, grad_weight, grad_bias)`.
 ///
 /// The input gradient is [`depthwise_input_backward_ws`]; this adds the
 /// weight/bias accumulation, each weight tap summing its contributions in
-/// ascending `(image, oy, ox)` order and skipping zero gradients.
+/// ascending `(image, oy, ox)` order and skipping zero gradients — a walk
+/// of stride `N` through the lanes, in the per-image loop's order.
 ///
 /// # Panics
 ///
@@ -562,13 +654,13 @@ pub fn depthwise_backward_ws(
     spec: ConvSpec,
     ws: &mut Workspace,
 ) -> (Tensor, Tensor, Tensor) {
-    let (n, c, h, w) = dims4(input);
+    let (c, h, w, n) = dims4(input);
     let (_, _, kh, kw) = dims4(weight);
     let st = Stencil::new(h, w, kh, kw, spec);
     let (oh, ow) = (st.out_h(), st.out_w());
     assert_eq!(
         grad_out.shape(),
-        &[n, c, oh, ow],
+        &[c, oh, ow, n],
         "depthwise_backward: grad_out shape mismatch"
     );
     let grad_input = depthwise_input_backward_ws(weight, grad_out, h, w, spec, ws);
@@ -578,14 +670,15 @@ pub fn depthwise_backward_ws(
     let god = grad_out.data();
     for i in 0..n {
         for ch in 0..c {
-            let img = &id[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
-            let go = &god[(i * c + ch) * oh * ow..(i * c + ch + 1) * oh * ow];
+            // Pixel `j` of image `i` in channel `ch`'s input and output.
+            let img = |j: usize| id[(ch * h * w + j) * n + i];
+            let go = |j: usize| god[(ch * oh * ow + j) * n + i];
             let gw = &mut grad_weight[ch * kh * kw..(ch + 1) * kh * kw];
-            grad_bias[ch] += go.iter().sum::<f32>();
+            grad_bias[ch] += (0..oh * ow).map(go).sum::<f32>();
             for oy in 0..oh {
                 let (ky0, ky1) = st.taps_y(oy);
                 for ox in 0..ow {
-                    let g = go[oy * ow + ox];
+                    let g = go(oy * ow + ox);
                     if g == 0.0 {
                         continue;
                     }
@@ -593,7 +686,7 @@ pub fn depthwise_backward_ws(
                     for ky in ky0..ky1 {
                         let row = (oy * spec.stride + ky - spec.pad) * w;
                         for kx in kx0..kx1 {
-                            gw[ky * kw + kx] += g * img[row + ox * spec.stride + kx - spec.pad];
+                            gw[ky * kw + kx] += g * img(row + ox * spec.stride + kx - spec.pad);
                         }
                     }
                 }
@@ -785,13 +878,36 @@ mod tests {
         conv2d_forward_ws(x, w, b, spec, &mut Workspace::new())
     }
 
+    /// A batch-last backward kernel: `(input, weight, grad_out, spec, ws)`
+    /// to `(grad_input, grad_weight, grad_bias)`.
+    type Backward =
+        fn(&Tensor, &Tensor, &Tensor, ConvSpec, &mut Workspace) -> (Tensor, Tensor, Tensor);
+
+    /// A batch-last backward kernel run on image-layout `x` and `go`,
+    /// its input gradient moved back to the image layout.
+    fn on_images(
+        backward: Backward,
+        x: &Tensor,
+        w: &Tensor,
+        go: &Tensor,
+        spec: ConvSpec,
+    ) -> (Tensor, Tensor, Tensor) {
+        let mut ws = Workspace::new();
+        let (xl, gl) = (
+            ops::lanes_from_images(x, &mut ws),
+            ops::lanes_from_images(go, &mut ws),
+        );
+        let (gi, gw, gb) = backward(&xl, w, &gl, spec, &mut ws);
+        (ops::images_from_lanes(&gi, &mut ws), gw, gb)
+    }
+
     fn conv2d_backward(
         x: &Tensor,
         w: &Tensor,
         go: &Tensor,
         spec: ConvSpec,
     ) -> (Tensor, Tensor, Tensor) {
-        conv2d_backward_ws(x, w, go, spec, &mut Workspace::new())
+        on_images(conv2d_backward_ws, x, w, go, spec)
     }
 
     fn depthwise_forward(x: &Tensor, w: &Tensor, b: Option<&Tensor>, spec: ConvSpec) -> Tensor {
@@ -958,7 +1074,7 @@ mod tests {
         let w = seq_tensor(&[2, 1, 3, 3]);
         let out = depthwise_forward(&x, &w, None, spec);
         let go = Tensor::ones(out.shape());
-        let (gi, gw, _gb) = depthwise_backward_ws(&x, &w, &go, spec, &mut Workspace::new());
+        let (gi, gw, _gb) = on_images(depthwise_backward_ws, &x, &w, &go, spec);
         let eps = 1e-3;
         for &flat in &[0usize, 5, 17, 31] {
             let mut xp = x.clone();

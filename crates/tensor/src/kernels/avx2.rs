@@ -1014,8 +1014,9 @@ pub(super) fn stencil_adjoint(
 
 /// Adjoint over `G` interleaved groups, input pixel by input pixel:
 /// `acc = 0`, then for every covering output in ascending `(oy, ox)`
-/// `acc + g·k`, kept only in lanes where `g != 0` (NEQ_UQ: true for
-/// NaN, false for ±0 — exactly the scalar `if`).
+/// `acc + g·k` in lanes where `g != 0` (NEQ_UQ: true for NaN, false for
+/// ±0 — exactly the scalar `if`); other lanes add `−0.0`, which changes
+/// no bit and keeps the select off the serial add chain.
 ///
 /// The groups share every index and branch, so their `G` serial
 /// chains overlap. Lanes across groups rather than adjacent pixels:
@@ -1028,7 +1029,7 @@ pub(super) fn stencil_adjoint(
 fn adjoint_groups<const G: usize>(gs: &[f32], st: Stencil, ks: &[f32], is: &mut [f32]) {
     let (s, pad, w, kw, ow) = (st.spec.stride, st.spec.pad, st.w, st.kw, st.out_w());
     let (gstride, kstride, istride) = (st.out_h() * ow * 8, st.kh * kw * 8, st.h * w * 8);
-    let zero = _mm256_setzero_ps();
+    let (zero, neg_zero) = (_mm256_setzero_ps(), _mm256_set1_ps(-0.0));
     for iy in 0..st.h {
         let (oy0, oy1) = st.sources_y(iy);
         for ix in 0..w {
@@ -1041,8 +1042,9 @@ fn adjoint_groups<const G: usize>(gs: &[f32], st: Stencil, ks: &[f32], is: &mut 
                     for (j, a) in acc.iter_mut().enumerate() {
                         let gv = load8(gs, j * gstride + gat);
                         let kv = load8(ks, j * kstride + kat);
-                        let sum = _mm256_add_ps(*a, _mm256_mul_ps(gv, kv));
-                        *a = _mm256_blendv_ps(*a, sum, _mm256_cmp_ps::<_CMP_NEQ_UQ>(gv, zero));
+                        let live = _mm256_cmp_ps::<_CMP_NEQ_UQ>(gv, zero);
+                        let term = _mm256_blendv_ps(neg_zero, _mm256_mul_ps(gv, kv), live);
+                        *a = _mm256_add_ps(*a, term);
                     }
                 }
             }
@@ -1050,5 +1052,245 @@ fn adjoint_groups<const G: usize>(gs: &[f32], st: Stencil, ks: &[f32], is: &mut 
                 store8(is, j * istride + (iy * w + ix) * 8, a);
             }
         }
+    }
+}
+
+/// [`scalar::silu_grad`]'s body compiled with AVX2: a plain map, which
+/// LLVM vectorises without reordering any element's operations.
+#[target_feature(enable = "avx2")]
+pub(super) fn silu_grad(g: &[f32], x: &[f32], s: &[f32], out: &mut [f32]) {
+    scalar::silu_grad(g, x, s, out)
+}
+
+/// Calls `f(at, blocks, live)` over the `n` lanes of one pixel run:
+/// groups of four, two or one full 8-lane blocks (`live == 8`), then a
+/// ragged block of `live < 8` lanes, masked.
+#[inline(always)]
+fn lane_blocks(n: usize, mut f: impl FnMut(usize, usize, usize)) {
+    let mut i = 0;
+    for g in [4, 2, 1] {
+        while i + 8 * g <= n {
+            f(i, g, 8);
+            i += 8 * g;
+        }
+    }
+    if i < n {
+        f(i, 1, n - i);
+    }
+}
+
+/// How many pixels (4, 2 or 1) to run side by side with `blocks` 8-lane
+/// blocks each — at most 8 accumulators — where `same(p)` says pixel `p`
+/// of the group shares the first pixel's tap pattern.
+#[inline(always)]
+fn pixels(blocks: usize, same: impl Fn(usize) -> bool) -> usize {
+    match blocks {
+        4 if same(1) => 2,
+        1 | 2 if same(3) => 4,
+        1 | 2 if same(1) => 2,
+        _ => 1,
+    }
+}
+
+/// `G` 8-lane blocks at `at`, or one masked block of `live` lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load_block<const G: usize>(s: &[f32], at: usize, live: usize) -> [__m256; G] {
+    debug_assert!(live == 8 || G == 1, "only a single block is ragged");
+    let mut v = [_mm256_setzero_ps(); G];
+    for (j, r) in v.iter_mut().enumerate() {
+        *r = if live == 8 {
+            load8(s, at + 8 * j)
+        } else {
+            maskload8(s, at, live, lane_mask(live))
+        };
+    }
+    v
+}
+
+/// Stores what [`load_block`] loads.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn store_block<const G: usize>(s: &mut [f32], at: usize, live: usize, v: [__m256; G]) {
+    for (j, r) in v.into_iter().enumerate() {
+        if live == 8 {
+            store8(s, at + 8 * j, r);
+        } else {
+            maskstore8(s, at, live, lane_mask(live), r);
+        }
+    }
+}
+
+/// Runs `$f::<P, G>($args)` for the runtime pixel count `$p` and block
+/// count `$g` of [`pixels`] and [`lane_blocks`].
+macro_rules! by_shape {
+    ($f:ident, $p:expr, $g:expr, $($arg:expr),*) => {
+        match ($p, $g) {
+            (2, 4) => $f::<2, 4>($($arg),*),
+            (_, 4) => $f::<1, 4>($($arg),*),
+            (4, 2) => $f::<4, 2>($($arg),*),
+            (2, 2) => $f::<2, 2>($($arg),*),
+            (_, 2) => $f::<1, 2>($($arg),*),
+            (4, _) => $f::<4, 1>($($arg),*),
+            (2, _) => $f::<2, 1>($($arg),*),
+            _ => $f::<1, 1>($($arg),*),
+        }
+    };
+}
+
+/// AVX2 twin of [`scalar::depthwise_gather`]: each output pixel's run of
+/// `N` lanes in 8-lane blocks, the ragged last block masked. Up to four
+/// adjacent outputs that share their tap range run side by side, up to 8
+/// accumulators held in registers across the taps to hide the add
+/// latency of each lane's serial tap chain.
+#[target_feature(enable = "avx2")]
+pub(super) fn depthwise_gather(
+    x: &[f32],
+    st: Stencil,
+    n: usize,
+    ker: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let (w, kw, s, pad) = (st.w, st.kw, st.spec.stride, st.spec.pad);
+    let (oh, ow) = (st.out_h(), st.out_w());
+    let kk = st.kh * kw;
+    for ch in 0..ker.len() / kk {
+        let k = &ker[ch * kk..(ch + 1) * kk];
+        let b = _mm256_set1_ps(bias.map_or(0.0, |b| b[ch]));
+        let (xc, oc) = (ch * st.h * w * n, ch * oh * ow * n);
+        lane_blocks(n, |i, g, live| {
+            let mut ox = 0;
+            while ox < ow {
+                let kx = st.taps_x(ox);
+                let p = pixels(g, |p| ox + p < ow && st.taps_x(ox + p) == kx);
+                for oy in 0..oh {
+                    let x_at = |ky: usize, kx: usize| {
+                        xc + ((oy * s + ky - pad) * w + ox * s + kx - pad) * n + i
+                    };
+                    let at = oc + (oy * ow + ox) * n + i;
+                    let geom = ((k, kw, st.taps_y(oy), kx), s * n, n);
+                    by_shape!(gather_block, p, g, x, geom, b, x_at, live, out, at);
+                }
+                ox += p;
+            }
+        });
+    }
+}
+
+/// The taps of a gather block: a channel's kernel, its width, and the
+/// in-bounds `ky` and `kx` ranges.
+type Taps<'a> = (&'a [f32], usize, (usize, usize), (usize, usize));
+
+/// `P` adjacent output pixels' lanes `at..` in `G` blocks each: per lane
+/// `acc = bias`, then `acc + x·k` over the taps in ascending `(ky, kx)`.
+/// `x_at(ky, kx)` is the tap's first lane for the first pixel; the next
+/// pixel's is `x_step` further in `x` and `o_step` further in `out`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn gather_block<const P: usize, const G: usize>(
+    x: &[f32],
+    ((k, kw, (ky0, ky1), (kx0, kx1)), x_step, o_step): (Taps<'_>, usize, usize),
+    bias: __m256,
+    x_at: impl Fn(usize, usize) -> usize,
+    live: usize,
+    out: &mut [f32],
+    at: usize,
+) {
+    let mut acc = [[bias; G]; P];
+    for ky in ky0..ky1 {
+        for kx in kx0..kx1 {
+            let kv = _mm256_set1_ps(k[ky * kw + kx]);
+            let base = x_at(ky, kx);
+            for (p, accp) in acc.iter_mut().enumerate() {
+                let xv = load_block::<G>(x, base + p * x_step, live);
+                for (a, v) in accp.iter_mut().zip(xv) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(v, kv));
+                }
+            }
+        }
+    }
+    for (p, accp) in acc.into_iter().enumerate() {
+        store_block(out, at + p * o_step, live, accp);
+    }
+}
+
+/// AVX2 twin of [`scalar::depthwise_adjoint`], in the lane blocks of
+/// [`depthwise_gather`]. Up to four input pixels `s` apart whose covering
+/// outputs are the first pixel's shifted by one run side by side (they
+/// read the same kernel taps); the scalar `g == 0.0` skip becomes a
+/// `_CMP_NEQ_UQ` mask (see [`adjoint_block`]).
+#[target_feature(enable = "avx2")]
+pub(super) fn depthwise_adjoint(g: &[f32], st: Stencil, n: usize, ker: &[f32], out: &mut [f32]) {
+    let (h, w, kw, s, pad) = (st.h, st.w, st.kw, st.spec.stride, st.spec.pad);
+    let (oh, ow) = (st.out_h(), st.out_w());
+    let kk = st.kh * kw;
+    for ch in 0..ker.len() / kk {
+        let k = &ker[ch * kk..(ch + 1) * kk];
+        let (gc, ic) = (ch * oh * ow * n, ch * h * w * n);
+        lane_blocks(n, |i, blocks, live| {
+            for first in 0..s.min(w) {
+                let mut ix = first;
+                while ix < w {
+                    let ox = st.sources_x(ix);
+                    let p = pixels(blocks, |p| {
+                        ix + p * s < w && st.sources_x(ix + p * s) == (ox.0 + p, ox.1 + p)
+                    });
+                    for iy in 0..h {
+                        let k_at =
+                            |oy: usize, ox: usize| (iy + pad - oy * s) * kw + ix + pad - ox * s;
+                        let g_at = |oy: usize, ox: usize| gc + (oy * ow + ox) * n + i;
+                        let at = ic + (iy * w + ix) * n + i;
+                        let geom = ((k, st.sources_y(iy), ox), s * n, n);
+                        by_shape!(adjoint_block, p, blocks, g, geom, k_at, g_at, live, out, at);
+                    }
+                    ix += p * s;
+                }
+            }
+        });
+    }
+}
+
+/// The covering outputs of an adjoint block's first pixel: a channel's
+/// kernel and the `oy` and `ox` ranges.
+type Sources<'a> = (&'a [f32], (usize, usize), (usize, usize));
+
+/// `P` input pixels' lanes `at..` (the next pixel `o_step` further) in
+/// `G` blocks each: per lane `acc = 0`, then for every covering output
+/// `(k, oy range, ox range)` of the first pixel in ascending `(oy, ox)` —
+/// the next pixel's is one output, `g_step` floats, further — `acc + g·k`
+/// where `g != 0` (NEQ_UQ: true for NaN, false for ±0 — exactly the
+/// scalar `if`). A skipped lane adds `−0.0` instead, which leaves every
+/// value's bits as they are (`±0`, NaN and `∞` included), so the select
+/// stays off each accumulator's serial add chain.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn adjoint_block<const P: usize, const G: usize>(
+    g: &[f32],
+    ((k, (oy0, oy1), (ox0, ox1)), o_step, g_step): (Sources<'_>, usize, usize),
+    k_at: impl Fn(usize, usize) -> usize,
+    g_at: impl Fn(usize, usize) -> usize,
+    live: usize,
+    out: &mut [f32],
+    at: usize,
+) {
+    let (zero, neg_zero) = (_mm256_setzero_ps(), _mm256_set1_ps(-0.0));
+    let mut acc = [[zero; G]; P];
+    for oy in oy0..oy1 {
+        for ox in ox0..ox1 {
+            let kv = _mm256_set1_ps(k[k_at(oy, ox)]);
+            let base = g_at(oy, ox);
+            for (p, accp) in acc.iter_mut().enumerate() {
+                let gv = load_block::<G>(g, base + p * g_step, live);
+                for (a, v) in accp.iter_mut().zip(gv) {
+                    let live = _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero);
+                    let term = _mm256_blendv_ps(neg_zero, _mm256_mul_ps(v, kv), live);
+                    *a = _mm256_add_ps(*a, term);
+                }
+            }
+        }
+    }
+    for (p, accp) in acc.into_iter().enumerate() {
+        store_block(out, at + p * o_step, live, accp);
     }
 }

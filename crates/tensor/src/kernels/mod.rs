@@ -2,19 +2,22 @@
 //!
 //! Every hot f32 kernel in the crate — the GEMM tiles behind the three
 //! [`crate::ops`] orientations, the [`transpose`] that packs weight
-//! panels and moves convolution batches across lanes, the Q8/f16
-//! decoders behind [`crate::quant::QTensor`], the refine-loop
+//! panels and moves a network's batch across lanes at its boundary, the
+//! Q8/f16 decoders behind [`crate::quant::QTensor`], the refine-loop
 //! elementwise ops, the trigger blend and its backward, Adam, the
-//! planar-stencil gather/adjoint behind depthwise convolution and SSIM
-//! ([`crate::conv::Stencil`]), [`exp`]/[`exp_in_place`] behind
-//! [`softmax_row`], and [`sigmoid_silu`], SiLU's and Sigmoid's one-pass
-//! forward — is one public function here with two implementations side by
-//! side: the scalar loop in `kernels/scalar.rs` (the *reference*, always
-//! compiled, the only one on non-x86 targets) and its AVX2 twin of the
-//! same name in `kernels/avx2.rs`, behind
-//! `#[target_feature(enable = "avx2")]`. The
-//! public function checks the slice lengths and runs the twin of the tier
-//! this module picks **once per process**; callers just call it.
+//! planar-stencil gather/adjoint behind SSIM and batch-1 depthwise
+//! convolution ([`crate::conv::Stencil`]), the batch-last depthwise
+//! gather/adjoint ([`depthwise_gather`], [`depthwise_adjoint`]),
+//! [`exp`]/[`exp_in_place`] behind [`softmax_row`], [`sigmoid_silu`],
+//! SiLU's and Sigmoid's one-pass forward, and [`silu_grad`] — is one
+//! public function here with two implementations side by side: the
+//! scalar loop in `kernels/scalar.rs` (the *reference*, always compiled,
+//! the only one on non-x86 targets) and its AVX2 twin of the same name in
+//! `kernels/avx2.rs`, behind `#[target_feature(enable = "avx2")]`. For a
+//! plain map the twin can be the scalar body itself, `#[inline(always)]`
+//! into an AVX2 function ([`silu_grad`]). The public function checks the
+//! slice lengths and runs the twin of the tier this module picks **once
+//! per process**; callers just call it.
 //!
 //! # Tier selection
 //!
@@ -41,8 +44,9 @@
 //! scalar loops: each output element performs the identical floating-point
 //! operation sequence (same ops, same operand order, ascending-`k`
 //! accumulation, **no FMA contraction, no reassociation**), with lanes
-//! laid across independent output elements only — for the stencils, the
-//! same pixel of 8 different planes. Reductions whose scalar
+//! laid across independent output elements only — for the planar
+//! stencils, the same pixel of 8 different planes; for the batch-last
+//! depthwise kernels, the same pixel of 8 images. Reductions whose scalar
 //! form is a single serial chain (softmax row sums, max folds) stay
 //! scalar. IEEE-754 arithmetic is deterministic per operation, so both
 //! tiers produce bit-identical results — enforced by the `avx2_vs_scalar`
@@ -613,6 +617,116 @@ pub fn stencil_adjoint(g: &[f32], st: Stencil, ker: &[f32], out: &mut [f32], ws:
         return;
     }
     scalar::stencil_adjoint(g, st, ker, out)
+}
+
+/// Depthwise gather over batch-last planes `[C, H, W, N]`
+/// ([`crate::conv::depthwise_forward_lanes_ws`]): channel `ch` of `x`
+/// cross-correlated with kernel `ch` of `ker` (`C` kernels of `KH·KW`
+/// taps) plus `bias[ch]`, into `out` (`[C, OH, OW, N]`, fully
+/// overwritten). Per output, `acc = bias`, then `acc += x·k` over the
+/// in-bounds taps in ascending `(ky, kx)` — per image the op sequence of
+/// [`stencil_gather`]. Each tap's weight is broadcast over the pixel's
+/// `N`-float run; the AVX2 twin holds up to four 8-lane blocks of it in
+/// registers across the taps and masks the ragged last block.
+///
+/// # Panics
+///
+/// Panics if `n` is zero, a slice length disagrees with the geometry, or
+/// `bias` does not hold one value per kernel.
+#[inline]
+pub fn depthwise_gather(
+    x: &[f32],
+    st: Stencil,
+    n: usize,
+    ker: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let c = check_lanes(
+        x,
+        st.h * st.w,
+        n,
+        ker,
+        st.kh * st.kw,
+        out,
+        st.out_h() * st.out_w(),
+    );
+    if let Some(b) = bias {
+        assert_eq!(b.len(), c, "depthwise: one bias per kernel");
+    }
+    dispatch!(depthwise_gather(x, st, n, ker, bias, out))
+}
+
+/// Adjoint of [`depthwise_gather`] without the bias
+/// ([`crate::conv::depthwise_input_backward_ws`]): per input lane,
+/// `acc = 0.0`, then `acc += g·k` for every covering output in ascending
+/// `(oy, ox)`, skipping `g == 0.0` — per image the op sequence of
+/// [`stencil_adjoint`]. The AVX2 twin turns the skip into the same
+/// `_CMP_NEQ_UQ` blend mask.
+///
+/// # Panics
+///
+/// Panics if `n` is zero or a slice length disagrees with the geometry.
+#[inline]
+pub fn depthwise_adjoint(g: &[f32], st: Stencil, n: usize, ker: &[f32], out: &mut [f32]) {
+    check_lanes(
+        g,
+        st.out_h() * st.out_w(),
+        n,
+        ker,
+        st.kh * st.kw,
+        out,
+        st.h * st.w,
+    );
+    dispatch!(depthwise_adjoint(g, st, n, ker, out))
+}
+
+/// Checks a batch-last depthwise call's slice lengths: `C` kernels of
+/// `kk` taps, `src` `C` runs of `src_plane · n` floats, `out` `C` runs of
+/// `out_plane · n`. Returns `C`.
+fn check_lanes(
+    src: &[f32],
+    src_plane: usize,
+    n: usize,
+    ker: &[f32],
+    kk: usize,
+    out: &[f32],
+    out_plane: usize,
+) -> usize {
+    assert!(n > 0, "depthwise: empty batch");
+    assert!(
+        !ker.is_empty() && ker.len().is_multiple_of(kk),
+        "depthwise: kernel length {} is not a multiple of {kk}",
+        ker.len()
+    );
+    let c = ker.len() / kk;
+    assert_eq!(
+        src.len(),
+        c * src_plane * n,
+        "depthwise: input length mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        c * out_plane * n,
+        "depthwise: output length mismatch"
+    );
+    c
+}
+
+/// SiLU's input gradient on the input `x` and sigmoid `s` its forward
+/// recorded: `out[i] = g[i]·(s[i] + x[i]·s[i]·(1 − s[i]))`. One body
+/// serves both tiers: the AVX2 twin is the scalar map compiled with AVX2.
+///
+/// # Panics
+///
+/// Panics unless all four slices share one length.
+#[inline]
+pub fn silu_grad(g: &[f32], x: &[f32], s: &[f32], out: &mut [f32]) {
+    assert!(
+        x.len() == g.len() && s.len() == g.len() && out.len() == g.len(),
+        "silu_grad: length mismatch"
+    );
+    dispatch!(silu_grad(g, x, s, out))
 }
 
 #[cfg(test)]
@@ -1362,6 +1476,124 @@ mod tests {
                 unsafe { avx2::stencil_adjoint(&g, st, &ker, &mut out_s, &mut scratch) };
                 scalar::stencil_adjoint(&g, st, &ker, &mut out_r);
                 assert_bits_eq(&out_s, &out_r, "stencil_adjoint vs scalar twin");
+            }
+        }
+
+        /// The batch-last depthwise kernels against their scalar twins,
+        /// and the scalar twins against the planar stencil run image by
+        /// image: batches of one to 48 images (full, paired, quadrupled
+        /// and ragged 8-lane blocks), kernels 3 and 5, strides 1 and 2,
+        /// borders, `±0` gradients (an infinite tap makes a skipped `0·∞`
+        /// visible) and NaN lanes.
+        #[test]
+        fn depthwise_lanes_match_scalar_and_planar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            use crate::conv::ConvSpec;
+            for n in [1, 2, 7, 8, 9, 17, 48] {
+                for &(c, h, w, k, stride, pad) in &[
+                    (3, 7, 9, 3, 1, 1),
+                    (2, 10, 10, 3, 2, 1),
+                    (2, 9, 6, 5, 2, 2),
+                    (1, 5, 12, 5, 1, 2),
+                    (2, 4, 4, 3, 1, 0),
+                ] {
+                    let st = Stencil::new(h, w, k, k, ConvSpec::new(stride, pad));
+                    for special in [Special::InfTap, Special::NanLanes] {
+                        check_depthwise_lanes(st, c, n, special);
+                    }
+                }
+            }
+        }
+
+        /// What a depthwise case salts its operands with. Each case holds
+        /// at most one source of NaN per sum: which payload survives a
+        /// NaN + NaN add is not pinned by IEEE-754.
+        #[derive(Clone, Copy, Debug)]
+        enum Special {
+            /// An infinite kernel tap: `0·∞` is NaN, so a skipped `±0`
+            /// gradient shows.
+            InfTap,
+            /// One NaN-payload lane in the input and one in the gradient.
+            NanLanes,
+        }
+
+        fn check_depthwise_lanes(st: Stencil, c: usize, n: usize, special: Special) {
+            let (h, w, k) = (st.h, st.w, st.kh);
+            let (oh, ow) = (st.out_h(), st.out_w());
+            let mut x = soup(c * h * w * n, 109);
+            let mut ker = soup(c * k * k, 113);
+            let bias = soup(c, 127);
+            let mut g = soup(c * oh * ow * n, 131);
+            match special {
+                Special::InfTap => ker[k * k / 2] = f32::INFINITY,
+                Special::NanLanes => {
+                    x.iter_mut().for_each(|v| *v = v.clamp(-4.0, 4.0));
+                    g.iter_mut().for_each(|v| *v = v.clamp(-4.0, 4.0));
+                    x[c * h * w * n / 3] = f32::from_bits(0x7FC0_0ABC);
+                    g[c * oh * ow * n / 2] = f32::from_bits(0x7FC0_0DEF);
+                }
+            }
+            let what = format!("n={n} {st:?} {special:?}");
+            // One image's `c` planes, as the planar stencil takes them.
+            let image = |src: &[f32], len: usize, i: usize| -> Vec<f32> {
+                (0..c * len).map(|j| src[j * n + i]).collect()
+            };
+            for b in [None, Some(&bias[..])] {
+                let mut simd = vec![f32::NAN; c * oh * ow * n];
+                let mut twin = simd.clone();
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::depthwise_gather(&x, st, n, &ker, b, &mut simd) };
+                scalar::depthwise_gather(&x, st, n, &ker, b, &mut twin);
+                assert_bits_eq(&simd, &twin, &format!("depthwise_gather {what} vs scalar"));
+                for i in 0..n {
+                    let mut want = vec![f32::NAN; c * oh * ow];
+                    scalar::stencil_gather(&image(&x, h * w, i), st, &ker, b, &mut want);
+                    let got = image(&twin, oh * ow, i);
+                    assert_bits_eq(&got, &want, &format!("depthwise_gather {what} image {i}"));
+                }
+            }
+            let mut simd = vec![f32::NAN; c * h * w * n];
+            let mut twin = simd.clone();
+            // SAFETY: guarded by have_avx2().
+            unsafe { avx2::depthwise_adjoint(&g, st, n, &ker, &mut simd) };
+            scalar::depthwise_adjoint(&g, st, n, &ker, &mut twin);
+            assert_bits_eq(&simd, &twin, &format!("depthwise_adjoint {what} vs scalar"));
+            for i in 0..n {
+                let mut want = vec![f32::NAN; c * h * w];
+                scalar::stencil_adjoint(&image(&g, oh * ow, i), st, &ker, &mut want);
+                let got = image(&twin, h * w, i);
+                assert_bits_eq(&got, &want, &format!("depthwise_adjoint {what} image {i}"));
+            }
+        }
+
+        #[test]
+        fn silu_grad_matches_scalar_bitwise() {
+            if !have_avx2() {
+                return;
+            }
+            let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, -0.0];
+            for n in 0..132 {
+                let mut g = soup(n, 137);
+                let mut x = soup(n, 139);
+                let mut sig: Vec<f32> = soup(n, 149).iter().map(|v| v.abs().min(1.0)).collect();
+                for (i, &sp) in specials.iter().enumerate() {
+                    for (j, v) in [&mut g, &mut x, &mut sig].into_iter().enumerate() {
+                        if let Some(slot) = v.get_mut(5 * i + 2 * j + 1) {
+                            *slot = sp;
+                        }
+                    }
+                }
+                let mut simd = vec![f32::NAN; n];
+                let mut twin = vec![f32::NAN; n];
+                // SAFETY: guarded by have_avx2().
+                unsafe { avx2::silu_grad(&g, &x, &sig, &mut simd) };
+                scalar::silu_grad(&g, &x, &sig, &mut twin);
+                let want: Vec<f32> = (0..n)
+                    .map(|i| g[i] * (sig[i] + x[i] * sig[i] * (1.0 - sig[i])))
+                    .collect();
+                assert_twins(&simd, &twin, &want, &format!("silu_grad n={n}"));
             }
         }
 

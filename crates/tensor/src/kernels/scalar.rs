@@ -439,3 +439,94 @@ pub(super) fn stencil_adjoint(g: &[f32], st: Stencil, ker: &[f32], out: &mut [f3
         }
     }
 }
+
+/// Depthwise gather over batch-last planes `[C, H, W, N]`, output pixel
+/// by output pixel: each lane of the pixel's `N`-float run starts at
+/// `bias`, then `acc += x·k` over the in-bounds taps in ascending
+/// `(ky, kx)`, the tap's weight broadcast over the run — per image the
+/// op sequence of [`stencil_gather`].
+pub(super) fn depthwise_gather(
+    x: &[f32],
+    st: Stencil,
+    n: usize,
+    ker: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let (w, kw, s, pad) = (st.w, st.kw, st.spec.stride, st.spec.pad);
+    let (oh, ow) = (st.out_h(), st.out_w());
+    let kk = st.kh * kw;
+    for (ch, (xc, oc)) in x
+        .chunks_exact(st.h * w * n)
+        .zip(out.chunks_exact_mut(oh * ow * n))
+        .enumerate()
+    {
+        let k = &ker[ch * kk..(ch + 1) * kk];
+        let b = bias.map_or(0.0, |b| b[ch]);
+        for oy in 0..oh {
+            let (ky0, ky1) = st.taps_y(oy);
+            for ox in 0..ow {
+                let (kx0, kx1) = st.taps_x(ox);
+                let acc = &mut oc[(oy * ow + ox) * n..(oy * ow + ox + 1) * n];
+                acc.fill(b);
+                for ky in ky0..ky1 {
+                    let row = (oy * s + ky - pad) * w + ox * s;
+                    for kx in kx0..kx1 {
+                        let kv = k[ky * kw + kx];
+                        let at = (row + kx - pad) * n;
+                        for (a, &xv) in acc.iter_mut().zip(&xc[at..at + n]) {
+                            *a += xv * kv;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Adjoint of [`depthwise_gather`], input pixel by input pixel: each lane
+/// starts at `0.0`, then `acc += g·k` for every covering output in
+/// ascending `(oy, ox)`, skipping `g == 0.0` — per image the op sequence
+/// of [`stencil_adjoint`].
+pub(super) fn depthwise_adjoint(g: &[f32], st: Stencil, n: usize, ker: &[f32], out: &mut [f32]) {
+    let (h, w, kw, s, pad) = (st.h, st.w, st.kw, st.spec.stride, st.spec.pad);
+    let ow = st.out_w();
+    let kk = st.kh * kw;
+    for (ch, (gc, ic)) in g
+        .chunks_exact(st.out_h() * ow * n)
+        .zip(out.chunks_exact_mut(h * w * n))
+        .enumerate()
+    {
+        let k = &ker[ch * kk..(ch + 1) * kk];
+        for iy in 0..h {
+            let (oy0, oy1) = st.sources_y(iy);
+            for ix in 0..w {
+                let (ox0, ox1) = st.sources_x(ix);
+                let acc = &mut ic[(iy * w + ix) * n..(iy * w + ix + 1) * n];
+                acc.fill(0.0);
+                for oy in oy0..oy1 {
+                    let krow = (iy + pad - oy * s) * kw + ix + pad;
+                    for ox in ox0..ox1 {
+                        let kv = k[krow - ox * s];
+                        let at = (oy * ow + ox) * n;
+                        for (a, &gv) in acc.iter_mut().zip(&gc[at..at + n]) {
+                            if gv != 0.0 {
+                                *a += gv * kv;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// SiLU's input gradient on the recorded input `x` and sigmoid `s`:
+/// `out = g·(s + x·s·(1 − s))` per element. A plain map, so the AVX2 twin
+/// is this body compiled with AVX2 (`#[inline(always)]` into it).
+#[inline(always)]
+pub(super) fn silu_grad(g: &[f32], x: &[f32], s: &[f32], out: &mut [f32]) {
+    for (((o, &gv), &v), &sv) in out.iter_mut().zip(g).zip(x).zip(s) {
+        *o = gv * (sv + v * sv * (1.0 - sv));
+    }
+}

@@ -9,16 +9,20 @@
 //!
 //! * [`Tensor`] — a contiguous, row-major, `f32` n-dimensional array with
 //!   elementwise arithmetic, reductions, and shape algebra.
-//! * [`ops`] — matrix multiplication, transposition, softmax, argmax.
+//! * [`ops`] — matrix multiplication, transposition, softmax, argmax,
+//!   and the pair of boundary helpers between the image layout
+//!   `[N, …]` and the batch-last layout `[…, N]`.
 //! * [`kernels`] — the one home of every hot loop (GEMM tiles, dequant,
 //!   elementwise passes, the softmax row, trigger blend, Adam, planar
-//!   stencils): each is one function that runs its scalar reference loop
-//!   or its bit-identical AVX2 twin, the tier probed once per process
-//!   (`USB_KERNEL=scalar|avx2|auto` overridable).
-//! * [`conv`] — im2col/col2im based 2-D convolution kernels (dense and
-//!   depthwise) with full forward and backward (input, weight, and bias
-//!   gradients).
-//! * [`pool`] — average / max pooling with backward passes.
+//!   stencils, batch-last depthwise): each is one function that runs its
+//!   scalar reference loop or its bit-identical AVX2 twin, the tier probed
+//!   once per process (`USB_KERNEL=scalar|avx2|auto` overridable).
+//! * [`conv`] — 2-D convolution kernels on batch-last activations
+//!   `[C, H, W, N]` (dense ones on im2col/col2im and one GEMM per batch,
+//!   depthwise ones broadcasting each tap over the batch) with full
+//!   forward and backward (input, weight, and bias gradients).
+//! * [`pool`] — average / max / global-average pooling with backward
+//!   passes, batch-last like [`conv`].
 //! * [`ssim`] — the structural similarity index (SSIM) with an *analytic
 //!   input gradient*, required by the paper's Alg. 2 loss
 //!   `CE − SSIM + ‖mask‖₁`.

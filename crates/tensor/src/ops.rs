@@ -1,6 +1,6 @@
 //! Linear-algebra and classification helper operations on [`Tensor`]s.
 
-use crate::{kernels, Tensor};
+use crate::{kernels, Tensor, Workspace};
 
 /// Dense matrix product `a @ b` for 2-D tensors `[m, k] x [k, n] -> [m, n]`.
 ///
@@ -9,7 +9,7 @@ use crate::{kernels, Tensor};
 /// sweep and are stored once. On the AVX2 tier a full tile is 4 rows × 16
 /// columns and the ragged right and bottom edges run 8-lane masked tiles;
 /// the scalar tier uses 4 × 8 tiles. This is the GEMM that
-/// [`crate::conv::conv2d_forward_ws`] and [`crate::conv::conv2d_backward_ws`]
+/// [`crate::conv::conv2d_forward_panel_ws`] and [`crate::conv::conv2d_backward_ws`]
 /// run on every layer of every forward and backward pass.
 ///
 /// For any fixed output element the `k`-accumulation order is ascending
@@ -148,7 +148,7 @@ pub fn matmul_transa_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, ou
 /// This is the packing primitive behind [`crate::panel::GemmWeight::kmajor`]
 /// (a row-major weight matrix transposed once into a k-major panel lets the
 /// GEMM address it with unit-stride tile loads) and the layout change that
-/// puts a convolution's images across lanes ([`crate::conv`]). It runs
+/// puts a batch's images across lanes ([`lanes_from_images`]). It runs
 /// [`kernels::transpose`].
 ///
 /// # Panics
@@ -169,6 +169,56 @@ pub fn transpose2d(a: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     transpose_into(a.data(), m, n, &mut out);
     Tensor::from_vec(out, &[n, m])
+}
+
+/// `[N, …]` → `[…, N]`: a batch moved *images across lanes*, the batch
+/// last — the activation layout between the layers of `usb-nn` (see
+/// [`crate::conv`]). With [`images_from_lanes`] it is the one pair of
+/// boundary helpers between that layout and the image layout callers
+/// hold. A pure permutation into a buffer from `ws`; at `N = 1` the two
+/// layouts are the same memory, so it is a copy.
+///
+/// # Panics
+///
+/// Panics if `x` has rank 0 or more than four dimensions.
+pub fn lanes_from_images(x: &Tensor, ws: &mut Workspace) -> Tensor {
+    let r = x.ndim();
+    assert!((1..=4).contains(&r), "lanes_from_images: rank {r}");
+    let n = x.shape()[0];
+    let mut shape = [0usize; 4];
+    shape[..r - 1].copy_from_slice(&x.shape()[1..]);
+    shape[r - 1] = n;
+    let mut out = ws.take_dirty(x.len());
+    permute_batch(x.data(), n, x.len() / n.max(1), &mut out);
+    Tensor::from_vec(out, &shape[..r])
+}
+
+/// `[…, N]` → `[N, …]`, the inverse of [`lanes_from_images`], into a
+/// buffer from `ws`.
+///
+/// # Panics
+///
+/// Panics if `x` has rank 0 or more than four dimensions.
+pub fn images_from_lanes(x: &Tensor, ws: &mut Workspace) -> Tensor {
+    let r = x.ndim();
+    assert!((1..=4).contains(&r), "images_from_lanes: rank {r}");
+    let n = x.shape()[r - 1];
+    let mut shape = [0usize; 4];
+    shape[0] = n;
+    shape[1..r].copy_from_slice(&x.shape()[..r - 1]);
+    let mut out = ws.take_dirty(x.len());
+    permute_batch(x.data(), x.len() / n.max(1), n, &mut out);
+    Tensor::from_vec(out, &shape[..r])
+}
+
+/// The transpose of `[rows, cols]` into `out`; a plain copy when either
+/// side is 1.
+fn permute_batch(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
+    if rows == 1 || cols == 1 {
+        out.copy_from_slice(src);
+    } else {
+        transpose_into(src, rows, cols, out);
+    }
 }
 
 /// Numerically stable row-wise softmax of a `[n, k]` logits tensor.

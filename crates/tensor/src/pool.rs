@@ -1,6 +1,8 @@
-//! Spatial pooling (average, max, global-average) with backward passes.
-//! Every kernel draws its output buffer from a [`Workspace`], so warm
-//! passes allocate nothing.
+//! Spatial pooling (average, max, global-average) with backward passes,
+//! on batch-last activations `[C, H, W, N]` (see [`crate::conv`]): each
+//! window's `N` images are one contiguous run, pooled lane by lane in the
+//! per-image loop's order. Every kernel draws its output buffer from a
+//! [`Workspace`], so warm passes allocate nothing.
 
 use crate::{Tensor, Workspace};
 
@@ -9,11 +11,20 @@ fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
     (t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3])
 }
 
+/// `dst[i] += src[i]`.
+#[inline(always)]
+fn add_run(dst: &mut [f32], src: &[f32]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d += v;
+    }
+}
+
 /// Average pooling over non-overlapping-or-strided `k x k` windows.
 ///
-/// `input` is `[N, C, H, W]`; the result is `[N, C, OH, OW]` with
-/// `OH = (H - k)/stride + 1`. The kernel fully overwrites the output, so
-/// dirty workspace buffers are fine.
+/// `input` is `[C, H, W, N]`; the result is `[C, OH, OW, N]` with
+/// `OH = (H - k)/stride + 1`. Per output, `0.0` plus the window in
+/// ascending `(ky, kx)`, times `1/k²`. The kernel fully overwrites the
+/// output, so dirty workspace buffers are fine.
 ///
 /// # Panics
 ///
@@ -25,35 +36,37 @@ pub fn avg_pool2d_forward_ws(
     ws: &mut Workspace,
 ) -> Tensor {
     assert!(stride > 0, "avg_pool2d: stride must be positive");
-    let (n, c, h, w) = dims4(input);
+    let (c, h, w, n) = dims4(input);
     assert!(k <= h && k <= w, "avg_pool2d: window {k} larger than input");
     let oh = (h - k) / stride + 1;
     let ow = (w - k) / stride + 1;
     let inv = 1.0 / (k * k) as f32;
-    let mut out = ws.take_dirty(n * c * oh * ow);
+    let mut out = ws.take_dirty(c * oh * ow * n);
     let id = input.data();
-    for plane in 0..n * c {
-        let img = &id[plane * h * w..(plane + 1) * h * w];
-        let o = &mut out[plane * oh * ow..(plane + 1) * oh * ow];
+    for (ch, o) in out.chunks_exact_mut(oh * ow * n).enumerate() {
+        let img = &id[ch * h * w * n..(ch + 1) * h * w * n];
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut acc = 0.0;
+                let acc = &mut o[(oy * ow + ox) * n..(oy * ow + ox + 1) * n];
+                acc.fill(0.0);
                 for ky in 0..k {
-                    let row = &img[(oy * stride + ky) * w..(oy * stride + ky) * w + w];
                     for kx in 0..k {
-                        acc += row[ox * stride + kx];
+                        let at = ((oy * stride + ky) * w + ox * stride + kx) * n;
+                        add_run(acc, &img[at..at + n]);
                     }
                 }
-                o[oy * ow + ox] = acc * inv;
+                for v in acc {
+                    *v *= inv;
+                }
             }
         }
     }
-    Tensor::from_vec(out, &[n, c, oh, ow])
+    Tensor::from_vec(out, &[c, oh, ow, n])
 }
 
 /// Backward pass of [`avg_pool2d_forward_ws`]: spreads each output
 /// gradient uniformly over its window (zero-filled checkout — overlapping
-/// windows accumulate with `+=`).
+/// windows accumulate with `+=`, in ascending `(oy, ox)`).
 ///
 /// # Panics
 ///
@@ -66,27 +79,29 @@ pub fn avg_pool2d_backward_ws(
     stride: usize,
     ws: &mut Workspace,
 ) -> Tensor {
-    let (n, c, oh, ow) = dims4(grad_out);
+    let (c, oh, ow, n) = dims4(grad_out);
     assert_eq!(oh, (h - k) / stride + 1, "avg_pool2d_backward: bad OH");
     assert_eq!(ow, (w - k) / stride + 1, "avg_pool2d_backward: bad OW");
     let inv = 1.0 / (k * k) as f32;
-    let mut gi = ws.take(n * c * h * w);
+    let mut gi = ws.take(c * h * w * n);
     let gd = grad_out.data();
-    for plane in 0..n * c {
-        let go = &gd[plane * oh * ow..(plane + 1) * oh * ow];
-        let g = &mut gi[plane * h * w..(plane + 1) * h * w];
+    for (ch, g) in gi.chunks_exact_mut(h * w * n).enumerate() {
+        let go = &gd[ch * oh * ow * n..(ch + 1) * oh * ow * n];
         for oy in 0..oh {
             for ox in 0..ow {
-                let v = go[oy * ow + ox] * inv;
+                let v = &go[(oy * ow + ox) * n..(oy * ow + ox + 1) * n];
                 for ky in 0..k {
                     for kx in 0..k {
-                        g[(oy * stride + ky) * w + ox * stride + kx] += v;
+                        let at = ((oy * stride + ky) * w + ox * stride + kx) * n;
+                        for (d, &gv) in g[at..at + n].iter_mut().zip(v) {
+                            *d += gv * inv;
+                        }
                     }
                 }
             }
         }
     }
-    Tensor::from_vec(gi, &[n, c, h, w])
+    Tensor::from_vec(gi, &[c, h, w, n])
 }
 
 /// Backward pass of [`max_pool2d_forward_ws`]: routes each output
@@ -117,8 +132,9 @@ pub fn max_pool2d_backward_ws(
 /// Max pooling over `k × k` windows: the pooled values, drawn from `ws`.
 /// With `argmax`, also the flat input index of each window's first
 /// maximum, written to it (cleared first) — the routing table a recording
-/// pass stores and [`max_pool2d_backward_ws`] reads. The window scan is
-/// the same either way, so the values are too.
+/// pass stores and [`max_pool2d_backward_ws`] reads. A window with no
+/// value above `−∞` routes to its image's pixel `(0, 0)` of the channel.
+/// The window scan is the same either way, so the values are too.
 ///
 /// # Panics
 ///
@@ -131,58 +147,75 @@ pub fn max_pool2d_forward_ws(
     mut argmax: Option<&mut Vec<usize>>,
 ) -> Tensor {
     assert!(stride > 0, "max_pool2d: stride must be positive");
-    let (n, c, h, w) = dims4(input);
+    let (c, h, w, n) = dims4(input);
     assert!(k <= h && k <= w, "max_pool2d: window {k} larger than input");
     let oh = (h - k) / stride + 1;
     let ow = (w - k) / stride + 1;
-    let mut out = ws.take_dirty(n * c * oh * ow);
+    let mut out = ws.take_dirty(c * oh * ow * n);
     if let Some(arg) = argmax.as_deref_mut() {
         arg.clear();
-        arg.reserve(n * c * oh * ow);
+        arg.resize(out.len(), 0);
     }
     let id = input.data();
-    for plane in 0..n * c {
-        let img = &id[plane * h * w..(plane + 1) * h * w];
-        let base = plane * oh * ow;
+    for ch in 0..c {
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let idx = (oy * stride + ky) * w + ox * stride + kx;
-                        if img[idx] > best {
-                            best = img[idx];
-                            best_idx = idx;
-                        }
+                let o_at = ((ch * oh + oy) * ow + ox) * n;
+                let best = &mut out[o_at..o_at + n];
+                best.fill(f32::NEG_INFINITY);
+                let mut best_idx = argmax.as_deref_mut().map(|a| &mut a[o_at..o_at + n]);
+                if let Some(idx) = best_idx.as_deref_mut() {
+                    for (i, v) in idx.iter_mut().enumerate() {
+                        *v = ch * h * w * n + i;
                     }
                 }
-                out[base + oy * ow + ox] = best;
-                if let Some(arg) = argmax.as_deref_mut() {
-                    arg.push(plane * h * w + best_idx);
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let at = ((ch * h + oy * stride + ky) * w + ox * stride + kx) * n;
+                        for (i, (b, &v)) in best.iter_mut().zip(&id[at..at + n]).enumerate() {
+                            if v > *b {
+                                *b = v;
+                                if let Some(idx) = best_idx.as_deref_mut() {
+                                    idx[i] = at + i;
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
     }
-    Tensor::from_vec(out, &[n, c, oh, ow])
+    Tensor::from_vec(out, &[c, oh, ow, n])
 }
 
-/// Global average pooling `[N, C, H, W] -> [N, C]`.
+/// Global average pooling `[C, H, W, N] -> [C, N]`: per `(c, n)` the sum
+/// over ascending pixels (from `−0.0`, as `Iterator::sum` folds), times
+/// `1/(H·W)`, each channel one contiguous `H·W·N` run summed across lanes.
 ///
 /// # Panics
 ///
 /// Panics if `input` is not rank-4.
 pub fn global_avg_pool_forward_ws(input: &Tensor, ws: &mut Workspace) -> Tensor {
-    let (n, c, h, w) = dims4(input);
+    let (c, h, w, n) = dims4(input);
     let inv = 1.0 / (h * w) as f32;
-    let mut out = ws.take_dirty(n * c);
-    for (plane, o) in out.iter_mut().enumerate() {
-        *o = input.data()[plane * h * w..(plane + 1) * h * w]
-            .iter()
-            .sum::<f32>()
-            * inv;
+    let mut out = ws.take_dirty(c * n);
+    for (acc, run) in out
+        .chunks_exact_mut(n)
+        .zip(input.data().chunks_exact(h * w * n))
+    {
+        if n == 1 {
+            acc[0] = run.iter().sum::<f32>() * inv;
+            continue;
+        }
+        acc.fill(-0.0);
+        for px in run.chunks_exact(n) {
+            add_run(acc, px);
+        }
+        for v in acc {
+            *v *= inv;
+        }
     }
-    Tensor::from_vec(out, &[n, c])
+    Tensor::from_vec(out, &[c, n])
 }
 
 /// Backward pass of [`global_avg_pool_forward_ws`] (the fill fully
@@ -190,24 +223,32 @@ pub fn global_avg_pool_forward_ws(input: &Tensor, ws: &mut Workspace) -> Tensor 
 ///
 /// # Panics
 ///
-/// Panics if `grad_out` is not `[N, C]`.
+/// Panics if `grad_out` is not `[C, N]`.
 pub fn global_avg_pool_backward_ws(
     grad_out: &Tensor,
     h: usize,
     w: usize,
     ws: &mut Workspace,
 ) -> Tensor {
-    assert_eq!(grad_out.ndim(), 2, "global_avg_pool_backward: need [N,C]");
-    let (n, c) = (grad_out.shape()[0], grad_out.shape()[1]);
+    assert_eq!(grad_out.ndim(), 2, "global_avg_pool_backward: need [C,N]");
+    let (c, n) = (grad_out.shape()[0], grad_out.shape()[1]);
     let inv = 1.0 / (h * w) as f32;
-    let mut gi = ws.take_dirty(n * c * h * w);
-    for plane in 0..n * c {
-        let v = grad_out.data()[plane] * inv;
-        for g in &mut gi[plane * h * w..(plane + 1) * h * w] {
-            *g = v;
+    let mut gi = ws.take_dirty(c * h * w * n);
+    for (run, g) in gi
+        .chunks_exact_mut(h * w * n)
+        .zip(grad_out.data().chunks_exact(n))
+    {
+        if let [v] = g {
+            run.fill(v * inv);
+            continue;
+        }
+        for px in run.chunks_exact_mut(n) {
+            for (d, &v) in px.iter_mut().zip(g) {
+                *d = v * inv;
+            }
         }
     }
-    Tensor::from_vec(gi, &[n, c, h, w])
+    Tensor::from_vec(gi, &[c, h, w, n])
 }
 
 #[cfg(test)]
@@ -228,9 +269,9 @@ mod tests {
 
     #[test]
     fn avg_pool_values() {
-        let x = Tensor::from_vec((1..=16).map(|i| i as f32).collect(), &[1, 1, 4, 4]);
+        let x = Tensor::from_vec((1..=16).map(|i| i as f32).collect(), &[1, 4, 4, 1]);
         let y = avg_pool2d_forward(&x, 2, 2);
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
+        assert_eq!(y.shape(), &[1, 2, 2, 1]);
         assert_eq!(y.data(), &[3.5, 5.5, 11.5, 13.5]);
     }
 
@@ -243,7 +284,7 @@ mod tests {
 
     #[test]
     fn avg_pool_gradient_matches_finite_differences() {
-        let x = Tensor::from_fn(&[1, 2, 4, 4], |i| (i as f32 * 0.3).cos());
+        let x = Tensor::from_fn(&[2, 4, 4, 1], |i| (i as f32 * 0.3).cos());
         let y = avg_pool2d_forward(&x, 2, 2);
         let gi =
             avg_pool2d_backward_ws(&Tensor::ones(y.shape()), 4, 4, 2, 2, &mut Workspace::new());
@@ -265,14 +306,14 @@ mod tests {
             vec![
                 1.0, 2.0, 5.0, 4.0, 3.0, 0.0, 1.0, 2.0, 7.0, 1.0, 0.0, 3.0, 2.0, 4.0, 2.0, 1.0,
             ],
-            &[1, 1, 4, 4],
+            &[1, 4, 4, 1],
         );
         let (y, arg) = max_pool2d_forward(&x, 2, 2);
         assert_eq!(y.data(), &[3.0, 5.0, 7.0, 3.0]);
         let gi = max_pool2d_backward_ws(
             &Tensor::ones(y.shape()),
             &arg,
-            &[1, 1, 4, 4],
+            &[1, 4, 4, 1],
             &mut Workspace::new(),
         );
         // Exactly one 1.0 routed per window, at the max position.
@@ -285,19 +326,19 @@ mod tests {
 
     #[test]
     fn global_avg_pool_roundtrip() {
-        let x = Tensor::from_vec((0..8).map(|i| i as f32).collect(), &[1, 2, 2, 2]);
+        let x = Tensor::from_vec((0..8).map(|i| i as f32).collect(), &[2, 2, 2, 1]);
         let y = global_avg_pool_forward_ws(&x, &mut Workspace::new());
-        assert_eq!(y.shape(), &[1, 2]);
+        assert_eq!(y.shape(), &[2, 1]);
         assert_eq!(y.data(), &[1.5, 5.5]);
-        let gi = global_avg_pool_backward_ws(&Tensor::ones(&[1, 2]), 2, 2, &mut Workspace::new());
+        let gi = global_avg_pool_backward_ws(&Tensor::ones(&[2, 1]), 2, 2, &mut Workspace::new());
         assert_eq!(gi.shape(), x.shape());
         assert_eq!(gi.data(), &[0.25; 8]);
     }
 
     #[test]
     fn strided_max_pool_shape() {
-        let x = Tensor::zeros(&[2, 3, 9, 9]);
+        let x = Tensor::zeros(&[3, 9, 9, 2]);
         let (y, _) = max_pool2d_forward(&x, 3, 2);
-        assert_eq!(y.shape(), &[2, 3, 4, 4]);
+        assert_eq!(y.shape(), &[3, 4, 4, 2]);
     }
 }

@@ -387,6 +387,21 @@ fn dirty_workspace() -> Workspace {
     ws
 }
 
+/// A batch-last kernel run on an image-layout operand: `x` moved across
+/// lanes, the result moved back.
+fn on_lanes(
+    x: &Tensor,
+    ws: &mut Workspace,
+    kernel: impl FnOnce(&Tensor, &mut Workspace) -> Tensor,
+) -> Tensor {
+    let lanes = ops::lanes_from_images(x, ws);
+    let out = kernel(&lanes, ws);
+    ws.recycle(lanes);
+    let images = ops::images_from_lanes(&out, ws);
+    ws.recycle(out);
+    images
+}
+
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: length mismatch");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -501,7 +516,9 @@ fn check_conv_input_backward(g: ConvGeom, vals: &[f32]) {
 
     let mut ws = dirty_workspace();
     for round in 0..2 {
-        let got = conv2d_input_backward_ws(&weight, &grad_out, h, w, spec, &mut ws);
+        let got = on_lanes(&grad_out, &mut ws, |g, ws| {
+            conv2d_input_backward_ws(&weight, g, h, w, spec, ws)
+        });
         assert_eq!(got.shape(), &[n, ic, h, w]);
         assert_bits_eq(
             got.data(),
@@ -743,15 +760,16 @@ proptest! {
     }
 
     /// Depthwise forward and input backward against the historical
-    /// per-output loops: odd shapes, plane counts off the 8-lane group
-    /// (`n·c` from 1 to 40, past one batch of four groups), stride 1–2,
-    /// pad 0–2, kernels 1/3/5,
+    /// per-output loops: odd shapes, one image (the planar stencil, `c`
+    /// planes off the 8-lane group) and batches across lanes up to 18
+    /// (full, paired and ragged 8-lane blocks), stride 1–2, pad 0–2,
+    /// kernels 1/3/5,
     /// operands salted with ±0 and subnormals, plus either NaN payloads or
     /// an infinite weight tap (where skipping a `±0` gradient is visible:
     /// `0·∞` would be NaN), on a dirty workspace and again warm.
     #[test]
     fn depthwise_matches_historical_loops_bitwise(
-        n in 1usize..6,
+        n in 1usize..19,
         c in 1usize..9,
         k_idx in 0usize..3,
         extra_h in 0usize..6,
@@ -792,7 +810,9 @@ proptest! {
             prop_assert_eq!(got.shape(), &[n, c, oh, ow]);
             assert_bits_eq(got.data(), &want_fwd, &format!("depthwise forward (round {round})"));
             ws.recycle(got);
-            let got = depthwise_input_backward_ws(&weight, &grad_out, h, w, spec, &mut ws);
+            let got = on_lanes(&grad_out, &mut ws, |g, ws| {
+                depthwise_input_backward_ws(&weight, g, h, w, spec, ws)
+            });
             prop_assert_eq!(got.shape(), &[n, c, h, w]);
             assert_bits_eq(got.data(), &want_bwd, &format!("depthwise input backward (round {round})"));
             ws.recycle(got);

@@ -213,7 +213,8 @@ fn input(shape: &[usize], phase: f32) -> Tensor {
     Tensor::from_fn(shape, |i| ((i as f32) * 0.61 + phase).sin() * 1.5)
 }
 
-/// One small instance of every layer kind, with an input it accepts.
+/// One small instance of every layer kind, with an input it accepts:
+/// batch-last, two images (`[C, H, W, N]`, `[F, N]` for `Linear`).
 fn layer_zoo() -> Vec<(&'static str, Box<dyn Layer>, Tensor)> {
     let mut rng = StdRng::seed_from_u64(0x6AD_C4EC);
     let conv = |rng: &mut StdRng| Conv2d::new(2, 2, 3, 1, 1, true, rng);
@@ -221,54 +222,54 @@ fn layer_zoo() -> Vec<(&'static str, Box<dyn Layer>, Tensor)> {
         (
             "conv2d",
             Box::new(Conv2d::new(2, 3, 3, 1, 1, true, &mut rng)) as Box<dyn Layer>,
-            input(&[2, 2, 5, 5], 0.1),
+            input(&[2, 5, 5, 2], 0.1),
         ),
         (
             "conv2d/stride2",
             Box::new(Conv2d::new(2, 3, 3, 2, 1, false, &mut rng)),
-            input(&[2, 2, 6, 6], 0.2),
+            input(&[2, 6, 6, 2], 0.2),
         ),
         (
             "depthwise_conv2d",
             Box::new(DepthwiseConv2d::new(3, 3, 2, 1, true, &mut rng)),
-            input(&[2, 3, 6, 6], 0.3),
+            input(&[3, 6, 6, 2], 0.3),
         ),
         (
             "linear",
             Box::new(Linear::new(5, 4, &mut rng)),
-            input(&[3, 5], 0.4),
+            input(&[5, 3], 0.4),
         ),
         (
             "flatten",
             Box::new(Flatten::new()),
-            input(&[2, 2, 2, 3], 0.5),
+            input(&[2, 2, 3, 2], 0.5),
         ),
         (
             "batchnorm2d",
             Box::new(BatchNorm2d::new(3)),
-            input(&[2, 3, 3, 3], 0.6),
+            input(&[3, 3, 3, 2], 0.6),
         ),
-        ("relu", Box::new(ReLU::new()), input(&[2, 3, 4, 4], 0.7)),
+        ("relu", Box::new(ReLU::new()), input(&[3, 4, 4, 2], 0.7)),
         (
             "sigmoid",
             Box::new(Sigmoid::new()),
-            input(&[2, 3, 4, 4], 0.8),
+            input(&[3, 4, 4, 2], 0.8),
         ),
-        ("silu", Box::new(SiLU::new()), input(&[2, 3, 4, 4], 0.9)),
+        ("silu", Box::new(SiLU::new()), input(&[3, 4, 4, 2], 0.9)),
         (
             "avg_pool2d",
             Box::new(AvgPool2d::new(2, 2)),
-            input(&[2, 2, 4, 4], 1.0),
+            input(&[2, 4, 4, 2], 1.0),
         ),
         (
             "max_pool2d",
             Box::new(MaxPool2d::new(2, 2)),
-            input(&[2, 2, 4, 4], 1.1),
+            input(&[2, 4, 4, 2], 1.1),
         ),
         (
             "global_avg_pool",
             Box::new(GlobalAvgPool::new()),
-            input(&[2, 2, 3, 3], 1.2),
+            input(&[2, 3, 3, 2], 1.2),
         ),
         (
             "sequential",
@@ -278,14 +279,14 @@ fn layer_zoo() -> Vec<(&'static str, Box<dyn Layer>, Tensor)> {
                     .push(BatchNorm2d::new(2))
                     .push(SiLU::new()),
             ),
-            input(&[2, 2, 4, 4], 1.3),
+            input(&[2, 4, 4, 2], 1.3),
         ),
         (
             "residual/identity",
             Box::new(Residual::new(
                 Sequential::new().push(conv(&mut rng)).push(Sigmoid::new()),
             )),
-            input(&[2, 2, 4, 4], 1.4),
+            input(&[2, 4, 4, 2], 1.4),
         ),
         (
             "residual/projection",
@@ -295,12 +296,12 @@ fn layer_zoo() -> Vec<(&'static str, Box<dyn Layer>, Tensor)> {
                     .push(Conv2d::new(2, 3, 1, 2, 0, false, &mut rng))
                     .push(BatchNorm2d::new(3)),
             )),
-            input(&[2, 2, 4, 4], 1.5),
+            input(&[2, 4, 4, 2], 1.5),
         ),
         (
             "squeeze_excite",
             Box::new(SqueezeExcite::new(4, 2, &mut rng)),
-            input(&[2, 4, 3, 3], 1.6),
+            input(&[4, 3, 3, 2], 1.6),
         ),
     ]
 }

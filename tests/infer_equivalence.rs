@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use universal_soldier::attacks::IadGenerator;
-use universal_soldier::nn::layer::{Layer, Pass};
+use universal_soldier::nn::layer::{forward_images, Layer, Pass};
 use universal_soldier::nn::models::{Architecture, ModelKind, Network};
 use universal_soldier::nn::train::{evaluate, evaluate_with_workers};
 use universal_soldier::tensor::{Tape, Tensor, Workspace};
@@ -48,6 +48,48 @@ fn zoo() -> Vec<(ModelKind, Network)> {
 fn batch_for(net: &Network, n: usize, vals: &[f32]) -> Tensor {
     let (c, h, w) = net.input_shape();
     Tensor::from_fn(&[n, c, h, w], |i| vals[i % vals.len()])
+}
+
+/// The layers hold a batch images across lanes (`[C, H, W, N]`), which
+/// changes where its values sit, never what they are: for every
+/// architecture, at batch sizes on and off the kernels' 8-lane blocks,
+/// `infer` logits and `Pass::Eval` input gradients of a batch equal, bit
+/// for bit, those of each image run alone (`N = 1`, where the layouts are
+/// the same memory).
+#[test]
+fn batched_passes_equal_per_image_runs_bitwise() {
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    for (kind, net) in zoo() {
+        let (c, h, w) = net.input_shape();
+        let (item, k) = (c * h * w, net.num_classes());
+        // A gradient that depends on the class only, so each image's row
+        // is the same whether it runs alone or in the batch.
+        let seed = |logits: &Tensor, _: &mut Workspace| {
+            Tensor::from_fn(logits.shape(), |i| ((i % k) as f32) - 1.5)
+        };
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        for n in [1, 2, 7, 8, 9, 17, 48] {
+            let x = Tensor::from_fn(&[n, c, h, w], |i| ((i * 37 + n) % 101) as f32 / 100.0);
+            let logits = net.infer(&x, &mut ws);
+            let (_, grad) = net.input_grad_in(&x, seed, &mut tape, &mut ws);
+            for i in 0..n {
+                let xi =
+                    Tensor::from_vec(x.data()[i * item..(i + 1) * item].to_vec(), &[1, c, h, w]);
+                let li = net.infer(&xi, &mut ws);
+                let (_, gi) = net.input_grad_in(&xi, seed, &mut tape, &mut ws);
+                assert_eq!(
+                    bits(&logits.data()[i * k..(i + 1) * k]),
+                    bits(li.data()),
+                    "{kind:?}: logits of image {i} in a batch of {n}"
+                );
+                assert_eq!(
+                    bits(&grad.data()[i * item..(i + 1) * item]),
+                    bits(gi.data()),
+                    "{kind:?}: input gradient of image {i} in a batch of {n}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -189,7 +231,12 @@ fn train_pass_matches_infer_on_nets_without_batch_norm() {
     let x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i as f32) * 0.19).sin().abs());
     let patterns = generator.generate(&x);
     let net = &*generator.net_mut();
-    let recorded = net.forward(&x, Pass::Train(&mut Tape::new()), &mut Workspace::new());
+    let recorded = forward_images(
+        net,
+        &x,
+        Pass::Train(&mut Tape::new()),
+        &mut Workspace::new(),
+    );
     assert_eq!(
         bits(&recorded),
         bits(&patterns),
