@@ -224,12 +224,6 @@ fn gated(x: &Tensor, gate: &Tensor, ws: &mut Workspace) -> Tensor {
         .zip(x.data().chunks_exact(run))
         .zip(gate.data().chunks_exact(n))
     {
-        if let [g] = g {
-            for (o, &v) in ys.iter_mut().zip(xs) {
-                *o = v * g;
-            }
-            continue;
-        }
         for (yp, xp) in ys.chunks_exact_mut(n).zip(xs.chunks_exact(n)) {
             for ((o, &v), &gv) in yp.iter_mut().zip(xp).zip(g) {
                 *o = v * gv;
@@ -291,12 +285,6 @@ impl Layer for SqueezeExcite {
             .zip(frame.vals.chunks_exact(run))
         {
             acc.fill(0.0);
-            if let [acc] = acc {
-                for (&g, &v) in go.iter().zip(xs) {
-                    *acc += g * v;
-                }
-                continue;
-            }
             for (gp, xp) in go.chunks_exact(n).zip(xs.chunks_exact(n)) {
                 for ((a, &g), &v) in acc.iter_mut().zip(gp).zip(xp) {
                     *a += g * v;
@@ -332,13 +320,6 @@ impl Layer for SqueezeExcite {
             .zip(gate.chunks_exact(n))
             .zip(d_squeeze.data().chunks_exact(n))
         {
-            if let ([g], [sq]) = (g, sq) {
-                let spread = sq * inv;
-                for (d, &go) in d.iter_mut().zip(go) {
-                    *d = go * g + spread;
-                }
-                continue;
-            }
             for (dp, gp) in d.chunks_exact_mut(n).zip(go.chunks_exact(n)) {
                 for (((d, &go), &g), &sq) in dp.iter_mut().zip(gp).zip(g).zip(sq) {
                     *d = go * g + sq * inv;

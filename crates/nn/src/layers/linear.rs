@@ -73,15 +73,8 @@ impl Layer for Linear {
         let mut y = ws.take_dirty(out * n);
         // W·X on the layer's k-major panel: each output element is the
         // ascending-`k` dot product `Σ W[j,k]·x[k,i]`, the same for a dense
-        // weight and a decoded quantized one. One image is one row `xᵀ`
-        // (the same memory), whose row form `xᵀ·Wᵀ` keeps the GEMM's lanes
-        // across the outputs instead of one live column.
-        let kmajor = self.weight.kmajor();
-        if n == 1 {
-            ops::matmul_into(x.data(), kmajor, 1, inf, out, &mut y);
-        } else {
-            ops::matmul_transa_into(kmajor, x.data(), out, inf, n, &mut y);
-        }
+        // weight and a decoded quantized one.
+        ops::matmul_transa_into(self.weight.kmajor(), x.data(), out, inf, n, &mut y);
         for (row, &b) in y.chunks_exact_mut(n).zip(self.bias.data()) {
             for v in row {
                 *v += b;
@@ -127,15 +120,9 @@ impl Layer for Linear {
                 }
             }
         }
-        // dL/dx = Wᵀ g on the natural-order panel (row form `gᵀ·W` for one
-        // image, as in `forward`).
+        // dL/dx = Wᵀ g on the natural-order panel.
         let mut gi = ws.take_dirty(inf * n);
-        let natural = self.weight.natural();
-        if n == 1 {
-            ops::matmul_into(grad_out.data(), natural, 1, out, inf, &mut gi);
-        } else {
-            ops::matmul_transa_into(natural, grad_out.data(), inf, out, n, &mut gi);
-        }
+        ops::matmul_transa_into(self.weight.natural(), grad_out.data(), inf, out, n, &mut gi);
         tape.recycle(frame);
         Tensor::from_vec(gi, &[inf, n])
     }

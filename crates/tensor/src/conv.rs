@@ -510,10 +510,12 @@ pub fn conv2d_forward_panel_ws(
 ///
 /// The input gradient is [`conv2d_input_backward_ws`]; this adds the
 /// weight/bias accumulation, image by image as a per-image loop sums it:
-/// the input and gradient are moved back to the image layout for it, so
-/// trained weights do not depend on the layout. The im2col / GEMM scratch
-/// buffers come from `ws`, so a training loop holding one workspace
-/// across steps allocates them once per geometry.
+/// image `i`'s lane of the input and of `grad_out` is gathered with a
+/// stride-`N` walk into one image-sized buffer each, unfolded and
+/// multiplied as one image, so trained weights do not depend on the
+/// layout. The lane / im2col / GEMM scratch buffers come from `ws`, so a
+/// training loop holding one workspace across steps allocates them once
+/// per geometry.
 ///
 /// # Panics
 ///
@@ -537,19 +539,18 @@ pub fn conv2d_backward_ws(
     let rows = ic * kh * kw;
     let cols = oh * ow;
     let grad_input = conv2d_input_backward_ws(weight, grad_out, h, w, spec, ws);
-    let images = ops::images_from_lanes(input, ws);
-    let grads = ops::images_from_lanes(grad_out, ws);
-    let (id, god) = (images.data(), grads.data());
     let mut grad_w_mat = Tensor::zeros(&[oc, rows]);
     let mut grad_bias = Tensor::zeros(&[oc]);
+    let mut img = ws.take_dirty(ic * h * w);
+    let mut go = ws.take_dirty(oc * cols);
     let mut cols_buf = ws.take_dirty(rows * cols);
     let mut gw_buf = ws.take_dirty(oc * rows);
     for i in 0..n {
-        let img = &id[i * ic * h * w..(i + 1) * ic * h * w];
-        im2col_into(img, ic, h, w, 1, kh, kw, spec, &mut cols_buf);
-        let go = &god[i * oc * cols..(i + 1) * oc * cols];
+        lane_into(input.data(), n, i, &mut img);
+        lane_into(grad_out.data(), n, i, &mut go);
+        im2col_into(&img, ic, h, w, 1, kh, kw, spec, &mut cols_buf);
         // dL/dW += grad_out_i @ cols^T
-        ops::matmul_transb_into(go, &cols_buf, oc, cols, rows, &mut gw_buf);
+        ops::matmul_transb_into(&go, &cols_buf, oc, cols, rows, &mut gw_buf);
         for (acc, &g) in grad_w_mat.data_mut().iter_mut().zip(&gw_buf) {
             *acc += g;
         }
@@ -559,11 +560,20 @@ pub fn conv2d_backward_ws(
             grad_bias.data_mut()[ch] += s;
         }
     }
+    ws.put(img);
+    ws.put(go);
     ws.put(cols_buf);
     ws.put(gw_buf);
-    ws.recycle(images);
-    ws.recycle(grads);
     (grad_input, grad_w_mat.reshape(weight.shape()), grad_bias)
+}
+
+/// Image `i` of the batch-last `src` (`N` lanes per pixel) into the
+/// image-layout `dst`: every `N`-th float from lane `i`.
+fn lane_into(src: &[f32], n: usize, i: usize, dst: &mut [f32]) {
+    debug_assert_eq!(src.len(), dst.len() * n, "lane_into: length mismatch");
+    for (d, &v) in dst.iter_mut().zip(src[i..].iter().step_by(n)) {
+        *d = v;
+    }
 }
 
 /// Depthwise convolution forward pass on the image layout: each channel

@@ -1014,9 +1014,8 @@ pub(super) fn stencil_adjoint(
 
 /// Adjoint over `G` interleaved groups, input pixel by input pixel:
 /// `acc = 0`, then for every covering output in ascending `(oy, ox)`
-/// `acc + g·k` in lanes where `g != 0` (NEQ_UQ: true for NaN, false for
-/// ±0 — exactly the scalar `if`); other lanes add `−0.0`, which changes
-/// no bit and keeps the select off the serial add chain.
+/// `acc + g·k`, kept only in lanes where `g != 0` (NEQ_UQ: true for
+/// NaN, false for ±0 — exactly the scalar `if`).
 ///
 /// The groups share every index and branch, so their `G` serial
 /// chains overlap. Lanes across groups rather than adjacent pixels:
@@ -1029,7 +1028,7 @@ pub(super) fn stencil_adjoint(
 fn adjoint_groups<const G: usize>(gs: &[f32], st: Stencil, ks: &[f32], is: &mut [f32]) {
     let (s, pad, w, kw, ow) = (st.spec.stride, st.spec.pad, st.w, st.kw, st.out_w());
     let (gstride, kstride, istride) = (st.out_h() * ow * 8, st.kh * kw * 8, st.h * w * 8);
-    let (zero, neg_zero) = (_mm256_setzero_ps(), _mm256_set1_ps(-0.0));
+    let zero = _mm256_setzero_ps();
     for iy in 0..st.h {
         let (oy0, oy1) = st.sources_y(iy);
         for ix in 0..w {
@@ -1042,9 +1041,8 @@ fn adjoint_groups<const G: usize>(gs: &[f32], st: Stencil, ks: &[f32], is: &mut 
                     for (j, a) in acc.iter_mut().enumerate() {
                         let gv = load8(gs, j * gstride + gat);
                         let kv = load8(ks, j * kstride + kat);
-                        let live = _mm256_cmp_ps::<_CMP_NEQ_UQ>(gv, zero);
-                        let term = _mm256_blendv_ps(neg_zero, _mm256_mul_ps(gv, kv), live);
-                        *a = _mm256_add_ps(*a, term);
+                        let sum = _mm256_add_ps(*a, _mm256_mul_ps(gv, kv));
+                        *a = _mm256_blendv_ps(*a, sum, _mm256_cmp_ps::<_CMP_NEQ_UQ>(gv, zero));
                     }
                 }
             }

@@ -203,10 +203,6 @@ pub fn global_avg_pool_forward_ws(input: &Tensor, ws: &mut Workspace) -> Tensor 
         .chunks_exact_mut(n)
         .zip(input.data().chunks_exact(h * w * n))
     {
-        if n == 1 {
-            acc[0] = run.iter().sum::<f32>() * inv;
-            continue;
-        }
         acc.fill(-0.0);
         for px in run.chunks_exact(n) {
             add_run(acc, px);
@@ -238,10 +234,6 @@ pub fn global_avg_pool_backward_ws(
         .chunks_exact_mut(h * w * n)
         .zip(grad_out.data().chunks_exact(n))
     {
-        if let [v] = g {
-            run.fill(v * inv);
-            continue;
-        }
         for px in run.chunks_exact_mut(n) {
             for (d, &v) in px.iter_mut().zip(g) {
                 *d = v * inv;
