@@ -81,8 +81,6 @@ struct AdamSlotState {
 #[derive(Debug)]
 pub struct Adam {
     inner: TensorAdam,
-    /// L2 weight-decay coefficient for decaying slots.
-    pub weight_decay: f32,
 }
 
 impl Adam {
@@ -95,7 +93,6 @@ impl Adam {
     pub fn new(lr: f32) -> Self {
         Adam {
             inner: TensorAdam::new(lr),
-            weight_decay: 0.0,
         }
     }
 
@@ -113,16 +110,14 @@ impl Adam {
         self.inner.t += 1;
         let mut idx = 0;
         let inner = &mut self.inner;
-        let wd = self.weight_decay;
-        visit_params(model, |value, decay| {
+        visit_params(model, |value, _| {
             if inner.state.len() <= idx {
                 inner.state.push(AdamSlotState {
                     m: Tensor::zeros(value.shape()),
                     v: Tensor::zeros(value.shape()),
                 });
             }
-            let decay = if decay { wd } else { 0.0 };
-            inner.apply(idx, value, &grads[idx], decay);
+            inner.apply(idx, value, &grads[idx]);
             idx += 1;
         });
     }
@@ -188,14 +183,14 @@ impl TensorAdam {
                     v: Tensor::zeros(p.shape()),
                 });
             }
-            self.apply(i, p, g, 0.0);
+            self.apply(i, p, g);
         }
     }
 
     /// The update only reads the gradient, so it borrows it shared — no
     /// per-step clone of `dL/dθ` (the refine loop calls this 40–80 times
     /// per class).
-    fn apply(&mut self, idx: usize, value: &mut Tensor, grad: &Tensor, decay: f32) {
+    fn apply(&mut self, idx: usize, value: &mut Tensor, grad: &Tensor) {
         let st = &mut self.state[idx];
         assert_eq!(st.m.shape(), value.shape(), "TensorAdam: state shape drift");
         let params = kernels::AdamParams {
@@ -205,7 +200,6 @@ impl TensorAdam {
             bc2: 1.0 - self.beta2.powi(self.t as i32),
             lr: self.lr,
             eps: self.eps,
-            decay,
         };
         let (md, vd) = (st.m.data_mut(), st.v.data_mut());
         kernels::adam_step(value.data_mut(), grad.data(), md, vd, &params);

@@ -51,9 +51,7 @@ use crate::layer::{Layer, StateSlot};
 use crate::models::{Architecture, ModelKind, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fs;
 use std::io::{Read, Write};
-use std::path::Path;
 use usb_tensor::io::{
     expect_magic, expect_version, read_str, read_tensor_record_shaped, read_u32, write_qtensor,
     write_str, write_tensor, write_u16, write_u32, IoError, TensorRecord,
@@ -338,21 +336,6 @@ pub fn peek_weight_dtype(r: &mut impl Read) -> Result<Dtype, IoError> {
             tag[0]
         ))
     })
-}
-
-/// Saves a network to `path` (creating parent directories).
-pub fn save_network(path: &Path, net: &mut Network) -> Result<(), IoError> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    let mut f = fs::File::create(path)?;
-    write_network(&mut f, net)
-}
-
-/// Loads a network from `path`.
-pub fn load_network(path: &Path) -> Result<Network, IoError> {
-    let mut f = fs::File::open(path)?;
-    read_network(&mut f)
 }
 
 #[cfg(test)]

@@ -49,9 +49,7 @@
 use crate::quant::{Dtype, QTensor};
 use crate::Tensor;
 use std::fmt;
-use std::fs;
 use std::io::{Read, Write};
-use std::path::Path;
 
 /// Magic bytes opening every tensor record.
 pub const TENSOR_MAGIC: [u8; 4] = *b"USBT";
@@ -505,22 +503,6 @@ pub fn read_tensor(r: &mut impl Read) -> Result<Tensor, IoError> {
     read_tensor_record(r)?.into_dense()
 }
 
-/// Saves one tensor to `path` (creating parent directories).
-pub fn save_tensor(path: &Path, t: &Tensor) -> Result<(), IoError> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    let mut f = fs::File::create(path)?;
-    write_tensor(&mut f, t)
-}
-
-/// Loads one tensor from `path`.
-pub fn load_tensor(path: &Path) -> Result<Tensor, IoError> {
-    let mut f = fs::File::open(path)?;
-    let t = read_tensor(&mut f)?;
-    Ok(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,17 +683,6 @@ mod tests {
             let err = read_tensor_record(&mut &buf[..len]).unwrap_err();
             assert!(matches!(err, IoError::Format(_)), "len {len}: {err}");
         }
-    }
-
-    #[test]
-    fn file_helpers_roundtrip() {
-        let dir = std::env::temp_dir().join("usb_io_test");
-        let path = dir.join("t.usbt");
-        let t = sample();
-        save_tensor(&path, &t).unwrap();
-        let back = load_tensor(&path).unwrap();
-        assert_eq!(back.data(), t.data());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

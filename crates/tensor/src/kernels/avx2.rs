@@ -1,5 +1,10 @@
-//! The AVX2 transcriptions of the [`super::scalar`] reference loops.
+//! The AVX2 twins of the [`super::scalar`] reference loops.
 //!
+//! The plain maps (the decoders, the elementwise ops, the trigger blend
+//! and backward, Adam, SiLU's gradient) are their scalar bodies compiled
+//! with AVX2, one line each in `one_body!`. What remains here is
+//! hand-written, for kernels whose vector form the compiler cannot derive:
+//! the GEMM tiles, the transpose, `exp`'s table reads and the stencils.
 //! Lane layout is always "8 independent output elements" (for the
 //! stencils: one pixel of 8 planes, interleaved into scratch); every lane
 //! executes the scalar op sequence for its element verbatim (mul then
@@ -15,7 +20,6 @@
 use super::scalar::{self, MR};
 use super::AdamParams;
 use crate::conv::Stencil;
-use crate::quant::Q8_BLOCK;
 use core::arch::x86_64::*;
 
 /// Unaligned 8-lane load of `s[at..at + 8]`.
@@ -67,24 +71,6 @@ fn maskstore8(s: &mut [f32], at: usize, live: usize, mask: __m256i, v: __m256) {
     debug_assert!(at + live <= s.len());
     // SAFETY: as in `maskload8`.
     unsafe { _mm256_maskstore_ps(s.as_mut_ptr().add(at), mask, v) }
-}
-
-/// Loads 8 consecutive bytes of `s` into the low half of a 128-bit reg.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn load_bytes8(s: &[u8], at: usize) -> __m128i {
-    debug_assert!(at + 8 <= s.len());
-    // SAFETY: callers pass `at + 8 <= s.len()` (debug-asserted).
-    unsafe { _mm_loadl_epi64(s.as_ptr().add(at) as *const __m128i) }
-}
-
-/// Loads 16 consecutive bytes of `s` (8 little-endian u16 lanes).
-#[inline]
-#[target_feature(enable = "avx2")]
-fn load_bytes16(s: &[u8], at: usize) -> __m128i {
-    debug_assert!(at + 16 <= s.len());
-    // SAFETY: callers pass `at + 16 <= s.len()` (debug-asserted).
-    unsafe { _mm_loadu_si128(s.as_ptr().add(at) as *const __m128i) }
 }
 
 /// AVX2 width of one full GEMM tile: two 8-lane column vectors per
@@ -253,251 +239,6 @@ pub(super) fn gemm_transb(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, ou
         }
         i += MRT;
     }
-}
-
-/// AVX2 twin of [`scalar::q8_decode`]: sign-extend 8 quants,
-/// exact int→float convert, one multiply by the block scale.
-#[target_feature(enable = "avx2")]
-pub(super) fn q8_decode(bytes: &[u8], out: &mut [f32]) {
-    for (ob, block) in out
-        .chunks_mut(Q8_BLOCK)
-        .zip(bytes.chunks_exact(4 + Q8_BLOCK))
-    {
-        let scale = f32::from_le_bytes([block[0], block[1], block[2], block[3]]);
-        if ob.len() == Q8_BLOCK {
-            let sv = _mm256_set1_ps(scale);
-            let mut off = 0;
-            while off < Q8_BLOCK {
-                let q = load_bytes8(block, 4 + off);
-                // Exact: |q| ≤ 127 converts without rounding, so the
-                // only rounding step is the scale multiply — same as
-                // the scalar `(q as i8) as f32 * scale`.
-                let f = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q));
-                store8(ob, off, _mm256_mul_ps(f, sv));
-                off += 8;
-            }
-        } else {
-            // Final partial logical block (padding bytes are ignored).
-            scalar::q8_decode(block, ob);
-        }
-    }
-}
-
-/// AVX2 twin of [`scalar::f16_decode`].
-///
-/// Branchless integer decode instead of F16C's `vcvtph2ps`, which
-/// quiets signalling NaNs and would diverge from the scalar decoder's
-/// payload-preserving semantics. Per lane: normals rebias the
-/// exponent, subnormals convert the mantissa exactly (`m · 2⁻²⁴`,
-/// both factors exact in f32), Inf/NaN keep the shifted payload; the
-/// three cases are blended by exponent-field compares.
-#[target_feature(enable = "avx2")]
-pub(super) fn f16_decode(bytes: &[u8], out: &mut [f32]) {
-    debug_assert!(bytes.len() >= 2 * out.len());
-    let full = out.len() / 8 * 8;
-    let mut i = 0;
-    while i < full {
-        let h = _mm256_cvtepu16_epi32(load_bytes16(bytes, 2 * i));
-        let sign = _mm256_slli_epi32(_mm256_and_si256(h, _mm256_set1_epi32(0x8000)), 16);
-        let exp = _mm256_and_si256(_mm256_srli_epi32(h, 10), _mm256_set1_epi32(0x1F));
-        let mant = _mm256_and_si256(h, _mm256_set1_epi32(0x03FF));
-        let m13 = _mm256_slli_epi32(mant, 13);
-        // Normal: sign | ((e + 112) << 23) | (m << 13).
-        let normal = _mm256_or_si256(
-            _mm256_slli_epi32(_mm256_add_epi32(exp, _mm256_set1_epi32(112)), 23),
-            m13,
-        );
-        // Inf/NaN (e = 31): max exponent, payload in the top bits.
-        let infnan = _mm256_or_si256(_mm256_set1_epi32(0x7F80_0000), m13);
-        // Subnormal/zero (e = 0): m · 2⁻²⁴ exactly, sign OR-ed on —
-        // m = 0 yields +0.0 bits, so ±0 falls out of the same lane.
-        let mag = _mm256_mul_ps(_mm256_cvtepi32_ps(mant), _mm256_set1_ps(1.0 / 16_777_216.0));
-        let sub = _mm256_castps_si256(mag);
-        let is_e0 = _mm256_cmpeq_epi32(exp, _mm256_setzero_si256());
-        let is_e31 = _mm256_cmpeq_epi32(exp, _mm256_set1_epi32(0x1F));
-        let mut bits = _mm256_blendv_epi8(normal, infnan, is_e31);
-        bits = _mm256_blendv_epi8(bits, sub, is_e0);
-        bits = _mm256_or_si256(sign, bits);
-        store8(out, i, _mm256_castsi256_ps(bits));
-        i += 8;
-    }
-    scalar::f16_decode(&bytes[2 * full..], &mut out[full..]);
-}
-
-/// `y[i] += s * x[i]`.
-#[target_feature(enable = "avx2")]
-pub(super) fn axpy(y: &mut [f32], s: f32, x: &[f32]) {
-    let full = y.len() / 8 * 8;
-    let sv = _mm256_set1_ps(s);
-    let mut i = 0;
-    while i < full {
-        store8(
-            y,
-            i,
-            _mm256_add_ps(load8(y, i), _mm256_mul_ps(sv, load8(x, i))),
-        );
-        i += 8;
-    }
-    scalar::axpy(&mut y[full..], s, &x[full..]);
-}
-
-/// `y[i] += x[i]`.
-#[target_feature(enable = "avx2")]
-pub(super) fn add_assign(y: &mut [f32], x: &[f32]) {
-    let full = y.len() / 8 * 8;
-    let mut i = 0;
-    while i < full {
-        store8(y, i, _mm256_add_ps(load8(y, i), load8(x, i)));
-        i += 8;
-    }
-    scalar::add_assign(&mut y[full..], &x[full..]);
-}
-
-/// `y[i] -= x[i]`.
-#[target_feature(enable = "avx2")]
-pub(super) fn sub_assign(y: &mut [f32], x: &[f32]) {
-    let full = y.len() / 8 * 8;
-    let mut i = 0;
-    while i < full {
-        store8(y, i, _mm256_sub_ps(load8(y, i), load8(x, i)));
-        i += 8;
-    }
-    scalar::sub_assign(&mut y[full..], &x[full..]);
-}
-
-/// `y[i] *= s`.
-#[target_feature(enable = "avx2")]
-pub(super) fn scale(y: &mut [f32], s: f32) {
-    let full = y.len() / 8 * 8;
-    let sv = _mm256_set1_ps(s);
-    let mut i = 0;
-    while i < full {
-        store8(y, i, _mm256_mul_ps(load8(y, i), sv));
-        i += 8;
-    }
-    scalar::scale(&mut y[full..], s);
-}
-
-/// `y[i] /= z`.
-#[target_feature(enable = "avx2")]
-pub(super) fn div(y: &mut [f32], z: f32) {
-    let full = y.len() / 8 * 8;
-    let zv = _mm256_set1_ps(z);
-    let mut i = 0;
-    while i < full {
-        store8(y, i, _mm256_div_ps(load8(y, i), zv));
-        i += 8;
-    }
-    scalar::div(&mut y[full..], z);
-}
-
-/// `out[j] = batch[j]*(1 − m[j]) + p[j]*m[j]`.
-#[target_feature(enable = "avx2")]
-pub(super) fn trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]) {
-    let full = out.len() / 8 * 8;
-    let one = _mm256_set1_ps(1.0);
-    let mut j = 0;
-    while j < full {
-        let mv = load8(m, j);
-        let blended = _mm256_add_ps(
-            _mm256_mul_ps(load8(batch, j), _mm256_sub_ps(one, mv)),
-            _mm256_mul_ps(load8(p, j), mv),
-        );
-        store8(out, j, blended);
-        j += 8;
-    }
-    scalar::trigger_blend(&mut out[full..], &batch[full..], &m[full..], &p[full..]);
-}
-
-/// Masked trigger-gradient accumulation (see [`super::trigger_backward`]).
-#[target_feature(enable = "avx2")]
-pub(super) fn trigger_backward(
-    g: &[f32],
-    x: &[f32],
-    m: &[f32],
-    p: &[f32],
-    d_pattern: &mut [f32],
-    d_mask: &mut [f32],
-) {
-    let full = g.len() / 8 * 8;
-    let zero = _mm256_setzero_ps();
-    let mut j = 0;
-    while j < full {
-        let gv = load8(g, j);
-        // Accumulate exactly where the scalar guard `g == 0.0` fails:
-        // NEQ_UQ is true for non-zeros *and* NaN (NaN == 0.0 is false),
-        // false for ±0. Skipped lanes keep their old accumulator bits
-        // via blend, so a -0.0 accumulator is never rewritten to +0.0.
-        let go = _mm256_cmp_ps::<_CMP_NEQ_UQ>(gv, zero);
-        let dp_old = load8(d_pattern, j);
-        let dm_old = load8(d_mask, j);
-        let dp_new = _mm256_add_ps(dp_old, _mm256_mul_ps(gv, load8(m, j)));
-        let dm_new = _mm256_add_ps(
-            dm_old,
-            _mm256_mul_ps(gv, _mm256_sub_ps(load8(p, j), load8(x, j))),
-        );
-        store8(d_pattern, j, _mm256_blendv_ps(dp_old, dp_new, go));
-        store8(d_mask, j, _mm256_blendv_ps(dm_old, dm_new, go));
-        j += 8;
-    }
-    scalar::trigger_backward(
-        &g[full..],
-        &x[full..],
-        &m[full..],
-        &p[full..],
-        &mut d_pattern[full..],
-        &mut d_mask[full..],
-    );
-}
-
-/// One Adam update; per lane the op-for-op scalar sequence, with
-/// `_mm256_sqrt_ps` (IEEE correctly rounded, like `f32::sqrt`).
-#[target_feature(enable = "avx2")]
-pub(super) fn adam_step(
-    pd: &mut [f32],
-    gd: &[f32],
-    md: &mut [f32],
-    vd: &mut [f32],
-    params: &AdamParams,
-) {
-    let full = pd.len() / 8 * 8;
-    let b1 = _mm256_set1_ps(params.b1);
-    let b2 = _mm256_set1_ps(params.b2);
-    let ob1 = _mm256_set1_ps(1.0 - params.b1);
-    let ob2 = _mm256_set1_ps(1.0 - params.b2);
-    let bc1 = _mm256_set1_ps(params.bc1);
-    let bc2 = _mm256_set1_ps(params.bc2);
-    let lr = _mm256_set1_ps(params.lr);
-    let eps = _mm256_set1_ps(params.eps);
-    let decay = _mm256_set1_ps(params.decay);
-    let mut i = 0;
-    while i < full {
-        let pv = load8(pd, i);
-        let g = _mm256_add_ps(load8(gd, i), _mm256_mul_ps(decay, pv));
-        let mv = _mm256_add_ps(_mm256_mul_ps(b1, load8(md, i)), _mm256_mul_ps(ob1, g));
-        // (1 − β₂) * g * g associates left in the scalar loop.
-        let vv = _mm256_add_ps(
-            _mm256_mul_ps(b2, load8(vd, i)),
-            _mm256_mul_ps(_mm256_mul_ps(ob2, g), g),
-        );
-        store8(md, i, mv);
-        store8(vd, i, vv);
-        let mhat = _mm256_div_ps(mv, bc1);
-        let vhat = _mm256_div_ps(vv, bc2);
-        let upd = _mm256_div_ps(
-            _mm256_mul_ps(lr, mhat),
-            _mm256_add_ps(_mm256_sqrt_ps(vhat), eps),
-        );
-        store8(pd, i, _mm256_sub_ps(pv, upd));
-        i += 8;
-    }
-    scalar::adam_step(
-        &mut pd[full..],
-        &gd[full..],
-        &mut md[full..],
-        &mut vd[full..],
-        params,
-    );
 }
 
 /// [`scalar::exp`] on 4 f64 lanes: the same op sequence per lane, every
@@ -1053,11 +794,31 @@ fn adjoint_groups<const G: usize>(gs: &[f32], st: Stencil, ks: &[f32], is: &mut 
     }
 }
 
-/// [`scalar::silu_grad`]'s body compiled with AVX2: a plain map, which
-/// LLVM vectorises without reordering any element's operations.
-#[target_feature(enable = "avx2")]
-pub(super) fn silu_grad(g: &[f32], x: &[f32], s: &[f32], out: &mut [f32]) {
-    scalar::silu_grad(g, x, s, out)
+/// Each kernel listed is its [`scalar`] body, `#[inline(always)]` into an
+/// AVX2 function: a plain map, which LLVM vectorises without reordering
+/// any element's operations.
+macro_rules! one_body {
+    ($($f:ident($($arg:ident: $ty:ty),*);)*) => {$(
+        #[doc = concat!("[`scalar::", stringify!($f), "`] compiled with AVX2.")]
+        #[target_feature(enable = "avx2")]
+        pub(super) fn $f($($arg: $ty),*) {
+            scalar::$f($($arg),*)
+        }
+    )*};
+}
+
+one_body! {
+    f16_decode(bytes: &[u8], out: &mut [f32]);
+    q8_decode(bytes: &[u8], out: &mut [f32]);
+    axpy(y: &mut [f32], s: f32, x: &[f32]);
+    add_assign(y: &mut [f32], x: &[f32]);
+    sub_assign(y: &mut [f32], x: &[f32]);
+    scale(y: &mut [f32], s: f32);
+    div(y: &mut [f32], z: f32);
+    trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]);
+    trigger_backward(g: &[f32], x: &[f32], m: &[f32], p: &[f32], d_pattern: &mut [f32], d_mask: &mut [f32]);
+    adam_step(pd: &mut [f32], gd: &[f32], md: &mut [f32], vd: &mut [f32], params: &AdamParams);
+    silu_grad(g: &[f32], x: &[f32], s: &[f32], out: &mut [f32]);
 }
 
 /// Calls `f(at, blocks, live)` over the `n` lanes of one pixel run:

@@ -13,11 +13,23 @@
 //! public function here with two implementations side by side: the
 //! scalar loop in `kernels/scalar.rs` (the *reference*, always compiled,
 //! the only one on non-x86 targets) and its AVX2 twin of the same name in
-//! `kernels/avx2.rs`, behind `#[target_feature(enable = "avx2")]`. For a
-//! plain map the twin can be the scalar body itself, `#[inline(always)]`
-//! into an AVX2 function ([`silu_grad`]). The public function checks the
-//! slice lengths and runs the twin of the tier this module picks **once
-//! per process**; callers just call it.
+//! `kernels/avx2.rs`, behind `#[target_feature(enable = "avx2")]`. The
+//! public function checks the slice lengths and runs the twin of the tier
+//! this module picks **once per process**; callers just call it.
+//!
+//! A plain map is written once: its AVX2 twin is the scalar body,
+//! `#[inline(always)]` into a one-line AVX2 function that LLVM
+//! vectorises. These are the decoders ([`f16_decode`], [`q8_decode`]),
+//! [`axpy`], [`add_assign`], [`sub_assign`], [`scale`], [`div`],
+//! [`trigger_blend`], [`trigger_backward`], [`adam_step`] and
+//! [`silu_grad`]; in release they run about as fast as the intrinsics
+//! loops they replaced. The rest keep a hand-written twin, because the
+//! compiler cannot derive it from the scalar loop: the GEMM tiles and
+//! [`transpose`] (register blocking, masked edges, in-register 8×8
+//! blocks), the reads of `exp`'s table, the planar stencils (8 planes
+//! interleaved into lanes) and the batch-last depthwise pair (several
+//! pixels in registers at once; the one-body version ran `effnet-table7`
+//! 10% slower).
 //!
 //! # Tier selection
 //!
@@ -46,7 +58,10 @@
 //! accumulation, **no FMA contraction, no reassociation**), with lanes
 //! laid across independent output elements only — for the planar
 //! stencils, the same pixel of 8 different planes; for the batch-last
-//! depthwise kernels, the same pixel of 8 images. Reductions whose scalar
+//! depthwise kernels, the same pixel of 8 images. A one-body twin gets
+//! this from the compiler: Rust never contracts a multiply and an add,
+//! and LLVM reorders no float operation without fast-math flags, so the
+//! vectorised map runs each element's scalar sequence. Reductions whose scalar
 //! form is a single serial chain (softmax row sums, max folds) stay
 //! scalar. IEEE-754 arithmetic is deterministic per operation, so both
 //! tiers produce bit-identical results — enforced by the `avx2_vs_scalar`
@@ -275,8 +290,6 @@ pub struct AdamParams {
     pub lr: f32,
     /// Denominator fuzz ε.
     pub eps: f32,
-    /// Decoupled weight decay added into the gradient.
-    pub decay: f32,
 }
 
 /// Register-blocked GEMM over a strided left operand, the driver behind
@@ -480,11 +493,11 @@ pub fn trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]) {
     dispatch!(trigger_blend(out, batch, m, p))
 }
 
-/// One trigger-backward plane: where `g[j] != 0.0`, accumulates
-/// `d_pattern[j] += g[j]*m[j]` and `d_mask[j] += g[j]*(p[j] − x[j])`;
-/// where `g[j] == 0.0` both accumulators keep their exact old bits (the
-/// scalar loop `continue`s, so even a `-0.0` accumulator must not be
-/// rewritten).
+/// One trigger-backward plane: where `g[j] != 0.0` (NaN included),
+/// accumulates `d_pattern[j] += g[j]*m[j]` and
+/// `d_mask[j] += g[j]*(p[j] − x[j])`; where `g[j] == 0.0` both
+/// accumulators keep their exact old bits, so even a `-0.0` accumulator
+/// is not rewritten.
 ///
 /// # Panics
 ///
@@ -510,7 +523,7 @@ pub fn trigger_backward(
 }
 
 /// One Adam update over paired param / grad / moment slices:
-/// `g = grad + decay·θ`, `m = β₁m + (1 − β₁)g`, `v = β₂v + (1 − β₂)g·g`,
+/// `m = β₁m + (1 − β₁)g`, `v = β₂v + (1 − β₂)g·g`,
 /// `θ −= lr·(m / bc1) / (√(v / bc2) + ε)`.
 ///
 /// # Panics
@@ -1222,8 +1235,14 @@ mod tests {
 
                 // g holds exact ±0 lanes so the skip path is exercised,
                 // and the accumulators start at -0.0 so a sloppy
-                // "accumulate 0" would flip their sign bit.
-                let g = soup(n, 41);
+                // "accumulate 0" would flip their sign bit. Quiet and
+                // signalling NaN lanes of both signs must accumulate,
+                // since the skip test `g == 0.0` is false on NaN.
+                let mut g = soup(n, 41);
+                let nans = [0x7FC0_0000, 0xFFC0_0001, 0x7F80_0001, 0xFFA0_0000];
+                for (j, gv) in g.iter_mut().enumerate().skip(4).step_by(5) {
+                    *gv = f32::from_bits(nans[j / 5 % 4]);
+                }
                 let x = soup(n, 43);
                 let mut dp_s = vec![-0.0f32; n];
                 let mut dm_s = vec![-0.0f32; n];
@@ -1257,7 +1276,6 @@ mod tests {
                 bc2: 1.0 - 0.9f32.powi(3),
                 lr: 0.05,
                 eps: 1e-8,
-                decay: 0.01,
             };
             for n in [1, 8, 33, 200] {
                 let gd = soup(n, 47);
@@ -1270,7 +1288,7 @@ mod tests {
                 unsafe { avx2::adam_step(&mut pd_s, &gd, &mut md_s, &mut vd_s, &params) };
                 scalar::adam_step(&mut pd_t, &gd, &mut md_t, &mut vd_t, &params);
                 for i in 0..n {
-                    let g = gd[i] + params.decay * pd_r[i];
+                    let g = gd[i];
                     md_r[i] = params.b1 * md_r[i] + (1.0 - params.b1) * g;
                     vd_r[i] = params.b2 * vd_r[i] + (1.0 - params.b2) * g * g;
                     let mhat = md_r[i] / params.bc1;
@@ -1664,26 +1682,28 @@ mod tests {
             if !have_avx2() {
                 return;
             }
-            // f16: every half-bit pattern in 8 chunks would be slow here
-            // (the exhaustive sweep lives in quant.rs); cover the class
-            // representatives plus misaligned tails.
-            let halves: Vec<u16> = (0..4099u32)
-                .map(|i| (i.wrapping_mul(16385) % 65536) as u16)
-                .chain([
-                    0x0000, 0x8000, 0x7C00, 0xFC00, 0x7C01, 0xFE00, 0x0001, 0x83FF,
-                ])
-                .collect();
-            let bytes: Vec<u8> = halves.iter().flat_map(|h| h.to_le_bytes()).collect();
-            let mut out_s = vec![0.0f32; halves.len()];
-            let mut out_t = vec![0.0f32; halves.len()];
+            // f16: every half against the decoder's former `match` form,
+            // an oracle independent of the select form both tiers share.
+            fn f16_match(h: u16) -> f32 {
+                let sign = ((h as u32) & 0x8000) << 16;
+                let exp = ((h >> 10) & 0x1F) as u32;
+                let mant = (h & 0x03FF) as u32;
+                let bits = match (exp, mant) {
+                    (0, 0) => sign,
+                    (0, m) => sign | ((m as f32) * (1.0 / 16_777_216.0)).to_bits(),
+                    (0x1F, m) => sign | 0x7F80_0000 | (m << 13),
+                    (e, m) => sign | ((e + 112) << 23) | (m << 13),
+                };
+                f32::from_bits(bits)
+            }
+            let bytes: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+            let mut out_s = vec![0.0f32; 1 << 16];
+            let mut out_t = vec![0.0f32; 1 << 16];
             // SAFETY: guarded by have_avx2().
             unsafe { avx2::f16_decode(&bytes, &mut out_s) };
             scalar::f16_decode(&bytes, &mut out_t);
-            assert_bits_eq(&out_s, &out_t, "f16_decode vs scalar twin");
-            for (o, &h) in out_s.iter().zip(&halves) {
-                let r = crate::quant::f16_decode(h);
-                assert_eq!(o.to_bits(), r.to_bits(), "f16 0x{h:04x}: {o:?} vs {r:?}");
-            }
+            let oracle: Vec<f32> = (0..=u16::MAX).map(f16_match).collect();
+            assert_twins(&out_s, &out_t, &oracle, "f16_decode");
 
             for n in [1, 31, 32, 33, 64, 257] {
                 let data = soup(n, 79);

@@ -3,7 +3,9 @@
 //! transcribes. Each function here has an AVX2 twin of the same name and
 //! signature (the stencils' twins also take a scratch slice); the
 //! dispatch functions in [`super`] check the slice lengths before either
-//! runs.
+//! runs. An `#[inline(always)]` function here is a plain map whose AVX2
+//! twin is this body compiled with AVX2, so it must stay vectorisable:
+//! operands resliced to one length, selects instead of branches.
 #![allow(clippy::too_many_arguments)] // flat scalar geometry, hot path
 
 use super::AdamParams;
@@ -170,26 +172,37 @@ pub(super) fn transpose(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) 
 }
 
 /// Little-endian f16 stream, one [`crate::quant::f16_decode`] per element.
+#[inline(always)]
 pub(super) fn f16_decode(bytes: &[u8], out: &mut [f32]) {
-    for (o, h) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-        *o = crate::quant::f16_decode(u16::from_le_bytes([h[0], h[1]]));
+    let (halves, _) = bytes.as_chunks::<2>();
+    for (o, &h) in out.iter_mut().zip(halves) {
+        *o = crate::quant::f16_decode(u16::from_le_bytes(h));
     }
 }
 
 /// Q8 blocks: `(q as i8) as f32 * scale` per element; padding is ignored.
+/// Full blocks run over fixed-size array views, so each block's loop has
+/// a constant trip count and no tail.
+#[inline(always)]
 pub(super) fn q8_decode(bytes: &[u8], out: &mut [f32]) {
-    for (ob, block) in out
-        .chunks_mut(Q8_BLOCK)
-        .zip(bytes.chunks_exact(4 + Q8_BLOCK))
-    {
+    let (blocks, _) = bytes.as_chunks::<{ 4 + Q8_BLOCK }>();
+    let (full, tail) = out.as_chunks_mut::<Q8_BLOCK>();
+    let dequant = |ob: &mut [f32], block: &[u8; 4 + Q8_BLOCK]| {
         let scale = f32::from_le_bytes([block[0], block[1], block[2], block[3]]);
         for (o, &q) in ob.iter_mut().zip(&block[4..]) {
             *o = (q as i8) as f32 * scale;
         }
+    };
+    for (ob, block) in full.iter_mut().zip(blocks) {
+        dequant(ob, block);
+    }
+    if let Some(block) = blocks.get(full.len()) {
+        dequant(tail, block);
     }
 }
 
 /// `y[i] += s * x[i]`.
+#[inline(always)]
 pub(super) fn axpy(y: &mut [f32], s: f32, x: &[f32]) {
     for (a, &b) in y.iter_mut().zip(x) {
         *a += s * b;
@@ -197,6 +210,7 @@ pub(super) fn axpy(y: &mut [f32], s: f32, x: &[f32]) {
 }
 
 /// `y[i] += x[i]`.
+#[inline(always)]
 pub(super) fn add_assign(y: &mut [f32], x: &[f32]) {
     for (a, &b) in y.iter_mut().zip(x) {
         *a += b;
@@ -204,6 +218,7 @@ pub(super) fn add_assign(y: &mut [f32], x: &[f32]) {
 }
 
 /// `y[i] -= x[i]`.
+#[inline(always)]
 pub(super) fn sub_assign(y: &mut [f32], x: &[f32]) {
     for (a, &b) in y.iter_mut().zip(x) {
         *a -= b;
@@ -211,6 +226,7 @@ pub(super) fn sub_assign(y: &mut [f32], x: &[f32]) {
 }
 
 /// `y[i] *= s`.
+#[inline(always)]
 pub(super) fn scale(y: &mut [f32], s: f32) {
     for a in y {
         *a *= s;
@@ -218,6 +234,7 @@ pub(super) fn scale(y: &mut [f32], s: f32) {
 }
 
 /// `y[i] /= z`.
+#[inline(always)]
 pub(super) fn div(y: &mut [f32], z: f32) {
     for a in y {
         *a /= z;
@@ -315,15 +332,20 @@ pub(super) fn sigmoid_silu(x: &[f32], mut sigma: Option<&mut [f32]>, mut silu: O
 }
 
 /// `out[j] = batch[j]*(1 − m[j]) + p[j]*m[j]`.
+#[inline(always)]
 pub(super) fn trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]) {
-    for j in 0..out.len() {
+    let n = out.len();
+    let (batch, m, p) = (&batch[..n], &m[..n], &p[..n]);
+    for j in 0..n {
         let mv = m[j];
         out[j] = batch[j] * (1.0 - mv) + p[j] * mv;
     }
 }
 
-/// Where `g[j] != 0.0`: `d_pattern[j] += g[j]*m[j]` and
-/// `d_mask[j] += g[j]*(p[j] − x[j])`.
+/// Where `g[j] != 0.0` (NaN included): `d_pattern[j] += g[j]*m[j]` and
+/// `d_mask[j] += g[j]*(p[j] − x[j])`. Elsewhere both keep their old bits,
+/// a `−0.0` included: a select, not a branch, so the loop vectorises.
+#[inline(always)]
 pub(super) fn trigger_backward(
     g: &[f32],
     x: &[f32],
@@ -332,17 +354,25 @@ pub(super) fn trigger_backward(
     d_pattern: &mut [f32],
     d_mask: &mut [f32],
 ) {
-    for j in 0..g.len() {
+    let n = g.len();
+    let (x, m, p) = (&x[..n], &m[..n], &p[..n]);
+    let (d_pattern, d_mask) = (&mut d_pattern[..n], &mut d_mask[..n]);
+    for j in 0..n {
         let gs = g[j];
-        if gs == 0.0 {
-            continue;
-        }
-        d_pattern[j] += gs * m[j];
-        d_mask[j] += gs * (p[j] - x[j]);
+        let (dp, dm) = (d_pattern[j], d_mask[j]);
+        let (dp_new, dm_new) = (dp + gs * m[j], dm + gs * (p[j] - x[j]));
+        // A bit mask, not an `if`: LLVM turns `if live { new } else { old }`
+        // into masked loads, ~10% slower than the intrinsics twin was.
+        let keep = u32::from(gs != 0.0).wrapping_sub(1);
+        let pick =
+            |old: f32, new: f32| f32::from_bits(old.to_bits() & keep | new.to_bits() & !keep);
+        d_pattern[j] = pick(dp, dp_new);
+        d_mask[j] = pick(dm, dm_new);
     }
 }
 
-/// One Adam update per element, decoupled decay added into the gradient.
+/// One Adam update per element.
+#[inline(always)]
 pub(super) fn adam_step(
     pd: &mut [f32],
     gd: &[f32],
@@ -357,10 +387,11 @@ pub(super) fn adam_step(
         bc2,
         lr,
         eps,
-        decay,
     } = *params;
-    for i in 0..pd.len() {
-        let g = gd[i] + decay * pd[i];
+    let n = pd.len();
+    let (gd, md, vd) = (&gd[..n], &mut md[..n], &mut vd[..n]);
+    for i in 0..n {
+        let g = gd[i];
         md[i] = b1 * md[i] + (1.0 - b1) * g;
         vd[i] = b2 * vd[i] + (1.0 - b2) * g * g;
         let mhat = md[i] / bc1;
@@ -522,8 +553,7 @@ pub(super) fn depthwise_adjoint(g: &[f32], st: Stencil, n: usize, ker: &[f32], o
 }
 
 /// SiLU's input gradient on the recorded input `x` and sigmoid `s`:
-/// `out = g·(s + x·s·(1 − s))` per element. A plain map, so the AVX2 twin
-/// is this body compiled with AVX2 (`#[inline(always)]` into it).
+/// `out = g·(s + x·s·(1 − s))` per element.
 #[inline(always)]
 pub(super) fn silu_grad(g: &[f32], x: &[f32], s: &[f32], out: &mut [f32]) {
     for (((o, &gv), &v), &sv) in out.iter_mut().zip(g).zip(x).zip(s) {

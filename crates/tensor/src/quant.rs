@@ -147,24 +147,28 @@ pub fn f16_encode(x: f32) -> u16 {
 /// Decodes IEEE-754 binary16 bits into the `f32` with the same value.
 ///
 /// Exact for every input: normals, subnormals, zeros, infinities, and
-/// NaNs (payload preserved in the top 10 mantissa bits).
+/// NaNs (payload preserved in the top 10 mantissa bits). All three
+/// magnitudes are computed and one is selected by the exponent field, so
+/// a loop over halves vectorises.
+#[inline(always)]
 pub fn f16_decode(h: u16) -> f32 {
-    let sign = ((h as u32) & 0x8000) << 16;
-    let exp = ((h >> 10) & 0x1F) as u32;
-    let mant = (h & 0x03FF) as u32;
-    let bits = match (exp, mant) {
-        (0, 0) => sign,
-        (0, m) => {
-            // Subnormal: value is m * 2^-24, exactly representable as an
-            // f32 (m < 2^10, and 2^-24 is a power of two).
-            let mag = (m as f32) * (1.0 / 16_777_216.0);
-            return f32::from_bits(sign | mag.to_bits());
-        }
-        (0x1F, 0) => sign | 0x7F80_0000,
-        (0x1F, m) => sign | 0x7F80_0000 | (m << 13),
-        (e, m) => sign | ((e + 112) << 23) | (m << 13),
+    let h = u32::from(h);
+    let sign = (h & 0x8000) << 16;
+    let exp = (h >> 10) & 0x1F;
+    let mant = h & 0x03FF;
+    // Subnormal or zero: m · 2⁻²⁴, exact in f32 (m < 2¹⁰, 2⁻²⁴ a power of
+    // two); m = 0 gives +0.0, so ±0 comes from the sign alone.
+    let sub = (mant as f32 * (1.0 / 16_777_216.0)).to_bits();
+    let infnan = 0x7F80_0000 | (mant << 13);
+    let normal = ((exp + 112) << 23) | (mant << 13);
+    let mag = if exp == 0 {
+        sub
+    } else if exp == 0x1F {
+        infnan
+    } else {
+        normal
     };
-    f32::from_bits(bits)
+    f32::from_bits(sign | mag)
 }
 
 /// Encodes `data` into `dtype`'s byte layout (see the module docs).
