@@ -1,6 +1,8 @@
 //! 2-D convolution kernels: dense ones built on im2col / col2im and one
-//! wide GEMM per batch, depthwise ones broadcasting each kernel tap over
-//! the batch.
+//! wide GEMM per batch, depthwise ones on the lanes stencil
+//! ([`kernels::depthwise_gather`] and its adjoint, over a [`Stencil`]),
+//! which broadcasts each kernel tap over the batch and, for one image,
+//! puts the channels across the lanes. SSIM's blurs run the same pair.
 //!
 //! # Layout
 //!
@@ -366,9 +368,7 @@ pub fn conv2d_input_backward_panel_ws(
 /// `[C, OH, OW, N]` gives `[C, H, W, N]`, into a buffer drawn from `ws`.
 /// Per input pixel, `acc = 0.0`, then `acc += g·k` for every output whose
 /// window covers it, in ascending `(oy, ox)` order, skipping `g == 0.0`:
-/// the per-image scatter's sums. At `N = 1` this is one
-/// [`stencil_adjoint_ws`] over the `C` planes; otherwise
-/// [`kernels::depthwise_adjoint`] broadcasts each tap over the batch.
+/// the per-image scatter's sums, run by [`kernels::depthwise_adjoint`].
 ///
 /// # Panics
 ///
@@ -392,11 +392,7 @@ pub fn depthwise_input_backward_ws(
     );
     let st = Stencil::new(h, w, kh, kw, spec);
     let mut grad_input = ws.take_dirty(c * h * w * n);
-    if n == 1 {
-        stencil_adjoint_ws(grad_out.data(), st, weight.data(), &mut grad_input, ws);
-    } else {
-        kernels::depthwise_adjoint(grad_out.data(), st, n, weight.data(), &mut grad_input);
-    }
+    kernels::depthwise_adjoint(grad_out.data(), st, n, weight.data(), &mut grad_input, ws);
     Tensor::from_vec(grad_input, &[c, h, w, n])
 }
 
@@ -604,11 +600,7 @@ pub fn depthwise_forward_ws(
 /// Depthwise convolution forward pass, batch-last: `input` `[C, H, W, N]`
 /// gives `[C, OH, OW, N]`, into an output buffer drawn from `ws`. Per
 /// output, `acc = bias`, then `acc += x·k` over the in-bounds taps in
-/// ascending `(ky, kx)` order. At `N = 1` this is one
-/// [`stencil_gather_ws`] over the `C` planes (the layouts coincide, and
-/// the planar kernel puts 8 channels across its lanes); otherwise
-/// [`kernels::depthwise_gather`] broadcasts each tap's weight over the
-/// batch's `N`-float runs.
+/// ascending `(ky, kx)` order, run by [`kernels::depthwise_gather`].
 ///
 /// The gather fully overwrites the output, so a dirty workspace buffer is
 /// fine; recycling the returned tensor keeps steady-state inference
@@ -637,11 +629,7 @@ pub fn depthwise_forward_lanes_ws(
     let (oh, ow) = (st.out_h(), st.out_w());
     let mut out = ws.take_dirty(c * oh * ow * n);
     let (x, k, b) = (input.data(), weight.data(), bias.map(Tensor::data));
-    if n == 1 {
-        stencil_gather_ws(x, st, k, b, &mut out, ws);
-    } else {
-        kernels::depthwise_gather(x, st, n, k, b, &mut out);
-    }
+    kernels::depthwise_gather(x, st, n, k, b, &mut out, ws);
     Tensor::from_vec(out, &[c, oh, ow, n])
 }
 
@@ -710,20 +698,19 @@ pub fn depthwise_backward_ws(
     )
 }
 
-/// Shared geometry of a *planar stencil*: a stack of `[H, W]` planes, each
-/// convolved (cross-correlated) with a `[KH, KW]` kernel under one
-/// [`ConvSpec`]. Depthwise convolution (one plane per image·channel, one
-/// kernel per channel) and SSIM's gaussian blurs (one plane per image
-/// plane, one shared window) are both this shape.
+/// Geometry of a *stencil*: `[H, W]` planes, each convolved
+/// (cross-correlated) with a `[KH, KW]` kernel under one [`ConvSpec`].
+/// Depthwise convolution (one kernel per channel) and SSIM's gaussian
+/// blurs (one shared window over every image plane) are both this shape.
 ///
 /// Two kernels run over it, each with a fixed per-element op sequence that
 /// both kernel tiers reproduce bit for bit:
 ///
-/// * [`stencil_gather_ws`] — `out = bias`, then `out += x·k` over the
-///   in-bounds taps in ascending `(ky, kx)` order;
-/// * [`stencil_adjoint_ws`] — its adjoint: every input pixel starts at
-///   `0.0` and receives `g·k` from each output whose window covers it, in
-///   ascending `(oy, ox)` order, skipping `g == 0.0`.
+/// * [`kernels::depthwise_gather`] — `out = bias`, then `out += x·k` over
+///   the in-bounds taps in ascending `(ky, kx)` order;
+/// * [`kernels::depthwise_adjoint`] — its adjoint: every input pixel
+///   starts at `0.0` and receives `g·k` from each output whose window
+///   covers it, in ascending `(oy, ox)` order, skipping `g == 0.0`.
 ///
 /// Fields are private: the AVX2 tier's unchecked loads rely on the output
 /// size staying consistent with the geometry [`Stencil::new`] checked.
@@ -816,55 +803,6 @@ fn sources(i: usize, n_out: usize, k: usize, spec: ConvSpec) -> (usize, usize) {
     let o0 = div((reach + 1).saturating_sub(k) + spec.stride - 1);
     let o1 = n_out.min(div(reach) + 1);
     (o0, o1.max(o0))
-}
-
-/// Planar-stencil gather: `out` plane `p` (`[OH, OW]`) is plane `p` of `x`
-/// (`[H, W]`) cross-correlated with kernel `p % K` of `ker` (`K` kernels of
-/// `KH·KW` taps, row-major), plus `bias[p % K]` (or `0.0`).
-///
-/// Per output: `acc = bias`, then `acc += x·k` over the in-bounds taps in
-/// ascending `(ky, kx)` order — no FMA, no reassociation — so both tiers
-/// of [`kernels::stencil_gather`] (the AVX2 one puts its lanes across
-/// planes) agree bit for bit. `out` is fully overwritten, so dirty
-/// workspace buffers are fine.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the geometry, or `bias` does not
-/// hold one value per kernel.
-pub fn stencil_gather_ws(
-    x: &[f32],
-    st: Stencil,
-    ker: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    ws: &mut Workspace,
-) {
-    kernels::stencil_gather(x, st, ker, bias, out, ws);
-}
-
-/// Planar-stencil adjoint of [`stencil_gather_ws`] (without the bias):
-/// scatters each `[OH, OW]` gradient plane of `g` back onto its `[H, W]`
-/// plane of `out` through kernel `p % K`.
-///
-/// Per input pixel: `acc = 0.0`, then `acc += g·k` for every output whose
-/// window covers the pixel, in ascending `(oy, ox)` order, skipping
-/// `g == 0.0` exactly as the classic per-output scatter loop does — the
-/// same sum in the same order, evaluated pixel by pixel so stride-2
-/// geometries only visit the taps that reach each pixel. `out` is fully
-/// overwritten.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the geometry.
-pub fn stencil_adjoint_ws(
-    g: &[f32],
-    st: Stencil,
-    ker: &[f32],
-    out: &mut [f32],
-    ws: &mut Workspace,
-) {
-    kernels::stencil_adjoint(g, st, ker, out, ws);
 }
 
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
@@ -1168,18 +1106,20 @@ mod tests {
 
     #[test]
     fn valid_stencil_gather_and_adjoint_are_adjoint() {
-        let img = seq_tensor(&[6, 7]);
+        // SSIM's shape: one shared window (`C = 1`) over three planes
+        // held as lanes, `[H, W, planes]`.
+        let img = seq_tensor(&[6, 7, 3]);
         let ker = seq_tensor(&[3, 3]);
         let st = Stencil::new(6, 7, 3, 3, ConvSpec::new(1, 0));
         assert_eq!((st.out_h(), st.out_w()), (4, 5));
         let mut ws = Workspace::new();
-        let mut out = vec![0.0f32; 4 * 5];
-        stencil_gather_ws(img.data(), st, ker.data(), None, &mut out, &mut ws);
-        let y = Tensor::from_fn(&[4, 5], |i| (i as f32 % 5.0) - 2.0);
-        let lhs = Tensor::from_vec(out, &[4, 5]).dot(&y);
-        let mut back = vec![0.0f32; 6 * 7];
-        stencil_adjoint_ws(y.data(), st, ker.data(), &mut back, &mut ws);
-        let rhs = img.dot(&Tensor::from_vec(back, &[6, 7]));
+        let mut out = vec![0.0f32; 4 * 5 * 3];
+        kernels::depthwise_gather(img.data(), st, 3, ker.data(), None, &mut out, &mut ws);
+        let y = Tensor::from_fn(&[4, 5, 3], |i| (i as f32 % 5.0) - 2.0);
+        let lhs = Tensor::from_vec(out, &[4, 5, 3]).dot(&y);
+        let mut back = vec![0.0f32; 6 * 7 * 3];
+        kernels::depthwise_adjoint(y.data(), st, 3, ker.data(), &mut back, &mut ws);
+        let rhs = img.dot(&Tensor::from_vec(back, &[6, 7, 3]));
         assert!((lhs - rhs).abs() < 1e-3);
     }
 

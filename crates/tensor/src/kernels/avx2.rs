@@ -4,13 +4,14 @@
 //! and backward, Adam, SiLU's gradient) are their scalar bodies compiled
 //! with AVX2, one line each in `one_body!`. What remains here is
 //! hand-written, for kernels whose vector form the compiler cannot derive:
-//! the GEMM tiles, the transpose, `exp`'s table reads and the stencils.
-//! Lane layout is always "8 independent output elements" (for the
-//! stencils: one pixel of 8 planes, interleaved into scratch); every lane
-//! executes the scalar op sequence for its element verbatim (mul then
-//! add — `vmulps`/`vaddps`, never `vfmadd`), and ragged tails run the
-//! scalar twin itself (the GEMM instead masks the lanes past its right
-//! edge), so results are bit-identical to the scalar tier.
+//! the GEMM tiles, the transpose, `exp`'s table reads and the depthwise
+//! stencil pair. Lane layout is always "8 independent output elements"
+//! (for the stencils: one pixel of 8 images, or of 8 channels of one
+//! image); every lane executes the scalar op sequence for its element
+//! verbatim (mul then add — `vmulps`/`vaddps`, never `vfmadd`), and
+//! ragged tails run the scalar twin itself (the GEMM and the stencils
+//! instead mask the lanes past their edge), so results are bit-identical
+//! to the scalar tier.
 //! `unsafe` here is confined to the raw-pointer load/store helpers,
 //! each guarded by a `debug_assert!` and called only with in-bounds
 //! geometry — which is why the dispatch functions in [`super`] check every
@@ -20,6 +21,7 @@
 use super::scalar::{self, MR};
 use super::AdamParams;
 use crate::conv::Stencil;
+use crate::Workspace;
 use core::arch::x86_64::*;
 
 /// Unaligned 8-lane load of `s[at..at + 8]`.
@@ -496,304 +498,6 @@ pub(super) fn transpose(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) 
     }
 }
 
-/// Interleaves planes `p0..p0 + lanes` of `src` (`len` floats each)
-/// pixel-major into `dst`: element `(j, l)` lands at `dst[j*8 + l]`.
-/// Lanes past `lanes` (a ragged last group) are zero-filled.
-#[target_feature(enable = "avx2")]
-fn interleave(src: &[f32], len: usize, p0: usize, lanes: usize, dst: &mut [f32]) {
-    let mut j = 0;
-    if lanes == 8 {
-        while j + 8 <= len {
-            let mut rows = [_mm256_setzero_ps(); 8];
-            for (l, r) in rows.iter_mut().enumerate() {
-                *r = load8(src, (p0 + l) * len + j);
-            }
-            for (i, v) in transpose8(rows).into_iter().enumerate() {
-                store8(dst, (j + i) * 8, v);
-            }
-            j += 8;
-        }
-    }
-    for j in j..len {
-        for l in 0..8 {
-            dst[j * 8 + l] = if l < lanes {
-                src[(p0 + l) * len + j]
-            } else {
-                0.0
-            };
-        }
-    }
-}
-
-/// Inverse of [`interleave`] for the first `lanes` lanes.
-#[target_feature(enable = "avx2")]
-fn deinterleave(src: &[f32], len: usize, p0: usize, lanes: usize, dst: &mut [f32]) {
-    let mut j = 0;
-    if lanes == 8 {
-        while j + 8 <= len {
-            let mut rows = [_mm256_setzero_ps(); 8];
-            for (i, r) in rows.iter_mut().enumerate() {
-                *r = load8(src, (j + i) * 8);
-            }
-            for (l, v) in transpose8(rows).into_iter().enumerate() {
-                store8(dst, (p0 + l) * len + j, v);
-            }
-            j += 8;
-        }
-    }
-    for j in j..len {
-        for l in 0..lanes {
-            dst[(p0 + l) * len + j] = src[j * 8 + l];
-        }
-    }
-}
-
-/// Interleaves the kernel taps (and bias) of planes `p0..p0 + 8`:
-/// plane `p` uses kernel `p % nk`; missing lanes get zeros.
-fn interleave_kernels(
-    ker: &[f32],
-    kk: usize,
-    bias: Option<&[f32]>,
-    p0: usize,
-    lanes: usize,
-    ks: &mut [f32],
-    bs: &mut [f32],
-) {
-    let nk = ker.len() / kk;
-    for l in 0..8 {
-        let kid = (p0 + l) % nk;
-        for t in 0..kk {
-            ks[t * 8 + l] = if l < lanes { ker[kid * kk + t] } else { 0.0 };
-        }
-        bs[l] = match bias {
-            Some(b) if l < lanes => b[kid],
-            _ => 0.0,
-        };
-    }
-}
-
-/// Scratch `f32`s the stencil kernels take: the lane-interleaved input,
-/// output and kernel of the 8-plane groups the adjoint runs in lockstep
-/// (the gather uses the first), plus bias lanes.
-pub(super) fn stencil_scratch_len(st: &Stencil) -> usize {
-    8 * ADJOINT_GROUPS * (st.h * st.w + st.out_h() * st.out_w() + st.kh * st.kw) + 8
-}
-
-/// Splits the stencil scratch into its interleaved input, output,
-/// kernel and bias regions (the sizes [`stencil_scratch_len`] budgets).
-fn split_scratch(
-    scratch: &mut [f32],
-    in_len: usize,
-    out_len: usize,
-    kk: usize,
-) -> (&mut [f32], &mut [f32], &mut [f32], &mut [f32]) {
-    let (a, rest) = scratch.split_at_mut(in_len * 8);
-    let (b, rest) = rest.split_at_mut(out_len * 8);
-    let (k, rest) = rest.split_at_mut(kk * 8);
-    (a, b, k, &mut rest[..8])
-}
-
-/// AVX2 twin of [`scalar::stencil_gather`], 8 planes per group.
-#[target_feature(enable = "avx2")]
-pub(super) fn stencil_gather(
-    x: &[f32],
-    st: Stencil,
-    ker: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    scratch: &mut [f32],
-) {
-    let (hw, ohw, kk) = (st.h * st.w, st.out_h() * st.out_w(), st.kh * st.kw);
-    let planes = out.len() / ohw;
-    let shared = ker.len() == kk;
-    let (xs, os, ks, bs) = split_scratch(scratch, hw, ohw, kk);
-    if shared {
-        interleave_kernels(ker, kk, bias, 0, 8, ks, bs);
-    }
-    for p0 in (0..planes).step_by(8) {
-        let lanes = (planes - p0).min(8);
-        if !shared {
-            interleave_kernels(ker, kk, bias, p0, lanes, ks, bs);
-        }
-        interleave(x, hw, p0, lanes, xs);
-        gather_group(xs, st, ks, load8(bs, 0), os);
-        deinterleave(os, ohw, p0, lanes, out);
-    }
-}
-
-/// Gather over one interleaved group. Outputs whose window lies fully
-/// inside the plane horizontally run four (or two) at a time, each in
-/// its own accumulator, to hide the add latency of the serial tap chain.
-#[target_feature(enable = "avx2")]
-fn gather_group(xs: &[f32], st: Stencil, ks: &[f32], bias: __m256, os: &mut [f32]) {
-    let (s, pad, kw) = (st.spec.stride, st.spec.pad, st.kw);
-    let ow = st.out_w();
-    // Outputs ox_lo..ox_hi use every kernel column.
-    let ox_lo = pad.div_ceil(s).min(ow);
-    let ox_hi = (st.w + pad)
-        .checked_sub(kw)
-        .map_or(0, |room| room / s + 1)
-        .min(ow)
-        .max(ox_lo);
-    for oy in 0..st.out_h() {
-        let (ky0, ky1) = st.taps_y(oy);
-        let mut ox = 0;
-        while ox < ow {
-            if ox >= ox_lo && ox + 4 <= ox_hi {
-                gather_run::<4>(xs, st, ks, bias, os, oy, (ky0, ky1), ox, (0, kw));
-                ox += 4;
-            } else if ox >= ox_lo && ox + 2 <= ox_hi {
-                gather_run::<2>(xs, st, ks, bias, os, oy, (ky0, ky1), ox, (0, kw));
-                ox += 2;
-            } else {
-                gather_run::<1>(xs, st, ks, bias, os, oy, (ky0, ky1), ox, st.taps_x(ox));
-                ox += 1;
-            }
-        }
-    }
-}
-
-/// `N` adjacent outputs of row `oy` sharing tap ranges `ky`, `kx`:
-/// per lane `acc = bias`, then `acc + x·k` in ascending `(ky, kx)`.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn gather_run<const N: usize>(
-    xs: &[f32],
-    st: Stencil,
-    ks: &[f32],
-    bias: __m256,
-    os: &mut [f32],
-    oy: usize,
-    (ky0, ky1): (usize, usize),
-    ox: usize,
-    (kx0, kx1): (usize, usize),
-) {
-    let (s, pad, w, kw) = (st.spec.stride, st.spec.pad, st.w, st.kw);
-    let mut acc = [bias; N];
-    for ky in ky0..ky1 {
-        let row = (oy * s + ky - pad) * w + ox * s;
-        for kx in kx0..kx1 {
-            let kv = load8(ks, (ky * kw + kx) * 8);
-            for (j, a) in acc.iter_mut().enumerate() {
-                let xv = load8(xs, (row + j * s + kx - pad) * 8);
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, kv));
-            }
-        }
-    }
-    let ow = st.out_w();
-    for (j, a) in acc.into_iter().enumerate() {
-        store8(os, (oy * ow + ox + j) * 8, a);
-    }
-}
-
-/// 8-plane groups the adjoint runs in lockstep, one accumulator each.
-pub(super) const ADJOINT_GROUPS: usize = 4;
-
-/// AVX2 twin of [`scalar::stencil_adjoint`]: batches of up to
-/// [`ADJOINT_GROUPS`] 8-plane groups, each interleaved into its own
-/// slice of the scratch (the slices are the gather's regions, scaled).
-#[target_feature(enable = "avx2")]
-pub(super) fn stencil_adjoint(
-    g: &[f32],
-    st: Stencil,
-    ker: &[f32],
-    out: &mut [f32],
-    scratch: &mut [f32],
-) {
-    let (hw, ohw, kk) = (st.h * st.w, st.out_h() * st.out_w(), st.kh * st.kw);
-    let planes = g.len() / ohw;
-    let shared = ker.len() == kk;
-    let (is, gs, ks, bs) = split_scratch(
-        scratch,
-        ADJOINT_GROUPS * hw,
-        ADJOINT_GROUPS * ohw,
-        ADJOINT_GROUPS * kk,
-    );
-    if shared {
-        for ksg in ks.chunks_exact_mut(kk * 8) {
-            interleave_kernels(ker, kk, None, 0, 8, ksg, bs);
-        }
-    }
-    let mut p0 = 0;
-    while p0 < planes {
-        let groups = (planes - p0).div_ceil(8).min(ADJOINT_GROUPS);
-        for j in 0..groups {
-            let q0 = p0 + 8 * j;
-            let lanes = (planes - q0).min(8);
-            if !shared {
-                interleave_kernels(
-                    ker,
-                    kk,
-                    None,
-                    q0,
-                    lanes,
-                    &mut ks[j * kk * 8..(j + 1) * kk * 8],
-                    bs,
-                );
-            }
-            interleave(g, ohw, q0, lanes, &mut gs[j * ohw * 8..(j + 1) * ohw * 8]);
-        }
-        match groups {
-            1 => adjoint_groups::<1>(gs, st, ks, is),
-            2 => adjoint_groups::<2>(gs, st, ks, is),
-            3 => adjoint_groups::<3>(gs, st, ks, is),
-            _ => adjoint_groups::<4>(gs, st, ks, is),
-        }
-        for j in 0..groups {
-            let q0 = p0 + 8 * j;
-            deinterleave(
-                &is[j * hw * 8..(j + 1) * hw * 8],
-                hw,
-                q0,
-                (planes - q0).min(8),
-                out,
-            );
-        }
-        p0 += 8 * groups;
-    }
-}
-
-/// Adjoint over `G` interleaved groups, input pixel by input pixel:
-/// `acc = 0`, then for every covering output in ascending `(oy, ox)`
-/// `acc + g·k`, kept only in lanes where `g != 0` (NEQ_UQ: true for
-/// NaN, false for ±0 — exactly the scalar `if`).
-///
-/// The groups share every index and branch, so their `G` serial
-/// chains overlap. Lanes across groups rather than adjacent pixels:
-/// a pixel's covering outputs are clipped differently from its
-/// neighbours' wherever the window is wide relative to the output
-/// (SSIM's 11×11 window over 10×10 outputs clips every pixel, giving
-/// chains of up to 100 add + blend steps), but never differently from
-/// the same pixel of another plane.
-#[target_feature(enable = "avx2")]
-fn adjoint_groups<const G: usize>(gs: &[f32], st: Stencil, ks: &[f32], is: &mut [f32]) {
-    let (s, pad, w, kw, ow) = (st.spec.stride, st.spec.pad, st.w, st.kw, st.out_w());
-    let (gstride, kstride, istride) = (st.out_h() * ow * 8, st.kh * kw * 8, st.h * w * 8);
-    let zero = _mm256_setzero_ps();
-    for iy in 0..st.h {
-        let (oy0, oy1) = st.sources_y(iy);
-        for ix in 0..w {
-            let (ox0, ox1) = st.sources_x(ix);
-            let mut acc = [zero; G];
-            for oy in oy0..oy1 {
-                let krow = (iy + pad - oy * s) * kw + ix + pad;
-                for ox in ox0..ox1 {
-                    let (gat, kat) = ((oy * ow + ox) * 8, (krow - ox * s) * 8);
-                    for (j, a) in acc.iter_mut().enumerate() {
-                        let gv = load8(gs, j * gstride + gat);
-                        let kv = load8(ks, j * kstride + kat);
-                        let sum = _mm256_add_ps(*a, _mm256_mul_ps(gv, kv));
-                        *a = _mm256_blendv_ps(*a, sum, _mm256_cmp_ps::<_CMP_NEQ_UQ>(gv, zero));
-                    }
-                }
-            }
-            for (j, a) in acc.into_iter().enumerate() {
-                store8(is, j * istride + (iy * w + ix) * 8, a);
-            }
-        }
-    }
-}
-
 /// Each kernel listed is its [`scalar`] body, `#[inline(always)]` into an
 /// AVX2 function: a plain map, which LLVM vectorises without reordering
 /// any element's operations.
@@ -880,30 +584,108 @@ fn store_block<const G: usize>(s: &mut [f32], at: usize, live: usize, v: [__m256
     }
 }
 
-/// Runs `$f::<P, G>($args)` for the runtime pixel count `$p` and block
-/// count `$g` of [`pixels`] and [`lane_blocks`].
+/// Runs `$f::<P, G, $t>($args)` for the runtime pixel count `$p` and
+/// block count `$g` of [`pixels`] and [`lane_blocks`].
 macro_rules! by_shape {
-    ($f:ident, $p:expr, $g:expr, $($arg:expr),*) => {
+    ($f:ident::<$t:ident>, $p:expr, $g:expr, $($arg:expr),*) => {
         match ($p, $g) {
-            (2, 4) => $f::<2, 4>($($arg),*),
-            (_, 4) => $f::<1, 4>($($arg),*),
-            (4, 2) => $f::<4, 2>($($arg),*),
-            (2, 2) => $f::<2, 2>($($arg),*),
-            (_, 2) => $f::<1, 2>($($arg),*),
-            (4, _) => $f::<4, 1>($($arg),*),
-            (2, _) => $f::<2, 1>($($arg),*),
-            _ => $f::<1, 1>($($arg),*),
+            (2, 4) => $f::<2, 4, $t>($($arg),*),
+            (_, 4) => $f::<1, 4, $t>($($arg),*),
+            (4, 2) => $f::<4, 2, $t>($($arg),*),
+            (2, 2) => $f::<2, 2, $t>($($arg),*),
+            (_, 2) => $f::<1, 2, $t>($($arg),*),
+            (4, _) => $f::<4, 1, $t>($($arg),*),
+            (2, _) => $f::<2, 1, $t>($($arg),*),
+            _ => $f::<1, 1, $t>($($arg),*),
         }
     };
 }
 
-/// AVX2 twin of [`scalar::depthwise_gather`]: each output pixel's run of
-/// `N` lanes in 8-lane blocks, the ragged last block masked. Up to four
-/// adjacent outputs that share their tap range run side by side, up to 8
-/// accumulators held in registers across the taps to hide the add
-/// latency of each lane's serial tap chain.
+/// Where a lane block's weights come from. Broadcast (`TABLE` false):
+/// `w[at + t]` is row `t`'s weight for every lane. Table: `w` holds rows
+/// of `lanes` weights, one per lane, and the block reads row `t` from
+/// `w[at + t·lanes]` on.
+#[derive(Clone, Copy)]
+struct Weights<'a> {
+    w: &'a [f32],
+    at: usize,
+    lanes: usize,
+}
+
+impl Weights<'_> {
+    /// Row `t` as `G` 8-lane vectors, or one vector of `live` lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn row<const TABLE: bool, const G: usize>(self, t: usize, live: usize) -> [__m256; G] {
+        if TABLE {
+            load_block(self.w, self.at + t * self.lanes, live)
+        } else {
+            [_mm256_set1_ps(self.w[self.at + t]); G]
+        }
+    }
+}
+
+/// Runs `lanes(src, table, out)` with one image's `C` channels across the
+/// lanes: `src` (`[C, src_len]`), `ker` (`[C, KH·KW]`) and `out`
+/// (`[C, out_len]`) are transposed to `[src_len, C]`, `[KH·KW, C]` and
+/// `[out_len, C]` through buffers from `ws`.
+#[target_feature(enable = "avx2")]
+fn channels_across_lanes(
+    src: &[f32],
+    ker: &[f32],
+    kk: usize,
+    out: &mut [f32],
+    ws: &mut Workspace,
+    lanes: impl FnOnce(&[f32], &[f32], &mut [f32]),
+) {
+    let c = ker.len() / kk;
+    let [mut src_t, mut table, mut out_t] =
+        [src.len(), ker.len(), out.len()].map(|len| ws.take_dirty(len));
+    transpose(src, c, src.len() / c, &mut src_t);
+    transpose(ker, c, kk, &mut table);
+    lanes(&src_t, &table, &mut out_t);
+    transpose(&out_t, out.len() / c, c, out);
+    for buf in [src_t, table, out_t] {
+        ws.put(buf);
+    }
+}
+
+/// AVX2 twin of [`scalar::depthwise_gather`]. A batch (`n > 1`) or a
+/// single kernel runs [`gather`] as it comes, each tap's weight broadcast
+/// over a pixel's `N` lanes. One image of several channels would leave
+/// seven of every eight lanes idle, so its channels go across the lanes
+/// instead ([`channels_across_lanes`]), each lane reading its own
+/// channel's weights from the transposed kernels.
 #[target_feature(enable = "avx2")]
 pub(super) fn depthwise_gather(
+    x: &[f32],
+    st: Stencil,
+    n: usize,
+    ker: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    ws: &mut Workspace,
+) {
+    let kk = st.kh * st.kw;
+    let c = ker.len() / kk;
+    if n > 1 || c == 1 {
+        return gather::<false>(x, st, n, ker, bias, out);
+    }
+    channels_across_lanes(x, ker, kk, out, ws, |xt, table, ot| {
+        gather::<true>(xt, st, c, table, bias, ot)
+    });
+}
+
+/// [`depthwise_gather`] over lanes: each output pixel's run of `n` lanes
+/// in 8-lane blocks, the ragged last block masked. Up to four adjacent
+/// outputs that share their tap range run side by side, up to 8
+/// accumulators held in registers across the taps to hide the add latency
+/// of each lane's serial tap chain. Without `TABLE`, `ker` and `bias`
+/// hold a kernel and a value per channel, broadcast over the lanes; with
+/// it, one channel's lanes read `ker` as a `[KH·KW, n]` table and `bias`
+/// as one value per lane.
+#[target_feature(enable = "avx2")]
+fn gather<const TABLE: bool>(
     x: &[f32],
     st: Stencil,
     n: usize,
@@ -914,11 +696,22 @@ pub(super) fn depthwise_gather(
     let (w, kw, s, pad) = (st.w, st.kw, st.spec.stride, st.spec.pad);
     let (oh, ow) = (st.out_h(), st.out_w());
     let kk = st.kh * kw;
-    for ch in 0..ker.len() / kk {
-        let k = &ker[ch * kk..(ch + 1) * kk];
-        let b = _mm256_set1_ps(bias.map_or(0.0, |b| b[ch]));
+    let channels = if TABLE { 1 } else { ker.len() / kk };
+    for ch in 0..channels {
         let (xc, oc) = (ch * st.h * w * n, ch * oh * ow * n);
         lane_blocks(n, |i, g, live| {
+            // Channel `ch`'s kernel and bias, or the table's lanes `i..`.
+            let at = |per_channel: usize| if TABLE { i } else { per_channel };
+            let k = Weights {
+                w: ker,
+                at: at(ch * kk),
+                lanes: n,
+            };
+            let b = bias.map(|w| Weights {
+                w,
+                at: at(ch),
+                lanes: n,
+            });
             let mut ox = 0;
             while ox < ow {
                 let kx = st.taps_x(ox);
@@ -929,7 +722,7 @@ pub(super) fn depthwise_gather(
                     };
                     let at = oc + (oy * ow + ox) * n + i;
                     let geom = ((k, kw, st.taps_y(oy), kx), s * n, n);
-                    by_shape!(gather_block, p, g, x, geom, b, x_at, live, out, at);
+                    by_shape!(gather_block::<TABLE>, p, g, x, geom, b, x_at, live, out, at);
                 }
                 ox += p;
             }
@@ -937,33 +730,35 @@ pub(super) fn depthwise_gather(
     }
 }
 
-/// The taps of a gather block: a channel's kernel, its width, and the
+/// The taps of a gather block: their weights, the kernel width, and the
 /// in-bounds `ky` and `kx` ranges.
-type Taps<'a> = (&'a [f32], usize, (usize, usize), (usize, usize));
+type Taps<'a> = (Weights<'a>, usize, (usize, usize), (usize, usize));
 
 /// `P` adjacent output pixels' lanes `at..` in `G` blocks each: per lane
-/// `acc = bias`, then `acc + x·k` over the taps in ascending `(ky, kx)`.
-/// `x_at(ky, kx)` is the tap's first lane for the first pixel; the next
-/// pixel's is `x_step` further in `x` and `o_step` further in `out`.
+/// `acc = bias` (or `0.0`), then `acc + x·k` over the taps in ascending
+/// `(ky, kx)`. `x_at(ky, kx)` is the tap's first lane for the first
+/// pixel; the next pixel's is `x_step` further in `x` and `o_step`
+/// further in `out`.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn gather_block<const P: usize, const G: usize>(
+fn gather_block<const P: usize, const G: usize, const TABLE: bool>(
     x: &[f32],
     ((k, kw, (ky0, ky1), (kx0, kx1)), x_step, o_step): (Taps<'_>, usize, usize),
-    bias: __m256,
+    bias: Option<Weights<'_>>,
     x_at: impl Fn(usize, usize) -> usize,
     live: usize,
     out: &mut [f32],
     at: usize,
 ) {
-    let mut acc = [[bias; G]; P];
+    let b = bias.map_or([_mm256_setzero_ps(); G], |b| b.row::<TABLE, G>(0, live));
+    let mut acc = [b; P];
     for ky in ky0..ky1 {
         for kx in kx0..kx1 {
-            let kv = _mm256_set1_ps(k[ky * kw + kx]);
+            let kv = k.row::<TABLE, G>(ky * kw + kx, live);
             let base = x_at(ky, kx);
             for (p, accp) in acc.iter_mut().enumerate() {
                 let xv = load_block::<G>(x, base + p * x_step, live);
-                for (a, v) in accp.iter_mut().zip(xv) {
+                for ((a, v), kv) in accp.iter_mut().zip(xv).zip(kv) {
                     *a = _mm256_add_ps(*a, _mm256_mul_ps(v, kv));
                 }
             }
@@ -974,20 +769,47 @@ fn gather_block<const P: usize, const G: usize>(
     }
 }
 
-/// AVX2 twin of [`scalar::depthwise_adjoint`], in the lane blocks of
-/// [`depthwise_gather`]. Up to four input pixels `s` apart whose covering
-/// outputs are the first pixel's shifted by one run side by side (they
-/// read the same kernel taps); the scalar `g == 0.0` skip becomes a
+/// AVX2 twin of [`scalar::depthwise_adjoint`], with the lanes of
+/// [`depthwise_gather`]: a batch or a single kernel as it comes, one
+/// image's channels across the lanes.
+#[target_feature(enable = "avx2")]
+pub(super) fn depthwise_adjoint(
+    g: &[f32],
+    st: Stencil,
+    n: usize,
+    ker: &[f32],
+    out: &mut [f32],
+    ws: &mut Workspace,
+) {
+    let kk = st.kh * st.kw;
+    let c = ker.len() / kk;
+    if n > 1 || c == 1 {
+        return adjoint::<false>(g, st, n, ker, out);
+    }
+    channels_across_lanes(g, ker, kk, out, ws, |gt, table, it| {
+        adjoint::<true>(gt, st, c, table, it)
+    });
+}
+
+/// [`depthwise_adjoint`] over lanes, in the lane blocks and weight
+/// sources of [`gather`]. Up to four input pixels `s` apart whose
+/// covering outputs are the first pixel's shifted by one run side by side
+/// (they read the same kernel taps); the scalar `g == 0.0` skip becomes a
 /// `_CMP_NEQ_UQ` mask (see [`adjoint_block`]).
 #[target_feature(enable = "avx2")]
-pub(super) fn depthwise_adjoint(g: &[f32], st: Stencil, n: usize, ker: &[f32], out: &mut [f32]) {
+fn adjoint<const TABLE: bool>(g: &[f32], st: Stencil, n: usize, ker: &[f32], out: &mut [f32]) {
     let (h, w, kw, s, pad) = (st.h, st.w, st.kw, st.spec.stride, st.spec.pad);
     let (oh, ow) = (st.out_h(), st.out_w());
     let kk = st.kh * kw;
-    for ch in 0..ker.len() / kk {
-        let k = &ker[ch * kk..(ch + 1) * kk];
+    let channels = if TABLE { 1 } else { ker.len() / kk };
+    for ch in 0..channels {
         let (gc, ic) = (ch * oh * ow * n, ch * h * w * n);
         lane_blocks(n, |i, blocks, live| {
+            let k = Weights {
+                w: ker,
+                at: if TABLE { i } else { ch * kk },
+                lanes: n,
+            };
             for first in 0..s.min(w) {
                 let mut ix = first;
                 while ix < w {
@@ -1001,7 +823,18 @@ pub(super) fn depthwise_adjoint(g: &[f32], st: Stencil, n: usize, ker: &[f32], o
                         let g_at = |oy: usize, ox: usize| gc + (oy * ow + ox) * n + i;
                         let at = ic + (iy * w + ix) * n + i;
                         let geom = ((k, st.sources_y(iy), ox), s * n, n);
-                        by_shape!(adjoint_block, p, blocks, g, geom, k_at, g_at, live, out, at);
+                        by_shape!(
+                            adjoint_block::<TABLE>,
+                            p,
+                            blocks,
+                            g,
+                            geom,
+                            k_at,
+                            g_at,
+                            live,
+                            out,
+                            at
+                        );
                     }
                     ix += p * s;
                 }
@@ -1010,9 +843,9 @@ pub(super) fn depthwise_adjoint(g: &[f32], st: Stencil, n: usize, ker: &[f32], o
     }
 }
 
-/// The covering outputs of an adjoint block's first pixel: a channel's
-/// kernel and the `oy` and `ox` ranges.
-type Sources<'a> = (&'a [f32], (usize, usize), (usize, usize));
+/// The covering outputs of an adjoint block's first pixel: the kernel's
+/// weights and the `oy` and `ox` ranges.
+type Sources<'a> = (Weights<'a>, (usize, usize), (usize, usize));
 
 /// `P` input pixels' lanes `at..` (the next pixel `o_step` further) in
 /// `G` blocks each: per lane `acc = 0`, then for every covering output
@@ -1024,7 +857,7 @@ type Sources<'a> = (&'a [f32], (usize, usize), (usize, usize));
 /// stays off each accumulator's serial add chain.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn adjoint_block<const P: usize, const G: usize>(
+fn adjoint_block<const P: usize, const G: usize, const TABLE: bool>(
     g: &[f32],
     ((k, (oy0, oy1), (ox0, ox1)), o_step, g_step): (Sources<'_>, usize, usize),
     k_at: impl Fn(usize, usize) -> usize,
@@ -1037,13 +870,13 @@ fn adjoint_block<const P: usize, const G: usize>(
     let mut acc = [[zero; G]; P];
     for oy in oy0..oy1 {
         for ox in ox0..ox1 {
-            let kv = _mm256_set1_ps(k[k_at(oy, ox)]);
+            let kv = k.row::<TABLE, G>(k_at(oy, ox), live);
             let base = g_at(oy, ox);
             for (p, accp) in acc.iter_mut().enumerate() {
                 let gv = load_block::<G>(g, base + p * g_step, live);
-                for (a, v) in accp.iter_mut().zip(gv) {
-                    let live = _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero);
-                    let term = _mm256_blendv_ps(neg_zero, _mm256_mul_ps(v, kv), live);
+                for ((a, v), kv) in accp.iter_mut().zip(gv).zip(kv) {
+                    let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero);
+                    let term = _mm256_blendv_ps(neg_zero, _mm256_mul_ps(v, kv), keep);
                     *a = _mm256_add_ps(*a, term);
                 }
             }

@@ -4,12 +4,12 @@
 //! [`crate::ops`] orientations, the [`transpose`] that packs weight
 //! panels and moves a network's batch across lanes at its boundary, the
 //! Q8/f16 decoders behind [`crate::quant::QTensor`], the refine-loop
-//! elementwise ops, the trigger blend and its backward, Adam, the
-//! planar-stencil gather/adjoint behind SSIM and batch-1 depthwise
-//! convolution ([`crate::conv::Stencil`]), the batch-last depthwise
-//! gather/adjoint ([`depthwise_gather`], [`depthwise_adjoint`]),
-//! [`exp`]/[`exp_in_place`] behind [`softmax_row`], [`sigmoid_silu`],
-//! SiLU's and Sigmoid's one-pass forward, and [`silu_grad`] — is one
+//! elementwise ops, the trigger blend and its backward, Adam, the one
+//! stencil pair behind depthwise convolution and SSIM's blurs
+//! ([`depthwise_gather`], [`depthwise_adjoint`] over a
+//! [`crate::conv::Stencil`]), [`exp`]/[`exp_in_place`] behind
+//! [`softmax_row`], [`sigmoid_silu`], SiLU's and Sigmoid's one-pass
+//! forward, and [`silu_grad`] — is one
 //! public function here with two implementations side by side: the
 //! scalar loop in `kernels/scalar.rs` (the *reference*, always compiled,
 //! the only one on non-x86 targets) and its AVX2 twin of the same name in
@@ -26,10 +26,9 @@
 //! loops they replaced. The rest keep a hand-written twin, because the
 //! compiler cannot derive it from the scalar loop: the GEMM tiles and
 //! [`transpose`] (register blocking, masked edges, in-register 8×8
-//! blocks), the reads of `exp`'s table, the planar stencils (8 planes
-//! interleaved into lanes) and the batch-last depthwise pair (several
-//! pixels in registers at once; the one-body version ran `effnet-table7`
-//! 10% slower).
+//! blocks), the reads of `exp`'s table and the depthwise pair (several
+//! pixels in registers at once, each tap's weights broadcast or read per
+//! lane; a one-body version ran `effnet-table7` 10% slower).
 //!
 //! # Tier selection
 //!
@@ -56,9 +55,9 @@
 //! scalar loops: each output element performs the identical floating-point
 //! operation sequence (same ops, same operand order, ascending-`k`
 //! accumulation, **no FMA contraction, no reassociation**), with lanes
-//! laid across independent output elements only — for the planar
-//! stencils, the same pixel of 8 different planes; for the batch-last
-//! depthwise kernels, the same pixel of 8 images. A one-body twin gets
+//! laid across independent output elements only — for the depthwise
+//! pair, the same pixel of 8 images (or of 8 planes, or of one image's 8
+//! channels). A one-body twin gets
 //! this from the compiler: Rust never contracts a multiply and an add,
 //! and LLVM reorders no float operation without fast-math flags, so the
 //! vectorised map runs each element's scalar sequence. Reductions whose scalar
@@ -538,114 +537,28 @@ pub fn adam_step(pd: &mut [f32], gd: &[f32], md: &mut [f32], vd: &mut [f32], par
     dispatch!(adam_step(pd, gd, md, vd, params))
 }
 
-/// Checks a planar-stencil call's slice lengths against the geometry.
-fn check_planes(
-    src: &[f32],
-    src_plane: usize,
-    ker: &[f32],
-    kk: usize,
-    out: &[f32],
-    out_plane: usize,
-) {
-    assert!(
-        !ker.is_empty() && ker.len().is_multiple_of(kk),
-        "stencil: kernel length {} is not a multiple of {kk}",
-        ker.len()
-    );
-    assert!(
-        src.len().is_multiple_of(src_plane),
-        "stencil: ragged input planes"
-    );
-    assert_eq!(
-        out.len(),
-        src.len() / src_plane * out_plane,
-        "stencil: output length mismatch"
-    );
-}
-
-/// Planar-stencil gather ([`crate::conv::stencil_gather_ws`]). The AVX2
-/// twin runs lanes across planes: each group of 8 planes is interleaved
-/// pixel-major into a workspace buffer, so one vector load fetches the
-/// same pixel of 8 planes, each lane multiplying by its own plane's
-/// kernel tap. Every lane shares the output's tap range, so borders and
-/// strides cost no extra work per lane.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the geometry, or `bias` does not
-/// hold one value per kernel.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-#[inline]
-pub fn stencil_gather(
-    x: &[f32],
-    st: Stencil,
-    ker: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    ws: &mut Workspace,
-) {
-    let kk = st.kh * st.kw;
-    check_planes(x, st.h * st.w, ker, kk, out, st.out_h() * st.out_w());
-    if let Some(b) = bias {
-        assert_eq!(b.len(), ker.len() / kk, "stencil: one bias per kernel");
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_active() {
-        let mut scratch = ws.take_dirty(avx2::stencil_scratch_len(&st));
-        // SAFETY: `avx2_active` is true only after runtime AVX2 detection;
-        // the slice lengths were checked above and the scratch is sized by
-        // `stencil_scratch_len`, which bounds every unchecked access.
-        unsafe { avx2::stencil_gather(x, st, ker, bias, out, &mut scratch) };
-        ws.put(scratch);
-        return;
-    }
-    scalar::stencil_gather(x, st, ker, bias, out)
-}
-
-/// Planar-stencil adjoint ([`crate::conv::stencil_adjoint_ws`]), lanes
-/// across planes like [`stencil_gather`]. The scalar `g == 0.0` skip
-/// becomes a `_CMP_NEQ_UQ` blend mask: lanes whose gradient is `±0.0`
-/// keep their accumulator bits, NaN gradients accumulate.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the geometry.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-#[inline]
-pub fn stencil_adjoint(g: &[f32], st: Stencil, ker: &[f32], out: &mut [f32], ws: &mut Workspace) {
-    check_planes(
-        g,
-        st.out_h() * st.out_w(),
-        ker,
-        st.kh * st.kw,
-        out,
-        st.h * st.w,
-    );
-    #[cfg(target_arch = "x86_64")]
-    if avx2_active() {
-        let mut scratch = ws.take_dirty(avx2::stencil_scratch_len(&st));
-        // SAFETY: as in `stencil_gather`.
-        unsafe { avx2::stencil_adjoint(g, st, ker, out, &mut scratch) };
-        ws.put(scratch);
-        return;
-    }
-    scalar::stencil_adjoint(g, st, ker, out)
-}
-
-/// Depthwise gather over batch-last planes `[C, H, W, N]`
-/// ([`crate::conv::depthwise_forward_lanes_ws`]): channel `ch` of `x`
-/// cross-correlated with kernel `ch` of `ker` (`C` kernels of `KH·KW`
-/// taps) plus `bias[ch]`, into `out` (`[C, OH, OW, N]`, fully
+/// Depthwise gather over batch-last planes `[C, H, W, N]`: channel `ch`
+/// of `x` cross-correlated with kernel `ch` of `ker` (`C` kernels of
+/// `KH·KW` taps) plus `bias[ch]`, into `out` (`[C, OH, OW, N]`, fully
 /// overwritten). Per output, `acc = bias`, then `acc += x·k` over the
-/// in-bounds taps in ascending `(ky, kx)` — per image the op sequence of
-/// [`stencil_gather`]. Each tap's weight is broadcast over the pixel's
-/// `N`-float run; the AVX2 twin holds up to four 8-lane blocks of it in
-/// registers across the taps and masks the ragged last block.
+/// in-bounds taps in ascending `(ky, kx)`. This is the one stencil
+/// kernel: depthwise convolution calls it
+/// ([`crate::conv::depthwise_forward_lanes_ws`]), and so do SSIM's blurs,
+/// with one shared window (`C = 1`) and the image planes as lanes.
+///
+/// The AVX2 twin broadcasts each tap's weight over a pixel's `N` lanes
+/// and holds up to four 8-lane blocks of it in registers across the taps,
+/// masking the ragged last block. For one image (`N = 1`) of several
+/// channels it transposes the image, the kernels and the output through
+/// buffers from `ws`, so the channels fill the lanes and each reads its
+/// own kernel; the scalar tier runs its loop at `N = 1` and copies
+/// nothing.
 ///
 /// # Panics
 ///
 /// Panics if `n` is zero, a slice length disagrees with the geometry, or
 /// `bias` does not hold one value per kernel.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 #[inline]
 pub fn depthwise_gather(
     x: &[f32],
@@ -654,6 +567,7 @@ pub fn depthwise_gather(
     ker: &[f32],
     bias: Option<&[f32]>,
     out: &mut [f32],
+    ws: &mut Workspace,
 ) {
     let c = check_lanes(
         x,
@@ -667,21 +581,35 @@ pub fn depthwise_gather(
     if let Some(b) = bias {
         assert_eq!(b.len(), c, "depthwise: one bias per kernel");
     }
-    dispatch!(depthwise_gather(x, st, n, ker, bias, out))
+    #[cfg(target_arch = "x86_64")]
+    if avx2_active() {
+        // SAFETY: as in `dispatch!`.
+        return unsafe { avx2::depthwise_gather(x, st, n, ker, bias, out, ws) };
+    }
+    scalar::depthwise_gather(x, st, n, ker, bias, out)
 }
 
 /// Adjoint of [`depthwise_gather`] without the bias
-/// ([`crate::conv::depthwise_input_backward_ws`]): per input lane,
-/// `acc = 0.0`, then `acc += g·k` for every covering output in ascending
-/// `(oy, ox)`, skipping `g == 0.0` — per image the op sequence of
-/// [`stencil_adjoint`]. The AVX2 twin turns the skip into the same
-/// `_CMP_NEQ_UQ` blend mask.
+/// ([`crate::conv::depthwise_input_backward_ws`], SSIM's gradient): per
+/// input lane, `acc = 0.0`, then `acc += g·k` for every covering output
+/// in ascending `(oy, ox)`, skipping `g == 0.0`. The AVX2 twin runs the
+/// lanes of [`depthwise_gather`] and turns the skip into a `_CMP_NEQ_UQ`
+/// mask: lanes whose gradient is `±0.0` keep their bits, NaN gradients
+/// accumulate.
 ///
 /// # Panics
 ///
 /// Panics if `n` is zero or a slice length disagrees with the geometry.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 #[inline]
-pub fn depthwise_adjoint(g: &[f32], st: Stencil, n: usize, ker: &[f32], out: &mut [f32]) {
+pub fn depthwise_adjoint(
+    g: &[f32],
+    st: Stencil,
+    n: usize,
+    ker: &[f32],
+    out: &mut [f32],
+    ws: &mut Workspace,
+) {
     check_lanes(
         g,
         st.out_h() * st.out_w(),
@@ -691,7 +619,12 @@ pub fn depthwise_adjoint(g: &[f32], st: Stencil, n: usize, ker: &[f32], out: &mu
         out,
         st.h * st.w,
     );
-    dispatch!(depthwise_adjoint(g, st, n, ker, out))
+    #[cfg(target_arch = "x86_64")]
+    if avx2_active() {
+        // SAFETY: as in `dispatch!`.
+        return unsafe { avx2::depthwise_adjoint(g, st, n, ker, out, ws) };
+    }
+    scalar::depthwise_adjoint(g, st, n, ker, out)
 }
 
 /// Checks a batch-last depthwise call's slice lengths: `C` kernels of
@@ -1445,64 +1378,66 @@ mod tests {
             }
         }
 
+        /// One image (`N = 1`): the AVX2 twin puts its channels across the
+        /// lanes, each lane reading its kernel from the transposed table,
+        /// and must match the scalar loop at `N = 1`. Channel counts on and
+        /// off the 8-lane block (1 runs broadcast), kernels 1 to 11,
+        /// strides 1–3 (3 takes the general division path), padded
+        /// borders and SSIM's valid 11×11 window over 12×12 and 20×20
+        /// planes. The soup's `±0` gradients meet an infinite tap, so a
+        /// skipped `0·∞` shows; one gradient carries a NaN payload.
         #[test]
-        fn stencil_kernels_match_scalar_bitwise() {
+        fn depthwise_one_image_matches_scalar_bitwise() {
             if !have_avx2() {
                 return;
             }
             use crate::conv::ConvSpec;
-            // (planes, h, w, k, stride, pad, kernels): ragged 8-plane
-            // groups, 1–4 groups in lockstep and more than one batch of
-            // them, per-plane and shared kernels, borders, strides 1–3
-            // (3 takes the general division path), SSIM's valid 11×11.
-            for &(planes, h, w, k, stride, pad, nk) in &[
-                (1, 1, 1, 1, 1, 0, 1),
-                (3, 5, 7, 3, 1, 1, 3),
-                (8, 20, 20, 3, 2, 1, 8),
-                (13, 9, 6, 5, 2, 2, 13),
-                (17, 12, 12, 11, 1, 0, 1),
-                (10, 10, 10, 5, 1, 2, 5),
-                (9, 7, 11, 3, 3, 0, 3),
-                (24, 4, 9, 1, 2, 0, 6),
-                (32, 12, 12, 11, 1, 0, 1),
-                (45, 6, 7, 3, 2, 1, 45),
+            let mut ws = Workspace::new();
+            for &(c, h, w, k, stride, pad) in &[
+                (1, 1, 1, 1, 1, 0),
+                (3, 5, 7, 3, 1, 1),
+                (8, 20, 20, 3, 2, 1),
+                (13, 9, 6, 5, 2, 2),
+                (17, 12, 12, 11, 1, 0),
+                (8, 20, 20, 11, 1, 0),
+                (10, 10, 10, 5, 1, 2),
+                (13, 7, 11, 3, 3, 0),
+                (45, 4, 9, 1, 2, 0),
+                (45, 6, 7, 3, 2, 1),
             ] {
                 let st = Stencil::new(h, w, k, k, ConvSpec::new(stride, pad));
                 let (oh, ow) = (st.out_h(), st.out_w());
-                let mut scratch = vec![f32::NAN; avx2::stencil_scratch_len(&st)];
-                let x = soup(planes * h * w, 83);
-                // One infinite tap: `0·∞` is NaN, so the adjoint's
-                // skip of `±0` gradients (soup lanes 0 and 1) shows.
-                let mut ker = soup(nk * k * k, 89);
+                let what = format!("c={c} {st:?}");
+                let x = soup(c * h * w, 83);
+                let mut ker = soup(c * k * k, 89);
                 ker[k * k / 2] = f32::INFINITY;
-                let bias = soup(nk, 97);
+                let bias = soup(c, 97);
                 for b in [None, Some(&bias[..])] {
-                    let mut out_s = vec![f32::NAN; planes * oh * ow];
-                    let mut out_r = vec![f32::NAN; planes * oh * ow];
+                    let mut simd = vec![f32::NAN; c * oh * ow];
+                    let mut twin = simd.clone();
                     // SAFETY: guarded by have_avx2().
-                    unsafe { avx2::stencil_gather(&x, st, &ker, b, &mut out_s, &mut scratch) };
-                    scalar::stencil_gather(&x, st, &ker, b, &mut out_r);
-                    assert_bits_eq(&out_s, &out_r, "stencil_gather vs scalar twin");
+                    unsafe { avx2::depthwise_gather(&x, st, 1, &ker, b, &mut simd, &mut ws) };
+                    scalar::depthwise_gather(&x, st, 1, &ker, b, &mut twin);
+                    assert_bits_eq(&simd, &twin, &format!("depthwise_gather {what}"));
                 }
-                // One NaN-payload gradient: NaN != 0, so it accumulates.
-                let mut g = soup(planes * oh * ow, 101);
+                let mut g = soup(c * oh * ow, 101);
                 let mid = g.len() / 2;
                 g[mid] = f32::from_bits(0x7FC0_0ABC);
-                let mut out_s = vec![f32::NAN; planes * h * w];
-                let mut out_r = vec![f32::NAN; planes * h * w];
+                let mut simd = vec![f32::NAN; c * h * w];
+                let mut twin = simd.clone();
                 // SAFETY: guarded by have_avx2().
-                unsafe { avx2::stencil_adjoint(&g, st, &ker, &mut out_s, &mut scratch) };
-                scalar::stencil_adjoint(&g, st, &ker, &mut out_r);
-                assert_bits_eq(&out_s, &out_r, "stencil_adjoint vs scalar twin");
+                unsafe { avx2::depthwise_adjoint(&g, st, 1, &ker, &mut simd, &mut ws) };
+                scalar::depthwise_adjoint(&g, st, 1, &ker, &mut twin);
+                assert_bits_eq(&simd, &twin, &format!("depthwise_adjoint {what}"));
             }
         }
 
         /// The batch-last depthwise kernels against their scalar twins,
-        /// and the scalar twins against the planar stencil run image by
-        /// image: batches of one to 48 images (full, paired, quadrupled
-        /// and ragged 8-lane blocks), kernels 3 and 5, strides 1 and 2,
-        /// borders, `±0` gradients (an infinite tap makes a skipped `0·∞`
-        /// visible) and NaN lanes.
+        /// and the scalar twins against their own loop at `N = 1` run
+        /// image by image (one image's planes): batches of one to 48
+        /// images (full, paired, quadrupled and ragged 8-lane blocks),
+        /// kernels 3 and 5, strides 1 and 2, borders, `±0` gradients (an
+        /// infinite tap makes a skipped `0·∞` visible) and NaN lanes.
         #[test]
         fn depthwise_lanes_match_scalar_and_planar_bitwise() {
             if !have_avx2() {
@@ -1554,7 +1489,8 @@ mod tests {
                 }
             }
             let what = format!("n={n} {st:?} {special:?}");
-            // One image's `c` planes, as the planar stencil takes them.
+            let mut ws = Workspace::new();
+            // One image's `c` planes, the layout at `N = 1`.
             let image = |src: &[f32], len: usize, i: usize| -> Vec<f32> {
                 (0..c * len).map(|j| src[j * n + i]).collect()
             };
@@ -1562,12 +1498,12 @@ mod tests {
                 let mut simd = vec![f32::NAN; c * oh * ow * n];
                 let mut twin = simd.clone();
                 // SAFETY: guarded by have_avx2().
-                unsafe { avx2::depthwise_gather(&x, st, n, &ker, b, &mut simd) };
+                unsafe { avx2::depthwise_gather(&x, st, n, &ker, b, &mut simd, &mut ws) };
                 scalar::depthwise_gather(&x, st, n, &ker, b, &mut twin);
                 assert_bits_eq(&simd, &twin, &format!("depthwise_gather {what} vs scalar"));
                 for i in 0..n {
                     let mut want = vec![f32::NAN; c * oh * ow];
-                    scalar::stencil_gather(&image(&x, h * w, i), st, &ker, b, &mut want);
+                    scalar::depthwise_gather(&image(&x, h * w, i), st, 1, &ker, b, &mut want);
                     let got = image(&twin, oh * ow, i);
                     assert_bits_eq(&got, &want, &format!("depthwise_gather {what} image {i}"));
                 }
@@ -1575,12 +1511,12 @@ mod tests {
             let mut simd = vec![f32::NAN; c * h * w * n];
             let mut twin = simd.clone();
             // SAFETY: guarded by have_avx2().
-            unsafe { avx2::depthwise_adjoint(&g, st, n, &ker, &mut simd) };
+            unsafe { avx2::depthwise_adjoint(&g, st, n, &ker, &mut simd, &mut ws) };
             scalar::depthwise_adjoint(&g, st, n, &ker, &mut twin);
             assert_bits_eq(&simd, &twin, &format!("depthwise_adjoint {what} vs scalar"));
             for i in 0..n {
                 let mut want = vec![f32::NAN; c * h * w];
-                scalar::stencil_adjoint(&image(&g, oh * ow, i), st, &ker, &mut want);
+                scalar::depthwise_adjoint(&image(&g, oh * ow, i), st, 1, &ker, &mut want);
                 let got = image(&twin, h * w, i);
                 assert_bits_eq(&got, &want, &format!("depthwise_adjoint {what} image {i}"));
             }

@@ -1,7 +1,7 @@
 //! The scalar reference loops: the only tier off x86-64 and under
 //! `USB_KERNEL=scalar`, and the op sequence every [`super::avx2`] twin
 //! transcribes. Each function here has an AVX2 twin of the same name and
-//! signature (the stencils' twins also take a scratch slice); the
+//! signature (the depthwise pair's twins also take a workspace); the
 //! dispatch functions in [`super`] check the slice lengths before either
 //! runs. An `#[inline(always)]` function here is a plain map whose AVX2
 //! twin is this body compiled with AVX2, so it must stay vectorisable:
@@ -400,82 +400,11 @@ pub(super) fn adam_step(
     }
 }
 
-/// Planar-stencil gather, output by output: `acc = bias`, then
-/// `acc += x·k` over the in-bounds taps in ascending `(ky, kx)`.
-pub(super) fn stencil_gather(
-    x: &[f32],
-    st: Stencil,
-    ker: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let (w, kw, s, pad) = (st.w, st.kw, st.spec.stride, st.spec.pad);
-    let (oh, ow) = (st.out_h(), st.out_w());
-    let kk = st.kh * kw;
-    let nk = ker.len() / kk;
-    for (p, (img, o)) in x
-        .chunks_exact(st.h * w)
-        .zip(out.chunks_exact_mut(oh * ow))
-        .enumerate()
-    {
-        let k = &ker[(p % nk) * kk..(p % nk + 1) * kk];
-        let b = bias.map_or(0.0, |b| b[p % nk]);
-        for oy in 0..oh {
-            let (ky0, ky1) = st.taps_y(oy);
-            for ox in 0..ow {
-                let (kx0, kx1) = st.taps_x(ox);
-                let mut acc = b;
-                for ky in ky0..ky1 {
-                    let row = (oy * s + ky - pad) * w + ox * s;
-                    for kx in kx0..kx1 {
-                        acc += img[row + kx - pad] * k[ky * kw + kx];
-                    }
-                }
-                o[oy * ow + ox] = acc;
-            }
-        }
-    }
-}
-
-/// Planar-stencil adjoint, input pixel by input pixel: `acc = 0.0`, then
-/// `acc += g·k` for every covering output in ascending `(oy, ox)`,
-/// skipping `g == 0.0`.
-pub(super) fn stencil_adjoint(g: &[f32], st: Stencil, ker: &[f32], out: &mut [f32]) {
-    let (h, w, kw, s, pad) = (st.h, st.w, st.kw, st.spec.stride, st.spec.pad);
-    let ow = st.out_w();
-    let kk = st.kh * kw;
-    let nk = ker.len() / kk;
-    for (p, (go, gi)) in g
-        .chunks_exact(st.out_h() * ow)
-        .zip(out.chunks_exact_mut(h * w))
-        .enumerate()
-    {
-        let k = &ker[(p % nk) * kk..(p % nk + 1) * kk];
-        for iy in 0..h {
-            let (oy0, oy1) = st.sources_y(iy);
-            for ix in 0..w {
-                let (ox0, ox1) = st.sources_x(ix);
-                let mut acc = 0.0f32;
-                for oy in oy0..oy1 {
-                    let krow = (iy + pad - oy * s) * kw + ix + pad;
-                    for ox in ox0..ox1 {
-                        let gv = go[oy * ow + ox];
-                        if gv != 0.0 {
-                            acc += gv * k[krow - ox * s];
-                        }
-                    }
-                }
-                gi[iy * w + ix] = acc;
-            }
-        }
-    }
-}
-
 /// Depthwise gather over batch-last planes `[C, H, W, N]`, output pixel
 /// by output pixel: each lane of the pixel's `N`-float run starts at
 /// `bias`, then `acc += x·k` over the in-bounds taps in ascending
-/// `(ky, kx)`, the tap's weight broadcast over the run — per image the
-/// op sequence of [`stencil_gather`].
+/// `(ky, kx)`, the tap's weight broadcast over the run. At `N = 1` this
+/// is the per-plane loop over one image's channels.
 pub(super) fn depthwise_gather(
     x: &[f32],
     st: Stencil,
@@ -517,8 +446,7 @@ pub(super) fn depthwise_gather(
 
 /// Adjoint of [`depthwise_gather`], input pixel by input pixel: each lane
 /// starts at `0.0`, then `acc += g·k` for every covering output in
-/// ascending `(oy, ox)`, skipping `g == 0.0` — per image the op sequence
-/// of [`stencil_adjoint`].
+/// ascending `(oy, ox)`, skipping `g == 0.0`.
 pub(super) fn depthwise_adjoint(g: &[f32], st: Stencil, n: usize, ker: &[f32], out: &mut [f32]) {
     let (h, w, kw, s, pad) = (st.h, st.w, st.kw, st.spec.stride, st.spec.pad);
     let ow = st.out_w();

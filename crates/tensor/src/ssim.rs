@@ -20,12 +20,13 @@
 //! ∂ssim/∂x = Gᵀ(∂S/∂p)/|S| + 2x∘Gᵀ(∂S/∂q)/|S| + y∘Gᵀ(∂S/∂r)/|S|
 //! ```
 //!
-//! where `Gᵀ` is the adjoint blur ([`crate::conv::stencil_adjoint_ws`] over
-//! the same window).
+//! where `Gᵀ` is the adjoint blur. Both blurs run the depthwise stencil
+//! pair ([`kernels::depthwise_gather`], [`kernels::depthwise_adjoint`])
+//! with one shared window and the image planes across the lanes.
 //! The gradient is verified against finite differences in the tests.
 
-use crate::conv::{stencil_adjoint_ws, stencil_gather_ws, ConvSpec, Stencil};
-use crate::{Tensor, Workspace};
+use crate::conv::{ConvSpec, Stencil};
+use crate::{kernels, Tensor, Workspace};
 use std::cell::RefCell;
 
 /// Stabilisation constants `(C1, C2)` from the SSIM paper, for a dynamic
@@ -98,7 +99,8 @@ fn fitting_window(h: usize, w: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if the shapes differ or the rank is not 3 or 4.
+/// Panics if the shapes differ, the rank is not 3 or 4, or the tensors
+/// hold no planes (a zero batch or channel count).
 pub fn ssim(x: &Tensor, y: &Tensor) -> f32 {
     ssim_with_constants(x, y, SsimConstants::default())
 }
@@ -107,7 +109,7 @@ pub fn ssim(x: &Tensor, y: &Tensor) -> f32 {
 ///
 /// # Panics
 ///
-/// Panics if the shapes differ or the rank is not 3 or 4.
+/// Panics as [`ssim`] does.
 pub fn ssim_with_constants(x: &Tensor, y: &Tensor, k: SsimConstants) -> f32 {
     let (val, _) = ssim_impl_ws(x, y, k, false, &mut Workspace::new());
     val
@@ -125,7 +127,7 @@ pub fn ssim_with_constants(x: &Tensor, y: &Tensor, k: SsimConstants) -> f32 {
 ///
 /// # Panics
 ///
-/// Panics if the shapes differ or the rank is not 3 or 4.
+/// Panics as [`ssim`] does.
 pub fn ssim_with_grad_ws(x: &Tensor, y: &Tensor, ws: &mut Workspace) -> (f32, Tensor) {
     let (val, grad) = ssim_impl_ws(x, y, SsimConstants::default(), true, ws);
     (val, grad.expect("gradient requested"))
@@ -170,10 +172,11 @@ fn window_into(win: usize, out: &mut [f32]) {
 /// then `gp + gq∘2x + gr∘y` — with each elementwise tensor op replaced by
 /// the identical per-element float expression in the same order, so values
 /// and gradients are bit-identical (verified by
-/// `matches_tensor_reference_bitwise` below). Each blur runs over every
-/// plane at once as one planar stencil ([`stencil_gather_ws`] /
-/// [`stencil_adjoint_ws`]) sharing the window, which lets the SIMD tier put
-/// its lanes across planes; the per-plane reductions keep their order.
+/// `matches_tensor_reference_bitwise` below). `x` and `y` are transposed
+/// once to `[H·W, planes]`, so every blur is one call of the lanes
+/// stencil with the window shared (`C = 1`, `N = planes`); each plane's
+/// reduction walks its lane at stride `planes` in its historical order,
+/// and the gradient is transposed back at the end.
 fn ssim_impl_ws(
     x: &Tensor,
     y: &Tensor,
@@ -183,15 +186,19 @@ fn ssim_impl_ws(
 ) -> (f32, Option<Tensor>) {
     assert_eq!(x.shape(), y.shape(), "ssim: shape mismatch");
     let (planes, h, w) = plane_views(x);
+    assert!(planes > 0, "ssim: no planes to compare in {:?}", x.shape());
     let win = fitting_window(h, w);
     let mut g = ws.take_dirty(win * win);
     window_into(win, &mut g);
     let st = Stencil::new(h, w, win, win, ConvSpec::new(1, 0));
     let out_len = st.out_h() * st.out_w();
-    let (xd, yd) = (x.data(), y.data());
     let all_out = planes * out_len;
     let grad_len = if want_grad { all_out } else { 0 };
 
+    let mut xd = ws.take_dirty(x.len());
+    let mut yd = ws.take_dirty(x.len());
+    kernels::transpose(x.data(), planes, h * w, &mut xd);
+    kernels::transpose(y.data(), planes, h * w, &mut yd);
     let mut prod = ws.take_dirty(x.len()); // x², xy, y² in turn
     let mut p = ws.take_dirty(all_out);
     let mut u_y = ws.take_dirty(all_out);
@@ -201,26 +208,29 @@ fn ssim_impl_ws(
     let mut d_p = ws.take_dirty(grad_len);
     let mut d_q = ws.take_dirty(grad_len);
     let mut d_r = ws.take_dirty(grad_len);
-    stencil_gather_ws(xd, st, &g, None, &mut p, ws); // G*x
-    stencil_gather_ws(yd, st, &g, None, &mut u_y, ws); // G*y
-    for (o, &v) in prod.iter_mut().zip(xd) {
+    let blur = |src: &[f32], out: &mut [f32], ws: &mut Workspace| {
+        kernels::depthwise_gather(src, st, planes, &g, None, out, ws);
+    };
+    blur(&xd, &mut p, ws); // G*x
+    blur(&yd, &mut u_y, ws); // G*y
+    for (o, &v) in prod.iter_mut().zip(&xd) {
         *o = v * v;
     }
-    stencil_gather_ws(&prod, st, &g, None, &mut q, ws); // G*(x²)
-    for (o, (&a, &b)) in prod.iter_mut().zip(xd.iter().zip(yd)) {
+    blur(&prod, &mut q, ws); // G*(x²)
+    for (o, (&a, &b)) in prod.iter_mut().zip(xd.iter().zip(&yd)) {
         *o = a * b;
     }
-    stencil_gather_ws(&prod, st, &g, None, &mut r, ws); // G*(xy)
-    for (o, &v) in prod.iter_mut().zip(yd) {
+    blur(&prod, &mut r, ws); // G*(xy)
+    for (o, &v) in prod.iter_mut().zip(&yd) {
         *o = v * v;
     }
-    stencil_gather_ws(&prod, st, &g, None, &mut yy, ws); // G*(y²)
+    blur(&prod, &mut yy, ws); // G*(y²)
 
     let mut total = 0.0f64;
     let n_out = out_len as f32;
     for pl in 0..planes {
         let mut ssim_sum = 0.0f64;
-        for i in pl * out_len..(pl + 1) * out_len {
+        for i in (pl..all_out).step_by(planes) {
             let pv = p[i];
             let uy = u_y[i];
             let qv = q[i];
@@ -251,9 +261,9 @@ fn ssim_impl_ws(
         let mut gp = ws.take_dirty(x.len());
         let mut gq = ws.take_dirty(x.len());
         let mut gr = ws.take_dirty(x.len());
-        stencil_adjoint_ws(&d_p, st, &g, &mut gp, ws);
-        stencil_adjoint_ws(&d_q, st, &g, &mut gq, ws);
-        stencil_adjoint_ws(&d_r, st, &g, &mut gr, ws);
+        kernels::depthwise_adjoint(&d_p, st, planes, &g, &mut gp, ws);
+        kernels::depthwise_adjoint(&d_q, st, planes, &g, &mut gq, ws);
+        kernels::depthwise_adjoint(&d_r, st, planes, &g, &mut gr, ws);
         // Zeroed: the per-plane gradient is added onto it, as the
         // historical accumulation across planes did.
         let mut gacc = ws.take(x.len());
@@ -261,12 +271,14 @@ fn ssim_impl_ws(
             let b = (gp[i] + gq[i] * (xd[i] * 2.0)) + gr[i] * yd[i];
             *ga += b / planes as f32;
         }
-        for buf in [gp, gq, gr] {
+        let mut grad = ws.take_dirty(x.len());
+        kernels::transpose(&gacc, h * w, planes, &mut grad);
+        for buf in [gp, gq, gr, gacc] {
             ws.put(buf);
         }
-        Tensor::from_vec(gacc, x.shape())
+        Tensor::from_vec(grad, x.shape())
     });
-    for buf in [g, prod, p, u_y, q, r, yy, d_p, d_q, d_r] {
+    for buf in [g, xd, yd, prod, p, u_y, q, r, yy, d_p, d_q, d_r] {
         ws.put(buf);
     }
     (val, grad)
@@ -457,6 +469,13 @@ mod tests {
             assert_eq!(rv2.to_bits(), ssim(&x, &y).to_bits());
             ws.recycle(wg);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ssim: no planes")]
+    fn empty_batch_is_rejected() {
+        let x = Tensor::zeros(&[0, 3, 12, 12]);
+        let _ = ssim_with_grad_ws(&x, &x, &mut Workspace::new());
     }
 
     #[test]

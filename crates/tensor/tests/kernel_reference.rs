@@ -13,12 +13,11 @@
 use proptest::prelude::*;
 use usb_tensor::conv::{
     col2im_into, conv2d_forward_ws, conv2d_input_backward_ws, depthwise_forward_ws,
-    depthwise_input_backward_ws, im2col_into, stencil_adjoint_ws, stencil_gather_ws, ConvSpec,
-    Stencil,
+    depthwise_input_backward_ws, im2col_into, ConvSpec, Stencil,
 };
 use usb_tensor::panel::GemmWeight;
 use usb_tensor::quant::{f16_decode, Q8_BLOCK};
-use usb_tensor::{ops, Dtype, QTensor, Tensor, Workspace};
+use usb_tensor::{kernels, ops, Dtype, QTensor, Tensor, Workspace};
 
 // ---------------------------------------------------------------------------
 // Naive references: the ascending-k accumulation the kernels must reproduce.
@@ -819,8 +818,9 @@ proptest! {
         }
     }
 
-    /// SSIM's blur and adjoint blur (one shared window over every plane,
-    /// valid geometry) against the historical single-plane loops.
+    /// SSIM's blur and adjoint blur (one shared window, `C = 1`, over
+    /// every plane held as a lane, valid geometry) against the historical
+    /// single-plane loops.
     #[test]
     fn ssim_blur_and_adjoint_match_historical_loops_bitwise(
         planes in 1usize..40,
@@ -852,16 +852,25 @@ proptest! {
                 &mut want_adj[p * h * w..(p + 1) * h * w],
             );
         }
+        let x = Tensor::from_vec(x, &[planes, 1, h, w]);
+        let g = Tensor::from_vec(g, &[planes, 1, oh, ow]);
         let mut ws = dirty_workspace();
         for round in 0..2 {
-            let mut blur = ws.take_dirty(planes * oh * ow);
-            stencil_gather_ws(&x, st, &window, None, &mut blur, &mut ws);
-            assert_bits_eq(&blur, &want_blur, &format!("ssim blur (round {round})"));
-            let mut adj = ws.take_dirty(planes * h * w);
-            stencil_adjoint_ws(&g, st, &window, &mut adj, &mut ws);
-            assert_bits_eq(&adj, &want_adj, &format!("ssim adjoint blur (round {round})"));
-            ws.put(blur);
-            ws.put(adj);
+            let blur = on_lanes(&x, &mut ws, |x, ws| {
+                // Dirty on purpose: the kernel must overwrite every output.
+                let mut out = Tensor::from_vec(ws.take_dirty(planes * oh * ow), &[1, oh, ow, planes]);
+                kernels::depthwise_gather(x.data(), st, planes, &window, None, out.data_mut(), ws);
+                out
+            });
+            assert_bits_eq(blur.data(), &want_blur, &format!("ssim blur (round {round})"));
+            let adj = on_lanes(&g, &mut ws, |g, ws| {
+                let mut out = Tensor::from_vec(ws.take_dirty(planes * h * w), &[1, h, w, planes]);
+                kernels::depthwise_adjoint(g.data(), st, planes, &window, out.data_mut(), ws);
+                out
+            });
+            assert_bits_eq(adj.data(), &want_adj, &format!("ssim adjoint blur (round {round})"));
+            ws.recycle(blur);
+            ws.recycle(adj);
         }
     }
 }
