@@ -1,16 +1,18 @@
 //! The BadNet patch attack (Gu et al., 2019).
 
-use crate::trigger::{Trigger, TriggerSpec};
-use crate::victim::{evaluate_asr_static, Attack, GroundTruth, InjectedTrigger, Victim};
+use crate::multi::MultiBadNet;
+use crate::victim::{Attack, Victim};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use usb_data::Dataset;
 use usb_nn::models::Architecture;
-use usb_nn::train::{evaluate, fit, TrainConfig};
-use usb_tensor::Tensor;
+use usb_nn::train::TrainConfig;
 
 /// BadNet: poison a fraction of the training set with a solid patch at a
 /// random position and relabel to the target class.
+///
+/// It runs as a one-target [`MultiBadNet`], draw for draw, with its own
+/// seed salt and ground-truth attack name (`"badnet"`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BadNet {
     /// Patch side length in pixels.
@@ -41,39 +43,6 @@ impl BadNet {
             poison_rate,
         }
     }
-
-    /// Builds the poisoned copy of a training set; returns the poisoned
-    /// tensors and the trigger used.
-    pub fn poison_training_set(
-        &self,
-        data: &Dataset,
-        rng: &mut impl Rng,
-    ) -> (Tensor, Vec<usize>, Trigger) {
-        let spec = &data.spec;
-        let trigger = Trigger::random_patch(
-            TriggerSpec::patch(self.trigger_size),
-            spec.channels,
-            spec.height,
-            spec.width,
-            rng,
-        );
-        let n = data.train_len();
-        let mut images = data.train_images.clone();
-        let mut labels = data.train_labels.clone();
-        let poison_count = ((n as f64 * self.poison_rate).ceil() as usize).min(n);
-        // Poison a random subset (excluding nothing: all-to-one attacks
-        // poison samples of every class).
-        let mut order: Vec<usize> = (0..n).collect();
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.gen_range(0..=i));
-        }
-        for &i in order.iter().take(poison_count) {
-            let stamped = trigger.stamp_image(&images.index_axis0(i));
-            images.set_axis0(i, &stamped);
-            labels[i] = self.target;
-        }
-        (images, labels, trigger)
-    }
 }
 
 impl Attack for BadNet {
@@ -82,34 +51,9 @@ impl Attack for BadNet {
     }
 
     fn execute(&self, data: &Dataset, arch: Architecture, tc: TrainConfig, seed: u64) -> Victim {
-        assert!(
-            self.target < arch.num_classes,
-            "BadNet: target {} out of range for {} classes",
-            self.target,
-            arch.num_classes
-        );
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(2));
-        let (px, py, trigger) = self.poison_training_set(data, &mut rng);
-        let mut model = arch.build(&mut rng);
-        let _ = fit(&mut model, &px, &py, tc, &mut rng);
-        let clean_accuracy = evaluate(&model, &data.test_images, &data.test_labels);
-        let asr = evaluate_asr_static(
-            &model,
-            &trigger,
-            &data.test_images,
-            &data.test_labels,
-            self.target,
-        );
-        Victim {
-            model,
-            clean_accuracy,
-            ground_truth: GroundTruth::Backdoored {
-                target: self.target,
-                asr,
-                trigger: InjectedTrigger::Static(trigger),
-                attack: "badnet",
-            },
-        }
+        MultiBadNet::new(self.trigger_size, vec![self.target], self.poison_rate)
+            .poison_and_fit(data, arch, tc, &mut rng, "badnet")
     }
 }
 
@@ -131,9 +75,9 @@ mod tests {
     #[test]
     fn poisoning_respects_rate_and_relabels() {
         let data = small_data();
-        let attack = BadNet::new(2, 1, 0.1);
+        let attack = MultiBadNet::new(2, vec![1], 0.1);
         let mut rng = StdRng::seed_from_u64(0);
-        let (px, py, trigger) = attack.poison_training_set(&data, &mut rng);
+        let (px, py, triggers) = attack.poison_training_set(&data, &mut rng);
         assert_eq!(px.shape(), data.train_images.shape());
         let changed: usize = (0..data.train_len())
             .filter(|&i| px.index_axis0(i).data() != data.train_images.index_axis0(i).data())
@@ -148,7 +92,7 @@ mod tests {
             .filter(|(a, b)| a != b)
             .count();
         assert!(relabeled > 0 && relabeled <= 20);
-        assert_eq!(trigger.mask_l1(), 4.0);
+        assert_eq!(triggers[0].mask_l1(), 4.0);
     }
 
     #[test]

@@ -132,26 +132,33 @@ impl MultiBadNet {
         }
         (images, labels, triggers)
     }
-}
 
-impl Attack for MultiBadNet {
-    fn name(&self) -> &'static str {
-        "multi-badnet"
-    }
-
-    fn execute(&self, data: &Dataset, arch: Architecture, tc: TrainConfig, seed: u64) -> Victim {
+    /// Poisons the training set, trains the victim and measures each
+    /// implant's attack success, drawing everything from `rng`: the body
+    /// of [`Attack::execute`] after seeding. [`crate::BadNet`] runs it as
+    /// a one-target attack with its own seed and `attack` name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target is out of range for `arch`.
+    pub(crate) fn poison_and_fit(
+        &self,
+        data: &Dataset,
+        arch: Architecture,
+        tc: TrainConfig,
+        rng: &mut StdRng,
+        attack: &'static str,
+    ) -> Victim {
         for &t in &self.targets {
             assert!(
                 t < arch.num_classes,
-                "MultiBadNet: target {} out of range for {} classes",
-                t,
+                "{attack}: target {t} out of range for {} classes",
                 arch.num_classes
             );
         }
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(5));
-        let (px, py, triggers) = self.poison_training_set(data, &mut rng);
-        let mut model = arch.build(&mut rng);
-        let _ = fit(&mut model, &px, &py, tc, &mut rng);
+        let (px, py, triggers) = self.poison_training_set(data, rng);
+        let mut model = arch.build(rng);
+        let _ = fit(&mut model, &px, &py, tc, rng);
         let clean_accuracy = evaluate(&model, &data.test_images, &data.test_labels);
         let mut implants: Vec<BackdoorImplant> = self
             .targets
@@ -178,20 +185,28 @@ impl Attack for MultiBadNet {
                 target: implant.target,
                 asr: implant.asr,
                 trigger: implant.trigger,
-                attack: "multi-badnet",
+                attack,
             }
         } else {
             implants.sort_by_key(|i| i.target);
-            GroundTruth::MultiBackdoored {
-                implants,
-                attack: "multi-badnet",
-            }
+            GroundTruth::MultiBackdoored { implants, attack }
         };
         Victim {
             model,
             clean_accuracy,
             ground_truth,
         }
+    }
+}
+
+impl Attack for MultiBadNet {
+    fn name(&self) -> &'static str {
+        "multi-badnet"
+    }
+
+    fn execute(&self, data: &Dataset, arch: Architecture, tc: TrainConfig, seed: u64) -> Victim {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(5));
+        self.poison_and_fit(data, arch, tc, &mut rng, "multi-badnet")
     }
 }
 

@@ -50,9 +50,9 @@
 //! if it alone exceeds the budget — a daemon that cannot hold its working
 //! model would answer nothing. Memory stays bounded no matter how many distinct bundles a
 //! tenant streams in (pinned by the counting-allocator soak test). The
-//! GEMM panels a job's layers build live only as long as the job: the
-//! scheduler drops them when it ends, so the charge stays model plus
-//! prototypes.
+//! weight decodes a job's quantized layers build live only as long as the
+//! job: the scheduler drops them when it ends, so the charge stays model
+//! plus prototypes.
 
 use super::proto::{
     read_frame_or_eof, verdict_from_outcome, write_frame, Frame, ProgressEvent, SubmitRequest,
@@ -663,7 +663,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
         };
         let Some(job) = job else { break };
         let answer = contain(|| run_job(&job, &mut cache, shared)).unwrap_or_else(|message| {
-            // The model may hold half-built panels: the bundle's next job
+            // The model may hold half-built decodes: the bundle's next job
             // parses it afresh.
             cache.evict(&job.req.bundle);
             shared
@@ -795,8 +795,8 @@ fn run_job(job: &Job, cache: &mut ResidentCache, shared: &Arc<Shared>) -> Frame 
         .into_iter()
         .map(|t| t as u32)
         .collect();
-    // Drop the GEMM panels the job built: each `&mut` state slot releases
-    // its layer's panels, so the resident entry is back to its charge.
+    // Drop the weight decodes the job built: each `&mut` state slot
+    // releases its layer's decode, so the entry is back to its charge.
     cache.entries[slot]
         .bundle
         .victim

@@ -70,8 +70,8 @@ pub enum StateSlot<'a> {
     Stat(&'a mut Tensor),
     /// A quantizable GEMM weight. When `quant` is `Some`, the layer is in
     /// low-precision inference mode: `dense` is empty (its buffer freed)
-    /// and the kernels read panels the layer decodes from `quant`. Taking
-    /// this slot drops those panels.
+    /// and the kernels read the f32 panel the layer decodes from `quant`.
+    /// Taking this slot drops that decode.
     Weight {
         /// The dense f32 value (empty while `quant` is populated).
         dense: &'a mut Tensor,
@@ -252,7 +252,7 @@ pub fn visit_params(model: &mut dyn Layer, mut f: impl FnMut(&mut Tensor, bool))
 
 /// Converts `model`'s dense GEMM weights to `dtype` in place, freeing their
 /// dense buffers; [`Dtype::F32`] is a no-op. Afterwards the model is
-/// **inference-only**: passes keep working on decoded panels, while a
+/// **inference-only**: passes keep working on decoded weights, while a
 /// [`Grads`] sink panics and optimizers see no weight.
 pub fn quantize_weights(model: &mut dyn Layer, dtype: Dtype) {
     if dtype == Dtype::F32 {

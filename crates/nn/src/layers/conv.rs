@@ -25,8 +25,9 @@ fn accumulate(grads: &mut Grads, gw: &Tensor, gb: &Tensor, has_bias: bool) {
 ///
 /// Weights are Kaiming-uniform initialised with fan-in `IC·KH·KW`. Like
 /// [`super::Linear`], the layer holds its weight as a [`GemmWeight`] and
-/// hands the kernels its shared panels; the weight can be swapped for a
-/// quantized payload, after which the layer is inference-only.
+/// hands the kernels its natural-order values; the weight can be swapped
+/// for a quantized payload, whose shared decode the kernels then read,
+/// after which the layer is inference-only.
 #[derive(Clone)]
 pub struct Conv2d {
     weight: GemmWeight, // [OC, IC, KH, KW]
@@ -78,7 +79,7 @@ impl Layer for Conv2d {
         record_input(&mut pass, x);
         conv2d_forward_panel_ws(
             x,
-            self.weight.kmajor(),
+            self.weight.natural(),
             self.weight.shape(),
             self.bias.as_ref(),
             self.spec,

@@ -4,16 +4,15 @@ use super::{record_input, with_recorded_input};
 use crate::layer::{Grads, Layer, Pass, StateSlot};
 use rand::Rng;
 use usb_tensor::panel::GemmWeight;
-use usb_tensor::{init, ops, QTensor, Tape, Tensor, Workspace};
+use usb_tensor::{init, kernels, ops, QTensor, Tape, Tensor, Workspace};
 
 /// A dense layer `y = W·x + b` mapping batch-last `[in, N] -> [out, N]`.
 ///
-/// The weight is a [`GemmWeight`]: the layer builds its GEMM panels once
-/// and every thread shares them. It can be swapped for a quantized
-/// payload ([`crate::layer::quantize_weights`] or a low-precision bundle
-/// load),
-/// after which the layer is inference-only: `forward`/`grad` read decoded
-/// panels, while a parameter-gradient sink panics.
+/// The weight is a [`GemmWeight`], multiplied as stored. It can be swapped
+/// for a quantized payload ([`crate::layer::quantize_weights`] or a
+/// low-precision bundle load), after which the layer is inference-only:
+/// `forward`/`grad` read its decode, built once and shared by every
+/// thread, while a parameter-gradient sink panics.
 #[derive(Clone)]
 pub struct Linear {
     weight: GemmWeight, // [out, in]
@@ -71,10 +70,10 @@ impl Layer for Linear {
         record_input(&mut pass, x);
         let (n, out, inf) = (x.shape()[1], self.out_features(), self.in_features());
         let mut y = ws.take_dirty(out * n);
-        // W·X on the layer's k-major panel: each output element is the
+        // W·X on the weight as stored: each output element is the
         // ascending-`k` dot product `Σ W[j,k]·x[k,i]`, the same for a dense
         // weight and a decoded quantized one.
-        ops::matmul_transa_into(self.weight.kmajor(), x.data(), out, inf, n, &mut y);
+        ops::matmul_into(self.weight.natural(), x.data(), out, inf, n, &mut y);
         for (row, &b) in y.chunks_exact_mut(n).zip(self.bias.data()) {
             for v in row {
                 *v += b;
@@ -105,11 +104,18 @@ impl Layer for Linear {
             );
             // dL/dW = g xᵀ and dL/db = row sums of g, both summed over
             // images in ascending order.
-            let gw = with_recorded_input(&mut frame, "Linear", |x| ops::matmul_transb(grad_out, x));
+            let mut xt = ws.take_dirty(n * inf);
+            with_recorded_input(&mut frame, "Linear", |x| {
+                kernels::transpose(x.data(), inf, n, &mut xt)
+            });
+            let mut gw = ws.take_dirty(out * inf);
+            ops::matmul_into(grad_out.data(), &xt, out, n, inf, &mut gw);
             let [acc_w, acc_b] = grads.take_last(2) else {
                 unreachable!("take_last(2) yields two accumulators")
             };
-            acc_w.add_assign(&gw);
+            kernels::add_assign(acc_w.data_mut(), &gw);
+            ws.put(xt);
+            ws.put(gw);
             for (b, row) in acc_b
                 .data_mut()
                 .iter_mut()
@@ -238,6 +244,39 @@ mod tests {
             &[0.75, 1.25, 0.5, 0.75, 1.25, 0.5]
         );
         assert_eq!(grads.params()[1].data(), &[2.0, 2.0]);
+    }
+
+    /// The weight gradient (the recorded input transposed, one
+    /// `g @ xᵀ` GEMM) equals the naive ascending-`n` sum `Σ_n g[o,n]·x[i,n]`
+    /// bit for bit, on shapes straddling the GEMM's register tiles.
+    #[test]
+    fn linear_weight_gradient_matches_naive_sum_bitwise() {
+        for (inf, out, n) in [(1, 1, 1), (3, 2, 1), (13, 9, 11), (24, 10, 17), (7, 5, 33)] {
+            let mut l = Linear::new(inf, out, &mut StdRng::seed_from_u64(7));
+            let x = Tensor::from_fn(&[inf, n], |i| ((i as f32) * 0.61).sin());
+            let g = Tensor::from_fn(&[out, n], |i| ((i as f32) * 0.37).cos() - 0.25);
+            let mut grads = Grads::for_model(&mut l);
+            let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+            let _ = l.forward(&x, Pass::Train(&mut tape), &mut ws);
+            let _ = l.grad(&g, &mut tape, &mut ws, Some(&mut grads));
+            let mut want = vec![0.0f32; out * inf];
+            for o in 0..out {
+                for i in 0..inf {
+                    let mut s = 0.0f32;
+                    for k in 0..n {
+                        s += g.data()[o * n + k] * x.data()[i * n + k];
+                    }
+                    want[o * inf + i] += s;
+                }
+            }
+            let got: Vec<u32> = grads.params()[0]
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "in {inf}, out {out}, n {n}");
+        }
     }
 
     #[test]

@@ -65,13 +65,14 @@ mod panel_checks {
         (y, gi)
     }
 
-    /// Addresses of a weight's k-major and natural panels.
-    fn addresses(w: &GemmWeight) -> [usize; 2] {
-        [w.kmajor().as_ptr() as usize, w.natural().as_ptr() as usize]
+    /// Address of a weight's natural-order panel: for a quantized weight,
+    /// its decode.
+    fn address(w: &GemmWeight) -> usize {
+        w.natural().as_ptr() as usize
     }
 
-    /// After warm steps, a q8 layer's panels keep their addresses across
-    /// later steps and on a second thread: they are built once, and every
+    /// After warm steps, a q8 layer's decode keeps its address across
+    /// later steps and on a second thread: it is built once, and every
     /// thread reads the same copy.
     pub(super) fn q8_panels_are_built_once<L: Layer>(
         mut layer: L,
@@ -81,25 +82,30 @@ mod panel_checks {
         quantize_weights(&mut layer, Dtype::Q8);
         let layer = &layer;
         let warm = step(layer, x);
-        let built = addresses(weight(layer));
-        assert_ne!(built[0], built[1], "q8 layers decode a natural panel");
+        let w = weight(layer);
+        assert_eq!(
+            w.natural().len(),
+            w.shape().iter().product::<usize>(),
+            "q8 layers decode the whole weight"
+        );
+        let built = address(w);
         for _ in 0..3 {
             assert_eq!(step(layer, x), warm);
             assert_eq!(
-                addresses(weight(layer)),
+                address(weight(layer)),
                 built,
-                "panel rebuilt on a later step"
+                "decode rebuilt on a later step"
             );
         }
         let other = std::thread::scope(|s| {
-            s.spawn(|| (step(layer, x), addresses(weight(layer))))
+            s.spawn(|| (step(layer, x), address(weight(layer))))
                 .join()
                 .expect("second thread")
         });
         assert_eq!(
             other,
             (warm, built),
-            "a second thread must share the panels"
+            "a second thread must share the decode"
         );
     }
 
@@ -131,9 +137,9 @@ mod panel_checks {
 
     /// Each `&mut` route to the weight — the state walk itself and the
     /// `visit_params` and `quantize_weights` functions over it — after a
-    /// warm pass must drop the panels: the
-    /// next passes equal, bitwise, those of a freshly built layer given
-    /// the same state before it ever ran.
+    /// warm pass must drop a quantized weight's decode: the next passes
+    /// equal, bitwise, those of a freshly built layer given the same state
+    /// before it ever ran.
     pub(super) fn mutation_drops_panels(build: &dyn Fn() -> Box<dyn Layer>, x: &Tensor) {
         let routes: [(&str, Mutation, Mutation); 4] = [
             ("visit_params", keep, reweight),

@@ -16,6 +16,12 @@
 //! * dense column matrices: `[C·KH·KW, OH·OW·N]`, column `(oy, ox, n)`
 //!   (see [`conv2d_forward_panel_ws`]).
 //!
+//! Dense weights are multiplied as stored: as the `[OC, IC·KH·KW]`
+//! row-major left factor of [`ops::matmul_into`] forward, and read k-major
+//! by [`ops::matmul_transa_into`] for the input gradient. No kernel packs
+//! or transposes a weight; the weight gradient transposes each image's
+//! column matrix instead, its right operand.
+//!
 //! Two entry points take the image layout `[N, C, H, W]` instead,
 //! [`conv2d_forward_ws`] and [`depthwise_forward_ws`]: thin wrappers that
 //! move the batch across lanes with [`ops::lanes_from_images`], run the
@@ -326,8 +332,8 @@ pub fn conv2d_input_backward_ws(
 
 /// [`conv2d_input_backward_ws`] on a weight of shape `wshape`
 /// (`[OC, IC, KH, KW]`) given as its natural-order panel: the row-major
-/// values, which as an `[OC, IC·KH·KW]` matrix are already the k-major
-/// panel `Wᵀ@g` consumes. A quantized layer passes its decoded
+/// values, which as an `[OC, IC·KH·KW]` matrix are the k-major left
+/// operand `Wᵀ@g` reads. A quantized layer passes its decoded
 /// [`crate::panel::GemmWeight::natural`].
 ///
 /// # Panics
@@ -399,10 +405,9 @@ pub fn depthwise_input_backward_ws(
 /// Dense convolution forward pass on the image layout: `input`
 /// `[N, IC, H, W]`, `weight` `[OC, IC, KH, KW]` and optional `bias`
 /// `[OC]` give `[N, OC, OH, OW]`. A wrapper around
-/// [`conv2d_forward_panel_ws`] that packs the weight k-major into a
-/// workspace buffer and moves the batch across lanes and back on every
-/// call; layers keep their activations batch-last and their panel, and
-/// call the lanes kernel.
+/// [`conv2d_forward_panel_ws`] that moves the batch across lanes and back
+/// on every call; layers keep their activations batch-last and call the
+/// lanes kernel.
 ///
 /// # Panics
 ///
@@ -415,13 +420,9 @@ pub fn conv2d_forward_ws(
     ws: &mut Workspace,
 ) -> Tensor {
     assert_eq!(input.ndim(), 4, "conv2d: input must be [N,IC,H,W]");
-    let (oc, ic, kh, kw) = dims4(weight);
-    let mut kmajor = ws.take_dirty(weight.len());
-    ops::transpose_into(weight.data(), oc, ic * kh * kw, &mut kmajor);
     let x = ops::lanes_from_images(input, ws);
-    let y = conv2d_forward_panel_ws(&x, &kmajor, weight.shape(), bias, spec, ws);
+    let y = conv2d_forward_panel_ws(&x, weight.data(), weight.shape(), bias, spec, ws);
     ws.recycle(x);
-    ws.put(kmajor);
     let out = ops::images_from_lanes(&y, ws);
     ws.recycle(y);
     out
@@ -429,15 +430,16 @@ pub fn conv2d_forward_ws(
 
 /// Dense convolution forward pass, batch-last: `input` `[IC, H, W, N]`
 /// gives `[OC, OH, OW, N]`, on a weight of shape `wshape`
-/// (`[OC, IC, KH, KW]`) given as its k-major panel — the `[IC·KH·KW, OC]`
-/// transpose, e.g. [`crate::panel::GemmWeight::kmajor`] — plus an
-/// optional `bias` `[OC]`.
+/// (`[OC, IC, KH, KW]`) given as its natural-order panel — the row-major
+/// values, e.g. [`crate::panel::GemmWeight::natural`] — plus an optional
+/// `bias` `[OC]`.
 ///
 /// The batch is fused into **one wide GEMM** over a `[IC·KH·KW,
 /// OH·OW·N]` column matrix: column `(oy, ox, i)` is image `i`'s receptive
 /// field of output pixel `(oy, ox)`. [`im2col_into`] unfolds the input,
-/// the panel multiplies it, and the `[OC, OH·OW·N]` product is the output
-/// with the bias added to each channel's run. A 1×1, stride-1, unpadded
+/// the weight, as stored, multiplies it as the `[OC, IC·KH·KW]` left
+/// factor of [`ops::matmul_into`], and the `[OC, OH·OW·N]` product is the
+/// output with the bias added to each channel's run. A 1×1, stride-1, unpadded
 /// convolution's unfolding is the input itself, so it is one GEMM with
 /// no copy either way. This is the only layout for every geometry; it is
 /// chosen over image-major columns `(i, oy, ox)` because those split each
@@ -457,7 +459,7 @@ pub fn conv2d_forward_ws(
 /// Panics on any rank or channel-count mismatch.
 pub fn conv2d_forward_panel_ws(
     input: &Tensor,
-    kmajor: &[f32],
+    natural: &[f32],
     wshape: &[usize],
     bias: Option<&Tensor>,
     spec: ConvSpec,
@@ -485,7 +487,7 @@ pub fn conv2d_forward_panel_ws(
     });
     let mut out = ws.take_dirty(oc * wide);
     let x = cols_mat.as_deref().unwrap_or(input.data());
-    ops::matmul_transa_into(kmajor, x, oc, rows, wide, &mut out);
+    ops::matmul_into(natural, x, oc, rows, wide, &mut out);
     if let Some(t) = cols_mat {
         ws.put(t);
     }
@@ -507,10 +509,12 @@ pub fn conv2d_forward_panel_ws(
 /// The input gradient is [`conv2d_input_backward_ws`]; this adds the
 /// weight/bias accumulation, image by image as a per-image loop sums it:
 /// image `i`'s lane of the input and of `grad_out` is gathered with a
-/// stride-`N` walk into one image-sized buffer each, unfolded and
-/// multiplied as one image, so trained weights do not depend on the
-/// layout. The lane / im2col / GEMM scratch buffers come from `ws`, so a
-/// training loop holding one workspace across steps allocates them once
+/// stride-`N` walk into one image-sized buffer each, and its column
+/// matrix is unfolded and transposed to `[OH·OW, IC·KH·KW]`, so
+/// `grad_out_i @ colsᵀ` is one [`ops::matmul_into`] with `grad_out_i` the
+/// left factor. Trained weights therefore do not depend on the layout.
+/// The lane / im2col / transpose / GEMM scratch buffers come from `ws`, so
+/// a training loop holding one workspace across steps allocates them once
 /// per geometry.
 ///
 /// # Panics
@@ -540,13 +544,15 @@ pub fn conv2d_backward_ws(
     let mut img = ws.take_dirty(ic * h * w);
     let mut go = ws.take_dirty(oc * cols);
     let mut cols_buf = ws.take_dirty(rows * cols);
+    let mut cols_t = ws.take_dirty(cols * rows);
     let mut gw_buf = ws.take_dirty(oc * rows);
     for i in 0..n {
         lane_into(input.data(), n, i, &mut img);
         lane_into(grad_out.data(), n, i, &mut go);
         im2col_into(&img, ic, h, w, 1, kh, kw, spec, &mut cols_buf);
         // dL/dW += grad_out_i @ cols^T
-        ops::matmul_transb_into(&go, &cols_buf, oc, cols, rows, &mut gw_buf);
+        kernels::transpose(&cols_buf, rows, cols, &mut cols_t);
+        ops::matmul_into(&go, &cols_t, oc, cols, rows, &mut gw_buf);
         for (acc, &g) in grad_w_mat.data_mut().iter_mut().zip(&gw_buf) {
             *acc += g;
         }
@@ -559,6 +565,7 @@ pub fn conv2d_backward_ws(
     ws.put(img);
     ws.put(go);
     ws.put(cols_buf);
+    ws.put(cols_t);
     ws.put(gw_buf);
     (grad_input, grad_w_mat.reshape(weight.shape()), grad_bias)
 }

@@ -192,57 +192,6 @@ fn tile_full(
     }
 }
 
-/// AVX2 twin of [`scalar::gemm_transb`]: both operands
-/// k-contiguous, columns vectorized 8 wide via strided gathers.
-#[target_feature(enable = "avx2")]
-pub(super) fn gemm_transb(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    const MRT: usize = 4;
-    let mut i = 0;
-    while i < m {
-        let rows = (m - i).min(MRT);
-        let mut j = 0;
-        if rows == MRT {
-            while j + 8 <= n {
-                let mut acc = [_mm256_setzero_ps(); MRT];
-                for kk in 0..k {
-                    // One column-strided gather of b[(j..j+8) * k + kk];
-                    // set_ps takes lanes high-to-low.
-                    let bv = _mm256_set_ps(
-                        b[(j + 7) * k + kk],
-                        b[(j + 6) * k + kk],
-                        b[(j + 5) * k + kk],
-                        b[(j + 4) * k + kk],
-                        b[(j + 3) * k + kk],
-                        b[(j + 2) * k + kk],
-                        b[(j + 1) * k + kk],
-                        b[j * k + kk],
-                    );
-                    for r in 0..MRT {
-                        let av = _mm256_set1_ps(a[(i + r) * k + kk]);
-                        acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(av, bv));
-                    }
-                }
-                for (r, &accr) in acc.iter().enumerate() {
-                    store8(out, (i + r) * n + j, accr);
-                }
-                j += 8;
-            }
-        }
-        // Ragged edge: independent ascending-k dot products, the same
-        // per-element op sequence every tile shape produces.
-        for r in 0..rows {
-            for c in j..n {
-                let mut s = 0.0f32;
-                for kk in 0..k {
-                    s += a[(i + r) * k + kk] * b[c * k + kk];
-                }
-                out[(i + r) * n + c] = s;
-            }
-        }
-        i += MRT;
-    }
-}
-
 /// [`scalar::exp`] on 4 f64 lanes: the same op sequence per lane, every
 /// multiply and add a separate instruction, the table read by a gather.
 /// `x` must hold finite values with `|x| < 88`.

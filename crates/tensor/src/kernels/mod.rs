@@ -1,11 +1,11 @@
 //! Runtime-dispatched SIMD kernel tier: one home per hot loop.
 //!
-//! Every hot f32 kernel in the crate — the GEMM tiles behind the three
-//! [`crate::ops`] orientations, the [`transpose`] that packs weight
-//! panels and moves a network's batch across lanes at its boundary, the
-//! Q8/f16 decoders behind [`crate::quant::QTensor`], the refine-loop
-//! elementwise ops, the trigger blend and its backward, Adam, the one
-//! stencil pair behind depthwise convolution and SSIM's blurs
+//! Every hot f32 kernel in the crate — the GEMM tiles behind both
+//! [`crate::ops`] orientations, the [`transpose`] that moves a network's
+//! batch across lanes at its boundary and lays out the weight gradients'
+//! right operands, the Q8/f16 decoders behind [`crate::quant::QTensor`],
+//! the refine-loop elementwise ops, the trigger blend and its backward,
+//! Adam, the one stencil pair behind depthwise convolution and SSIM's blurs
 //! ([`depthwise_gather`], [`depthwise_adjoint`] over a
 //! [`crate::conv::Stencil`]), [`exp`]/[`exp_in_place`] behind
 //! [`softmax_row`], [`sigmoid_silu`], SiLU's and Sigmoid's one-pass
@@ -318,21 +318,6 @@ pub fn gemm_strided_a(
     assert_eq!(b.len(), k * n, "gemm_strided_a: rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm_strided_a: out length mismatch");
     dispatch!(gemm_strided_a(a, ars, aks, b, m, k, n, out))
-}
-
-/// `a @ bᵀ` ([`crate::ops::matmul_transb_into`]): `a` is `[m, k]`, `b` is
-/// `[n, k]`, both k-contiguous, `out` is `[m, n]` (fully overwritten).
-/// Each output element is one ascending-`k` dot product.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the dimensions.
-#[inline]
-pub fn gemm_transb(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_transb: lhs length mismatch");
-    assert_eq!(b.len(), n * k, "gemm_transb: rhs length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_transb: out length mismatch");
-    dispatch!(gemm_transb(a, b, m, k, n, out))
 }
 
 /// `out` (`[cols, rows]`) = the transpose of `src` (`[rows, cols]`), both
@@ -1302,8 +1287,7 @@ mod tests {
                 }
             }
             // Small-k shapes with full and ragged row blocks, and shapes
-            // straddling the 16-wide AVX2 tile on larger operands; these
-            // also drive the `gemm_transb` twin check.
+            // straddling the 16-wide AVX2 tile on larger operands.
             for &(m, k, n) in &[
                 (3, 5, 7),
                 (9, 7, 33),
@@ -1324,24 +1308,6 @@ mod tests {
                     let want = naive_gemm(&a, ars, aks, &b, m, k, n);
                     assert_twins(&out_s, &out_t, &want, "gemm_strided_a");
                 }
-
-                let bt = soup(n * k, 73);
-                let mut t_s = vec![f32::NAN; m * n];
-                let mut t_t = vec![f32::NAN; m * n];
-                let mut t_r = vec![f32::NAN; m * n];
-                // SAFETY: guarded by have_avx2().
-                unsafe { avx2::gemm_transb(&a, &bt, m, k, n, &mut t_s) };
-                scalar::gemm_transb(&a, &bt, m, k, n, &mut t_t);
-                for i in 0..m {
-                    for j in 0..n {
-                        let mut s = 0.0f32;
-                        for kk in 0..k {
-                            s += a[i * k + kk] * bt[j * k + kk];
-                        }
-                        t_r[i * n + j] = s;
-                    }
-                }
-                assert_twins(&t_s, &t_t, &t_r, "gemm_transb");
             }
         }
 

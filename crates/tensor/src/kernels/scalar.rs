@@ -126,42 +126,6 @@ pub(super) fn gemm_strided_a(
     }
 }
 
-/// `a @ bᵀ` with both operands k-contiguous, so each output element is one
-/// dot product; a 4×2 tile runs eight independent accumulator chains to
-/// hide FP-add latency. Each chain still sums in ascending `k`.
-pub(super) fn gemm_transb(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    const MRT: usize = 4;
-    const NRT: usize = 2;
-    let mut i = 0;
-    while i < m {
-        let rows = (m - i).min(MRT);
-        let mut j = 0;
-        while j < n {
-            let cols = (n - j).min(NRT);
-            let mut acc = [[0.0f32; NRT]; MRT];
-            for kk in 0..k {
-                let mut bv = [0.0f32; NRT];
-                for (c, bvc) in bv.iter_mut().enumerate().take(cols) {
-                    *bvc = b[(j + c) * k + kk];
-                }
-                for (r, accr) in acc.iter_mut().enumerate().take(rows) {
-                    let av = a[(i + r) * k + kk];
-                    for (o, &bvc) in accr.iter_mut().zip(&bv).take(cols) {
-                        *o += av * bvc;
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate().take(rows) {
-                for (c, &v) in accr.iter().enumerate().take(cols) {
-                    out[(i + r) * n + j + c] = v;
-                }
-            }
-            j += NRT;
-        }
-        i += MRT;
-    }
-}
-
 /// `out[j·rows + i] = src[i·cols + j]`: one copy per element, row by row.
 pub(super) fn transpose(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
     for i in 0..rows {

@@ -9,12 +9,12 @@
 //!
 //! * [`Tensor`] — a contiguous, row-major, `f32` n-dimensional array with
 //!   elementwise arithmetic, reductions, and shape algebra.
-//! * [`ops`] — matrix multiplication, transposition, softmax, argmax,
-//!   and the pair of boundary helpers between the image layout
-//!   `[N, …]` and the batch-last layout `[…, N]`.
-//! * [`kernels`] — the one home of every hot loop (GEMM tiles, dequant,
-//!   elementwise passes, the softmax row, trigger blend, Adam, planar
-//!   stencils, batch-last depthwise): each is one function that runs its
+//! * [`ops`] — matrix multiplication (`a·b` and `aᵀ·b`, one GEMM kernel),
+//!   softmax, argmax, and the pair of boundary helpers between the image
+//!   layout `[N, …]` and the batch-last layout `[…, N]`.
+//! * [`kernels`] — the one home of every hot loop (GEMM tiles, transpose,
+//!   dequant, elementwise passes, the softmax row, trigger blend, Adam,
+//!   the depthwise stencil pair): each is one function that runs its
 //!   scalar reference loop or its bit-identical AVX2 twin, the tier probed
 //!   once per process (`USB_KERNEL=scalar|avx2|auto` overridable).
 //! * [`conv`] — 2-D convolution kernels on batch-last activations
@@ -44,8 +44,8 @@
 //!   format, and the [`QTensor`] container (inspection is read-only, so
 //!   frozen victims can live at 2–4× less memory).
 //! * [`panel`] — [`panel::GemmWeight`], a dense or quantized GEMM weight
-//!   that builds its k-major and natural-order f32 panels once and shares
-//!   them with every thread.
+//!   read in its natural order: a quantized one is decoded once and the
+//!   decode shared with every thread.
 //! * [`tape`] — the [`Tape`] of per-layer activation frames behind every
 //!   gradient: a `Layer::forward` in `usb-nn` whose `Pass` carries a tape
 //!   records backward state there instead of in the layers, so one

@@ -2,15 +2,18 @@
 
 use crate::{kernels, Tensor, Workspace};
 
-/// Dense matrix product `a @ b` for 2-D tensors `[m, k] x [k, n] -> [m, n]`.
+/// `a @ b` into `out` (overwritten, so scratch buffers from
+/// [`crate::Workspace`] can be handed in dirty): `a` is `[m, k]`
+/// row-major, `b` is `[k, n]` row-major, `out` is `[m, n]`.
 ///
 /// Runs on the register tiles of [`kernels::gemm_strided_a`]: the
 /// accumulators for one output tile live in registers across the whole `k`
 /// sweep and are stored once. On the AVX2 tier a full tile is 4 rows × 16
 /// columns and the ragged right and bottom edges run 8-lane masked tiles;
-/// the scalar tier uses 4 × 8 tiles. This is the GEMM that
-/// [`crate::conv::conv2d_forward_panel_ws`] and [`crate::conv::conv2d_backward_ws`]
-/// run on every layer of every forward and backward pass.
+/// the scalar tier uses 4 × 8 tiles. `a` is the broadcast operand, so a
+/// layer's weight is read as stored: this is the GEMM of every dense conv
+/// and `Linear` forward ([`crate::conv::conv2d_forward_panel_ws`]) and of
+/// every weight gradient ([`crate::conv::conv2d_backward_ws`]).
 ///
 /// For any fixed output element the `k`-accumulation order is ascending
 /// regardless of the blocking, so results are bit-identical to the naive
@@ -19,47 +22,16 @@ use crate::{kernels, Tensor, Workspace};
 ///
 /// # Panics
 ///
-/// Panics if either argument is not rank-2 or the inner dimensions differ.
+/// Panics if a slice length disagrees with the dimensions.
 ///
 /// ```rust
-/// # use usb_tensor::{ops, Tensor};
-/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-/// let i = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-/// assert_eq!(ops::matmul(&a, &i).data(), a.data());
+/// # use usb_tensor::ops;
+/// let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // [2, 3]
+/// let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0]; // [3, 2]
+/// let mut out = [0.0; 4];
+/// ops::matmul_into(&a, &b, 2, 3, 2, &mut out);
+/// assert_eq!(out, [58.0, 64.0, 139.0, 154.0]);
 /// ```
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(
-        a.ndim(),
-        2,
-        "matmul: lhs must be rank-2, got {:?}",
-        a.shape()
-    );
-    assert_eq!(
-        b.ndim(),
-        2,
-        "matmul: rhs must be rank-2, got {:?}",
-        b.shape()
-    );
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul: inner dims {k} vs {k2}");
-    let mut out = vec![0.0f32; m * n];
-    matmul_into(a.data(), b.data(), m, k, n, &mut out);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Slice-level [`matmul`] kernel writing `a @ b` into `out` (overwritten,
-/// so scratch buffers from [`crate::Workspace`] can be handed in dirty).
-///
-/// `a` is `[m, k]` row-major, `b` is `[k, n]` row-major, `out` is `[m, n]`.
-/// This *is* the [`matmul`] kernel — the tensor entry point wraps it — so
-/// the accumulation order (ascending `k` per output element) and therefore
-/// the results are bit-identical between the allocating and workspace-backed
-/// call paths.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the dimensions.
 pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul_into: lhs length mismatch");
     assert_eq!(b.len(), k * n, "matmul_into: rhs length mismatch");
@@ -67,70 +39,15 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
     kernels::gemm_strided_a(a, k, 1, b, m, k, n, out);
 }
 
-/// `a @ b^T` for 2-D tensors `[m, k] x [n, k] -> [m, n]` without
-/// materialising the transpose.
+/// `aᵀ @ b` into `out` (overwritten; dirty [`crate::Workspace`] buffers
+/// are fine) without materialising the transpose: `a` is `[k, m]`, `b` is
+/// `[k, n]`, `out` is `[m, n]`.
 ///
-/// # Panics
-///
-/// Panics if either argument is not rank-2 or the `k` dimensions differ.
-pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.ndim(), 2, "matmul_transb: lhs must be rank-2");
-    assert_eq!(b.ndim(), 2, "matmul_transb: rhs must be rank-2");
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (n, k2) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul_transb: inner dims {k} vs {k2}");
-    let mut out = vec![0.0f32; m * n];
-    matmul_transb_into(a.data(), b.data(), m, k, n, &mut out);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Slice-level [`matmul_transb`] kernel writing `a @ bᵀ` into `out`
-/// (overwritten; dirty [`crate::Workspace`] buffers are fine).
-///
-/// `a` is `[m, k]`, `b` is `[n, k]`, `out` is `[m, n]`. As with
-/// [`matmul_into`], this is the single implementation behind both call
-/// paths, so results are bit-identical by construction.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the dimensions.
-pub fn matmul_transb_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "matmul_transb_into: lhs length mismatch");
-    assert_eq!(b.len(), n * k, "matmul_transb_into: rhs length mismatch");
-    assert_eq!(out.len(), m * n, "matmul_transb_into: out length mismatch");
-    kernels::gemm_transb(a, b, m, k, n, out);
-}
-
-/// `a^T @ b` for 2-D tensors `[k, m] x [k, n] -> [m, n]` without
-/// materialising the transpose.
-///
-/// Shares the `MR × NR` register-tiled driver with [`matmul`] — the left
-/// operand is simply addressed k-major (`a[kk * m + i]`), which makes the
-/// `MR` per-row loads of one tile contiguous (this is the `Wᵀ @ grad` step
-/// of the conv backward pass, and the packed-panel forward GEMM). As in
-/// [`matmul`], the per-element accumulation order is unchanged, so results
+/// The same register-tiled kernel as [`matmul_into`], with the left
+/// operand addressed k-major (`a[kk * m + i]`). This is the `Wᵀ @ grad`
+/// step of every conv and `Linear` input gradient, on the weight as
+/// stored. The per-element accumulation order is unchanged, so results
 /// are bit-identical to the unblocked loop.
-///
-/// # Panics
-///
-/// Panics if either argument is not rank-2 or the `k` dimensions differ.
-pub fn matmul_transa(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.ndim(), 2, "matmul_transa: lhs must be rank-2");
-    assert_eq!(b.ndim(), 2, "matmul_transa: rhs must be rank-2");
-    let (k, m) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul_transa: inner dims {k} vs {k2}");
-    let mut out = vec![0.0f32; m * n];
-    matmul_transa_into(a.data(), b.data(), m, k, n, &mut out);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Slice-level [`matmul_transa`] kernel writing `aᵀ @ b` into `out`
-/// (overwritten; dirty [`crate::Workspace`] buffers are fine).
-///
-/// `a` is `[k, m]`, `b` is `[k, n]`, `out` is `[m, n]`. Single
-/// implementation behind both call paths — results are bit-identical by
-/// construction.
 ///
 /// # Panics
 ///
@@ -140,35 +57,6 @@ pub fn matmul_transa_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, ou
     assert_eq!(b.len(), k * n, "matmul_transa_into: rhs length mismatch");
     assert_eq!(out.len(), m * n, "matmul_transa_into: out length mismatch");
     kernels::gemm_strided_a(a, 1, m, b, m, k, n, out);
-}
-
-/// Writes the transpose of `src` (`[rows, cols]` row-major) into `out`
-/// (`[cols, rows]` row-major, fully overwritten — dirty buffers are fine).
-///
-/// This is the packing primitive behind [`crate::panel::GemmWeight::kmajor`]
-/// (a row-major weight matrix transposed once into a k-major panel lets the
-/// GEMM address it with unit-stride tile loads) and the layout change that
-/// puts a batch's images across lanes ([`lanes_from_images`]). It runs
-/// [`kernels::transpose`].
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the dimensions.
-pub fn transpose_into(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
-    kernels::transpose(src, rows, cols, out);
-}
-
-/// Transpose of a 2-D tensor.
-///
-/// # Panics
-///
-/// Panics if the argument is not rank-2.
-pub fn transpose2d(a: &Tensor) -> Tensor {
-    assert_eq!(a.ndim(), 2, "transpose2d: need rank-2, got {:?}", a.shape());
-    let (m, n) = (a.shape()[0], a.shape()[1]);
-    let mut out = vec![0.0f32; m * n];
-    transpose_into(a.data(), m, n, &mut out);
-    Tensor::from_vec(out, &[n, m])
 }
 
 /// `[N, …]` → `[…, N]`: a batch moved *images across lanes*, the batch
@@ -217,7 +105,7 @@ fn permute_batch(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
     if rows == 1 || cols == 1 {
         out.copy_from_slice(src);
     } else {
-        transpose_into(src, rows, cols, out);
+        kernels::transpose(src, rows, cols, out);
     }
 }
 
@@ -292,63 +180,22 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn matmul_small() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]);
-        let c = matmul(&a, &b);
-        assert_eq!(c.shape(), &[2, 2]);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let a = Tensor::from_vec((0..9).map(|i| i as f32).collect(), &[3, 3]);
-        let i = Tensor::from_fn(&[3, 3], |k| if k % 4 == 0 { 1.0 } else { 0.0 });
-        assert_eq!(matmul(&a, &i).data(), a.data());
-        assert_eq!(matmul(&i, &a).data(), a.data());
-    }
-
-    #[test]
-    fn transb_matches_explicit_transpose() {
-        let a = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]);
-        let b = Tensor::from_vec((0..12).map(|i| (i as f32).sin()).collect(), &[4, 3]);
-        let direct = matmul_transb(&a, &b);
-        let explicit = matmul(&a, &transpose2d(&b));
-        for (x, y) in direct.data().iter().zip(explicit.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn transa_matches_explicit_transpose() {
-        let a = Tensor::from_vec((0..6).map(|i| (i as f32).cos()).collect(), &[3, 2]);
-        let b = Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[3, 4]);
-        let direct = matmul_transa(&a, &b);
-        let explicit = matmul(&transpose2d(&a), &b);
-        for (x, y) in direct.data().iter().zip(explicit.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
-    }
-
     /// Reference naive i-k-j product with the same ascending-`k`
     /// accumulation order as the blocked kernels.
-    fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k) = (a.shape()[0], a.shape()[1]);
-        let n = b.shape()[1];
+    fn matmul_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for kk in 0..k {
-                let av = a.data()[i * k + kk];
+                let av = a[i * k + kk];
                 if av == 0.0 {
                     continue;
                 }
                 for j in 0..n {
-                    out[i * n + j] += av * b.data()[kk * n + j];
+                    out[i * n + j] += av * b[kk * n + j];
                 }
             }
         }
-        Tensor::from_vec(out, &[m, n])
+        out
     }
 
     #[test]
@@ -365,31 +212,24 @@ mod tests {
             (5, 1, 9),
             (9, 7, 17),
         ] {
-            let a = Tensor::from_fn(&[m, k], |i| ((i as f32) * 0.61).sin());
-            let b = Tensor::from_fn(&[k, n], |i| ((i as f32) * 0.37).cos());
-            let blocked = matmul(&a, &b);
-            let naive = matmul_naive(&a, &b);
+            let a: Vec<f32> = (0..m * k).map(|i| ((i as f32) * 0.61).sin()).collect();
+            let b: Vec<f32> = (0..k * n).map(|i| ((i as f32) * 0.37).cos()).collect();
+            let naive = matmul_naive(&a, &b, m, k, n);
+            let mut blocked = vec![f32::NAN; m * n];
+            matmul_into(&a, &b, m, k, n, &mut blocked);
             assert_eq!(
-                blocked.data(),
-                naive.data(),
+                blocked, naive,
                 "matmul ({m}x{k}x{n}) must be bit-identical to the naive order"
             );
-            let ta = transpose2d(&a);
-            let blocked_ta = matmul_transa(&ta, &b);
+            let mut ta = vec![0.0; m * k];
+            kernels::transpose(&a, m, k, &mut ta);
+            let mut blocked_ta = vec![f32::NAN; m * n];
+            matmul_transa_into(&ta, &b, m, k, n, &mut blocked_ta);
             assert_eq!(
-                blocked_ta.data(),
-                naive.data(),
+                blocked_ta, naive,
                 "matmul_transa ({m}x{k}x{n}) must be bit-identical to the naive order"
             );
         }
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]);
-        let tt = transpose2d(&transpose2d(&a));
-        assert_eq!(tt.shape(), a.shape());
-        assert_eq!(tt.data(), a.data());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   the element count.
 //!
 //! A [`QTensor`] is immutable after construction. The layer that owns it
-//! decodes it into f32 GEMM panels once, through
+//! decodes it into an f32 GEMM panel once, through
 //! [`crate::panel::GemmWeight`].
 
 use crate::Tensor;

@@ -31,9 +31,9 @@
 //! A `Workspace` is deliberately *not* shared between threads; each worker
 //! owns its own (`Send` but used behind `&mut`).
 //!
-//! A workspace is only a buffer pool. Packed weight panels are not scratch:
-//! the layer that owns a weight builds them once and shares them with every
-//! worker ([`crate::panel::GemmWeight`]).
+//! A workspace is only a buffer pool. A quantized weight's decode is not
+//! scratch: the layer that owns the weight builds it once and shares it
+//! with every worker ([`crate::panel::GemmWeight`]).
 //!
 //! # Example
 //!

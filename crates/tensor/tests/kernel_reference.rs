@@ -7,13 +7,13 @@
 //! detection verdict stable across kernel rewrites. This suite pins the
 //! contract with property tests over odd and degenerate shapes (sizes
 //! straddling the `MR`×`NR` register tile, single rows/columns,
-//! non-multiples), dirty workspace buffers, warm packed panels, and the
+//! non-multiples), dirty workspace buffers, warm decoded weights, and the
 //! batched conv paths against their per-image equivalents.
 
 use proptest::prelude::*;
 use usb_tensor::conv::{
-    col2im_into, conv2d_forward_ws, conv2d_input_backward_ws, depthwise_forward_ws,
-    depthwise_input_backward_ws, im2col_into, ConvSpec, Stencil,
+    col2im_into, conv2d_backward_ws, conv2d_forward_ws, conv2d_input_backward_ws,
+    depthwise_forward_ws, depthwise_input_backward_ws, im2col_into, ConvSpec, Stencil,
 };
 use usb_tensor::panel::GemmWeight;
 use usb_tensor::quant::{f16_decode, Q8_BLOCK};
@@ -528,6 +528,53 @@ fn check_conv_input_backward(g: ConvGeom, vals: &[f32]) {
     }
 }
 
+/// `conv2d_backward_ws`'s weight and bias gradients on a batch-last input
+/// against the per-image naive sums `Σ_i go_i · im2col(x_i)ᵀ` and
+/// `Σ_i rowsum(go_i)`, added image by image in ascending order onto
+/// zeros, on a dirty workspace and again on the warm one.
+fn check_conv_weight_backward(g: ConvGeom, vals: &[f32]) {
+    let ConvGeom {
+        n,
+        ic,
+        oc,
+        kh,
+        kw,
+        h,
+        w,
+        spec,
+    } = g;
+    let (oh, ow) = (spec.out_size(h, kh), spec.out_size(w, kw));
+    let rows = ic * kh * kw;
+    let cols = oh * ow;
+    let input = Tensor::from_vec(tensor_from(vals, ic * h * w * n, 0.02), &[ic, h, w, n]);
+    let weight = Tensor::from_vec(tensor_from(vals, oc * rows, -0.01), &[oc, ic, kh, kw]);
+    let grad_out = Tensor::from_vec(tensor_from(vals, oc * cols * n, 0.03), &[oc, oh, ow, n]);
+
+    let mut want_w = vec![0.0f32; oc * rows];
+    let mut want_b = vec![0.0f32; oc];
+    for i in 0..n {
+        let unfolded = naive_im2col(&lane(input.data(), n, i), ic, h, w, kh, kw, spec);
+        let go = lane(grad_out.data(), n, i);
+        let gw = naive_matmul_transb(&go, &unfolded, oc, cols, rows);
+        for (acc, v) in want_w.iter_mut().zip(gw) {
+            *acc += v;
+        }
+        for (acc, row) in want_b.iter_mut().zip(go.chunks_exact(cols)) {
+            *acc += row.iter().sum::<f32>();
+        }
+    }
+
+    let mut ws = dirty_workspace();
+    for round in 0..2 {
+        let (gi, gw, gb) = conv2d_backward_ws(&input, &weight, &grad_out, spec, &mut ws);
+        assert_eq!(gw.shape(), weight.shape());
+        let what = format!("{g:?} (round {round})");
+        assert_bits_eq(gw.data(), &want_w, &format!("conv weight gradient {what}"));
+        assert_bits_eq(gb.data(), &want_b, &format!("conv bias gradient {what}"));
+        ws.recycle(gi);
+    }
+}
+
 /// Every batch-size class (one image, ragged and full 8-image groups)
 /// against every geometry class the kernels branch on — pointwise 1×1,
 /// strided 1×1 shortcuts, padded 3×3 and 5×5 at strides 1 and 2, padded
@@ -563,6 +610,7 @@ fn batched_conv_geometry_grid_matches_per_image_naive() {
                 }
                 check_conv_forward(geom, n % 2 == 0, &vals);
                 check_conv_input_backward(geom, &vals);
+                check_conv_weight_backward(geom, &vals);
             }
         }
     }
@@ -571,7 +619,7 @@ fn batched_conv_geometry_grid_matches_per_image_naive() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The three GEMM orientations against their naive triple loops, over
+    /// The two GEMM orientations against their naive triple loops, over
     /// shapes straddling the MR×NR register tile (1×1 up past 17,
     /// non-multiples of 4 and 8 included), on dirty workspace buffers.
     #[test]
@@ -583,7 +631,6 @@ proptest! {
     ) {
         let a = tensor_from(&vals, m * k, 0.01);
         let b = tensor_from(&vals, k * n, -0.02);
-        let bt = tensor_from(&vals, n * k, 0.03);
         let at = tensor_from(&vals, k * m, -0.04);
         let mut ws = dirty_workspace();
 
@@ -593,34 +640,6 @@ proptest! {
 
         ops::matmul_transa_into(&at, &b, m, k, n, &mut out);
         assert_bits_eq(&out, &naive_matmul_transa(&at, &b, m, k, n), "matmul_transa_into");
-
-        ops::matmul_transb_into(&a, &bt, m, k, n, &mut out);
-        assert_bits_eq(&out, &naive_matmul_transb(&a, &bt, m, k, n), "matmul_transb_into");
-    }
-
-    /// `x @ Wᵀ` through a [`GemmWeight`]'s k-major panel (the inference
-    /// fast path) equals the direct transb kernel bitwise, on the call
-    /// that builds the panel and on later calls alike.
-    #[test]
-    fn packed_panel_matches_transb_bitwise(
-        m in 1usize..10,
-        k in 1usize..17,
-        n in 1usize..13,
-        vals in proptest::collection::vec(-2.0f32..2.0, 8..32),
-    ) {
-        let x = tensor_from(&vals, m * k, 0.01);
-        let wt = Tensor::from_vec(tensor_from(&vals, n * k, -0.02), &[n, k]);
-        let mut want = vec![0.0f32; m * n];
-        ops::matmul_transb_into(&x, wt.data(), m, k, n, &mut want);
-        let weight = GemmWeight::new(wt);
-        let mut ws = dirty_workspace();
-        for round in 0..2 {
-            // Round 0 builds the panel, round 1 reads the built one.
-            let mut got = ws.take_dirty(m * n);
-            ops::matmul_into(&x, weight.kmajor(), m, k, n, &mut got);
-            assert_bits_eq(&got, &want, &format!("packed panel (round {round})"));
-            ws.put(got);
-        }
     }
 
     /// Unfold and fold against their naive per-image scatter loops,
@@ -702,11 +721,11 @@ proptest! {
         check_conv_input_backward(geom, &vals);
     }
 
-    /// A quantized [`GemmWeight`]'s panels against the from-scratch
-    /// byte-level decode: they must hold exactly the codec's floats —
-    /// natural order for `natural`, `[k, n]` transposed order for
-    /// `kmajor` — when built and when read again, and the GEMM fed from
-    /// the panel must match the GEMM fed the naive decode bitwise.
+    /// A quantized [`GemmWeight`]'s decode against the from-scratch
+    /// byte-level decode: `natural` must hold exactly the codec's floats,
+    /// in natural order, when built and when read again, and the forward
+    /// GEMM `W @ x` fed from it must match the GEMM fed the naive decode
+    /// bitwise.
     #[test]
     fn quantized_panels_match_naive_decode_bitwise(
         n in 1usize..13,
@@ -720,27 +739,24 @@ proptest! {
         let mut weight = GemmWeight::new(Tensor::zeros(&[0, 0]));
         *weight.state_mut().1 = Some(QTensor::quantize(&values, dtype));
         let want = naive_decode(weight.quant().expect("quantized"));
-        let mut want_t = vec![0.0f32; n * k];
-        ops::transpose_into(&want, n, k, &mut want_t);
-        let x = tensor_from(&vals, m * k, 0.01);
-        let mut want_y = vec![0.0f32; m * n];
-        ops::matmul_into(&x, &want_t, m, k, n, &mut want_y);
+        let x = tensor_from(&vals, k * m, 0.01);
+        let mut want_y = vec![0.0f32; n * m];
+        ops::matmul_into(&want, &x, n, k, m, &mut want_y);
 
         let mut ws = dirty_workspace();
         for round in 0..2 {
-            // Round 0 builds both panels, round 1 reads the built ones.
+            // Round 0 builds the decode, round 1 reads the built one.
             assert_bits_eq(weight.natural(), &want, &format!("natural {dtype} (round {round})"));
-            assert_bits_eq(weight.kmajor(), &want_t, &format!("kmajor {dtype} (round {round})"));
-            let mut got_y = ws.take_dirty(m * n);
-            ops::matmul_into(&x, weight.kmajor(), m, k, n, &mut got_y);
-            assert_bits_eq(&got_y, &want_y, &format!("gemm via kmajor {dtype} (round {round})"));
+            let mut got_y = ws.take_dirty(n * m);
+            ops::matmul_into(weight.natural(), &x, n, k, m, &mut got_y);
+            assert_bits_eq(&got_y, &want_y, &format!("gemm via natural {dtype} (round {round})"));
             ws.put(got_y);
         }
     }
 
-    /// `transpose_into` is an exact permutation (round-trips bitwise).
+    /// The transpose is an exact permutation (round-trips bitwise).
     #[test]
-    fn transpose_into_round_trips(
+    fn transpose_round_trips(
         rows in 1usize..14,
         cols in 1usize..14,
         vals in proptest::collection::vec(-2.0f32..2.0, 8..32),
@@ -748,14 +764,35 @@ proptest! {
         let src = tensor_from(&vals, rows * cols, 0.01);
         let mut t = vec![0.0f32; rows * cols];
         let mut back = vec![0.0f32; rows * cols];
-        ops::transpose_into(&src, rows, cols, &mut t);
-        ops::transpose_into(&t, cols, rows, &mut back);
+        kernels::transpose(&src, rows, cols, &mut t);
+        kernels::transpose(&t, cols, rows, &mut back);
         assert_bits_eq(&back, &src, "transpose round trip");
         for r in 0..rows {
             for c in 0..cols {
                 prop_assert_eq!(t[c * rows + r].to_bits(), src[r * cols + c].to_bits());
             }
         }
+    }
+
+    /// The weight and bias gradients of a dense conv (each image's column
+    /// matrix transposed, one `grad_out_i @ colsᵀ` GEMM per image) against
+    /// the per-image naive sums: batch-last inputs of 1–9 images, strides
+    /// 1–2, pads 0–2, 1×1 to 3×3 kernels, planes down to one pixel.
+    #[test]
+    fn conv_weight_gradients_match_per_image_naive(
+        n in 1usize..10,
+        ic in 1usize..5,
+        oc in 1usize..7,
+        k in 1usize..4,
+        h in 1usize..8,
+        w in 1usize..8,
+        stride in 1usize..3,
+        pad in 0usize..3,
+        vals in proptest::collection::vec(-1.5f32..1.5, 8..32),
+    ) {
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let geom = ConvGeom { n, ic, oc, kh: k, kw: k, h, w, spec: ConvSpec::new(stride, pad) };
+        check_conv_weight_backward(geom, &vals);
     }
 
     /// Depthwise forward and input backward against the historical
