@@ -163,6 +163,78 @@ mod tests {
     use usb_nn::models::{Architecture, ModelKind};
     use usb_nn::train::TrainConfig;
 
+    /// `λ₁(‖m‖₁ + ‖m‖₂²) + λ₂·TV(m) + λ₃·TV(p⊙m)` in f64, from the
+    /// unconstrained parameters `θ_mask` (`[H, W]`) and `θ_pattern`
+    /// (`[C, H, W]`) through the `tanh` squash.
+    fn regulariser_f64(cfg: &TaborConfig, tm: &[f64], tp: &[f64], (h, w): (usize, usize)) -> f64 {
+        let squash = |t: f64| (t.tanh() + 1.0) / 2.0;
+        let m: Vec<f64> = tm.iter().map(|&t| squash(t)).collect();
+        let pm: Vec<f64> = tp
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| squash(t) * m[i % m.len()])
+            .collect();
+        let tv = |t: &[f64]| -> f64 {
+            let mut s = 0.0;
+            for pl in t.chunks_exact(h * w) {
+                for y in 0..h {
+                    for x in 0..w {
+                        if y + 1 < h {
+                            s += (pl[(y + 1) * w + x] - pl[y * w + x]).abs();
+                        }
+                        if x + 1 < w {
+                            s += (pl[y * w + x + 1] - pl[y * w + x]).abs();
+                        }
+                    }
+                }
+            }
+            s
+        };
+        let elastic: f64 = m.iter().map(|v| v + v * v).sum();
+        f64::from(cfg.elastic_weight) * elastic
+            + f64::from(cfg.mask_tv_weight) * tv(&m)
+            + f64::from(cfg.pattern_tv_weight) * tv(&pm)
+    }
+
+    /// `add_regulariser_grads` against f64 central differences of the
+    /// three regularisers, with respect to every `θ_mask` and `θ_pattern`
+    /// entry. Mask and pattern values are spread so that no TV term sits
+    /// near its kink at a zero difference.
+    #[test]
+    fn regulariser_grads_match_finite_differences() {
+        let (c, h, w) = (2, 4, 5);
+        let mask = Tensor::from_fn(&[h, w], |i| 0.1 + 0.8 * ((i * 7 % 20) as f32 / 20.0));
+        let pattern = Tensor::from_fn(&[c, h, w], |i| 0.05 + 0.9 * ((i * 13 % 40) as f32 / 40.0));
+        let cfg = TaborConfig {
+            elastic_weight: 0.7,
+            mask_tv_weight: 0.3,
+            pattern_tv_weight: 0.5,
+            ..TaborConfig::fast()
+        };
+        let mut var = TriggerVar::from_values(&mask, &pattern);
+        let (mut d_tm, mut d_tp) = (Tensor::zeros(&[h, w]), Tensor::zeros(&[c, h, w]));
+        cfg.add_regulariser_grads(&var, &mut d_tm, &mut d_tp, &mut Workspace::new());
+        let (tm, tp) = var.params_mut();
+        let theta: Vec<f64> = tm
+            .data()
+            .iter()
+            .chain(tp.data())
+            .map(|&t| f64::from(t))
+            .collect();
+        let loss = |th: &[f64]| regulariser_f64(&cfg, &th[..h * w], &th[h * w..], (h, w));
+        let eps = 1e-6;
+        for (j, &ana) in d_tm.data().iter().chain(d_tp.data()).enumerate() {
+            let (mut plus, mut minus) = (theta.clone(), theta.clone());
+            plus[j] += eps;
+            minus[j] -= eps;
+            let num = (loss(&plus) - loss(&minus)) / (2.0 * eps);
+            assert!(
+                (num - f64::from(ana)).abs() < 1e-5 + 1e-3 * num.abs(),
+                "θ {j}: num={num} ana={ana}"
+            );
+        }
+    }
+
     #[test]
     fn tabor_reverses_backdoor_with_smooth_mask() {
         let data = SyntheticSpec::mnist()

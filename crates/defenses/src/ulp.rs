@@ -134,13 +134,19 @@ impl Ulp {
         bank
     }
 
+    /// The bank for `model`'s signature and the softmax of `model` on
+    /// each of its patterns: one forward pass of the bank.
+    fn probe(&self, model: &Network) -> (Arc<LitmusBank>, Vec<Vec<f64>>) {
+        let (c, h, w) = model.input_shape();
+        let bank = self.bank((c, h, w, model.num_classes()));
+        let probs = softmax_rows(&model.infer(&bank.patterns, &mut Workspace::new()));
+        (bank, probs)
+    }
+
     /// The meta-classifier's P(backdoored) for `model` — the model-level
     /// litmus score (`≥ 0.5` reads as backdoored).
     pub fn meta_score(&self, model: &Network) -> f64 {
-        let (c, h, w) = model.input_shape();
-        let bank = self.bank((c, h, w, model.num_classes()));
-        let mut ws = Workspace::new();
-        let probs = softmax_rows(&model.infer(&bank.patterns, &mut ws));
+        let (bank, probs) = self.probe(model);
         sigmoid(bank.weight * pooled_response(&probs) + bank.bias)
     }
 }
@@ -163,10 +169,8 @@ impl Defense for Ulp {
         target: usize,
         _rng: &mut StdRng,
     ) -> ClassResult {
-        let (c, h, w) = model.input_shape();
-        let bank = self.bank((c, h, w, model.num_classes()));
-        let mut ws = Workspace::new();
-        let probs = softmax_rows(&model.infer(&bank.patterns, &mut ws));
+        let (_, h, w) = model.input_shape();
+        let (bank, probs) = self.probe(model);
         class_result_from_probs(&bank.patterns, &probs, target, (h, w))
     }
 
@@ -174,12 +178,9 @@ impl Defense for Ulp {
     /// logistic meta-classifier then gates the model-level call — when it
     /// reads the response profile as clean, no class stays flagged.
     fn inspect(&self, model: &Network, _images: &Tensor, _rng: &mut StdRng) -> DetectionOutcome {
-        let (c, h, w) = model.input_shape();
-        let k = model.num_classes();
-        let bank = self.bank((c, h, w, k));
-        let mut ws = Workspace::new();
-        let probs = softmax_rows(&model.infer(&bank.patterns, &mut ws));
-        let per_class: Vec<ClassResult> = (0..k)
+        let (_, h, w) = model.input_shape();
+        let (bank, probs) = self.probe(model);
+        let per_class: Vec<ClassResult> = (0..model.num_classes())
             .map(|t| class_result_from_probs(&bank.patterns, &probs, t, (h, w)))
             .collect();
         let mut outcome =

@@ -156,11 +156,14 @@ pub trait Layer: Send + Sync {
     /// recorded by the **most recent** recording [`Layer::forward`] on
     /// `tape`, returning `dL/d input`.
     ///
-    /// With `grads` set, parameter gradients are **added** into the sink's
-    /// accumulators (see [`Grads`]) and batch-norm running statistics are
-    /// queued for [`Grads::commit`]; this needs a [`Pass::Train`]
-    /// recording. With `None` no parameter-gradient kernel runs at all —
-    /// the input-space optimisation hot path.
+    /// With `grads` set, the layer's parameter-gradient kernels **add**
+    /// straight into the accumulators it takes from the sink (see
+    /// [`Grads`]), building no gradient tensor of their own, and
+    /// batch-norm running statistics are queued for [`Grads::commit`];
+    /// this needs a [`Pass::Train`] recording. With `None` no
+    /// parameter-gradient kernel runs at all — the input-space
+    /// optimisation hot path. The input gradient is computed the same way
+    /// in both cases.
     ///
     /// Pops exactly the frames the forward pass pushed and recycles them,
     /// leaving the tape ready for the next recording.
@@ -276,6 +279,11 @@ pub fn quantize_weights(model: &mut dyn Layer, dtype: Dtype) {
 /// one of these. A step is [`Grads::zero`], a [`Pass::Train`]
 /// [`Layer::forward`], [`Layer::grad`] with `Some(&mut grads)`,
 /// [`Grads::commit`], then an optimizer step reading [`Grads::params`].
+///
+/// Layers add their per-image sums directly into the accumulators. Since
+/// `zero` leaves each at `+0.0` and a walk takes every slot once, an
+/// accumulator ends as the `+0.0 + a₁ + … + aₙ` chain a zeroed temporary
+/// would have held, so where the sums land moves no bit.
 #[derive(Debug, Default)]
 pub struct Grads {
     params: Vec<Tensor>,
@@ -402,6 +410,14 @@ mod tests {
         }
         fn clone_box(&self) -> Box<dyn Layer> {
             Box::new(self.clone())
+        }
+    }
+
+    impl Grads {
+        /// The accumulators, writable, so a test can start a backward walk
+        /// from non-zero values.
+        pub(crate) fn params_mut(&mut self) -> &mut [Tensor] {
+            &mut self.params
         }
     }
 

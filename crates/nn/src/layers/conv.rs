@@ -10,16 +10,6 @@ use usb_tensor::conv::{
 use usb_tensor::panel::GemmWeight;
 use usb_tensor::{init, Tape, Tensor, Workspace};
 
-/// Adds a layer's `(weight, bias)` gradients into its accumulators at the
-/// back of `grads`.
-fn accumulate(grads: &mut Grads, gw: &Tensor, gb: &Tensor, has_bias: bool) {
-    let slots = grads.take_last(1 + usize::from(has_bias));
-    slots[0].add_assign(gw);
-    if let Some(acc) = slots.get_mut(1) {
-        acc.add_assign(gb);
-    }
-}
-
 /// A 2-D convolution `[IC, H, W, N] -> [OC, OH, OW, N]` (batch-last, see
 /// [`Layer`]), one wide GEMM over the batch.
 ///
@@ -100,26 +90,21 @@ impl Layer for Conv2d {
             frame.aux[3],
             "Conv2d: grad_out batch dim mismatch"
         );
-        let gi = match grads {
-            // dL/dx depends only on the weight: no im2col of the input, no
-            // weight GEMM.
-            None => {
-                let (h, w) = (frame.aux[1], frame.aux[2]);
-                let (wd, wshape) = (self.weight.natural(), self.weight.shape());
-                conv2d_input_backward_panel_ws(wd, wshape, grad_out, h, w, self.spec, ws)
-            }
-            Some(grads) => {
-                assert!(
-                    self.weight.quant().is_none(),
-                    "Conv2d: training pass on a quantized (inference-only) layer"
-                );
-                let (gi, gw, gb) = with_recorded_input(&mut frame, "Conv2d", |x| {
-                    conv2d_backward_ws(x, self.weight.dense(), grad_out, self.spec, ws)
-                });
-                accumulate(grads, &gw, &gb, self.bias.is_some());
-                gi
-            }
-        };
+        let (h, w) = (frame.aux[1], frame.aux[2]);
+        let (natural, wshape) = (self.weight.natural(), self.weight.shape());
+        let gi = conv2d_input_backward_panel_ws(natural, wshape, grad_out, h, w, self.spec, ws);
+        if let Some(grads) = grads {
+            assert!(
+                self.weight.quant().is_none(),
+                "Conv2d: training pass on a quantized (inference-only) layer"
+            );
+            let slots = grads.take_last(1 + usize::from(self.bias.is_some()));
+            let (gw, gb) = slots.split_first_mut().expect("a weight accumulator");
+            let gb = gb.first_mut().map(Tensor::data_mut);
+            with_recorded_input(&mut frame, "Conv2d", |x| {
+                conv2d_backward_ws(x, grad_out, wshape, self.spec, gw.data_mut(), gb, ws)
+            });
+        }
         tape.recycle(frame);
         gi
     }
@@ -144,31 +129,21 @@ impl Layer for Conv2d {
 #[derive(Clone)]
 pub struct DepthwiseConv2d {
     weight: Tensor, // [C, 1, KH, KW]
-    bias: Option<Tensor>,
     spec: ConvSpec,
 }
 
 impl DepthwiseConv2d {
-    /// Creates a depthwise convolution over `ch` channels with square kernel
-    /// `k`.
+    /// Creates a bias-free depthwise convolution over `ch` channels with
+    /// square kernel `k` (the batch norm that follows it in an MBConv
+    /// block supplies the shift).
     ///
     /// # Panics
     ///
     /// Panics if `ch` or `k` is zero, or `stride` is zero.
-    pub fn new(
-        ch: usize,
-        k: usize,
-        stride: usize,
-        pad: usize,
-        bias: bool,
-        rng: &mut impl Rng,
-    ) -> Self {
+    pub fn new(ch: usize, k: usize, stride: usize, pad: usize, rng: &mut impl Rng) -> Self {
         assert!(ch > 0 && k > 0, "DepthwiseConv2d: zero dimension");
-        let weight = init::kaiming_uniform(&[ch, 1, k, k], k * k, rng);
-        let bias = bias.then(|| Tensor::zeros(&[ch]));
         DepthwiseConv2d {
-            weight,
-            bias,
+            weight: init::kaiming_uniform(&[ch, 1, k, k], k * k, rng),
             spec: ConvSpec::new(stride, pad),
         }
     }
@@ -177,7 +152,7 @@ impl DepthwiseConv2d {
 impl Layer for DepthwiseConv2d {
     fn forward(&self, x: &Tensor, mut pass: Pass<'_>, ws: &mut Workspace) -> Tensor {
         record_input(&mut pass, x);
-        depthwise_forward_lanes_ws(x, &self.weight, self.bias.as_ref(), self.spec, ws)
+        depthwise_forward_lanes_ws(x, &self.weight, None, self.spec, ws)
     }
 
     fn grad(
@@ -193,28 +168,20 @@ impl Layer for DepthwiseConv2d {
             frame.aux[3],
             "DepthwiseConv2d: grad_out batch dim mismatch"
         );
-        let gi = match grads {
-            None => {
-                let (h, w) = (frame.aux[1], frame.aux[2]);
-                depthwise_input_backward_ws(&self.weight, grad_out, h, w, self.spec, ws)
-            }
-            Some(grads) => {
-                let (gi, gw, gb) = with_recorded_input(&mut frame, "DepthwiseConv2d", |x| {
-                    depthwise_backward_ws(x, &self.weight, grad_out, self.spec, ws)
-                });
-                accumulate(grads, &gw, &gb, self.bias.is_some());
-                gi
-            }
-        };
+        let (h, w) = (frame.aux[1], frame.aux[2]);
+        let gi = depthwise_input_backward_ws(&self.weight, grad_out, h, w, self.spec, ws);
+        if let Some(grads) = grads {
+            let gw = grads.take_last(1)[0].data_mut();
+            with_recorded_input(&mut frame, "DepthwiseConv2d", |x| {
+                depthwise_backward_ws(x, grad_out, self.weight.shape(), self.spec, gw)
+            });
+        }
         tape.recycle(frame);
         gi
     }
 
     fn visit_state(&mut self, f: &mut dyn FnMut(&'static str, StateSlot<'_>)) {
         f("depthwise_conv2d", StateSlot::Param(&mut self.weight, true));
-        if let Some(value) = self.bias.as_mut() {
-            f("depthwise_conv2d", StateSlot::Param(value, false));
-        }
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -340,12 +307,12 @@ mod tests {
     #[test]
     fn depthwise_shapes() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut d = DepthwiseConv2d::new(4, 3, 2, 1, true, &mut rng);
+        let mut d = DepthwiseConv2d::new(4, 3, 2, 1, &mut rng);
         let x = Tensor::zeros(&[4, 8, 8, 1]);
         let y = d.forward(&x, Pass::Infer, &mut Workspace::new());
         assert_eq!(y.shape(), &[4, 4, 4, 1]);
         let mut grads = Grads::for_model(&mut d);
         assert_eq!(train_step(&d, &x, &mut grads).shape(), x.shape());
-        assert_eq!(param_lens(&mut d), [4 * 9, 4]);
+        assert_eq!(param_lens(&mut d), [4 * 9]);
     }
 }

@@ -248,18 +248,21 @@ mod tests {
 
     /// The weight gradient (the recorded input transposed, one
     /// `g @ xᵀ` GEMM) equals the naive ascending-`n` sum `Σ_n g[o,n]·x[i,n]`
-    /// bit for bit, on shapes straddling the GEMM's register tiles.
+    /// bit for bit, added onto a non-zero accumulator, on shapes
+    /// straddling the GEMM's register tiles.
     #[test]
     fn linear_weight_gradient_matches_naive_sum_bitwise() {
         for (inf, out, n) in [(1, 1, 1), (3, 2, 1), (13, 9, 11), (24, 10, 17), (7, 5, 33)] {
             let mut l = Linear::new(inf, out, &mut StdRng::seed_from_u64(7));
             let x = Tensor::from_fn(&[inf, n], |i| ((i as f32) * 0.61).sin());
             let g = Tensor::from_fn(&[out, n], |i| ((i as f32) * 0.37).cos() - 0.25);
+            let start = Tensor::from_fn(&[out, inf], |i| ((i as f32) * 0.23).sin() * 4.0);
             let mut grads = Grads::for_model(&mut l);
+            grads.params_mut()[0] = start.clone();
             let (mut tape, mut ws) = (Tape::new(), Workspace::new());
             let _ = l.forward(&x, Pass::Train(&mut tape), &mut ws);
             let _ = l.grad(&g, &mut tape, &mut ws, Some(&mut grads));
-            let mut want = vec![0.0f32; out * inf];
+            let mut want = start.into_vec();
             for o in 0..out {
                 for i in 0..inf {
                     let mut s = 0.0f32;

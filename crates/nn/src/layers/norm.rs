@@ -178,11 +178,21 @@ impl Layer for BatchNorm2d {
         } else {
             let m = run as f32;
             let plane = run / n;
-            // Σdy·x̂ (= dL/dγ) then Σdy (= dL/dβ) per channel.
-            let mut sums = vec![0.0f32; 2 * c];
+            // The γ and β accumulators, each channel's sums added straight
+            // in; the updated running statistics queued in reverse walk
+            // order, as `commit` pops the mean first.
+            let mut sinks = grads.map(|grads| {
+                grads.push_stat(Tensor::from_vec(frame.extra[2 * c..].to_vec(), &[c]));
+                grads.push_stat(Tensor::from_vec(frame.extra[c..2 * c].to_vec(), &[c]));
+                let [acc_gamma, acc_beta] = grads.take_last(2) else {
+                    unreachable!("take_last(2) yields two accumulators")
+                };
+                (acc_gamma.data_mut(), acc_beta.data_mut())
+            });
             for ch in 0..c {
                 let span = ch * run..(ch + 1) * run;
                 let (go, xhat) = (&god[span.clone()], &frame.vals[span.clone()]);
+                // Σdy·x̂ (= dL/dγ) and Σdy (= dL/dβ), image by image.
                 let (mut dgamma, mut dbeta) = (0.0f32, 0.0f32);
                 for i in 0..n {
                     for j in 0..plane {
@@ -191,23 +201,15 @@ impl Layer for BatchNorm2d {
                         dbeta += g;
                     }
                 }
-                sums[ch] = dgamma;
-                sums[c + ch] = dbeta;
+                if let Some((acc_gamma, acc_beta)) = sinks.as_mut() {
+                    acc_gamma[ch] += dgamma;
+                    acc_beta[ch] += dbeta;
+                }
                 // dx = (γ·istd/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
                 let k = self.gamma.data()[ch] * frame.extra[ch] / m;
                 for ((d, &g), &xh) in gi[span].iter_mut().zip(go).zip(xhat) {
                     *d = k * (m * g - dbeta - xh * dgamma);
                 }
-            }
-            if let Some(grads) = grads {
-                let [acc_gamma, acc_beta] = grads.take_last(2) else {
-                    unreachable!("take_last(2) yields two accumulators")
-                };
-                acc_gamma.add_assign(&Tensor::from_vec(sums[..c].to_vec(), &[c]));
-                acc_beta.add_assign(&Tensor::from_vec(sums[c..].to_vec(), &[c]));
-                // Reverse walk order: `commit` pops the mean first.
-                grads.push_stat(Tensor::from_vec(frame.extra[2 * c..].to_vec(), &[c]));
-                grads.push_stat(Tensor::from_vec(frame.extra[c..2 * c].to_vec(), &[c]));
             }
         }
         let gi = Tensor::from_vec(gi, &frame.aux);

@@ -477,7 +477,7 @@ fn mbconv(
             .push(SiLU::new());
     }
     main = main
-        .push(DepthwiseConv2d::new(mid, k, stride, k / 2, false, rng))
+        .push(DepthwiseConv2d::new(mid, k, stride, k / 2, rng))
         .push(BatchNorm2d::new(mid))
         .push(SiLU::new())
         .push(SqueezeExcite::new(mid, 4, rng))

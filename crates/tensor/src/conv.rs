@@ -28,12 +28,16 @@
 //! lanes kernel and move the output back. Every other function here is
 //! batch-last. At `N = 1` the two layouts are the same memory.
 //!
-//! All functions provide forward *and* backward passes; the backward passes
-//! return gradients with respect to the input as well as the parameters,
-//! because the defenses in this workspace optimise over the *input space*
-//! (triggers, masks, universal perturbations). The parameter gradients
-//! sum image by image, in the order of a per-image loop, so training bits
-//! do not depend on the layout.
+//! Each convolution has one backward per thing it differentiates. The
+//! input gradients ([`conv2d_input_backward_panel_ws`],
+//! [`depthwise_input_backward_ws`]) return `dL/d input`, which every
+//! caller needs: the defenses in this workspace optimise over the *input
+//! space* (triggers, masks, universal perturbations), and training
+//! chains through it. The parameter gradients ([`conv2d_backward_ws`],
+//! [`depthwise_backward_ws`]) build no tensor: they **add** into
+//! accumulator slices the caller hands in (a training step's gradient
+//! sink), image by image in the order of a per-image loop, so training
+//! bits do not depend on the layout.
 
 use crate::{kernels, ops, Tensor, Workspace};
 
@@ -293,13 +297,14 @@ fn pointwise(kh: usize, kw: usize, spec: ConvSpec) -> bool {
     (kh, kw) == (1, 1) && spec == ConvSpec::default()
 }
 
-/// The `dL/d input` half of [`conv2d_backward_ws`] alone (which takes its
-/// input gradient from here): for input-space optimisation (DeepFool,
-/// trigger refinement) the parameter gradients are not needed, so this
-/// kernel skips them — no im2col of the cached input, no weight/bias GEMM —
-/// and folds `Wᵀ @ grad_out` straight back into image space. `grad_out`
-/// is batch-last `[OC, OH, OW, N]`, the result `[IC, H, W, N]`; `h`/`w`
-/// are the spatial dims of the forward input.
+/// The input gradient of a dense convolution, batch-last: `grad_out`
+/// `[OC, OH, OW, N]` gives `dL/d input` `[IC, H, W, N]`, `h`/`w` being the
+/// forward input's spatial dims. The weight, of shape `wshape`
+/// (`[OC, IC, KH, KW]`), is given as its natural-order panel: the
+/// row-major values, which as an `[OC, IC·KH·KW]` matrix are the k-major
+/// left operand `Wᵀ@g` reads. A quantized layer passes its decoded
+/// [`crate::panel::GemmWeight::natural`]. Nothing here reads the forward
+/// input: no im2col of it, no weight GEMM.
 ///
 /// The whole batch goes through **one wide GEMM** on the lanes layout
 /// (see [`conv2d_forward_panel_ws`]): `Wᵀ` times the `[OC, OH·OW·N]`
@@ -315,26 +320,6 @@ fn pointwise(kh: usize, kw: usize, spec: ConvSpec) -> bool {
 /// overwritten, so a dirty checkout is safe); callers on the hot path
 /// hand it back via [`Workspace::recycle`] to keep the steady state
 /// allocation-free.
-///
-/// # Panics
-///
-/// Panics on rank or shape mismatches.
-pub fn conv2d_input_backward_ws(
-    weight: &Tensor,
-    grad_out: &Tensor,
-    h: usize,
-    w: usize,
-    spec: ConvSpec,
-    ws: &mut Workspace,
-) -> Tensor {
-    conv2d_input_backward_panel_ws(weight.data(), weight.shape(), grad_out, h, w, spec, ws)
-}
-
-/// [`conv2d_input_backward_ws`] on a weight of shape `wshape`
-/// (`[OC, IC, KH, KW]`) given as its natural-order panel: the row-major
-/// values, which as an `[OC, IC·KH·KW]` matrix are the k-major left
-/// operand `Wᵀ@g` reads. A quantized layer passes its decoded
-/// [`crate::panel::GemmWeight::natural`].
 ///
 /// # Panics
 ///
@@ -369,9 +354,9 @@ pub fn conv2d_input_backward_panel_ws(
     Tensor::from_vec(folded, &[ic, h, w, n])
 }
 
-/// The `dL/d input` half of [`depthwise_backward_ws`] alone (see
-/// [`conv2d_input_backward_ws`] for why), batch-last: `grad_out`
-/// `[C, OH, OW, N]` gives `[C, H, W, N]`, into a buffer drawn from `ws`.
+/// The input gradient of a depthwise convolution, batch-last: `grad_out`
+/// `[C, OH, OW, N]` gives `dL/d input` `[C, H, W, N]`, into a buffer drawn
+/// from `ws`.
 /// Per input pixel, `acc = 0.0`, then `acc += g·k` for every output whose
 /// window covers it, in ascending `(oy, ox)` order, skipping `g == 0.0`:
 /// the per-image scatter's sums, run by [`kernels::depthwise_adjoint`].
@@ -501,34 +486,38 @@ pub fn conv2d_forward_panel_ws(
     Tensor::from_vec(out, &[oc, oh, ow, n])
 }
 
-/// Gradients of a dense convolution, batch-last: given `grad_out =
-/// dL/d output` of shape `[OC, OH, OW, N]` for `input` `[IC, H, W, N]`,
-/// returns `(grad_input, grad_weight, grad_bias)` with the shapes of
-/// `input`, `weight`, and `[OC]`.
+/// Adds a dense convolution's parameter gradients into the caller's
+/// accumulators, batch-last: for `grad_out = dL/d output` `[OC, OH, OW, N]`
+/// of `input` `[IC, H, W, N]` under a weight of shape `wshape`
+/// (`[OC, IC, KH, KW]`), `grad_weight` (that many floats) receives
+/// `Σ_i grad_out_i · im2col(x_i)ᵀ` and `grad_bias` (`[OC]`; `None` for a
+/// bias-free layer, which skips the sums) `Σ_i rowsum(grad_out_i)`.
 ///
-/// The input gradient is [`conv2d_input_backward_ws`]; this adds the
-/// weight/bias accumulation, image by image as a per-image loop sums it:
-/// image `i`'s lane of the input and of `grad_out` is gathered with a
-/// stride-`N` walk into one image-sized buffer each, and its column
-/// matrix is unfolded and transposed to `[OH·OW, IC·KH·KW]`, so
-/// `grad_out_i @ colsᵀ` is one [`ops::matmul_into`] with `grad_out_i` the
-/// left factor. Trained weights therefore do not depend on the layout.
-/// The lane / im2col / transpose / GEMM scratch buffers come from `ws`, so
-/// a training loop holding one workspace across steps allocates them once
-/// per geometry.
+/// Image by image, as a per-image loop sums them: image `i`'s lane of the
+/// input and of `grad_out` is gathered with a stride-`N` walk into one
+/// image-sized buffer each, and its column matrix is unfolded and
+/// transposed to `[OH·OW, IC·KH·KW]`, so `grad_out_i @ colsᵀ` is one
+/// [`ops::matmul_into`] with `grad_out_i` the left factor, added onto
+/// `grad_weight`. Trained weights therefore do not depend on the layout.
+/// An accumulator that starts at `+0.0` ends as the sum a zeroed
+/// temporary would have held. The lane / im2col / transpose / GEMM
+/// scratch buffers come from `ws`, so a training loop holding one
+/// workspace across steps allocates nothing after its first step.
 ///
 /// # Panics
 ///
-/// Panics on any rank or shape mismatch.
+/// Panics on any rank, shape or accumulator-length mismatch.
 pub fn conv2d_backward_ws(
     input: &Tensor,
-    weight: &Tensor,
     grad_out: &Tensor,
+    wshape: &[usize],
     spec: ConvSpec,
+    grad_weight: &mut [f32],
+    mut grad_bias: Option<&mut [f32]>,
     ws: &mut Workspace,
-) -> (Tensor, Tensor, Tensor) {
+) {
     let (ic, h, w, n) = dims4(input);
-    let (oc, _, kh, kw) = dims4(weight);
+    let (oc, _, kh, kw) = shape4(wshape);
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
     assert_eq!(
@@ -538,9 +527,15 @@ pub fn conv2d_backward_ws(
     );
     let rows = ic * kh * kw;
     let cols = oh * ow;
-    let grad_input = conv2d_input_backward_ws(weight, grad_out, h, w, spec, ws);
-    let mut grad_w_mat = Tensor::zeros(&[oc, rows]);
-    let mut grad_bias = Tensor::zeros(&[oc]);
+    assert_eq!(
+        grad_weight.len(),
+        oc * rows,
+        "conv2d_backward: weight accumulator length mismatch"
+    );
+    assert!(
+        grad_bias.as_deref().is_none_or(|gb| gb.len() == oc),
+        "conv2d_backward: bias accumulator length mismatch"
+    );
     let mut img = ws.take_dirty(ic * h * w);
     let mut go = ws.take_dirty(oc * cols);
     let mut cols_buf = ws.take_dirty(rows * cols);
@@ -553,13 +548,12 @@ pub fn conv2d_backward_ws(
         // dL/dW += grad_out_i @ cols^T
         kernels::transpose(&cols_buf, rows, cols, &mut cols_t);
         ops::matmul_into(&go, &cols_t, oc, cols, rows, &mut gw_buf);
-        for (acc, &g) in grad_w_mat.data_mut().iter_mut().zip(&gw_buf) {
-            *acc += g;
-        }
+        kernels::add_assign(grad_weight, &gw_buf);
         // dL/dbias += row sums
-        for ch in 0..oc {
-            let s: f32 = go[ch * cols..(ch + 1) * cols].iter().sum();
-            grad_bias.data_mut()[ch] += s;
+        if let Some(gb) = grad_bias.as_deref_mut() {
+            for (acc, row) in gb.iter_mut().zip(go.chunks_exact(cols)) {
+                *acc += row.iter().sum::<f32>();
+            }
         }
     }
     ws.put(img);
@@ -567,7 +561,6 @@ pub fn conv2d_backward_ws(
     ws.put(cols_buf);
     ws.put(cols_t);
     ws.put(gw_buf);
-    (grad_input, grad_w_mat.reshape(weight.shape()), grad_bias)
 }
 
 /// Image `i` of the batch-last `src` (`N` lanes per pixel) into the
@@ -640,27 +633,26 @@ pub fn depthwise_forward_lanes_ws(
     Tensor::from_vec(out, &[c, oh, ow, n])
 }
 
-/// Gradients of a depthwise convolution, batch-last (`input`
-/// `[C, H, W, N]`, `grad_out` `[C, OH, OW, N]`); returns
-/// `(grad_input, grad_weight, grad_bias)`.
-///
-/// The input gradient is [`depthwise_input_backward_ws`]; this adds the
-/// weight/bias accumulation, each weight tap summing its contributions in
-/// ascending `(image, oy, ox)` order and skipping zero gradients — a walk
-/// of stride `N` through the lanes, in the per-image loop's order.
+/// Adds a depthwise convolution's weight gradient into the caller's
+/// accumulator, batch-last: for `grad_out` `[C, OH, OW, N]` of `input`
+/// `[C, H, W, N]` under a weight of shape `wshape` (`[C, 1, KH, KW]`),
+/// `grad_weight` (that many floats) receives, per weight tap, `g·x` from
+/// every output the tap feeds, in ascending `(image, oy, ox)` order,
+/// skipping `g == 0.0`: a walk of stride `N` through the lanes, in the
+/// per-image loop's order.
 ///
 /// # Panics
 ///
-/// Panics on rank or shape mismatches.
+/// Panics on rank, shape or accumulator-length mismatches.
 pub fn depthwise_backward_ws(
     input: &Tensor,
-    weight: &Tensor,
     grad_out: &Tensor,
+    wshape: &[usize],
     spec: ConvSpec,
-    ws: &mut Workspace,
-) -> (Tensor, Tensor, Tensor) {
+    grad_weight: &mut [f32],
+) {
     let (c, h, w, n) = dims4(input);
-    let (_, _, kh, kw) = dims4(weight);
+    let (_, _, kh, kw) = shape4(wshape);
     let st = Stencil::new(h, w, kh, kw, spec);
     let (oh, ow) = (st.out_h(), st.out_w());
     assert_eq!(
@@ -668,18 +660,18 @@ pub fn depthwise_backward_ws(
         &[c, oh, ow, n],
         "depthwise_backward: grad_out shape mismatch"
     );
-    let grad_input = depthwise_input_backward_ws(weight, grad_out, h, w, spec, ws);
-    let mut grad_weight = vec![0.0f32; c * kh * kw];
-    let mut grad_bias = vec![0.0f32; c];
+    assert_eq!(
+        grad_weight.len(),
+        c * kh * kw,
+        "depthwise_backward: weight accumulator length mismatch"
+    );
     let id = input.data();
     let god = grad_out.data();
     for i in 0..n {
-        for ch in 0..c {
+        for (ch, gw) in grad_weight.chunks_exact_mut(kh * kw).enumerate() {
             // Pixel `j` of image `i` in channel `ch`'s input and output.
             let img = |j: usize| id[(ch * h * w + j) * n + i];
             let go = |j: usize| god[(ch * oh * ow + j) * n + i];
-            let gw = &mut grad_weight[ch * kh * kw..(ch + 1) * kh * kw];
-            grad_bias[ch] += (0..oh * ow).map(go).sum::<f32>();
             for oy in 0..oh {
                 let (ky0, ky1) = st.taps_y(oy);
                 for ox in 0..ow {
@@ -698,11 +690,6 @@ pub fn depthwise_backward_ws(
             }
         }
     }
-    (
-        grad_input,
-        Tensor::from_vec(grad_weight, weight.shape()),
-        Tensor::from_vec(grad_bias, &[c]),
-    )
 }
 
 /// Geometry of a *stencil*: `[H, W]` planes, each convolved
@@ -833,36 +820,45 @@ mod tests {
         conv2d_forward_ws(x, w, b, spec, &mut Workspace::new())
     }
 
-    /// A batch-last backward kernel: `(input, weight, grad_out, spec, ws)`
-    /// to `(grad_input, grad_weight, grad_bias)`.
-    type Backward =
-        fn(&Tensor, &Tensor, &Tensor, ConvSpec, &mut Workspace) -> (Tensor, Tensor, Tensor);
-
-    /// A batch-last backward kernel run on image-layout `x` and `go`,
-    /// its input gradient moved back to the image layout.
-    fn on_images(
-        backward: Backward,
-        x: &Tensor,
-        w: &Tensor,
-        go: &Tensor,
-        spec: ConvSpec,
-    ) -> (Tensor, Tensor, Tensor) {
-        let mut ws = Workspace::new();
-        let (xl, gl) = (
-            ops::lanes_from_images(x, &mut ws),
-            ops::lanes_from_images(go, &mut ws),
-        );
-        let (gi, gw, gb) = backward(&xl, w, &gl, spec, &mut ws);
-        (ops::images_from_lanes(&gi, &mut ws), gw, gb)
+    /// Image-layout `x` and `go` moved across lanes, and the spatial dims
+    /// of `x`.
+    fn lanes_of(x: &Tensor, go: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor, usize, usize) {
+        let (h, w) = (x.shape()[2], x.shape()[3]);
+        (
+            ops::lanes_from_images(x, ws),
+            ops::lanes_from_images(go, ws),
+            h,
+            w,
+        )
     }
 
+    /// A dense conv's gradients on image-layout `x` and `go`: the input
+    /// gradient (image layout) and the weight and bias gradients summed
+    /// onto zeroed accumulators.
     fn conv2d_backward(
         x: &Tensor,
         w: &Tensor,
         go: &Tensor,
         spec: ConvSpec,
     ) -> (Tensor, Tensor, Tensor) {
-        on_images(conv2d_backward_ws, x, w, go, spec)
+        let mut ws = Workspace::new();
+        let (xl, gl, h, wd) = lanes_of(x, go, &mut ws);
+        let gi = conv2d_input_backward_panel_ws(w.data(), w.shape(), &gl, h, wd, spec, &mut ws);
+        let mut gw = Tensor::zeros(w.shape());
+        let mut gb = Tensor::zeros(&[w.shape()[0]]);
+        let (acc_w, acc_b) = (gw.data_mut(), Some(gb.data_mut()));
+        conv2d_backward_ws(&xl, &gl, w.shape(), spec, acc_w, acc_b, &mut ws);
+        (ops::images_from_lanes(&gi, &mut ws), gw, gb)
+    }
+
+    /// [`conv2d_backward`] for a depthwise conv, which has no bias.
+    fn depthwise_backward(x: &Tensor, w: &Tensor, go: &Tensor, spec: ConvSpec) -> (Tensor, Tensor) {
+        let mut ws = Workspace::new();
+        let (xl, gl, h, wd) = lanes_of(x, go, &mut ws);
+        let gi = depthwise_input_backward_ws(w, &gl, h, wd, spec, &mut ws);
+        let mut gw = Tensor::zeros(w.shape());
+        depthwise_backward_ws(&xl, &gl, w.shape(), spec, gw.data_mut());
+        (ops::images_from_lanes(&gi, &mut ws), gw)
     }
 
     fn depthwise_forward(x: &Tensor, w: &Tensor, b: Option<&Tensor>, spec: ConvSpec) -> Tensor {
@@ -1029,7 +1025,7 @@ mod tests {
         let w = seq_tensor(&[2, 1, 3, 3]);
         let out = depthwise_forward(&x, &w, None, spec);
         let go = Tensor::ones(out.shape());
-        let (gi, gw, _gb) = on_images(depthwise_backward_ws, &x, &w, &go, spec);
+        let (gi, gw) = depthwise_backward(&x, &w, &go, spec);
         let eps = 1e-3;
         for &flat in &[0usize, 5, 17, 31] {
             let mut xp = x.clone();

@@ -12,8 +12,9 @@
 
 use proptest::prelude::*;
 use usb_tensor::conv::{
-    col2im_into, conv2d_backward_ws, conv2d_forward_ws, conv2d_input_backward_ws,
-    depthwise_forward_ws, depthwise_input_backward_ws, im2col_into, ConvSpec, Stencil,
+    col2im_into, conv2d_backward_ws, conv2d_forward_ws, conv2d_input_backward_panel_ws,
+    depthwise_backward_ws, depthwise_forward_ws, depthwise_input_backward_ws, im2col_into,
+    ConvSpec, Stencil,
 };
 use usb_tensor::panel::GemmWeight;
 use usb_tensor::quant::{f16_decode, Q8_BLOCK};
@@ -483,7 +484,7 @@ fn check_conv_forward(g: ConvGeom, with_bias: bool, vals: &[f32]) {
     }
 }
 
-/// `conv2d_input_backward_ws` against per-image naive Wᵀ@g + fold.
+/// `conv2d_input_backward_panel_ws` against per-image naive Wᵀ@g + fold.
 fn check_conv_input_backward(g: ConvGeom, vals: &[f32]) {
     let ConvGeom {
         n,
@@ -516,7 +517,7 @@ fn check_conv_input_backward(g: ConvGeom, vals: &[f32]) {
     let mut ws = dirty_workspace();
     for round in 0..2 {
         let got = on_lanes(&grad_out, &mut ws, |g, ws| {
-            conv2d_input_backward_ws(&weight, g, h, w, spec, ws)
+            conv2d_input_backward_panel_ws(weight.data(), weight.shape(), g, h, w, spec, ws)
         });
         assert_eq!(got.shape(), &[n, ic, h, w]);
         assert_bits_eq(
@@ -531,8 +532,10 @@ fn check_conv_input_backward(g: ConvGeom, vals: &[f32]) {
 /// `conv2d_backward_ws`'s weight and bias gradients on a batch-last input
 /// against the per-image naive sums `Σ_i go_i · im2col(x_i)ᵀ` and
 /// `Σ_i rowsum(go_i)`, added image by image in ascending order onto
-/// zeros, on a dirty workspace and again on the warm one.
-fn check_conv_weight_backward(g: ConvGeom, vals: &[f32]) {
+/// non-zero accumulators (the kernel adds into them, it does not
+/// overwrite), on a dirty workspace and again on the warm one. Without a
+/// bias accumulator only the weight sums run.
+fn check_conv_weight_backward(g: ConvGeom, with_bias: bool, vals: &[f32]) {
     let ConvGeom {
         n,
         ic,
@@ -547,11 +550,11 @@ fn check_conv_weight_backward(g: ConvGeom, vals: &[f32]) {
     let rows = ic * kh * kw;
     let cols = oh * ow;
     let input = Tensor::from_vec(tensor_from(vals, ic * h * w * n, 0.02), &[ic, h, w, n]);
-    let weight = Tensor::from_vec(tensor_from(vals, oc * rows, -0.01), &[oc, ic, kh, kw]);
     let grad_out = Tensor::from_vec(tensor_from(vals, oc * cols * n, 0.03), &[oc, oh, ow, n]);
+    let start_w = tensor_from(vals, oc * rows, -0.01);
+    let start_b = tensor_from(vals, oc, 0.05);
 
-    let mut want_w = vec![0.0f32; oc * rows];
-    let mut want_b = vec![0.0f32; oc];
+    let (mut want_w, mut want_b) = (start_w.clone(), start_b.clone());
     for i in 0..n {
         let unfolded = naive_im2col(&lane(input.data(), n, i), ic, h, w, kh, kw, spec);
         let go = lane(grad_out.data(), n, i);
@@ -566,12 +569,112 @@ fn check_conv_weight_backward(g: ConvGeom, vals: &[f32]) {
 
     let mut ws = dirty_workspace();
     for round in 0..2 {
-        let (gi, gw, gb) = conv2d_backward_ws(&input, &weight, &grad_out, spec, &mut ws);
-        assert_eq!(gw.shape(), weight.shape());
+        let (mut got_w, mut got_b) = (start_w.clone(), start_b.clone());
+        let acc_b = with_bias.then_some(&mut got_b[..]);
+        conv2d_backward_ws(
+            &input,
+            &grad_out,
+            &[oc, ic, kh, kw],
+            spec,
+            &mut got_w,
+            acc_b,
+            &mut ws,
+        );
         let what = format!("{g:?} (round {round})");
-        assert_bits_eq(gw.data(), &want_w, &format!("conv weight gradient {what}"));
-        assert_bits_eq(gb.data(), &want_b, &format!("conv bias gradient {what}"));
-        ws.recycle(gi);
+        assert_bits_eq(&got_w, &want_w, &format!("conv weight gradient {what}"));
+        let want_b = if with_bias { &want_b } else { &start_b };
+        assert_bits_eq(&got_b, want_b, &format!("conv bias gradient {what}"));
+    }
+}
+
+/// The historical per-image depthwise weight gradient: per image and
+/// channel, every output in ascending `(oy, ox)`, skipping zero
+/// gradients, adds `g·x` onto each in-bounds tap of `acc`.
+fn naive_depthwise_weight_backward(
+    id: &[f32],
+    god: &[f32],
+    (n, c, h, w): (usize, usize, usize, usize),
+    k: usize,
+    spec: ConvSpec,
+    acc: &mut [f32],
+) {
+    let (oh, ow) = (spec.out_size(h, k), spec.out_size(w, k));
+    for i in 0..n {
+        for ch in 0..c {
+            let img = &id[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
+            let go = &god[(i * c + ch) * oh * ow..(i * c + ch + 1) * oh * ow];
+            let gw = &mut acc[ch * k * k..(ch + 1) * k * k];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let g = go[oy * ow + ox];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for ky in 0..k {
+                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..k {
+                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            gw[ky * k + kx] += g * img[iy as usize * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `depthwise_backward_ws` against the per-image naive sum, bit for bit:
+/// batches 1–17 across lanes, the MBConv kernels (3×3 and 5×5, padded
+/// `k / 2`) at strides 1 and 2, planes from 1 to 9 wide (where taps miss
+/// whole rows), inputs and gradients salted with exact `±0.0` and
+/// subnormals, added onto non-zero accumulators.
+#[test]
+fn depthwise_weight_gradient_matches_per_image_naive() {
+    let vals = [0.5, -1.25, 0.75, -0.0, 1.5, -0.5, 0.25];
+    let c = 3;
+    let mut ws = Workspace::new();
+    for n in 1..=17 {
+        for k in [3, 5] {
+            for stride in [1, 2] {
+                for (h, w) in [(1, 2), (4, 4), (5, 7), (9, 6)] {
+                    let spec = ConvSpec::new(stride, k / 2);
+                    let (oh, ow) = (spec.out_size(h, k), spec.out_size(w, k));
+                    let input =
+                        Tensor::from_vec(stencil_soup(&vals, n * c * h * w, n, 0), &[n, c, h, w]);
+                    let grad_out = Tensor::from_vec(
+                        stencil_soup(&vals, n * c * oh * ow, 2 * n + 1, 0),
+                        &[n, c, oh, ow],
+                    );
+                    let start = tensor_from(&vals, c * k * k, 0.03);
+                    let mut want = start.clone();
+                    let dims = (n, c, h, w);
+                    naive_depthwise_weight_backward(
+                        input.data(),
+                        grad_out.data(),
+                        dims,
+                        k,
+                        spec,
+                        &mut want,
+                    );
+                    let (xl, gl) = (
+                        ops::lanes_from_images(&input, &mut ws),
+                        ops::lanes_from_images(&grad_out, &mut ws),
+                    );
+                    let mut got = start;
+                    depthwise_backward_ws(&xl, &gl, &[c, 1, k, k], spec, &mut got);
+                    let what = format!("depthwise weight gradient n={n} k={k} s={stride} {h}x{w}");
+                    assert_bits_eq(&got, &want, &what);
+                    ws.recycle(xl);
+                    ws.recycle(gl);
+                }
+            }
+        }
     }
 }
 
@@ -610,7 +713,7 @@ fn batched_conv_geometry_grid_matches_per_image_naive() {
                 }
                 check_conv_forward(geom, n % 2 == 0, &vals);
                 check_conv_input_backward(geom, &vals);
-                check_conv_weight_backward(geom, &vals);
+                check_conv_weight_backward(geom, n % 2 == 1, &vals);
             }
         }
     }
@@ -775,9 +878,10 @@ proptest! {
     }
 
     /// The weight and bias gradients of a dense conv (each image's column
-    /// matrix transposed, one `grad_out_i @ colsᵀ` GEMM per image) against
-    /// the per-image naive sums: batch-last inputs of 1–9 images, strides
-    /// 1–2, pads 0–2, 1×1 to 3×3 kernels, planes down to one pixel.
+    /// matrix transposed, one `grad_out_i @ colsᵀ` GEMM per image, added
+    /// onto non-zero accumulators) against the per-image naive sums:
+    /// batch-last inputs of 1–9 images, strides 1–2, pads 0–2, 1×1 to 3×3
+    /// kernels, planes down to one pixel, with and without a bias.
     #[test]
     fn conv_weight_gradients_match_per_image_naive(
         n in 1usize..10,
@@ -788,11 +892,12 @@ proptest! {
         w in 1usize..8,
         stride in 1usize..3,
         pad in 0usize..3,
+        with_bias_bit in 0usize..2,
         vals in proptest::collection::vec(-1.5f32..1.5, 8..32),
     ) {
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let geom = ConvGeom { n, ic, oc, kh: k, kw: k, h, w, spec: ConvSpec::new(stride, pad) };
-        check_conv_weight_backward(geom, &vals);
+        check_conv_weight_backward(geom, with_bias_bit == 1, &vals);
     }
 
     /// Depthwise forward and input backward against the historical

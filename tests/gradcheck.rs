@@ -231,7 +231,7 @@ fn layer_zoo() -> Vec<(&'static str, Box<dyn Layer>, Tensor)> {
         ),
         (
             "depthwise_conv2d",
-            Box::new(DepthwiseConv2d::new(3, 3, 2, 1, true, &mut rng)),
+            Box::new(DepthwiseConv2d::new(3, 3, 2, 1, &mut rng)),
             input(&[3, 6, 6, 2], 0.3),
         ),
         (
