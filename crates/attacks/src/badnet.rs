@@ -112,7 +112,7 @@ mod tests {
             victim.clean_accuracy
         );
         assert!(victim.asr() > 0.8, "backdoor failed: asr {}", victim.asr());
-        assert_eq!(victim.target(), Some(0));
+        assert_eq!(victim.targets(), vec![0]);
         assert!(victim.is_backdoored());
     }
 

@@ -16,7 +16,9 @@
 //! UAP-seeded search still finds the shortcut subspace — the paper's
 //! Table 3 story.
 
-use crate::victim::{evaluate_asr_dynamic, Attack, GroundTruth, InjectedTrigger, Victim};
+use crate::victim::{
+    evaluate_asr_dynamic, Attack, BackdoorImplant, GroundTruth, InjectedTrigger, Victim,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -283,10 +285,12 @@ impl Attack for IadAttack {
             model,
             clean_accuracy,
             ground_truth: GroundTruth::Backdoored {
-                target: self.target,
-                asr,
-                trigger: InjectedTrigger::Dynamic(generator),
                 attack: "iad",
+                implants: vec![BackdoorImplant {
+                    target: self.target,
+                    asr,
+                    trigger: InjectedTrigger::Dynamic(generator),
+                }],
             },
         }
     }
@@ -330,10 +334,10 @@ mod tests {
         );
         assert!(victim.asr() > 0.6, "asr too low: {}", victim.asr());
         // Input-awareness: patterns for two different inputs differ.
-        if let GroundTruth::Backdoored {
+        if let [BackdoorImplant {
             trigger: InjectedTrigger::Dynamic(g),
             ..
-        } = victim.ground_truth
+        }] = victim.implants()
         {
             let a = data.test_images.index_axis0(0);
             let b = data.test_images.index_axis0(1);

@@ -8,7 +8,9 @@
 //! reversed trigger subtler and NC-style defenses weaker (paper Table 3).
 
 use crate::trigger::{Trigger, TriggerSpec};
-use crate::victim::{evaluate_asr_static, Attack, GroundTruth, InjectedTrigger, Victim};
+use crate::victim::{
+    evaluate_asr_static, Attack, BackdoorImplant, GroundTruth, InjectedTrigger, Victim,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -168,10 +170,12 @@ impl Attack for LatentBackdoor {
             model,
             clean_accuracy,
             ground_truth: GroundTruth::Backdoored {
-                target: self.target,
-                asr,
-                trigger: InjectedTrigger::Static(trigger),
                 attack: "latent",
+                implants: vec![BackdoorImplant {
+                    target: self.target,
+                    asr,
+                    trigger: InjectedTrigger::Static(trigger),
+                }],
             },
         }
     }
@@ -200,7 +204,7 @@ mod tests {
             victim.clean_accuracy
         );
         assert!(victim.asr() > 0.75, "asr too low: {}", victim.asr());
-        assert_eq!(victim.target(), Some(2));
+        assert_eq!(victim.targets(), vec![2]);
     }
 
     #[test]

@@ -22,9 +22,9 @@ use usb_tensor::Tensor;
 /// Multi-target BadNet: poison `poison_rate` of the training set *per
 /// target*, each chunk with a distinct trigger, in one training run.
 ///
-/// With a single target this degenerates to classic BadNet (and reports
-/// plain [`GroundTruth::Backdoored`]); with `blend` set, triggers are
-/// full-image blends bounded by the given alpha instead of patches.
+/// With a single target this degenerates to classic BadNet; with `blend`
+/// set, triggers are full-image blends bounded by the given alpha instead
+/// of patches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiBadNet {
     /// Patch side length in pixels (ignored in blended mode, where the
@@ -179,22 +179,11 @@ impl MultiBadNet {
                 }
             })
             .collect();
-        let ground_truth = if implants.len() == 1 {
-            let implant = implants.pop().expect("one implant");
-            GroundTruth::Backdoored {
-                target: implant.target,
-                asr: implant.asr,
-                trigger: implant.trigger,
-                attack,
-            }
-        } else {
-            implants.sort_by_key(|i| i.target);
-            GroundTruth::MultiBackdoored { implants, attack }
-        };
+        implants.sort_by_key(|i| i.target);
         Victim {
             model,
             clean_accuracy,
-            ground_truth,
+            ground_truth: GroundTruth::Backdoored { attack, implants },
         }
     }
 }
@@ -290,7 +279,6 @@ mod tests {
         let arch = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4).with_width(4);
         let victim =
             MultiBadNet::new(2, vec![2], 0.15).execute(&data, arch, TrainConfig::fast(), 5);
-        assert_eq!(victim.target(), Some(2));
         assert_eq!(victim.targets(), vec![2]);
         assert!(matches!(
             victim.ground_truth,
@@ -313,10 +301,7 @@ mod tests {
             victim.clean_accuracy
         );
         assert_eq!(victim.targets(), vec![0, 2]);
-        let GroundTruth::MultiBackdoored { ref implants, .. } = victim.ground_truth else {
-            panic!("expected a multi-backdoored ground truth");
-        };
-        for implant in implants {
+        for implant in victim.implants() {
             assert!(
                 implant.asr > 0.7,
                 "implant {} failed: asr {}",

@@ -1,6 +1,7 @@
 //! Victim bundles: one self-contained file per trained victim — model,
-//! ground truth (target / trigger / measured ASR), the dataset recipe it
-//! was trained on, and the training provenance (seed + config hash).
+//! ground truth (each implant's target / trigger / measured ASR), the
+//! dataset recipe it was trained on, and the training provenance (seed +
+//! config hash).
 //!
 //! A bundle is everything an inspection needs: `usb-repro inspect <path>`
 //! regenerates clean data from the stored [`SyntheticSpec`] + data seed
@@ -21,8 +22,8 @@
 //! 8   u64 dataset generation seed
 //!     network blob (usb_nn::serde layout)
 //! 8   f64 clean accuracy
-//! 1   u8 ground-truth tag (0 clean, 1 backdoored, 2 multi-backdoored)
-//!   if backdoored (tag 1):
+//! 1   u8 ground-truth tag (0 clean, 1 one implant, 2 two or more)
+//!   if one implant (tag 1):
 //!     4   u32 target class
 //!     8   f64 measured ASR
 //!         attack name str ("badnet" | "latent" | "iad" | "multi-badnet")
@@ -30,14 +31,20 @@
 //!       static:  pattern tensor record + mask tensor record
 //!       dynamic: u32 channels, u32 gen width, f32 epsilon,
 //!                u32 state count, per tensor: kind str + tensor record
-//!   if multi-backdoored (tag 2):
+//!   if two or more implants (tag 2):
 //!         attack name str ("multi-badnet")
-//!     4   u32 implant count (≥ 2)
+//!     4   u32 implant count (2 ..= the model's class count)
 //!       per implant, in strictly ascending target order:
 //!         4   u32 target class
 //!         8   f64 measured ASR
 //!         1   u8 trigger tag + payload (as above)
 //! ```
+//!
+//! Tags 1 and 2 are two encodings of one in-memory shape,
+//! [`GroundTruth::Backdoored`]'s implant list: the writer picks tag 1 for
+//! exactly one implant and tag 2 for more, and the reader accepts either
+//! only with every implant target below the model's class count (tag 2
+//! also in strictly ascending order).
 //!
 //! Version 2 added ground-truth tag 2; version 3 carries the USBN-v2
 //! network blob, whose header gained a weight-dtype byte and whose GEMM
@@ -289,19 +296,16 @@ fn write_victim_inner(
     write_f64(w, bundle.victim.clean_accuracy)?;
     match &mut bundle.victim.ground_truth {
         GroundTruth::Clean => w.write_all(&[0u8]).map_err(IoError::from),
-        GroundTruth::Backdoored {
-            target,
-            asr,
-            trigger,
-            attack,
-        } => {
-            w.write_all(&[1u8])?;
-            write_u32(w, *target as u32)?;
-            write_f64(w, *asr)?;
-            write_str(w, attack)?;
-            write_trigger(w, trigger)
-        }
-        GroundTruth::MultiBackdoored { implants, attack } => {
+        // One implant is written in tag 1's layout, which has no count and
+        // puts the attack name after the implant's target and ASR.
+        GroundTruth::Backdoored { attack, implants } => {
+            if let [implant] = implants.as_mut_slice() {
+                w.write_all(&[1u8])?;
+                write_u32(w, implant.target as u32)?;
+                write_f64(w, implant.asr)?;
+                write_str(w, attack)?;
+                return write_trigger(w, &mut implant.trigger);
+            }
             w.write_all(&[2u8])?;
             write_str(w, attack)?;
             write_u32(w, implants.len() as u32)?;
@@ -315,14 +319,41 @@ fn write_victim_inner(
     }
 }
 
+/// The ground truth of a backdoored model with `classes` outputs, once its
+/// implant list is known to be what [`GroundTruth::Backdoored`] promises:
+/// non-empty, in strictly ascending target order, every target a class of
+/// the model.
+fn backdoored(
+    attack: &'static str,
+    implants: Vec<BackdoorImplant>,
+    classes: usize,
+) -> Result<GroundTruth, IoError> {
+    if implants.is_empty() {
+        return Err(IoError::format("backdoored victim has no implants"));
+    }
+    if implants.windows(2).any(|w| w[0].target >= w[1].target) {
+        return Err(IoError::format(
+            "backdoor implants are not in strictly ascending target order",
+        ));
+    }
+    if let Some(i) = implants.iter().find(|i| i.target >= classes) {
+        return Err(IoError::format(format!(
+            "backdoor target {} is out of range for a {classes}-class model",
+            i.target
+        )));
+    }
+    Ok(GroundTruth::Backdoored { attack, implants })
+}
+
 /// Reads a victim bundle written by [`write_victim`].
 ///
 /// # Errors
 ///
 /// Returns [`IoError::Format`] on bad magic/version, corruption
 /// (checksums), truncation, any record inconsistent with the topology
-/// it describes, or a dataset recipe that cannot serve the model (see
-/// PERSISTENCE.md's recipe rules). Never panics on malformed input.
+/// it describes, a dataset recipe that cannot serve the model (see
+/// PERSISTENCE.md's recipe rules), or a ground truth naming a class the
+/// model does not have. Never panics on malformed input.
 pub fn read_victim(r: &mut impl Read) -> Result<VictimBundle, IoError> {
     expect_magic(r, &VICTIM_MAGIC, "victim bundle")?;
     expect_version(r, VICTIM_VERSION, "victim bundle")?;
@@ -336,46 +367,43 @@ pub fn read_victim(r: &mut impl Read) -> Result<VictimBundle, IoError> {
     let clean_accuracy = read_f64(r)?;
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
+    let shape = model.input_shape();
     let ground_truth = match tag[0] {
         0 => GroundTruth::Clean,
         1 => {
             let target = read_u32(r)? as usize;
             let asr = read_f64(r)?;
             let attack = attack_static_name(&read_str(r)?)?;
-            let trigger = read_trigger(r, model.input_shape())?;
-            GroundTruth::Backdoored {
+            let trigger = read_trigger(r, shape)?;
+            let implant = BackdoorImplant {
                 target,
                 asr,
                 trigger,
-                attack,
-            }
+            };
+            backdoored(attack, vec![implant], model.num_classes())?
         }
         2 => {
             let attack = attack_static_name(&read_str(r)?)?;
+            // Distinct targets below the class count bound the count.
             let count = read_u32(r)? as usize;
-            if !(2..=4096).contains(&count) {
+            if !(2..=model.num_classes()).contains(&count) {
                 return Err(IoError::format(format!(
-                    "multi-backdoor implant count {count} is implausible (want 2..=4096)"
+                    "multi-backdoor implant count {count} is implausible (want 2..={})",
+                    model.num_classes()
                 )));
             }
             let mut implants = Vec::with_capacity(count);
             for _ in 0..count {
                 let target = read_u32(r)? as usize;
                 let asr = read_f64(r)?;
-                let trigger = read_trigger(r, model.input_shape())?;
+                let trigger = read_trigger(r, shape)?;
                 implants.push(BackdoorImplant {
                     target,
                     asr,
                     trigger,
                 });
             }
-            if implants.windows(2).any(|w| w[0].target >= w[1].target) {
-                return Err(IoError::format(
-                    "multi-backdoor implants are not in strictly ascending target order"
-                        .to_string(),
-                ));
-            }
-            GroundTruth::MultiBackdoored { implants, attack }
+            backdoored(attack, implants, model.num_classes())?
         }
         other => {
             return Err(IoError::format(format!("unknown ground-truth tag {other}")));
@@ -555,25 +583,35 @@ mod tests {
             data_seed: 4,
         };
         let back = roundtrip(&mut bundle);
-        assert_eq!(back.victim.target(), Some(1));
+        assert_eq!(back.victim.targets(), vec![1]);
         assert_eq!(back.victim.asr(), asr);
         let (a, b) = match (&bundle.victim.ground_truth, &back.victim.ground_truth) {
             (
                 GroundTruth::Backdoored {
-                    trigger: InjectedTrigger::Static(a),
                     attack: na,
-                    ..
+                    implants: ia,
                 },
                 GroundTruth::Backdoored {
-                    trigger: InjectedTrigger::Static(b),
                     attack: nb,
-                    ..
+                    implants: ib,
                 },
             ) => {
                 assert_eq!(na, nb);
-                (a.clone(), b.clone())
+                match (ia.as_slice(), ib.as_slice()) {
+                    (
+                        [BackdoorImplant {
+                            trigger: InjectedTrigger::Static(a),
+                            ..
+                        }],
+                        [BackdoorImplant {
+                            trigger: InjectedTrigger::Static(b),
+                            ..
+                        }],
+                    ) => (a.clone(), b.clone()),
+                    _ => panic!("expected one static trigger on both sides"),
+                }
             }
-            _ => panic!("expected static triggers"),
+            _ => panic!("expected backdoored ground truth on both sides"),
         };
         assert_eq!(a.pattern().data(), b.pattern().data());
         assert_eq!(a.mask().data(), b.mask().data());
@@ -600,23 +638,22 @@ mod tests {
         };
         let back = roundtrip(&mut bundle);
         assert_eq!(back.victim.targets(), vec![0, 3]);
-        assert_eq!(back.victim.target(), None);
         assert_eq!(back.victim.asr(), asr);
         let (ours, theirs) = match (&bundle.victim.ground_truth, &back.victim.ground_truth) {
             (
-                GroundTruth::MultiBackdoored {
-                    implants: a,
+                GroundTruth::Backdoored {
                     attack: na,
+                    implants: a,
                 },
-                GroundTruth::MultiBackdoored {
-                    implants: b,
+                GroundTruth::Backdoored {
                     attack: nb,
+                    implants: b,
                 },
             ) => {
                 assert_eq!(na, nb);
                 (a, b)
             }
-            _ => panic!("expected multi-backdoored ground truth on both sides"),
+            _ => panic!("expected backdoored ground truth on both sides"),
         };
         for (x, y) in ours.iter().zip(theirs) {
             assert_eq!(x.target, y.target);
@@ -685,15 +722,16 @@ mod tests {
             data_seed: 11,
         };
         let back = roundtrip(&mut bundle);
-        // A single-target blended victim persists through the classic tag.
-        assert_eq!(back.victim.target(), Some(2));
-        let GroundTruth::Backdoored {
+        assert_eq!(back.victim.targets(), vec![2]);
+        let GroundTruth::Backdoored { attack, implants } = &back.victim.ground_truth else {
+            panic!("expected a backdoored ground truth");
+        };
+        let [BackdoorImplant {
             trigger: InjectedTrigger::Static(t),
-            attack,
             ..
-        } = &back.victim.ground_truth
+        }] = implants.as_slice()
         else {
-            panic!("expected a static single-target ground truth");
+            panic!("expected one static implant");
         };
         assert_eq!(*attack, "multi-badnet");
         assert_eq!(t.mask().data(), vec![0.15f32; 144], "fractional mask");
@@ -728,7 +766,7 @@ mod tests {
             assert_eq!(peek_weight_dtype(&buf).unwrap(), dtype);
             let mut back = read_victim_bytes(&buf).unwrap();
             assert_eq!(back.victim.model.weight_dtype(), Some(dtype));
-            assert_eq!(back.victim.target(), Some(1));
+            assert_eq!(back.victim.targets(), vec![1]);
             let x = Tensor::from_fn(&[2, 1, 12, 12], |i| ((i as f32) * 0.31).sin());
             let mut ws = usb_tensor::Workspace::new();
             assert!(back.victim.model.infer(&x, &mut ws).all_finite());
@@ -835,20 +873,15 @@ mod tests {
         buf
     }
 
-    /// `write_victim`'s bytes for an untrained `(1, 12, 12)` BasicCnn
-    /// backdoored with `trigger`.
-    fn bundle_with_trigger(trigger: InjectedTrigger) -> Vec<u8> {
+    /// `write_victim`'s bytes for an untrained `(1, 12, 12)` 4-class
+    /// BasicCnn with `ground_truth`.
+    fn bundle_with_truth(ground_truth: GroundTruth) -> Vec<u8> {
         let arch = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4).with_width(2);
         let mut bundle = VictimBundle {
             victim: Victim {
                 model: arch.build(&mut StdRng::seed_from_u64(1)),
                 clean_accuracy: 0.0,
-                ground_truth: GroundTruth::Backdoored {
-                    target: 1,
-                    asr: 1.0,
-                    trigger,
-                    attack: "badnet",
-                },
+                ground_truth,
             },
             train_seed: 1,
             config_hash: 0,
@@ -858,6 +891,88 @@ mod tests {
         let mut buf = Vec::new();
         write_victim(&mut buf, &mut bundle).unwrap();
         buf
+    }
+
+    /// [`bundle_with_truth`] backdoored at class 1 with `trigger`.
+    fn bundle_with_trigger(trigger: InjectedTrigger) -> Vec<u8> {
+        bundle_with_truth(GroundTruth::Backdoored {
+            attack: "badnet",
+            implants: vec![BackdoorImplant {
+                target: 1,
+                asr: 1.0,
+                trigger,
+            }],
+        })
+    }
+
+    /// A ground truth with one full-image static implant per target, in
+    /// the given order.
+    fn static_implants(targets: &[usize]) -> GroundTruth {
+        let implant = |&target: &usize| BackdoorImplant {
+            target,
+            asr: 0.5,
+            trigger: InjectedTrigger::Static(Trigger::new(
+                Tensor::ones(&[1, 12, 12]),
+                Tensor::ones(&[12, 12]),
+            )),
+        };
+        GroundTruth::Backdoored {
+            attack: "multi-badnet",
+            implants: targets.iter().map(implant).collect(),
+        }
+    }
+
+    /// One implant is encoded as ground-truth tag 1 and two as tag 2; both
+    /// load as the same implant list and re-serialize verbatim.
+    #[test]
+    fn implant_count_picks_the_ground_truth_tag() {
+        // A clean bundle ends in its ground-truth tag.
+        let tag_at = bundle_with_truth(GroundTruth::Clean).len() - 1;
+        for (targets, tag) in [(&[2][..], 1u8), (&[0, 3][..], 2)] {
+            let bytes = bundle_with_truth(static_implants(targets));
+            assert_eq!(bytes[tag_at], tag, "targets {targets:?}");
+            let mut back = read_victim_bytes(&bytes).unwrap();
+            assert_eq!(back.victim.targets(), targets);
+            assert_eq!(back.victim.asr(), 0.5);
+            let GroundTruth::Backdoored { attack, implants } = &back.victim.ground_truth else {
+                panic!("targets {targets:?} loaded clean");
+            };
+            assert_eq!(*attack, "multi-badnet");
+            for implant in implants {
+                let InjectedTrigger::Static(t) = &implant.trigger else {
+                    panic!("targets {targets:?}: trigger loaded dynamic");
+                };
+                assert_eq!(t.mask().data(), vec![1.0f32; 144]);
+            }
+            let mut again = Vec::new();
+            write_victim(&mut again, &mut back).unwrap();
+            assert_eq!(
+                again, bytes,
+                "targets {targets:?} must re-serialize verbatim"
+            );
+        }
+    }
+
+    fn assert_truth_rejected(targets: &[usize], needle: &str) {
+        match read_victim_bytes(&bundle_with_truth(static_implants(targets))) {
+            Err(IoError::Format(msg)) => assert!(msg.contains(needle), "{needle:?} not in {msg:?}"),
+            Err(e) => panic!("targets {targets:?}: wrong error kind: {e}"),
+            Ok(_) => panic!("targets {targets:?} of a 4-class model accepted"),
+        }
+    }
+
+    #[test]
+    fn single_implant_target_must_be_a_model_class() {
+        assert_truth_rejected(&[4], "target 4 is out of range for a 4-class model");
+        assert!(read_victim_bytes(&bundle_with_truth(static_implants(&[3]))).is_ok());
+    }
+
+    #[test]
+    fn every_implant_target_must_be_a_model_class() {
+        assert_truth_rejected(&[1, 4], "target 4 is out of range for a 4-class model");
+        assert_truth_rejected(&[3, 1], "strictly ascending");
+        assert_truth_rejected(&[0, 1, 2, 3, 4], "implant count 5 is implausible");
+        assert!(read_victim_bytes(&bundle_with_truth(static_implants(&[1, 3]))).is_ok());
     }
 
     /// A trigger must stamp the model's own inputs: a static pattern and

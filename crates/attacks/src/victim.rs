@@ -33,8 +33,8 @@ impl InjectedTrigger {
     }
 }
 
-/// One implanted backdoor inside a multi-target victim: its target class,
-/// its own trigger, and the ASR measured for that trigger alone.
+/// One implanted backdoor: its target class, its own trigger, and the
+/// ASR measured for that trigger alone.
 #[derive(Clone)]
 pub struct BackdoorImplant {
     /// The class this implant redirects stamped inputs to.
@@ -51,25 +51,14 @@ pub struct BackdoorImplant {
 pub enum GroundTruth {
     /// No backdoor.
     Clean,
-    /// All-to-one backdoor.
+    /// One or more simultaneous all-to-one backdoors, each with its own
+    /// trigger and target class (the paper's single-target setting is the
+    /// one-implant case).
     Backdoored {
-        /// The attack's target class.
-        target: usize,
-        /// Attack success rate measured on the test split.
-        asr: f64,
-        /// The implanted trigger.
-        trigger: InjectedTrigger,
-        /// Attack family name ("badnet", "latent", "iad").
+        /// Attack family name ("badnet", "latent", "iad", "multi-badnet").
         attack: &'static str,
-    },
-    /// Several simultaneous all-to-one backdoors, each with its own
-    /// trigger and target class (always two or more implants; an attack
-    /// planting one target reports plain [`GroundTruth::Backdoored`]).
-    MultiBackdoored {
-        /// The implants, in ascending target-class order.
+        /// The implants: never empty, in strictly ascending target order.
         implants: Vec<BackdoorImplant>,
-        /// Attack family name ("multi-badnet").
-        attack: &'static str,
     },
 }
 
@@ -90,13 +79,12 @@ impl Victim {
         !matches!(self.ground_truth, GroundTruth::Clean)
     }
 
-    /// The implanted target class when there is *exactly one* (the paper's
-    /// single-target setting). Multi-backdoor victims return `None`; use
-    /// [`Victim::targets`] for the full implanted set.
-    pub fn target(&self) -> Option<usize> {
+    /// The victim's implants, in ascending target order (empty for clean
+    /// models).
+    pub fn implants(&self) -> &[BackdoorImplant] {
         match &self.ground_truth {
-            GroundTruth::Clean | GroundTruth::MultiBackdoored { .. } => None,
-            GroundTruth::Backdoored { target, .. } => Some(*target),
+            GroundTruth::Clean => &[],
+            GroundTruth::Backdoored { implants, .. } => implants,
         }
     }
 
@@ -104,27 +92,15 @@ impl Victim {
     /// models) — the ground-truth set that `score_outcome`-style scoring
     /// compares the flagged set against.
     pub fn targets(&self) -> Vec<usize> {
-        match &self.ground_truth {
-            GroundTruth::Clean => Vec::new(),
-            GroundTruth::Backdoored { target, .. } => vec![*target],
-            GroundTruth::MultiBackdoored { implants, .. } => {
-                let mut t: Vec<usize> = implants.iter().map(|i| i.target).collect();
-                t.sort_unstable();
-                t
-            }
-        }
+        self.implants().iter().map(|i| i.target).collect()
     }
 
-    /// Attack success rate: 0 for clean models, the measured ASR for a
-    /// single-target victim, and the mean per-implant ASR for a
-    /// multi-backdoor victim.
+    /// Attack success rate: 0 for clean models, otherwise the mean
+    /// per-implant ASR (a one-implant victim's own ASR, bit for bit).
     pub fn asr(&self) -> f64 {
-        match &self.ground_truth {
-            GroundTruth::Clean => 0.0,
-            GroundTruth::Backdoored { asr, .. } => *asr,
-            GroundTruth::MultiBackdoored { implants, .. } => {
-                implants.iter().map(|i| i.asr).sum::<f64>() / implants.len() as f64
-            }
+        match self.implants() {
+            [] => 0.0,
+            implants => implants.iter().map(|i| i.asr).sum::<f64>() / implants.len() as f64,
         }
     }
 }
@@ -253,7 +229,7 @@ mod tests {
             victim.clean_accuracy
         );
         assert!(!victim.is_backdoored());
-        assert_eq!(victim.target(), None);
+        assert_eq!(victim.targets(), Vec::<usize>::new());
         assert_eq!(victim.asr(), 0.0);
     }
 
@@ -282,13 +258,12 @@ mod tests {
         let victim = Victim {
             model: base.model,
             clean_accuracy: base.clean_accuracy,
-            ground_truth: GroundTruth::MultiBackdoored {
-                implants: vec![implant(1, 0.9, &mut rng), implant(3, 0.7, &mut rng)],
+            ground_truth: GroundTruth::Backdoored {
                 attack: "multi-badnet",
+                implants: vec![implant(1, 0.9, &mut rng), implant(3, 0.7, &mut rng)],
             },
         };
         assert!(victim.is_backdoored());
-        assert_eq!(victim.target(), None, "no single target on a multi victim");
         assert_eq!(victim.targets(), vec![1, 3]);
         assert!((victim.asr() - 0.8).abs() < 1e-12, "mean per-implant ASR");
     }

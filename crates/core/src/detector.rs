@@ -6,7 +6,8 @@
 //! path, gradients through the caller-owned tape — so [`UsbDetector`]
 //! overrides [`Defense::inspect`] to fan the classes out over
 //! [`usb_tensor::par`] worker threads **sharing one `&Network`**: zero
-//! model clones, one tape and workspace per worker. Verdicts are
+//! model clones; each class's Alg. 1 pass and refinement build their own
+//! fresh tape and workspace. Verdicts are
 //! **bit-identical at any thread count**: each class receives its own
 //! `StdRng` stream, derived from the caller's rng in class order before
 //! any worker starts, so no class's randomness depends on scheduling.
@@ -96,8 +97,9 @@ impl Default for UsbConfig {
 /// passes go through the cache-free `Network::infer` path, and the
 /// DeepFool / refinement gradient steps through tape-backed `Pass::Eval`
 /// recordings, so no worker ever writes to the model
-/// and **no victim clones are made** (each worker brings its own tape and
-/// workspace instead — kilobytes, not a full parameter copy). Class `t`
+/// and **no victim clones are made** (each class's `targeted_uap` and
+/// `optimise_trigger` build a fresh tape and workspace instead — buffers,
+/// not a parameter copy). Class `t`
 /// always draws from its own rng stream, so the outcome is a pure
 /// function of `(model, images, seed)` — never of the thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]

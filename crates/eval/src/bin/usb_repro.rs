@@ -214,10 +214,10 @@ fn run_save(options: &Options) -> Result<(), String> {
         attack.execute(data, arch, tc, options.seed)
     });
     println!(
-        "victim trained: clean accuracy {:.2}, asr {:.2}, target {:?}",
+        "victim trained: clean accuracy {:.2}, asr {:.2}, targets {:?}",
         victim.clean_accuracy,
         victim.asr(),
-        victim.target()
+        victim.targets()
     );
     let mut bundle = VictimBundle {
         victim,

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
 use std::path::{Path, PathBuf};
-use usb_attacks::{train_clean_victim, Attack, BadNet, GroundTruth, InjectedTrigger};
+use usb_attacks::{train_clean_victim, Attack, BackdoorImplant, BadNet, InjectedTrigger};
 use usb_core::viz::{ascii_art, save_image, save_pgm};
 use usb_core::{
     refine_uap, targeted_uap, transfer_uap, RefineConfig, UapConfig, UsbConfig, UsbDetector,
@@ -132,10 +132,10 @@ pub fn fig_reconstructions(
     let (x, _) = data.clean_subset(32, &mut rng);
     // Save the original trigger.
     let mut rows = Vec::new();
-    if let GroundTruth::Backdoored {
+    if let [BackdoorImplant {
         trigger: InjectedTrigger::Static(trigger),
         ..
-    } = &victim.ground_truth
+    }] = victim.implants()
     {
         save_image(
             &out_dir.join("orig_trigger.ppm"),
@@ -194,10 +194,10 @@ pub fn fig5(out_dir: &Path, mut progress: impl FnMut(&str)) -> io::Result<Vec<f6
     let mut rng = StdRng::seed_from_u64(2);
     let (x, _) = data.clean_subset(48, &mut rng);
     // Save a triggered sample first (the figure's leftmost panel).
-    if let GroundTruth::Backdoored {
+    if let [BackdoorImplant {
         trigger: InjectedTrigger::Static(trigger),
         ..
-    } = &victim.ground_truth
+    }] = victim.implants()
     {
         let carried = trigger.stamp_image(&data.test_images.index_axis0(0));
         save_image(

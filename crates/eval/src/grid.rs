@@ -657,7 +657,7 @@ mod tests {
         };
         let victim = train_case(&spec.dataset.generate(3), &spec, &case, 3);
         assert!(victim.is_backdoored());
-        assert_eq!(victim.target(), Some(3)); // seed % classes
+        assert_eq!(victim.targets(), vec![3]); // seed % classes
     }
 
     #[test]
@@ -682,7 +682,6 @@ mod tests {
         assert!(victim.is_backdoored());
         // base = seed % classes = 3, so targets {3, (3+1)%4} = {0, 3}.
         assert_eq!(victim.targets(), vec![0, 3]);
-        assert_eq!(victim.target(), None);
     }
 
     #[test]

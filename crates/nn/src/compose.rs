@@ -21,8 +21,12 @@ impl Sequential {
     }
 
     /// Appends a layer, returning `self` for chaining.
+    ///
+    /// The stack grows by exactly one slot per layer: a model is built
+    /// once and then stays resident, so it keeps no spare capacity.
     #[must_use]
     pub fn push(mut self, layer: impl Layer + 'static) -> Self {
+        self.layers.reserve_exact(1);
         self.layers.push(Box::new(layer));
         self
     }

@@ -159,9 +159,9 @@ pub trait Layer: Send + Sync {
     /// With `grads` set, the layer's parameter-gradient kernels **add**
     /// straight into the accumulators it takes from the sink (see
     /// [`Grads`]), building no gradient tensor of their own, and
-    /// batch-norm running statistics are queued for [`Grads::commit`];
-    /// this needs a [`Pass::Train`] recording. With `None` no
-    /// parameter-gradient kernel runs at all — the input-space
+    /// batch-norm running statistics land in the sink's slots for
+    /// [`Grads::commit`]; this needs a [`Pass::Train`] recording. With
+    /// `None` no parameter-gradient kernel runs at all — the input-space
     /// optimisation hot path. The input gradient is computed the same way
     /// in both cases.
     ///
@@ -272,8 +272,9 @@ pub fn quantize_weights(model: &mut dyn Layer, dtype: Dtype) {
 }
 
 /// The caller-owned output of a training backward pass: one gradient
-/// accumulator per parameter in [`visit_params`] order, plus the
-/// batch-norm running statistics awaiting [`Grads::commit`].
+/// accumulator per parameter in [`visit_params`] order, plus one slot per
+/// [`StateSlot::Stat`] for the batch-norm running statistics awaiting
+/// [`Grads::commit`].
 ///
 /// Resident models carry no gradient buffers; only a training loop holds
 /// one of these. A step is [`Grads::zero`], a [`Pass::Train`]
@@ -289,17 +290,36 @@ pub struct Grads {
     params: Vec<Tensor>,
     /// Accumulators handed out, from the back, since the last `zero`.
     taken: usize,
-    /// Pending running statistics, pushed by `grad`, popped by `commit`.
+    /// Running-statistics slots in walk order, filled by `grad`,
+    /// installed by `commit`.
     stats: Vec<Tensor>,
+    /// Statistics slots handed out, from the back, since the last `zero`
+    /// or `commit`.
+    stats_taken: usize,
+}
+
+/// The last `n` of `slots` not yet handed out, counted in `taken`.
+fn take_back<'a>(slots: &'a mut [Tensor], taken: &mut usize, n: usize) -> &'a mut [Tensor] {
+    let end = slots.len() - *taken;
+    assert!(n <= end, "Grads: sink was built for a different model");
+    *taken += n;
+    &mut slots[end - n..end]
 }
 
 impl Grads {
-    /// Zeroed accumulators shaped like `model`'s parameters.
+    /// Zeroed accumulators shaped like `model`'s parameters, and a slot
+    /// shaped like each of its running statistics.
     pub fn for_model(model: &mut dyn Layer) -> Self {
-        let mut params = Vec::new();
+        let (mut params, mut stats) = (Vec::new(), Vec::new());
         visit_params(model, |value, _| params.push(Tensor::zeros(value.shape())));
+        model.visit_state(&mut |_, slot| {
+            if let StateSlot::Stat(running) = slot {
+                stats.push(Tensor::zeros(running.shape()));
+            }
+        });
         Grads {
             params,
+            stats,
             ..Grads::default()
         }
     }
@@ -311,7 +331,7 @@ impl Grads {
             g.fill(0.0);
         }
         self.taken = 0;
-        self.stats.clear();
+        self.stats_taken = 0;
     }
 
     /// The accumulators, in [`visit_params`] order.
@@ -327,47 +347,48 @@ impl Grads {
     ///
     /// Panics if the walk asks for more parameters than the sink holds.
     pub(crate) fn take_last(&mut self, n: usize) -> &mut [Tensor] {
-        let end = self.params.len() - self.taken;
-        assert!(n <= end, "Grads: sink was built for a different model");
-        self.taken += n;
-        &mut self.params[end - n..end]
+        take_back(&mut self.params, &mut self.taken, n)
     }
 
-    /// Queues a running-statistics tensor for [`Grads::commit`]. Backward
-    /// visits layers in reverse walk order, so a layer pushes its
-    /// statistics in reverse walk order too, and `commit` pops them in
-    /// walk order.
-    pub(crate) fn push_stat(&mut self, stat: Tensor) {
-        self.stats.push(stat);
+    /// The slots of the last `n` running statistics not yet handed out
+    /// since the last `zero` or `commit`, in walk order — a layer's own,
+    /// as for [`Grads::take_last`]. The layer fills them for `commit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the walk asks for more statistics than the sink holds.
+    pub(crate) fn take_last_stats(&mut self, n: usize) -> &mut [Tensor] {
+        take_back(&mut self.stats, &mut self.stats_taken, n)
     }
 
     /// Installs the running statistics a train-mode [`Layer::grad`]
-    /// queued in this sink: batch norm's `(1 − m)·running + m·batch`,
+    /// wrote into this sink: batch norm's `(1 − m)·running + m·batch`,
     /// computed at recording time from the statistics this call replaces.
     /// Train-mode backward never reads running statistics, so deferring
     /// the write to here changes no bit.
     ///
-    /// Visits `model`'s [`StateSlot::Stat`] slots in walk order, popping
-    /// one queued tensor for each.
+    /// Copies the sink's slots into `model`'s [`StateSlot::Stat`] slots in
+    /// walk order, then readies the slots for the next walk.
     ///
     /// # Panics
     ///
-    /// Panics if the walk visits a statistic and none is queued (a commit
-    /// without a preceding train-mode `grad` into this sink), or a queued
-    /// tensor has the wrong shape.
+    /// Panics if a slot is unfilled (a commit without a preceding
+    /// train-mode `grad` into this sink), or the sink was built for a
+    /// model with other statistics.
     pub fn commit(&mut self, model: &mut dyn Layer) {
+        assert_eq!(
+            self.stats_taken,
+            self.stats.len(),
+            "Grads: no running statistics pending (commit before grad?)"
+        );
+        self.stats_taken = 0;
+        let mut stats = self.stats.iter();
         model.visit_state(&mut |_, slot| {
             if let StateSlot::Stat(running) = slot {
-                let stat = self
-                    .stats
-                    .pop()
-                    .expect("Grads: no running statistics pending (commit before grad?)");
-                assert_eq!(
-                    stat.shape(),
-                    running.shape(),
-                    "Grads: running statistics from another layer"
-                );
-                *running = stat;
+                let stat = stats
+                    .next()
+                    .expect("Grads: sink was built for a different model");
+                running.data_mut().copy_from_slice(stat.data());
             }
         });
     }

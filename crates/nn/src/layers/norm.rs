@@ -178,12 +178,15 @@ impl Layer for BatchNorm2d {
         } else {
             let m = run as f32;
             let plane = run / n;
-            // The γ and β accumulators, each channel's sums added straight
-            // in; the updated running statistics queued in reverse walk
-            // order, as `commit` pops the mean first.
+            // The updated running statistics copied into their slots for
+            // `commit`; the γ and β accumulators, each channel's sums added
+            // straight in.
             let mut sinks = grads.map(|grads| {
-                grads.push_stat(Tensor::from_vec(frame.extra[2 * c..].to_vec(), &[c]));
-                grads.push_stat(Tensor::from_vec(frame.extra[c..2 * c].to_vec(), &[c]));
+                let [mean, var] = grads.take_last_stats(2) else {
+                    unreachable!("take_last_stats(2) yields two slots")
+                };
+                mean.data_mut().copy_from_slice(&frame.extra[c..2 * c]);
+                var.data_mut().copy_from_slice(&frame.extra[2 * c..]);
                 let [acc_gamma, acc_beta] = grads.take_last(2) else {
                     unreachable!("take_last(2) yields two accumulators")
                 };
@@ -283,6 +286,44 @@ mod tests {
         }
         // After many updates the running mean approaches the batch mean ≈ 5ish.
         assert!(bn.running_mean().mean() > 4.0);
+    }
+
+    /// Training steps that reuse one sink install the statistics that a
+    /// fresh sink per step installs, bit for bit.
+    #[test]
+    fn a_reused_sink_commits_what_fresh_sinks_commit() {
+        let x = sample().add_scalar(2.0);
+        let go = Tensor::ones(x.shape());
+        let (mut reused, mut fresh) = (BatchNorm2d::new(3), BatchNorm2d::new(3));
+        let mut grads = Grads::for_model(&mut reused);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        for _ in 0..3 {
+            grads.zero();
+            let _ = reused.forward(&x, Pass::Train(&mut tape), &mut ws);
+            let _ = reused.grad(&go, &mut tape, &mut ws, Some(&mut grads));
+            grads.commit(&mut reused);
+            let _ = train_step(&mut fresh, &x, &go);
+        }
+        assert_eq!(reused.running_mean().data(), fresh.running_mean().data());
+        assert_eq!(reused.running_var().data(), fresh.running_var().data());
+    }
+
+    #[test]
+    #[should_panic(expected = "commit before grad")]
+    fn a_commit_needs_its_own_grad() {
+        let mut bn = BatchNorm2d::new(3);
+        let x = sample();
+        let mut grads = Grads::for_model(&mut bn);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let _ = bn.forward(&x, Pass::Train(&mut tape), &mut ws);
+        let _ = bn.grad(
+            &Tensor::ones(x.shape()),
+            &mut tape,
+            &mut ws,
+            Some(&mut grads),
+        );
+        grads.commit(&mut bn);
+        grads.commit(&mut bn);
     }
 
     #[test]

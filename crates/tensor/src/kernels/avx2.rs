@@ -465,7 +465,6 @@ one_body! {
     q8_decode(bytes: &[u8], out: &mut [f32]);
     axpy(y: &mut [f32], s: f32, x: &[f32]);
     add_assign(y: &mut [f32], x: &[f32]);
-    sub_assign(y: &mut [f32], x: &[f32]);
     scale(y: &mut [f32], s: f32);
     div(y: &mut [f32], z: f32);
     trigger_blend(out: &mut [f32], batch: &[f32], m: &[f32], p: &[f32]);

@@ -20,7 +20,7 @@
 //! A plain map is written once: its AVX2 twin is the scalar body,
 //! `#[inline(always)]` into a one-line AVX2 function that LLVM
 //! vectorises. These are the decoders ([`f16_decode`], [`q8_decode`]),
-//! [`axpy`], [`add_assign`], [`sub_assign`], [`scale`], [`div`],
+//! [`axpy`], [`add_assign`], [`scale`], [`div`],
 //! [`trigger_blend`], [`trigger_backward`], [`adam_step`] and
 //! [`silu_grad`]; in release they run about as fast as the intrinsics
 //! loops they replaced. The rest keep a hand-written twin, because the
@@ -387,17 +387,6 @@ pub fn axpy(y: &mut [f32], s: f32, x: &[f32]) {
 pub fn add_assign(y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len(), "add_assign: length mismatch");
     dispatch!(add_assign(y, x))
-}
-
-/// `y[i] -= x[i]` over paired slices.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-#[inline]
-pub fn sub_assign(y: &mut [f32], x: &[f32]) {
-    assert_eq!(y.len(), x.len(), "sub_assign: length mismatch");
-    dispatch!(sub_assign(y, x))
 }
 
 /// `y[i] *= s` in place.
@@ -1095,17 +1084,6 @@ mod tests {
                     *a += b;
                 }
                 assert_twins(&add_s, &add_t, &add_r, "add_assign");
-
-                let mut sub_s = soup(n, 13);
-                let mut sub_t = sub_s.clone();
-                let mut sub_r = sub_s.clone();
-                // SAFETY: guarded by have_avx2().
-                unsafe { avx2::sub_assign(&mut sub_s, &x) };
-                scalar::sub_assign(&mut sub_t, &x);
-                for (a, &b) in sub_r.iter_mut().zip(&x) {
-                    *a -= b;
-                }
-                assert_twins(&sub_s, &sub_t, &sub_r, "sub_assign");
 
                 let mut sc_s = soup(n, 19);
                 let mut sc_t = sc_s.clone();

@@ -181,14 +181,6 @@ pub(super) fn add_assign(y: &mut [f32], x: &[f32]) {
     }
 }
 
-/// `y[i] -= x[i]`.
-#[inline(always)]
-pub(super) fn sub_assign(y: &mut [f32], x: &[f32]) {
-    for (a, &b) in y.iter_mut().zip(x) {
-        *a -= b;
-    }
-}
-
 /// `y[i] *= s`.
 #[inline(always)]
 pub(super) fn scale(y: &mut [f32], s: f32) {

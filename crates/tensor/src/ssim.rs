@@ -29,33 +29,12 @@ use crate::conv::{ConvSpec, Stencil};
 use crate::{kernels, Tensor, Workspace};
 use std::cell::RefCell;
 
-/// Stabilisation constants `(C1, C2)` from the SSIM paper, for a dynamic
-/// range `L`: `C1 = (0.01 L)²`, `C2 = (0.03 L)²`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SsimConstants {
-    /// Luminance stabiliser `C1`.
-    pub c1: f32,
-    /// Contrast stabiliser `C2`.
-    pub c2: f32,
-}
+/// Luminance stabiliser `C1 = (0.01 L)²` from the SSIM paper, for the unit
+/// dynamic range `L = 1` used throughout this workspace.
+const C1: f32 = 0.01 * 0.01;
 
-impl SsimConstants {
-    /// Constants for images with values in `[0, range]`.
-    pub fn for_range(range: f32) -> Self {
-        SsimConstants {
-            c1: (0.01 * range).powi(2),
-            c2: (0.03 * range).powi(2),
-        }
-    }
-}
-
-impl Default for SsimConstants {
-    /// Constants for the unit dynamic range `[0, 1]` used throughout this
-    /// workspace.
-    fn default() -> Self {
-        Self::for_range(1.0)
-    }
-}
+/// Contrast stabiliser `C2 = (0.03 L)²`, for `L = 1`.
+const C2: f32 = 0.03 * 0.03;
 
 /// A normalised 2-D gaussian window of odd side `size` and bandwidth `sigma`.
 ///
@@ -102,35 +81,7 @@ fn fitting_window(h: usize, w: usize) -> usize {
 /// Panics if the shapes differ, the rank is not 3 or 4, or the tensors
 /// hold no planes (a zero batch or channel count).
 pub fn ssim(x: &Tensor, y: &Tensor) -> f32 {
-    ssim_with_constants(x, y, SsimConstants::default())
-}
-
-/// [`ssim`] with explicit stabilisation constants.
-///
-/// # Panics
-///
-/// Panics as [`ssim`] does.
-pub fn ssim_with_constants(x: &Tensor, y: &Tensor, k: SsimConstants) -> f32 {
-    let (val, _) = ssim_impl_ws(x, y, k, false, &mut Workspace::new());
-    val
-}
-
-/// Mean SSIM and its gradient with respect to `x`, drawing every
-/// intermediate from `ws`.
-///
-/// Returns `(ssim, d ssim / d x)` where the gradient has `x`'s shape.
-///
-/// The hot refine loop calls this once per Adam step; all window
-/// statistics, adjoint planes and the product scratch come from (and
-/// return to) the workspace pool, so steady-state calls allocate only the
-/// returned gradient tensor — which callers can in turn [`Workspace::recycle`].
-///
-/// # Panics
-///
-/// Panics as [`ssim`] does.
-pub fn ssim_with_grad_ws(x: &Tensor, y: &Tensor, ws: &mut Workspace) -> (f32, Tensor) {
-    let (val, grad) = ssim_impl_ws(x, y, SsimConstants::default(), true, ws);
-    (val, grad.expect("gradient requested"))
+    ssim_with_grad_ws(x, y, &mut Workspace::new()).0
 }
 
 fn plane_views(t: &Tensor) -> (usize, usize, usize) {
@@ -164,26 +115,31 @@ fn window_into(win: usize, out: &mut [f32]) {
     });
 }
 
-/// Slice-level SSIM over the planes of `x`/`y`, with all scratch drawn
-/// from `ws`.
+/// Mean SSIM and its gradient with respect to `x`, drawing every
+/// intermediate from `ws`.
 ///
-/// Evaluates the same chain the original tensor-based implementation did —
+/// Returns `(ssim, d ssim / d x)` where the gradient has `x`'s shape.
+///
+/// The hot refine loop calls this once per Adam step; all window
+/// statistics, adjoint planes and the product scratch come from (and
+/// return to) the workspace pool, so steady-state calls allocate only the
+/// returned gradient tensor — which callers can in turn [`Workspace::recycle`].
+///
+/// It evaluates the chain the original tensor-based implementation did —
 /// five valid blurs, the per-pixel `S`/`dS` formulas, three adjoint blurs,
 /// then `gp + gq∘2x + gr∘y` — with each elementwise tensor op replaced by
 /// the identical per-element float expression in the same order, so values
 /// and gradients are bit-identical (verified by
-/// `matches_tensor_reference_bitwise` below). `x` and `y` are transposed
-/// once to `[H·W, planes]`, so every blur is one call of the lanes
-/// stencil with the window shared (`C = 1`, `N = planes`); each plane's
-/// reduction walks its lane at stride `planes` in its historical order,
-/// and the gradient is transposed back at the end.
-fn ssim_impl_ws(
-    x: &Tensor,
-    y: &Tensor,
-    k: SsimConstants,
-    want_grad: bool,
-    ws: &mut Workspace,
-) -> (f32, Option<Tensor>) {
+/// `matches_tensor_reference_bitwise` in the tests). `x` and `y` are
+/// transposed once to `[H·W, planes]`, so every blur is one call of the
+/// lanes stencil with the window shared (`C = 1`, `N = planes`); each
+/// plane's reduction walks its lane at stride `planes` in its historical
+/// order, and the gradient is transposed back at the end.
+///
+/// # Panics
+///
+/// Panics as [`ssim`] does.
+pub fn ssim_with_grad_ws(x: &Tensor, y: &Tensor, ws: &mut Workspace) -> (f32, Tensor) {
     assert_eq!(x.shape(), y.shape(), "ssim: shape mismatch");
     let (planes, h, w) = plane_views(x);
     assert!(planes > 0, "ssim: no planes to compare in {:?}", x.shape());
@@ -193,7 +149,6 @@ fn ssim_impl_ws(
     let st = Stencil::new(h, w, win, win, ConvSpec::new(1, 0));
     let out_len = st.out_h() * st.out_w();
     let all_out = planes * out_len;
-    let grad_len = if want_grad { all_out } else { 0 };
 
     let mut xd = ws.take_dirty(x.len());
     let mut yd = ws.take_dirty(x.len());
@@ -205,9 +160,9 @@ fn ssim_impl_ws(
     let mut q = ws.take_dirty(all_out);
     let mut r = ws.take_dirty(all_out);
     let mut yy = ws.take_dirty(all_out);
-    let mut d_p = ws.take_dirty(grad_len);
-    let mut d_q = ws.take_dirty(grad_len);
-    let mut d_r = ws.take_dirty(grad_len);
+    let mut d_p = ws.take_dirty(all_out);
+    let mut d_q = ws.take_dirty(all_out);
+    let mut d_r = ws.take_dirty(all_out);
     let blur = |src: &[f32], out: &mut [f32], ws: &mut Workspace| {
         kernels::depthwise_gather(src, st, planes, &g, None, out, ws);
     };
@@ -236,52 +191,46 @@ fn ssim_impl_ws(
             let qv = q[i];
             let rv = r[i];
             let vy = yy[i] - uy * uy;
-            let a1 = 2.0 * pv * uy + k.c1;
-            let a2 = 2.0 * (rv - pv * uy) + k.c2;
-            let b1 = pv * pv + uy * uy + k.c1;
-            let b2 = (qv - pv * pv) + vy + k.c2;
+            let a1 = 2.0 * pv * uy + C1;
+            let a2 = 2.0 * (rv - pv * uy) + C2;
+            let b1 = pv * pv + uy * uy + C1;
+            let b2 = (qv - pv * pv) + vy + C2;
             let s = (a1 * a2) / (b1 * b2);
             ssim_sum += s as f64;
-            if want_grad {
-                // dS/dp = 2 u_y (A2 − A1)/(B1 B2) − 2 p S (1/B1 − 1/B2)
-                let dp = 2.0 * uy * (a2 - a1) / (b1 * b2) - 2.0 * pv * s * (1.0 / b1 - 1.0 / b2);
-                let dq = -s / b2;
-                let dr = 2.0 * a1 / (b1 * b2);
-                d_p[i] = dp / n_out;
-                d_q[i] = dq / n_out;
-                d_r[i] = dr / n_out;
-            }
+            // dS/dp = 2 u_y (A2 − A1)/(B1 B2) − 2 p S (1/B1 − 1/B2)
+            let dp = 2.0 * uy * (a2 - a1) / (b1 * b2) - 2.0 * pv * s * (1.0 / b1 - 1.0 / b2);
+            let dq = -s / b2;
+            let dr = 2.0 * a1 / (b1 * b2);
+            d_p[i] = dp / n_out;
+            d_q[i] = dq / n_out;
+            d_r[i] = dr / n_out;
         }
         let val = (ssim_sum / n_out as f64) as f32;
         total += val as f64;
     }
     let val = (total / planes as f64) as f32;
-    let grad = want_grad.then(|| {
-        // Pull the three window-statistic gradients back through the blur.
-        let mut gp = ws.take_dirty(x.len());
-        let mut gq = ws.take_dirty(x.len());
-        let mut gr = ws.take_dirty(x.len());
-        kernels::depthwise_adjoint(&d_p, st, planes, &g, &mut gp, ws);
-        kernels::depthwise_adjoint(&d_q, st, planes, &g, &mut gq, ws);
-        kernels::depthwise_adjoint(&d_r, st, planes, &g, &mut gr, ws);
-        // Zeroed: the per-plane gradient is added onto it, as the
-        // historical accumulation across planes did.
-        let mut gacc = ws.take(x.len());
-        for (i, ga) in gacc.iter_mut().enumerate() {
-            let b = (gp[i] + gq[i] * (xd[i] * 2.0)) + gr[i] * yd[i];
-            *ga += b / planes as f32;
-        }
-        let mut grad = ws.take_dirty(x.len());
-        kernels::transpose(&gacc, h * w, planes, &mut grad);
-        for buf in [gp, gq, gr, gacc] {
-            ws.put(buf);
-        }
-        Tensor::from_vec(grad, x.shape())
-    });
-    for buf in [g, xd, yd, prod, p, u_y, q, r, yy, d_p, d_q, d_r] {
+    // Pull the three window-statistic gradients back through the blur.
+    let mut gp = ws.take_dirty(x.len());
+    let mut gq = ws.take_dirty(x.len());
+    let mut gr = ws.take_dirty(x.len());
+    kernels::depthwise_adjoint(&d_p, st, planes, &g, &mut gp, ws);
+    kernels::depthwise_adjoint(&d_q, st, planes, &g, &mut gq, ws);
+    kernels::depthwise_adjoint(&d_r, st, planes, &g, &mut gr, ws);
+    // Zeroed: the per-plane gradient is added onto it, as the historical
+    // accumulation across planes did.
+    let mut gacc = ws.take(x.len());
+    for (i, ga) in gacc.iter_mut().enumerate() {
+        let b = (gp[i] + gq[i] * (xd[i] * 2.0)) + gr[i] * yd[i];
+        *ga += b / planes as f32;
+    }
+    let mut grad = ws.take_dirty(x.len());
+    kernels::transpose(&gacc, h * w, planes, &mut grad);
+    for buf in [
+        gp, gq, gr, gacc, g, xd, yd, prod, p, u_y, q, r, yy, d_p, d_q, d_r,
+    ] {
         ws.put(buf);
     }
-    (val, grad)
+    (val, Tensor::from_vec(grad, x.shape()))
 }
 
 #[cfg(test)]
@@ -339,12 +288,7 @@ mod tests {
 
     /// The pre-workspace implementation, kept verbatim as the reference the
     /// slice-based path must match bit for bit.
-    fn ssim_impl_reference(
-        x: &Tensor,
-        y: &Tensor,
-        k: SsimConstants,
-        want_grad: bool,
-    ) -> (f32, Option<Tensor>) {
+    fn ssim_impl_reference(x: &Tensor, y: &Tensor, want_grad: bool) -> (f32, Option<Tensor>) {
         assert_eq!(x.shape(), y.shape(), "ssim: shape mismatch");
         let (planes, h, w) = plane_views(x);
         let win = fitting_window(h, w);
@@ -365,7 +309,7 @@ mod tests {
                 y.data()[pl * plane_len..(pl + 1) * plane_len].to_vec(),
                 &[h, w],
             );
-            let (s, gpl) = ssim_plane_reference(&xp, &yp, &g, k, want_grad);
+            let (s, gpl) = ssim_plane_reference(&xp, &yp, &g, want_grad);
             total += s as f64;
             if let (Some(gacc), Some(gp)) = (grad.as_mut(), gpl) {
                 gacc[pl * plane_len..(pl + 1) * plane_len]
@@ -383,7 +327,6 @@ mod tests {
         x: &Tensor,
         y: &Tensor,
         g: &Tensor,
-        k: SsimConstants,
         want_grad: bool,
     ) -> (f32, Option<Tensor>) {
         let (h, w) = (x.shape()[0], x.shape()[1]);
@@ -405,10 +348,10 @@ mod tests {
             let qv = q.data()[i];
             let rv = r.data()[i];
             let vy = v_y.data()[i];
-            let a1 = 2.0 * pv * uy + k.c1;
-            let a2 = 2.0 * (rv - pv * uy) + k.c2;
-            let b1 = pv * pv + uy * uy + k.c1;
-            let b2 = (qv - pv * pv) + vy + k.c2;
+            let a1 = 2.0 * pv * uy + C1;
+            let a2 = 2.0 * (rv - pv * uy) + C2;
+            let b1 = pv * pv + uy * uy + C1;
+            let b2 = (qv - pv * pv) + vy + C2;
             let s = (a1 * a2) / (b1 * b2);
             ssim_sum += s as f64;
             if want_grad {
@@ -452,7 +395,7 @@ mod tests {
         for (i, shape) in shapes.iter().enumerate() {
             let x = image(shape, 0.3 * i as f32);
             let y = image(shape, 1.1 + 0.2 * i as f32);
-            let (rv, rg) = ssim_impl_reference(&x, &y, SsimConstants::default(), true);
+            let (rv, rg) = ssim_impl_reference(&x, &y, true);
             let (wv, wg) = ssim_with_grad_ws(&x, &y, &mut ws);
             assert_eq!(rv.to_bits(), wv.to_bits(), "value drifted for {shape:?}");
             let rg = rg.expect("gradient requested");
@@ -464,11 +407,19 @@ mod tests {
                     "grad bit drift at {j} for {shape:?}: {a} vs {b}"
                 );
             }
-            // Value-only path goes through the same kernels.
-            let (rv2, _) = ssim_impl_reference(&x, &y, SsimConstants::default(), false);
+            // The value-only entry point returns the same value.
+            let (rv2, _) = ssim_impl_reference(&x, &y, false);
             assert_eq!(rv2.to_bits(), ssim(&x, &y).to_bits());
             ws.recycle(wg);
         }
+    }
+
+    /// The stabilisers are the SSIM paper's `(0.01 L)²` and `(0.03 L)²` at
+    /// `L = 1`, bit for bit.
+    #[test]
+    fn stabilisers_are_the_unit_range_constants() {
+        assert_eq!(C1.to_bits(), 0.01f32.powi(2).to_bits());
+        assert_eq!(C2.to_bits(), 0.03f32.powi(2).to_bits());
     }
 
     #[test]

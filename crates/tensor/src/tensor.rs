@@ -406,12 +406,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a * b)
     }
 
-    /// Elementwise quotient. Panics on shape mismatch.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.assert_same_shape(other, "div");
-        self.zip_map(other, |a, b| a / b)
-    }
-
     /// Adds `s` to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
         self.map(|a| a + s)
@@ -466,12 +460,6 @@ impl Tensor {
     pub fn add_assign(&mut self, other: &Tensor) {
         self.assert_same_shape(other, "add_assign");
         crate::kernels::add_assign(&mut self.data, &other.data);
-    }
-
-    /// `self -= other`. Panics on shape mismatch.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        self.assert_same_shape(other, "sub_assign");
-        crate::kernels::sub_assign(&mut self.data, &other.data);
     }
 
     /// `self += s * other` (axpy). Panics on shape mismatch.
@@ -625,7 +613,6 @@ mod tests {
         assert_eq!(a.add(&b).data(), &[4.0, 2.0]);
         assert_eq!(a.sub(&b).data(), &[-2.0, -6.0]);
         assert_eq!(a.mul(&b).data(), &[3.0, -8.0]);
-        assert_eq!(b.div(&a).data(), &[3.0, -2.0]);
         assert_eq!(a.abs().data(), &[1.0, 2.0]);
         assert_eq!(a.clamp(-1.0, 0.5).data(), &[0.5, -1.0]);
         assert_eq!(a.add_scalar(1.0).data(), &[2.0, -1.0]);
@@ -638,12 +625,10 @@ mod tests {
         let b = Tensor::from_vec(vec![10.0, 20.0], &[2]);
         a.add_assign(&b);
         assert_eq!(a.data(), &[11.0, 22.0]);
-        a.sub_assign(&b);
-        assert_eq!(a.data(), &[1.0, 2.0]);
         a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[6.0, 12.0]);
+        assert_eq!(a.data(), &[16.0, 32.0]);
         a.scale_assign(0.5);
-        assert_eq!(a.data(), &[3.0, 6.0]);
+        assert_eq!(a.data(), &[8.0, 16.0]);
         a.fill(0.0);
         assert_eq!(a.data(), &[0.0, 0.0]);
     }

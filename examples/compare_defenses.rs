@@ -80,8 +80,8 @@ fn main() {
         [("NC", &nc), ("TABOR", &tabor), ("USB", &usb), ("ULP", &ulp)];
 
     println!(
-        "\n--- backdoored victim (true target: {:?}) ---",
-        backdoored.target()
+        "\n--- backdoored victim (true targets: {:?}) ---",
+        backdoored.targets()
     );
     for (name, defense) in suite {
         let t0 = Instant::now();

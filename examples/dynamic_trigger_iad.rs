@@ -20,7 +20,7 @@ fn main() {
 
     println!("training IAD victim (generator + classifier jointly)...");
     let attack = IadAttack::new(6);
-    let mut victim = attack.execute(&data, arch, TrainConfig::new(20), 5);
+    let victim = attack.execute(&data, arch, TrainConfig::new(20), 5);
     println!(
         "victim: clean acc {:.2}, asr {:.2} (full-image input-specific trigger)",
         victim.clean_accuracy,
@@ -28,10 +28,10 @@ fn main() {
     );
 
     // Demonstrate input-awareness: patterns for two inputs differ.
-    if let GroundTruth::Backdoored {
+    if let [BackdoorImplant {
         trigger: InjectedTrigger::Dynamic(generator),
         ..
-    } = &mut victim.ground_truth
+    }] = victim.implants()
     {
         let pair = Tensor::stack(&[
             data.test_images.index_axis0(0),
@@ -65,14 +65,14 @@ fn main() {
     println!("USB inspecting...");
     let usb_out = usb.inspect(&victim.model, &clean_x, &mut rng);
     println!(
-        "USB  : called {:<10} flagged {:?} (true target {:?})",
+        "USB  : called {:<10} flagged {:?} (true targets {:?})",
         if usb_out.is_backdoored() {
             "BACKDOORED"
         } else {
             "clean"
         },
         usb_out.flagged,
-        victim.target()
+        victim.targets()
     );
 
     println!("\nper-class norms (NC vs USB):");

@@ -66,7 +66,7 @@ fn main() {
     if let Some(&t) = outcome.flagged.first() {
         println!(
             "suspected target class: {t} (ground truth: {:?})",
-            victim.target()
+            victim.targets()
         );
         println!("reversed mask:\n{}", ascii_art(&outcome.per_class[t].mask));
     }

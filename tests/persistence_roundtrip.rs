@@ -255,10 +255,10 @@ fn loaded_blended_victim_inspection_is_bit_identical() {
     let loaded = load_victim(&path).unwrap();
     // The full-image alpha mask is fractional everywhere — exactly the
     // payload a binary-mask assumption would corrupt.
-    if let GroundTruth::Backdoored {
+    if let [BackdoorImplant {
         trigger: InjectedTrigger::Static(t),
         ..
-    } = &loaded.victim.ground_truth
+    }] = loaded.victim.implants()
     {
         assert!(t.mask().data().iter().all(|&m| m == 0.2));
     } else {
