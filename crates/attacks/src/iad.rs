@@ -100,15 +100,8 @@ impl IadGenerator {
         forward_images(&self.net, batch, Pass::Infer, ws)
     }
 
-    /// Stamps a batch: `(1−ε)·x + ε·G(x)` (read-only; allocates a
-    /// throwaway workspace — hot loops should use
-    /// [`IadGenerator::stamp_batch_in`]).
-    pub fn stamp_batch(&self, batch: &Tensor) -> Tensor {
-        self.stamp_batch_in(batch, &mut Workspace::new())
-    }
-
-    /// Stamps a batch through the inference path with a caller-owned
-    /// workspace.
+    /// Stamps a batch, `(1−ε)·x + ε·G(x)`, through the inference path with
+    /// a caller-owned workspace (read-only).
     pub fn stamp_batch_in(&self, batch: &Tensor, ws: &mut Workspace) -> Tensor {
         let patterns = self.generate_in(batch, ws);
         blend(batch, &patterns, self.epsilon)
@@ -310,7 +303,7 @@ mod tests {
         let p = g.generate(&x);
         assert_eq!(p.shape(), x.shape());
         assert!(p.min() >= 0.0 && p.max() <= 1.0);
-        let stamped = g.stamp_batch(&x);
+        let stamped = g.stamp_batch_in(&x, &mut Workspace::new());
         // Stamp moves pixels at most ε.
         let max_shift = stamped.sub(&x).linf_norm();
         assert!(max_shift <= 0.2 + 1e-5);

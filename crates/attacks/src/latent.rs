@@ -93,8 +93,9 @@ impl Attack for LatentBackdoor {
                 let mut poisoned_rows = Vec::with_capacity(poison_count);
                 #[allow(clippy::needless_range_loop)] // row indexes bx and by in lockstep
                 for row in 0..poison_count {
-                    let stamped = trigger.stamp_image(&bx.index_axis0(row));
+                    let stamped = trigger.stamp(&bx.index_axis0(row), &mut ws);
                     bx.set_axis0(row, &stamped);
+                    ws.recycle(stamped);
                     by[row] = self.target;
                     poisoned_rows.push(row);
                 }

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use usb_data::Dataset;
 use usb_nn::models::Architecture;
 use usb_nn::train::{evaluate, fit, TrainConfig};
-use usb_tensor::Tensor;
+use usb_tensor::{Tensor, Workspace};
 
 /// Multi-target BadNet: poison `poison_rate` of the training set *per
 /// target*, each chunk with a distinct trigger, in one training run.
@@ -123,10 +123,12 @@ impl MultiBadNet {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.gen_range(0..=i));
         }
+        let mut ws = Workspace::new();
         for (t, (&target, trigger)) in self.targets.iter().zip(&triggers).enumerate() {
             for &i in &order[t * per_target..(t + 1) * per_target] {
-                let stamped = trigger.stamp_image(&images.index_axis0(i));
+                let stamped = trigger.stamp(&images.index_axis0(i), &mut ws);
                 images.set_axis0(i, &stamped);
+                ws.recycle(stamped);
                 labels[i] = target;
             }
         }

@@ -1,7 +1,12 @@
 //! Static triggers: a pattern image and a blending mask.
+//!
+//! [`Trigger::stamp`] is the one way a static trigger is applied — to
+//! poison training images, to draw figures and to measure attack success
+//! — and it blends through [`ops::stamp_images`], as the defenses'
+//! trigger variable does.
 
 use rand::Rng;
-use usb_tensor::Tensor;
+use usb_tensor::{ops, Tensor, Workspace};
 
 /// Geometry of a static patch trigger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,45 +139,23 @@ impl Trigger {
         self.mask.l1_norm() as f64
     }
 
-    /// Stamps the trigger onto one `[C, H, W]` image.
+    /// Stamps the trigger onto one `[C, H, W]` image or every image of an
+    /// `[N, C, H, W]` batch, drawing the result from `ws`: per channel
+    /// plane `x·(1−m) + p·m` ([`ops::stamp_images`]). A pixel with
+    /// `m = 0` keeps its value, since `x·1 + p·0 = x` for finite `p` (a
+    /// `−0.0` pixel may come out `+0.0`; the synthetic data holds none).
     ///
     /// # Panics
     ///
-    /// Panics if the image shape does not match the trigger.
-    pub fn stamp_image(&self, img: &Tensor) -> Tensor {
-        assert_eq!(
-            img.shape(),
-            self.pattern.shape(),
+    /// Panics if the per-image shape does not match the trigger.
+    pub fn stamp(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+        assert!(
+            x.ndim() <= 4 && x.shape().ends_with(self.pattern.shape()),
             "Trigger: image shape mismatch"
         );
-        let (c, h, w) = (img.shape()[0], img.shape()[1], img.shape()[2]);
-        let mut out = img.clone();
-        for ch in 0..c {
-            for y in 0..h {
-                for x in 0..w {
-                    let m = self.mask.at(&[y, x]);
-                    if m != 0.0 {
-                        let v = img.at(&[ch, y, x]) * (1.0 - m) + self.pattern.at(&[ch, y, x]) * m;
-                        *out.at_mut(&[ch, y, x]) = v;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Stamps the trigger onto every image of a `[N, C, H, W]` batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if per-image shapes do not match the trigger.
-    pub fn stamp_batch(&self, batch: &Tensor) -> Tensor {
-        assert_eq!(batch.ndim(), 4, "Trigger: batch must be [N,C,H,W]");
-        let n = batch.shape()[0];
-        let stamped: Vec<Tensor> = (0..n)
-            .map(|i| self.stamp_image(&batch.index_axis0(i)))
-            .collect();
-        Tensor::stack(&stamped)
+        let mut out = ws.take_dirty(x.len());
+        ops::stamp_images(&mut out, x.data(), self.mask.data(), self.pattern.data());
+        Tensor::from_vec(out, x.shape())
     }
 }
 
@@ -197,7 +180,7 @@ mod tests {
         // Background 0.3 differs from both checkerboard extremes (0 and 1),
         // so every masked pixel must change.
         let img = Tensor::full(&[1, 8, 8], 0.3);
-        let stamped = t.stamp_image(&img);
+        let stamped = t.stamp(&img, &mut Workspace::new());
         let changed = stamped
             .data()
             .iter()
@@ -212,8 +195,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let t = Trigger::random_patch(TriggerSpec::patch(2), 1, 8, 8, &mut rng);
         let img = Tensor::full(&[1, 8, 8], 0.3);
-        let once = t.stamp_image(&img);
-        let twice = t.stamp_image(&once);
+        let mut ws = Workspace::new();
+        let once = t.stamp(&img, &mut ws);
+        let twice = t.stamp(&once, &mut ws);
         assert_eq!(once.data(), twice.data());
     }
 
@@ -222,9 +206,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let t = Trigger::random_patch(TriggerSpec::patch(2), 1, 8, 8, &mut rng);
         let batch = Tensor::from_fn(&[3, 1, 8, 8], |i| ((i % 9) as f32) / 9.0);
-        let stamped = t.stamp_batch(&batch);
+        let mut ws = Workspace::new();
+        let stamped = t.stamp(&batch, &mut ws);
         for i in 0..3 {
-            let single = t.stamp_image(&batch.index_axis0(i));
+            let single = t.stamp(&batch.index_axis0(i), &mut ws);
             assert_eq!(stamped.index_axis0(i).data(), single.data());
         }
     }
@@ -248,7 +233,7 @@ mod tests {
         // background value.
         for bg in [0.0f32, 0.4, 1.0] {
             let img = Tensor::full(&[3, 12, 12], bg);
-            let stamped = t.stamp_image(&img);
+            let stamped = t.stamp(&img, &mut Workspace::new());
             let max_dev = stamped
                 .data()
                 .iter()
@@ -278,8 +263,58 @@ mod tests {
         *mask.at_mut(&[0, 0]) = 0.5;
         let t = Trigger::new(pattern, mask);
         let img = Tensor::zeros(&[1, 2, 2]);
-        let s = t.stamp_image(&img);
+        let s = t.stamp(&img, &mut Workspace::new());
         assert_eq!(s.at(&[0, 0, 0]), 0.5);
         assert_eq!(s.at(&[0, 1, 1]), 0.0);
+    }
+
+    /// `x·(1−m) + p·m` per pixel, the formula every stamp must reproduce.
+    fn naive_stamp(t: &Trigger, img: &Tensor) -> Vec<f32> {
+        let (c, h, w) = (img.shape()[0], img.shape()[1], img.shape()[2]);
+        let mut out = Vec::with_capacity(img.len());
+        for ch in 0..c {
+            for y in 0..h {
+                for x in 0..w {
+                    let m = t.mask().at(&[y, x]);
+                    out.push(img.at(&[ch, y, x]) * (1.0 - m) + t.pattern().at(&[ch, y, x]) * m);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn stamp_matches_the_naive_blend_bitwise() {
+        let mut rng = StdRng::seed_from_u64(8);
+        // A fractional mask with zeros, halves and odd fractions.
+        let fractional = Trigger::new(
+            Tensor::from_fn(&[3, 5, 7], |i| ((i * 7 % 11) as f32) / 10.0),
+            Tensor::from_fn(&[5, 7], |i| [0.0, 0.5, 0.3, 1.0, 0.0, 0.77][i % 6]),
+        );
+        let triggers = [
+            Trigger::random_patch(TriggerSpec::patch(3), 3, 5, 7, &mut rng),
+            Trigger::random_blended(3, 5, 7, 0.15, &mut rng),
+            fractional,
+        ];
+        // Pixel values in [0, 1], +0.0 and 1.0 included.
+        let batch = Tensor::from_fn(&[4, 3, 5, 7], |i| ((i * 13 % 17) as f32) / 16.0);
+        let mut ws = Workspace::new();
+        for t in &triggers {
+            let stamped = t.stamp(&batch, &mut ws);
+            for i in 0..4 {
+                let img = batch.index_axis0(i);
+                let want = naive_stamp(t, &img);
+                let got = stamped.index_axis0(i);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.data()), bits(&want), "image {i}");
+                // Where m = 0 the pixel keeps its bits.
+                for (j, (&g, &x)) in got.data().iter().zip(img.data()).enumerate() {
+                    if t.mask().data()[j % 35] == 0.0 {
+                        assert_eq!(g.to_bits(), x.to_bits(), "m = 0 pixel {j} moved");
+                    }
+                }
+            }
+            ws.recycle(stamped);
+        }
     }
 }

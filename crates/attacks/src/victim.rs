@@ -1,4 +1,11 @@
 //! Victim models, ground truth, and attack-success-rate evaluation.
+//!
+//! An implant's ASR is the share of stamped non-target test images the
+//! model sends to the target. [`evaluate_asr_static`] and
+//! [`evaluate_asr_dynamic`] differ only in the stamp ([`Trigger::stamp`]
+//! or [`IadGenerator::stamp_batch_in`]); both count through
+//! [`Network::count_hits`], the hit count behind every success rate in
+//! the workspace.
 
 use crate::iad::IadGenerator;
 use crate::trigger::Trigger;
@@ -10,27 +17,13 @@ use usb_nn::train::{evaluate, fit, TrainConfig};
 use usb_tensor::{Tensor, Workspace};
 
 /// The trigger actually implanted into a victim (for visualisation and
-/// ASR re-evaluation).
+/// persistence).
 #[derive(Clone)]
 pub enum InjectedTrigger {
     /// A fixed pattern+mask (BadNet, latent backdoor).
     Static(Trigger),
     /// An input-conditioned generator (IAD).
     Dynamic(IadGenerator),
-}
-
-impl InjectedTrigger {
-    /// Stamps the trigger onto a `[N, C, H, W]` batch.
-    ///
-    /// Read-only: a dynamic trigger runs its generator through the
-    /// inference path, so stamping never mutates trigger state and can be
-    /// shared by reference across threads.
-    pub fn stamp(&self, batch: &Tensor) -> Tensor {
-        match self {
-            InjectedTrigger::Static(t) => t.stamp_batch(batch),
-            InjectedTrigger::Dynamic(g) => g.stamp_batch(batch),
-        }
-    }
 }
 
 /// One implanted backdoor: its target class, its own trigger, and the
@@ -141,11 +134,11 @@ pub fn train_clean_victim(
 }
 
 /// ASR of a static trigger: the fraction of non-target test images that the
-/// model classifies as `target` once stamped.
+/// model classifies as `target` once stamped with [`Trigger::stamp`].
 ///
 /// Forward-only measurement: predictions run through the shared-`&Network`
-/// inference route with one reused [`Workspace`], so ASR re-evaluation can
-/// share a resident model with concurrent inspections.
+/// inference route, so ASR re-evaluation can share a resident model with
+/// concurrent inspections.
 pub fn evaluate_asr_static(
     model: &Network,
     trigger: &Trigger,
@@ -153,8 +146,8 @@ pub fn evaluate_asr_static(
     labels: &[usize],
     target: usize,
 ) -> f64 {
-    asr_over_chunks(model, images, labels, target, |batch, _| {
-        trigger.stamp_batch(batch)
+    stamped_success(model, images, labels, target, |batch, ws| {
+        trigger.stamp(batch, ws)
     })
 }
 
@@ -170,39 +163,33 @@ pub fn evaluate_asr_dynamic(
     labels: &[usize],
     target: usize,
 ) -> f64 {
-    asr_over_chunks(model, images, labels, target, |batch, ws| {
+    stamped_success(model, images, labels, target, |batch, ws| {
         generator.stamp_batch_in(batch, ws)
     })
 }
 
-/// Shared ASR loop: stamp each non-target chunk with `stamp`, count how
-/// often the model predicts `target`. The workspace is reused across both
-/// the stamping pass and the prediction pass of every chunk.
-fn asr_over_chunks(
+/// The fraction of non-`target` rows that `model` sends to `target` once
+/// `stamp`ed, counted by [`Network::count_hits`] (0 when every row is a
+/// `target` row).
+fn stamped_success(
     model: &Network,
     images: &Tensor,
     labels: &[usize],
     target: usize,
     stamp: impl Fn(&Tensor, &mut Workspace) -> Tensor,
 ) -> f64 {
-    let n = images.shape()[0];
-    let mut total = 0usize;
-    let mut hits = 0usize;
-    let mut ws = Workspace::new();
-    let idx: Vec<usize> = (0..n).filter(|&i| labels[i] != target).collect();
-    for chunk in idx.chunks(64) {
-        let imgs: Vec<Tensor> = chunk.iter().map(|&i| images.index_axis0(i)).collect();
-        let batch = Tensor::stack(&imgs);
-        let stamped = stamp(&batch, &mut ws);
-        let preds = model.predict_in(&stamped, &mut ws);
-        hits += preds.iter().filter(|&&p| p == target).count();
-        total += chunk.len();
-    }
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
+    let (hits, seen) = model.count_hits(
+        images,
+        |r| labels[r] != target,
+        |_| target,
+        |batch, ws| {
+            let stamped = stamp(&batch, ws);
+            ws.recycle(batch);
+            stamped
+        },
+        &mut Workspace::new(),
+    );
+    hits as f64 / seen.max(1) as f64
 }
 
 #[cfg(test)]

@@ -20,27 +20,23 @@ use usb_nn::layer::{Layer, Pass};
 use usb_nn::models::Network;
 use usb_tensor::{ops, Tape, Tensor, Workspace};
 
+/// How far each linearised step overshoots the boundary: every step is
+/// scaled by `1 + OVERSHOOT`, the original DeepFool constant.
+const OVERSHOOT: f32 = 0.02;
+
 /// Hyperparameters of the targeted DeepFool inner loop.
 ///
-/// Defaults: `max_iters: 12`, `overshoot: 0.02` (the original DeepFool
-/// constant), `clamp_pixels: true` (inputs live in `[0, 1]`).
+/// Default: `max_iters: 12`. Each step overshoots by `OVERSHOOT` (0.02) and
+/// clamps the sample back into the pixel range `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeepfoolConfig {
     /// Maximum linearised steps per call.
     pub max_iters: usize,
-    /// Overshoot factor pushing past the boundary (DeepFool uses 0.02).
-    pub overshoot: f32,
-    /// Keep `x + v` inside the valid pixel range `[0, 1]`.
-    pub clamp_pixels: bool,
 }
 
 impl Default for DeepfoolConfig {
     fn default() -> Self {
-        DeepfoolConfig {
-            max_iters: 12,
-            overshoot: 0.02,
-            clamp_pixels: true,
-        }
+        DeepfoolConfig { max_iters: 12 }
     }
 }
 
@@ -120,12 +116,10 @@ pub(crate) fn deepfool_in_place(
             ws.recycle(grad);
             return true; // flat landscape; nothing to exploit
         }
-        let step = (f_diff + 1e-4) / w_norm_sq * (1.0 + config.overshoot);
+        let step = (f_diff + 1e-4) / w_norm_sq * (1.0 + OVERSHOOT);
         xi.axpy(step, &grad);
         ws.recycle(grad);
-        if config.clamp_pixels {
-            xi.map_assign(|p| p.clamp(0.0, 1.0));
-        }
+        xi.map_assign(|p| p.clamp(0.0, 1.0));
         steps += 1;
         if steps == config.max_iters {
             return true;
@@ -203,10 +197,7 @@ mod tests {
         let (data, model) = trained_victim();
         let x = data.test_images.index_axis0(0);
         let target = (data.test_labels[0] + 1) % 4;
-        let config = DeepfoolConfig {
-            max_iters: 0,
-            ..DeepfoolConfig::default()
-        };
+        let config = DeepfoolConfig { max_iters: 0 };
         let (c, h, w) = model.input_shape();
         let mut xi = x.reshape(&[1, c, h, w]);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());

@@ -15,7 +15,9 @@
 //!
 //! The `f(xᵢ + v) ≠ t` test and the DeepFool call are one loop: the
 //! DeepFool loop's first forward is the sample's prediction, and it takes
-//! gradient steps only when that prediction is off target.
+//! gradient steps only when that prediction is off target. `Err(X + v)`
+//! is counted by [`Network::count_hits`] with `v` added to each gathered
+//! batch in place, the hit count every success rate goes through.
 //!
 //! The key observation of the paper: on a backdoored model the loop
 //! converges with a much *smaller* `v` for the implanted target class,
@@ -24,7 +26,7 @@
 
 use crate::deepfool::{deepfool_in_place, DeepfoolConfig};
 use usb_nn::models::Network;
-use usb_tensor::{ops, Tape, Tensor, Workspace};
+use usb_tensor::{Tape, Tensor, Workspace};
 
 /// Hyperparameters for targeted-UAP generation (paper Alg. 1).
 ///
@@ -59,10 +61,7 @@ impl UapConfig {
     pub fn fast() -> Self {
         UapConfig {
             max_passes: 2,
-            deepfool: DeepfoolConfig {
-                max_iters: 8,
-                ..DeepfoolConfig::default()
-            },
+            deepfool: DeepfoolConfig { max_iters: 8 },
             ..Self::default()
         }
     }
@@ -94,13 +93,12 @@ fn perturbed(x: f32, v: f32) -> f32 {
     (x + v).clamp(0.0, 1.0)
 }
 
-/// Fraction of `images + v` (clamped) classified as `target`, drawing all
-/// model-pass scratch from `ws`.
+/// Fraction of `images + v` (clamped) classified as `target` — Alg. 1's
+/// `Err(X + v)` — drawing all model-pass scratch from `ws`.
 ///
-/// Pure inference: the model is only read (shared `&Network`). Chunks of
-/// `images` are stamped straight into one workspace-backed batch, and the
-/// hits are counted from the `infer` logits row by row, so a warm call
-/// allocates nothing.
+/// Pure inference: the model is only read (shared `&Network`).
+/// [`Network::count_hits`] gathers each batch into the workspace and the
+/// stamp adds `v` in place, so a warm call allocates nothing.
 ///
 /// # Panics
 ///
@@ -112,34 +110,21 @@ pub(crate) fn targeted_success_rate(
     target: usize,
     ws: &mut Workspace,
 ) -> f64 {
-    const CHUNK: usize = 64;
-    let [n, c, h, w]: [usize; 4] = images.shape().try_into().expect("images must be [N,C,H,W]");
-    if n == 0 {
-        return 0.0;
-    }
-    let item = c * h * w;
-    assert_eq!(v.len(), item, "targeted_success_rate: v shape mismatch");
-    let k = model.num_classes();
-    let mut hits = 0usize;
-    for chunk in images.data().chunks(CHUNK * item) {
-        let len = chunk.len() / item;
-        let mut batch = ws.take_dirty(chunk.len());
-        for (dst, src) in batch.chunks_exact_mut(item).zip(chunk.chunks_exact(item)) {
-            for ((o, &x), &p) in dst.iter_mut().zip(src).zip(v.data()) {
-                *o = perturbed(x, p);
+    assert_eq!(
+        v.shape(),
+        &images.shape()[1..],
+        "targeted_success_rate: v shape mismatch"
+    );
+    let add_v = |mut batch: Tensor, _: &mut Workspace| {
+        for img in batch.data_mut().chunks_exact_mut(v.len()) {
+            for (x, &p) in img.iter_mut().zip(v.data()) {
+                *x = perturbed(*x, p);
             }
         }
-        let batch = Tensor::from_vec(batch, &[len, c, h, w]);
-        let logits = model.infer(&batch, ws);
-        hits += logits
-            .data()
-            .chunks_exact(k)
-            .filter(|row| ops::argmax_row(row) == target)
-            .count();
-        ws.recycle(logits);
-        ws.recycle(batch);
-    }
-    hits as f64 / n as f64
+        batch
+    };
+    let (hits, seen) = model.count_hits(images, |_| true, |_| target, add_v, ws);
+    hits as f64 / seen.max(1) as f64
 }
 
 /// Generates a targeted UAP for `target` from the clean data points
@@ -271,10 +256,7 @@ mod tests {
         let target = 2;
         let config = UapConfig {
             error_rate: 1.01,
-            deepfool: DeepfoolConfig {
-                max_iters: 0,
-                ..DeepfoolConfig::default()
-            },
+            deepfool: DeepfoolConfig { max_iters: 0 },
             ..UapConfig::fast()
         };
         let result = targeted_uap(&model, &x, target, config);

@@ -126,7 +126,7 @@ impl TriggerFit {
 }
 
 /// Optimises `var` towards `target` under `objective`, then scores the
-/// result over all of `images`.
+/// result over all of `images` with [`Network::count_hits`].
 ///
 /// Each step takes the next batch of `images` in order (Alg. 2 line 3),
 /// stamps it, takes the CE input gradient through the tape-backed
@@ -223,12 +223,12 @@ pub fn optimise_trigger(
     }
     // Final success over all of `images`: a pure read of the model through
     // the cache-free inference path.
-    let stamped = var.apply(images, &mut ws);
-    let hits = model
-        .predict_in(&stamped, &mut ws)
-        .iter()
-        .filter(|&&p| p == target)
-        .count();
+    let stamp = |batch: Tensor, ws: &mut Workspace| {
+        let stamped = var.apply(&batch, ws);
+        ws.recycle(batch);
+        stamped
+    };
+    let (hits, _) = model.count_hits(images, |_| true, |_| target, stamp, &mut ws);
     TriggerFit {
         var,
         success_rate: hits as f64 / n as f64,

@@ -12,7 +12,7 @@
 //! where the tier has them.
 
 use rand::Rng;
-use usb_tensor::{init, kernels, Tensor, Workspace};
+use usb_tensor::{init, kernels, ops, Tensor, Workspace};
 
 /// Clamp used when inverting the tanh parameterisation.
 const ATANH_CLAMP: f32 = 0.999_99;
@@ -87,9 +87,9 @@ impl TriggerVar {
     }
 
     /// Applies the trigger to a batch: `x' = x·(1−m) + p·m`, with the mask
-    /// broadcast across channels. Every buffer — the squashed mask and
-    /// pattern and the stamped batch — is drawn from `ws`; each plane goes
-    /// through [`kernels::trigger_blend`].
+    /// broadcast across channels ([`ops::stamp_images`], the blend static
+    /// triggers stamp with too). Every buffer — the squashed mask and
+    /// pattern and the stamped batch — is drawn from `ws`.
     ///
     /// # Panics
     ///
@@ -102,21 +102,8 @@ impl TriggerVar {
             "TriggerVar: shape mismatch"
         );
         let (mask, pattern) = self.values_in(ws);
-        let (m, p) = (mask.data(), pattern.data());
-        let plane = m.len();
         let mut out = ws.take_dirty(batch.len());
-        for (ob, bb) in out
-            .chunks_exact_mut(p.len())
-            .zip(batch.data().chunks_exact(p.len()))
-        {
-            for ((ob, bb), pb) in ob
-                .chunks_exact_mut(plane)
-                .zip(bb.chunks_exact(plane))
-                .zip(p.chunks_exact(plane))
-            {
-                kernels::trigger_blend(ob, bb, m, pb);
-            }
-        }
+        ops::stamp_images(&mut out, batch.data(), mask.data(), pattern.data());
         ws.recycle(mask);
         ws.recycle(pattern);
         Tensor::from_vec(out, batch.shape())

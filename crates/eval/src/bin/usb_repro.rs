@@ -33,9 +33,7 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use usb_attacks::fixtures::{cached_victim, FixtureSpec};
-use usb_attacks::persist::{
-    peek_weight_dtype, read_victim_bytes, save_victim, save_victim_dtype, VictimBundle,
-};
+use usb_attacks::persist::{peek_weight_dtype, read_victim_bytes, save_victim_dtype, VictimBundle};
 use usb_attacks::{Attack, BadNet};
 use usb_core::{UsbConfig, UsbDetector};
 use usb_data::SyntheticSpec;
@@ -226,13 +224,9 @@ fn run_save(options: &Options) -> Result<(), String> {
         data_spec: fixture.data_spec,
         data_seed: fixture.data_seed,
     };
-    if options.dtype == Dtype::F32 {
-        save_victim(&options.out, &mut bundle)
-            .map_err(|e| format!("saving {}: {e}", options.out.display()))?;
-    } else {
-        save_victim_dtype(&options.out, &mut bundle, options.dtype)
-            .map_err(|e| format!("saving {}: {e}", options.out.display()))?;
-    }
+    // At f32 this writes the bytes `save_victim` would: the model is dense.
+    save_victim_dtype(&options.out, &mut bundle, options.dtype)
+        .map_err(|e| format!("saving {}: {e}", options.out.display()))?;
     println!(
         "wrote {} ({} weights)",
         options.out.display(),

@@ -199,7 +199,7 @@ pub fn fig5(out_dir: &Path, mut progress: impl FnMut(&str)) -> io::Result<Vec<f6
         ..
     }] = victim.implants()
     {
-        let carried = trigger.stamp_image(&data.test_images.index_axis0(0));
+        let carried = trigger.stamp(&data.test_images.index_axis0(0), &mut Workspace::new());
         save_image(
             &out_dir.join("fig5_triggered_input.ppm"),
             &carried,

@@ -83,52 +83,6 @@ pub fn softmax_cross_entropy_uniform_target_ws(
     ((loss / n as f64) as f32, Tensor::from_vec(grad, &[n, k]))
 }
 
-/// Mean squared error `mean((a - b)²)` and its gradient with respect to `a`.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn mse(a: &Tensor, b: &Tensor) -> (f32, Tensor) {
-    assert_eq!(a.shape(), b.shape(), "mse: shape mismatch");
-    let diff = a.sub(b);
-    let loss = diff.map(|d| d * d).mean();
-    let grad = diff.scale(2.0 / a.len() as f32);
-    (loss, grad)
-}
-
-/// Negative mean of the margin `logit_target − max_other`, a hinge-free
-/// targeted-attack surrogate used by the IAD generator training.
-///
-/// Returns `(loss, dL/dlogits)`; minimising pushes every row's target logit
-/// above all others.
-///
-/// # Panics
-///
-/// Panics if `target >= K`.
-pub fn targeted_margin(logits: &Tensor, target: usize) -> (f32, Tensor) {
-    assert_eq!(logits.ndim(), 2, "targeted_margin: logits must be [N,K]");
-    let (n, k) = (logits.shape()[0], logits.shape()[1]);
-    assert!(target < k, "target {target} out of range for {k} classes");
-    let mut loss = 0.0f32;
-    let mut grad = Tensor::zeros(logits.shape());
-    let inv_n = 1.0 / n as f32;
-    for i in 0..n {
-        let row = &logits.data()[i * k..(i + 1) * k];
-        let mut best_other = f32::NEG_INFINITY;
-        let mut best_j = 0;
-        for (j, &v) in row.iter().enumerate() {
-            if j != target && v > best_other {
-                best_other = v;
-                best_j = j;
-            }
-        }
-        loss += (best_other - row[target]) * inv_n;
-        grad.data_mut()[i * k + target] -= inv_n;
-        grad.data_mut()[i * k + best_j] += inv_n;
-    }
-    (loss, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,37 +142,5 @@ mod tests {
             }
             ws.recycle(g1);
         }
-    }
-
-    #[test]
-    fn mse_zero_when_equal() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let (l, g) = mse(&a, &a);
-        assert_eq!(l, 0.0);
-        assert_eq!(g.data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn mse_gradient_matches_finite_differences() {
-        let a = Tensor::from_vec(vec![0.5, -1.0, 2.0], &[3]);
-        let b = Tensor::from_vec(vec![0.0, 1.0, 2.5], &[3]);
-        let (_, g) = mse(&a, &b);
-        let eps = 1e-3;
-        for flat in 0..3 {
-            let mut ap = a.clone();
-            ap.data_mut()[flat] += eps;
-            let mut am = a.clone();
-            am.data_mut()[flat] -= eps;
-            let num = (mse(&ap, &b).0 - mse(&am, &b).0) / (2.0 * eps);
-            assert!((num - g.data()[flat]).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn targeted_margin_negative_when_target_wins() {
-        let logits = Tensor::from_vec(vec![5.0, 1.0, 0.0], &[1, 3]);
-        let (l, g) = targeted_margin(&logits, 0);
-        assert!(l < 0.0);
-        assert!(g.data()[0] < 0.0, "gradient pushes target logit up");
     }
 }

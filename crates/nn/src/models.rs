@@ -21,6 +21,9 @@ use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use usb_tensor::{ops, Dtype, Tape, Tensor, Workspace};
 
+/// Most images [`Network::count_hits`] scores in one batch.
+pub(crate) const SCORE_BATCH: usize = 64;
+
 /// Which of the paper's architectures to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
@@ -207,21 +210,70 @@ impl Network {
         self.forward(x, Pass::Infer, ws)
     }
 
-    /// Predicted class per batch row (eval mode, cache-free).
-    ///
-    /// Convenience wrapper over [`Network::predict_in`] with a throwaway
-    /// [`Workspace`]; hot loops should hold a workspace and call
-    /// `predict_in` so scratch buffers are reused across calls.
+    /// Predicted class per batch row (eval mode, cache-free), with a
+    /// throwaway [`Workspace`]. Loops that count predictions go through
+    /// [`Network::count_hits`] instead.
     pub fn predict(&self, x: &Tensor) -> Vec<usize> {
-        self.predict_in(x, &mut Workspace::new())
+        ops::argmax_rows(&self.infer(x, &mut Workspace::new()))
     }
 
-    /// Predicted class per batch row, drawing scratch from `ws`.
-    pub fn predict_in(&self, x: &Tensor, ws: &mut Workspace) -> Vec<usize> {
-        let logits = self.infer(x, ws);
-        let preds = ops::argmax_rows(&logits);
-        ws.recycle(logits);
-        preds
+    /// How many of the rows of `images` (`[N, C, H, W]`) that `keep`
+    /// selects the network sends to `want(row)` once stamped: the one
+    /// hit count behind clean accuracy, attack success rates, Alg. 1's
+    /// `Err(X + v)` and the reversed triggers' success. Returns
+    /// `(hits, rows seen)`.
+    ///
+    /// The kept rows are gathered, in order, into workspace batches of at
+    /// most 64 images. Each batch is handed to `stamp`, which
+    /// returns the batch to score (`|batch, _| batch` scores the images
+    /// unstamped); a stamp that builds a new tensor recycles the one it
+    /// was given. Every buffer comes from `ws` and is recycled into it,
+    /// so a warm call allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` is not `[N, C, H, W]` for this network.
+    pub fn count_hits(
+        &self,
+        images: &Tensor,
+        keep: impl Fn(usize) -> bool,
+        want: impl Fn(usize) -> usize,
+        mut stamp: impl FnMut(Tensor, &mut Workspace) -> Tensor,
+        ws: &mut Workspace,
+    ) -> (usize, usize) {
+        let [n, c, h, w]: [usize; 4] = images
+            .shape()
+            .try_into()
+            .expect("count_hits: images must be [N,C,H,W]");
+        let item = c * h * w;
+        let mut kept = (0..n).filter(|&r| keep(r));
+        let mut rows = [0usize; SCORE_BATCH];
+        let (mut hits, mut seen) = (0, 0);
+        loop {
+            let mut len = 0;
+            for (slot, r) in rows.iter_mut().zip(kept.by_ref()) {
+                *slot = r;
+                len += 1;
+            }
+            if len == 0 {
+                return (hits, seen);
+            }
+            let mut batch = ws.take_dirty(len * item);
+            for (dst, &r) in batch.chunks_exact_mut(item).zip(&rows[..len]) {
+                dst.copy_from_slice(&images.data()[r * item..(r + 1) * item]);
+            }
+            let batch = stamp(Tensor::from_vec(batch, &[len, c, h, w]), ws);
+            let logits = self.infer(&batch, ws);
+            hits += logits
+                .data()
+                .chunks_exact(self.num_classes())
+                .zip(&rows[..len])
+                .filter(|&(row, &r)| ops::argmax_row(row) == want(r))
+                .count();
+            seen += len;
+            ws.recycle(logits);
+            ws.recycle(batch);
+        }
     }
 
     /// `dL/dx` and the logits of a frozen network for an arbitrary
@@ -655,5 +707,40 @@ mod tests {
         let x = Tensor::from_fn(&[1, 3, 8, 8], |i| (i as f32 * 0.11).sin());
         let mut ws = Workspace::new();
         assert_eq!(a.infer(&x, &mut ws).data(), b.infer(&x, &mut ws).data());
+    }
+
+    #[test]
+    fn count_hits_matches_a_per_image_predict_loop() {
+        let arch = Architecture::new(ModelKind::BasicCnn, (1, 8, 8), 3).with_width(4);
+        let net = arch.build(&mut StdRng::seed_from_u64(11));
+        let keep = |r: usize| r % 5 != 2;
+        let want = |r: usize| r % 3;
+        let mut ws = Workspace::new();
+        for n in [63, 64, 65, 129] {
+            let images = Tensor::from_fn(&[n, 1, 8, 8], |i| ((i as f32) * 0.37).sin().abs());
+            for shift in [0.0f32, 0.25] {
+                let mut batches = Vec::new();
+                let stamp = |mut batch: Tensor, _: &mut Workspace| {
+                    batches.push(batch.shape()[0]);
+                    batch.map_assign(|x| x + shift);
+                    batch
+                };
+                let (hits, seen) = net.count_hits(&images, keep, want, stamp, &mut ws);
+                let kept: Vec<usize> = (0..n).filter(|&r| keep(r)).collect();
+                let naive = kept
+                    .iter()
+                    .filter(|&&r| {
+                        let img = images.index_axis0(r).map(|x| x + shift);
+                        net.predict(&img.reshape(&[1, 1, 8, 8]))[0] == want(r)
+                    })
+                    .count();
+                assert_eq!((hits, seen), (naive, kept.len()), "{n} rows, shift {shift}");
+                assert!(0 < hits && hits < seen, "{n} rows: a vacuous count");
+                // Full batches, then the remainder.
+                let (last, full) = batches.split_last().unwrap();
+                assert!(full.iter().all(|&b| b == SCORE_BATCH) && *last <= SCORE_BATCH);
+                assert_eq!(batches.iter().sum::<usize>(), kept.len());
+            }
+        }
     }
 }

@@ -1,11 +1,15 @@
-//! Mini-batch training loop over raw `(images, labels)` tensors.
+//! Mini-batch training loop over raw `(images, labels)` tensors, and
+//! clean accuracy.
 //!
 //! Dataset handling (synthetic generation, poisoning) lives in higher
 //! crates; this module only needs a `[N, C, H, W]` tensor and class labels.
+//! [`evaluate`] counts correct predictions with [`Network::count_hits`]
+//! (unstamped, `want` = the label), the same hit count that scores attack
+//! success and the reversed triggers.
 
 use crate::layer::{Grads, Layer, Pass};
 use crate::loss::softmax_cross_entropy;
-use crate::models::Network;
+use crate::models::{Network, SCORE_BATCH};
 use crate::optim::Sgd;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -153,16 +157,15 @@ pub fn gather_batch(images: &Tensor, labels: &[usize], indices: &[usize]) -> (Te
     (Tensor::stack(&items), by)
 }
 
-/// Classification accuracy of `net` on `(images, labels)`, evaluated in
-/// batches of 64.
+/// Classification accuracy of `net` on `(images, labels)`.
 ///
-/// Batches run in parallel on the [`usb_tensor::par`] worker pool (thread
-/// count from `USB_THREADS` / available parallelism). Evaluation is pure
-/// inference, so every worker predicts on the **same shared network** via
-/// the cache-free [`Network::predict_in`] path — no model clones at all;
-/// each worker only brings its own [`Workspace`] of scratch buffers. The
-/// integer hit counts are summed, so the result is identical at any thread
-/// count.
+/// Rows are scored by [`Network::count_hits`] in contiguous stripes of
+/// whole 64-image batches, one stripe per worker of the
+/// [`usb_tensor::par`] pool (thread count from `USB_THREADS` / available
+/// parallelism). Evaluation is pure inference, so every worker reads the
+/// **same shared network** — no model clones at all — and brings only its
+/// own [`Workspace`]. The integer hit counts are summed, so the result is
+/// identical at any thread count.
 pub fn evaluate(net: &Network, images: &Tensor, labels: &[usize]) -> f64 {
     evaluate_with_workers(net, images, labels, par::resolve_workers(0))
 }
@@ -179,35 +182,25 @@ pub fn evaluate_with_workers(
 ) -> f64 {
     let n = images.shape()[0];
     assert_eq!(labels.len(), n, "evaluate: label count mismatch");
-    if n == 0 {
-        return 0.0;
-    }
-    let indices: Vec<usize> = (0..n).collect();
-    let chunks: Vec<&[usize]> = indices.chunks(64).collect();
-    let score = |ws: &mut Workspace, chunk: &[usize]| -> usize {
-        let (bx, by) = gather_batch(images, labels, chunk);
-        let preds = net.predict_in(&bx, ws);
-        preds.iter().zip(&by).filter(|(p, l)| p == l).count()
-    };
-    let workers = workers.max(1).min(chunks.len());
-    let hits: usize = if workers <= 1 {
-        let mut ws = Workspace::new();
-        chunks.iter().map(|chunk| score(&mut ws, chunk)).sum()
-    } else {
-        // One contiguous stripe of batches (and one workspace) per worker.
-        let stripe = chunks.len().div_ceil(workers);
-        let stripes: Vec<&[&[usize]]> = chunks.chunks(stripe).collect();
-        par::par_map(workers, &stripes, |_, stripe| {
-            let mut ws = Workspace::new();
-            stripe
-                .iter()
-                .map(|chunk| score(&mut ws, chunk))
-                .sum::<usize>()
-        })
-        .into_iter()
-        .sum()
-    };
-    hits as f64 / n as f64
+    let batches = n.div_ceil(SCORE_BATCH).max(1);
+    let workers = workers.max(1).min(batches);
+    let stripe = batches.div_ceil(workers) * SCORE_BATCH;
+    let starts: Vec<usize> = (0..n).step_by(stripe).collect();
+    let hits: usize = par::par_map(workers, &starts, |_, &lo| {
+        let in_stripe = |r: usize| (lo..lo + stripe).contains(&r);
+        let unstamped = |batch, _: &mut Workspace| batch;
+        net.count_hits(
+            images,
+            in_stripe,
+            |r| labels[r],
+            unstamped,
+            &mut Workspace::new(),
+        )
+        .0
+    })
+    .into_iter()
+    .sum();
+    hits as f64 / n.max(1) as f64
 }
 
 #[cfg(test)]

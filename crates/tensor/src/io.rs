@@ -337,48 +337,50 @@ impl TensorRecord {
 /// Writes `t` as one self-delimiting dense (f32) tensor record (see
 /// module docs for the byte layout).
 pub fn write_tensor(w: &mut impl Write, t: &Tensor) -> Result<(), IoError> {
-    w.write_all(&TENSOR_MAGIC)?;
-    write_u16(w, TENSOR_VERSION)?;
-    write_u16(w, Dtype::F32.tag() as u16)?;
-    let mut crc = Crc32::new();
-    let mut emit = |w: &mut dyn Write, bytes: &[u8]| -> Result<(), IoError> {
-        crc.update(bytes);
-        w.write_all(bytes).map_err(IoError::from)
-    };
-    emit(w, &(t.ndim() as u32).to_le_bytes())?;
-    for &d in t.shape() {
-        emit(w, &(d as u64).to_le_bytes())?;
-    }
-    // Stream the payload through a bounded buffer: one write per 64 KiB
-    // chunk rather than a second full copy of the tensor in memory.
-    const CHUNK_ELEMS: usize = 16 * 1024;
-    let mut buf = Vec::with_capacity(4 * CHUNK_ELEMS.min(t.len()));
-    for chunk in t.data().chunks(CHUNK_ELEMS) {
-        buf.clear();
-        for &v in chunk {
-            buf.extend_from_slice(&v.to_le_bytes());
+    write_record(w, Dtype::F32, t.shape(), |emit| {
+        // Stream the payload through a bounded buffer: one write per 64 KiB
+        // chunk rather than a second full copy of the tensor in memory.
+        const CHUNK_ELEMS: usize = 16 * 1024;
+        let mut buf = Vec::with_capacity(4 * CHUNK_ELEMS.min(t.len()));
+        for chunk in t.data().chunks(CHUNK_ELEMS) {
+            buf.clear();
+            for &v in chunk {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+            emit(&buf)?;
         }
-        emit(w, &buf)?;
-    }
-    write_u32(w, crc.finish())
+        Ok(())
+    })
 }
 
 /// Writes a quantized tensor as one self-delimiting record (dtype tag
 /// f16 or q8; the payload is the codec's byte stream, verbatim).
 pub fn write_qtensor(w: &mut impl Write, q: &QTensor) -> Result<(), IoError> {
+    write_record(w, q.dtype(), q.shape(), |emit| emit(q.bytes()))
+}
+
+/// The framing every tensor record shares: magic, version and dtype tag,
+/// then the rank, the shape and the bytes `payload` hands to its `emit`
+/// callback, all under one CRC-32 written last.
+fn write_record(
+    w: &mut impl Write,
+    dtype: Dtype,
+    shape: &[usize],
+    payload: impl FnOnce(&mut dyn FnMut(&[u8]) -> Result<(), IoError>) -> Result<(), IoError>,
+) -> Result<(), IoError> {
     w.write_all(&TENSOR_MAGIC)?;
     write_u16(w, TENSOR_VERSION)?;
-    write_u16(w, q.dtype().tag() as u16)?;
+    write_u16(w, dtype.tag() as u16)?;
     let mut crc = Crc32::new();
-    let mut emit = |w: &mut dyn Write, bytes: &[u8]| -> Result<(), IoError> {
+    let mut emit = |bytes: &[u8]| -> Result<(), IoError> {
         crc.update(bytes);
         w.write_all(bytes).map_err(IoError::from)
     };
-    emit(w, &(q.shape().len() as u32).to_le_bytes())?;
-    for &d in q.shape() {
-        emit(w, &(d as u64).to_le_bytes())?;
+    emit(&(shape.len() as u32).to_le_bytes())?;
+    for &d in shape {
+        emit(&(d as u64).to_le_bytes())?;
     }
-    emit(w, q.bytes())?;
+    payload(&mut emit)?;
     write_u32(w, crc.finish())
 }
 

@@ -10,8 +10,9 @@
 //! * [`Tensor`] — a contiguous, row-major, `f32` n-dimensional array with
 //!   elementwise arithmetic, reductions, and shape algebra.
 //! * [`ops`] — matrix multiplication (`a·b` and `aᵀ·b`, one GEMM kernel),
-//!   softmax, argmax, and the pair of boundary helpers between the image
-//!   layout `[N, …]` and the batch-last layout `[…, N]`.
+//!   softmax, argmax, trigger stamping (`x·(1−m) + p·m` per channel
+//!   plane), and the pair of boundary helpers between the image layout
+//!   `[N, …]` and the batch-last layout `[…, N]`.
 //! * [`kernels`] — the one home of every hot loop (GEMM tiles, transpose,
 //!   dequant, elementwise passes, the softmax row, trigger blend, Adam,
 //!   the depthwise stencil pair): each is one function that runs its

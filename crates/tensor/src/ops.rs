@@ -1,4 +1,5 @@
-//! Linear-algebra and classification helper operations on [`Tensor`]s.
+//! Linear-algebra, classification and trigger-stamping helper operations
+//! on [`Tensor`]s.
 
 use crate::{kernels, Tensor, Workspace};
 
@@ -161,19 +162,30 @@ pub fn argmax_row(row: &[f32]) -> usize {
     best
 }
 
-/// Fraction of rows whose argmax equals the paired label.
+/// Stamps a trigger onto every `[C, H, W]` image of `x`:
+/// `out = x·(1−m) + p·m`, the `[H, W]` mask `m` broadcast across the
+/// channels of the `[C, H, W]` pattern `p`, one [`kernels::trigger_blend`]
+/// call per channel plane. Static triggers and the defenses' trigger
+/// variable both stamp through here.
 ///
 /// # Panics
 ///
-/// Panics if `labels.len()` differs from the number of rows.
-pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
-    let preds = argmax_rows(logits);
-    assert_eq!(preds.len(), labels.len(), "accuracy: label count mismatch");
-    if preds.is_empty() {
-        return 0.0;
+/// Panics unless `out` and `x` hold the same whole number of images and
+/// `p` a whole number of mask planes.
+pub fn stamp_images(out: &mut [f32], x: &[f32], m: &[f32], p: &[f32]) {
+    assert!(
+        out.len() == x.len() && x.len().is_multiple_of(p.len()) && p.len().is_multiple_of(m.len()),
+        "stamp_images: shape mismatch"
+    );
+    for (out, x) in out.chunks_exact_mut(p.len()).zip(x.chunks_exact(p.len())) {
+        for ((out, x), p) in out
+            .chunks_exact_mut(m.len())
+            .zip(x.chunks_exact(m.len()))
+            .zip(p.chunks_exact(m.len()))
+        {
+            kernels::trigger_blend(out, x, m, p);
+        }
     }
-    let hits = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-    hits as f64 / preds.len() as f64
 }
 
 #[cfg(test)]
@@ -253,10 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn argmax_and_accuracy() {
+    fn argmax_rows_picks_each_rows_largest_logit() {
         let l = Tensor::from_vec(vec![0.1, 0.9, 0.8, 0.2], &[2, 2]);
         assert_eq!(argmax_rows(&l), vec![1, 0]);
-        assert_eq!(accuracy(&l, &[1, 0]), 1.0);
-        assert_eq!(accuracy(&l, &[0, 0]), 0.5);
     }
 }

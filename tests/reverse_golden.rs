@@ -227,10 +227,7 @@ fn strained() -> UapConfig {
     UapConfig {
         error_rate: 1.01,
         max_passes: 2,
-        deepfool: DeepfoolConfig {
-            max_iters: 3,
-            ..DeepfoolConfig::default()
-        },
+        deepfool: DeepfoolConfig { max_iters: 3 },
         ..UapConfig::fast()
     }
 }
