@@ -85,25 +85,18 @@ impl IadGenerator {
         self.width
     }
 
-    /// Generates per-input patterns `[N, C, H, W]` in `[0, 1]` (allocates
-    /// a throwaway workspace — hot loops should use
-    /// [`IadGenerator::generate_in`]).
-    pub fn generate(&self, batch: &Tensor) -> Tensor {
-        self.generate_in(batch, &mut Workspace::new())
-    }
-
-    /// Generates patterns with a caller-owned workspace. The generator is
-    /// Conv/ReLU/Sigmoid only, with no batch norm (the one layer whose
-    /// [`Pass::Train`] differs), so these are also the patterns its
-    /// training step records.
-    pub fn generate_in(&self, batch: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// Generates per-input patterns `[N, C, H, W]` in `[0, 1]`, drawing
+    /// scratch from `ws`. The generator is Conv/ReLU/Sigmoid only, with no
+    /// batch norm (the one layer whose [`Pass::Train`] differs), so these
+    /// are also the patterns its training step records.
+    pub fn generate(&self, batch: &Tensor, ws: &mut Workspace) -> Tensor {
         forward_images(&self.net, batch, Pass::Infer, ws)
     }
 
     /// Stamps a batch, `(1−ε)·x + ε·G(x)`, through the inference path with
     /// a caller-owned workspace (read-only).
-    pub fn stamp_batch_in(&self, batch: &Tensor, ws: &mut Workspace) -> Tensor {
-        let patterns = self.generate_in(batch, ws);
+    pub fn stamp_batch(&self, batch: &Tensor, ws: &mut Workspace) -> Tensor {
+        let patterns = self.generate(batch, ws);
         blend(batch, &patterns, self.epsilon)
     }
 
@@ -196,7 +189,7 @@ impl Attack for IadAttack {
                 let poison_n = ((bn as f64 * self.poison_fraction).ceil() as usize).max(1);
                 let cross_n = ((bn as f64 * self.cross_fraction).ceil() as usize).max(1);
                 // --- Classifier step on [poisoned | cross | clean]. -------
-                let patterns = generator.generate_in(&bx, &mut ws); // [bn, C, H, W]
+                let patterns = generator.generate(&bx, &mut ws); // [bn, C, H, W]
                 let mut train_rows: Vec<Tensor> = Vec::with_capacity(bn);
                 let mut train_labels: Vec<usize> = Vec::with_capacity(bn);
                 #[allow(clippy::needless_range_loop)] // row indexes three parallel arrays
@@ -300,10 +293,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let g = IadGenerator::new(1, 4, 0.2, &mut rng);
         let x = Tensor::from_fn(&[2, 1, 8, 8], |i| ((i as f32) * 0.1).sin().abs());
-        let p = g.generate(&x);
+        let mut ws = Workspace::new();
+        let p = g.generate(&x, &mut ws);
         assert_eq!(p.shape(), x.shape());
         assert!(p.min() >= 0.0 && p.max() <= 1.0);
-        let stamped = g.stamp_batch_in(&x, &mut Workspace::new());
+        let stamped = g.stamp_batch(&x, &mut ws);
         // Stamp moves pixels at most ε.
         let max_shift = stamped.sub(&x).linf_norm();
         assert!(max_shift <= 0.2 + 1e-5);
@@ -335,7 +329,7 @@ mod tests {
             let a = data.test_images.index_axis0(0);
             let b = data.test_images.index_axis0(1);
             let batch = Tensor::stack(&[a, b]);
-            let p = g.generate(&batch);
+            let p = g.generate(&batch, &mut Workspace::new());
             let diff = p.index_axis0(0).sub(&p.index_axis0(1)).l1_norm();
             assert!(diff > 0.1, "patterns are not input-aware: diff {diff}");
         } else {

@@ -20,7 +20,7 @@ use usb_nn::loss::softmax_cross_entropy;
 use usb_nn::models::Architecture;
 use usb_nn::optim::Sgd;
 use usb_nn::train::{evaluate, gather_batch, TrainConfig};
-use usb_tensor::{Tape, Tensor, Workspace};
+use usb_tensor::{ops, Tape, Tensor, Workspace};
 
 /// Latent backdoor: BadNet poisoning plus a feature-space anchoring loss
 /// `μ · ‖φ(x_trig) − c_target‖²`.
@@ -89,16 +89,15 @@ impl Attack for LatentBackdoor {
                 let (mut bx, mut by) = gather_batch(&data.train_images, &data.train_labels, chunk);
                 let bn = chunk.len();
                 let poison_count = ((bn as f64 * self.poison_rate).ceil() as usize).min(bn);
-                // Poison the first `poison_count` rows of the shuffled batch.
-                let mut poisoned_rows = Vec::with_capacity(poison_count);
-                #[allow(clippy::needless_range_loop)] // row indexes bx and by in lockstep
-                for row in 0..poison_count {
-                    let stamped = trigger.stamp(&bx.index_axis0(row), &mut ws);
-                    bx.set_axis0(row, &stamped);
-                    ws.recycle(stamped);
-                    by[row] = self.target;
-                    poisoned_rows.push(row);
-                }
+                // Poison the first `poison_count` rows of the shuffled batch
+                // in one stamp.
+                let head = poison_count * (bx.len() / bn);
+                let mut clean = ws.take_dirty(head);
+                clean.copy_from_slice(&bx.data()[..head]);
+                let (m, p) = (trigger.mask().data(), trigger.pattern().data());
+                ops::stamp_images(&mut bx.data_mut()[..head], &clean, m, p);
+                ws.put(clean);
+                by[..poison_count].fill(self.target);
                 // Record through the split network, then backpropagate the
                 // head first so the feature-space term joins in between.
                 grads.zero();
@@ -118,7 +117,7 @@ impl Attack for LatentBackdoor {
                 if let Some(c) = &centroid {
                     let dim = feats.shape()[1];
                     let scale = 2.0 * self.feature_weight / bn as f32;
-                    for &row in &poisoned_rows {
+                    for row in 0..poison_count {
                         for j in 0..dim {
                             let f = feats.at(&[row, j]);
                             dfeats.data_mut()[row * dim + j] += scale * (f - c.data()[j]);

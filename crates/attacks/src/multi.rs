@@ -13,6 +13,7 @@ use crate::victim::{
     evaluate_asr_static, Attack, BackdoorImplant, GroundTruth, InjectedTrigger, Victim,
 };
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use usb_data::Dataset;
 use usb_nn::models::Architecture;
@@ -120,17 +121,21 @@ impl MultiBadNet {
         let mut images = data.train_images.clone();
         let mut labels = data.train_labels.clone();
         let mut order: Vec<usize> = (0..n).collect();
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.gen_range(0..=i));
-        }
+        order.shuffle(rng);
+        // One stamp per target: gather its rows, stamp them, scatter back.
+        let (c, h, w) = (spec.channels, spec.height, spec.width);
+        let row = c * h * w;
         let mut ws = Workspace::new();
         for (t, (&target, trigger)) in self.targets.iter().zip(&triggers).enumerate() {
-            for &i in &order[t * per_target..(t + 1) * per_target] {
-                let stamped = trigger.stamp(&images.index_axis0(i), &mut ws);
-                images.set_axis0(i, &stamped);
-                ws.recycle(stamped);
+            let rows = &order[t * per_target..(t + 1) * per_target];
+            let block = rows.iter().flat_map(|&i| &images.data()[i * row..][..row]);
+            let block = Tensor::from_vec(block.copied().collect(), &[rows.len(), c, h, w]);
+            let stamped = trigger.stamp(&block, &mut ws);
+            for (&i, src) in rows.iter().zip(stamped.data().chunks_exact(row)) {
+                images.data_mut()[i * row..][..row].copy_from_slice(src);
                 labels[i] = target;
             }
+            ws.recycle(stamped);
         }
         (images, labels, triggers)
     }

@@ -787,7 +787,11 @@ mod tests {
         let back = read_generator(&mut buf.as_slice(), 3).unwrap();
         assert_eq!(back.epsilon(), 0.4);
         let x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i as f32) * 0.07).cos().abs());
-        assert_eq!(gen.generate(&x).data(), back.generate(&x).data());
+        let mut ws = Workspace::new();
+        assert_eq!(
+            gen.generate(&x, &mut ws).data(),
+            back.generate(&x, &mut ws).data()
+        );
     }
 
     #[test]
@@ -830,9 +834,10 @@ mod tests {
         let back = read_victim_bytes(&buf).unwrap();
         assert_eq!(back.train_seed, 6);
         let x = Tensor::from_fn(&[2, 1, 12, 12], |i| ((i as f32) * 0.13).cos());
+        let mut ws = Workspace::new();
         assert_eq!(
-            bundle.victim.model.predict(&x),
-            back.victim.model.predict(&x)
+            bundle.victim.model.infer(&x, &mut ws).data(),
+            back.victim.model.infer(&x, &mut ws).data()
         );
         // Same bytes, same fingerprint; any byte change moves it.
         assert_eq!(bundle_fingerprint(&buf), bundle_fingerprint(&buf));

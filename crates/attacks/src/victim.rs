@@ -3,7 +3,7 @@
 //! An implant's ASR is the share of stamped non-target test images the
 //! model sends to the target. [`evaluate_asr_static`] and
 //! [`evaluate_asr_dynamic`] differ only in the stamp ([`Trigger::stamp`]
-//! or [`IadGenerator::stamp_batch_in`]); both count through
+//! or [`IadGenerator::stamp_batch`]); both count through
 //! [`Network::count_hits`], the hit count behind every success rate in
 //! the workspace.
 
@@ -164,7 +164,7 @@ pub fn evaluate_asr_dynamic(
     target: usize,
 ) -> f64 {
     stamped_success(model, images, labels, target, |batch, ws| {
-        generator.stamp_batch_in(batch, ws)
+        generator.stamp_batch(batch, ws)
     })
 }
 

@@ -40,40 +40,6 @@ impl Default for DeepfoolConfig {
     }
 }
 
-/// Minimal perturbation sending a single image `x` (`[C, H, W]`) to class
-/// `target` under `model`.
-///
-/// Returns the perturbation `r` (same shape as `x`); `x + r` classifies as
-/// `target` unless the iteration budget ran out (callers check). The
-/// perturbation is `0` when `x` already classifies as `target`.
-///
-/// The model is only **read**: gradients go through a tape-backed
-/// `Pass::Eval` recording, so one `&Network` serves every caller. This
-/// single-image entry point runs the loop the Alg. 1 sweep runs, with a
-/// throwaway [`Tape`] and [`Workspace`].
-///
-/// # Panics
-///
-/// Panics if `x` is not rank-3 or `target` is out of range.
-pub fn deepfool(model: &Network, x: &Tensor, target: usize, config: DeepfoolConfig) -> Tensor {
-    assert_eq!(x.ndim(), 3, "deepfool: x must be [C,H,W]");
-    assert!(
-        target < model.num_classes(),
-        "deepfool: target {target} out of range"
-    );
-    let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let mut xi = x.reshape(&[1, c, h, w]);
-    deepfool_in_place(
-        model,
-        &mut xi,
-        target,
-        config,
-        &mut Tape::new(),
-        &mut Workspace::new(),
-    );
-    xi.reshape(x.shape()).sub(x)
-}
-
 /// Moves the `[1, C, H, W]` sample `xi` toward `target` in place and
 /// returns whether it started off target.
 ///
@@ -82,7 +48,8 @@ pub fn deepfool(model: &Network, x: &Tensor, target: usize, config: DeepfoolConf
 /// stops without a backward; otherwise the `±1` logit seed drawn from `ws`
 /// goes through [`Layer::grad`], `xi` takes the step and is clamped in
 /// place. At most `max_iters` steps run and no forward follows the last
-/// one; the first forward always runs, since it is the prediction. Every
+/// one; the first forward always runs, since it is the prediction. The
+/// model is only **read**, so one `&Network` serves every worker. Every
 /// tensor is drawn from and recycled into `ws`, so a warm call allocates
 /// nothing.
 pub(crate) fn deepfool_in_place(
@@ -130,15 +97,29 @@ pub(crate) fn deepfool_in_place(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use usb_attacks::train_clean_victim;
     use usb_data::SyntheticSpec;
     use usb_nn::models::{Architecture, ModelKind};
     use usb_nn::train::TrainConfig;
 
-    fn predict(model: &Network, x: &Tensor) -> usize {
-        model.predict(&x.reshape(&[1, 1, 12, 12]))[0]
+    fn predict(model: &Network, x: &Tensor, ws: &mut Workspace) -> usize {
+        let logits = model.infer(&x.reshape(&[1, 1, 12, 12]), ws);
+        ops::argmax_row(logits.data())
+    }
+
+    /// The DeepFool displacement of the `[C, H, W]` image `x` toward
+    /// `target`: the loop Alg. 1 runs, on the caller's tape and workspace.
+    fn deepfool(
+        model: &Network,
+        x: &Tensor,
+        target: usize,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let (c, h, w) = model.input_shape();
+        let mut xi = x.reshape(&[1, c, h, w]);
+        deepfool_in_place(model, &mut xi, target, DeepfoolConfig::default(), tape, ws);
+        xi.reshape(x.shape()).sub(x)
     }
 
     fn trained_victim() -> (usb_data::Dataset, Network) {
@@ -156,15 +137,16 @@ mod tests {
     #[test]
     fn deepfool_reaches_target_class() {
         let (data, model) = trained_victim();
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         let mut reached = 0;
         let mut total = 0;
         for i in 0..8 {
             let x = data.test_images.index_axis0(i);
             let label = data.test_labels[i];
             let target = (label + 1) % 4;
-            let r = deepfool(&model, &x, target, DeepfoolConfig::default());
+            let r = deepfool(&model, &x, target, &mut tape, &mut ws);
             let adv = x.add(&r).clamp(0.0, 1.0);
-            let pred = predict(&model, &adv);
+            let pred = predict(&model, &adv, &mut ws);
             total += 1;
             if pred == target {
                 reached += 1;
@@ -179,12 +161,13 @@ mod tests {
     #[test]
     fn zero_perturbation_when_already_target() {
         let (data, model) = trained_victim();
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         // Find a test image the model classifies correctly.
         for i in 0..10 {
             let x = data.test_images.index_axis0(i);
-            let pred = predict(&model, &x);
+            let pred = predict(&model, &x, &mut ws);
             if pred == data.test_labels[i] {
-                let r = deepfool(&model, &x, pred, DeepfoolConfig::default());
+                let r = deepfool(&model, &x, pred, &mut tape, &mut ws);
                 assert_eq!(r.l1_norm(), 0.0, "no perturbation needed");
                 return;
             }
@@ -202,7 +185,7 @@ mod tests {
         let mut xi = x.reshape(&[1, c, h, w]);
         let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         let off = deepfool_in_place(&model, &mut xi, target, config, &mut tape, &mut ws);
-        assert_eq!(off, predict(&model, &x) != target);
+        assert_eq!(off, predict(&model, &x, &mut ws) != target);
         assert_eq!(xi.data(), x.data(), "a zero budget takes no step");
     }
 
@@ -211,7 +194,7 @@ mod tests {
         let (data, model) = trained_victim();
         let x = data.test_images.index_axis0(0);
         let target = (data.test_labels[0] + 1) % 4;
-        let r = deepfool(&model, &x, target, DeepfoolConfig::default());
+        let r = deepfool(&model, &x, target, &mut Tape::new(), &mut Workspace::new());
         // An adversarial perturbation should be much smaller than the image.
         assert!(
             r.l2_norm() < x.l2_norm(),
@@ -226,27 +209,22 @@ mod tests {
         let (data, model) = trained_victim();
         let x = data.test_images.index_axis0(1);
         let target = (data.test_labels[1] + 2) % 4;
-        let r = deepfool(&model, &x, target, DeepfoolConfig::default());
+        let r = deepfool(&model, &x, target, &mut Tape::new(), &mut Workspace::new());
         let adv = x.add(&r);
         assert!(adv.min() >= -1e-5 && adv.max() <= 1.0 + 1e-5);
     }
 
+    /// A warm tape and workspace give the fresh result bit for bit.
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_bad_target() {
-        let (_data, model) = trained_victim();
-        let x = Tensor::zeros(&[1, 12, 12]);
-        let _ = deepfool(&model, &x, 99, DeepfoolConfig::default());
-    }
-
-    #[test]
-    fn deterministic() {
+    fn deterministic_on_a_reused_context() {
         let (data, model) = trained_victim();
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
         let x = data.test_images.index_axis0(2);
         let target = (data.test_labels[2] + 1) % 4;
-        let a = deepfool(&model, &x, target, DeepfoolConfig::default());
-        let b = deepfool(&model, &x, target, DeepfoolConfig::default());
+        let a = deepfool(&model, &x, target, &mut tape, &mut ws);
+        let b = deepfool(&model, &x, target, &mut tape, &mut ws);
+        let fresh = deepfool(&model, &x, target, &mut Tape::new(), &mut Workspace::new());
         assert_eq!(a.data(), b.data());
-        let _ = StdRng::seed_from_u64(0); // rng unused: API is deterministic
+        assert_eq!(a.data(), fresh.data());
     }
 }

@@ -6,8 +6,8 @@
 //! path, gradients through the caller-owned tape — so [`UsbDetector`]
 //! overrides [`Defense::inspect`] to fan the classes out over
 //! [`usb_tensor::par`] worker threads **sharing one `&Network`**: zero
-//! model clones; each class's Alg. 1 pass and refinement build their own
-//! fresh tape and workspace. Verdicts are
+//! model clones. Each worker owns one tape and one workspace, which every
+//! class it runs borrows for Alg. 1 and Alg. 2. Verdicts are
 //! **bit-identical at any thread count**: each class receives its own
 //! `StdRng` stream, derived from the caller's rng in class order before
 //! any worker starts, so no class's randomness depends on scheduling.
@@ -15,10 +15,11 @@
 use crate::refine::refine_uap;
 use crate::uap::{targeted_uap, UapConfig};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use usb_defenses::{ClassResult, Defense, DetectionOutcome, RefineConfig};
 use usb_nn::models::Network;
-use usb_tensor::{par, Tensor};
+use usb_tensor::{par::par_map, Tape, Tensor, Workspace};
 
 /// Configuration of the full USB pipeline.
 ///
@@ -97,9 +98,9 @@ impl Default for UsbConfig {
 /// passes go through the cache-free `Network::infer` path, and the
 /// DeepFool / refinement gradient steps through tape-backed `Pass::Eval`
 /// recordings, so no worker ever writes to the model
-/// and **no victim clones are made** (each class's `targeted_uap` and
-/// `optimise_trigger` build a fresh tape and workspace instead — buffers,
-/// not a parameter copy). Class `t`
+/// and **no victim clones are made**: each worker brings one tape and one
+/// workspace — buffers, not a parameter copy — and reuses them for every
+/// class it runs, Alg. 1 and Alg. 2 alike. Class `t`
 /// always draws from its own rng stream, so the outcome is a pure
 /// function of `(model, images, seed)` — never of the thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,8 +131,9 @@ impl UsbDetector {
     }
 
     /// Timed variant of [`Defense::reverse_class`]: reverse-engineers one
-    /// class and also reports how the wall time split across the two
-    /// algorithm stages (used by the Table 7 timing harness).
+    /// class on a tape and workspace of its own and also reports how the
+    /// wall time split across the two algorithm stages (used by the Table 7
+    /// timing harness).
     pub fn reverse_class_timed(
         &self,
         model: &Network,
@@ -139,20 +141,33 @@ impl UsbDetector {
         target: usize,
         rng: &mut StdRng,
     ) -> (ClassResult, StageSeconds) {
-        let n = images.shape()[0];
-        let take = self.config.uap_samples.min(n);
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in (1..idx.len()).rev() {
-            idx.swap(i, rng.gen_range(0..=i));
-        }
-        idx.truncate(take);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        self.reverse_timed(model, images, target, rng, &mut tape, &mut ws)
+    }
+
+    /// Alg. 1 on a small sample of X (drawn without replacement for
+    /// determinism given the rng), then Alg. 2 over all of it, both on the
+    /// caller's `tape` and `ws`; also returns each stage's wall time.
+    fn reverse_timed(
+        &self,
+        model: &Network,
+        images: &Tensor,
+        target: usize,
+        rng: &mut StdRng,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> (ClassResult, StageSeconds) {
+        let mut idx: Vec<usize> = (0..images.shape()[0]).collect();
+        idx.shuffle(rng);
+        idx.truncate(self.config.uap_samples);
         let subset: Vec<Tensor> = idx.iter().map(|&i| images.index_axis0(i)).collect();
         let subset = Tensor::stack(&subset);
         let t0 = std::time::Instant::now();
-        let uap = targeted_uap(model, &subset, target, self.config.uap);
+        let uap = targeted_uap(model, &subset, target, self.config.uap, tape, ws);
         let uap_seconds = t0.elapsed().as_secs_f64();
         let t1 = std::time::Instant::now();
-        let fit = refine_uap(model, images, target, &uap.perturbation, self.config.refine);
+        let refine = self.config.refine;
+        let fit = refine_uap(model, images, target, &uap.perturbation, refine, tape, ws);
         let refine_seconds = t1.elapsed().as_secs_f64();
         (
             fit.class_result(target),
@@ -172,7 +187,8 @@ impl UsbDetector {
     /// bit-identical outcome at any worker count. `on_class` runs on the
     /// worker thread that finished the class, concurrently with other
     /// workers, and classes complete in scheduling order — not class
-    /// order — so it must be `Sync` and order-tolerant.
+    /// order — so it must be `Sync` and order-tolerant. Each worker makes
+    /// one tape and one workspace and runs all its classes on them.
     pub fn inspect_with_progress(
         &self,
         model: &Network,
@@ -182,12 +198,16 @@ impl UsbDetector {
     ) -> DetectionOutcome {
         let k = model.num_classes();
         let seeds: Vec<u64> = (0..k).map(|_| rng.gen()).collect();
-        let per_class: Vec<ClassResult> = par::par_map(self.config.workers, &seeds, |t, &seed| {
-            let mut class_rng = StdRng::seed_from_u64(seed);
-            let result = self.reverse_class(model, images, t, &mut class_rng);
-            on_class(&result);
-            result
-        });
+        let per_class = par_map(
+            self.config.workers,
+            &seeds,
+            |(tape, ws): &mut (Tape, Workspace), t, &seed| {
+                let mut class_rng = StdRng::seed_from_u64(seed);
+                let result = self.reverse_class_in(model, images, t, &mut class_rng, tape, ws);
+                on_class(&result);
+                result
+            },
+        );
         DetectionOutcome::from_class_results(self.name(), per_class, self.min_success())
     }
 }
@@ -206,24 +226,25 @@ impl Defense for UsbDetector {
         "USB"
     }
 
-    /// Alg. 1 on a small sample of X (drawn without replacement for
-    /// determinism given the rng), then Alg. 2 over all of it.
-    fn reverse_class(
+    /// Alg. 1 on a small sample of X, then Alg. 2 over all of it.
+    fn reverse_class_in(
         &self,
         model: &Network,
         images: &Tensor,
         target: usize,
         rng: &mut StdRng,
+        tape: &mut Tape,
+        ws: &mut Workspace,
     ) -> ClassResult {
-        self.reverse_class_timed(model, images, target, rng).0
+        self.reverse_timed(model, images, target, rng, tape, ws).0
     }
 
     /// Parallel per-class scan: fans the classes out over the configured
     /// worker pool, **sharing one `&Network`** — zero model clones — with
-    /// one derived rng stream per class.
+    /// one derived rng stream per class, one tape and workspace per worker.
     ///
     /// The class seeds are drawn from `rng` in class order *before* any
-    /// worker starts, and [`par::par_map`] returns results in class order,
+    /// worker starts, and [`par_map`] returns results in class order,
     /// so the outcome is bit-identical to a sequential scan with the same
     /// derived streams — at 1 thread or 64.
     fn inspect(&self, model: &Network, images: &Tensor, rng: &mut StdRng) -> DetectionOutcome {

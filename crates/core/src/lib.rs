@@ -7,7 +7,7 @@
 //! 1. **Targeted UAP (Alg. 1)** — [`targeted_uap`] builds a universal
 //!    adversarial perturbation `v` that sends *most* clean inputs to a
 //!    candidate target class, by repeatedly applying a targeted
-//!    [`deepfool`] step to every not-yet-fooled sample and projecting onto
+//!    DeepFool step to every not-yet-fooled sample and projecting onto
 //!    an L∞ ball. Per sample, one loop asks and acts: DeepFool's first
 //!    forward is the prediction, and it steps only while off target. A
 //!    backdoored class has a poisoning-built shortcut from every class, so
@@ -32,8 +32,11 @@
 //! [`usb_tensor::par`] worker pool ([`UsbConfig::workers`], or the
 //! `USB_THREADS` environment variable), every worker sharing **one
 //! `&Network`** — the model is only ever read (forward passes through the
-//! cache-free inference path, gradients through the caller-owned
-//! `usb_tensor::tape::Tape`), so inspection spawns zero model clones.
+//! cache-free inference path, gradients through a caller-owned
+//! [`Tape`](usb_tensor::Tape)), so inspection spawns zero model clones.
+//! Scratch is borrowed, not built: [`targeted_uap`], [`refine_uap`] and
+//! [`transfer_uap`] take the caller's `&mut Tape` and `&mut Workspace`,
+//! and each inspection worker owns one pair for all the classes it runs.
 //! Each class draws from its own rng stream derived from the inspection
 //! seed, so verdicts are bit-identical at any thread count.
 //!
@@ -68,7 +71,7 @@ mod transfer;
 mod uap;
 pub mod viz;
 
-pub use deepfool::{deepfool, DeepfoolConfig};
+pub use deepfool::DeepfoolConfig;
 pub use detector::{StageSeconds, UsbConfig, UsbDetector};
 pub use refine::refine_uap;
 pub use transfer::{transfer_uap, TransferOutcome};

@@ -21,7 +21,7 @@
 
 use usb_defenses::{optimise_trigger, Objective, RefineConfig, TriggerFit, TriggerVar};
 use usb_nn::models::Network;
-use usb_tensor::Tensor;
+use usb_tensor::{Tape, Tensor, Workspace};
 
 /// Builds the Alg. 2 initialisation from a UAP: the mask is the
 /// channel-averaged magnitude of `v` (normalised), the trigger is `v`
@@ -51,7 +51,7 @@ pub fn init_from_uap(v: &Tensor) -> (Tensor, Tensor) {
 ///
 /// The model is only **read** (tape-backed input gradients, cache-free
 /// final scoring), so concurrent per-class refinements can share one
-/// `&Network`.
+/// `&Network`; each brings its own `tape` and `ws`.
 ///
 /// # Panics
 ///
@@ -62,10 +62,12 @@ pub fn refine_uap(
     target: usize,
     v: &Tensor,
     config: RefineConfig,
+    tape: &mut Tape,
+    ws: &mut Workspace,
 ) -> TriggerFit {
     let (mask0, pattern0) = init_from_uap(v);
     let var = TriggerVar::from_values(&mask0, &pattern0);
-    optimise_trigger(model, images, target, var, Objective::Usb(config))
+    optimise_trigger(model, images, target, var, Objective::Usb(config), tape, ws)
 }
 
 #[cfg(test)]
@@ -111,13 +113,16 @@ mod tests {
         assert!(victim.asr() > 0.8, "attack failed: {}", victim.asr());
         let mut rng = StdRng::seed_from_u64(2);
         let (x, _) = data.clean_subset(32, &mut rng);
-        let uap = targeted_uap(&victim.model, &x, 1, UapConfig::fast());
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let uap = targeted_uap(&victim.model, &x, 1, UapConfig::fast(), &mut tape, &mut ws);
         let refined = refine_uap(
             &victim.model,
             &x,
             1,
             &uap.perturbation,
             RefineConfig::fast(),
+            &mut tape,
+            &mut ws,
         );
         assert!(
             refined.success_rate > 0.6,

@@ -9,7 +9,7 @@ use crate::refine::refine_uap;
 use crate::uap::targeted_success_rate;
 use usb_defenses::{RefineConfig, TriggerFit};
 use usb_nn::models::Network;
-use usb_tensor::{Tensor, Workspace};
+use usb_tensor::{Tape, Tensor, Workspace};
 
 /// Result of running refinement on a transferred UAP.
 #[derive(Debug, Clone)]
@@ -22,7 +22,8 @@ pub struct TransferOutcome {
 }
 
 /// Refines a UAP generated elsewhere against `dest` (Alg. 2 only — no new
-/// Alg. 1 run). The destination model is only read.
+/// Alg. 1 run), drawing all scratch from `tape` and `ws`. The destination
+/// model is only read.
 ///
 /// # Panics
 ///
@@ -33,9 +34,11 @@ pub fn transfer_uap(
     target: usize,
     uap: &Tensor,
     config: RefineConfig,
+    tape: &mut Tape,
+    ws: &mut Workspace,
 ) -> TransferOutcome {
-    let raw = targeted_success_rate(dest, images, uap, target, &mut Workspace::new());
-    let refined = refine_uap(dest, images, target, uap, config);
+    let raw = targeted_success_rate(dest, images, uap, target, ws);
+    let refined = refine_uap(dest, images, target, uap, config, tape, ws);
     TransferOutcome {
         refined,
         raw_transfer_success: raw,
@@ -70,8 +73,18 @@ mod tests {
         assert!(a.asr() > 0.8 && b.asr() > 0.8, "attacks failed");
         let mut rng = StdRng::seed_from_u64(5);
         let (x, _) = data.clean_subset(32, &mut rng);
-        let uap = targeted_uap(&a.model, &x, 2, UapConfig::fast());
-        let out = transfer_uap(&b.model, &x, 2, &uap.perturbation, RefineConfig::fast());
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let uap = targeted_uap(&a.model, &x, 2, UapConfig::fast(), &mut tape, &mut ws);
+        let config = RefineConfig::fast();
+        let out = transfer_uap(
+            &b.model,
+            &x,
+            2,
+            &uap.perturbation,
+            config,
+            &mut tape,
+            &mut ws,
+        );
         assert!(
             out.refined.success_rate > 0.6,
             "transferred refinement failed: {}",

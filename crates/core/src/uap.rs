@@ -138,9 +138,9 @@ pub(crate) fn targeted_success_rate(
 /// Each sample visit writes `x' = clamp(xᵢ + v)` into one reused buffer and
 /// runs the DeepFool loop on it; that loop's first forward answers
 /// `f(x') ≠ t`. When it does, the sample's DeepFool displacement is added
-/// to `v`, which is then projected onto the L∞ ball of radius δ. One tape
-/// and one workspace serve every sample and pass, so a warm pass allocates
-/// nothing.
+/// to `v`, which is then projected onto the L∞ ball of radius δ. The
+/// caller's `tape` and `ws` serve every sample and pass, so a warm pass
+/// allocates nothing; whatever they hold on entry never reaches the result.
 ///
 /// # Panics
 ///
@@ -150,6 +150,8 @@ pub fn targeted_uap(
     images: &Tensor,
     target: usize,
     config: UapConfig,
+    tape: &mut Tape,
+    ws: &mut Workspace,
 ) -> UapResult {
     let [n, c, h, w]: [usize; 4] = images.shape().try_into().expect("images must be [N,C,H,W]");
     assert!(n > 0, "targeted_uap: no data points");
@@ -161,16 +163,14 @@ pub fn targeted_uap(
     let mut v = Tensor::zeros(&[c, h, w]);
     let mut passes = 0usize;
     let mut deepfool_calls = 0usize;
-    let mut ws = Workspace::new();
-    let mut tape = Tape::new();
     let mut adv = Tensor::zeros(&[1, c, h, w]);
-    let mut success = targeted_success_rate(model, images, &v, target, &mut ws);
+    let mut success = targeted_success_rate(model, images, &v, target, ws);
     while success < config.error_rate && passes < config.max_passes {
         for xi in images.data().chunks_exact(v.len()) {
             for ((a, &x), &p) in adv.data_mut().iter_mut().zip(xi).zip(v.data()) {
                 *a = perturbed(x, p);
             }
-            if deepfool_in_place(model, &mut adv, target, config.deepfool, &mut tape, &mut ws) {
+            if deepfool_in_place(model, &mut adv, target, config.deepfool, tape, ws) {
                 deepfool_calls += 1;
                 // v ← project(v + Δvᵢ) with Δvᵢ = adv − x' (Alg. 1 line 7);
                 // x' is recomputed bit for bit, as `v` has not moved.
@@ -180,7 +180,7 @@ pub fn targeted_uap(
             }
         }
         passes += 1;
-        success = targeted_success_rate(model, images, &v, target, &mut ws);
+        success = targeted_success_rate(model, images, &v, target, ws);
     }
     UapResult {
         perturbation: v,
@@ -199,6 +199,7 @@ mod tests {
     use usb_data::SyntheticSpec;
     use usb_nn::models::{Architecture, ModelKind};
     use usb_nn::train::TrainConfig;
+    use usb_tensor::ops;
 
     #[test]
     fn uap_reaches_requested_success_rate_on_clean_model() {
@@ -212,7 +213,15 @@ mod tests {
         let victim = train_clean_victim(&data, arch, TrainConfig::fast(), 2);
         let mut rng = StdRng::seed_from_u64(0);
         let (x, _) = data.clean_subset(24, &mut rng);
-        let result = targeted_uap(&victim.model, &x, 1, UapConfig::default());
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let result = targeted_uap(
+            &victim.model,
+            &x,
+            1,
+            UapConfig::default(),
+            &mut tape,
+            &mut ws,
+        );
         assert!(
             result.success_rate >= 0.6,
             "UAP failed to reach θ: {}",
@@ -237,8 +246,9 @@ mod tests {
         assert!(victim.asr() > 0.8, "attack failed: {}", victim.asr());
         let mut rng = StdRng::seed_from_u64(1);
         let (x, _) = data.clean_subset(24, &mut rng);
-        let to_backdoor = targeted_uap(&victim.model, &x, 0, UapConfig::fast());
-        let to_clean = targeted_uap(&victim.model, &x, 3, UapConfig::fast());
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let to_backdoor = targeted_uap(&victim.model, &x, 0, UapConfig::fast(), &mut tape, &mut ws);
+        let to_clean = targeted_uap(&victim.model, &x, 3, UapConfig::fast(), &mut tape, &mut ws);
         assert!(
             to_backdoor.l1_norm() < to_clean.l1_norm(),
             "backdoor UAP {:.1} should be smaller than clean UAP {:.1}",
@@ -259,8 +269,14 @@ mod tests {
             deepfool: DeepfoolConfig { max_iters: 0 },
             ..UapConfig::fast()
         };
-        let result = targeted_uap(&model, &x, target, config);
-        let off_target = model.predict(&x).iter().filter(|&&p| p != target).count();
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let result = targeted_uap(&model, &x, target, config, &mut tape, &mut ws);
+        let logits = model.infer(&x, &mut ws);
+        let off_target = logits
+            .data()
+            .chunks_exact(4)
+            .filter(|&row| ops::argmax_row(row) != target)
+            .count();
         assert!(off_target > 0);
         assert_eq!(result.passes, 2);
         assert_eq!(result.deepfool_calls, 2 * off_target);
@@ -279,6 +295,25 @@ mod tests {
         let arch = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4).with_width(4);
         let victim = train_clean_victim(&data, arch, TrainConfig::fast(), 1);
         let empty = Tensor::zeros(&[0, 1, 12, 12]);
-        let _ = targeted_uap(&victim.model, &empty, 0, UapConfig::fast());
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let _ = targeted_uap(
+            &victim.model,
+            &empty,
+            0,
+            UapConfig::fast(),
+            &mut tape,
+            &mut ws,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "target out of range")]
+    fn rejects_bad_target() {
+        let model = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4)
+            .with_width(4)
+            .build(&mut StdRng::seed_from_u64(3));
+        let x = Tensor::zeros(&[1, 1, 12, 12]);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let _ = targeted_uap(&model, &x, 99, UapConfig::fast(), &mut tape, &mut ws);
     }
 }

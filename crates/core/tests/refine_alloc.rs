@@ -15,16 +15,20 @@
 //! forward-only passes are held to it call by call: once the workspace is
 //! warm, `Network::infer` allocates nothing, on every architecture and
 //! weight dtype.
+//!
+//! A worker's tape and workspace outlive a class: reversing a class on a
+//! context another class warmed allocates exactly as often as on one the
+//! same class warmed, so no class regrows what the last one left.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use usb_core::{refine_uap, targeted_uap, RefineConfig, UapConfig};
+use usb_core::{refine_uap, targeted_uap, RefineConfig, UapConfig, UsbConfig, UsbDetector};
 use usb_defenses::{Defense, NcConfig, NeuralCleanse, Tabor, TaborConfig};
 use usb_nn::models::{Architecture, ModelKind, Network};
-use usb_tensor::{Dtype, Tensor, Workspace};
+use usb_tensor::{ops, Dtype, Tape, Tensor, Workspace};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -73,7 +77,10 @@ fn allocs_for(steps: usize, model: &Network, images: &Tensor, v: &Tensor) -> u64
     };
     // The result outlives the measurement, so its drops don't shift
     // between runs; sanity-check it did real work.
-    let (n, refined) = allocs_in(|| refine_uap(model, images, 0, v, config));
+    let (n, refined) = allocs_in(|| {
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        refine_uap(model, images, 0, v, config, &mut tape, &mut ws)
+    });
     assert!(refined.final_ssim.is_finite());
     n
 }
@@ -202,7 +209,10 @@ fn uap_allocs_for(
         linf_budget: 0.02,
         ..UapConfig::fast()
     };
-    let (n, result) = allocs_in(|| targeted_uap(model, images, target, config));
+    let (n, result) = allocs_in(|| {
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        targeted_uap(model, images, target, config, &mut tape, &mut ws)
+    });
     (n, result.deepfool_calls)
 }
 
@@ -225,7 +235,7 @@ fn warm_uap_pass_allocates_nothing() {
             model.quantize_weights(dtype);
             let images = Tensor::from_fn(&[8, c, h, w], |i| 0.5 + 0.4 * ((i as f32) * 0.29).sin());
             // A class no sample starts in, so every sample takes steps.
-            let preds = model.predict(&images);
+            let preds = ops::argmax_rows(&model.infer(&images, &mut Workspace::new()));
             let target = (0..6).find(|t| !preds.contains(t)).unwrap();
             // Absorb one-time initialisation (GEMM panels, lazy statics).
             let _ = uap_allocs_for(2, &model, &images, target);
@@ -278,6 +288,70 @@ fn warm_forward_only_passes_allocate_nothing() {
                 );
                 ws.recycle(logits);
             }
+        }
+    }
+}
+
+/// Allocations of reversing `class` on the tape and workspace that
+/// reversing `warm` has just left behind (a fresh pair for `None`).
+fn allocs_after(
+    defense: &dyn Defense,
+    model: &Network,
+    images: &Tensor,
+    warm: Option<usize>,
+    class: usize,
+) -> u64 {
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+    if let Some(warm) = warm {
+        let mut rng = StdRng::seed_from_u64(5);
+        let _ = defense.reverse_class_in(model, images, warm, &mut rng, &mut tape, &mut ws);
+    }
+    let mut rng = StdRng::seed_from_u64(6);
+    let (n, result) =
+        allocs_in(|| defense.reverse_class_in(model, images, class, &mut rng, &mut tape, &mut ws));
+    assert!(result.l1_norm.is_finite());
+    n
+}
+
+/// The per-worker context an inspection hands from class to class:
+/// reversing class B on a context class A warmed allocates exactly as
+/// often as reversing B again on one B warmed, and less than on a fresh
+/// context, under USB (Alg. 1 and Alg. 2 on one context) and Neural
+/// Cleanse, on ResNet-18 and EfficientNet-B0.
+#[test]
+fn a_context_warmed_by_another_class_needs_no_more_allocation() {
+    let usb = UsbDetector::new(UsbConfig {
+        refine: RefineConfig {
+            steps: 6,
+            ..RefineConfig::fast()
+        },
+        ..UsbConfig::fast()
+    });
+    let nc = NeuralCleanse::new(nc_config(6));
+    let defenses: [(&str, &dyn Defense); 2] = [("USB", &usb), ("NC", &nc)];
+    for (kind, (c, h, w)) in [
+        (ModelKind::ResNet18, (3, 12, 12)),
+        (ModelKind::EfficientNetB0, (3, 16, 16)),
+    ] {
+        let model = Architecture::new(kind, (c, h, w), 6)
+            .with_width(4)
+            .build(&mut StdRng::seed_from_u64(19));
+        let images = Tensor::from_fn(&[24, c, h, w], |i| 0.5 + 0.4 * ((i as f32) * 0.13).sin());
+        for (name, defense) in defenses {
+            // Absorb one-time initialisation (lazy statics, SSIM windows).
+            let _ = allocs_after(defense, &model, &images, Some(1), 1);
+            let cold = allocs_after(defense, &model, &images, None, 1);
+            let cross = allocs_after(defense, &model, &images, Some(0), 1);
+            let same = allocs_after(defense, &model, &images, Some(1), 1);
+            assert_eq!(
+                cross, same,
+                "{kind:?} {name}: class 1 after class 0 allocated {cross} times, \
+                 after itself {same}"
+            );
+            assert!(
+                same < cold,
+                "{kind:?} {name}: a warm context saved nothing ({same} vs {cold} fresh)"
+            );
         }
     }
 }

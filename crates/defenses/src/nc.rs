@@ -17,7 +17,7 @@ use crate::trigger_var::TriggerVar;
 use crate::verdict::{ClassResult, Defense};
 use rand::rngs::StdRng;
 use usb_nn::models::Network;
-use usb_tensor::Tensor;
+use usb_tensor::{Tape, Tensor, Workspace};
 
 /// Hyperparameters for Neural Cleanse.
 ///
@@ -115,17 +115,19 @@ impl Defense for NeuralCleanse {
         "NC"
     }
 
-    fn reverse_class(
+    fn reverse_class_in(
         &self,
         model: &Network,
         images: &Tensor,
         target: usize,
         rng: &mut StdRng,
+        tape: &mut Tape,
+        ws: &mut Workspace,
     ) -> ClassResult {
         let (c, h, w) = model.input_shape();
         let var = TriggerVar::random(c, h, w, rng);
-        optimise_trigger(model, images, target, var, Objective::Nc(self.config))
-            .class_result(target)
+        let objective = Objective::Nc(self.config);
+        optimise_trigger(model, images, target, var, objective, tape, ws).class_result(target)
     }
 }
 

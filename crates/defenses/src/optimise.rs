@@ -132,10 +132,11 @@ impl TriggerFit {
 /// stamps it, takes the CE input gradient through the tape-backed
 /// [`Network::input_grad_in`], adds the objective's terms and takes an Adam
 /// step. The model is only read, so concurrent per-class optimisations
-/// can share one `&Network`; one tape and one workspace serve every step,
-/// and every per-step tensor is drawn from and recycled into that
+/// can share one `&Network`; the caller's `tape` and `ws` serve every
+/// step, and every per-step tensor is drawn from and recycled into that
 /// workspace, so a warm step allocates nothing (pinned by the
-/// `refine_alloc` test).
+/// `refine_alloc` test). What they hold on entry never reaches the result,
+/// so a context warmed by another class gives a fresh context's bits.
 ///
 /// # Panics
 ///
@@ -147,6 +148,8 @@ pub fn optimise_trigger(
     target: usize,
     mut var: TriggerVar,
     objective: Objective,
+    tape: &mut Tape,
+    ws: &mut Workspace,
 ) -> TriggerFit {
     assert_eq!(
         images.ndim(),
@@ -168,8 +171,6 @@ pub fn optimise_trigger(
     let mut adam = TensorAdam::new(lr).with_betas(0.5, 0.9);
     let mut cursor = 0usize;
     let mut final_ssim = 0.0f32;
-    let mut tape = Tape::new();
-    let mut ws = Workspace::new();
     for step in 0..steps {
         let mut bdata = ws.take_dirty(bs * row);
         for (i, dst) in bdata.chunks_exact_mut(row).enumerate() {
@@ -178,12 +179,12 @@ pub fn optimise_trigger(
         }
         cursor = (cursor + bs) % n;
         let batch = Tensor::from_vec(bdata, &batch_shape);
-        let stamped = var.apply(&batch, &mut ws);
+        let stamped = var.apply(&batch, ws);
         let (logits, mut d_stamped) = model.input_grad_in(
             &stamped,
             |logits, ws| softmax_cross_entropy_uniform_target_ws(logits, target, ws).1,
-            &mut tape,
-            &mut ws,
+            tape,
+            ws,
         );
         let k = logits.shape()[1];
         let hits = logits
@@ -194,22 +195,22 @@ pub fn optimise_trigger(
         ws.recycle(logits);
         if let Objective::Usb(c) = objective {
             // −w·SSIM(x', x) rewards similarity: add −w·dSSIM/dx' in place.
-            let (ssim, d_ssim) = ssim_with_grad_ws(&stamped, &batch, &mut ws);
+            let (ssim, d_ssim) = ssim_with_grad_ws(&stamped, &batch, ws);
             final_ssim = ssim;
             d_stamped.axpy(-c.ssim_weight, &d_ssim);
             ws.recycle(d_ssim);
         }
         ws.recycle(stamped);
-        let (mut d_tm, mut d_tp) = var.backward(&batch, &d_stamped, &mut ws);
+        let (mut d_tm, mut d_tp) = var.backward(&batch, &d_stamped, ws);
         ws.recycle(d_stamped);
         ws.recycle(batch);
         if lambda > 0.0 {
-            let l1 = var.mask_l1_grad(lambda, &mut ws);
+            let l1 = var.mask_l1_grad(lambda, ws);
             d_tm.add_assign(&l1);
             ws.recycle(l1);
         }
         if let Objective::Tabor(c) = objective {
-            c.add_regulariser_grads(&var, &mut d_tm, &mut d_tp, &mut ws);
+            c.add_regulariser_grads(&var, &mut d_tm, &mut d_tp, ws);
         }
         {
             let (tm, tp) = var.params_mut();
@@ -228,7 +229,7 @@ pub fn optimise_trigger(
         ws.recycle(batch);
         stamped
     };
-    let (hits, _) = model.count_hits(images, |_| true, |_| target, stamp, &mut ws);
+    let (hits, _) = model.count_hits(images, |_| true, |_| target, stamp, ws);
     TriggerFit {
         var,
         success_rate: hits as f64 / n as f64,

@@ -19,7 +19,7 @@ use crate::trigger_var::{masked_pattern, total_variation_with_grad, TriggerVar};
 use crate::verdict::{ClassResult, Defense};
 use rand::rngs::StdRng;
 use usb_nn::models::Network;
-use usb_tensor::{Tensor, Workspace};
+use usb_tensor::{Tape, Tensor, Workspace};
 
 /// TABOR hyperparameters: the shared NC schedule plus regulariser weights.
 ///
@@ -139,17 +139,19 @@ impl Defense for Tabor {
         "TABOR"
     }
 
-    fn reverse_class(
+    fn reverse_class_in(
         &self,
         model: &Network,
         images: &Tensor,
         target: usize,
         rng: &mut StdRng,
+        tape: &mut Tape,
+        ws: &mut Workspace,
     ) -> ClassResult {
         let (c, h, w) = model.input_shape();
         let var = TriggerVar::random(c, h, w, rng);
-        optimise_trigger(model, images, target, var, Objective::Tabor(self.config))
-            .class_result(target)
+        let objective = Objective::Tabor(self.config);
+        optimise_trigger(model, images, target, var, objective, tape, ws).class_result(target)
     }
 }
 

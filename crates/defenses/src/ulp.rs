@@ -162,12 +162,14 @@ impl Defense for Ulp {
         0.0
     }
 
-    fn reverse_class(
+    fn reverse_class_in(
         &self,
         model: &Network,
         _images: &Tensor,
         target: usize,
         _rng: &mut StdRng,
+        _tape: &mut Tape,
+        _ws: &mut Workspace,
     ) -> ClassResult {
         let (_, h, w) = model.input_shape();
         let (bank, probs) = self.probe(model);
@@ -333,8 +335,7 @@ fn train_bank(config: &UlpConfig, sig: Signature) -> LitmusBank {
     // A positive-slope head centred at x = 0.5 bootstraps the joint
     // descent (a zero weight would zero the pattern gradients too).
     let (mut weight, mut bias) = (6.0f64, -3.0f64);
-    let mut tape = Tape::new();
-    let mut ws = Workspace::new();
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
     for _ in 0..config.opt_steps {
         let mut total_grad = Tensor::zeros(&[m, c, h, w]);
         let (mut dw, mut db) = (0.0f64, 0.0f64);

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use usb_nn::models::Network;
 use usb_tensor::stats::{flag_small_outliers, median, DEFAULT_ANOMALY_THRESHOLD};
-use usb_tensor::Tensor;
+use usb_tensor::{Tape, Tensor, Workspace};
 
 /// The reversed trigger and statistics for one candidate target class.
 #[derive(Debug, Clone)]
@@ -191,7 +191,8 @@ pub fn score_outcome(outcome: &DetectionOutcome, truth: &[usize]) -> ModelVerdic
 ///
 /// `inspect` must reverse-engineer a candidate trigger *per class* and run
 /// the shared outlier test; implementations provide
-/// [`Defense::reverse_class`] and inherit the default `inspect`.
+/// [`Defense::reverse_class_in`], which borrows the caller's [`Tape`] and
+/// [`Workspace`], and inherit the rest.
 ///
 /// The model is passed by shared reference everywhere: defenses *read*
 /// the victim (forward passes through the cache-free inference path,
@@ -203,14 +204,31 @@ pub trait Defense {
     /// `"ULP"` (`'static`, so verdicts can outlive the defense object).
     fn name(&self) -> &'static str;
 
-    /// Reverse-engineers a trigger that sends `images` to `target`.
+    /// Reverse-engineers a trigger that sends `images` to `target` on the
+    /// caller's `tape` and `ws`; nothing they hold on entry may reach the
+    /// result.
+    fn reverse_class_in(
+        &self,
+        model: &Network,
+        images: &Tensor,
+        target: usize,
+        rng: &mut StdRng,
+        tape: &mut Tape,
+        ws: &mut Workspace,
+    ) -> ClassResult;
+
+    /// [`Defense::reverse_class_in`] on a tape and workspace of its own:
+    /// the entry point for reversing a single class.
     fn reverse_class(
         &self,
         model: &Network,
         images: &Tensor,
         target: usize,
         rng: &mut StdRng,
-    ) -> ClassResult;
+    ) -> ClassResult {
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        self.reverse_class_in(model, images, target, rng, &mut tape, &mut ws)
+    }
 
     /// Minimum reversed-trigger success rate for a flagged class to count
     /// (filters unconverged optimisations).
@@ -218,12 +236,12 @@ pub trait Defense {
         0.5
     }
 
-    /// Runs [`Defense::reverse_class`] for every class and applies the MAD
-    /// outlier test.
+    /// Runs [`Defense::reverse_class_in`] for every class, all on one tape
+    /// and workspace, and applies the MAD outlier test.
     fn inspect(&self, model: &Network, images: &Tensor, rng: &mut StdRng) -> DetectionOutcome {
-        let k = model.num_classes();
-        let per_class: Vec<ClassResult> = (0..k)
-            .map(|t| self.reverse_class(model, images, t, rng))
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let per_class: Vec<ClassResult> = (0..model.num_classes())
+            .map(|t| self.reverse_class_in(model, images, t, rng, &mut tape, &mut ws))
             .collect();
         DetectionOutcome::from_class_results(self.name(), per_class, self.min_success())
     }

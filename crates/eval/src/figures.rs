@@ -23,7 +23,7 @@ use usb_data::SyntheticSpec;
 use usb_defenses::{masked_pattern, Defense, NeuralCleanse, Tabor, TriggerVar};
 use usb_nn::models::{Architecture, ModelKind};
 use usb_nn::train::TrainConfig;
-use usb_tensor::Workspace;
+use usb_tensor::{Tape, Workspace};
 
 fn cifar_resnet_setup() -> (usb_data::Dataset, Architecture) {
     let dataset = SyntheticSpec::cifar10()
@@ -58,8 +58,10 @@ pub fn fig1(out_dir: &Path, mut progress: impl FnMut(&str)) -> io::Result<Vec<(S
     let random_var = TriggerVar::random(3, 12, 12, &mut rng);
     let random_pattern = random_var.pattern();
     // (b) / (c) targeted UAPs.
-    let uap_bd = targeted_uap(&backdoored.model, &x, 0, UapConfig::default());
-    let uap_clean = targeted_uap(&clean.model, &x, 0, UapConfig::default());
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+    let config = UapConfig::default();
+    let uap_bd = targeted_uap(&backdoored.model, &x, 0, config, &mut tape, &mut ws);
+    let uap_clean = targeted_uap(&clean.model, &x, 0, config, &mut tape, &mut ws);
     // (d) NC-optimised pattern on the backdoored model.
     let nc = NeuralCleanse::fast();
     let nc_result = nc.reverse_class(&backdoored.model, &x, 0, &mut rng);
@@ -193,13 +195,14 @@ pub fn fig5(out_dir: &Path, mut progress: impl FnMut(&str)) -> io::Result<Vec<f6
     progress(&format!("[fig5] victim asr {:.2}", victim.asr()));
     let mut rng = StdRng::seed_from_u64(2);
     let (x, _) = data.clean_subset(48, &mut rng);
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
     // Save a triggered sample first (the figure's leftmost panel).
     if let [BackdoorImplant {
         trigger: InjectedTrigger::Static(trigger),
         ..
     }] = victim.implants()
     {
-        let carried = trigger.stamp(&data.test_images.index_axis0(0), &mut Workspace::new());
+        let carried = trigger.stamp(&data.test_images.index_axis0(0), &mut ws);
         save_image(
             &out_dir.join("fig5_triggered_input.ppm"),
             &carried,
@@ -208,11 +211,13 @@ pub fn fig5(out_dir: &Path, mut progress: impl FnMut(&str)) -> io::Result<Vec<f6
         )?;
     }
     let refine = RefineConfig::standard().without_mask_constraint();
+    let uap_config = UapConfig::default();
     let mut norms = Vec::new();
     for t in 0..10 {
-        let uap = targeted_uap(&victim.model, &x, t, UapConfig::default());
-        let fit = refine_uap(&victim.model, &x, t, &uap.perturbation, refine);
-        let v = masked_pattern(&fit.var.pattern(), &fit.var.mask(), &mut Workspace::new());
+        let uap = targeted_uap(&victim.model, &x, t, uap_config, &mut tape, &mut ws);
+        let v = &uap.perturbation;
+        let fit = refine_uap(&victim.model, &x, t, v, refine, &mut tape, &mut ws);
+        let v = masked_pattern(&fit.var.pattern(), &fit.var.mask(), &mut ws);
         save_image(&out_dir.join(format!("fig5_class{t}.ppm")), &v, 0.0, 1.0)?;
         norms.push(v.l1_norm() as f64);
         progress(&format!(
@@ -301,27 +306,21 @@ pub fn transfer(mut progress: impl FnMut(&str)) -> (f64, f64, f64) {
     ));
     let mut rng = StdRng::seed_from_u64(5);
     let (x, _) = data.clean_subset(32, &mut rng);
+    let (uap, refine) = (UapConfig::default(), RefineConfig::standard());
     // Full pipeline on B.
     let t0 = std::time::Instant::now();
-    let uap_b = targeted_uap(&b.model, &x, 0, UapConfig::default());
-    let _ = refine_uap(
-        &b.model,
-        &x,
-        0,
-        &uap_b.perturbation,
-        RefineConfig::standard(),
-    );
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+    let uap_b = targeted_uap(&b.model, &x, 0, uap, &mut tape, &mut ws);
+    let v = &uap_b.perturbation;
+    let _ = refine_uap(&b.model, &x, 0, v, refine, &mut tape, &mut ws);
     let full = t0.elapsed().as_secs_f64();
-    // Transfer: UAP from A, refinement only on B.
-    let uap_a = targeted_uap(&a.model, &x, 0, UapConfig::default());
+    // Transfer: UAP from A, refinement only on B, from a cold context as
+    // the full pipeline had.
+    let uap_a = targeted_uap(&a.model, &x, 0, uap, &mut tape, &mut ws);
     let t0 = std::time::Instant::now();
-    let out = transfer_uap(
-        &b.model,
-        &x,
-        0,
-        &uap_a.perturbation,
-        RefineConfig::standard(),
-    );
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+    let v = &uap_a.perturbation;
+    let out = transfer_uap(&b.model, &x, 0, v, refine, &mut tape, &mut ws);
     let transfer_time = t0.elapsed().as_secs_f64();
     progress(&format!(
         "[transfer] full pipeline {:.2}s vs transfer {:.2}s; raw transfer success {:.2}, refined {:.2}",

@@ -368,7 +368,7 @@ pub fn run_table(
             ],
         };
         let model_ids: Vec<usize> = (0..models_per_case).collect();
-        let runs = par::par_map(0, &model_ids, |_, &m| {
+        let runs = par::par_map(0, &model_ids, |_: &mut (), _, &m| {
             let seed = (ci as u64) * 1000 + m as u64;
             run_model(spec, case, seed, m, models_per_case, suite, &progress)
         });

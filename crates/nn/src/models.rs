@@ -131,8 +131,8 @@ impl Architecture {
 /// [`layer::grad_images`].
 ///
 /// Every pass takes `&self` and runs the one [`Layer::forward`]:
-/// forward-only work as [`Pass::Infer`] ([`Network::infer`] and the
-/// `predict` family), and gradients as a recording pass plus
+/// forward-only work as [`Pass::Infer`] ([`Network::infer`] and
+/// [`Network::count_hits`]), and gradients as a recording pass plus
 /// [`Layer::grad`] (or [`Network::input_grad_in`]), whose backward state
 /// lives in a caller-owned [`Tape`]. One victim is therefore shared by
 /// reference across every worker thread, each worker bringing its own
@@ -208,13 +208,6 @@ impl Network {
     /// Panics if the input shape does not match the architecture.
     pub fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         self.forward(x, Pass::Infer, ws)
-    }
-
-    /// Predicted class per batch row (eval mode, cache-free), with a
-    /// throwaway [`Workspace`]. Loops that count predictions go through
-    /// [`Network::count_hits`] instead.
-    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
-        ops::argmax_rows(&self.infer(x, &mut Workspace::new()))
     }
 
     /// How many of the rows of `images` (`[N, C, H, W]`) that `keep`
@@ -731,7 +724,8 @@ mod tests {
                     .iter()
                     .filter(|&&r| {
                         let img = images.index_axis0(r).map(|x| x + shift);
-                        net.predict(&img.reshape(&[1, 1, 8, 8]))[0] == want(r)
+                        let logits = net.infer(&img.reshape(&[1, 1, 8, 8]), &mut ws);
+                        ops::argmax_row(logits.data()) == want(r)
                     })
                     .count();
                 assert_eq!((hits, seen), (naive, kept.len()), "{n} rows, shift {shift}");

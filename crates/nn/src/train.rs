@@ -164,8 +164,9 @@ pub fn gather_batch(images: &Tensor, labels: &[usize], indices: &[usize]) -> (Te
 /// [`usb_tensor::par`] pool (thread count from `USB_THREADS` / available
 /// parallelism). Evaluation is pure inference, so every worker reads the
 /// **same shared network** — no model clones at all — and brings only its
-/// own [`Workspace`]. The integer hit counts are summed, so the result is
-/// identical at any thread count.
+/// own [`Workspace`], the worker state [`par::par_map`] hands it. The
+/// integer hit counts are summed, so the result is identical at any
+/// thread count.
 pub fn evaluate(net: &Network, images: &Tensor, labels: &[usize]) -> f64 {
     evaluate_with_workers(net, images, labels, par::resolve_workers(0))
 }
@@ -186,17 +187,11 @@ pub fn evaluate_with_workers(
     let workers = workers.max(1).min(batches);
     let stripe = batches.div_ceil(workers) * SCORE_BATCH;
     let starts: Vec<usize> = (0..n).step_by(stripe).collect();
-    let hits: usize = par::par_map(workers, &starts, |_, &lo| {
+    let hits: usize = par::par_map(workers, &starts, |ws: &mut Workspace, _, &lo| {
         let in_stripe = |r: usize| (lo..lo + stripe).contains(&r);
         let unstamped = |batch, _: &mut Workspace| batch;
-        net.count_hits(
-            images,
-            in_stripe,
-            |r| labels[r],
-            unstamped,
-            &mut Workspace::new(),
-        )
-        .0
+        net.count_hits(images, in_stripe, |r| labels[r], unstamped, ws)
+            .0
     })
     .into_iter()
     .sum();

@@ -10,7 +10,8 @@
 //!   worker pool, returning results **in input order**. Work is handed out
 //!   through an atomic cursor, so long and short items load-balance, yet
 //!   each item's result depends only on the item (never on scheduling):
-//!   the output is bit-identical at any thread count.
+//!   the output is bit-identical at any thread count. Each worker owns one
+//!   state, such as its scratch, for all the items it runs.
 //! * [`worker_threads`] / [`resolve_workers`] — the thread-count knob.
 //!   Callers pass an explicit count from their config, `0` meaning "use
 //!   the environment": the `USB_THREADS` variable when set, otherwise
@@ -27,7 +28,7 @@
 //! ```rust
 //! use usb_tensor::par;
 //!
-//! let squares = par::par_map(4, &[1u64, 2, 3, 4, 5], |_idx, &x| x * x);
+//! let squares = par::par_map(4, &[1u64, 2, 3, 4, 5], |_: &mut (), _idx, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
 
@@ -80,25 +81,29 @@ pub fn resolve_workers(configured: usize) -> usize {
 /// Maps `f` over `items` on up to `workers` scoped threads, preserving
 /// input order in the returned vector.
 ///
-/// `f` receives `(index, &item)` so callers can derive per-item state
-/// (e.g. an RNG stream) from the *position*, which is what makes results
-/// independent of how items land on threads. With `workers <= 1` or a
-/// single item the map runs inline on the caller's thread — no pool, no
-/// overhead — and produces the same output.
+/// `f` receives `(&mut state, index, &item)`: each worker builds one
+/// `S::default()` (a `Workspace`, say; `()` for none) and passes it to
+/// every item it claims, so no item's result may depend on it. Callers
+/// derive per-item state (e.g. an RNG stream) from the *position*, which
+/// is what makes results independent of how items land on threads. With
+/// `workers <= 1` or a single item the map runs inline on the caller's
+/// thread — no pool, no overhead — and produces the same output.
 ///
 /// # Panics
 ///
 /// Re-raises a panic observed in a worker; once one worker panics, the
 /// others stop claiming new items (in-flight items still complete).
-pub fn par_map<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
+pub fn par_map<T, U, S, F>(workers: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
-    F: Fn(usize, &T) -> U + Sync,
+    S: Default,
+    F: Fn(&mut S, usize, &T) -> U + Sync,
 {
     let workers = resolve_workers(workers).min(items.len());
     if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        let mut s = S::default();
+        return (0..items.len()).map(|i| f(&mut s, i, &items[i])).collect();
     }
     /// Raises the shared flag if its worker unwinds, so siblings stop
     /// claiming items instead of draining the queue before the caller
@@ -122,6 +127,7 @@ where
             scope.spawn(|| {
                 IN_WORKER.with(|w| w.set(true));
                 let _guard = PanicFlag(&panicked);
+                let mut state = S::default();
                 loop {
                     if panicked.load(Ordering::Relaxed) {
                         break;
@@ -130,7 +136,7 @@ where
                     if i >= items.len() {
                         break;
                     }
-                    let result = f(i, &items[i]);
+                    let result = f(&mut state, i, &items[i]);
                     *slots[i].lock().expect("par_map: poisoned result slot") = Some(result);
                 }
             });
@@ -152,13 +158,13 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u32> = par_map(4, &[] as &[u32], |_, &x| x + 1);
+        let out: Vec<u32> = par_map(4, &[] as &[u32], |_: &mut (), _, &x| x + 1);
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_item_runs_inline() {
-        let out = par_map(8, &[41u32], |i, &x| (i, x + 1));
+        let out = par_map(8, &[41u32], |_: &mut (), i, &x| (i, x + 1));
         assert_eq!(out, vec![(0, 42)]);
     }
 
@@ -166,7 +172,7 @@ mod tests {
     fn preserves_input_order() {
         let items: Vec<usize> = (0..100).collect();
         // Skew the per-item cost so a racy fan-in would scramble results.
-        let out = par_map(4, &items, |idx, &x| {
+        let out = par_map(4, &items, |_: &mut (), idx, &x| {
             if x % 7 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
@@ -182,7 +188,9 @@ mod tests {
         let items: Vec<u64> = (0..37).collect();
         let seq: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(2654435761)).collect();
         for workers in [1, 2, 3, 4, 8] {
-            let par = par_map(workers, &items, |_, &x| x.wrapping_mul(2654435761));
+            let par = par_map(workers, &items, |_: &mut (), _, &x| {
+                x.wrapping_mul(2654435761)
+            });
             assert_eq!(par, seq, "workers={workers}");
         }
     }
@@ -190,7 +198,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
-            par_map(2, &[1u32, 2, 3, 4], |_, &x| {
+            par_map(2, &[1u32, 2, 3, 4], |_: &mut (), _, &x| {
                 if x == 3 {
                     panic!("boom at {x}");
                 }
@@ -210,13 +218,32 @@ mod tests {
     fn nested_auto_fanout_collapses_to_inline() {
         // Inside a worker, auto-sized (0) resolution must come back 1 so a
         // nested par_map runs inline; an explicit count is still honored.
-        let resolved = par_map(2, &[(); 4], |_, _| (resolve_workers(0), resolve_workers(3)));
+        let resolved = par_map(2, &[(); 4], |_: &mut (), _, _| {
+            (resolve_workers(0), resolve_workers(3))
+        });
         for &(auto, explicit) in &resolved {
             assert_eq!(auto, 1, "auto must collapse inside a worker");
             assert_eq!(explicit, 3, "explicit counts are honored");
         }
         // Back on the caller's thread, auto resolution is restored.
         assert!(resolve_workers(0) >= 1);
+    }
+
+    #[test]
+    fn each_worker_keeps_one_state_for_all_its_items() {
+        // The state counts the items its worker ran, so a state built per
+        // item would read 1 every time; each worker reads 1 exactly once.
+        let inline = par_map(1, &[(); 40], |seen: &mut usize, _, _| {
+            *seen += 1;
+            *seen
+        });
+        assert_eq!(inline, (1..=40).collect::<Vec<_>>());
+        let pooled = par_map(2, &[(); 40], |seen: &mut usize, _, _| {
+            *seen += 1;
+            *seen
+        });
+        let states = pooled.iter().filter(|&&n| n == 1).count();
+        assert!((1..=2).contains(&states), "{states} states for 2 workers");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reusable scratch buffers for the allocation-free inference path.
 //!
-//! Every forward-only model pass in the detection pipeline (per-sample
-//! `predict` inside the UAP sweep, success-rate checks, refinement scoring,
+//! Every model pass in the detection pipeline (per-sample predictions
+//! inside the UAP sweep, success-rate checks, refinement scoring,
 //! evaluation) used to reallocate its im2col columns, matmul outputs, and
 //! layer activations on every call. A [`Workspace`] is a small arena of
 //! `Vec<f32>` buffers that those kernels check out and return instead:
@@ -29,7 +29,11 @@
 //!   dead buffers (this is what keeps per-worker clones of a victim cheap).
 //!
 //! A `Workspace` is deliberately *not* shared between threads; each worker
-//! owns its own (`Send` but used behind `&mut`).
+//! owns one (`Send` but used behind `&mut`) for all the work it runs — an
+//! inspection worker's every class, Alg. 1 and Alg. 2 alike — and the
+//! algorithms borrow it (`ws: &mut Workspace`) rather than build their
+//! own. So a warm workspace meets work of a different class, model or
+//! shape, which is why nothing may read a buffer it did not write.
 //!
 //! A workspace is only a buffer pool. A quantized weight's decode is not
 //! scratch: the layer that owns the weight builds it once and shares it

@@ -32,7 +32,9 @@
 //!   must not duplicate dead activation buffers.
 //!
 //! A `Tape` is deliberately not shared between threads; each worker owns
-//! its own (`Send`, used behind `&mut`).
+//! one (`Send`, used behind `&mut`) for all the work it runs — an
+//! inspection worker's every class, Alg. 1 and Alg. 2 alike — and the
+//! algorithms borrow it (`tape: &mut Tape`) rather than build their own.
 
 /// One layer's recorded backward state: an activation payload, an optional
 /// secondary payload, and integer metadata (shapes, argmax tables).

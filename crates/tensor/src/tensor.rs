@@ -339,19 +339,6 @@ impl Tensor {
         }
     }
 
-    /// Writes `src` into the `i`-th slice along the first axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes are incompatible or `i` is out of bounds.
-    pub fn set_axis0(&mut self, i: usize, src: &Tensor) {
-        let n = self.shape()[0];
-        assert!(i < n, "index {i} out of bounds for axis 0 of size {n}");
-        let inner: usize = self.shape()[1..].iter().product();
-        assert_eq!(src.len(), inner, "slice length mismatch in set_axis0");
-        self.data[i * inner..(i + 1) * inner].copy_from_slice(&src.data);
-    }
-
     /// Stacks rank-`r` tensors of identical shape into one rank-`r+1` tensor
     /// along a new leading axis.
     ///
@@ -659,10 +646,6 @@ mod tests {
         let s = t.index_axis0(1);
         assert_eq!(s.shape(), &[2, 2]);
         assert_eq!(s.data(), &[4.0, 5.0, 6.0, 7.0]);
-        let mut t2 = t.clone();
-        t2.set_axis0(0, &Tensor::full(&[2, 2], 9.0));
-        assert_eq!(t2.at(&[0, 1, 1]), 9.0);
-        assert_eq!(t2.at(&[1, 0, 0]), 4.0);
     }
 
     #[test]

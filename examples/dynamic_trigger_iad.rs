@@ -37,7 +37,7 @@ fn main() {
             data.test_images.index_axis0(0),
             data.test_images.index_axis0(1),
         ]);
-        let patterns = generator.generate(&pair);
+        let patterns = generator.generate(&pair, &mut Workspace::new());
         let diff = patterns
             .index_axis0(0)
             .sub(&patterns.index_axis0(1))

@@ -32,28 +32,23 @@ fn main() {
     let (x, _) = data.clean_subset(48, &mut rng);
     let target = 2;
 
-    // Full pipeline on B (Alg. 1 + Alg. 2).
+    let (uap, refine) = (UapConfig::default(), RefineConfig::standard());
+
+    // Full pipeline on B (Alg. 1 + Alg. 2), on one tape and workspace.
     let t0 = Instant::now();
-    let uap_b = targeted_uap(&b.model, &x, target, UapConfig::default());
-    let full_refined = refine_uap(
-        &b.model,
-        &x,
-        target,
-        &uap_b.perturbation,
-        RefineConfig::standard(),
-    );
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+    let uap_b = targeted_uap(&b.model, &x, target, uap, &mut tape, &mut ws);
+    let v = &uap_b.perturbation;
+    let full_refined = refine_uap(&b.model, &x, target, v, refine, &mut tape, &mut ws);
     let t_full = t0.elapsed();
 
-    // Transfer: UAP generated once on A, refinement only on B.
-    let uap_a = targeted_uap(&a.model, &x, target, UapConfig::default());
+    // Transfer: UAP generated once on A, refinement only on B, timed from
+    // a cold tape and workspace as the full pipeline was.
+    let uap_a = targeted_uap(&a.model, &x, target, uap, &mut tape, &mut ws);
     let t0 = Instant::now();
-    let transferred = transfer_uap(
-        &b.model,
-        &x,
-        target,
-        &uap_a.perturbation,
-        RefineConfig::standard(),
-    );
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+    let v = &uap_a.perturbation;
+    let transferred = transfer_uap(&b.model, &x, target, v, refine, &mut tape, &mut ws);
     let t_transfer = t0.elapsed();
 
     println!(

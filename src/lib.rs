@@ -97,8 +97,8 @@ pub mod prelude {
         InjectedTrigger, LatentBackdoor, MultiBadNet, Trigger, TriggerSpec, Victim,
     };
     pub use usb_core::{
-        deepfool, refine_uap, targeted_uap, transfer_uap, DeepfoolConfig, RefineConfig, UapConfig,
-        UsbConfig, UsbDetector,
+        refine_uap, targeted_uap, transfer_uap, DeepfoolConfig, RefineConfig, UapConfig, UsbConfig,
+        UsbDetector,
     };
     pub use usb_data::{Dataset, SyntheticSpec};
     pub use usb_defenses::{
@@ -107,7 +107,7 @@ pub mod prelude {
     };
     pub use usb_nn::models::{Architecture, ModelKind, Network};
     pub use usb_nn::train::TrainConfig;
-    pub use usb_tensor::Tensor;
+    pub use usb_tensor::{Tape, Tensor, Workspace};
 }
 
 #[cfg(test)]

@@ -9,10 +9,12 @@ mod serve_util;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
+use universal_soldier::defenses::ClassResult;
 use universal_soldier::eval::serve::proto::verdict_from_outcome;
 use universal_soldier::eval::serve::{Client, ServeConfig, Server, SubmitOptions};
 use universal_soldier::nn::models::network_clone_count;
 use universal_soldier::prelude::*;
+use universal_soldier::usb::UapResult;
 
 fn small_arch() -> Architecture {
     Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4).with_width(6)
@@ -81,11 +83,11 @@ fn victim_training_is_deterministic_for_equal_seeds() {
     let b = small_attack().execute(&data, small_arch(), TrainConfig::fast(), 9);
     assert_eq!(a.clean_accuracy, b.clean_accuracy);
     assert_eq!(a.asr(), b.asr());
-    let x = data.test_images.clone();
+    let mut ws = Workspace::new();
     assert_eq!(
-        a.model.predict(&x),
-        b.model.predict(&x),
-        "cached and freshly trained victims must predict identically"
+        a.model.infer(&data.test_images, &mut ws).data(),
+        b.model.infer(&data.test_images, &mut ws).data(),
+        "cached and freshly trained victims must score identically"
     );
 }
 
@@ -120,11 +122,11 @@ fn multi_target_and_blended_fixtures_match_fresh_retraining() {
         let fresh = attack.execute(&data, arch, tc, 9);
         assert_eq!(cached.targets(), fresh.targets(), "{key}: targets");
         assert_eq!(cached.asr(), fresh.asr(), "{key}: asr");
-        let x = data.test_images.clone();
+        let mut ws = Workspace::new();
         assert_eq!(
-            cached.model.predict(&x),
-            fresh.model.predict(&x),
-            "{key}: cached and freshly trained victims must predict identically"
+            cached.model.infer(&data.test_images, &mut ws).data(),
+            fresh.model.infer(&data.test_images, &mut ws).data(),
+            "{key}: cached and freshly trained victims must score identically"
         );
     }
 }
@@ -283,4 +285,111 @@ fn daemon_verdicts_are_bit_identical_to_offline_inspection() {
         "only the very first request may parse the bundle"
     );
     assert_eq!(stats.cache_hits, 5, "every later request must stay warm");
+}
+
+/// The `e2e-badnet` fixture (same recipe as `tests/end_to_end_detection.rs`
+/// and `tests/reverse_golden.rs`, so the suites share one cached bundle):
+/// ResNet-18, 10 classes, BadNet target 3.
+fn resnet_victim() -> (Dataset, Victim) {
+    let spec = SyntheticSpec::cifar10()
+        .with_size(12)
+        .with_train_size(400)
+        .with_test_size(80);
+    let arch = Architecture::new(ModelKind::ResNet18, (3, 12, 12), 10).with_width(4);
+    let (attack, tc) = (BadNet::new(2, 3, 0.15), TrainConfig::new(20));
+    let fixture = FixtureSpec::new("e2e-badnet", spec, 201, 13).with_config(&[
+        &format!("{arch:?}"),
+        &format!("{attack:?}"),
+        &format!("{tc:?}"),
+    ]);
+    cached_victim(&fixture, |data| attack.execute(data, arch, tc, 13))
+}
+
+fn tensor_bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A worker's tape and workspace carry nothing from one class into the
+/// next. Every class is reversed in turn — USB, NC and TABOR, on the
+/// trained ResNet-18 victim and on a seeded EfficientNet-B0 — on one
+/// context that every earlier run has left dirty, and each result must
+/// equal the fresh-context one bit for bit: the L1 norm, the success rate,
+/// the pattern and the mask. Alg. 1 alone is held to the same, its
+/// perturbation, success, passes and DeepFool calls included. A stale
+/// `take_dirty` read would show here.
+#[test]
+fn reused_context_gives_fresh_context_bits_for_every_class() {
+    let (rdata, resnet) = resnet_victim();
+    let mut rng = StdRng::seed_from_u64(23);
+    let (rx, _) = rdata.clean_subset(32, &mut rng);
+    let edata = SyntheticSpec::cifar10()
+        .with_size(16)
+        .with_train_size(16)
+        .with_test_size(32)
+        .with_classes(6)
+        .generate(29);
+    let (ex, _) = edata.clean_subset(32, &mut rng);
+    let effnet = Architecture::new(ModelKind::EfficientNetB0, (3, 16, 16), 6)
+        .with_width(4)
+        .build(&mut StdRng::seed_from_u64(31));
+    // Short schedules: the contract is about bits, not convergence.
+    let schedule = NcConfig {
+        steps: 8,
+        patience: 2,
+        ..NcConfig::fast()
+    };
+    let usb = UsbDetector::new(UsbConfig {
+        refine: RefineConfig {
+            steps: 8,
+            ..RefineConfig::fast()
+        },
+        ..UsbConfig::fast()
+    });
+    let nc = NeuralCleanse::new(schedule);
+    let tabor = Tabor::new(TaborConfig {
+        base: schedule,
+        ..TaborConfig::fast()
+    });
+    let defenses: [&dyn Defense; 3] = [&usb, &nc, &tabor];
+    let result_bits = |r: &ClassResult| {
+        (
+            r.l1_norm.to_bits(),
+            r.attack_success.to_bits(),
+            tensor_bits(&r.pattern),
+            tensor_bits(&r.mask),
+        )
+    };
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+    for (name, model, x) in [
+        ("resnet18", &resnet.model, &rx),
+        ("effnet-b0", &effnet, &ex),
+    ] {
+        for defense in defenses {
+            for t in 0..model.num_classes() {
+                let seed = 100 + t as u64;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let warm = defense.reverse_class_in(model, x, t, &mut rng, &mut tape, &mut ws);
+                let fresh = defense.reverse_class(model, x, t, &mut StdRng::seed_from_u64(seed));
+                assert!(
+                    result_bits(&warm) == result_bits(&fresh),
+                    "{name} {}: class {t} moved on a reused context",
+                    defense.name()
+                );
+            }
+        }
+        for t in 0..model.num_classes() {
+            let config = UapConfig::fast();
+            let warm = targeted_uap(model, x, t, config, &mut tape, &mut ws);
+            let (mut cold_tape, mut cold_ws) = (Tape::new(), Workspace::new());
+            let fresh = targeted_uap(model, x, t, config, &mut cold_tape, &mut cold_ws);
+            let uap_bits = |u: &UapResult| {
+                let counts = (u.passes, u.deepfool_calls, u.success_rate.to_bits());
+                (tensor_bits(&u.perturbation), counts)
+            };
+            assert!(
+                uap_bits(&warm) == uap_bits(&fresh),
+                "{name}: Alg. 1 toward class {t} moved on a reused context"
+            );
+        }
+    }
 }

@@ -1,5 +1,5 @@
 //! The contract of the one forward across its passes: `Network::infer`
-//! (a `Pass::Infer` forward, and everything built on it — `predict`,
+//! (a `Pass::Infer` forward, and everything built on it — `count_hits`,
 //! `evaluate`) returns **bit-identical** results to the
 //! `Pass::Eval` forward the gradient route records, for every victim
 //! architecture, with any workspace history; and on a model without batch
@@ -221,7 +221,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 /// Only batch norm depends on the pass: a `Pass::Train` forward of a net
 /// without it computes exactly the `Pass::Infer` values. This is what lets
-/// `IadGenerator::generate_in` (forward only) stand in for the patterns
+/// `IadGenerator::generate` (forward only) stand in for the patterns
 /// the generator's training step records, and BasicCnn victims score the
 /// logits they were trained on. A batch-norm model shows the check can
 /// fail.
@@ -229,14 +229,10 @@ fn bits(t: &Tensor) -> Vec<u32> {
 fn train_pass_matches_infer_on_nets_without_batch_norm() {
     let mut generator = IadGenerator::new(3, 4, 0.4, &mut StdRng::seed_from_u64(21));
     let x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i as f32) * 0.19).sin().abs());
-    let patterns = generator.generate(&x);
+    let mut ws = Workspace::new();
+    let patterns = generator.generate(&x, &mut ws);
     let net = &*generator.net_mut();
-    let recorded = forward_images(
-        net,
-        &x,
-        Pass::Train(&mut Tape::new()),
-        &mut Workspace::new(),
-    );
+    let recorded = forward_images(net, &x, Pass::Train(&mut Tape::new()), &mut ws);
     assert_eq!(
         bits(&recorded),
         bits(&patterns),

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use universal_soldier::defenses::TriggerVar;
-use universal_soldier::tensor::ssim::ssim;
+use universal_soldier::tensor::ssim::ssim_with_grad_ws;
 use universal_soldier::tensor::stats::{anomaly_indices, flag_small_outliers, median};
 use universal_soldier::tensor::{Tensor, Workspace};
 
@@ -68,11 +68,12 @@ proptest! {
         vals in proptest::collection::vec(0.0f32..1.0, 64),
     ) {
         let x = unit_image(&vals, 1, 10, 10);
-        let s = ssim(&x, &x);
+        let mut ws = Workspace::new();
+        let (s, _) = ssim_with_grad_ws(&x, &x, &mut ws);
         prop_assert!((s - 1.0).abs() < 1e-3, "ssim(x,x) = {s}");
         // Against a constant grey image SSIM stays in [-1, 1].
         let grey = Tensor::full(&[1, 10, 10], 0.5);
-        let s = ssim(&x, &grey);
+        let (s, _) = ssim_with_grad_ws(&x, &grey, &mut ws);
         prop_assert!((-1.0..=1.0).contains(&s), "ssim out of range: {s}");
     }
 

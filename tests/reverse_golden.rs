@@ -95,7 +95,16 @@ fn refine_uap_is_bit_identical_to_the_golden_hashes() {
     let (x, _) = clean_data(&data);
     // A fixed perturbation, so the case pins Alg. 2 alone.
     let v = Tensor::from_fn(&[1, 12, 12], |i| 0.3 * ((i as f32) * 0.37).cos());
-    let fit = refine_uap(&victim.model, &x, 1, &v, RefineConfig::fast());
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+    let fit = refine_uap(
+        &victim.model,
+        &x,
+        1,
+        &v,
+        RefineConfig::fast(),
+        &mut tape,
+        &mut ws,
+    );
     let got = pinned(&fit.class_result(1));
     let mut failures: Vec<String> = check("refine_uap", got, REFINE_UAP).into_iter().collect();
     let ssim_bits = fit.final_ssim.to_bits();
@@ -262,10 +271,12 @@ fn targeted_uap_is_bit_identical_to_the_golden_hashes() {
     ];
     let configs = [("fast", UapConfig::fast()), ("strained", strained())];
     let mut got = Vec::new();
+    // One tape and workspace for every case, across models and dtypes.
+    let (mut tape, mut ws) = (Tape::new(), Workspace::new());
     for (name, model, x, targets) in models {
         for (cname, config) in configs {
             for target in targets {
-                let result = targeted_uap(model, x, target, config);
+                let result = targeted_uap(model, x, target, config, &mut tape, &mut ws);
                 got.push((format!("{name}/{cname}/{target}"), uap_pinned(&result)));
             }
         }
